@@ -89,17 +89,6 @@ std::vector<std::uint8_t>& ScratchArena::valid_flags(std::size_t n) {
   return valid_flags_;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>& ScratchArena::pair_buffer(
-    std::size_t expected) {
-  if (oversized(pairs_, expected)) {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>().swap(pairs_);
-    ++stats_.vector_shrinks;
-  }
-  pairs_.clear();
-  pairs_.reserve(expected);
-  return pairs_;
-}
-
 std::size_t ScratchArena::memory_bytes() const {
   std::size_t bytes = 0;
   for (const GridHashSet& g : grids_) bytes += g.memory_bytes();
@@ -107,7 +96,6 @@ std::size_t ScratchArena::memory_bytes() const {
   bytes += vmax_.capacity() * sizeof(double);
   bytes += conjunction_slots_.capacity() * sizeof(Conjunction);
   bytes += valid_flags_.capacity();
-  bytes += pairs_.capacity() * sizeof(std::pair<std::uint32_t, std::uint32_t>);
   return bytes;
 }
 
@@ -119,7 +107,6 @@ void ScratchArena::release() {
   std::vector<double>().swap(vmax_);
   std::vector<Conjunction>().swap(conjunction_slots_);
   std::vector<std::uint8_t>().swap(valid_flags_);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>>().swap(pairs_);
 }
 
 ScreeningContext::Use::Use(ScreeningContext& context) : context_(context) {

@@ -78,11 +78,6 @@ class ScratchArena {
   /// Refinement validity flags, resized to n and zero-filled.
   std::vector<std::uint8_t>& valid_flags(std::size_t n);
 
-  /// Flat pair list for the all-on-all baselines, cleared with capacity
-  /// for `expected` pairs.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>>& pair_buffer(
-      std::size_t expected);
-
   /// Approximate bytes currently held across all cached buffers.
   std::size_t memory_bytes() const;
 
@@ -102,7 +97,6 @@ class ScratchArena {
   std::vector<double> vmax_;
   std::vector<Conjunction> conjunction_slots_;
   std::vector<std::uint8_t> valid_flags_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_;
   Stats stats_;
 };
 

@@ -45,15 +45,12 @@ namespace {
 GridPipelineResult run_pipeline_impl(const Propagator& propagator,
                                      const ScreeningConfig& caller_config,
                                      const GridPipelineOptions& options,
+                                     ScreeningContext& context,
                                      const GridRoundSink* sink) {
   GridPipelineResult result;
 
-  // Bound-or-ephemeral context: step-1 scratch is always checked out of an
-  // arena; without an attached context it is a throwaway one, which is
-  // exactly the old allocate-per-call behavior.
-  detail::ContextLease lease(options.context);
-  ScreeningContext::Use use(*lease);
-  const ScreeningConfig config = lease->apply(caller_config);
+  ScreeningContext::Use use(context);
+  const ScreeningConfig config = context.apply(caller_config);
 
   Stopwatch alloc_watch;
 
@@ -89,7 +86,9 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   SizingRequest request;
   request.satellites = n;
   request.span_seconds = config.span_seconds();
-  request.seconds_per_sample = options.seconds_per_sample;
+  request.seconds_per_sample = config.seconds_per_sample > 0.0
+                                   ? config.seconds_per_sample
+                                   : options.seconds_per_sample;
   request.memory_budget = budget;
 
   const AutoAdjustResult adjusted =
@@ -117,7 +116,7 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   // out of the arena at exactly the sizes a cold screen would allocate.
   // Carried-over grids still hold the previous screen's entries; reset
   // them here, on the worker pool, like the between-rounds clears below.
-  ScratchArena& arena = lease->arena();
+  ScratchArena& arena = context.arena();
   const ScratchArena::GridCheckout grid_checkout = arena.grids(p, n);
   std::vector<GridHashSet>& grids = *grid_checkout.grids;
   pool_of(config).parallel_for(
@@ -366,15 +365,35 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
 
 GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const ScreeningConfig& config,
-                                     const GridPipelineOptions& options) {
-  return run_pipeline_impl(propagator, config, options, nullptr);
+                                     const GridPipelineOptions& options,
+                                     ScreeningContext& context) {
+  return run_pipeline_impl(propagator, config, options, context, nullptr);
 }
 
 GridPipelineResult run_grid_pipeline_streaming(const Propagator& propagator,
                                                const ScreeningConfig& config,
                                                const GridPipelineOptions& options,
+                                               ScreeningContext& context,
                                                const GridRoundSink& sink) {
-  return run_pipeline_impl(propagator, config, options, &sink);
+  return run_pipeline_impl(propagator, config, options, context, &sink);
+}
+
+void fill_pipeline_stats(ScreeningReport& report, std::size_t satellites,
+                         const GridPipelineResult& pipeline) {
+  report.timings.allocation += pipeline.allocation_seconds;
+  report.timings.insertion = pipeline.insertion_seconds;
+  report.timings.detection = pipeline.detection_seconds;
+  report.stats.satellites = satellites;
+  report.stats.total_samples = pipeline.plan.total_samples;
+  report.stats.parallel_samples = pipeline.plan.parallel_samples;
+  report.stats.rounds = pipeline.plan.rounds;
+  report.stats.seconds_per_sample = pipeline.sample_period;
+  report.stats.cell_size_km = pipeline.cell_size;
+  report.stats.candidates = pipeline.total_candidates;
+  report.stats.refinements = pipeline.total_candidates;
+  report.stats.candidate_set_growths = pipeline.candidate_set_growths;
+  report.stats.grid_memory_bytes = pipeline.grid_memory_bytes;
+  report.stats.candidate_memory_bytes = pipeline.candidate_memory_bytes;
 }
 
 }  // namespace scod

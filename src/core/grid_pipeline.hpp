@@ -20,6 +20,7 @@ class ScreeningContext;
 /// detection).
 struct GridPipelineOptions {
   /// Sampling period s_ps [s]; the cell size follows from Eq. (1).
+  /// ScreeningConfig::seconds_per_sample overrides it when positive.
   double seconds_per_sample = 4.0;
   /// Sizing model for the conjunction hash map (Eq. 3 for grid, Eq. 4 for
   /// hybrid); the set grows and the affected round retries if it proves
@@ -53,12 +54,6 @@ struct GridPipelineOptions {
   /// either way — disable only to benchmark the scalar path
   /// (bench_micro_batch).
   bool batch_propagation = true;
-  /// Long-lived screening context to borrow step-1 scratch from (grids,
-  /// candidate set, vmax table). Checked-out buffers are reset to exactly
-  /// the state a fresh allocation would have, so results are bit-identical
-  /// either way; warm repeat screens just skip the allocation cost. With
-  /// nullptr (the default) the pipeline allocates per call as before.
-  ScreeningContext* context = nullptr;
 };
 
 /// Everything the grid front-end produced for the refinement/filter stages.
@@ -89,11 +84,16 @@ struct GridPipelineResult {
 /// grids and scans every occupied cell plus its neighbourhood for
 /// candidate pairs, deduplicated in the lock-free candidate set.
 ///
+/// Step-1 scratch (grids, candidate set, vmax table) is checked out of
+/// `context`'s arena, reset to exactly the state a fresh allocation would
+/// have, so a warm context only skips the allocation cost.
+///
 /// Throws std::runtime_error when even a single grid does not fit into the
 /// memory budget.
 GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const ScreeningConfig& config,
-                                     const GridPipelineOptions& options);
+                                     const GridPipelineOptions& options,
+                                     ScreeningContext& context);
 
 /// Per-round candidate sink for streaming consumption. Receives the round
 /// index, the candidates detected in that round (moved), and the pipeline
@@ -112,6 +112,13 @@ using GridRoundSink = std::function<void(
 GridPipelineResult run_grid_pipeline_streaming(const Propagator& propagator,
                                                const ScreeningConfig& config,
                                                const GridPipelineOptions& options,
+                                               ScreeningContext& context,
                                                const GridRoundSink& sink);
+
+/// Fills the report's allocation/INS/CD timings and the grid front-end's
+/// stats (sampling plan, cell size, candidates, memory) from `pipeline`;
+/// refinements is set to one per candidate, as the grid variant runs them.
+void fill_pipeline_stats(ScreeningReport& report, std::size_t satellites,
+                         const GridPipelineResult& pipeline);
 
 }  // namespace scod

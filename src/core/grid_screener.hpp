@@ -16,7 +16,7 @@ namespace scod {
 /// small sampling steps, small cells, every grid candidate goes straight
 /// to the Brent TCA/PCA refinement — no orbital filters. Lower memory
 /// footprint than the hybrid variant at the cost of more refinement work.
-class GridScreener final : public Screener {
+class GridScreener final : public ScreenerBase {
  public:
   /// Default sampling period of the grid variant [s]; Eq. (1) then gives
   /// cells of threshold + 7.8 * s_ps km. Overridden by
@@ -31,16 +31,6 @@ class GridScreener final : public Screener {
   static GridPipelineOptions default_options();
 
   Variant variant() const override { return Variant::kGrid; }
-
-  /// Screens a satellite population: builds the Contour-solver two-body
-  /// propagator internally (timed as allocation) and runs the pipeline.
-  ScreeningReport screen(std::span<const Satellite> satellites,
-                         const ScreeningConfig& config) const override;
-
-  /// Screens with a caller-supplied propagator (e.g. the J2 secular
-  /// propagator); the propagator must be thread-safe.
-  ScreeningReport screen(const Propagator& propagator,
-                         const ScreeningConfig& config) const override;
 
   /// Conjunctions found in one streaming round.
   using ConjunctionSink =
@@ -59,8 +49,10 @@ class GridScreener final : public Screener {
                                    const ConjunctionSink& sink) const;
 
  private:
+  ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
+                      ScreeningContext& context) const override;
+
   GridPipelineOptions options_;
-  ScreeningContext* context_ = nullptr;
 };
 
 }  // namespace scod

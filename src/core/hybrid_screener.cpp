@@ -1,39 +1,20 @@
 #include "core/hybrid_screener.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 
 #include "core/context.hpp"
 #include "core/exec.hpp"
-#include "filters/apogee_perigee.hpp"
+#include "filters/filter_chain.hpp"
 #include "obs/telemetry.hpp"
-#include "filters/coplanarity.hpp"
-#include "filters/orbit_path.hpp"
-#include "filters/time_windows.hpp"
 #include "pca/pair_evaluator.hpp"
 #include "pca/refine.hpp"
-#include "propagation/contour_solver.hpp"
-#include "propagation/two_body.hpp"
 #include "util/stopwatch.hpp"
 
 namespace scod {
 
 namespace {
-
-enum class PairClass : std::uint8_t {
-  kRejectedApogeePerigee,
-  kRejectedPath,
-  kRejectedWindows,
-  kCoplanar,
-  kWindows,
-};
-
-struct PairVerdict {
-  PairClass cls = PairClass::kRejectedApogeePerigee;
-  std::vector<Interval> windows;
-};
 
 /// One Brent task produced by the filter stage.
 struct RefineTask {
@@ -58,41 +39,16 @@ GridPipelineOptions HybridScreener::default_options() {
 
 HybridScreener::HybridScreener(GridPipelineOptions options,
                                ScreeningContext* context)
-    : options_(options),
-      context_(context != nullptr ? context : options.context) {
-  options_.context = nullptr;  // resolved per call through context_
-}
+    : ScreenerBase(context), options_(std::move(options)) {}
 
-ScreeningReport HybridScreener::screen(std::span<const Satellite> satellites,
-                                       const ScreeningConfig& config) const {
-  Stopwatch alloc_watch;
-  const ContourKeplerSolver solver;
-  const TwoBodyPropagator propagator(satellites, solver);
-  const double setup = alloc_watch.seconds();
-
-  ScreeningReport report = screen(propagator, config);
-  report.timings.allocation += setup;
-  return report;
-}
-
-ScreeningReport HybridScreener::screen(const Propagator& propagator,
-                                       const ScreeningConfig& caller_config) const {
-  detail::ContextLease lease(context_);
-  ScreeningContext::Use use(*lease);
-  const ScreeningConfig config = lease->apply(caller_config);
-
-  GridPipelineOptions options = options_;
-  if (config.seconds_per_sample > 0.0) {
-    options.seconds_per_sample = config.seconds_per_sample;
-  }
-  options.context = lease.get();
-
-  GridPipelineResult pipeline = run_grid_pipeline(propagator, config, options);
+ScreeningReport HybridScreener::run(const Propagator& propagator,
+                                    const ScreeningConfig& config,
+                                    ScreeningContext& context) const {
+  GridPipelineResult pipeline =
+      run_grid_pipeline(propagator, config, options_, context);
 
   ScreeningReport report;
-  report.timings.allocation = pipeline.allocation_seconds;
-  report.timings.insertion = pipeline.insertion_seconds;
-  report.timings.detection = pipeline.detection_seconds;
+  fill_pipeline_stats(report, propagator.size(), pipeline);
 
   // ---- Step 3: orbital filters on the distinct pairs --------------------
   Stopwatch filter_watch;
@@ -117,68 +73,27 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
     i = j;
   }
 
-  std::vector<PairVerdict> verdicts(pair_ranges.size());
-  std::atomic<std::size_t> rejected_ap{0}, rejected_path{0}, rejected_windows{0},
-      coplanar_count{0};
-
+  std::vector<PairClassification> verdicts(pair_ranges.size());
   detail::pool_of(config).parallel_for(pair_ranges.size(), [&](std::size_t pi) {
     const Candidate& c = candidates[pair_ranges[pi].first];
-    const KeplerElements& ea = propagator.elements(c.sat_a);
-    const KeplerElements& eb = propagator.elements(c.sat_b);
-    PairVerdict& v = verdicts[pi];
-
-    if (!apogee_perigee_overlap(ea, eb, config.threshold_km + config.filter_pad_km)) {
-      v.cls = PairClass::kRejectedApogeePerigee;
-      rejected_ap.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-
-    if (are_coplanar(ea, eb, config.coplanar_tolerance)) {
-      coplanar_count.fetch_add(1, std::memory_order_relaxed);
-      if (!orbit_path_overlap(ea, eb, config.threshold_km, config.filter_pad_km)) {
-        v.cls = PairClass::kRejectedPath;
-        rejected_path.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      v.cls = PairClass::kCoplanar;
-      return;
-    }
-
-    // Non-coplanar: the node-miss check is the (analytic) orbit path
-    // filter — the orbits can only approach near the relative nodes.
-    const auto crossings = node_crossings(ea, eb);
-    const double reach = config.threshold_km + config.filter_pad_km;
-    if (crossings[0].miss_distance > reach && crossings[1].miss_distance > reach) {
-      v.cls = PairClass::kRejectedPath;
-      rejected_path.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-
-    v.windows = conjunction_time_windows(ea, eb, config.t_begin, config.t_end,
-                                         config.threshold_km, config.time_windows);
-    if (v.windows.empty()) {
-      v.cls = PairClass::kRejectedWindows;
-      rejected_windows.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    v.cls = PairClass::kWindows;
+    verdicts[pi] = classify_pair(propagator.elements(c.sat_a),
+                                 propagator.elements(c.sat_b), config);
   });
 
-  // Turn surviving pairs into refinement tasks. Window tasks are emitted
-  // once per (pair, window) that is reachable from a candidate sample;
-  // coplanar pairs get one grid-style task per candidate step.
+  // Tally the verdicts and turn surviving pairs into refinement tasks.
+  // Window tasks are emitted once per (pair, window) that is reachable from
+  // a candidate sample; coplanar pairs get one grid-style task per
+  // candidate step.
+  FilterFunnel funnel;
   std::vector<RefineTask> tasks;
-  std::size_t coplanar_survivors = 0, window_survivors = 0;
   for (std::size_t pi = 0; pi < pair_ranges.size(); ++pi) {
-    const PairVerdict& v = verdicts[pi];
-    if (v.cls != PairClass::kCoplanar && v.cls != PairClass::kWindows) continue;
-    if (v.cls == PairClass::kCoplanar) ++coplanar_survivors;
-    else ++window_survivors;
+    const PairClassification& v = verdicts[pi];
+    funnel.add(v);
     const auto [begin, end] = pair_ranges[pi];
     const std::uint32_t sat_a = candidates[begin].sat_a;
     const std::uint32_t sat_b = candidates[begin].sat_b;
 
-    if (v.cls == PairClass::kCoplanar) {
+    if (v.verdict == PairVerdict::kCoplanarSurvivor) {
       for (std::size_t k = begin; k < end; ++k) {
         const double t_s =
             pipeline.sample_time(candidates[k].step, config.t_begin, config.t_end);
@@ -186,6 +101,7 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
       }
       continue;
     }
+    if (v.verdict != PairVerdict::kWindowSurvivor) continue;
 
     // A candidate at sample t_s flags a minimum within +- the cell-crossing
     // radius; mark every window overlapping that reach.
@@ -217,39 +133,22 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
 
   // ---- Step 4: Brent refinement -----------------------------------------
   Stopwatch refine_watch;
-  std::vector<Conjunction>& slots = lease->arena().conjunction_slots(tasks.size());
-  std::vector<std::uint8_t>& valid = lease->arena().valid_flags(tasks.size());
+  std::vector<Conjunction>& slots = context.arena().conjunction_slots(tasks.size());
+  std::vector<std::uint8_t>& valid = context.arena().valid_flags(tasks.size());
 
-  // With the concrete TwoBody/Contour pair, each task snapshots both cache
-  // entries once (PairStateEvaluator) so the Brent objective is a direct
-  // call instead of two virtual dispatches per evaluation.
   const RefineFastPath fast = RefineFastPath::probe(propagator);
   detail::execute(config, tasks.size(), [&](std::size_t i) {
     const RefineTask& task = tasks[i];
-    std::optional<Encounter> encounter;
-    if (fast.available()) {
-      const PairStateEvaluator eval = fast.pair(task.sat_a, task.sat_b);
-      const auto distance = [&eval](double t) { return eval.distance(t); };
-      if (task.grid_style) {
-        const double radius = grid_search_radius(
-            pipeline.cell_size,
-            std::min(eval.speed_a(task.center), eval.speed_b(task.center)));
-        encounter = refine_candidate_fn(distance, task.center, radius, config.t_begin,
-                                        config.t_end, config.refine);
-      } else {
-        encounter = refine_on_interval_fn(distance, task.t_lo, task.t_hi, config.refine);
-      }
-    } else if (task.grid_style) {
-      const double speed_a = propagator.state(task.sat_a, task.center).velocity.norm();
-      const double speed_b = propagator.state(task.sat_b, task.center).velocity.norm();
-      const double radius =
-          grid_search_radius(pipeline.cell_size, std::min(speed_a, speed_b));
-      encounter = refine_candidate(propagator, task.sat_a, task.sat_b, task.center,
-                                   radius, config.t_begin, config.t_end, config.refine);
-    } else {
-      encounter = refine_on_interval(propagator, task.sat_a, task.sat_b, task.t_lo,
-                                     task.t_hi, config.refine);
-    }
+    const std::optional<Encounter> encounter =
+        fast.visit(task.sat_a, task.sat_b, [&](const auto& eval) {
+          return task.grid_style
+                     ? refine_grid_candidate(eval, task.center, pipeline.cell_size,
+                                             config.t_begin, config.t_end,
+                                             config.refine)
+                     : refine_on_interval_fn(
+                           [&eval](double t) { return eval.distance(t); },
+                           task.t_lo, task.t_hi, config.refine);
+        });
     if (encounter.has_value() && encounter->pca <= config.threshold_km &&
         encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
       slots[i] = {task.sat_a, task.sat_b, encounter->tca, encounter->pca};
@@ -266,43 +165,11 @@ ScreeningReport HybridScreener::screen(const Propagator& propagator,
       merge_conjunctions(std::move(raw), config.effective_merge_tolerance());
   report.timings.refinement = refine_watch.seconds();
 
-  if (obs::enabled()) {
-    // Filter-chain funnel: every distinct pair lands in exactly one of
-    // {ap-reject, path-reject, window-reject, survivor}, so the telemetry
-    // buckets partition filter_pairs_in. Path checks run on all ap-pass
-    // pairs; only non-coplanar node-pass pairs reach the window filter.
-    obs::count(obs::Counter::kFilterPairsIn, pair_ranges.size());
-    obs::count(obs::Counter::kFilterApogeePerigeeRejects, rejected_ap.load());
-    obs::count(obs::Counter::kFilterPathChecks,
-               pair_ranges.size() - rejected_ap.load());
-    obs::count(obs::Counter::kFilterPathRejects, rejected_path.load());
-    obs::count(obs::Counter::kFilterCoplanarPairs, coplanar_count.load());
-    obs::count(obs::Counter::kFilterWindowChecks,
-               rejected_windows.load() + window_survivors);
-    obs::count(obs::Counter::kFilterWindowRejects, rejected_windows.load());
-    obs::count(obs::Counter::kFilterSurvivors,
-               coplanar_survivors + window_survivors);
-    obs::add_seconds(obs::Counter::kTimeFilteringNs, report.timings.filtering);
-    obs::add_seconds(obs::Counter::kTimeRefinementNs, report.timings.refinement);
-    obs::count(obs::Counter::kConjunctionsReported, report.conjunctions.size());
-  }
-
-  report.stats.satellites = propagator.size();
-  report.stats.total_samples = pipeline.plan.total_samples;
-  report.stats.parallel_samples = pipeline.plan.parallel_samples;
-  report.stats.rounds = pipeline.plan.rounds;
-  report.stats.seconds_per_sample = pipeline.sample_period;
-  report.stats.cell_size_km = pipeline.cell_size;
-  report.stats.candidates = candidates.size();
-  report.stats.pairs_examined = pair_ranges.size();
-  report.stats.filtered_apogee_perigee = rejected_ap.load();
-  report.stats.filtered_path = rejected_path.load();
-  report.stats.filtered_windows = rejected_windows.load();
-  report.stats.coplanar_pairs = coplanar_count.load();
+  funnel.publish(report.stats);
+  obs::add_seconds(obs::Counter::kTimeFilteringNs, report.timings.filtering);
+  obs::add_seconds(obs::Counter::kTimeRefinementNs, report.timings.refinement);
+  obs::count(obs::Counter::kConjunctionsReported, report.conjunctions.size());
   report.stats.refinements = tasks.size();
-  report.stats.candidate_set_growths = pipeline.candidate_set_growths;
-  report.stats.grid_memory_bytes = pipeline.grid_memory_bytes;
-  report.stats.candidate_memory_bytes = pipeline.candidate_memory_bytes;
   return report;
 }
 

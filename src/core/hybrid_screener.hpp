@@ -1,7 +1,5 @@
 #pragma once
 
-#include <span>
-
 #include "core/config.hpp"
 #include "core/grid_pipeline.hpp"
 #include "core/report.hpp"
@@ -19,7 +17,7 @@ namespace scod {
 /// refinement. "The additional checks reduce the number of pairs we have
 /// to examine for their PCAs and TCAs, so we sample less frequently ...
 /// effectively trading time for space."
-class HybridScreener final : public Screener {
+class HybridScreener final : public ScreenerBase {
  public:
   /// Default sampling period [s]; four times the grid variant's, i.e.
   /// four-times-fewer sample steps with correspondingly larger cells.
@@ -34,15 +32,11 @@ class HybridScreener final : public Screener {
 
   Variant variant() const override { return Variant::kHybrid; }
 
-  ScreeningReport screen(std::span<const Satellite> satellites,
-                         const ScreeningConfig& config) const override;
-
-  ScreeningReport screen(const Propagator& propagator,
-                         const ScreeningConfig& config) const override;
-
  private:
+  ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
+                      ScreeningContext& context) const override;
+
   GridPipelineOptions options_;
-  ScreeningContext* context_ = nullptr;
 };
 
 }  // namespace scod

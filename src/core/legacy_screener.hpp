@@ -1,7 +1,5 @@
 #pragma once
 
-#include <span>
-
 #include "core/config.hpp"
 #include "core/report.hpp"
 #include "core/screener.hpp"
@@ -16,7 +14,7 @@ namespace scod {
 /// node-miss, node time windows — and the survivors get a Brent TCA/PCA
 /// search. Deliberately single-threaded, like the paper's numba-JIT Python
 /// baseline, so the quadratic pair loop is undiluted.
-class LegacyScreener final : public Screener {
+class LegacyScreener final : public ScreenerBase {
  public:
   using Options = LegacyScreenerOptions;
 
@@ -25,18 +23,13 @@ class LegacyScreener final : public Screener {
 
   Variant variant() const override { return Variant::kLegacy; }
 
-  /// Throws std::invalid_argument when config.device is set: the legacy
-  /// baseline is CPU-only (and single-threaded) by definition.
-  ScreeningReport screen(std::span<const Satellite> satellites,
-                         const ScreeningConfig& config) const override;
-
-  ScreeningReport screen(const Propagator& propagator,
-                         const ScreeningConfig& config) const override;
-
  private:
+  /// CPU-only (and single-threaded) by definition; the context is only the
+  /// telemetry handle, the chain needs no sized scratch.
+  ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
+                      ScreeningContext& context) const override;
+
   Options options_;
-  ScreeningContext* context_ = nullptr;  ///< telemetry handle only; the
-                                         ///< chain needs no sized scratch
 };
 
 }  // namespace scod

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -41,15 +42,50 @@ class Screener {
 
   virtual Variant variant() const = 0;
 
-  /// Screens a satellite population: builds the variant's internal
+  /// Screens a satellite population: builds the Contour-solver two-body
   /// propagator (timed as allocation) and screens it.
   virtual ScreeningReport screen(std::span<const Satellite> satellites,
                                  const ScreeningConfig& config) const = 0;
 
   /// Screens with a caller-supplied propagator (e.g. the J2 secular
-  /// propagator); the propagator must be thread-safe.
+  /// propagator); the propagator must be thread-safe. Throws
+  /// std::invalid_argument for an empty or inverted span, and when
+  /// config.device is set for a CPU-only variant (legacy, sieve).
   virtual ScreeningReport screen(const Propagator& propagator,
                                  const ScreeningConfig& config) const = 0;
+};
+
+/// The skeleton every variant derives from: both screen() overloads are
+/// implemented here once (and final); a variant only implements run(),
+/// which receives a validated config with the context's pool bound and the
+/// bound-or-ephemeral context already held.
+class ScreenerBase : public Screener {
+ public:
+  ScreeningReport screen(std::span<const Satellite> satellites,
+                         const ScreeningConfig& config) const final;
+  ScreeningReport screen(const Propagator& propagator,
+                         const ScreeningConfig& config) const final;
+
+ protected:
+  /// With a context, scratch is borrowed from its arena across calls; the
+  /// context must outlive the screener.
+  explicit ScreenerBase(ScreeningContext* context) : context_(context) {}
+
+  using ContextBody =
+      std::function<ScreeningReport(ScreeningContext&, const ScreeningConfig&)>;
+
+  /// The common preamble of every screen: validates `config`, leases the
+  /// bound-or-ephemeral context, holds ScreeningContext::Use for the call
+  /// and hands `body` the context and the config with its pool bound.
+  ScreeningReport with_context(const ScreeningConfig& config,
+                               const ContextBody& body) const;
+
+ private:
+  virtual ScreeningReport run(const Propagator& propagator,
+                              const ScreeningConfig& config,
+                              ScreeningContext& context) const = 0;
+
+  ScreeningContext* context_ = nullptr;
 };
 
 /// Options of the legacy (all-on-all filter chain) variant.

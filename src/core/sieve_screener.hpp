@@ -1,7 +1,5 @@
 #pragma once
 
-#include <span>
-
 #include "core/config.hpp"
 #include "core/report.hpp"
 #include "core/screener.hpp"
@@ -23,28 +21,23 @@ namespace scod {
 /// for the comparison benches. Unlike the legacy filter chain it needs no
 /// plane geometry, so it is robust for coplanar pairs too; unlike the
 /// paper's baseline it parallelizes trivially over pairs.
-class SieveScreener final : public Screener {
+class SieveScreener final : public ScreenerBase {
  public:
   using Options = SieveScreenerOptions;
 
   SieveScreener();
-  /// With a context, the vmax table and flat pair list are borrowed from
-  /// its arena across calls; the context must outlive the screener.
+  /// With a context, the vmax table is borrowed from its arena across
+  /// calls; the context must outlive the screener.
   explicit SieveScreener(Options options, ScreeningContext* context = nullptr);
 
   Variant variant() const override { return Variant::kSieve; }
 
-  /// Throws std::invalid_argument when config.device is set: the sieve
-  /// baseline is CPU-only by definition.
-  ScreeningReport screen(std::span<const Satellite> satellites,
-                         const ScreeningConfig& config) const override;
-
-  ScreeningReport screen(const Propagator& propagator,
-                         const ScreeningConfig& config) const override;
-
  private:
+  /// CPU-only by definition.
+  ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
+                      ScreeningContext& context) const override;
+
   Options options_;
-  ScreeningContext* context_ = nullptr;
 };
 
 }  // namespace scod

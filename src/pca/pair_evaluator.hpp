@@ -46,30 +46,64 @@ class PairStateEvaluator {
   const ContourKeplerSolver* solver_;
 };
 
+/// Virtual-dispatch counterpart of PairStateEvaluator, with the same
+/// distance / speed_a / speed_b surface, for any other propagator.
+class PropagatorPairEvaluator {
+ public:
+  PropagatorPairEvaluator(const Propagator& propagator, std::uint32_t sat_a,
+                          std::uint32_t sat_b)
+      : propagator_(&propagator), sat_a_(sat_a), sat_b_(sat_b) {}
+
+  double distance(double time) const {
+    return propagator_->distance(sat_a_, sat_b_, time);
+  }
+  double speed_a(double time) const {
+    return propagator_->state(sat_a_, time).velocity.norm();
+  }
+  double speed_b(double time) const {
+    return propagator_->state(sat_b_, time).velocity.norm();
+  }
+
+ private:
+  const Propagator* propagator_;
+  std::uint32_t sat_a_;
+  std::uint32_t sat_b_;
+};
+
 /// Resolves the concrete (TwoBodyPropagator, ContourKeplerSolver) pair
 /// behind an abstract Propagator — once per refinement phase, so the
-/// per-candidate hot loop never touches RTTI. When the screener runs a
-/// different propagator or solver, `available()` is false and callers keep
-/// the virtual path.
-struct RefineFastPath {
-  const TwoBodyPropagator* propagator = nullptr;
-  const ContourKeplerSolver* solver = nullptr;
-
+/// per-candidate hot loop never touches RTTI. visit() then hands each pair
+/// to a callable as a PairStateEvaluator when the fast path is available,
+/// and as a PropagatorPairEvaluator otherwise; both evaluate the same
+/// positions, so the refined TCAs/PCAs do not depend on the path taken.
+class RefineFastPath {
+ public:
   static RefineFastPath probe(const Propagator& p) {
     RefineFastPath fast;
-    fast.propagator = dynamic_cast<const TwoBodyPropagator*>(&p);
-    if (fast.propagator != nullptr) {
-      fast.solver = dynamic_cast<const ContourKeplerSolver*>(&fast.propagator->solver());
-      if (fast.solver == nullptr) fast.propagator = nullptr;
+    fast.base_ = &p;
+    fast.propagator_ = dynamic_cast<const TwoBodyPropagator*>(&p);
+    if (fast.propagator_ != nullptr) {
+      fast.solver_ =
+          dynamic_cast<const ContourKeplerSolver*>(&fast.propagator_->solver());
     }
     return fast;
   }
 
-  bool available() const { return solver != nullptr; }
+  bool available() const { return solver_ != nullptr; }
 
-  PairStateEvaluator pair(std::uint32_t sat_a, std::uint32_t sat_b) const {
-    return {*propagator, *solver, sat_a, sat_b};
+  /// Calls `fn(evaluator)` with the pair's evaluator and returns its result.
+  template <typename Fn>
+  auto visit(std::uint32_t sat_a, std::uint32_t sat_b, Fn&& fn) const {
+    if (available()) {
+      return fn(PairStateEvaluator(*propagator_, *solver_, sat_a, sat_b));
+    }
+    return fn(PropagatorPairEvaluator(*base_, sat_a, sat_b));
   }
+
+ private:
+  const Propagator* base_ = nullptr;
+  const TwoBodyPropagator* propagator_ = nullptr;
+  const ContourKeplerSolver* solver_ = nullptr;
 };
 
 }  // namespace scod

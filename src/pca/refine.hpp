@@ -115,6 +115,22 @@ std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double cente
   return Encounter{min.x, min.value};
 }
 
+/// Grid-style refinement of a candidate flagged at sample time `t_sample`:
+/// "t is the time it takes the slower of both satellites to cross two
+/// cells, which we can calculate simply by using the velocity vector at
+/// that time step" (Section IV-C). `eval` is a pair evaluator
+/// (distance / speed_a / speed_b, see pca/pair_evaluator.hpp).
+template <typename PairEvaluator>
+std::optional<Encounter> refine_grid_candidate(const PairEvaluator& eval,
+                                               double t_sample, double cell_size,
+                                               double t_min, double t_max,
+                                               const RefineOptions& options = {}) {
+  const double radius = grid_search_radius(
+      cell_size, std::min(eval.speed_a(t_sample), eval.speed_b(t_sample)));
+  return refine_candidate_fn([&eval](double t) { return eval.distance(t); },
+                             t_sample, radius, t_min, t_max, options);
+}
+
 /// Minimizes the pairwise distance of (sat_a, sat_b) on
 /// [center - radius, center + radius], clamped to [t_min, t_max].
 ///

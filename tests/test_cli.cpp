@@ -121,6 +121,18 @@ TEST(Cli, ScreenRejectsBadVariantAndPropagator) {
   std::remove(catalog.c_str());
 }
 
+TEST(Cli, ScreenRejectsInvertedSpanForEveryVariant) {
+  const std::string catalog = temp_path("cli_catalog_span.csv");
+  ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
+  for (const char* variant : {"grid", "hybrid", "legacy", "sieve"}) {
+    const CliRun run = run_cli("screen --catalog " + catalog + " --variant " +
+                               variant + " --span -100");
+    EXPECT_EQ(run.exit_code, 1) << variant << ": " << run.output;
+    EXPECT_NE(run.output.find("empty time span"), std::string::npos) << variant;
+  }
+  std::remove(catalog.c_str());
+}
+
 TEST(Cli, ScreenFailsCleanlyOnMissingCatalog) {
   const CliRun run = run_cli("screen --catalog /nonexistent/cat.csv");
   EXPECT_EQ(run.exit_code, 1);

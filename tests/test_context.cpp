@@ -7,7 +7,6 @@
 
 #include "core/context.hpp"
 #include "core/grid_screener.hpp"
-#include "core/partitioned.hpp"
 #include "core/screen.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
@@ -245,25 +244,6 @@ TEST(Context, UseIsReentrantOnOwnerThreadAndThrowsAcrossThreads) {
   });
   intruder.join();
   EXPECT_TRUE(threw) << "concurrent cross-thread use must be rejected";
-}
-
-TEST(Context, PartitionedScreenParallelJobsMatchDirect) {
-  const auto sats = generate_population({160, 33});
-  const ScreeningConfig cfg = make_config();
-
-  const ScreeningReport direct = screen(sats, cfg, Variant::kGrid);
-  ScreeningContext context;
-  for (const std::size_t partitions : {2u, 3u}) {
-    const ScreeningReport split =
-        partitioned_screen(sats, cfg, Variant::kGrid, partitions, &context);
-    ASSERT_EQ(split.conjunctions.size(), direct.conjunctions.size());
-    for (std::size_t i = 0; i < direct.conjunctions.size(); ++i) {
-      EXPECT_EQ(split.conjunctions[i].sat_a, direct.conjunctions[i].sat_a);
-      EXPECT_EQ(split.conjunctions[i].sat_b, direct.conjunctions[i].sat_b);
-      EXPECT_NEAR(split.conjunctions[i].tca, direct.conjunctions[i].tca, 1e-3);
-      EXPECT_NEAR(split.conjunctions[i].pca, direct.conjunctions[i].pca, 1e-6);
-    }
-  }
 }
 
 TEST(Context, ServiceReusesItsContextAcrossEpochs) {

@@ -3,9 +3,12 @@
 #include <cmath>
 #include <vector>
 
+#include "core/config.hpp"
+#include "core/report.hpp"
 #include "filters/apogee_perigee.hpp"
 #include "filters/coplanarity.hpp"
 #include "filters/dense_scan.hpp"
+#include "filters/filter_chain.hpp"
 #include "filters/orbit_path.hpp"
 #include "filters/time_windows.hpp"
 #include "orbit/geometry.hpp"
@@ -239,6 +242,86 @@ TEST(TimeWindows, ContainSubThresholdMinima) {
     EXPECT_TRUE(found_engineered) << "trial " << trial;
   }
   EXPECT_GE(checked_minima, 25);
+}
+
+TEST(FilterChain, ClassifiesOnePairPerVerdict) {
+  const ScreeningConfig config;  // d = 2 km, pad 0.5 km, span [0, 7200] s
+  const KeplerElements ellipse{7000.0, 0.01, 0.0, 0.0, 0.0, 0.0};  // 6930..7070 km
+
+  struct Case {
+    const char* name;
+    KeplerElements a, b;
+    PairVerdict verdict;
+    bool coplanar;
+  };
+  KeplerElements in_phase = circular(7000.0);
+  in_phase.mean_anomaly = 1.0;
+  KeplerElements out_of_phase = circular(7000.0, kPi / 2.0);
+  out_of_phase.mean_anomaly = kPi / 2.0;
+  // Tilted circle at the ellipse's apogee radius, phased to reach the -x
+  // node together with the ellipse's apogee.
+  KeplerElements apogee_meet = circular(7070.0, kPi / 2.0);
+  apogee_meet.mean_anomaly =
+      kPi - mean_motion(apogee_meet) * 0.5 * orbital_period(ellipse);
+  const Case cases[] = {
+      // 100 km radial gap.
+      {"ap reject", circular(7000.0), circular(7100.0),
+       PairVerdict::kApogeePerigeeReject, false},
+      // Same plane and orientation, radial bands overlapping, but the
+      // curves stay ~20 km apart everywhere.
+      {"coplanar path reject", ellipse, {7020.0, 0.01, 0.0, 0.0, 0.0, 0.0},
+       PairVerdict::kPathReject, true},
+      // One circular orbit, two phases: the paths coincide.
+      {"coplanar survivor", circular(7000.0), in_phase,
+       PairVerdict::kCoplanarSurvivor, true},
+      // Node line along x: the ellipse is at 6930 / 7070 km there, the
+      // tilted circle at 7040 km, so both node misses exceed the reach.
+      {"node-miss reject", ellipse, circular(7040.0, 0.9),
+       PairVerdict::kPathReject, false},
+      // Perpendicular equal circles reach the node a quarter period apart.
+      {"window reject", circular(7000.0), out_of_phase,
+       PairVerdict::kWindowReject, false},
+      // ... and together when both start at the node.
+      {"window survivor", circular(7000.0), circular(7000.0, kPi / 2.0),
+       PairVerdict::kWindowSurvivor, false},
+      // Node misses of ~140 km (+x) and ~0 km (-x): one close node is
+      // enough to pass the node-miss check.
+      {"one-node survivor", ellipse, apogee_meet, PairVerdict::kWindowSurvivor,
+       false},
+  };
+
+  FilterFunnel funnel;
+  for (const Case& c : cases) {
+    const PairClassification pair = classify_pair(c.a, c.b, config);
+    EXPECT_EQ(pair.verdict, c.verdict) << c.name;
+    EXPECT_EQ(pair.coplanar, c.coplanar) << c.name;
+    EXPECT_EQ(pair.windows.empty(), c.verdict != PairVerdict::kWindowSurvivor)
+        << c.name;
+    for (const Interval& w : pair.windows) {
+      EXPECT_GE(w.lo, config.t_begin) << c.name;
+      EXPECT_LE(w.hi, config.t_end) << c.name;
+    }
+    funnel.add(pair);
+  }
+
+  EXPECT_EQ(funnel.pairs_in, 7u);
+  EXPECT_EQ(funnel.ap_rejects, 1u);
+  EXPECT_EQ(funnel.path_rejects, 2u);
+  EXPECT_EQ(funnel.window_rejects, 1u);
+  EXPECT_EQ(funnel.coplanar, 2u);
+  EXPECT_EQ(funnel.coplanar_survivors, 1u);
+  EXPECT_EQ(funnel.window_survivors, 2u);
+  // Conservation: every pair leaves through exactly one bucket.
+  EXPECT_EQ(funnel.pairs_in, funnel.ap_rejects + funnel.path_rejects +
+                                 funnel.window_rejects + funnel.survivors());
+
+  ScreeningStats stats;
+  funnel.publish(stats);
+  EXPECT_EQ(stats.pairs_examined, 7u);
+  EXPECT_EQ(stats.filtered_apogee_perigee, 1u);
+  EXPECT_EQ(stats.filtered_path, 2u);
+  EXPECT_EQ(stats.filtered_windows, 1u);
+  EXPECT_EQ(stats.coplanar_pairs, 2u);
 }
 
 TEST(DenseScan, FindsAllMinimaOfTwoOrbitSystem) {

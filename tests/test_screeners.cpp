@@ -5,10 +5,12 @@
 #include <set>
 #include <vector>
 
-#include "core/partitioned.hpp"
+#include "core/context.hpp"
 #include "core/screen.hpp"
 #include "filters/dense_scan.hpp"
+#include "obs/telemetry.hpp"
 #include "orbit/geometry.hpp"
+#include "pca/pair_evaluator.hpp"
 #include "population/generator.hpp"
 #include "propagation/contour_solver.hpp"
 #include "propagation/ephemeris.hpp"
@@ -354,11 +356,15 @@ TEST(Screeners, TinyPopulationsHandled) {
 
 TEST(Screeners, InvalidSpanRejected) {
   std::vector<Satellite> sats = dense_shell(4, 1);
-  ScreeningConfig cfg;
-  cfg.t_begin = 100.0;
-  cfg.t_end = 100.0;
-  EXPECT_THROW(screen(sats, cfg, Variant::kGrid), std::invalid_argument);
-  EXPECT_THROW(screen(sats, cfg, Variant::kHybrid), std::invalid_argument);
+  for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
+                    Variant::kSieve}) {
+    ScreeningConfig cfg;
+    cfg.t_begin = 100.0;
+    cfg.t_end = 100.0;  // empty
+    EXPECT_THROW(screen(sats, cfg, v), std::invalid_argument) << variant_name(v);
+    cfg.t_end = -100.0;  // inverted
+    EXPECT_THROW(screen(sats, cfg, v), std::invalid_argument) << variant_name(v);
+  }
 }
 
 TEST(Screeners, LegacyHasNoDeviceBackend) {
@@ -440,31 +446,6 @@ TEST_P(GridOracleSweep, GridMatchesOracleAcrossSeeds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridOracleSweep,
                          testing::Values(11u, 222u, 3333u, 44444u));
-
-TEST(Screeners, PartitionedScreeningMatchesDirect) {
-  // The population-division strategy of related work [24]: merging the
-  // block-pair jobs must reproduce the direct screening exactly.
-  const auto sats = dense_shell(48, 0xD15C);
-  ScreeningConfig cfg;
-  cfg.threshold_km = 5.0;
-  cfg.t_end = 6000.0;
-
-  const ScreeningReport direct = screen(sats, cfg, Variant::kGrid);
-  for (std::size_t partitions : {1u, 2u, 3u, 5u}) {
-    const ScreeningReport split =
-        partitioned_screen(sats, cfg, Variant::kGrid, partitions);
-    ASSERT_EQ(split.conjunctions.size(), direct.conjunctions.size())
-        << partitions << " partitions";
-    for (std::size_t i = 0; i < direct.conjunctions.size(); ++i) {
-      EXPECT_EQ(split.conjunctions[i].sat_a, direct.conjunctions[i].sat_a);
-      EXPECT_EQ(split.conjunctions[i].sat_b, direct.conjunctions[i].sat_b);
-      EXPECT_NEAR(split.conjunctions[i].tca, direct.conjunctions[i].tca, 1e-3);
-      EXPECT_NEAR(split.conjunctions[i].pca, direct.conjunctions[i].pca, 1e-6);
-    }
-  }
-  EXPECT_THROW(partitioned_screen(sats, cfg, Variant::kGrid, 0),
-               std::invalid_argument);
-}
 
 TEST(Screeners, BatchedInsertionKernelMatchesScalarExactly) {
   // The SoA insertion kernel is documented as bit-identical to the
@@ -562,6 +543,110 @@ TEST(Screeners, EphemerisBackedScreeningMatchesDirectPropagation) {
     EXPECT_EQ(from_direct.conjunctions[i].sat_b, from_table.conjunctions[i].sat_b);
     EXPECT_NEAR(from_direct.conjunctions[i].tca, from_table.conjunctions[i].tca, 0.5);
     EXPECT_NEAR(from_direct.conjunctions[i].pca, from_table.conjunctions[i].pca, 1e-3);
+  }
+}
+
+/// Forwards every call to another propagator. Not being a
+/// TwoBodyPropagator itself, it hides the devirtualized refinement (and
+/// the batched insertion kernel) from the screeners.
+class ForwardingPropagator final : public Propagator {
+ public:
+  explicit ForwardingPropagator(const Propagator& inner) : inner_(inner) {}
+
+  std::size_t size() const override { return inner_.size(); }
+  Vec3 position(std::size_t index, double time) const override {
+    return inner_.position(index, time);
+  }
+  StateVector state(std::size_t index, double time) const override {
+    return inner_.state(index, time);
+  }
+  const KeplerElements& elements(std::size_t index) const override {
+    return inner_.elements(index);
+  }
+
+ private:
+  const Propagator& inner_;
+};
+
+TEST(Screeners, SnapshotAndVirtualEvaluatorsAgreeBitForBit) {
+  // A random shell with engineered interceptors (window survivors) and
+  // co-orbital twins trailing a shell member by ~1.4 km (coplanar
+  // survivors), so every branch of the hybrid and legacy chains refines.
+  std::vector<Satellite> sats = dense_shell(60, 0xB17);
+  Rng rng(0xB18);
+  for (std::uint32_t k = 0; k < 8; ++k) {
+    const auto target = rng.uniform_index(60);
+    sats.push_back(testutil::make_interceptor(
+        sats[target].elements, rng.uniform(300.0, 3300.0), rng.uniform(-3.0, 3.0),
+        rng, static_cast<std::uint32_t>(sats.size())));
+  }
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    KeplerElements twin = sats[k].elements;
+    twin.mean_anomaly += 2e-4;
+    twin.semi_major_axis += 0.3;
+    sats.push_back({static_cast<std::uint32_t>(sats.size()), twin});
+  }
+  ScreeningConfig cfg;
+  cfg.threshold_km = 5.0;
+  cfg.t_end = 3600.0;
+
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator direct(sats, solver);
+  const ForwardingPropagator forwarded(direct);
+  ASSERT_TRUE(RefineFastPath::probe(direct).available());
+  ASSERT_FALSE(RefineFastPath::probe(forwarded).available());
+
+  using obs::Counter;
+  constexpr Counter kFunnel[] = {
+      Counter::kCandidatesEmitted,          Counter::kFilterPairsIn,
+      Counter::kFilterApogeePerigeeRejects, Counter::kFilterPathChecks,
+      Counter::kFilterPathRejects,          Counter::kFilterWindowChecks,
+      Counter::kFilterWindowRejects,        Counter::kFilterCoplanarPairs,
+      Counter::kFilterSurvivors,            Counter::kSieveDistanceEvals,
+      Counter::kRefinements,                Counter::kBrentIterations,
+      Counter::kWindowClamps,               Counter::kEdgeDiscards,
+      Counter::kConjunctionsRaw,            Counter::kConjunctionsReported};
+
+  for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
+                    Variant::kSieve}) {
+    SCOPED_TRACE(variant_name(v));
+    ScreeningContext context(ScreeningContext::Options{nullptr, /*telemetry=*/true});
+    const std::unique_ptr<Screener> screener = make_screener(v, &context);
+
+    obs::reset();
+    const ScreeningReport fast = screener->screen(direct, cfg);
+    const obs::TelemetrySnapshot fast_counters = obs::snapshot();
+    obs::reset();
+    const ScreeningReport slow = screener->screen(forwarded, cfg);
+    const obs::TelemetrySnapshot slow_counters = obs::snapshot();
+
+    ASSERT_EQ(fast.conjunctions.size(), slow.conjunctions.size());
+    for (std::size_t i = 0; i < fast.conjunctions.size(); ++i) {
+      EXPECT_EQ(fast.conjunctions[i].sat_a, slow.conjunctions[i].sat_a);
+      EXPECT_EQ(fast.conjunctions[i].sat_b, slow.conjunctions[i].sat_b);
+      EXPECT_EQ(fast.conjunctions[i].tca, slow.conjunctions[i].tca);
+      EXPECT_EQ(fast.conjunctions[i].pca, slow.conjunctions[i].pca);
+    }
+    EXPECT_EQ(fast.stats.candidates, slow.stats.candidates);
+    EXPECT_EQ(fast.stats.pairs_examined, slow.stats.pairs_examined);
+    EXPECT_EQ(fast.stats.filtered_apogee_perigee, slow.stats.filtered_apogee_perigee);
+    EXPECT_EQ(fast.stats.filtered_path, slow.stats.filtered_path);
+    EXPECT_EQ(fast.stats.filtered_windows, slow.stats.filtered_windows);
+    EXPECT_EQ(fast.stats.coplanar_pairs, slow.stats.coplanar_pairs);
+    EXPECT_EQ(fast.stats.refinements, slow.stats.refinements);
+    for (const Counter c : kFunnel) {
+      EXPECT_EQ(fast_counters.value(c), slow_counters.value(c)) << obs::counter_name(c);
+    }
+    EXPECT_FALSE(fast.conjunctions.empty());
+    if ((v == Variant::kHybrid || v == Variant::kLegacy) && obs::compiled()) {
+      // Both survivor kinds occur: window survivors pass the window check,
+      // the other survivors are coplanar.
+      const std::uint64_t window_survivors =
+          fast_counters.value(Counter::kFilterWindowChecks) -
+          fast_counters.value(Counter::kFilterWindowRejects);
+      EXPECT_GT(window_survivors, 0u);
+      EXPECT_GT(fast_counters.value(Counter::kFilterSurvivors), window_survivors);
+    }
   }
 }
 

@@ -24,8 +24,12 @@ struct ServeRun {
 };
 
 /// Runs scod_serve with `commands` piped to stdin and the given options.
+/// The script file is named after the running test: ctest runs the tests of
+/// this binary as parallel processes, which must not share one input file.
 ServeRun run_serve(const std::string& options, const std::string& commands) {
-  const std::string script = testing::TempDir() + "/scod_serve_input.txt";
+  const std::string script =
+      testing::TempDir() + "/scod_serve_input_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
   {
     std::ofstream out(script);
     out << commands;
