@@ -97,11 +97,11 @@ int main(int argc, char** argv) {
                    "planted found", "planted missed"});
 
   for (double factor : {1.0, 0.75, 0.5, 0.25, 0.1}) {
-    GridPipelineOptions options = GridScreener::default_options();
-    options.seconds_per_sample = opt.sps_grid;
+    GridPipelineOptions options;
     options.cell_size_override = factor * eq1_cell;
 
     ScreeningConfig cfg = make_config(opt);
+    cfg.seconds_per_sample = opt.sps_grid;
     ScreeningReport report;
     const double secs = median_seconds(
         [&] {

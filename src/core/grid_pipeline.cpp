@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstring>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -38,12 +37,9 @@ void simulate_upload(Device& device, DeviceBuffer<std::byte>& dst, std::size_t b
   }
 }
 
-}  // namespace
-
-namespace {
-
 GridPipelineResult run_pipeline_impl(const Propagator& propagator,
                                      const ScreeningConfig& caller_config,
+                                     const ConjunctionCountModel& count_model,
                                      const GridPipelineOptions& options,
                                      ScreeningContext& context,
                                      const GridRoundSink* sink) {
@@ -59,6 +55,14 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   if (!(config.t_begin < config.t_end)) {
     throw std::invalid_argument("run_grid_pipeline: empty time span");
   }
+  if (!(config.seconds_per_sample > 0.0)) {
+    throw std::invalid_argument("run_grid_pipeline: seconds_per_sample must be > 0");
+  }
+  // Candidate keys hold 20-bit satellite indices (pack_candidate).
+  if (n > (std::size_t{1} << kCandidateSatelliteBits)) {
+    throw std::invalid_argument(
+        "run_grid_pipeline: more than 2^20 satellites (the candidate key limit)");
+  }
 
   Device* device = config.device;
   const std::uint64_t budget =
@@ -72,12 +76,11 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
                                   ? nullptr
                                   : options.dirty_mask.data();
 
-  // Resolved once: the batched insertion path needs the concrete SoA
-  // propagator and only applies on the CPU backend.
-  const TwoBodyPropagator* batch_propagator =
-      options.batch_propagation && device == nullptr
-          ? dynamic_cast<const TwoBodyPropagator*>(&propagator)
-          : nullptr;
+  // The batched insertion kernel needs the concrete SoA propagator and
+  // runs on the CPU backend only.
+  const auto* batch_propagator =
+      device == nullptr ? dynamic_cast<const TwoBodyPropagator*>(&propagator)
+                        : nullptr;
 
   // Sizing (Section V-B): candidate capacity from the Extra-P model, then
   // the sample parallelism p from the remaining budget. The automatic
@@ -86,13 +89,11 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   SizingRequest request;
   request.satellites = n;
   request.span_seconds = config.span_seconds();
-  request.seconds_per_sample = config.seconds_per_sample > 0.0
-                                   ? config.seconds_per_sample
-                                   : options.seconds_per_sample;
+  request.seconds_per_sample = config.seconds_per_sample;
   request.memory_budget = budget;
 
   const AutoAdjustResult adjusted =
-      auto_adjust_sps(options.count_model, request, config.threshold_km);
+      auto_adjust_sps(count_model, request, config.threshold_km);
   if (!adjusted.feasible) {
     throw std::runtime_error(
         "run_grid_pipeline: population does not fit into the memory budget "
@@ -102,6 +103,11 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   request.seconds_per_sample = sps;
   request.candidate_capacity = adjusted.candidate_capacity;
   result.plan = plan_samples(request);
+  // Candidate keys hold 24-bit sample steps.
+  if (result.plan.total_samples > (std::size_t{1} << kCandidateStepBits)) {
+    throw std::invalid_argument(
+        "run_grid_pipeline: more than 2^24 sample steps (the candidate key limit)");
+  }
   result.sample_period = sps;
   result.cell_size = options.cell_size_override > 0.0
                          ? options.cell_size_override
@@ -148,9 +154,8 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   result.allocation_seconds = alloc_watch.seconds();
 
   const std::size_t slots = grids.front().slot_count();
-  const auto full_stencil = std::span<const CellCoord>(cell_neighborhood());
-  const auto half_stencil = std::span<const CellCoord>(cell_half_neighborhood());
-  const auto offsets = options.half_stencil ? half_stencil : full_stencil;
+  const auto& stencil = cell_half_neighborhood();
+  const double half_sps = 0.5 * result.sample_period;
 
   for (std::size_t round = 0; round < result.plan.rounds; ++round) {
     const std::size_t step0 = round * p;
@@ -166,9 +171,8 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
     // Step 2a (INS): one logical thread per (sample, satellite) tuple. With
     // a TwoBodyPropagator on the CPU backend the tuples are handed to
     // workers as ranges and propagated through the batched SoA kernel —
-    // same positions, no per-tuple virtual dispatch (bit-identical, see
-    // GridPipelineOptions::batch_propagation). The devicesim backend keeps
-    // the per-tuple kernel, mirroring the paper's GPU decomposition.
+    // same positions, no per-tuple virtual dispatch. The devicesim backend
+    // keeps the per-tuple kernel, mirroring the paper's GPU decomposition.
     Stopwatch ins_watch;
     std::atomic<std::size_t> insert_failures{0};
     if (batch_propagator != nullptr) {
@@ -220,8 +224,14 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
     obs::count(obs::Counter::kSamplesPropagated, steps * n);
     obs::add_seconds(obs::Counter::kTimeInsertionNs, ins_seconds);
 
-    // Step 2b (CD): one logical thread per (sample, slot). Retried with a
-    // grown candidate set if the Extra-P sizing underestimated.
+    // Step 2b (CD): one logical thread per (sample, slot), scanning the
+    // cell against itself and its 13 forward neighbours. The other 13
+    // neighbours hold this cell as a forward neighbour, so each pair of
+    // neighbouring cells is scanned once: the paper scans all 26 and lets
+    // the conjunction hash map drop the second copy, which yields the same
+    // distinct candidates. Retried with a grown candidate set if the
+    // Extra-P sizing underestimated; the set keeps what the overflowed
+    // attempt inserted, and the re-scan finds those again as duplicates.
     Stopwatch cd_watch;
     const std::size_t candidates_before = candidates.size();
     for (;;) {
@@ -241,15 +251,13 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
         if (key == kEmptySlotKey) return;
 
         const std::uint32_t step = static_cast<std::uint32_t>(step0 + local);
-        const double prefilter_base = config.threshold_km;
-        const double half_sps = 0.5 * result.sample_period;
         const CellCoord coord = indexer.unpack(key);
         const std::uint32_t head = grid.slot_head(slot);
         std::uint64_t tested = 0, masked = 0, prefiltered = 0, emitted = 0,
                       duplicates = 0;
 
-        for (const CellCoord& off : offsets) {
-          const bool self = (off.x == 0 && off.y == 0 && off.z == 0);
+        for (const CellCoord& off : stencil) {
+          const bool self = off == CellCoord{};
           std::uint32_t other_head;
           if (self) {
             other_head = head;
@@ -264,7 +272,6 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
             for (std::uint32_t eb = self ? a.next : other_head; eb != kNoEntry;
                  eb = grid.entry(eb).next) {
               const GridEntry& b = grid.entry(eb);
-              if (a.satellite == b.satellite) continue;
               ++tested;
               // Incremental hook: a pair with no dirty member carries its
               // baseline conjunctions forward, so it never becomes a
@@ -273,16 +280,14 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
                 ++masked;
                 continue;
               }
-              if (options.distance_prefilter) {
-                // A pair farther apart than d + (v_max_a + v_max_b) * s/2
-                // cannot reach the threshold closer than half a sample from
-                // this step; the step nearest its minimum keeps it.
-                const double cutoff = prefilter_base +
-                    half_sps * (vmax[a.satellite] + vmax[b.satellite]);
-                if ((a.position - b.position).norm2() > cutoff * cutoff) {
-                  ++prefiltered;
-                  continue;
-                }
+              // A pair farther apart than d + (v_max_a + v_max_b) * s/2
+              // cannot reach the threshold closer than half a sample from
+              // this step; the step nearest its minimum keeps it.
+              const double cutoff = config.threshold_km +
+                  half_sps * (vmax[a.satellite] + vmax[b.satellite]);
+              if ((a.position - b.position).norm2() > cutoff * cutoff) {
+                ++prefiltered;
+                continue;
               }
               switch (candidates.insert(a.satellite, b.satellite, step)) {
                 case CandidateSet::Insert::kInserted:
@@ -365,17 +370,21 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
 
 GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const ScreeningConfig& config,
+                                     const ConjunctionCountModel& count_model,
                                      const GridPipelineOptions& options,
                                      ScreeningContext& context) {
-  return run_pipeline_impl(propagator, config, options, context, nullptr);
+  return run_pipeline_impl(propagator, config, count_model, options, context,
+                           nullptr);
 }
 
 GridPipelineResult run_grid_pipeline_streaming(const Propagator& propagator,
                                                const ScreeningConfig& config,
+                                               const ConjunctionCountModel& count_model,
                                                const GridPipelineOptions& options,
                                                ScreeningContext& context,
                                                const GridRoundSink& sink) {
-  return run_pipeline_impl(propagator, config, options, context, &sink);
+  return run_pipeline_impl(propagator, config, count_model, options, context,
+                           &sink);
 }
 
 void fill_pipeline_stats(ScreeningReport& report, std::size_t satellites,

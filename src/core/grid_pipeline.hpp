@@ -17,27 +17,8 @@ class ScreeningContext;
 
 /// Options of the shared grid front-end (steps 1-2 of Section III: memory
 /// allocation, parallel propagation + insertion, parallel candidate
-/// detection).
+/// detection). The defaults screen every pair at the Eq. (1) cell size.
 struct GridPipelineOptions {
-  /// Sampling period s_ps [s]; the cell size follows from Eq. (1).
-  /// ScreeningConfig::seconds_per_sample overrides it when positive.
-  double seconds_per_sample = 4.0;
-  /// Sizing model for the conjunction hash map (Eq. 3 for grid, Eq. 4 for
-  /// hybrid); the set grows and the affected round retries if it proves
-  /// too small for the actual population.
-  ConjunctionCountModel count_model = ConjunctionCountModel::paper_grid();
-  /// Candidate pairs farther apart than threshold + (v_max_a + v_max_b) *
-  /// s_ps / 2 at the sample cannot dip below the threshold near it; when
-  /// true they are dropped during detection instead of being refined.
-  /// Purely an optimization — it never changes the reported conjunctions.
-  bool distance_prefilter = true;
-  /// Scan only the 13 forward neighbours instead of all 26 (ablation; the
-  /// paper scans the full neighbourhood and deduplicates).
-  bool half_stencil = false;
-  /// Overrides the Eq. (1) cell size [km] when positive. ONLY for the
-  /// worst-case ablation (bench_eq1_cellsize): cells smaller than Eq. (1)
-  /// void the no-skip guarantee of Fig. 4.
-  double cell_size_override = 0.0;
   /// Incremental re-screening hook (src/service): when non-empty it must
   /// have one entry per satellite, and only candidate pairs with at least
   /// one marked ("dirty") member are emitted by the detection phase. The
@@ -46,14 +27,10 @@ struct GridPipelineOptions {
   /// pairs are skipped because their conjunctions are unchanged from the
   /// cached baseline report. Empty (the default) screens every pair.
   std::span<const std::uint8_t> dirty_mask = {};
-  /// Run the insertion phase through the batched SoA propagation kernel
-  /// (TwoBodyPropagator::positions_at) instead of one virtual position()
-  /// call per (sample, satellite) tuple. Applies on the CPU backend when
-  /// the propagator is a TwoBodyPropagator; the devicesim backend keeps the
-  /// paper's one-thread-per-tuple kernel. Positions are bit-identical
-  /// either way — disable only to benchmark the scalar path
-  /// (bench_micro_batch).
-  bool batch_propagation = true;
+  /// Overrides the Eq. (1) cell size [km] when positive. ONLY for the
+  /// worst-case ablation (bench_eq1_cellsize): cells smaller than Eq. (1)
+  /// void the no-skip guarantee of Fig. 4.
+  double cell_size_override = 0.0;
 };
 
 /// Everything the grid front-end produced for the refinement/filter stages.
@@ -78,20 +55,39 @@ struct GridPipelineResult {
   }
 };
 
-/// Runs the grid front-end over the whole span: plans the sample
-/// parallelism from the memory budget (device memory when config.device is
-/// set), then for each round propagates all satellites into the per-step
-/// grids and scans every occupied cell plus its neighbourhood for
-/// candidate pairs, deduplicated in the lock-free candidate set.
+/// `config` with seconds_per_sample set to `fallback` when it is unset
+/// (<= 0): how grid and hybrid apply their kDefaultSecondsPerSample.
+inline ScreeningConfig with_sample_period(ScreeningConfig config, double fallback) {
+  if (config.seconds_per_sample <= 0.0) config.seconds_per_sample = fallback;
+  return config;
+}
+
+/// Runs the grid front-end over the whole span at config.seconds_per_sample
+/// (must be > 0): sizes the candidate set from `count_model` (Eq. 3 for
+/// grid, Eq. 4 for hybrid) and plans the sample parallelism from the
+/// memory budget (device memory when config.device is set), then for each
+/// round propagates all satellites into the per-step grids and scans every
+/// occupied cell against its half-stencil neighbourhood for candidate
+/// pairs, collected in the lock-free candidate set. The set grows and the
+/// affected round retries if the model proves too small.
+///
+/// The insertion phase runs the batched SoA kernel when the CPU backend
+/// gets a TwoBodyPropagator, and one position() call per (sample,
+/// satellite) tuple otherwise (devicesim, or any other propagator); the
+/// positions are bit-identical either way.
 ///
 /// Step-1 scratch (grids, candidate set, vmax table) is checked out of
 /// `context`'s arena, reset to exactly the state a fresh allocation would
 /// have, so a warm context only skips the allocation cost.
 ///
-/// Throws std::runtime_error when even a single grid does not fit into the
-/// memory budget.
+/// Throws std::invalid_argument when the population or the number of
+/// sample steps exceeds what a candidate key can hold (2^20 satellites,
+/// 2^24 steps), checked before anything is allocated, and
+/// std::runtime_error when even a single grid does not fit into the memory
+/// budget.
 GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const ScreeningConfig& config,
+                                     const ConjunctionCountModel& count_model,
                                      const GridPipelineOptions& options,
                                      ScreeningContext& context);
 
@@ -111,6 +107,7 @@ using GridRoundSink = std::function<void(
 /// result's `candidates` vector is empty; counters cover the whole run.
 GridPipelineResult run_grid_pipeline_streaming(const Propagator& propagator,
                                                const ScreeningConfig& config,
+                                               const ConjunctionCountModel& count_model,
                                                const GridPipelineOptions& options,
                                                ScreeningContext& context,
                                                const GridRoundSink& sink);

@@ -51,21 +51,15 @@ std::vector<Conjunction> refine_candidates(const Propagator& propagator,
 
 }  // namespace
 
-GridPipelineOptions GridScreener::default_options() {
-  GridPipelineOptions options;
-  options.seconds_per_sample = kDefaultSecondsPerSample;
-  options.count_model = ConjunctionCountModel::paper_grid();
-  return options;
-}
-
 GridScreener::GridScreener(GridPipelineOptions options, ScreeningContext* context)
     : ScreenerBase(context), options_(std::move(options)) {}
 
 ScreeningReport GridScreener::run(const Propagator& propagator,
                                   const ScreeningConfig& config,
                                   ScreeningContext& context) const {
-  const GridPipelineResult pipeline =
-      run_grid_pipeline(propagator, config, options_, context);
+  const GridPipelineResult pipeline = run_grid_pipeline(
+      propagator, with_sample_period(config, kDefaultSecondsPerSample),
+      ConjunctionCountModel::paper_grid(), options_, context);
 
   ScreeningReport report;
   Stopwatch refine_watch;
@@ -119,7 +113,8 @@ ScreeningReport GridScreener::screen_streaming(const Propagator& propagator,
     };
 
     const GridPipelineResult pipeline = run_grid_pipeline_streaming(
-        propagator, config, options_, context, round_sink);
+        propagator, with_sample_period(config, kDefaultSecondsPerSample),
+        ConjunctionCountModel::paper_grid(), options_, context, round_sink);
 
     ScreeningReport report;
     report.timings.refinement = refine_seconds;

@@ -25,10 +25,8 @@ class GridScreener final : public ScreenerBase {
 
   /// With a context, pipeline scratch and refinement slots are borrowed
   /// from its arena across calls; the context must outlive the screener.
-  explicit GridScreener(GridPipelineOptions options = default_options(),
+  explicit GridScreener(GridPipelineOptions options = {},
                         ScreeningContext* context = nullptr);
-
-  static GridPipelineOptions default_options();
 
   Variant variant() const override { return Variant::kGrid; }
 

@@ -30,13 +30,6 @@ struct RefineTask {
 
 }  // namespace
 
-GridPipelineOptions HybridScreener::default_options() {
-  GridPipelineOptions options;
-  options.seconds_per_sample = kDefaultSecondsPerSample;
-  options.count_model = ConjunctionCountModel::paper_hybrid();
-  return options;
-}
-
 HybridScreener::HybridScreener(GridPipelineOptions options,
                                ScreeningContext* context)
     : ScreenerBase(context), options_(std::move(options)) {}
@@ -44,8 +37,9 @@ HybridScreener::HybridScreener(GridPipelineOptions options,
 ScreeningReport HybridScreener::run(const Propagator& propagator,
                                     const ScreeningConfig& config,
                                     ScreeningContext& context) const {
-  GridPipelineResult pipeline =
-      run_grid_pipeline(propagator, config, options_, context);
+  GridPipelineResult pipeline = run_grid_pipeline(
+      propagator, with_sample_period(config, kDefaultSecondsPerSample),
+      ConjunctionCountModel::paper_hybrid(), options_, context);
 
   ScreeningReport report;
   fill_pipeline_stats(report, propagator.size(), pipeline);

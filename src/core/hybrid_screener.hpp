@@ -25,10 +25,8 @@ class HybridScreener final : public ScreenerBase {
 
   /// With a context, pipeline scratch and refinement slots are borrowed
   /// from its arena across calls; the context must outlive the screener.
-  explicit HybridScreener(GridPipelineOptions options = default_options(),
+  explicit HybridScreener(GridPipelineOptions options = {},
                           ScreeningContext* context = nullptr);
-
-  static GridPipelineOptions default_options();
 
   Variant variant() const override { return Variant::kHybrid; }
 

@@ -72,11 +72,9 @@ std::unique_ptr<Screener> make_screener(Variant variant,
                                         const ScreenerOptions& options) {
   switch (variant) {
     case Variant::kGrid:
-      return std::make_unique<GridScreener>(
-          options.pipeline.value_or(GridScreener::default_options()), context);
+      return std::make_unique<GridScreener>(options.pipeline, context);
     case Variant::kHybrid:
-      return std::make_unique<HybridScreener>(
-          options.pipeline.value_or(HybridScreener::default_options()), context);
+      return std::make_unique<HybridScreener>(options.pipeline, context);
     case Variant::kLegacy:
       return std::make_unique<LegacyScreener>(
           options.legacy.value_or(LegacyScreenerOptions{}), context);

@@ -107,10 +107,11 @@ struct SieveScreenerOptions {
   double min_skip = 1.0;
 };
 
-/// Per-variant construction options of make_screener. An unset field means
-/// the variant's own defaults; fields of other variants are ignored.
+/// Per-variant construction options of make_screener. An unset or default
+/// field means the variant's own defaults; fields of other variants are
+/// ignored.
 struct ScreenerOptions {
-  std::optional<GridPipelineOptions> pipeline;    ///< grid + hybrid
+  GridPipelineOptions pipeline;                   ///< grid + hybrid
   std::optional<LegacyScreenerOptions> legacy;    ///< legacy
   std::optional<SieveScreenerOptions> sieve;      ///< sieve
 };

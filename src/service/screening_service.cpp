@@ -4,6 +4,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/grid_screener.hpp"
 #include "core/screener.hpp"
 #include "obs/telemetry.hpp"
 #include "util/stopwatch.hpp"
@@ -36,13 +37,11 @@ std::vector<IdConjunction> to_id_space(const std::vector<Conjunction>& conjuncti
 
 ScreeningService::ScreeningService(ServiceOptions options)
     : options_(std::move(options)) {
-  // Pin the sample period: GridScreener would otherwise take it from the
-  // pipeline options, but making it explicit in the config documents that
-  // every epoch screens with identical grid geometry.
-  if (options_.config.seconds_per_sample <= 0.0) {
-    options_.config.seconds_per_sample = options_.pipeline.seconds_per_sample;
-  }
-  options_.pipeline.seconds_per_sample = options_.config.seconds_per_sample;
+  // Pin the sample period: GridScreener would default it anyway, but making
+  // it explicit in the config documents that every epoch screens with
+  // identical grid geometry.
+  options_.config = with_sample_period(options_.config,
+                                       GridScreener::kDefaultSecondsPerSample);
 }
 
 std::size_t ScreeningService::ingest_csv(const std::string& path) {
@@ -92,8 +91,7 @@ ServiceReport ScreeningService::full_screen(
   report.catalog_size = snap->size();
 
   const ScreeningReport dense =
-      make_screener(Variant::kGrid, &context_, pipeline_options(options_.pipeline))
-          ->screen(snap->satellites, options_.config);
+      make_screener(Variant::kGrid, &context_)->screen(snap->satellites, options_.config);
   report.conjunctions = to_id_space(dense.conjunctions, *snap);
   report.refreshed = report.conjunctions.size();
   report.timings = dense.timings;
@@ -122,7 +120,7 @@ ServiceReport ScreeningService::incremental_screen(
     for (const std::uint32_t id : dirty_ids) {
       mask[snap->index_of(id)] = 1;  // dirty ids are always present
     }
-    GridPipelineOptions pipeline = options_.pipeline;
+    GridPipelineOptions pipeline;
     pipeline.dirty_mask = mask;
     const ScreeningReport dense =
         make_screener(Variant::kGrid, &context_, pipeline_options(pipeline))
@@ -169,8 +167,7 @@ std::vector<IdConjunction> ScreeningService::reference_conjunctions() const {
   // to inherit state from the passes it is checking.
   const std::shared_ptr<const CatalogSnapshot> snap = store_.snapshot();
   const ScreeningReport dense =
-      make_screener(Variant::kGrid, nullptr, pipeline_options(options_.pipeline))
-          ->screen(snap->satellites, options_.config);
+      make_screener(Variant::kGrid)->screen(snap->satellites, options_.config);
   return to_id_space(dense.conjunctions, *snap);
 }
 

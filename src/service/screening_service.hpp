@@ -8,7 +8,6 @@
 
 #include "core/config.hpp"
 #include "core/context.hpp"
-#include "core/grid_pipeline.hpp"
 #include "core/report.hpp"
 #include "service/catalog_store.hpp"
 
@@ -77,8 +76,6 @@ struct ServiceOptions {
   /// across epochs regardless of how the population size drifts; that
   /// invariance is what makes the baseline merge exact.
   ScreeningConfig config;
-  /// Grid front-end options of the underlying passes.
-  GridPipelineOptions pipeline;
   /// Auto mode runs a full screen when dirty/n exceeds this fraction; at
   /// high churn the eviction savings no longer pay for the merge.
   double full_rescreen_fraction = 0.25;

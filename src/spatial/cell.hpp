@@ -62,13 +62,11 @@ class CellIndexer {
   std::int32_t cells_per_axis_;
 };
 
-/// Offsets of the 3^3 - 1 = 26 neighbouring cells plus the cell itself
-/// (first entry); the conjunction detection scans all 27.
-const std::array<CellCoord, 27>& cell_neighborhood();
-
-/// The 13 "forward" offsets (plus self as first entry, 14 total) forming a
-/// half stencil: every unordered pair of neighbouring cells is covered
-/// exactly once. Used by the half-stencil ablation.
+/// The cell itself (first entry) and its 13 "forward" neighbours, 14
+/// offsets forming a half stencil: of the 26 neighbour offsets o and -o
+/// exactly one is included, so scanning each occupied cell against these
+/// covers every unordered pair of neighbouring cells exactly once. The
+/// conjunction detection scans them.
 const std::array<CellCoord, 14>& cell_half_neighborhood();
 
 }  // namespace scod

@@ -9,25 +9,23 @@ namespace scod {
 
 namespace {
 constexpr std::uint64_t kEmpty = ~0ull;
-constexpr std::uint32_t kSatBits = 20;
-constexpr std::uint32_t kStepBits = 24;
-constexpr std::uint32_t kSatMax = (1u << kSatBits) - 1;
-constexpr std::uint32_t kStepMax = (1u << kStepBits) - 1;
+constexpr std::uint32_t kSatMax = (1u << kCandidateSatelliteBits) - 1;
+constexpr std::uint32_t kStepMax = (1u << kCandidateStepBits) - 1;
 }  // namespace
 
 std::uint64_t pack_candidate(std::uint32_t sat_a, std::uint32_t sat_b, std::uint32_t step) {
   if (sat_a > sat_b) std::swap(sat_a, sat_b);
   if (sat_b > kSatMax) throw std::out_of_range("pack_candidate: satellite index > 2^20-1");
   if (step > kStepMax) throw std::out_of_range("pack_candidate: step > 2^24-1");
-  return (static_cast<std::uint64_t>(sat_a) << (kSatBits + kStepBits)) |
-         (static_cast<std::uint64_t>(sat_b) << kStepBits) | step;
+  return (static_cast<std::uint64_t>(sat_a) << (kCandidateSatelliteBits + kCandidateStepBits)) |
+         (static_cast<std::uint64_t>(sat_b) << kCandidateStepBits) | step;
 }
 
 Candidate unpack_candidate(std::uint64_t key) {
   Candidate c;
   c.step = static_cast<std::uint32_t>(key & kStepMax);
-  c.sat_b = static_cast<std::uint32_t>((key >> kStepBits) & kSatMax);
-  c.sat_a = static_cast<std::uint32_t>((key >> (kSatBits + kStepBits)) & kSatMax);
+  c.sat_b = static_cast<std::uint32_t>((key >> kCandidateStepBits) & kSatMax);
+  c.sat_a = static_cast<std::uint32_t>((key >> (kCandidateSatelliteBits + kCandidateStepBits)) & kSatMax);
   return c;
 }
 

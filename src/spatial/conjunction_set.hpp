@@ -14,6 +14,10 @@ struct Candidate {
   std::uint32_t step = 0;   ///< global sample-step number
 };
 
+/// Widths of the fields of a packed candidate key.
+inline constexpr std::uint32_t kCandidateSatelliteBits = 20;
+inline constexpr std::uint32_t kCandidateStepBits = 24;
+
 /// Packs a candidate into a 64-bit set key: 20 bits per satellite index
 /// (up to 1,048,575 — covering the paper's largest population of
 /// 1,024,000) and 24 bits for the sample step. The pair is normalized to

@@ -16,6 +16,28 @@
 
 namespace scod::testutil {
 
+/// Forwards every call to another propagator. Not being a
+/// TwoBodyPropagator itself, it hides the devirtualized refinement (and
+/// the batched insertion kernel) from the screeners.
+class ForwardingPropagator final : public Propagator {
+ public:
+  explicit ForwardingPropagator(const Propagator& inner) : inner_(inner) {}
+
+  std::size_t size() const override { return inner_.size(); }
+  Vec3 position(std::size_t index, double time) const override {
+    return inner_.position(index, time);
+  }
+  StateVector state(std::size_t index, double time) const override {
+    return inner_.state(index, time);
+  }
+  const KeplerElements& elements(std::size_t index) const override {
+    return inner_.elements(index);
+  }
+
+ private:
+  const Propagator& inner_;
+};
+
 /// Builds a near-circular satellite whose orbit passes within ~|offset_km|
 /// of `target`'s position at time `t_star`, in a plane that is NOT
 /// coplanar with the target's. This engineers a guaranteed sub-|offset|

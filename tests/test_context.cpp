@@ -143,7 +143,7 @@ TEST(Context, StreamingWarmMatchesStreamingCold) {
   const std::vector<Conjunction> cold = collect(cold_screener);
 
   ScreeningContext context;
-  const GridScreener warm_screener(GridScreener::default_options(), &context);
+  const GridScreener warm_screener({}, &context);
   collect(warm_screener);  // prime the arena
   const std::vector<Conjunction> warm = collect(warm_screener);
 

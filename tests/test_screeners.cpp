@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "core/context.hpp"
@@ -267,37 +269,6 @@ TEST_F(ScreenerAccuracy, MultiRoundExecutionMatchesSingleRound) {
   }
 }
 
-TEST_F(ScreenerAccuracy, HalfStencilAblationMatchesFullScan) {
-  GridPipelineOptions full = GridScreener::default_options();
-  GridPipelineOptions half = GridScreener::default_options();
-  half.half_stencil = true;
-
-  const auto r_full = GridScreener(full).screen(*sats_, config());
-  const auto r_half = GridScreener(half).screen(*sats_, config());
-  ASSERT_EQ(r_full.conjunctions.size(), r_half.conjunctions.size());
-  for (std::size_t i = 0; i < r_full.conjunctions.size(); ++i) {
-    EXPECT_EQ(r_full.conjunctions[i].sat_a, r_half.conjunctions[i].sat_a);
-    EXPECT_NEAR(r_full.conjunctions[i].tca, r_half.conjunctions[i].tca, 1e-3);
-  }
-}
-
-TEST_F(ScreenerAccuracy, DistancePrefilterIsPureOptimization) {
-  GridPipelineOptions with = GridScreener::default_options();
-  GridPipelineOptions without = GridScreener::default_options();
-  without.distance_prefilter = false;
-
-  const auto r_with = GridScreener(with).screen(*sats_, config());
-  const auto r_without = GridScreener(without).screen(*sats_, config());
-  // Without the prefilter there are at least as many candidates...
-  EXPECT_GE(r_without.stats.candidates, r_with.stats.candidates);
-  // ...but the reported conjunctions are identical.
-  ASSERT_EQ(r_with.conjunctions.size(), r_without.conjunctions.size());
-  for (std::size_t i = 0; i < r_with.conjunctions.size(); ++i) {
-    EXPECT_EQ(r_with.conjunctions[i].sat_a, r_without.conjunctions[i].sat_a);
-    EXPECT_NEAR(r_with.conjunctions[i].pca, r_without.conjunctions[i].pca, 1e-6);
-  }
-}
-
 TEST(Screeners, HeadOnRetrogradeEncounterHasPredictableTca) {
   // Same circular equatorial orbit flown in opposite directions: the
   // objects meet when their position angles coincide, at
@@ -388,26 +359,48 @@ TEST(Screeners, SecondsPerSampleOverrideIsHonored) {
 }
 
 TEST(Screeners, CandidateSetGrowthPathIsCorrect) {
-  // A debris cloud is so dense that candidate counts blow through the
-  // model's floor capacity, forcing the grow-and-retry path; the result
-  // must match a run that was sized generously from the start.
+  // A debris cloud is so dense that candidate counts blow through a
+  // near-zero model's floor capacity, forcing the grow-and-retry path; the
+  // re-scan after each grow must leave exactly the candidates of a run
+  // that was reference generously from the start.
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
-  const auto cloud = generate_debris_cloud(parent, 40, 0.05, 99);
+  const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(cloud, solver);
 
   ScreeningConfig cfg;
   cfg.threshold_km = 2.0;
   cfg.t_end = 600.0;
+  cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 
-  GridPipelineOptions tiny = GridScreener::default_options();
-  tiny.count_model.coefficient = 1e-20;  // force an absurdly small map
+  ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
+  tiny.coefficient = 1e-20;  // the 20 000-candidate floor
+  ConjunctionCountModel roomy = ConjunctionCountModel::paper_grid();
+  roomy.coefficient *= 1e6;  // far above what the cloud produces
 
-  const auto forced = GridScreener(tiny).screen(cloud, cfg);
-  const auto normal = GridScreener().screen(cloud, cfg);
+  ScreeningContext context;
+  const auto sorted_candidates = [&](const ConjunctionCountModel& model,
+                                     std::size_t& growths) {
+    GridPipelineResult result = run_grid_pipeline(propagator, cfg, model, {}, context);
+    growths = result.candidate_set_growths;
+    std::vector<Candidate> c = std::move(result.candidates);
+    std::sort(c.begin(), c.end(), [](const Candidate& x, const Candidate& y) {
+      return std::tie(x.sat_a, x.sat_b, x.step) < std::tie(y.sat_a, y.sat_b, y.step);
+    });
+    return c;
+  };
+  std::size_t forced_growths = 0, roomy_growths = 0;
+  const std::vector<Candidate> forced = sorted_candidates(tiny, forced_growths);
+  const std::vector<Candidate> reference = sorted_candidates(roomy, roomy_growths);
 
-  ASSERT_EQ(forced.conjunctions.size(), normal.conjunctions.size());
-  for (std::size_t i = 0; i < forced.conjunctions.size(); ++i) {
-    EXPECT_EQ(forced.conjunctions[i].sat_a, normal.conjunctions[i].sat_a);
-    EXPECT_NEAR(forced.conjunctions[i].pca, normal.conjunctions[i].pca, 1e-6);
+  EXPECT_GT(forced_growths, 0u);
+  EXPECT_EQ(roomy_growths, 0u);
+  ASSERT_GT(reference.size(), 0u);
+  ASSERT_EQ(forced.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(forced[i].sat_a, reference[i].sat_a) << i;
+    EXPECT_EQ(forced[i].sat_b, reference[i].sat_b) << i;
+    EXPECT_EQ(forced[i].step, reference[i].step) << i;
   }
 }
 
@@ -449,8 +442,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GridOracleSweep,
 
 TEST(Screeners, BatchedInsertionKernelMatchesScalarExactly) {
   // The SoA insertion kernel is documented as bit-identical to the
-  // per-tuple scalar path, so toggling it must not move a single
-  // conjunction: same pairs, same TCAs, same PCAs, to the last bit.
+  // per-tuple scalar path. A forwarding propagator is not a
+  // TwoBodyPropagator, so it takes the scalar path (and the virtual
+  // refinement evaluator, itself bit-identical to the snapshot one); no
+  // conjunction may move: same pairs, same TCAs, same PCAs, to the last bit.
   auto sats = dense_shell(60, 0xBA7C);
   Rng rng(0x5EED);
   sats.push_back(testutil::make_interceptor(sats[5].elements, 1800.0, 1.5, rng,
@@ -459,24 +454,23 @@ TEST(Screeners, BatchedInsertionKernelMatchesScalarExactly) {
   cfg.threshold_km = 5.0;
   cfg.t_end = 6000.0;
 
-  const GridScreener batched;  // batch_propagation defaults to true
-  GridPipelineOptions scalar_options = GridScreener::default_options();
-  scalar_options.batch_propagation = false;
-  const GridScreener scalar(scalar_options);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator direct(sats, solver);
+  const testutil::ForwardingPropagator forwarded(direct);
 
-  const ScreeningReport batch_report = batched.screen(sats, cfg);
-  const ScreeningReport scalar_report = scalar.screen(sats, cfg);
+  const GridScreener screener;
+  const ScreeningReport batch_report = screener.screen(direct, cfg);
+  const ScreeningReport scalar_report = screener.screen(forwarded, cfg);
 
   EXPECT_GT(batch_report.conjunctions.size(), 0u);
   ASSERT_EQ(batch_report.conjunctions.size(), scalar_report.conjunctions.size());
   for (std::size_t i = 0; i < batch_report.conjunctions.size(); ++i) {
     EXPECT_EQ(batch_report.conjunctions[i].sat_a, scalar_report.conjunctions[i].sat_a);
     EXPECT_EQ(batch_report.conjunctions[i].sat_b, scalar_report.conjunctions[i].sat_b);
-    EXPECT_DOUBLE_EQ(batch_report.conjunctions[i].tca,
-                     scalar_report.conjunctions[i].tca);
-    EXPECT_DOUBLE_EQ(batch_report.conjunctions[i].pca,
-                     scalar_report.conjunctions[i].pca);
+    EXPECT_EQ(batch_report.conjunctions[i].tca, scalar_report.conjunctions[i].tca);
+    EXPECT_EQ(batch_report.conjunctions[i].pca, scalar_report.conjunctions[i].pca);
   }
+  EXPECT_EQ(batch_report.stats.candidates, scalar_report.stats.candidates);
 }
 
 TEST(Screeners, StreamingModeMatchesBatchMode) {
@@ -546,28 +540,6 @@ TEST(Screeners, EphemerisBackedScreeningMatchesDirectPropagation) {
   }
 }
 
-/// Forwards every call to another propagator. Not being a
-/// TwoBodyPropagator itself, it hides the devirtualized refinement (and
-/// the batched insertion kernel) from the screeners.
-class ForwardingPropagator final : public Propagator {
- public:
-  explicit ForwardingPropagator(const Propagator& inner) : inner_(inner) {}
-
-  std::size_t size() const override { return inner_.size(); }
-  Vec3 position(std::size_t index, double time) const override {
-    return inner_.position(index, time);
-  }
-  StateVector state(std::size_t index, double time) const override {
-    return inner_.state(index, time);
-  }
-  const KeplerElements& elements(std::size_t index) const override {
-    return inner_.elements(index);
-  }
-
- private:
-  const Propagator& inner_;
-};
-
 TEST(Screeners, SnapshotAndVirtualEvaluatorsAgreeBitForBit) {
   // A random shell with engineered interceptors (window survivors) and
   // co-orbital twins trailing a shell member by ~1.4 km (coplanar
@@ -592,7 +564,7 @@ TEST(Screeners, SnapshotAndVirtualEvaluatorsAgreeBitForBit) {
 
   const ContourKeplerSolver solver;
   const TwoBodyPropagator direct(sats, solver);
-  const ForwardingPropagator forwarded(direct);
+  const testutil::ForwardingPropagator forwarded(direct);
   ASSERT_TRUE(RefineFastPath::probe(direct).available());
   ASSERT_FALSE(RefineFastPath::probe(forwarded).available());
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/grid_screener.hpp"
 #include "population/catalog_io.hpp"
 #include "population/generator.hpp"
 #include "population/tle.hpp"
@@ -276,16 +277,15 @@ void expect_equivalent(const std::vector<IdConjunction>& got,
 
 TEST(ScreeningService, PinsSamplePeriodAtConstruction) {
   ServiceOptions options;
-  options.config.seconds_per_sample = 0.0;  // unset: take the pipeline's
+  options.config.seconds_per_sample = 0.0;  // unset: take the grid default
   ScreeningService service(options);
-  EXPECT_GT(service.options().config.seconds_per_sample, 0.0);
   EXPECT_EQ(service.options().config.seconds_per_sample,
-            service.options().pipeline.seconds_per_sample);
+            GridScreener::kDefaultSecondsPerSample);
 
   ServiceOptions pinned;
   pinned.config.seconds_per_sample = 12.0;
   ScreeningService explicit_service(pinned);
-  EXPECT_EQ(explicit_service.options().pipeline.seconds_per_sample, 12.0);
+  EXPECT_EQ(explicit_service.options().config.seconds_per_sample, 12.0);
 }
 
 TEST(ScreeningService, EmptyCatalogScreensToNothing) {

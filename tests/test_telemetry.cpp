@@ -96,6 +96,11 @@ TEST_F(Telemetry, GridFunnelConservation) {
   ASSERT_GT(tested, 0u);
   EXPECT_EQ(tested, masked + prefiltered + emitted + deduped);
   EXPECT_EQ(emitted, report.stats.candidates);
+  // The half stencil visits each pair of neighbouring cells once, so a
+  // (pair, step) is only seen again by the re-scan after a grow, and this
+  // population fits the paper's model without one.
+  EXPECT_EQ(report.stats.candidate_set_growths, 0u);
+  EXPECT_EQ(deduped, 0u);
 
   // Insertion side: one grid insert per propagated sample, and the probe
   // histogram partitions the inserts.
