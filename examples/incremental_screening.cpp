@@ -5,6 +5,7 @@
 /// not a full n-vs-n screen — and the merged report is identical to one
 /// computed from scratch.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "population/generator.hpp"
@@ -62,12 +63,18 @@ int main() {
               second.conjunctions.size(), second.total_seconds, second.dirty,
               second.carried, second.evicted, second.refreshed);
 
-  // The merged report equals a from-scratch screen of the same snapshot.
+  // The merged report equals a from-scratch screen of the same snapshot,
+  // event for event: same pair, bit-identical TCA and PCA.
   const ServiceReport full = service.screen(ScreenMode::kFull);
+  const auto same_event = [](const IdConjunction& x, const IdConjunction& y) {
+    return x.id_a == y.id_a && x.id_b == y.id_b && x.tca == y.tca && x.pca == y.pca;
+  };
+  const bool equal = std::equal(full.conjunctions.begin(), full.conjunctions.end(),
+                                second.conjunctions.begin(), second.conjunctions.end(),
+                                same_event);
   std::printf("verification:       %4zu conjunctions from scratch in %.2f s -> %s\n",
               full.conjunctions.size(), full.total_seconds,
-              full.conjunctions.size() == second.conjunctions.size() ? "equal"
-                                                                     : "MISMATCH");
+              equal ? "equal" : "MISMATCH");
 
   const ServiceStats& stats = service.stats();
   std::printf("\nservice counters: %llu upserts, %llu removals, "
@@ -80,5 +87,5 @@ int main() {
               first.total_seconds / (second.total_seconds > 0.0
                                          ? second.total_seconds
                                          : 1e-9));
-  return 0;
+  return equal ? 0 : 1;
 }

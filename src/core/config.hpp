@@ -2,11 +2,8 @@
 
 #include <cstdint>
 
-#include "filters/coplanarity.hpp"
-#include "filters/time_windows.hpp"
 #include "parallel/device.hpp"
 #include "parallel/thread_pool.hpp"
-#include "pca/refine.hpp"
 
 namespace scod {
 
@@ -34,23 +31,6 @@ struct ScreeningConfig {
   /// devicesim backend the device's free memory is the budget instead.
   std::uint64_t memory_budget = 2ull << 30;
 
-  /// Plane angle below which a pair is handled by the coplanar path.
-  double coplanar_tolerance = kDefaultCoplanarTolerance;
-
-  /// Pad added to the threshold in the orbit-path and node-miss filters.
-  double filter_pad_km = 0.5;
-
-  /// Time-window construction for the node filter (hybrid + legacy).
-  TimeWindowOptions time_windows;
-
-  /// Brent search options for the TCA/PCA refinement.
-  RefineOptions refine;
-
-  /// Encounters of the same pair closer than this in TCA are merged
-  /// (duplicates found from adjacent sample steps refine to the same
-  /// minimum); <= 0 picks max(1 s, Brent tolerance * 8).
-  double merge_tolerance = 0.0;
-
   /// Worker pool; nullptr uses the process-global pool.
   ThreadPool* pool = nullptr;
 
@@ -60,13 +40,6 @@ struct ScreeningConfig {
   Device* device = nullptr;
 
   double span_seconds() const { return t_end - t_begin; }
-
-  double effective_merge_tolerance() const {
-    return merge_tolerance > 0.0 ? merge_tolerance
-                                 : (refine.time_tolerance * 8.0 > 1.0
-                                        ? refine.time_tolerance * 8.0
-                                        : 1.0);
-  }
 };
 
 }  // namespace scod

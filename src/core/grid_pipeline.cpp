@@ -1,6 +1,7 @@
 #include "core/grid_pipeline.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -86,6 +87,19 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   // the sample parallelism p from the remaining budget. The automatic
   // s_ps reduction kicks in when the conjunction map alone busts the
   // budget (the paper's Fig. 10c regime).
+  //
+  // Candidate keys hold 24-bit sample steps. The step count is checked in
+  // floating point before sizing, where a huge span would overflow the
+  // integer counts, and again for the s_ps the automatic adjustment picks.
+  const auto check_step_keys = [&config](double sps) {
+    if (std::ceil(config.span_seconds() / sps) + 1.0 >
+        static_cast<double>(std::size_t{1} << kCandidateStepBits)) {
+      throw std::invalid_argument(
+          "run_grid_pipeline: more than 2^24 sample steps (the candidate key limit)");
+    }
+  };
+  check_step_keys(config.seconds_per_sample);
+
   SizingRequest request;
   request.satellites = n;
   request.span_seconds = config.span_seconds();
@@ -100,14 +114,10 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
         "even at 1 s sampling");
   }
   const double sps = adjusted.seconds_per_sample;
+  check_step_keys(sps);
   request.seconds_per_sample = sps;
   request.candidate_capacity = adjusted.candidate_capacity;
   result.plan = plan_samples(request);
-  // Candidate keys hold 24-bit sample steps.
-  if (result.plan.total_samples > (std::size_t{1} << kCandidateStepBits)) {
-    throw std::invalid_argument(
-        "run_grid_pipeline: more than 2^24 sample steps (the candidate key limit)");
-  }
   result.sample_period = sps;
   result.cell_size = options.cell_size_override > 0.0
                          ? options.cell_size_override
@@ -143,8 +153,7 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   // cache (the paper reports ~3% of GPU time in allocation + transfers).
   std::optional<DeviceBuffer<std::byte>> dev_fixed, dev_grids, dev_cands;
   if (device != nullptr) {
-    const std::size_t fixed =
-        n * (request.layout.satellite_bytes + request.layout.kepler_cache_bytes);
+    const std::size_t fixed = n * (kSatelliteBytes + kKeplerCacheBytes);
     dev_fixed = device->alloc<std::byte>(fixed);
     simulate_upload(*device, *dev_fixed, fixed);
     dev_grids = device->alloc<std::byte>(result.grid_memory_bytes);

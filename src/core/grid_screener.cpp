@@ -32,7 +32,7 @@ std::vector<Conjunction> refine_candidates(const Propagator& propagator,
     const std::optional<Encounter> encounter =
         fast.visit(c.sat_a, c.sat_b, [&](const auto& eval) {
           return refine_grid_candidate(eval, t_s, pipeline.cell_size, config.t_begin,
-                                       config.t_end, config.refine);
+                                       config.t_end);
         });
     if (encounter.has_value() && encounter->pca <= config.threshold_km) {
       slots[i] = {c.sat_a, c.sat_b, encounter->tca, encounter->pca};
@@ -66,7 +66,7 @@ ScreeningReport GridScreener::run(const Propagator& propagator,
   report.conjunctions =
       merge_conjunctions(refine_candidates(propagator, config, pipeline,
                                            pipeline.candidates, context.arena()),
-                         config.effective_merge_tolerance());
+                         kMergeToleranceSeconds);
   report.timings.refinement = refine_watch.seconds();
   obs::add_seconds(obs::Counter::kTimeRefinementNs, report.timings.refinement);
   obs::count(obs::Counter::kConjunctionsReported, report.conjunctions.size());
@@ -79,7 +79,6 @@ ScreeningReport GridScreener::screen_streaming(const Propagator& propagator,
                                                const ConjunctionSink& sink) const {
   return with_context(caller_config, [&](ScreeningContext& context,
                                          const ScreeningConfig& config) {
-    const double merge_tolerance = config.effective_merge_tolerance();
     double refine_seconds = 0.0;
     // Last emitted TCA per pair, to suppress duplicates of a minimum found
     // from both sides of a round boundary.
@@ -92,7 +91,7 @@ ScreeningReport GridScreener::screen_streaming(const Propagator& propagator,
       std::vector<Conjunction> merged = merge_conjunctions(
           refine_candidates(propagator, config, pipeline, candidates,
                             context.arena()),
-          merge_tolerance);
+          kMergeToleranceSeconds);
 
       std::vector<Conjunction> fresh;
       fresh.reserve(merged.size());
@@ -100,7 +99,7 @@ ScreeningReport GridScreener::screen_streaming(const Propagator& propagator,
         const std::uint64_t key =
             (static_cast<std::uint64_t>(c.sat_a) << 32) | c.sat_b;
         const auto it = last_emitted.find(key);
-        if (it == last_emitted.end() || c.tca - it->second > merge_tolerance) {
+        if (it == last_emitted.end() || c.tca - it->second > kMergeToleranceSeconds) {
           fresh.push_back(c);
           last_emitted[key] = c.tca;
         }

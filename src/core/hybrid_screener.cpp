@@ -137,11 +137,10 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
         fast.visit(task.sat_a, task.sat_b, [&](const auto& eval) {
           return task.grid_style
                      ? refine_grid_candidate(eval, task.center, pipeline.cell_size,
-                                             config.t_begin, config.t_end,
-                                             config.refine)
+                                             config.t_begin, config.t_end)
                      : refine_on_interval_fn(
                            [&eval](double t) { return eval.distance(t); },
-                           task.t_lo, task.t_hi, config.refine);
+                           task.t_lo, task.t_hi);
         });
     if (encounter.has_value() && encounter->pca <= config.threshold_km &&
         encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
@@ -156,7 +155,7 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
   }
   obs::count(obs::Counter::kConjunctionsRaw, raw.size());
   report.conjunctions =
-      merge_conjunctions(std::move(raw), config.effective_merge_tolerance());
+      merge_conjunctions(std::move(raw), kMergeToleranceSeconds);
   report.timings.refinement = refine_watch.seconds();
 
   funnel.publish(report.stats);

@@ -12,25 +12,25 @@
 
 namespace scod {
 
-LegacyScreener::LegacyScreener() : LegacyScreener(Options{}) {}
-
-LegacyScreener::LegacyScreener(Options options, ScreeningContext* context)
-    : ScreenerBase(context), options_(options) {}
+namespace {
+/// Sampling step of the dense encounter scan used for coplanar pairs,
+/// where the node-window construction degenerates [s].
+constexpr double kDenseScanStep = 16.0;
+}  // namespace
 
 ScreeningReport LegacyScreener::run(const Propagator& propagator,
                                     const ScreeningConfig& config,
                                     ScreeningContext& /*context*/) const {
   ScreeningReport report;
   const std::size_t n = propagator.size();
-  const double reach = config.threshold_km + config.filter_pad_km;
+  const double reach = config.threshold_km + kFilterPadKm;
 
   std::vector<Conjunction> raw;
   double filter_seconds = 0.0;
   double refine_seconds = 0.0;
 
   DenseScanOptions scan_options;
-  scan_options.step = options_.dense_scan_step;
-  scan_options.refine = config.refine;
+  scan_options.step = kDenseScanStep;
   scan_options.refine_below = 8.0 * reach + 2.0 * kLeoSpeed * scan_options.step;
 
   FilterFunnel funnel;
@@ -63,8 +63,7 @@ ScreeningReport LegacyScreener::run(const Propagator& propagator,
         for (const Interval& window : pair.windows) {
           const double ext = 0.25 * window.length() + 5.0;
           const auto encounter = refine_on_interval(propagator, sat_a, sat_b,
-                                                    window.lo - ext, window.hi + ext,
-                                                    config.refine);
+                                                    window.lo - ext, window.hi + ext);
           ++refinements;
           if (encounter.has_value() && encounter->pca <= config.threshold_km &&
               encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
@@ -84,7 +83,7 @@ ScreeningReport LegacyScreener::run(const Propagator& propagator,
   obs::add_seconds(obs::Counter::kTimeRefinementNs, refine_seconds);
 
   report.conjunctions =
-      merge_conjunctions(std::move(raw), config.effective_merge_tolerance());
+      merge_conjunctions(std::move(raw), kMergeToleranceSeconds);
   obs::count(obs::Counter::kConjunctionsReported, report.conjunctions.size());
   report.timings.filtering = filter_seconds;
   report.timings.refinement = refine_seconds;

@@ -16,10 +16,8 @@ namespace scod {
 /// baseline, so the quadratic pair loop is undiluted.
 class LegacyScreener final : public ScreenerBase {
  public:
-  using Options = LegacyScreenerOptions;
-
-  LegacyScreener();
-  explicit LegacyScreener(Options options, ScreeningContext* context = nullptr);
+  explicit LegacyScreener(ScreeningContext* context = nullptr)
+      : ScreenerBase(context) {}
 
   Variant variant() const override { return Variant::kLegacy; }
 
@@ -28,8 +26,6 @@ class LegacyScreener final : public ScreenerBase {
   /// telemetry handle, the chain needs no sized scratch.
   ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
                       ScreeningContext& context) const override;
-
-  Options options_;
 };
 
 }  // namespace scod

@@ -65,6 +65,11 @@ struct ScreeningReport {
 /// Sorts conjunctions into the canonical (sat_a, sat_b, tca) order.
 void sort_conjunctions(std::vector<Conjunction>& conjunctions);
 
+/// TCA window [s] within which the screeners and the oracle merge encounters
+/// of one pair: duplicates found from adjacent sample steps refine to the
+/// same minimum, well within a second of each other.
+inline constexpr double kMergeToleranceSeconds = 1.0;
+
 /// Sorts and deduplicates raw per-candidate conjunctions: events of the
 /// same pair whose TCAs are within `time_tolerance` describe the same
 /// physical minimum (found from adjacent sample steps) and are collapsed,

@@ -1,6 +1,8 @@
 #include "core/screener.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "core/context.hpp"
 #include "core/grid_screener.hpp"
@@ -53,8 +55,17 @@ ScreeningReport ScreenerBase::screen(const Propagator& propagator,
 
 ScreeningReport ScreenerBase::with_context(const ScreeningConfig& caller_config,
                                            const ContextBody& body) const {
+  if (!std::isfinite(caller_config.threshold_km) || !(caller_config.threshold_km > 0.0)) {
+    throw std::invalid_argument("screen: threshold must be finite and > 0");
+  }
+  if (!std::isfinite(caller_config.t_begin) || !std::isfinite(caller_config.t_end)) {
+    throw std::invalid_argument("screen: time span must be finite");
+  }
   if (!(caller_config.t_begin < caller_config.t_end)) {
     throw std::invalid_argument("screen: empty time span");
+  }
+  if (!std::isfinite(caller_config.seconds_per_sample)) {
+    throw std::invalid_argument("screen: seconds_per_sample must be finite");
   }
   const Variant v = variant();
   if (caller_config.device != nullptr &&
@@ -69,18 +80,16 @@ ScreeningReport ScreenerBase::with_context(const ScreeningConfig& caller_config,
 
 std::unique_ptr<Screener> make_screener(Variant variant,
                                         ScreeningContext* context,
-                                        const ScreenerOptions& options) {
+                                        GridPipelineOptions pipeline) {
   switch (variant) {
     case Variant::kGrid:
-      return std::make_unique<GridScreener>(options.pipeline, context);
+      return std::make_unique<GridScreener>(std::move(pipeline), context);
     case Variant::kHybrid:
-      return std::make_unique<HybridScreener>(options.pipeline, context);
+      return std::make_unique<HybridScreener>(std::move(pipeline), context);
     case Variant::kLegacy:
-      return std::make_unique<LegacyScreener>(
-          options.legacy.value_or(LegacyScreenerOptions{}), context);
+      return std::make_unique<LegacyScreener>(context);
     case Variant::kSieve:
-      return std::make_unique<SieveScreener>(
-          options.sieve.value_or(SieveScreenerOptions{}), context);
+      return std::make_unique<SieveScreener>(context);
   }
   throw std::invalid_argument("make_screener: unknown variant");
 }

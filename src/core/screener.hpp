@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "core/config.hpp"
 #include "core/grid_pipeline.hpp"
@@ -49,8 +48,10 @@ class Screener {
 
   /// Screens with a caller-supplied propagator (e.g. the J2 secular
   /// propagator); the propagator must be thread-safe. Throws
-  /// std::invalid_argument for an empty or inverted span, and when
-  /// config.device is set for a CPU-only variant (legacy, sieve).
+  /// std::invalid_argument for a threshold that is not finite and > 0, a
+  /// span that is empty, inverted or not finite, a seconds_per_sample that
+  /// is not finite, and when config.device is set for a CPU-only variant
+  /// (legacy, sieve).
   virtual ScreeningReport screen(const Propagator& propagator,
                                  const ScreeningConfig& config) const = 0;
 };
@@ -88,48 +89,14 @@ class ScreenerBase : public Screener {
   ScreeningContext* context_ = nullptr;
 };
 
-/// Options of the legacy (all-on-all filter chain) variant.
-struct LegacyScreenerOptions {
-  /// Sampling step of the dense encounter scan used for coplanar pairs,
-  /// where the node-window construction degenerates [s].
-  double dense_scan_step = 16.0;
-};
-
-/// Options of the smart-sieve variant.
-struct SieveScreenerOptions {
-  /// The coarse sieve threshold is `coarse_factor` * screening threshold;
-  /// below it the pair is considered inside a proximity window and a Brent
-  /// search runs. Larger values find windows earlier (fewer, longer skips)
-  /// at the cost of more refinements.
-  double coarse_factor = 8.0;
-  /// Lower bound on a skip [s]; prevents pathological crawling when a pair
-  /// hovers just outside the coarse threshold.
-  double min_skip = 1.0;
-};
-
-/// Per-variant construction options of make_screener. An unset or default
-/// field means the variant's own defaults; fields of other variants are
-/// ignored.
-struct ScreenerOptions {
-  GridPipelineOptions pipeline;                   ///< grid + hybrid
-  std::optional<LegacyScreenerOptions> legacy;    ///< legacy
-  std::optional<SieveScreenerOptions> sieve;      ///< sieve
-};
-
-/// Convenience for the common "grid variant with these pipeline options"
-/// call: make_screener(Variant::kGrid, ctx, pipeline_options(p)).
-inline ScreenerOptions pipeline_options(GridPipelineOptions pipeline) {
-  ScreenerOptions options;
-  options.pipeline = std::move(pipeline);
-  return options;
-}
-
 /// Factory behind every variant dispatch site. With a context the returned
 /// screener borrows its scratch from the context's arena (warm repeat
 /// screens, bit-identical reports); without one each screen() call
 /// allocates and frees as before. The context must outlive the screener.
+/// `pipeline` configures the grid front-end of grid and hybrid; legacy and
+/// sieve ignore it.
 std::unique_ptr<Screener> make_screener(Variant variant,
                                         ScreeningContext* context = nullptr,
-                                        const ScreenerOptions& options = {});
+                                        GridPipelineOptions pipeline = {});
 
 }  // namespace scod

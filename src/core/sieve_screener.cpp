@@ -8,6 +8,7 @@
 #include "core/context.hpp"
 #include "core/exec.hpp"
 #include "filters/apogee_perigee.hpp"
+#include "filters/filter_chain.hpp"
 #include "obs/telemetry.hpp"
 #include "orbit/geometry.hpp"
 #include "pca/pair_evaluator.hpp"
@@ -17,6 +18,15 @@
 namespace scod {
 
 namespace {
+
+/// The coarse sieve threshold is kCoarseFactor * screening threshold; below
+/// it the pair is considered inside a proximity window and a Brent search
+/// runs. Larger values find windows earlier (fewer, longer skips) at the
+/// cost of more refinements.
+constexpr double kCoarseFactor = 8.0;
+/// Lower bound on a skip [s]; prevents pathological crawling when a pair
+/// hovers just outside the coarse threshold.
+constexpr double kMinSkip = 1.0;
 
 /// Per-range work tallies of the sieve loop.
 struct SieveTally {
@@ -29,11 +39,9 @@ struct SieveTally {
 /// below the threshold.
 template <typename PairEvaluator>
 std::vector<Encounter> sieve_pair(const PairEvaluator& eval, double closing_speed,
-                                  const ScreeningConfig& config,
-                                  const SieveScreenerOptions& options,
-                                  SieveTally& tally) {
+                                  const ScreeningConfig& config, SieveTally& tally) {
   const auto pair_distance = [&eval](double t) { return eval.distance(t); };
-  const double coarse = options.coarse_factor * config.threshold_km;
+  const double coarse = kCoarseFactor * config.threshold_km;
   std::vector<Encounter> encounters;
 
   double t = config.t_begin;
@@ -43,7 +51,7 @@ std::vector<Encounter> sieve_pair(const PairEvaluator& eval, double closing_spee
     if (d > coarse) {
       // Sieve step: the distance cannot shrink to the threshold before the
       // gap is closed at the maximum closing speed.
-      t += std::max((d - config.threshold_km) / closing_speed, options.min_skip);
+      t += std::max((d - config.threshold_km) / closing_speed, kMinSkip);
       continue;
     }
     // Proximity window: bracket the local minimum around t. The window
@@ -52,23 +60,18 @@ std::vector<Encounter> sieve_pair(const PairEvaluator& eval, double closing_spee
     // exactly on t_begin/t_end is reported instead of being discarded
     // toward a neighbouring interval that does not exist.
     const double half = std::max(2.0 * coarse / closing_speed, 2.0);
-    const auto enc = refine_candidate_fn(pair_distance, t, half, config.t_begin,
-                                         config.t_end, config.refine);
+    const auto enc =
+        refine_candidate_fn(pair_distance, t, half, config.t_begin, config.t_end);
     ++tally.refinements;
     if (enc.has_value() && enc->pca <= config.threshold_km) {
       encounters.push_back(*enc);
     }
-    t += half + options.min_skip;  // move past this window
+    t += half + kMinSkip;  // move past this window
   }
-  return merge_encounters(std::move(encounters), config.effective_merge_tolerance());
+  return merge_encounters(std::move(encounters), kMergeToleranceSeconds);
 }
 
 }  // namespace
-
-SieveScreener::SieveScreener() : SieveScreener(Options{}) {}
-
-SieveScreener::SieveScreener(Options options, ScreeningContext* context)
-    : ScreenerBase(context), options_(options) {}
 
 ScreeningReport SieveScreener::run(const Propagator& propagator,
                                    const ScreeningConfig& config,
@@ -125,13 +128,13 @@ ScreeningReport SieveScreener::run(const Propagator& propagator,
           // The apogee/perigee filter stays worthwhile: it removes the
           // radially separated pairs in O(1) before any propagation.
           if (!apogee_perigee_overlap(propagator.elements(a), propagator.elements(b),
-                                      config.threshold_km + config.filter_pad_km)) {
+                                      config.threshold_km + kFilterPadKm)) {
             ++local_ap;
             continue;
           }
           const std::vector<Encounter> encounters =
               fast.visit(a, b, [&](const auto& eval) {
-                return sieve_pair(eval, vmax[a] + vmax[b], config, options_, tally);
+                return sieve_pair(eval, vmax[a] + vmax[b], config, tally);
               });
           for (const Encounter& e : encounters) {
             local.push_back({a, b, e.tca, e.pca});
@@ -147,7 +150,7 @@ ScreeningReport SieveScreener::run(const Propagator& propagator,
       });
 
   report.conjunctions =
-      merge_conjunctions(std::move(all), config.effective_merge_tolerance());
+      merge_conjunctions(std::move(all), kMergeToleranceSeconds);
   report.timings.filtering = sieve_watch.seconds();
 
   // The sieve's filter funnel is two-stage: the apogee/perigee test, then

@@ -23,12 +23,10 @@ namespace scod {
 /// paper's baseline it parallelizes trivially over pairs.
 class SieveScreener final : public ScreenerBase {
  public:
-  using Options = SieveScreenerOptions;
-
-  SieveScreener();
   /// With a context, the vmax table is borrowed from its arena across
   /// calls; the context must outlive the screener.
-  explicit SieveScreener(Options options, ScreeningContext* context = nullptr);
+  explicit SieveScreener(ScreeningContext* context = nullptr)
+      : ScreenerBase(context) {}
 
   Variant variant() const override { return Variant::kSieve; }
 
@@ -36,8 +34,6 @@ class SieveScreener final : public ScreenerBase {
   /// CPU-only by definition.
   ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
                       ScreeningContext& context) const override;
-
-  Options options_;
 };
 
 }  // namespace scod

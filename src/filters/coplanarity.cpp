@@ -4,8 +4,8 @@
 
 namespace scod {
 
-bool are_coplanar(const KeplerElements& a, const KeplerElements& b, double tolerance) {
-  return plane_angle(a, b) < tolerance;
+bool are_coplanar(const KeplerElements& a, const KeplerElements& b) {
+  return plane_angle(a, b) < kCoplanarTolerance;
 }
 
 }  // namespace scod

@@ -4,17 +4,16 @@
 
 namespace scod {
 
-/// Default angular tolerance below which two orbital planes are treated as
+/// Angular tolerance below which two orbital planes are treated as
 /// coplanar. The node-crossing time filter degenerates for small plane
 /// angles (the intersection line is ill-conditioned and encounter minima
 /// become broad), so nearly-coplanar pairs are routed to the sampling-based
 /// search instead — the same split the paper's hybrid variant makes in
 /// Section IV-C.
-inline constexpr double kDefaultCoplanarTolerance = 0.02;  // rad, ~1.15 deg
+inline constexpr double kCoplanarTolerance = 0.02;  // rad, ~1.15 deg
 
-/// True when the planes of the two orbits are within `tolerance` of each
-/// other (normals parallel or anti-parallel).
-bool are_coplanar(const KeplerElements& a, const KeplerElements& b,
-                  double tolerance = kDefaultCoplanarTolerance);
+/// True when the planes of the two orbits are within kCoplanarTolerance of
+/// each other (normals parallel or anti-parallel).
+bool are_coplanar(const KeplerElements& a, const KeplerElements& b);
 
 }  // namespace scod

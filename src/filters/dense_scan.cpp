@@ -14,10 +14,9 @@ namespace {
 // interval refiners, so "refinements >= raw conjunctions" holds for every
 // screener including the legacy coplanar path.
 template <typename DistanceFn>
-MinimizeResult counted_minimize(const DistanceFn& distance, double lo, double hi,
-                                const RefineOptions& refine) {
+MinimizeResult counted_minimize(const DistanceFn& distance, double lo, double hi) {
   const MinimizeResult m =
-      brent_minimize(distance, lo, hi, refine.time_tolerance, refine.max_iterations);
+      brent_minimize(distance, lo, hi, kRefineTimeTolerance, kRefineMaxIterations);
   obs::count(obs::Counter::kRefinements);
   obs::count(obs::Counter::kBrentIterations,
              static_cast<std::uint64_t>(m.iterations));
@@ -47,7 +46,7 @@ std::vector<Encounter> scan_encounters(const Propagator& propagator,
   // start is a running minimum.
   if (d_prev <= d_curr && d_prev < options.refine_below) {
     const MinimizeResult m =
-        counted_minimize(distance, t_begin, t_begin + step, options.refine);
+        counted_minimize(distance, t_begin, t_begin + step);
     encounters.push_back({m.x, m.value});
   }
 
@@ -58,7 +57,7 @@ std::vector<Encounter> scan_encounters(const Propagator& propagator,
     d_curr = distance(t_curr);
     if (d_prev <= d_prev2 && d_prev <= d_curr && d_prev < options.refine_below) {
       const MinimizeResult m =
-          counted_minimize(distance, t_curr - 2.0 * step, t_curr, options.refine);
+          counted_minimize(distance, t_curr - 2.0 * step, t_curr);
       encounters.push_back({m.x, m.value});
     }
   }
@@ -66,7 +65,7 @@ std::vector<Encounter> scan_encounters(const Propagator& propagator,
   // Trailing edge: signal still falling at the end of the span.
   if (samples > 1 && d_curr < d_prev && d_curr < options.refine_below) {
     const MinimizeResult m =
-        counted_minimize(distance, t_end - step, t_end, options.refine);
+        counted_minimize(distance, t_end - step, t_end);
     encounters.push_back({m.x, m.value});
   }
 

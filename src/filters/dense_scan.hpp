@@ -18,7 +18,6 @@ struct DenseScanOptions {
   /// Only minima whose *sampled* value is below this are refined;
   /// infinity refines every local minimum.
   double refine_below = 1e300;
-  RefineOptions refine;
 };
 
 /// Exhaustively finds the local minima of the pairwise distance of

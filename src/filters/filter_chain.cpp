@@ -12,15 +12,15 @@ namespace scod {
 PairClassification classify_pair(const KeplerElements& a, const KeplerElements& b,
                                  const ScreeningConfig& config) {
   PairClassification out;
-  const double reach = config.threshold_km + config.filter_pad_km;
+  const double reach = config.threshold_km + kFilterPadKm;
   if (!apogee_perigee_overlap(a, b, reach)) {
     out.verdict = PairVerdict::kApogeePerigeeReject;
     return out;
   }
 
-  out.coplanar = are_coplanar(a, b, config.coplanar_tolerance);
+  out.coplanar = are_coplanar(a, b);
   if (out.coplanar) {
-    out.verdict = orbit_path_overlap(a, b, config.threshold_km, config.filter_pad_km)
+    out.verdict = orbit_path_overlap(a, b, config.threshold_km)
                       ? PairVerdict::kCoplanarSurvivor
                       : PairVerdict::kPathReject;
     return out;
@@ -33,7 +33,7 @@ PairClassification classify_pair(const KeplerElements& a, const KeplerElements& 
   }
 
   out.windows = conjunction_time_windows(a, b, config.t_begin, config.t_end,
-                                         config.threshold_km, config.time_windows);
+                                         config.threshold_km);
   out.verdict = out.windows.empty() ? PairVerdict::kWindowReject
                                     : PairVerdict::kWindowSurvivor;
   return out;

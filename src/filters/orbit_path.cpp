@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "filters/filter_chain.hpp"
 #include "orbit/geometry.hpp"
 #include "pca/brent.hpp"
 #include "util/constants.hpp"
@@ -63,8 +64,8 @@ double min_orbit_distance(const KeplerElements& a, const KeplerElements& b,
 }
 
 bool orbit_path_overlap(const KeplerElements& a, const KeplerElements& b,
-                        double threshold_km, double pad_km, int coarse_samples) {
-  return min_orbit_distance(a, b, coarse_samples) <= threshold_km + pad_km;
+                        double threshold_km) {
+  return min_orbit_distance(a, b) <= threshold_km + kFilterPadKm;
 }
 
 }  // namespace scod

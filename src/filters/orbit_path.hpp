@@ -39,9 +39,8 @@ double min_orbit_distance(const KeplerElements& a, const KeplerElements& b,
                           int coarse_samples = 24);
 
 /// Returns true when the pair SURVIVES the orbit path filter, i.e. the
-/// minimum orbit-to-orbit distance is within threshold + pad.
+/// minimum orbit-to-orbit distance is within threshold + kFilterPadKm.
 bool orbit_path_overlap(const KeplerElements& a, const KeplerElements& b,
-                        double threshold_km, double pad_km = 0.5,
-                        int coarse_samples = 24);
+                        double threshold_km);
 
 }  // namespace scod

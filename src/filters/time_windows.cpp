@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "filters/filter_chain.hpp"
 #include "orbit/anomaly.hpp"
 #include "orbit/frames.hpp"
 #include "orbit/geometry.hpp"
@@ -91,16 +92,18 @@ std::array<NodeCrossing, 2> node_crossings(const KeplerElements& a,
 std::vector<Interval> conjunction_time_windows(const KeplerElements& a,
                                                const KeplerElements& b,
                                                double t_begin, double t_end,
-                                               double threshold_km,
-                                               const TimeWindowOptions& options) {
+                                               double threshold_km) {
   const Vec3 cross = normal_of(a).cross(normal_of(b));
   const double sin_angle = std::max(cross.norm(), 0.05);
   const Vec3 k = cross / cross.norm();
 
-  const double reach = threshold_km + options.pad_km;
-  // Shallow plane crossings produce broad distance minima; widen the
-  // corridor accordingly (1/sin of the plane angle, floored).
-  const double corridor = options.corridor_scale * reach / sin_angle;
+  const double reach = threshold_km + kFilterPadKm;
+  // The spatial corridor around a node is kCorridorScale reaches wide;
+  // larger values widen the windows (more Brent work, fewer missed
+  // encounters). Shallow plane crossings produce broad distance minima, so
+  // the corridor also grows as 1/sin of the plane angle (floored).
+  constexpr double kCorridorScale = 8.0;
+  const double corridor = kCorridorScale * reach / sin_angle;
 
   std::vector<Interval> result;
   for (const Vec3& direction : {k, -k}) {

@@ -39,18 +39,6 @@ struct NodeCrossing {
 std::array<NodeCrossing, 2> node_crossings(const KeplerElements& a,
                                            const KeplerElements& b);
 
-/// Options for the node-window time filter.
-struct TimeWindowOptions {
-  /// Distance pad added to the screening threshold to absorb the
-  /// first-order approximations in the window construction [km].
-  double pad_km = 0.5;
-  /// The spatial corridor around a node is corridor_scale * (threshold +
-  /// pad); larger values widen the windows (more Brent work, fewer missed
-  /// encounters). The effective corridor additionally grows as
-  /// 1/sin(plane angle) because shallow crossings produce broad minima.
-  double corridor_scale = 8.0;
-};
-
 /// Time filter (Woodburn & Dichmann 1998 / Hoots et al. 1984, simplified):
 /// computes the windows inside [t_begin, t_end] during which BOTH objects
 /// are near a relative node with sub-threshold node miss distance — the
@@ -58,15 +46,16 @@ struct TimeWindowOptions {
 /// all object pairs that are not in these windows simultaneously and can,
 /// therefore, not generate a conjunction."
 ///
-/// The returned intervals are merged and sorted; an empty result means the
-/// time filter excludes the pair for the whole span. Minima of the
-/// pairwise distance below `threshold` are guaranteed (up to the stated
-/// first-order window construction) to lie inside the returned intervals;
-/// the screener verifies this against a dense-scan oracle in the tests.
+/// The threshold is padded by kFilterPadKm to absorb the first-order
+/// approximations in the window construction. The returned intervals are
+/// merged and sorted; an empty result means the time filter excludes the
+/// pair for the whole span. Minima of the pairwise distance below
+/// `threshold` are guaranteed (up to the stated first-order window
+/// construction) to lie inside the returned intervals; the screener
+/// verifies this against a dense-scan oracle in the tests.
 std::vector<Interval> conjunction_time_windows(const KeplerElements& a,
                                                const KeplerElements& b,
                                                double t_begin, double t_end,
-                                               double threshold_km,
-                                               const TimeWindowOptions& options = {});
+                                               double threshold_km);
 
 }  // namespace scod

@@ -3,21 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "spatial/conjunction_set.hpp"
+#include "spatial/grid_hash_set.hpp"
+
 namespace scod {
-
-namespace {
-std::uint64_t round_up_pow2(std::uint64_t v) {
-  std::uint64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-}  // namespace
-
-std::uint64_t candidate_map_bytes(std::size_t capacity, const MemoryLayout& layout) {
-  // CandidateSet allocates round_up_pow2(2 * capacity) slots.
-  return round_up_pow2(2 * static_cast<std::uint64_t>(capacity)) *
-         layout.candidate_slot_bytes;
-}
 
 SizingPlan plan_samples(const SizingRequest& request) {
   SizingPlan plan;
@@ -29,13 +18,9 @@ SizingPlan plan_samples(const SizingRequest& request) {
   plan.total_samples = std::max<std::size_t>(plan.total_samples, 2);
 
   const std::uint64_t n = request.satellites;
-  plan.fixed_bytes = n * (request.layout.satellite_bytes + request.layout.kepler_cache_bytes) +
-                     candidate_map_bytes(request.candidate_capacity, request.layout);
-
-  const std::uint64_t grid_slots = round_up_pow2(
-      static_cast<std::uint64_t>(request.layout.grid_slot_factor * static_cast<double>(n)) + 1);
-  plan.per_grid_bytes =
-      grid_slots * request.layout.grid_slot_bytes + n * request.layout.grid_entry_bytes;
+  plan.fixed_bytes = n * (kSatelliteBytes + kKeplerCacheBytes) +
+                     CandidateSet::projected_memory_bytes(request.candidate_capacity);
+  plan.per_grid_bytes = GridHashSet::projected_memory_bytes(request.satellites);
 
   if (plan.fixed_bytes + plan.per_grid_bytes > request.memory_budget) {
     plan.fits = false;

@@ -4,19 +4,20 @@
 #include <cstdint>
 
 #include "model/conjunction_model.hpp"
+#include "orbit/elements.hpp"
 
 namespace scod {
 
-/// Bytes per record of the data structures entering the memory model of
-/// Section V-B. Defaults match this library's concrete structs.
-struct MemoryLayout {
-  std::size_t satellite_bytes = 56;      ///< a_s: one Satellite
-  std::size_t kepler_cache_bytes = 112;  ///< a_k: one TwoBodyCache
-  std::size_t grid_slot_bytes = 16;      ///< one grid hash-set slot (key+head)
-  std::size_t grid_entry_bytes = 32;     ///< a_l: one linked-list entry
-  std::size_t candidate_slot_bytes = 8;  ///< one conjunction-map slot
-  double grid_slot_factor = 2.0;         ///< slots per satellite in the grid set
-};
+// Per-satellite bytes of the fixed data in the memory model of Section V-B.
+// The grid (a_gh + a_l) and candidate-map (a_ch) shares come from the
+// structures themselves: GridHashSet::projected_memory_bytes and
+// CandidateSet::projected_memory_bytes.
+
+/// a_s: one Satellite record.
+inline constexpr std::uint64_t kSatelliteBytes = sizeof(Satellite);
+/// a_k: one satellite's row of the Kepler-solver data, the 14 doubles of
+/// TwoBodySoA (five orbit terms and the nine-cell rotation).
+inline constexpr std::uint64_t kKeplerCacheBytes = 14 * sizeof(double);
 
 /// Inputs of the sample-parallelism plan.
 struct SizingRequest {
@@ -25,7 +26,6 @@ struct SizingRequest {
   double seconds_per_sample = 1.0;     ///< s_ps
   std::size_t candidate_capacity = 0;  ///< c, from candidate_capacity_from_model()
   std::uint64_t memory_budget = 0;     ///< m [bytes]
-  MemoryLayout layout;
 };
 
 /// The paper's equations: o = t / s_ps total samples, p parallel samples
@@ -40,10 +40,6 @@ struct SizingPlan {
 };
 
 SizingPlan plan_samples(const SizingRequest& request);
-
-/// Memory the conjunction hash map will occupy for a given capacity
-/// (slot table only; CandidateSet keys are self-contained).
-std::uint64_t candidate_map_bytes(std::size_t capacity, const MemoryLayout& layout);
 
 /// The automatic seconds-per-sample adjustment of Section V-C: when the
 /// conjunction hash map predicted by the model does not fit into the

@@ -19,16 +19,14 @@ struct Encounter {
   double pca = 0.0;  ///< [km]
 };
 
-/// Options for the Brent-based TCA/PCA search (Section IV-C).
-struct RefineOptions {
-  /// Absolute time tolerance of the Brent search [s].
-  double time_tolerance = 1e-4;
-  /// Maximum Brent iterations per candidate.
-  int max_iterations = 80;
-  /// How far beyond an interval edge to probe when the minimum lands on
-  /// the boundary, as a fraction of the interval radius.
-  double edge_probe_fraction = 0.05;
-};
+/// Settings of the Brent-based TCA/PCA search (Section IV-C).
+/// Absolute time tolerance of the Brent search [s].
+inline constexpr double kRefineTimeTolerance = 1e-4;
+/// Maximum Brent iterations per candidate.
+inline constexpr int kRefineMaxIterations = 80;
+/// How far beyond an interval edge to probe when the minimum lands on the
+/// boundary, as a fraction of the interval radius.
+inline constexpr double kEdgeProbeFraction = 0.05;
 
 /// Radius of the search interval for a grid candidate: "t is the time it
 /// takes the slower of both satellites to cross two cells" (Section IV-C).
@@ -40,12 +38,11 @@ double grid_search_radius(double cell_size, double slower_speed_km_s);
 /// dispatches per Brent evaluation; the Propagator overloads below wrap it.
 template <typename DistanceFn>
 std::optional<Encounter> refine_on_interval_fn(DistanceFn&& distance, double t_lo,
-                                               double t_hi,
-                                               const RefineOptions& options = {}) {
+                                               double t_hi) {
   if (!(t_lo < t_hi)) return std::nullopt;
 
   const MinimizeResult min =
-      brent_minimize(distance, t_lo, t_hi, options.time_tolerance, options.max_iterations);
+      brent_minimize(distance, t_lo, t_hi, kRefineTimeTolerance, kRefineMaxIterations);
   obs::count(obs::Counter::kRefinements);
   obs::count(obs::Counter::kBrentIterations,
              static_cast<std::uint64_t>(min.iterations));
@@ -56,9 +53,8 @@ std::optional<Encounter> refine_on_interval_fn(DistanceFn&& distance, double t_l
   // interval's search will find it. Otherwise the edge really is the
   // (clamped) minimum.
   const double radius = 0.5 * (t_hi - t_lo);
-  const double probe = std::max(options.edge_probe_fraction * radius,
-                                4.0 * options.time_tolerance);
-  const double edge_tol = 2.0 * options.time_tolerance;
+  const double probe = std::max(kEdgeProbeFraction * radius, 4.0 * kRefineTimeTolerance);
+  const double edge_tol = 2.0 * kRefineTimeTolerance;
 
   if (min.x - t_lo <= edge_tol) {
     if (distance(t_lo - probe) < min.value) {
@@ -79,8 +75,7 @@ std::optional<Encounter> refine_on_interval_fn(DistanceFn&& distance, double t_l
 /// [center - radius, center + radius] clamped to the simulation span).
 template <typename DistanceFn>
 std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double center,
-                                             double radius, double t_min, double t_max,
-                                             const RefineOptions& options = {}) {
+                                             double radius, double t_min, double t_max) {
   const double t_lo = std::max(center - radius, t_min);
   const double t_hi = std::min(center + radius, t_max);
   if (!(t_lo < t_hi)) return std::nullopt;
@@ -89,14 +84,13 @@ std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double cente
   }
 
   const MinimizeResult min =
-      brent_minimize(distance, t_lo, t_hi, options.time_tolerance, options.max_iterations);
+      brent_minimize(distance, t_lo, t_hi, kRefineTimeTolerance, kRefineMaxIterations);
   obs::count(obs::Counter::kRefinements);
   obs::count(obs::Counter::kBrentIterations,
              static_cast<std::uint64_t>(min.iterations));
 
-  const double probe =
-      std::max(options.edge_probe_fraction * radius, 4.0 * options.time_tolerance);
-  const double edge_tol = 2.0 * options.time_tolerance;
+  const double probe = std::max(kEdgeProbeFraction * radius, 4.0 * kRefineTimeTolerance);
+  const double edge_tol = 2.0 * kRefineTimeTolerance;
 
   // At the simulation-span boundary the minimum cannot be discarded — there
   // is no neighbouring interval beyond the span; report the clamped value.
@@ -123,12 +117,11 @@ std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double cente
 template <typename PairEvaluator>
 std::optional<Encounter> refine_grid_candidate(const PairEvaluator& eval,
                                                double t_sample, double cell_size,
-                                               double t_min, double t_max,
-                                               const RefineOptions& options = {}) {
+                                               double t_min, double t_max) {
   const double radius = grid_search_radius(
       cell_size, std::min(eval.speed_a(t_sample), eval.speed_b(t_sample)));
   return refine_candidate_fn([&eval](double t) { return eval.distance(t); },
-                             t_sample, radius, t_min, t_max, options);
+                             t_sample, radius, t_min, t_max);
 }
 
 /// Minimizes the pairwise distance of (sat_a, sat_b) on
@@ -141,16 +134,14 @@ std::optional<Encounter> refine_grid_candidate(const PairEvaluator& eval,
 std::optional<Encounter> refine_candidate(const Propagator& propagator,
                                           std::uint32_t sat_a, std::uint32_t sat_b,
                                           double center, double radius,
-                                          double t_min, double t_max,
-                                          const RefineOptions& options = {});
+                                          double t_min, double t_max);
 
 /// Minimizes the pairwise distance on an explicit interval [t_lo, t_hi]
 /// (used by the hybrid variant, whose orbital filters construct the
 /// interval). The boundary-discard rule is applied the same way.
 std::optional<Encounter> refine_on_interval(const Propagator& propagator,
                                             std::uint32_t sat_a, std::uint32_t sat_b,
-                                            double t_lo, double t_hi,
-                                            const RefineOptions& options = {});
+                                            double t_lo, double t_hi);
 
 /// Collapses encounters of one pair that describe the same physical local
 /// minimum: candidates generated at adjacent sample steps refine to nearly

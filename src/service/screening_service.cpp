@@ -123,7 +123,7 @@ ServiceReport ScreeningService::incremental_screen(
     GridPipelineOptions pipeline;
     pipeline.dirty_mask = mask;
     const ScreeningReport dense =
-        make_screener(Variant::kGrid, &context_, pipeline_options(pipeline))
+        make_screener(Variant::kGrid, &context_, std::move(pipeline))
             ->screen(snap->satellites, options_.config);
 
     if (dense.stats.seconds_per_sample != baseline_sps_) {

@@ -29,17 +29,13 @@ Candidate unpack_candidate(std::uint64_t key) {
   return c;
 }
 
-std::size_t CandidateSet::round_up_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
+std::size_t CandidateSet::slot_count_for(std::size_t capacity) {
+  return round_up_pow2(2 * capacity);
 }
 
 CandidateSet::CandidateSet(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) throw std::invalid_argument("CandidateSet: zero capacity");
-  // "Like the grid hash map, the conjunction hash map needs additional
-  // space to allow fast insertion, so we double the number of slots."
-  slots_ = std::vector<std::atomic<std::uint64_t>>(round_up_pow2(2 * capacity));
+  slots_ = std::vector<std::atomic<std::uint64_t>>(slot_count_for(capacity));
   slot_mask_ = slots_.size() - 1;
   clear();
 }

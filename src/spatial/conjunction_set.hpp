@@ -67,8 +67,16 @@ class CandidateSet {
 
   std::size_t memory_bytes() const { return slots_.size() * sizeof(std::uint64_t); }
 
+  /// Footprint a set of this capacity would have, without building it;
+  /// used by the memory-sizing model (a_ch in Section V-B).
+  static std::size_t projected_memory_bytes(std::size_t capacity) {
+    return slot_count_for(capacity) * sizeof(std::uint64_t);
+  }
+
  private:
-  static std::size_t round_up_pow2(std::size_t v);
+  /// "Like the grid hash map, the conjunction hash map needs additional
+  /// space to allow fast insertion, so we double the number of slots."
+  static std::size_t slot_count_for(std::size_t capacity);
 
   std::vector<std::atomic<std::uint64_t>> slots_;
   std::atomic<std::size_t> count_{0};

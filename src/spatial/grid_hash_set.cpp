@@ -7,18 +7,15 @@
 
 namespace scod {
 
-std::size_t GridHashSet::round_up_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
+std::size_t GridHashSet::slot_count_for(std::size_t max_entries, double slot_factor) {
+  return round_up_pow2(
+      static_cast<std::size_t>(slot_factor * static_cast<double>(max_entries)) + 1);
 }
 
 GridHashSet::GridHashSet(std::size_t max_entries, double slot_factor) {
   if (max_entries == 0) throw std::invalid_argument("GridHashSet: zero capacity");
   if (slot_factor < 1.0) throw std::invalid_argument("GridHashSet: slot factor < 1");
-  const auto min_slots =
-      static_cast<std::size_t>(slot_factor * static_cast<double>(max_entries)) + 1;
-  slots_ = std::vector<Slot>(round_up_pow2(min_slots));
+  slots_ = std::vector<Slot>(slot_count_for(max_entries, slot_factor));
   entries_.resize(max_entries);
   slot_mask_ = slots_.size() - 1;
 }
@@ -123,9 +120,8 @@ std::size_t GridHashSet::memory_bytes() const {
 
 std::size_t GridHashSet::projected_memory_bytes(std::size_t max_entries,
                                                 double slot_factor) {
-  const auto min_slots =
-      static_cast<std::size_t>(slot_factor * static_cast<double>(max_entries)) + 1;
-  return round_up_pow2(min_slots) * sizeof(Slot) + max_entries * sizeof(GridEntry);
+  return slot_count_for(max_entries, slot_factor) * sizeof(Slot) +
+         max_entries * sizeof(GridEntry);
 }
 
 }  // namespace scod

@@ -99,7 +99,9 @@ class GridHashSet {
     std::atomic<std::uint32_t> head{kNoEntry};
   };
 
-  static std::size_t round_up_pow2(std::size_t v);
+  /// Slot-table size for `max_entries` satellites: slot_factor slots per
+  /// satellite, plus one, rounded up to a power of two.
+  static std::size_t slot_count_for(std::size_t max_entries, double slot_factor);
 
   std::vector<Slot> slots_;
   std::vector<GridEntry> entries_;

@@ -29,4 +29,12 @@ void murmur3_x64_128(const void* data, std::size_t len, std::uint64_t seed,
 /// Convenience: 64-bit hash of a byte buffer (low half of the 128-bit hash).
 std::uint64_t murmur3_x64_64(const void* data, std::size_t len, std::uint64_t seed = 0);
 
+/// The smallest power of two >= v: the slot count of the open-addressed
+/// hash sets, so a hash maps to a slot with a mask.
+constexpr std::size_t round_up_pow2(std::size_t v) {
+  std::size_t p = 1;
+  while (p < v) p <<= 1;
+  return p;
+}
+
 }  // namespace scod

@@ -22,7 +22,6 @@ std::vector<Conjunction> oracle_conjunctions(std::span<const Satellite> satellit
 
   DenseScanOptions scan;
   scan.step = options.step;
-  scan.refine = config.refine;
   const double record_below = config.threshold_km * options.slack;
 
   // Flatten the strict upper triangle so the pair loop parallelizes as one
@@ -62,7 +61,7 @@ std::vector<Conjunction> oracle_conjunctions(std::span<const Satellite> satellit
 
   // Same canonicalization the screeners apply: adjacent-bracket duplicates
   // of one physical minimum are merged, then sorted by (pair, tca).
-  return merge_conjunctions(std::move(out), config.effective_merge_tolerance());
+  return merge_conjunctions(std::move(out), kMergeToleranceSeconds);
 }
 
 }  // namespace scod::verify

@@ -133,6 +133,19 @@ TEST(Cli, ScreenRejectsInvertedSpanForEveryVariant) {
   std::remove(catalog.c_str());
 }
 
+TEST(Cli, ScreenRejectsInvalidThresholdAndSpan) {
+  const std::string catalog = temp_path("cli_catalog_invalid.csv");
+  ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
+  for (const char* variant : {"grid", "hybrid", "legacy", "sieve"}) {
+    for (const char* option : {"--threshold -1", "--threshold nan", "--span inf"}) {
+      const CliRun run = run_cli("screen --catalog " + catalog + " --variant " +
+                                 variant + " " + option);
+      EXPECT_EQ(run.exit_code, 1) << variant << " " << option << ": " << run.output;
+    }
+  }
+  std::remove(catalog.c_str());
+}
+
 TEST(Cli, ScreenFailsCleanlyOnMissingCatalog) {
   const CliRun run = run_cli("screen --catalog /nonexistent/cat.csv");
   EXPECT_EQ(run.exit_code, 1);

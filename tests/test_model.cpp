@@ -5,6 +5,8 @@
 #include "model/conjunction_model.hpp"
 #include "model/powerlaw_fit.hpp"
 #include "model/sizing.hpp"
+#include "spatial/conjunction_set.hpp"
+#include "spatial/grid_hash_set.hpp"
 #include "util/rng.hpp"
 
 namespace scod {
@@ -82,10 +84,34 @@ TEST(Sizing, ReportsWhenNothingFits) {
 }
 
 TEST(Sizing, CandidateMapBytesGrowWithCapacity) {
-  const MemoryLayout layout;
-  EXPECT_GT(candidate_map_bytes(100000, layout), candidate_map_bytes(1000, layout));
-  // Slot table is 2x capacity rounded to a power of two.
-  EXPECT_EQ(candidate_map_bytes(1000, layout), 2048 * layout.candidate_slot_bytes);
+  EXPECT_GT(CandidateSet::projected_memory_bytes(100000),
+            CandidateSet::projected_memory_bytes(1000));
+  // Slot table is 2x capacity rounded to a power of two, 8 bytes a slot.
+  EXPECT_EQ(CandidateSet::projected_memory_bytes(1000), 2048u * 8u);
+}
+
+TEST(Sizing, ModelAgreesWithTheStructures) {
+  // The plan's per-grid bytes are what one GridHashSet of n entries
+  // occupies, and its fixed bytes are n * (a_s + a_k) plus what the
+  // CandidateSet of the requested capacity occupies.
+  EXPECT_EQ(kSatelliteBytes, 56u);
+  EXPECT_EQ(kKeplerCacheBytes, 112u);
+  for (const std::size_t n : {1u, 2u, 1000u, 65535u, 65536u}) {
+    for (const std::size_t capacity : {1u, 1023u, 1024u, 1025u, 32767u, 32768u, 32769u}) {
+      SizingRequest req;
+      req.satellites = n;
+      req.span_seconds = 600.0;
+      req.seconds_per_sample = 4.0;
+      req.candidate_capacity = capacity;
+      req.memory_budget = 4ull << 30;
+      const SizingPlan plan = plan_samples(req);
+      ASSERT_TRUE(plan.fits);
+      EXPECT_EQ(plan.per_grid_bytes, GridHashSet(n).memory_bytes()) << n;
+      EXPECT_EQ(plan.fixed_bytes - n * (kSatelliteBytes + kKeplerCacheBytes),
+                CandidateSet(capacity).memory_bytes())
+          << n << " " << capacity;
+    }
+  }
 }
 
 TEST(AutoAdjust, KeepsSpsWhenMemoryIsAmple) {

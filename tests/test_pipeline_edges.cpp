@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/context.hpp"
@@ -176,22 +177,27 @@ TEST(PipelineEdges, RejectsMoreSatellitesThanCandidateKeysHold) {
 TEST(PipelineEdges, RejectsMoreSampleStepsThanCandidateKeysHold) {
   // Candidate keys hold 24-bit sample steps: a 2e7 s span at 1 s sampling
   // is over 2^24 steps and must be refused before anything is allocated.
+  // Spans far beyond the limit are refused by the same check, before the
+  // sizing model turns them into candidate counts.
   const auto sats = small_shell(2, 6);
   const ContourKeplerSolver solver;
   const TwoBodyPropagator propagator(sats, solver);
-  ScreeningConfig cfg;
-  cfg.t_end = 2e7;
-  cfg.seconds_per_sample = 1.0;
-  ScreeningContext context;
-  try {
-    run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(), {},
-                      context);
-    ADD_FAILURE() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("2^24"), std::string::npos) << e.what();
+  for (const auto& [t_end, sps] : {std::pair{2e7, 1.0}, std::pair{1e12, 4.0},
+                                   std::pair{1e300, 4.0}}) {
+    ScreeningConfig cfg;
+    cfg.t_end = t_end;
+    cfg.seconds_per_sample = sps;
+    ScreeningContext context;
+    try {
+      run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(), {},
+                        context);
+      ADD_FAILURE() << "expected std::invalid_argument for t_end " << t_end;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("2^24"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(context.arena().stats().grid_rebuilds, 0u);
+    EXPECT_EQ(context.arena().memory_bytes(), 0u);
   }
-  EXPECT_EQ(context.arena().stats().grid_rebuilds, 0u);
-  EXPECT_EQ(context.arena().memory_bytes(), 0u);
 }
 
 TEST(PipelineEdges, RequiresAPositiveSamplePeriod) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <tuple>
@@ -327,6 +328,8 @@ TEST(Screeners, TinyPopulationsHandled) {
 
 TEST(Screeners, InvalidSpanRejected) {
   std::vector<Satellite> sats = dense_shell(4, 1);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
                     Variant::kSieve}) {
     ScreeningConfig cfg;
@@ -335,6 +338,26 @@ TEST(Screeners, InvalidSpanRejected) {
     EXPECT_THROW(screen(sats, cfg, v), std::invalid_argument) << variant_name(v);
     cfg.t_end = -100.0;  // inverted
     EXPECT_THROW(screen(sats, cfg, v), std::invalid_argument) << variant_name(v);
+
+    // Every value that is not a usable threshold, span end or sample
+    // period is refused up front, by every variant alike.
+    const auto rejects = [&](const auto& edit, const char* what) {
+      ScreeningConfig bad;
+      bad.t_end = 600.0;
+      edit(bad);
+      EXPECT_THROW(screen(sats, bad, v), std::invalid_argument)
+          << variant_name(v) << ": " << what;
+    };
+    for (const double threshold : {-1.0, 0.0, kNan, kInf}) {
+      rejects([threshold](ScreeningConfig& c) { c.threshold_km = threshold; },
+              "threshold");
+    }
+    for (const double t : {kInf, -kInf, kNan}) {
+      rejects([t](ScreeningConfig& c) { c.t_end = t; }, "t_end");
+      rejects([t](ScreeningConfig& c) { c.t_begin = t; }, "t_begin");
+      rejects([t](ScreeningConfig& c) { c.seconds_per_sample = t; },
+              "seconds_per_sample");
+    }
   }
 }
 
