@@ -20,8 +20,8 @@ bool oversized(const std::vector<T>& buffer, std::size_t n) {
 
 }  // namespace
 
-ScratchArena::GridCheckout ScratchArena::grids(std::size_t count,
-                                               std::size_t entries) {
+std::vector<GridHashSet>& ScratchArena::grids(std::size_t count,
+                                              std::size_t entries) {
   if (grid_entries_ != entries && !grids_.empty()) {
     // A GridHashSet's slot table is a pure function of its entry capacity;
     // a different population size means different geometry, so the cache
@@ -36,16 +36,13 @@ ScratchArena::GridCheckout ScratchArena::grids(std::size_t count,
                  grids_.end());
     ++stats_.vector_shrinks;
   }
-  GridCheckout checkout;
-  checkout.reused = grids_.size();
-  stats_.grid_reuses += checkout.reused;
+  stats_.grid_reuses += grids_.size();
   grids_.reserve(count);
   while (grids_.size() < count) {
     grids_.emplace_back(entries);
     ++stats_.grid_rebuilds;
   }
-  checkout.grids = &grids_;
-  return checkout;
+  return grids_;
 }
 
 CandidateSet& ScratchArena::candidates(std::size_t capacity) {

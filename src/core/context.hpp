@@ -21,7 +21,7 @@ namespace scod {
 /// Every buffer is handed out reset to the state a fresh allocation would
 /// have, at exactly the size the caller requested, so a screen borrowing
 /// from the arena is bit-identical to one that allocates from scratch:
-///  - per-step grids are reused only when the entry capacity matches the
+///  - grids are reused only when the entry capacity matches the
 ///    population exactly (a GridHashSet's slot count is a pure function of
 ///    its entry capacity), otherwise they are rebuilt;
 ///  - the candidate set is reused only when its capacity equals the sizing
@@ -47,20 +47,14 @@ class ScratchArena {
     std::uint64_t vector_shrinks = 0;     ///< oversized buffers released
   };
 
-  /// Result of a grid checkout: the first `reused` grids of `*grids` are
-  /// carried over from a previous screen and still hold its entries — the
-  /// caller must clear() them (the pipeline does so on its worker pool);
-  /// the rest were constructed fresh and are already empty.
-  struct GridCheckout {
-    std::vector<GridHashSet>* grids = nullptr;
-    std::size_t reused = 0;
-  };
-
-  /// Checks out `count` per-step grids, each sized for exactly `entries`
+  /// Checks out `count` grids, each sized for exactly `entries`
   /// satellites. Grids cached with a different entry capacity are
   /// discarded and rebuilt (their slot tables would differ from a cold
-  /// screen's); surplus grids beyond `count` are released.
-  GridCheckout grids(std::size_t count, std::size_t entries);
+  /// screen's); surplus grids beyond `count` are released. Carried-over
+  /// grids still hold the previous screen's entries: the caller clears a
+  /// grid before inserting into it (the pipeline does so before every
+  /// step).
+  std::vector<GridHashSet>& grids(std::size_t count, std::size_t entries);
 
   /// Checks out the candidate set at exactly `capacity` (cleared). A
   /// cached set whose capacity differs — smaller plan, or doubled by a

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -36,6 +37,257 @@ void simulate_upload(Device& device, DeviceBuffer<std::byte>& dst, std::size_t b
     device.copy_to_device(dst, staging.data(), n);
     offset += n;
   }
+}
+
+/// Detection-funnel tallies of one scan attempt: occupied cells, and the
+/// pairs tested and where each left the funnel.
+struct ScanTally {
+  std::uint64_t occupied = 0, tested = 0, masked = 0, prefiltered = 0,
+                emitted = 0, duplicates = 0;
+
+  ScanTally& operator+=(const ScanTally& o) {
+    occupied += o.occupied;
+    tested += o.tested;
+    masked += o.masked;
+    prefiltered += o.prefiltered;
+    emitted += o.emitted;
+    duplicates += o.duplicates;
+    return *this;
+  }
+};
+
+/// The CD body, shared by the CPU worker and the devicesim CD kernel.
+struct CellScan {
+  const CellIndexer& indexer;
+  CandidateSet& candidates;
+  const double* vmax;          ///< per-satellite speed bound [km/s]
+  const std::uint8_t* dirty;   ///< GridPipelineOptions::dirty_mask, or nullptr
+  double threshold_km;
+  double half_sps;             ///< half the sample period [s]
+
+  /// Scans the cell in `slot` of `grid`, the grid of sample step `step`,
+  /// against itself and its 13 forward neighbours. The other 13 neighbours
+  /// hold this cell as a forward neighbour, so each pair of neighbouring
+  /// cells is scanned once: the paper scans all 26 and lets the conjunction
+  /// hash map drop the second copy, which yields the same distinct
+  /// candidates. Returns false when the candidate set is full; the round is
+  /// then re-run on a grown set.
+  bool operator()(const GridHashSet& grid, std::size_t slot, std::uint32_t step,
+                  ScanTally& tally) const {
+    const std::uint64_t key = grid.slot_key(slot);
+    if (key == kEmptySlotKey) return true;
+
+    const CellCoord coord = indexer.unpack(key);
+    const std::uint32_t head = grid.slot_head(slot);
+    ScanTally cell;
+    cell.occupied = 1;
+
+    for (const CellCoord& off : cell_half_neighborhood()) {
+      const bool self = off == CellCoord{};
+      std::uint32_t other_head;
+      if (self) {
+        other_head = head;
+      } else {
+        const CellCoord nc{coord.x + off.x, coord.y + off.y, coord.z + off.z};
+        other_head = grid.find(indexer.pack(nc));
+        if (other_head == kNoEntry) continue;
+      }
+      for (std::uint32_t ea = head; ea != kNoEntry; ea = grid.entry(ea).next) {
+        const GridEntry& a = grid.entry(ea);
+        const bool a_dirty = dirty == nullptr || dirty[a.satellite] != 0;
+        for (std::uint32_t eb = self ? a.next : other_head; eb != kNoEntry;
+             eb = grid.entry(eb).next) {
+          const GridEntry& b = grid.entry(eb);
+          ++cell.tested;
+          // Incremental hook: a pair with no dirty member carries its
+          // baseline conjunctions forward, so it never becomes a candidate
+          // here (see GridPipelineOptions::dirty_mask).
+          if (!a_dirty && dirty[b.satellite] == 0) {
+            ++cell.masked;
+            continue;
+          }
+          // A pair farther apart than d + (v_max_a + v_max_b) * s/2 cannot
+          // reach the threshold closer than half a sample from this step;
+          // the step nearest its minimum keeps it.
+          const double cutoff =
+              threshold_km + half_sps * (vmax[a.satellite] + vmax[b.satellite]);
+          if ((a.position - b.position).norm2() > cutoff * cutoff) {
+            ++cell.prefiltered;
+            continue;
+          }
+          switch (candidates.insert(a.satellite, b.satellite, step)) {
+            case CandidateSet::Insert::kInserted:
+              ++cell.emitted;
+              break;
+            case CandidateSet::Insert::kDuplicate:
+              ++cell.duplicates;
+              break;
+            case CandidateSet::Insert::kFull:
+              return false;
+          }
+        }
+      }
+    }
+    tally += cell;
+    return true;
+  }
+};
+
+/// The INS body for one (sample, satellite) tuple, shared by the CPU
+/// worker and the devicesim INS kernel.
+void insert_sample(GridHashSet& grid, const CellIndexer& indexer,
+                   std::size_t satellite, const Vec3& position) {
+  if (!grid.insert(indexer.key_of(position), static_cast<std::uint32_t>(satellite),
+                   position)) {
+    throw std::logic_error("run_grid_pipeline: grid hash set overflow "
+                           "(invariant violation: one entry per satellite)");
+  }
+}
+
+/// What every round reads.
+struct RoundInputs {
+  const Propagator& propagator;
+  /// The concrete SoA propagator for the batched kernel (CPU backend with a
+  /// TwoBodyPropagator), otherwise nullptr.
+  const TwoBodyPropagator* batch_propagator;
+  const ScreeningConfig& config;
+  const GridPipelineResult& result;
+  const CellScan& scan;
+  std::vector<GridHashSet>& grids;
+
+  double sample_time(std::size_t step) const {
+    return result.sample_time(step, config.t_begin, config.t_end);
+  }
+};
+
+/// One attempt at a round: its funnel tallies, the seconds of its grid
+/// clears, INS and CD, and whether the candidate set filled up.
+struct RoundAttempt {
+  ScanTally tally;
+  double clear_seconds = 0.0;
+  double insertion_seconds = 0.0;
+  double detection_seconds = 0.0;
+  bool overflow = false;
+};
+
+/// CPU round: each worker owns one grid and runs whole sample steps through
+/// it, taking the next step of the round until none is left: clear the
+/// grid, propagate and insert every satellite, then scan every slot while
+/// the grid is still in the worker's cache. Phase seconds are the workers'
+/// summed seconds divided by the number of workers. On overflow the workers
+/// stop, and the telemetry they counted is taken back: the caller grows the
+/// candidate set and re-runs the whole round.
+RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t steps) {
+  ThreadPool& pool = pool_of(in.config);
+  const std::size_t workers = in.grids.size();
+  const std::size_t n = in.propagator.size();
+  const std::size_t slots = in.grids.front().slot_count();
+
+  std::vector<RoundAttempt> parts(workers);
+  std::vector<obs::TelemetrySnapshot> saved(workers);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> overflow{false};
+  pool.run_on_all([&](std::size_t w) {
+    if (w >= workers) return;
+    saved[w] = obs::thread_counts();
+    GridHashSet& grid = in.grids[w];
+    RoundAttempt part;
+    Stopwatch clock;
+    while (!overflow.load(std::memory_order_relaxed)) {
+      const std::size_t step = step0 + next.fetch_add(1, std::memory_order_relaxed);
+      if (step >= step0 + steps) break;
+      grid.clear();
+      part.clear_seconds += clock.lap();
+
+      const double t = in.sample_time(step);
+      if (in.batch_propagator != nullptr) {
+        constexpr std::size_t kChunk = 256;
+        Vec3 positions[kChunk];
+        for (std::size_t sat0 = 0; sat0 < n; sat0 += kChunk) {
+          const std::size_t end = std::min(n, sat0 + kChunk);
+          in.batch_propagator->positions_at(t, sat0, end, positions);
+          for (std::size_t sat = sat0; sat < end; ++sat) {
+            insert_sample(grid, in.scan.indexer, sat, positions[sat - sat0]);
+          }
+        }
+      } else {
+        for (std::size_t sat = 0; sat < n; ++sat) {
+          insert_sample(grid, in.scan.indexer, sat, in.propagator.position(sat, t));
+        }
+      }
+      part.insertion_seconds += clock.lap();
+
+      for (std::size_t slot = 0; slot < slots; ++slot) {
+        if (!in.scan(grid, slot, static_cast<std::uint32_t>(step), part.tally)) {
+          overflow.store(true, std::memory_order_relaxed);
+          break;
+        }
+      }
+      part.detection_seconds += clock.lap();
+    }
+    parts[w] = part;
+  });
+
+  RoundAttempt attempt;
+  attempt.overflow = overflow.load();
+  for (const RoundAttempt& part : parts) {
+    attempt.tally += part.tally;
+    attempt.clear_seconds += part.clear_seconds;
+    attempt.insertion_seconds += part.insertion_seconds;
+    attempt.detection_seconds += part.detection_seconds;
+  }
+  const double share = 1.0 / static_cast<double>(workers);
+  attempt.clear_seconds *= share;
+  attempt.insertion_seconds *= share;
+  attempt.detection_seconds *= share;
+  if (attempt.overflow) {
+    pool.run_on_all([&](std::size_t w) {
+      if (w < workers) obs::restore_thread_counts(saved[w]);
+    });
+  }
+  return attempt;
+}
+
+/// devicesim round, the paper's decomposition: one grid per step, an INS
+/// kernel with one logical thread per (sample, satellite) tuple, then a CD
+/// kernel with one per (sample, slot). A `rescan` after the candidate set
+/// grew re-runs only the CD kernel: the grids still hold the round.
+RoundAttempt device_round(const RoundInputs& in, std::size_t step0, std::size_t steps,
+                          bool rescan) {
+  RoundAttempt attempt;
+  const std::size_t n = in.propagator.size();
+  const std::size_t slots = in.grids.front().slot_count();
+  Stopwatch watch;
+  if (!rescan) {
+    pool_of(in.config).parallel_for(steps, [&](std::size_t g) { in.grids[g].clear(); },
+                                    /*grain=*/1);
+    attempt.clear_seconds = watch.lap();
+    execute(in.config, steps * n, [&](std::size_t idx) {
+      const std::size_t local = idx / n;
+      const std::size_t sat = idx % n;
+      insert_sample(in.grids[local], in.scan.indexer, sat,
+                    in.propagator.position(sat, in.sample_time(step0 + local)));
+    });
+    attempt.insertion_seconds = watch.lap();
+  }
+
+  std::atomic<bool> overflow{false};
+  std::mutex tally_mutex;
+  execute(in.config, steps * slots, [&](std::size_t idx) {
+    const std::size_t local = idx / slots;
+    ScanTally cell;
+    if (!in.scan(in.grids[local], idx % slots,
+                 static_cast<std::uint32_t>(step0 + local), cell)) {
+      overflow.store(true, std::memory_order_relaxed);
+    }
+    if (cell.occupied != 0 && obs::enabled()) {
+      const std::lock_guard<std::mutex> lock(tally_mutex);
+      attempt.tally += cell;
+    }
+  });
+  attempt.detection_seconds = watch.lap();
+  attempt.overflow = overflow.load();
+  return attempt;
 }
 
 GridPipelineResult run_pipeline_impl(const Propagator& propagator,
@@ -73,15 +325,6 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
     throw std::invalid_argument(
         "run_grid_pipeline: dirty_mask size does not match the population");
   }
-  const std::uint8_t* dirty = options.dirty_mask.empty()
-                                  ? nullptr
-                                  : options.dirty_mask.data();
-
-  // The batched insertion kernel needs the concrete SoA propagator and
-  // runs on the CPU backend only.
-  const auto* batch_propagator =
-      device == nullptr ? dynamic_cast<const TwoBodyPropagator*>(&propagator)
-                        : nullptr;
 
   // Sizing (Section V-B): candidate capacity from the Extra-P model, then
   // the sample parallelism p from the remaining budget. The automatic
@@ -127,17 +370,17 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
   const std::size_t p = result.plan.parallel_samples;
   const std::size_t total_steps = result.plan.total_samples;
 
-  // Step 1 (allocation): p per-step grids, the candidate set, and the
+  // Step 1 (allocation): the grids, the candidate set, and the
   // per-satellite speed bounds used by the distance prefilter — checked
   // out of the arena at exactly the sizes a cold screen would allocate.
-  // Carried-over grids still hold the previous screen's entries; reset
-  // them here, on the worker pool, like the between-rounds clears below.
+  // devicesim holds one grid per step of a round (p); on the CPU each
+  // worker owns one grid, so min(p, workers) are enough. Every grid is
+  // cleared before a step is inserted into it, so carried-over grids need
+  // no reset here.
   ScratchArena& arena = context.arena();
-  const ScratchArena::GridCheckout grid_checkout = arena.grids(p, n);
-  std::vector<GridHashSet>& grids = *grid_checkout.grids;
-  pool_of(config).parallel_for(
-      grid_checkout.reused, [&](std::size_t g) { grids[g].clear(); },
-      /*grain=*/1);
+  const std::size_t grid_count =
+      device != nullptr ? p : std::min(p, pool_of(config).thread_count());
+  std::vector<GridHashSet>& grids = arena.grids(grid_count, n);
   CandidateSet& candidates = arena.candidates(request.candidate_capacity);
 
   std::vector<double>& vmax = arena.vmax(n);
@@ -162,183 +405,60 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
 
   result.allocation_seconds = alloc_watch.seconds();
 
+  const CellScan scan{indexer,
+                      candidates,
+                      vmax.data(),
+                      options.dirty_mask.empty() ? nullptr : options.dirty_mask.data(),
+                      config.threshold_km,
+                      0.5 * result.sample_period};
+  // The batched insertion kernel needs the concrete SoA propagator and
+  // runs on the CPU backend only.
+  const RoundInputs inputs{
+      propagator,
+      device == nullptr ? dynamic_cast<const TwoBodyPropagator*>(&propagator)
+                        : nullptr,
+      config, result, scan, grids};
   const std::size_t slots = grids.front().slot_count();
-  const auto& stencil = cell_half_neighborhood();
-  const double half_sps = 0.5 * result.sample_period;
 
+  // Step 2 (INS + CD), round by round. A round that fills the candidate set
+  // is retried on a grown set; the set keeps what the overflowed attempt
+  // inserted, and the retry finds those again as duplicates. Funnel
+  // tallies are committed only for the attempt that completed, which keeps
+  // the conservation invariant (tested == masked + prefiltered + emitted +
+  // deduped) exact.
   for (std::size_t round = 0; round < result.plan.rounds; ++round) {
     const std::size_t step0 = round * p;
     const std::size_t steps = std::min(p, total_steps - step0);
-
-    if (round > 0) {
-      Stopwatch clear_watch;
-      pool_of(config).parallel_for(steps, [&](std::size_t g) { grids[g].clear(); },
-                                   /*grain=*/1);
-      result.allocation_seconds += clear_watch.seconds();
-    }
-
-    // Step 2a (INS): one logical thread per (sample, satellite) tuple. With
-    // a TwoBodyPropagator on the CPU backend the tuples are handed to
-    // workers as ranges and propagated through the batched SoA kernel —
-    // same positions, no per-tuple virtual dispatch. The devicesim backend
-    // keeps the per-tuple kernel, mirroring the paper's GPU decomposition.
-    Stopwatch ins_watch;
-    std::atomic<std::size_t> insert_failures{0};
-    if (batch_propagator != nullptr) {
-      pool_of(config).parallel_for_ranges(steps * n, [&](std::size_t begin,
-                                                         std::size_t end) {
-        constexpr std::size_t kScratch = 256;
-        Vec3 scratch[kScratch];
-        std::size_t failures = 0;
-        while (begin < end) {
-          const std::size_t local = begin / n;
-          const std::size_t sat0 = begin % n;
-          const std::size_t run = std::min({end - begin, n - sat0, kScratch});
-          const double t =
-              result.sample_time(step0 + local, config.t_begin, config.t_end);
-          batch_propagator->positions_at(t, sat0, sat0 + run, scratch);
-          GridHashSet& grid = grids[local];
-          for (std::size_t k = 0; k < run; ++k) {
-            const Vec3& pos = scratch[k];
-            if (!grid.insert(indexer.key_of(pos),
-                             static_cast<std::uint32_t>(sat0 + k), pos)) {
-              ++failures;
-            }
-          }
-          begin += run;
-        }
-        if (failures != 0) {
-          insert_failures.fetch_add(failures, std::memory_order_relaxed);
-        }
-      });
-    } else {
-      execute(config, steps * n, [&](std::size_t idx) {
-        const std::size_t local = idx / n;
-        const std::size_t sat = idx % n;
-        const double t =
-            result.sample_time(step0 + local, config.t_begin, config.t_end);
-        const Vec3 pos = propagator.position(sat, t);
-        if (!grids[local].insert(indexer.key_of(pos), static_cast<std::uint32_t>(sat),
-                                 pos)) {
-          insert_failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    if (insert_failures.load() != 0) {
-      throw std::logic_error("run_grid_pipeline: grid hash set overflow "
-                             "(invariant violation: one entry per satellite)");
-    }
-    const double ins_seconds = ins_watch.seconds();
-    result.insertion_seconds += ins_seconds;
-    obs::count(obs::Counter::kSamplesPropagated, steps * n);
-    obs::add_seconds(obs::Counter::kTimeInsertionNs, ins_seconds);
-
-    // Step 2b (CD): one logical thread per (sample, slot), scanning the
-    // cell against itself and its 13 forward neighbours. The other 13
-    // neighbours hold this cell as a forward neighbour, so each pair of
-    // neighbouring cells is scanned once: the paper scans all 26 and lets
-    // the conjunction hash map drop the second copy, which yields the same
-    // distinct candidates. Retried with a grown candidate set if the
-    // Extra-P sizing underestimated; the set keeps what the overflowed
-    // attempt inserted, and the re-scan finds those again as duplicates.
-    Stopwatch cd_watch;
     const std::size_t candidates_before = candidates.size();
-    for (;;) {
-      std::atomic<bool> overflow{false};
-      // Funnel tallies for this attempt. Declared inside the retry loop so
-      // an overflowed attempt is discarded wholesale: only the successful
-      // scan is committed to telemetry below, which keeps the conservation
-      // invariant (tested == masked + prefiltered + emitted + deduped)
-      // exact even when the candidate set has to grow mid-round.
-      std::atomic<std::uint64_t> cd_occupied{0}, cd_tested{0}, cd_masked{0},
-          cd_prefiltered{0}, cd_emitted{0}, cd_duplicates{0};
-      execute(config, steps * slots, [&](std::size_t idx) {
-        const std::size_t local = idx / slots;
-        const std::size_t slot = idx % slots;
-        const GridHashSet& grid = grids[local];
-        const std::uint64_t key = grid.slot_key(slot);
-        if (key == kEmptySlotKey) return;
-
-        const std::uint32_t step = static_cast<std::uint32_t>(step0 + local);
-        const CellCoord coord = indexer.unpack(key);
-        const std::uint32_t head = grid.slot_head(slot);
-        std::uint64_t tested = 0, masked = 0, prefiltered = 0, emitted = 0,
-                      duplicates = 0;
-
-        for (const CellCoord& off : stencil) {
-          const bool self = off == CellCoord{};
-          std::uint32_t other_head;
-          if (self) {
-            other_head = head;
-          } else {
-            const CellCoord nc{coord.x + off.x, coord.y + off.y, coord.z + off.z};
-            other_head = grid.find(indexer.pack(nc));
-            if (other_head == kNoEntry) continue;
-          }
-          for (std::uint32_t ea = head; ea != kNoEntry; ea = grid.entry(ea).next) {
-            const GridEntry& a = grid.entry(ea);
-            const bool a_dirty = dirty == nullptr || dirty[a.satellite] != 0;
-            for (std::uint32_t eb = self ? a.next : other_head; eb != kNoEntry;
-                 eb = grid.entry(eb).next) {
-              const GridEntry& b = grid.entry(eb);
-              ++tested;
-              // Incremental hook: a pair with no dirty member carries its
-              // baseline conjunctions forward, so it never becomes a
-              // candidate here (see GridPipelineOptions::dirty_mask).
-              if (!a_dirty && dirty[b.satellite] == 0) {
-                ++masked;
-                continue;
-              }
-              // A pair farther apart than d + (v_max_a + v_max_b) * s/2
-              // cannot reach the threshold closer than half a sample from
-              // this step; the step nearest its minimum keeps it.
-              const double cutoff = config.threshold_km +
-                  half_sps * (vmax[a.satellite] + vmax[b.satellite]);
-              if ((a.position - b.position).norm2() > cutoff * cutoff) {
-                ++prefiltered;
-                continue;
-              }
-              switch (candidates.insert(a.satellite, b.satellite, step)) {
-                case CandidateSet::Insert::kInserted:
-                  ++emitted;
-                  break;
-                case CandidateSet::Insert::kDuplicate:
-                  ++duplicates;
-                  break;
-                case CandidateSet::Insert::kFull:
-                  overflow.store(true, std::memory_order_relaxed);
-                  break;
-              }
-            }
-          }
-        }
+    for (bool retry = false;; retry = true) {
+      const RoundAttempt attempt = device == nullptr
+                                       ? fused_round(inputs, step0, steps)
+                                       : device_round(inputs, step0, steps, retry);
+      result.allocation_seconds += attempt.clear_seconds;
+      result.insertion_seconds += attempt.insertion_seconds;
+      result.detection_seconds += attempt.detection_seconds;
+      obs::add_seconds(obs::Counter::kTimeInsertionNs, attempt.insertion_seconds);
+      obs::add_seconds(obs::Counter::kTimeDetectionNs, attempt.detection_seconds);
+      if (!attempt.overflow) {
         if (obs::enabled()) {
-          cd_occupied.fetch_add(1, std::memory_order_relaxed);
-          cd_tested.fetch_add(tested, std::memory_order_relaxed);
-          cd_masked.fetch_add(masked, std::memory_order_relaxed);
-          cd_prefiltered.fetch_add(prefiltered, std::memory_order_relaxed);
-          cd_emitted.fetch_add(emitted, std::memory_order_relaxed);
-          cd_duplicates.fetch_add(duplicates, std::memory_order_relaxed);
-        }
-      });
-      if (!overflow.load()) {
-        if (obs::enabled()) {
+          const ScanTally& tally = attempt.tally;
+          obs::count(obs::Counter::kSamplesPropagated, steps * n);
           obs::count(obs::Counter::kCellsScanned, steps * slots);
-          obs::count(obs::Counter::kCellsOccupied, cd_occupied.load());
-          obs::count(obs::Counter::kPairsTested, cd_tested.load());
-          obs::count(obs::Counter::kPairsMaskedClean, cd_masked.load());
-          obs::count(obs::Counter::kPairsPrefiltered, cd_prefiltered.load());
+          obs::count(obs::Counter::kCellsOccupied, tally.occupied);
+          obs::count(obs::Counter::kPairsTested, tally.tested);
+          obs::count(obs::Counter::kPairsMaskedClean, tally.masked);
+          obs::count(obs::Counter::kPairsPrefiltered, tally.prefiltered);
           // A pair first inserted during an overflowed attempt survives the
-          // grow (CandidateSet::grow rehashes in place), so the successful
-          // re-scan classifies it as a duplicate. Report distinct inserts
+          // grow (CandidateSet::grow rehashes in place), so the completed
+          // attempt classifies it as a duplicate. Report distinct inserts
           // from the set's own size delta and shift the remainder into the
-          // dedup bucket: the per-attempt identity tested == masked +
-          // prefiltered + emitted' + duplicates' is preserved exactly.
+          // dedup bucket: the identity tested == masked + prefiltered +
+          // emitted' + duplicates' is preserved exactly.
           const std::uint64_t distinct = candidates.size() - candidates_before;
-          const std::uint64_t classified = cd_duplicates.load() + cd_emitted.load();
+          const std::uint64_t classified = tally.duplicates + tally.emitted;
           obs::count(obs::Counter::kCandidatesEmitted, distinct);
-          // classified < distinct only if telemetry was flipped on mid-scan;
-          // saturate instead of wrapping in that degenerate case.
+          // classified < distinct only if telemetry was flipped on mid-scan
+          // of a devicesim round; saturate instead of wrapping.
           obs::count(obs::Counter::kCandidatesDeduplicated,
                      classified > distinct ? classified - distinct : 0);
         }
@@ -352,9 +472,6 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
         dev_cands = device->alloc<std::byte>(candidates.memory_bytes());
       }
     }
-    const double cd_seconds = cd_watch.seconds();
-    result.detection_seconds += cd_seconds;
-    obs::add_seconds(obs::Counter::kTimeDetectionNs, cd_seconds);
 
     // Streaming mode: hand this round's candidates over and recycle the
     // set. A (pair, step) key can only be produced by the round owning

@@ -64,21 +64,33 @@ inline ScreeningConfig with_sample_period(ScreeningConfig config, double fallbac
 
 /// Runs the grid front-end over the whole span at config.seconds_per_sample
 /// (must be > 0): sizes the candidate set from `count_model` (Eq. 3 for
-/// grid, Eq. 4 for hybrid) and plans the sample parallelism from the
-/// memory budget (device memory when config.device is set), then for each
-/// round propagates all satellites into the per-step grids and scans every
-/// occupied cell against its half-stencil neighbourhood for candidate
-/// pairs, collected in the lock-free candidate set. The set grows and the
-/// affected round retries if the model proves too small.
+/// grid, Eq. 4 for hybrid) and plans the sample parallelism p from the
+/// memory budget (device memory when config.device is set), then screens
+/// the steps in rounds of p: each step's satellites are propagated into a
+/// grid, and every occupied cell is scanned against its half-stencil
+/// neighbourhood for candidate pairs, collected in the lock-free candidate
+/// set. If the count model proves too small, the set grows and the round
+/// is re-run.
 ///
-/// The insertion phase runs the batched SoA kernel when the CPU backend
-/// gets a TwoBodyPropagator, and one position() call per (sample,
-/// satellite) tuple otherwise (devicesim, or any other propagator); the
-/// positions are bit-identical either way.
+/// The two backends share the insert and cell-scan bodies but not their
+/// execution shape:
+///  - CPU: min(p, workers) grids, one per worker of the pool. A worker
+///    takes the round's steps one at a time and clears its grid,
+///    propagates and inserts every satellite, and scans the grid while it
+///    is still in its cache. A TwoBodyPropagator goes through the batched
+///    SoA kernel, any other propagator through position(). A round with
+///    fewer steps than workers leaves the surplus workers idle.
+///  - devicesim: the paper's decomposition, p grids and per round one INS
+///    kernel (a thread per (sample, satellite) tuple, position() each)
+///    and one CD kernel (a thread per (sample, slot)).
+/// Positions, candidates and reports are bit-identical across backends,
+/// thread counts and round shapes. Phase seconds on the CPU are the
+/// workers' summed seconds divided by the number of workers; per-step grid
+/// clears count as allocation.
 ///
 /// Step-1 scratch (grids, candidate set, vmax table) is checked out of
-/// `context`'s arena, reset to exactly the state a fresh allocation would
-/// have, so a warm context only skips the allocation cost.
+/// `context`'s arena at the sizes a cold screen would allocate, so a warm
+/// context only skips the allocation cost.
 ///
 /// Throws std::invalid_argument when the population or the number of
 /// sample steps exceeds what a candidate key can hold (2^20 satellites,

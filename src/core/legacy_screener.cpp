@@ -1,6 +1,7 @@
 #include "core/legacy_screener.hpp"
 
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "filters/dense_scan.hpp"
@@ -21,6 +22,12 @@ constexpr double kDenseScanStep = 16.0;
 ScreeningReport LegacyScreener::run(const Propagator& propagator,
                                     const ScreeningConfig& config,
                                     ScreeningContext& /*context*/) const {
+  // Refused up front, before the pair loop, rather than by the first
+  // coplanar pair's scan.
+  if (!(dense_scan_samples(config.span_seconds(), kDenseScanStep) <=
+        kMaxDenseScanSamples)) {
+    throw std::invalid_argument("screen: span longer than 2^24 dense-scan samples");
+  }
   ScreeningReport report;
   const std::size_t n = propagator.size();
   const double reach = config.threshold_km + kFilterPadKm;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/telemetry.hpp"
 #include "pca/brent.hpp"
@@ -34,8 +35,11 @@ std::vector<Encounter> scan_encounters(const Propagator& propagator,
 
   const auto distance = [&](double t) { return propagator.distance(sat_a, sat_b, t); };
 
-  const auto samples =
-      static_cast<std::size_t>(std::ceil((t_end - t_begin) / options.step)) + 1;
+  const double sample_count = dense_scan_samples(t_end - t_begin, options.step);
+  if (!(sample_count <= kMaxDenseScanSamples)) {
+    throw std::invalid_argument("scan_encounters: more than 2^24 samples");
+  }
+  const auto samples = static_cast<std::size_t>(sample_count);
   const double step = (t_end - t_begin) / static_cast<double>(samples - 1);
 
   double d_prev2 = 0.0;

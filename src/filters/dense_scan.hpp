@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -20,10 +21,22 @@ struct DenseScanOptions {
   double refine_below = 1e300;
 };
 
+/// Most samples one scan may take: 2^24, the grid's sample-step key limit.
+inline constexpr double kMaxDenseScanSamples = 16777216.0;
+
+/// Samples a scan of `span` seconds at `step` takes, in floating point so
+/// that a huge span cannot overflow the count.
+inline double dense_scan_samples(double span, double step) {
+  return std::ceil(span / step) + 1.0;
+}
+
 /// Exhaustively finds the local minima of the pairwise distance of
 /// (sat_a, sat_b) over [t_begin, t_end] by dense sampling plus Brent
 /// refinement of each bracketed minimum. Span endpoints that are running
 /// minima are reported as (clamped) encounters.
+///
+/// Throws std::invalid_argument when the scan would take more than
+/// kMaxDenseScanSamples samples.
 ///
 /// This is the per-pair workhorse of the legacy variant for coplanar pairs
 /// and the ground-truth oracle the tests compare every other search

@@ -19,6 +19,15 @@ class Stopwatch {
 
   double milliseconds() const { return seconds() * 1e3; }
 
+  /// seconds() followed by restart(), with one clock read: splits a loop
+  /// into consecutive phases.
+  double lap() {
+    const clock::time_point now = clock::now();
+    const double elapsed = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return elapsed;
+  }
+
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

@@ -143,6 +143,10 @@ TEST(Cli, ScreenRejectsInvalidThresholdAndSpan) {
       EXPECT_EQ(run.exit_code, 1) << variant << " " << option << ": " << run.output;
     }
   }
+  // A finite span too long for legacy's dense scan is refused up front.
+  const CliRun huge =
+      run_cli("screen --catalog " + catalog + " --variant legacy --span 1e300");
+  EXPECT_EQ(huge.exit_code, 1) << huge.output;
   std::remove(catalog.c_str());
 }
 

@@ -178,26 +178,30 @@ TEST(Context, ArenaShrinksGrosslyOversizedBuffers) {
 
 TEST(Context, ArenaGridsRebuildWhenEntryCapacityChanges) {
   ScratchArena arena;
-  const ScratchArena::GridCheckout first = arena.grids(4, 1000);
-  ASSERT_EQ(first.grids->size(), 4u);
-  EXPECT_EQ(first.reused, 0u);
-  const std::size_t slots = (*first.grids)[0].slot_count();
+  const std::vector<GridHashSet>& first = arena.grids(4, 1000);
+  ASSERT_EQ(first.size(), 4u);
+  EXPECT_EQ(arena.stats().grid_reuses, 0u);
+  EXPECT_EQ(arena.stats().grid_rebuilds, 4u);
+  const std::size_t slots = first[0].slot_count();
 
   // Same entries: all four come back reused, same slot tables.
-  const ScratchArena::GridCheckout again = arena.grids(4, 1000);
-  EXPECT_EQ(again.reused, 4u);
-  EXPECT_EQ((*again.grids)[0].slot_count(), slots);
+  const std::vector<GridHashSet>& again = arena.grids(4, 1000);
+  EXPECT_EQ(arena.stats().grid_reuses, 4u);
+  EXPECT_EQ(arena.stats().grid_rebuilds, 4u);
+  EXPECT_EQ(again[0].slot_count(), slots);
 
   // Fewer grids wanted: surplus is released, the rest reused.
-  const ScratchArena::GridCheckout fewer = arena.grids(2, 1000);
-  EXPECT_EQ(fewer.grids->size(), 2u);
-  EXPECT_EQ(fewer.reused, 2u);
+  const std::vector<GridHashSet>& fewer = arena.grids(2, 1000);
+  EXPECT_EQ(fewer.size(), 2u);
+  EXPECT_EQ(arena.stats().grid_reuses, 6u);
+  EXPECT_EQ(arena.stats().grid_rebuilds, 4u);
 
   // Different entry capacity: the slot table would differ from a cold
   // screen's, so everything is rebuilt.
-  const ScratchArena::GridCheckout resized = arena.grids(2, 500);
-  EXPECT_EQ(resized.reused, 0u);
-  EXPECT_NE((*resized.grids)[0].slot_count(), slots);
+  const std::vector<GridHashSet>& resized = arena.grids(2, 500);
+  EXPECT_EQ(arena.stats().grid_reuses, 6u);
+  EXPECT_EQ(arena.stats().grid_rebuilds, 6u);
+  EXPECT_NE(resized[0].slot_count(), slots);
 }
 
 TEST(Context, ArenaCandidatesRebuildOnCapacityMismatch) {

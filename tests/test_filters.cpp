@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "core/config.hpp"
@@ -354,6 +355,25 @@ TEST(DenseScan, EmptySpanReturnsNothing) {
   const TwoBodyPropagator prop(sats, solver);
   EXPECT_TRUE(scan_encounters(prop, 0, 1, 100.0, 100.0, {}).empty());
   EXPECT_TRUE(scan_encounters(prop, 0, 1, 100.0, 50.0, {}).empty());
+}
+
+TEST(DenseScan, RejectsMoreThan2To24Samples) {
+  // The sample count is checked in floating point before it becomes an
+  // integer: one sample over the limit, a span far beyond it, and a zero
+  // step are all refused before any distance is evaluated.
+  const NewtonKeplerSolver solver;
+  const std::vector<Satellite> sats{{0, circular(7000.0)},
+                                    {1, circular(7005.0, 1.0)}};
+  const TwoBodyPropagator prop(sats, solver);
+  DenseScanOptions scan;
+  scan.step = 16.0;
+  EXPECT_EQ(dense_scan_samples(kMaxDenseScanSamples * scan.step, scan.step),
+            kMaxDenseScanSamples + 1.0);
+  EXPECT_THROW(scan_encounters(prop, 0, 1, 0.0, kMaxDenseScanSamples * scan.step, scan),
+               std::invalid_argument);
+  EXPECT_THROW(scan_encounters(prop, 0, 1, 0.0, 1e300, scan), std::invalid_argument);
+  scan.step = 0.0;
+  EXPECT_THROW(scan_encounters(prop, 0, 1, 0.0, 100.0, scan), std::invalid_argument);
 }
 
 TEST(DenseScan, RefineBelowSkipsShallowMinima) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "population/generator.hpp"
 #include "propagation/contour_solver.hpp"
 #include "propagation/ephemeris.hpp"
+#include "propagation/j2_secular.hpp"
 #include "propagation/two_body.hpp"
 #include "scenario_helpers.hpp"
 #include "util/constants.hpp"
@@ -214,23 +216,28 @@ TEST_F(ScreenerAccuracy, VariantsAgreeOnCollidingPairs) {
 }
 
 TEST_F(ScreenerAccuracy, GridDeterministicAcrossRunsAndThreads) {
-  ThreadPool one(1), four(4);
+  // Bit-identical for every pool size, including 2 and 3 workers, and
+  // across repeated runs.
+  ThreadPool one(1);
   ScreeningConfig cfg1 = config();
   cfg1.pool = &one;
-  ScreeningConfig cfg4 = config();
-  cfg4.pool = &four;
-
   const auto r1 = screen(*sats_, cfg1, Variant::kGrid);
-  const auto r4 = screen(*sats_, cfg4, Variant::kGrid);
-  const auto r4b = screen(*sats_, cfg4, Variant::kGrid);
+  ASSERT_GT(r1.conjunctions.size(), 0u);
 
-  ASSERT_EQ(r1.conjunctions.size(), r4.conjunctions.size());
-  ASSERT_EQ(r4.conjunctions.size(), r4b.conjunctions.size());
-  for (std::size_t i = 0; i < r1.conjunctions.size(); ++i) {
-    EXPECT_EQ(r1.conjunctions[i].sat_a, r4.conjunctions[i].sat_a);
-    EXPECT_EQ(r1.conjunctions[i].sat_b, r4.conjunctions[i].sat_b);
-    EXPECT_NEAR(r1.conjunctions[i].tca, r4.conjunctions[i].tca, 1e-3);
-    EXPECT_NEAR(r1.conjunctions[i].pca, r4.conjunctions[i].pca, 1e-6);
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    ThreadPool pool(threads);
+    ScreeningConfig cfg = config();
+    cfg.pool = &pool;
+    for (int run = 0; run < 2; ++run) {
+      const auto r = screen(*sats_, cfg, Variant::kGrid);
+      ASSERT_EQ(r1.conjunctions.size(), r.conjunctions.size()) << threads;
+      for (std::size_t i = 0; i < r1.conjunctions.size(); ++i) {
+        EXPECT_EQ(r1.conjunctions[i].sat_a, r.conjunctions[i].sat_a) << threads;
+        EXPECT_EQ(r1.conjunctions[i].sat_b, r.conjunctions[i].sat_b) << threads;
+        EXPECT_EQ(r1.conjunctions[i].tca, r.conjunctions[i].tca) << threads;
+        EXPECT_EQ(r1.conjunctions[i].pca, r.conjunctions[i].pca) << threads;
+      }
+    }
   }
 }
 
@@ -424,6 +431,176 @@ TEST(Screeners, CandidateSetGrowthPathIsCorrect) {
     EXPECT_EQ(forced[i].sat_a, reference[i].sat_a) << i;
     EXPECT_EQ(forced[i].sat_b, reference[i].sat_b) << i;
     EXPECT_EQ(forced[i].step, reference[i].step) << i;
+  }
+}
+
+/// What a grid screen finds, which must not depend on how it executes.
+struct GridOutcome {
+  std::vector<Conjunction> conjunctions;  ///< empty for a pipeline-only run
+  std::vector<Candidate> candidates;      ///< sorted; empty for a full screen
+  std::size_t candidate_count = 0;
+  std::size_t growths = 0;
+  std::size_t rounds = 0;
+  std::size_t parallel_samples = 0;
+  std::uint64_t grid_memory_bytes = 0;
+};
+
+void expect_same_outcome(const GridOutcome& a, const GridOutcome& b,
+                         const std::string& label) {
+  EXPECT_EQ(a.candidate_count, b.candidate_count) << label;
+  EXPECT_EQ(a.growths, b.growths) << label;
+  ASSERT_EQ(a.conjunctions.size(), b.conjunctions.size()) << label;
+  for (std::size_t i = 0; i < a.conjunctions.size(); ++i) {
+    EXPECT_EQ(a.conjunctions[i].sat_a, b.conjunctions[i].sat_a) << label << " #" << i;
+    EXPECT_EQ(a.conjunctions[i].sat_b, b.conjunctions[i].sat_b) << label << " #" << i;
+    EXPECT_EQ(a.conjunctions[i].tca, b.conjunctions[i].tca) << label << " #" << i;
+    EXPECT_EQ(a.conjunctions[i].pca, b.conjunctions[i].pca) << label << " #" << i;
+  }
+  ASSERT_EQ(a.candidates.size(), b.candidates.size()) << label;
+  for (std::size_t i = 0; i < a.candidates.size(); ++i) {
+    EXPECT_EQ(std::tie(a.candidates[i].sat_a, a.candidates[i].sat_b, a.candidates[i].step),
+              std::tie(b.candidates[i].sat_a, b.candidates[i].sat_b, b.candidates[i].step))
+        << label << " #" << i;
+  }
+}
+
+TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
+  // The CPU path runs each sample step through one worker-owned grid, the
+  // devicesim path one grid per step with separate INS and CD kernels.
+  // Neither the thread count, nor the round length p (1, 2 < 4 workers,
+  // and every step in one round), nor the backend may move a single bit of
+  // what a screen finds. Covered: the batched kernel (kepler), the
+  // position() loop (j2), a dirty-mask screen, and forced candidate-set
+  // grows, where the CPU path re-runs whole rounds.
+  auto sats = dense_shell(60, 0xF05E);
+  Rng rng(0xF00D);
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    sats.push_back(testutil::make_interceptor(
+        sats[7 * k].elements, 400.0 + 500.0 * k, 1.0 + 0.5 * k, rng,
+        static_cast<std::uint32_t>(sats.size())));
+  }
+  const KeplerElements cloud_parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
+  const auto cloud = generate_debris_cloud(cloud_parent, 80, 0.05, 99);
+
+  ScreeningConfig base;
+  base.threshold_km = 5.0;
+  base.t_end = 2400.0;
+  base.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
+
+  std::vector<std::uint8_t> dirty(sats.size(), 0);
+  for (std::size_t i = 0; i < dirty.size(); i += 3) dirty[i] = 1;
+
+  ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
+  tiny.coefficient = 1e-20;  // the 20 000-candidate floor: the cloud grows it
+
+  // Budget holding the fixed data plus exactly `grids` grids (0: default).
+  const auto budget_for = [&](std::size_t n, const ConjunctionCountModel& model,
+                              std::size_t grids) -> std::uint64_t {
+    if (grids == 0) return ScreeningConfig{}.memory_budget;
+    SizingRequest request;
+    request.satellites = n;
+    request.span_seconds = base.span_seconds();
+    request.seconds_per_sample = base.seconds_per_sample;
+    request.candidate_capacity = candidate_capacity_from_model(
+        model, static_cast<double>(n), base.seconds_per_sample, base.span_seconds(),
+        base.threshold_km);
+    const SizingPlan plan = plan_samples(request);
+    return plan.fixed_bytes + grids * plan.per_grid_bytes;
+  };
+
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator kepler(sats, solver);
+  const J2SecularPropagator j2(sats, solver);
+  const TwoBodyPropagator cloud_kepler(cloud, solver);
+
+  // One case: a full screen through GridScreener, or (grow) the pipeline
+  // alone with the tiny count model.
+  struct Case {
+    const char* name;
+    const Propagator* propagator;
+    std::span<const std::uint8_t> dirty;
+    bool grow;
+  };
+  const Case cases[] = {{"kepler", &kepler, {}, false},
+                        {"j2", &j2, {}, false},
+                        {"dirty", &kepler, dirty, false},
+                        {"grow", &cloud_kepler, {}, true}};
+
+  ThreadPool one(1), two(2), four(4);
+  for (const Case& c : cases) {
+    const std::size_t n = c.propagator->size();
+    const ConjunctionCountModel& model = c.grow ? tiny : ConjunctionCountModel::paper_grid();
+    const std::size_t per_grid = GridHashSet(n).memory_bytes();
+    std::optional<GridOutcome> reference;
+    for (const std::size_t grids : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+      const std::uint64_t budget = budget_for(n, model, grids);
+      std::optional<GridOutcome> shape_reference;
+      for (ThreadPool* pool : {&one, &two, &four, static_cast<ThreadPool*>(nullptr)}) {
+        // devicesim accounts a grown candidate map against device memory,
+        // and a budget of exactly p grids leaves it no room to grow.
+        if (pool == nullptr && c.grow && grids != 0) continue;
+        DeviceProperties props;
+        props.memory_bytes = budget;
+        Device device(props, &four);
+        ScreeningConfig cfg = base;
+        cfg.memory_budget = budget;
+        cfg.pool = pool != nullptr ? pool : &four;
+        if (pool == nullptr) cfg.device = &device;
+
+        GridOutcome out;
+        if (c.grow) {
+          ScreeningContext context;
+          GridPipelineResult result =
+              run_grid_pipeline(*c.propagator, cfg, model, {}, context);
+          out.candidates = std::move(result.candidates);
+          std::sort(out.candidates.begin(), out.candidates.end(),
+                    [](const Candidate& x, const Candidate& y) {
+                      return std::tie(x.sat_a, x.sat_b, x.step) <
+                             std::tie(y.sat_a, y.sat_b, y.step);
+                    });
+          out.candidate_count = result.total_candidates;
+          out.growths = result.candidate_set_growths;
+          out.rounds = result.plan.rounds;
+          out.parallel_samples = result.plan.parallel_samples;
+          out.grid_memory_bytes = result.grid_memory_bytes;
+        } else {
+          GridPipelineOptions options;
+          options.dirty_mask = c.dirty;
+          const ScreeningReport report = GridScreener(options).screen(*c.propagator, cfg);
+          out.conjunctions = report.conjunctions;
+          out.candidate_count = report.stats.candidates;
+          out.growths = report.stats.candidate_set_growths;
+          out.rounds = report.stats.rounds;
+          out.parallel_samples = report.stats.parallel_samples;
+          out.grid_memory_bytes = report.stats.grid_memory_bytes;
+        }
+
+        const std::string label = std::string(c.name) + " grids=" +
+                                  std::to_string(grids) + " " +
+                                  (pool == nullptr ? std::string("devicesim")
+                                                   : std::to_string(pool->thread_count()) +
+                                                         " threads");
+        const std::size_t p = out.parallel_samples;
+        if (grids != 0) {
+          EXPECT_EQ(p, grids) << label;
+        } else {
+          EXPECT_EQ(out.rounds, 1u) << label;
+        }
+        const std::size_t held =
+            pool == nullptr ? p : std::min(p, pool->thread_count());
+        EXPECT_EQ(out.grid_memory_bytes, held * per_grid) << label;
+        if (!shape_reference) shape_reference = out;
+        EXPECT_EQ(out.rounds, shape_reference->rounds) << label;
+        if (!reference) reference = out;
+        expect_same_outcome(out, *reference, label);
+      }
+    }
+    EXPECT_GT(reference->candidate_count, 0u) << c.name;
+    if (c.grow) {
+      EXPECT_GT(reference->growths, 0u);
+    } else {
+      EXPECT_GT(reference->conjunctions.size(), 0u) << c.name;
+    }
   }
 }
 

@@ -5,10 +5,14 @@
 #include <string>
 #include <vector>
 
+#include "core/context.hpp"
+#include "core/grid_pipeline.hpp"
 #include "core/report.hpp"
 #include "core/screen.hpp"
 #include "obs/telemetry.hpp"
 #include "population/generator.hpp"
+#include "propagation/contour_solver.hpp"
+#include "propagation/two_body.hpp"
 #include "service/screening_service.hpp"
 #include "verify/case_io.hpp"
 
@@ -144,6 +148,48 @@ TEST_F(Telemetry, GridOccupancyMatchesEq1Sizing) {
 
 // The classical filter chain is conservative too: every pair entering it
 // is rejected by exactly one filter or survives to refinement.
+// A round that fills the candidate set is re-run on the CPU, propagation
+// and insertion included. The re-run's counts replace the discarded
+// attempt's, so the insertion and funnel invariants stay exact.
+TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
+  const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
+  const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(cloud, solver);
+  ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
+  tiny.coefficient = 1e-20;  // the 20 000-candidate floor: the cloud grows it
+
+  for (const std::size_t threads : {1u, 4u}) {
+    obs::reset();
+    ThreadPool pool(threads);
+    ScreeningConfig cfg = config(2.0, 600.0, 4.0);
+    cfg.pool = &pool;
+    ScreeningContext context;
+    const GridPipelineResult result =
+        run_grid_pipeline(propagator, cfg, tiny, {}, context);
+    ASSERT_GT(result.candidate_set_growths, 0u) << threads;
+
+    const obs::TelemetrySnapshot snap = obs::snapshot();
+    const std::uint64_t samples = snap.value(Counter::kSamplesPropagated);
+    EXPECT_EQ(samples, result.plan.total_samples * cloud.size()) << threads;
+    EXPECT_EQ(snap.value(Counter::kGridInserts), samples) << threads;
+    EXPECT_EQ(histogram_total(snap), samples) << threads;
+    EXPECT_EQ(snap.value(Counter::kCandidateSetGrowths), result.candidate_set_growths)
+        << threads;
+    EXPECT_EQ(snap.value(Counter::kCandidatesEmitted), result.total_candidates)
+        << threads;
+    EXPECT_EQ(snap.value(Counter::kPairsTested),
+              snap.value(Counter::kPairsMaskedClean) +
+                  snap.value(Counter::kPairsPrefiltered) +
+                  snap.value(Counter::kCandidatesEmitted) +
+                  snap.value(Counter::kCandidatesDeduplicated))
+        << threads;
+    EXPECT_EQ(snap.value(Counter::kCellsScanned),
+              result.plan.total_samples * GridHashSet(cloud.size()).slot_count())
+        << threads;
+  }
+}
+
 TEST_F(Telemetry, HybridFilterConservation) {
   const auto sats = generate_population({400, 11});
   const ScreeningReport report =
