@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   const ScreeningReport legacy = screen(sats, make_config(opt), Variant::kLegacy);
   const ScreeningReport grid = screen(sats, grid_cfg, Variant::kGrid);
   const ScreeningReport hybrid = screen(sats, hybrid_cfg, Variant::kHybrid);
-  const ScreeningReport sieve = screen(sats, make_config(opt), Variant::kSieve);
 
   TextTable counts({"variant", "conjunctions", "colliding pairs"});
   auto add = [&](const std::string& name, const ScreeningReport& r) {
@@ -43,7 +42,6 @@ int main(int argc, char** argv) {
   add("legacy", legacy);
   add("grid", grid);
   add("hybrid", hybrid);
-  add("sieve (extension)", sieve);
   counts.print(std::cout);
 
   const auto legacy_pairs = legacy.colliding_pairs();
@@ -52,15 +50,12 @@ int main(int argc, char** argv) {
 
   const PairSetDiff lg = compare_pair_sets(legacy_pairs, grid_pairs);
   const PairSetDiff lh = compare_pair_sets(legacy_pairs, hybrid_pairs);
-  const PairSetDiff ls = compare_pair_sets(legacy_pairs, sieve.colliding_pairs());
 
   std::printf("\npair-set comparison against legacy:\n");
   std::printf("  grid  : %zu common, misses %zu legacy pairs, finds %zu extra\n",
               lg.common, lg.only_in_first, lg.only_in_second);
   std::printf("  hybrid: %zu common, misses %zu legacy pairs, finds %zu extra\n",
               lh.common, lh.only_in_first, lh.only_in_second);
-  std::printf("  sieve : %zu common, misses %zu legacy pairs, finds %zu extra\n",
-              ls.common, ls.only_in_first, ls.only_in_second);
   std::printf(
       "\npaper reference (64,000 objects): legacy 17,184 / grid 17,264 /\n"
       "hybrid 17,242 conjunctions; hybrid missed 0 pairs (+30 extra), grid\n"

@@ -22,6 +22,9 @@ constexpr double kDenseScanStep = 16.0;
 ScreeningReport LegacyScreener::run(const Propagator& propagator,
                                     const ScreeningConfig& config,
                                     ScreeningContext& /*context*/) const {
+  if (config.device != nullptr) {
+    throw std::invalid_argument("screen: the legacy variant has no device backend");
+  }
   // Refused up front, before the pair loop, rather than by the first
   // coplanar pair's scan.
   if (!(dense_scan_samples(config.span_seconds(), kDenseScanStep) <=

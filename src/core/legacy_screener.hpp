@@ -22,8 +22,9 @@ class LegacyScreener final : public ScreenerBase {
   Variant variant() const override { return Variant::kLegacy; }
 
  private:
-  /// CPU-only (and single-threaded) by definition; the context is only the
-  /// telemetry handle, the chain needs no sized scratch.
+  /// CPU-only (and single-threaded) by definition: throws
+  /// std::invalid_argument when config.device is set. The context is only
+  /// the telemetry handle, the chain needs no sized scratch.
   ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
                       ScreeningContext& context) const override;
 };

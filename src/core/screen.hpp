@@ -10,7 +10,6 @@
 #include "core/grid_screener.hpp"
 #include "core/hybrid_screener.hpp"
 #include "core/legacy_screener.hpp"
-#include "core/sieve_screener.hpp"
 
 namespace scod {
 
@@ -18,7 +17,7 @@ namespace scod {
 /// with the chosen variant. Equivalent to
 /// make_screener(variant)->screen(satellites, config). Pair a Device with
 /// config.device to run the grid/hybrid variants on the devicesim backend
-/// (the all-on-all baselines are CPU-only by definition).
+/// (the all-on-all legacy baseline is CPU-only by definition).
 ScreeningReport screen(std::span<const Satellite> satellites,
                        const ScreeningConfig& config, Variant variant);
 

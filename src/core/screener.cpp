@@ -8,7 +8,6 @@
 #include "core/grid_screener.hpp"
 #include "core/hybrid_screener.hpp"
 #include "core/legacy_screener.hpp"
-#include "core/sieve_screener.hpp"
 #include "propagation/contour_solver.hpp"
 #include "propagation/two_body.hpp"
 #include "util/stopwatch.hpp"
@@ -20,7 +19,6 @@ std::string variant_name(Variant variant) {
     case Variant::kGrid: return "grid";
     case Variant::kHybrid: return "hybrid";
     case Variant::kLegacy: return "legacy";
-    case Variant::kSieve: return "sieve";
   }
   return "unknown";
 }
@@ -29,7 +27,6 @@ std::optional<Variant> parse_variant(std::string_view name) {
   if (name == "grid") return Variant::kGrid;
   if (name == "hybrid") return Variant::kHybrid;
   if (name == "legacy") return Variant::kLegacy;
-  if (name == "sieve") return Variant::kSieve;
   return std::nullopt;
 }
 
@@ -67,12 +64,6 @@ ScreeningReport ScreenerBase::with_context(const ScreeningConfig& caller_config,
   if (!std::isfinite(caller_config.seconds_per_sample)) {
     throw std::invalid_argument("screen: seconds_per_sample must be finite");
   }
-  const Variant v = variant();
-  if (caller_config.device != nullptr &&
-      (v == Variant::kLegacy || v == Variant::kSieve)) {
-    throw std::invalid_argument("screen: the " + variant_name(v) +
-                                " variant has no device backend");
-  }
   detail::ContextLease lease(context_);
   ScreeningContext::Use use(*lease);
   return body(*lease, lease->apply(caller_config));
@@ -88,8 +79,6 @@ std::unique_ptr<Screener> make_screener(Variant variant,
       return std::make_unique<HybridScreener>(std::move(pipeline), context);
     case Variant::kLegacy:
       return std::make_unique<LegacyScreener>(context);
-    case Variant::kSieve:
-      return std::make_unique<SieveScreener>(context);
   }
   throw std::invalid_argument("make_screener: unknown variant");
 }

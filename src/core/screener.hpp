@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -22,7 +23,6 @@ enum class Variant {
   kGrid,    ///< purely grid-based (Section III, first variant)
   kHybrid,  ///< grid + classical orbital filters (second variant)
   kLegacy,  ///< single-threaded all-on-all filter chain (baseline)
-  kSieve,   ///< all-on-all smart sieve (related-work baseline [16], [17])
 };
 
 std::string variant_name(Variant variant);
@@ -31,7 +31,13 @@ std::string variant_name(Variant variant);
 /// every tool shares (CLI, fuzz, benches) — no per-tool string switches.
 std::optional<Variant> parse_variant(std::string_view name);
 
-/// Common interface of the four screening variants. A screener is an
+/// Every variant, in declaration order: the one list the differential
+/// runner, the tests and the tools iterate, so each of them covers every
+/// variant parse_variant accepts.
+inline constexpr std::array kAllVariants = {Variant::kGrid, Variant::kHybrid,
+                                            Variant::kLegacy};
+
+/// Common interface of the three screening variants. A screener is an
 /// immutable strategy object: screen() is const and safe to call
 /// repeatedly; all per-run state lives on the stack or in the attached
 /// ScreeningContext. Obtain instances through make_screener.
@@ -50,8 +56,8 @@ class Screener {
   /// propagator); the propagator must be thread-safe. Throws
   /// std::invalid_argument for a threshold that is not finite and > 0, a
   /// span that is empty, inverted or not finite, a seconds_per_sample that
-  /// is not finite, and when config.device is set for a CPU-only variant
-  /// (legacy, sieve).
+  /// is not finite, and when config.device is set for the CPU-only legacy
+  /// variant.
   virtual ScreeningReport screen(const Propagator& propagator,
                                  const ScreeningConfig& config) const = 0;
 };
@@ -93,8 +99,8 @@ class ScreenerBase : public Screener {
 /// screener borrows its scratch from the context's arena (warm repeat
 /// screens, bit-identical reports); without one each screen() call
 /// allocates and frees as before. The context must outlive the screener.
-/// `pipeline` configures the grid front-end of grid and hybrid; legacy and
-/// sieve ignore it.
+/// `pipeline` configures the grid front-end of grid and hybrid; legacy
+/// ignores it.
 std::unique_ptr<Screener> make_screener(Variant variant,
                                         ScreeningContext* context = nullptr,
                                         GridPipelineOptions pipeline = {});

@@ -13,9 +13,8 @@ struct ScreeningConfig;
 struct ScreeningStats;
 
 /// Distance pad added to the screening threshold by every orbital filter
-/// (apogee/perigee, orbit path, node miss, node time windows) and by the
-/// sieve's apogee/perigee test [km]. It absorbs the first-order
-/// approximations of the filters.
+/// (apogee/perigee, orbit path, node miss, node time windows) [km]. It
+/// absorbs the first-order approximations of the filters.
 inline constexpr double kFilterPadKm = 0.5;
 
 /// Where a pair left the classical filter chain (Section III), or how it

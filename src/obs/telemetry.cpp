@@ -31,7 +31,6 @@ const char* counter_name(Counter c) {
     case Counter::kFilterWindowRejects: return "filter_window_rejects";
     case Counter::kFilterCoplanarPairs: return "filter_coplanar_pairs";
     case Counter::kFilterSurvivors: return "filter_survivors";
-    case Counter::kSieveDistanceEvals: return "sieve_distance_evals";
     case Counter::kRefinements: return "refinements";
     case Counter::kBrentIterations: return "brent_iterations";
     case Counter::kWindowClamps: return "window_clamps";

@@ -47,7 +47,7 @@ enum class Counter : std::uint32_t {
   kCandidatesEmitted,
   kCandidatesDeduplicated,
   kCandidateSetGrowths,
-  // Classical filter chain (hybrid / legacy / sieve front end).
+  // Classical filter chain (hybrid / legacy front end).
   kFilterPairsIn,
   kFilterApogeePerigeeRejects,
   kFilterPathChecks,
@@ -56,7 +56,6 @@ enum class Counter : std::uint32_t {
   kFilterWindowRejects,
   kFilterCoplanarPairs,
   kFilterSurvivors,
-  kSieveDistanceEvals,
   // Refinement.
   kRefinements,
   kBrentIterations,

@@ -1,7 +1,5 @@
 #include "pca/refine.hpp"
 
-#include <algorithm>
-
 namespace scod {
 
 double grid_search_radius(double cell_size, double slower_speed_km_s) {
@@ -22,21 +20,6 @@ std::optional<Encounter> refine_candidate(const Propagator& propagator,
   return refine_candidate_fn(
       [&](double t) { return propagator.distance(sat_a, sat_b, t); }, center, radius,
       t_min, t_max);
-}
-
-std::vector<Encounter> merge_encounters(std::vector<Encounter> encounters,
-                                        double time_tolerance) {
-  std::sort(encounters.begin(), encounters.end(),
-            [](const Encounter& x, const Encounter& y) { return x.tca < y.tca; });
-  std::vector<Encounter> merged;
-  for (const Encounter& e : encounters) {
-    if (!merged.empty() && e.tca - merged.back().tca <= time_tolerance) {
-      if (e.pca < merged.back().pca) merged.back() = e;
-    } else {
-      merged.push_back(e);
-    }
-  }
-  return merged;
 }
 
 }  // namespace scod

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "obs/telemetry.hpp"
 #include "pca/brent.hpp"
@@ -142,12 +141,5 @@ std::optional<Encounter> refine_candidate(const Propagator& propagator,
 std::optional<Encounter> refine_on_interval(const Propagator& propagator,
                                             std::uint32_t sat_a, std::uint32_t sat_b,
                                             double t_lo, double t_hi);
-
-/// Collapses encounters of one pair that describe the same physical local
-/// minimum: candidates generated at adjacent sample steps refine to nearly
-/// identical TCAs. Encounters within `time_tolerance` of each other are
-/// merged, keeping the smallest PCA. Returns the list sorted by TCA.
-std::vector<Encounter> merge_encounters(std::vector<Encounter> encounters,
-                                        double time_tolerance);
 
 }  // namespace scod

@@ -29,7 +29,7 @@ struct DiffTolerances {
 
 /// One confirmed disagreement between a screener and the reference.
 struct Divergence {
-  std::string screener;  ///< "grid", "hybrid", "legacy", "sieve", "service"
+  std::string screener;  ///< "grid", "hybrid", "legacy", "service"
   enum class Kind : std::uint8_t {
     kMissed,            ///< oracle event below the band, screener silent
     kSpurious,          ///< screener event with no oracle counterpart
@@ -74,9 +74,6 @@ struct RunStats {
 struct DifferentialOptions {
   DiffTolerances tolerances;
   OracleOptions oracle;
-  /// Variants screened against the oracle; all four by default.
-  std::vector<Variant> variants = {Variant::kGrid, Variant::kHybrid,
-                                   Variant::kLegacy, Variant::kSieve};
   /// Also run the case's randomized delta through the incremental service
   /// and require exact agreement with the from-scratch reference.
   bool check_service = true;
@@ -91,10 +88,10 @@ struct DifferentialOptions {
   ScreeningContext* shared_context = nullptr;
 };
 
-/// Screens `fuzz_case` through every configured variant and the incremental
-/// service, diffs each conjunction set against the dense-scan oracle (the
-/// service against its own from-scratch reference), and reports every
-/// divergence. A passing case returns ok() == true.
+/// Screens `fuzz_case` through every variant in kAllVariants and the
+/// incremental service, diffs each conjunction set against the dense-scan
+/// oracle (the service against its own from-scratch reference), and
+/// reports every divergence. A passing case returns ok() == true.
 CaseResult run_differential(const FuzzCase& fuzz_case,
                             const DifferentialOptions& options = {});
 

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <string>
 
+#include "core/screener.hpp"
+
 #ifndef SCOD_CLI_PATH
 #error "SCOD_CLI_PATH must be defined by the build"
 #endif
@@ -121,10 +123,34 @@ TEST(Cli, ScreenRejectsBadVariantAndPropagator) {
   std::remove(catalog.c_str());
 }
 
+TEST(Cli, ScreenRejectsRemovedSieveVariant) {
+  const std::string catalog = temp_path("cli_catalog_sieve.csv");
+  ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
+  const CliRun run = run_cli("screen --catalog " + catalog + " --variant sieve");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("unknown variant"), std::string::npos) << run.output;
+  std::remove(catalog.c_str());
+}
+
+TEST(Cli, ScreenAcceptsEveryListedVariant) {
+  const std::string catalog = temp_path("cli_catalog_variants.csv");
+  ASSERT_EQ(run_cli("generate --count 60 --seed 5 --out " + catalog).exit_code, 0);
+  for (const Variant v : kAllVariants) {
+    const std::string variant = variant_name(v);
+    const CliRun run = run_cli("screen --catalog " + catalog + " --variant " +
+                               variant + " --span 600");
+    EXPECT_EQ(run.exit_code, 0) << variant << ": " << run.output;
+    EXPECT_NE(run.output.find(variant + " screening of 60 objects"), std::string::npos)
+        << run.output;
+  }
+  std::remove(catalog.c_str());
+}
+
 TEST(Cli, ScreenRejectsInvertedSpanForEveryVariant) {
   const std::string catalog = temp_path("cli_catalog_span.csv");
   ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
-  for (const char* variant : {"grid", "hybrid", "legacy", "sieve"}) {
+  for (const Variant v : kAllVariants) {
+    const std::string variant = variant_name(v);
     const CliRun run = run_cli("screen --catalog " + catalog + " --variant " +
                                variant + " --span -100");
     EXPECT_EQ(run.exit_code, 1) << variant << ": " << run.output;
@@ -136,7 +162,8 @@ TEST(Cli, ScreenRejectsInvertedSpanForEveryVariant) {
 TEST(Cli, ScreenRejectsInvalidThresholdAndSpan) {
   const std::string catalog = temp_path("cli_catalog_invalid.csv");
   ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
-  for (const char* variant : {"grid", "hybrid", "legacy", "sieve"}) {
+  for (const Variant v : kAllVariants) {
+    const std::string variant = variant_name(v);
     for (const char* option : {"--threshold -1", "--threshold nan", "--span inf"}) {
       const CliRun run = run_cli("screen --catalog " + catalog + " --variant " +
                                  variant + " " + option);

@@ -62,8 +62,7 @@ TEST(Context, WarmRepeatScreensAreBitIdenticalAcrossVariants) {
   const auto sats = generate_population({150, 21});
   const ScreeningConfig cfg = make_config();
 
-  for (const Variant variant : {Variant::kGrid, Variant::kHybrid,
-                                Variant::kLegacy, Variant::kSieve}) {
+  for (const Variant variant : kAllVariants) {
     const ScreeningReport cold = make_screener(variant)->screen(sats, cfg);
 
     ScreeningContext context;

@@ -166,21 +166,5 @@ TEST_F(RefineFixture, RefineOnIntervalAgrees) {
   EXPECT_FALSE(refine_on_interval(*prop_, 0, 1, 10.0, 5.0).has_value());
 }
 
-TEST(MergeEncounters, CollapsesNearbyMinima) {
-  std::vector<Encounter> raw{{100.0, 5.0}, {100.3, 4.0}, {500.0, 7.0}, {99.8, 6.0}};
-  const auto merged = merge_encounters(raw, 1.0);
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_NEAR(merged[0].tca, 100.3, 1e-12);  // kept the smallest PCA
-  EXPECT_DOUBLE_EQ(merged[0].pca, 4.0);
-  EXPECT_DOUBLE_EQ(merged[1].tca, 500.0);
-}
-
-TEST(MergeEncounters, EmptyAndSingle) {
-  EXPECT_TRUE(merge_encounters({}, 1.0).empty());
-  const auto one = merge_encounters({{42.0, 1.0}}, 1.0);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_DOUBLE_EQ(one[0].tca, 42.0);
-}
-
 }  // namespace
 }  // namespace scod

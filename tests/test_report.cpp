@@ -31,6 +31,32 @@ TEST(Report, MergeConjunctionsCollapsesAdjacentSteps) {
   EXPECT_EQ(merged[2].sat_a, 3u);
 }
 
+TEST(Report, MergeConjunctionsOfNothingIsEmpty) {
+  EXPECT_TRUE(merge_conjunctions({}, 1.0).empty());
+}
+
+TEST(Report, MergeConjunctionsKeepsASingleEvent) {
+  const auto one = merge_conjunctions({{5, 6, 42.0, 1.0}}, 1.0);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].sat_a, 5u);
+  EXPECT_EQ(one[0].sat_b, 6u);
+  EXPECT_DOUBLE_EQ(one[0].tca, 42.0);
+  EXPECT_DOUBLE_EQ(one[0].pca, 1.0);
+}
+
+TEST(Report, MergeConjunctionsSortsUnorderedMinimaFirst) {
+  // Out-of-order refinements of one pair: 99.8, 100.0 and 100.3 are one
+  // minimum once sorted, 500.0 is a second encounter.
+  const std::vector<Conjunction> raw{
+      {1, 2, 100.0, 5.0}, {1, 2, 100.3, 4.0}, {1, 2, 500.0, 7.0}, {1, 2, 99.8, 6.0}};
+  const auto merged = merge_conjunctions(raw, 1.0);
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_DOUBLE_EQ(merged[0].tca, 100.3);  // kept the smallest PCA
+  EXPECT_DOUBLE_EQ(merged[0].pca, 4.0);
+  EXPECT_DOUBLE_EQ(merged[1].tca, 500.0);
+  EXPECT_DOUBLE_EQ(merged[1].pca, 7.0);
+}
+
 TEST(Report, MergeChainsWithinTolerance) {
   // 100.0, 100.8, 101.6: each within 1.0 of the previous -> one event.
   std::vector<Conjunction> raw{

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -186,17 +187,6 @@ TEST_F(ScreenerAccuracy, LegacyMatchesOracle) {
   EXPECT_EQ(report.stats.pairs_examined, n * (n - 1) / 2);
 }
 
-TEST_F(ScreenerAccuracy, SieveMatchesOracle) {
-  const ScreeningReport report = screen(*sats_, config(), Variant::kSieve);
-  expect_matches_oracle(report, "sieve");
-  const std::size_t n = sats_->size();
-  EXPECT_EQ(report.stats.pairs_examined, n * (n - 1) / 2);
-  // The sieve's whole point: far fewer distance evaluations than a dense
-  // scan of every pair (span/step * pairs).
-  EXPECT_LT(report.stats.candidates,
-            report.stats.pairs_examined * static_cast<std::size_t>(kSpan) / 16);
-}
-
 TEST_F(ScreenerAccuracy, VariantsAgreeOnCollidingPairs) {
   const auto grid = screen(*sats_, config(), Variant::kGrid);
   const auto hybrid = screen(*sats_, config(), Variant::kHybrid);
@@ -295,8 +285,7 @@ TEST(Screeners, HeadOnRetrogradeEncounterHasPredictableTca) {
   cfg.t_begin = 0.0;
   cfg.t_end = expected_tca + 600.0;
 
-  for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
-                    Variant::kSieve}) {
+  for (Variant v : kAllVariants) {
     const ScreeningReport report = screen(sats, cfg, v);
     ASSERT_FALSE(report.conjunctions.empty()) << variant_name(v);
     bool found = false;
@@ -315,8 +304,7 @@ TEST(Screeners, SeparatedOrbitsYieldNoConjunctions) {
   };
   ScreeningConfig cfg;
   cfg.t_end = 3600.0;
-  for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
-                    Variant::kSieve}) {
+  for (Variant v : kAllVariants) {
     EXPECT_TRUE(screen(sats, cfg, v).conjunctions.empty()) << variant_name(v);
   }
 }
@@ -326,8 +314,7 @@ TEST(Screeners, TinyPopulationsHandled) {
   cfg.t_end = 600.0;
   const std::vector<Satellite> empty;
   const std::vector<Satellite> one{{0, {7000.0, 1e-4, 0.5, 0.0, 0.0, 0.0}}};
-  for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
-                    Variant::kSieve}) {
+  for (Variant v : kAllVariants) {
     EXPECT_TRUE(screen(empty, cfg, v).conjunctions.empty()) << variant_name(v);
     EXPECT_TRUE(screen(one, cfg, v).conjunctions.empty()) << variant_name(v);
   }
@@ -337,8 +324,7 @@ TEST(Screeners, InvalidSpanRejected) {
   std::vector<Satellite> sats = dense_shell(4, 1);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
-                    Variant::kSieve}) {
+  for (Variant v : kAllVariants) {
     ScreeningConfig cfg;
     cfg.t_begin = 100.0;
     cfg.t_end = 100.0;  // empty
@@ -368,12 +354,60 @@ TEST(Screeners, InvalidSpanRejected) {
   }
 }
 
+TEST(Screeners, VariantNamesRoundTrip) {
+  std::set<std::string> names;
+  for (Variant v : kAllVariants) {
+    EXPECT_EQ(parse_variant(variant_name(v)), v) << variant_name(v);
+    names.insert(variant_name(v));
+  }
+  EXPECT_EQ(names.size(), kAllVariants.size());
+  EXPECT_FALSE(parse_variant("turbo").has_value());
+}
+
+// A removed variant's name is refused like any unknown one.
+TEST(Screeners, ParseVariantRefusesRemovedSieve) {
+  EXPECT_FALSE(parse_variant("sieve").has_value());
+}
+
 TEST(Screeners, LegacyHasNoDeviceBackend) {
   Device device;
   ScreeningConfig cfg;
   cfg.device = &device;
   std::vector<Satellite> sats = dense_shell(4, 2);
   EXPECT_THROW(screen(sats, cfg, Variant::kLegacy), std::invalid_argument);
+}
+
+// The shared skeleton passes a device to every variant; only legacy
+// refuses it, before launching anything, while grid and hybrid run on it
+// and report what they report on the CPU.
+TEST(Screeners, OnlyLegacyRefusesADevice) {
+  std::vector<Satellite> sats = dense_shell(12, 3);
+  Rng rng(0xDE5);
+  sats.push_back(testutil::make_interceptor(sats[0].elements, 600.0, 1.0, rng, 12));
+  ScreeningConfig cpu_cfg;
+  cpu_cfg.t_end = 1200.0;
+  for (const Variant v : kAllVariants) {
+    SCOPED_TRACE(variant_name(v));
+    Device device;
+    ScreeningConfig dev_cfg = cpu_cfg;
+    dev_cfg.device = &device;
+    if (v == Variant::kLegacy) {
+      try {
+        screen(sats, dev_cfg, v);
+        ADD_FAILURE() << "legacy accepted a device";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("no device backend"), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(device.stats().kernels_launched, 0u);
+      continue;
+    }
+    const ScreeningReport cpu = screen(sats, cpu_cfg, v);
+    const ScreeningReport dev = screen(sats, dev_cfg, v);
+    EXPECT_GT(device.stats().kernels_launched, 0u);
+    EXPECT_FALSE(cpu.conjunctions.empty());
+    EXPECT_EQ(dev.colliding_pairs(), cpu.colliding_pairs());
+  }
 }
 
 TEST(Screeners, SecondsPerSampleOverrideIsHonored) {
@@ -774,13 +808,12 @@ TEST(Screeners, SnapshotAndVirtualEvaluatorsAgreeBitForBit) {
       Counter::kFilterApogeePerigeeRejects, Counter::kFilterPathChecks,
       Counter::kFilterPathRejects,          Counter::kFilterWindowChecks,
       Counter::kFilterWindowRejects,        Counter::kFilterCoplanarPairs,
-      Counter::kFilterSurvivors,            Counter::kSieveDistanceEvals,
-      Counter::kRefinements,                Counter::kBrentIterations,
-      Counter::kWindowClamps,               Counter::kEdgeDiscards,
-      Counter::kConjunctionsRaw,            Counter::kConjunctionsReported};
+      Counter::kFilterSurvivors,            Counter::kRefinements,
+      Counter::kBrentIterations,            Counter::kWindowClamps,
+      Counter::kEdgeDiscards,               Counter::kConjunctionsRaw,
+      Counter::kConjunctionsReported};
 
-  for (Variant v : {Variant::kGrid, Variant::kHybrid, Variant::kLegacy,
-                    Variant::kSieve}) {
+  for (Variant v : kAllVariants) {
     SCOPED_TRACE(variant_name(v));
     ScreeningContext context(ScreeningContext::Options{nullptr, /*telemetry=*/true});
     const std::unique_ptr<Screener> screener = make_screener(v, &context);

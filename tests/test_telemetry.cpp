@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -248,23 +249,6 @@ TEST_F(Telemetry, LegacyFilterConservation) {
             report.conjunctions.size());
 }
 
-TEST_F(Telemetry, SieveFunnelConservation) {
-  const auto sats = generate_population({300, 13});
-  const ScreeningReport report =
-      screen(sats, config(10.0, 1800.0, 8.0), Variant::kSieve);
-  const obs::TelemetrySnapshot snap = obs::snapshot();
-
-  const std::uint64_t in = snap.value(Counter::kFilterPairsIn);
-  const std::uint64_t ap = snap.value(Counter::kFilterApogeePerigeeRejects);
-  const std::uint64_t survivors = snap.value(Counter::kFilterSurvivors);
-  ASSERT_GT(in, 0u);
-  EXPECT_EQ(in, ap + survivors);
-  EXPECT_GT(snap.value(Counter::kSieveDistanceEvals), 0u);
-  EXPECT_EQ(snap.value(Counter::kRefinements), report.stats.refinements);
-  EXPECT_EQ(snap.value(Counter::kConjunctionsReported),
-            report.conjunctions.size());
-}
-
 // Grid and hybrid must report the same physical conjunctions while their
 // telemetry funnels look completely different: the grid burns pair tests
 // in cells, the hybrid burns classical filter evaluations. Events within
@@ -384,6 +368,16 @@ TEST_F(Telemetry, CorpusReplayExactCounters) {
     EXPECT_EQ(twice.value(c), 2 * once.value(c))
         << "counter " << obs::counter_name(c)
         << " is not deterministic across identical runs";
+  }
+}
+
+// Counter names are the JSON keys: each must be non-empty and distinct.
+TEST_F(Telemetry, CounterNamesAreDistinct) {
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < obs::kCounterCount; ++i) {
+    const std::string name = obs::counter_name(static_cast<Counter>(i));
+    EXPECT_FALSE(name.empty()) << i;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/screener.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
 #include "verify/adversarial.hpp"
@@ -192,6 +193,20 @@ TEST(Differential, CleanCaseAgreesAcrossAllVariants) {
   EXPECT_GT(result.oracle_events, 0u);  // the regimes guarantee activity
 }
 
+TEST(Differential, ScreensEveryListedVariant) {
+  // A negative PCA tolerance turns every matched event into a mismatch, so
+  // each variant the runner screens leaves its name on the result.
+  DifferentialOptions options;
+  options.tolerances.pca_tolerance = -1.0;
+  options.check_service = false;
+  const CaseResult result = run_differential(generate_case(small_config(17)), options);
+  std::set<std::string> screened;
+  for (const Divergence& d : result.divergences) screened.insert(d.screener);
+  std::set<std::string> expected;
+  for (const Variant v : kAllVariants) expected.insert(variant_name(v));
+  EXPECT_EQ(screened, expected);
+}
+
 TEST(Differential, RunStatsAggregateAndSerializeToJson) {
   RunStats stats;
   CaseResult clean;
@@ -202,7 +217,7 @@ TEST(Differential, RunStatsAggregateAndSerializeToJson) {
 
   CaseResult bad = clean;
   bad.divergences.push_back({"grid", Divergence::Kind::kMissed, {}, "x"});
-  bad.divergences.push_back({"sieve", Divergence::Kind::kSpurious, {}, "y"});
+  bad.divergences.push_back({"legacy", Divergence::Kind::kSpurious, {}, "y"});
   stats.add(bad);
 
   EXPECT_EQ(stats.cases, 2u);
@@ -214,7 +229,7 @@ TEST(Differential, RunStatsAggregateAndSerializeToJson) {
   EXPECT_NE(json.find("\"cases\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"divergent_cases\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"grid\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"sieve\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"legacy\":1"), std::string::npos) << json;
 }
 
 // ---------------------------------------------------------------------------

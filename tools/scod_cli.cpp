@@ -48,7 +48,7 @@ int usage() {
                "\n"
                "commands:\n"
                "  generate  --count N [--seed S] --out FILE(.csv|.tle)\n"
-               "  screen    --catalog FILE [--variant grid|hybrid|legacy|sieve]\n"
+               "  screen    --catalog FILE [--variant grid|hybrid|legacy]\n"
                "            [--threshold KM] [--span S] [--sps S]\n"
                "            [--propagator kepler|j2|ephemeris|tle] [--csv OUT]\n"
                "            [--telemetry]\n"
@@ -152,7 +152,7 @@ int cmd_screen(int argc, const char* const* argv) {
     std::fprintf(stderr, "screen: unknown variant '%s'\n", variant_str.c_str());
     return 2;
   }
-  // One dispatch for all four variants: the factory hides which concrete
+  // One dispatch for all three variants: the factory hides which concrete
   // screener runs, and every variant accepts an external propagator.
   const std::unique_ptr<Screener> screener = make_screener(*variant);
 

@@ -6,13 +6,13 @@
 ///   scod_fuzz --corpus tests/corpus            # replay the regression corpus
 ///   scod_fuzz --seed 7 --save-case out.case    # dump a generated case
 ///
-/// Every case screens one adversarial catalog through the grid, hybrid,
-/// legacy and sieve variants — and through the incremental service under a
-/// randomized delta — then diffs the conjunction sets against a dense-scan
-/// oracle with paper-consistent tolerances. A divergence is minimized by
-/// the shrinker and written as a replayable .case file; the exit status is
-/// non-zero iff any divergence was found. The final stdout line is a
-/// RunStats JSON object for CI trending.
+/// Every case screens one adversarial catalog through every variant the
+/// CLI accepts (grid, hybrid, legacy) — and through the incremental
+/// service under a randomized delta — then diffs the conjunction sets
+/// against a dense-scan oracle with paper-consistent tolerances. A
+/// divergence is minimized by the shrinker and written as a replayable
+/// .case file; the exit status is non-zero iff any divergence was found.
+/// The final stdout line is a RunStats JSON object for CI trending.
 
 #include <cstdio>
 #include <optional>
