@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
     ScreeningReport report;
     const double secs = median_seconds(
         [&] {
-          report = make_screener(Variant::kGrid, nullptr, options)
-                       ->screen(sats, cfg);
+          report = GridScreener(options).screen(sats, cfg);
         },
         opt.repeats);
 

@@ -1,12 +1,12 @@
-/// Long-horizon streaming screening: a week of conjunctions in the memory
-/// of a single round.
+/// Long-horizon screening: a week of conjunctions in the memory of a single
+/// round.
 ///
-/// The batch API holds every candidate of the whole span before refining;
-/// for multi-day horizons on a constrained machine that is exactly the
-/// memory wall the paper hits in Fig. 10c. screen_streaming() composes the
-/// paper's sample-parallel rounds with the time-slicing strategy of the
-/// related work [23]: each round's candidates are refined and emitted
-/// immediately, and the round's grids and candidate set are recycled.
+/// Holding every candidate of a multi-day span before refining is exactly
+/// the memory wall the paper hits in Fig. 10c on a constrained machine.
+/// The grid screener runs the paper's sample-parallel rounds and refines
+/// each round's candidates as soon as the round is done, so the candidate
+/// set and grids are recycled round by round (the time-slicing strategy of
+/// the related work [23]); only the conjunctions found so far accumulate.
 
 #include <cstdio>
 #include <vector>
@@ -29,30 +29,21 @@ int main() {
   config.seconds_per_sample = 16.0;  // coarser sampling for the long span
   config.memory_budget = 64ull << 20;  // pretend we only have 64 MiB
 
-  std::printf("streaming screening of %zu objects over %.0f days "
+  std::printf("screening %zu objects over %.0f days "
               "(memory budget %llu MiB)\n\n",
               sats.size(), config.span_seconds() / 86400.0,
               static_cast<unsigned long long>(config.memory_budget >> 20));
 
-  std::size_t total = 0;
-  std::vector<std::size_t> per_day(8, 0);
-  const ScreeningReport report = GridScreener().screen_streaming(
-      propagator, config,
-      [&](std::size_t round, std::span<const Conjunction> found) {
-        for (const Conjunction& c : found) {
-          ++total;
-          ++per_day[static_cast<std::size_t>(c.tca / 86400.0)];
-          if (total <= 5) {
-            std::printf("  first events: round %4zu  %4u-%4u  t=%9.0f s  "
-                        "pca=%.3f km\n",
-                        round, c.sat_a, c.sat_b, c.tca, c.pca);
-          }
-        }
-      });
+  const ScreeningReport report = GridScreener().screen(propagator, config);
 
-  std::printf("\nconjunctions per day:");
+  std::vector<std::size_t> per_day(8, 0);
+  for (const Conjunction& c : report.conjunctions) {
+    ++per_day[static_cast<std::size_t>(c.tca / 86400.0)];
+  }
+
+  std::printf("conjunctions per day:");
   for (std::size_t day = 0; day < 7; ++day) std::printf(" %zu", per_day[day]);
-  std::printf("\ntotal %zu conjunctions over the week\n", total);
+  std::printf("\ntotal %zu conjunctions over the week\n", report.conjunctions.size());
   std::printf("pipeline: %zu samples in %zu rounds of %zu parallel grids; "
               "%.1f MiB of grids + %.1f MiB candidate map resident at a time; "
               "%.1f s wall\n",

@@ -102,7 +102,7 @@ class ScratchArena {
 ///
 /// A context serves one screen at a time from one thread; nested
 /// acquisition on the owning thread is fine (screen(span) delegates to
-/// screen(propagator), streaming refinement runs mid-pipeline), concurrent
+/// screen(propagator), grid refinement runs between rounds), concurrent
 /// use from a second thread throws. Unrelated concurrent screens should
 /// each use their own context — screeners without one behave exactly as
 /// before, allocating per call.

@@ -290,12 +290,14 @@ RoundAttempt device_round(const RoundInputs& in, std::size_t step0, std::size_t 
   return attempt;
 }
 
-GridPipelineResult run_pipeline_impl(const Propagator& propagator,
+}  // namespace
+
+GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const ScreeningConfig& caller_config,
                                      const ConjunctionCountModel& count_model,
                                      const GridPipelineOptions& options,
                                      ScreeningContext& context,
-                                     const GridRoundSink* sink) {
+                                     const GridRoundSink& sink) {
   GridPipelineResult result;
 
   ScreeningContext::Use use(context);
@@ -473,44 +475,18 @@ GridPipelineResult run_pipeline_impl(const Propagator& propagator,
       }
     }
 
-    // Streaming mode: hand this round's candidates over and recycle the
-    // set. A (pair, step) key can only be produced by the round owning
-    // that step, so per-round draining changes nothing semantically.
-    if (sink != nullptr) {
-      std::vector<Candidate> drained = candidates.drain();
-      result.total_candidates += drained.size();
-      candidates.clear();
-      (*sink)(round, std::move(drained), result);
-    }
+    // Hand this round's candidates over and recycle the set for the next
+    // round; a (pair, step) key can only be produced by the round owning
+    // that step. The arena clears the set at its next checkout, so the
+    // last round leaves it as it is.
+    std::vector<Candidate> drained = candidates.drain();
+    result.total_candidates += drained.size();
+    if (round + 1 < result.plan.rounds) candidates.clear();
+    sink(round, std::move(drained), result);
   }
 
   result.candidate_memory_bytes = candidates.memory_bytes();
-  if (sink == nullptr) {
-    result.candidates = candidates.drain();
-    result.total_candidates = result.candidates.size();
-  }
   return result;
-}
-
-}  // namespace
-
-GridPipelineResult run_grid_pipeline(const Propagator& propagator,
-                                     const ScreeningConfig& config,
-                                     const ConjunctionCountModel& count_model,
-                                     const GridPipelineOptions& options,
-                                     ScreeningContext& context) {
-  return run_pipeline_impl(propagator, config, count_model, options, context,
-                           nullptr);
-}
-
-GridPipelineResult run_grid_pipeline_streaming(const Propagator& propagator,
-                                               const ScreeningConfig& config,
-                                               const ConjunctionCountModel& count_model,
-                                               const GridPipelineOptions& options,
-                                               ScreeningContext& context,
-                                               const GridRoundSink& sink) {
-  return run_pipeline_impl(propagator, config, count_model, options, context,
-                           &sink);
 }
 
 void fill_pipeline_stats(ScreeningReport& report, std::size_t satellites,

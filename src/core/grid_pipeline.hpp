@@ -33,13 +33,12 @@ struct GridPipelineOptions {
   double cell_size_override = 0.0;
 };
 
-/// Everything the grid front-end produced for the refinement/filter stages.
+/// What the grid front-end reports besides its candidates, which go to
+/// the round sink.
 struct GridPipelineResult {
-  std::vector<Candidate> candidates;  ///< distinct (pair, step) candidates
-                                      ///< (empty in streaming mode)
-  std::size_t total_candidates = 0;   ///< count across all rounds
-  double cell_size = 0.0;             ///< g_c [km]
-  double sample_period = 0.0;         ///< s_ps actually used (auto-adjusted)
+  std::size_t total_candidates = 0;  ///< count across all rounds
+  double cell_size = 0.0;            ///< g_c [km]
+  double sample_period = 0.0;        ///< s_ps actually used (auto-adjusted)
   SizingPlan plan;
   std::size_t candidate_set_growths = 0;
   std::uint64_t grid_memory_bytes = 0;
@@ -62,6 +61,16 @@ inline ScreeningConfig with_sample_period(ScreeningConfig config, double fallbac
   return config;
 }
 
+/// Per-round candidate sink. Receives the round index, the distinct
+/// (pair, step) candidates detected in that round (moved), and the pipeline
+/// result as populated so far (cell_size, sample_period and plan are final
+/// before the first round). A (pair, step) key can only occur in the round
+/// owning that step, so the rounds together hold exactly the candidates of
+/// the whole span.
+using GridRoundSink = std::function<void(
+    std::size_t round, std::vector<Candidate>&& candidates,
+    const GridPipelineResult& pipeline)>;
+
 /// Runs the grid front-end over the whole span at config.seconds_per_sample
 /// (must be > 0): sizes the candidate set from `count_model` (Eq. 3 for
 /// grid, Eq. 4 for hybrid) and plans the sample parallelism p from the
@@ -70,7 +79,11 @@ inline ScreeningConfig with_sample_period(ScreeningConfig config, double fallbac
 /// grid, and every occupied cell is scanned against its half-stencil
 /// neighbourhood for candidate pairs, collected in the lock-free candidate
 /// set. If the count model proves too small, the set grows and the round
-/// is re-run.
+/// is re-run. After every round the set is drained into `sink` (the sink
+/// is called once per round, in round order) and cleared for the next
+/// round, so memory stays bounded by one round's candidates regardless of
+/// the span length. The set is not cleared after the last round: the
+/// arena clears it at its next checkout.
 ///
 /// The two backends share the insert and cell-scan bodies but not their
 /// execution shape:
@@ -101,28 +114,8 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const ScreeningConfig& config,
                                      const ConjunctionCountModel& count_model,
                                      const GridPipelineOptions& options,
-                                     ScreeningContext& context);
-
-/// Per-round candidate sink for streaming consumption. Receives the round
-/// index, the candidates detected in that round (moved), and the pipeline
-/// result as populated so far (cell_size, sample_period and plan are final
-/// before the first round). A (pair, step) key can only occur in the round
-/// owning that step, so draining per round yields exactly the same
-/// candidate multiset as accumulating to the end.
-using GridRoundSink = std::function<void(
-    std::size_t round, std::vector<Candidate>&& candidates,
-    const GridPipelineResult& pipeline)>;
-
-/// Streaming variant of run_grid_pipeline: the candidate set is drained
-/// into `sink` and cleared after every round, so memory stays bounded by
-/// one round's activity regardless of the span length. The returned
-/// result's `candidates` vector is empty; counters cover the whole run.
-GridPipelineResult run_grid_pipeline_streaming(const Propagator& propagator,
-                                               const ScreeningConfig& config,
-                                               const ConjunctionCountModel& count_model,
-                                               const GridPipelineOptions& options,
-                                               ScreeningContext& context,
-                                               const GridRoundSink& sink);
+                                     ScreeningContext& context,
+                                     const GridRoundSink& sink);
 
 /// Fills the report's allocation/INS/CD timings and the grid front-end's
 /// stats (sampling plan, cell size, candidates, memory) from `pipeline`;

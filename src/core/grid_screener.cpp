@@ -1,7 +1,6 @@
 #include "core/grid_screener.hpp"
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "core/context.hpp"
 #include "core/exec.hpp"
@@ -14,14 +13,14 @@ namespace scod {
 
 namespace {
 
-/// Step 4 for one batch of candidates: Brent refinement, one logical
-/// thread per candidate (kernel-style fixed output slots keep the phase
-/// lock-free). Returns the raw (unmerged) sub-threshold conjunctions.
-std::vector<Conjunction> refine_candidates(const Propagator& propagator,
-                                           const ScreeningConfig& config,
-                                           const GridPipelineResult& pipeline,
-                                           const std::vector<Candidate>& candidates,
-                                           ScratchArena& arena) {
+/// Step 4 for one round's candidates: Brent refinement, one logical thread
+/// per candidate (kernel-style fixed output slots keep the phase
+/// lock-free). Appends the raw (unmerged) sub-threshold conjunctions to
+/// `raw`.
+void refine_candidates(const Propagator& propagator, const ScreeningConfig& config,
+                       const GridPipelineResult& pipeline,
+                       const std::vector<Candidate>& candidates, ScratchArena& arena,
+                       std::vector<Conjunction>& raw) {
   std::vector<Conjunction>& slots = arena.conjunction_slots(candidates.size());
   std::vector<std::uint8_t>& valid = arena.valid_flags(candidates.size());
 
@@ -40,13 +39,11 @@ std::vector<Conjunction> refine_candidates(const Propagator& propagator,
     }
   });
 
-  std::vector<Conjunction> raw;
-  raw.reserve(candidates.size() / 4 + 1);
+  const std::size_t before = raw.size();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (valid[i]) raw.push_back(slots[i]);
   }
-  obs::count(obs::Counter::kConjunctionsRaw, raw.size());
-  return raw;
+  obs::count(obs::Counter::kConjunctionsRaw, raw.size() - before);
 }
 
 }  // namespace
@@ -57,69 +54,30 @@ GridScreener::GridScreener(GridPipelineOptions options, ScreeningContext* contex
 ScreeningReport GridScreener::run(const Propagator& propagator,
                                   const ScreeningConfig& config,
                                   ScreeningContext& context) const {
+  // Step 4 runs on each round's candidates as the round drains, so a
+  // screen holds one round's candidates at a time; merging waits for the
+  // whole span, where a minimum found from both sides of a round boundary
+  // collapses into one conjunction.
+  std::vector<Conjunction> raw;
+  double refine_seconds = 0.0;
+  const GridRoundSink refine_round = [&](std::size_t, std::vector<Candidate>&& candidates,
+                                         const GridPipelineResult& pipeline) {
+    Stopwatch watch;
+    refine_candidates(propagator, config, pipeline, candidates, context.arena(), raw);
+    refine_seconds += watch.seconds();
+  };
   const GridPipelineResult pipeline = run_grid_pipeline(
       propagator, with_sample_period(config, kDefaultSecondsPerSample),
-      ConjunctionCountModel::paper_grid(), options_, context);
+      ConjunctionCountModel::paper_grid(), options_, context, refine_round);
 
   ScreeningReport report;
-  Stopwatch refine_watch;
-  report.conjunctions =
-      merge_conjunctions(refine_candidates(propagator, config, pipeline,
-                                           pipeline.candidates, context.arena()),
-                         kMergeToleranceSeconds);
-  report.timings.refinement = refine_watch.seconds();
+  Stopwatch merge_watch;
+  report.conjunctions = merge_conjunctions(std::move(raw), kMergeToleranceSeconds);
+  report.timings.refinement = refine_seconds + merge_watch.seconds();
   obs::add_seconds(obs::Counter::kTimeRefinementNs, report.timings.refinement);
   obs::count(obs::Counter::kConjunctionsReported, report.conjunctions.size());
   fill_pipeline_stats(report, propagator.size(), pipeline);
   return report;
-}
-
-ScreeningReport GridScreener::screen_streaming(const Propagator& propagator,
-                                               const ScreeningConfig& caller_config,
-                                               const ConjunctionSink& sink) const {
-  return with_context(caller_config, [&](ScreeningContext& context,
-                                         const ScreeningConfig& config) {
-    double refine_seconds = 0.0;
-    // Last emitted TCA per pair, to suppress duplicates of a minimum found
-    // from both sides of a round boundary.
-    std::unordered_map<std::uint64_t, double> last_emitted;
-
-    const GridRoundSink round_sink = [&](std::size_t round,
-                                         std::vector<Candidate>&& candidates,
-                                         const GridPipelineResult& pipeline) {
-      Stopwatch watch;
-      std::vector<Conjunction> merged = merge_conjunctions(
-          refine_candidates(propagator, config, pipeline, candidates,
-                            context.arena()),
-          kMergeToleranceSeconds);
-
-      std::vector<Conjunction> fresh;
-      fresh.reserve(merged.size());
-      for (const Conjunction& c : merged) {
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(c.sat_a) << 32) | c.sat_b;
-        const auto it = last_emitted.find(key);
-        if (it == last_emitted.end() || c.tca - it->second > kMergeToleranceSeconds) {
-          fresh.push_back(c);
-          last_emitted[key] = c.tca;
-        }
-      }
-      const double round_seconds = watch.seconds();
-      refine_seconds += round_seconds;
-      obs::add_seconds(obs::Counter::kTimeRefinementNs, round_seconds);
-      obs::count(obs::Counter::kConjunctionsReported, fresh.size());
-      sink(round, fresh);
-    };
-
-    const GridPipelineResult pipeline = run_grid_pipeline_streaming(
-        propagator, with_sample_period(config, kDefaultSecondsPerSample),
-        ConjunctionCountModel::paper_grid(), options_, context, round_sink);
-
-    ScreeningReport report;
-    report.timings.refinement = refine_seconds;
-    fill_pipeline_stats(report, propagator.size(), pipeline);
-    return report;
-  });
 }
 
 }  // namespace scod

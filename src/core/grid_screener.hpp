@@ -1,8 +1,5 @@
 #pragma once
 
-#include <functional>
-#include <span>
-
 #include "core/config.hpp"
 #include "core/grid_pipeline.hpp"
 #include "core/report.hpp"
@@ -29,22 +26,6 @@ class GridScreener final : public ScreenerBase {
                         ScreeningContext* context = nullptr);
 
   Variant variant() const override { return Variant::kGrid; }
-
-  /// Conjunctions found in one streaming round.
-  using ConjunctionSink =
-      std::function<void(std::size_t round, std::span<const Conjunction>)>;
-
-  /// Bounded-memory streaming mode: candidates are refined and emitted
-  /// round by round instead of being held for the whole span, so
-  /// arbitrarily long screening horizons run in the memory of a single
-  /// round (the time-slicing parallelization strategy of the related work
-  /// [23], composed with the paper's sample-parallel rounds). Conjunctions
-  /// arrive through `sink` in round order, sorted within each round;
-  /// duplicates of a minimum straddling a round boundary are suppressed.
-  /// The returned report carries timings/stats only (empty conjunctions).
-  ScreeningReport screen_streaming(const Propagator& propagator,
-                                   const ScreeningConfig& config,
-                                   const ConjunctionSink& sink) const;
 
  private:
   ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,

@@ -6,6 +6,7 @@
 
 #include "core/context.hpp"
 #include "core/exec.hpp"
+#include "core/grid_pipeline.hpp"
 #include "filters/filter_chain.hpp"
 #include "obs/telemetry.hpp"
 #include "pca/pair_evaluator.hpp"
@@ -30,16 +31,26 @@ struct RefineTask {
 
 }  // namespace
 
-HybridScreener::HybridScreener(GridPipelineOptions options,
-                               ScreeningContext* context)
-    : ScreenerBase(context), options_(std::move(options)) {}
+HybridScreener::HybridScreener(ScreeningContext* context) : ScreenerBase(context) {}
 
 ScreeningReport HybridScreener::run(const Propagator& propagator,
                                     const ScreeningConfig& config,
                                     ScreeningContext& context) const {
-  GridPipelineResult pipeline = run_grid_pipeline(
+  // The filters classify each pair once over the whole span, so every
+  // round's candidates are collected first. The first round's vector is
+  // moved in: a one-round screen never holds two copies of its candidates.
+  std::vector<Candidate> candidates;
+  const GridRoundSink collect = [&](std::size_t, std::vector<Candidate>&& round,
+                                    const GridPipelineResult&) {
+    if (candidates.empty()) {
+      candidates = std::move(round);
+    } else {
+      candidates.insert(candidates.end(), round.begin(), round.end());
+    }
+  };
+  const GridPipelineResult pipeline = run_grid_pipeline(
       propagator, with_sample_period(config, kDefaultSecondsPerSample),
-      ConjunctionCountModel::paper_hybrid(), options_, context);
+      ConjunctionCountModel::paper_hybrid(), {}, context, collect);
 
   ScreeningReport report;
   fill_pipeline_stats(report, propagator.size(), pipeline);
@@ -47,7 +58,6 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
   // ---- Step 3: orbital filters on the distinct pairs --------------------
   Stopwatch filter_watch;
 
-  std::vector<Candidate> candidates = std::move(pipeline.candidates);
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& x, const Candidate& y) {
               if (x.sat_a != y.sat_a) return x.sat_a < y.sat_a;

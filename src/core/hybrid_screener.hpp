@@ -1,7 +1,6 @@
 #pragma once
 
 #include "core/config.hpp"
-#include "core/grid_pipeline.hpp"
 #include "core/report.hpp"
 #include "core/screener.hpp"
 #include "orbit/elements.hpp"
@@ -25,16 +24,13 @@ class HybridScreener final : public ScreenerBase {
 
   /// With a context, pipeline scratch and refinement slots are borrowed
   /// from its arena across calls; the context must outlive the screener.
-  explicit HybridScreener(GridPipelineOptions options = {},
-                          ScreeningContext* context = nullptr);
+  explicit HybridScreener(ScreeningContext* context = nullptr);
 
   Variant variant() const override { return Variant::kHybrid; }
 
  private:
   ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
                       ScreeningContext& context) const override;
-
-  GridPipelineOptions options_;
 };
 
 }  // namespace scod

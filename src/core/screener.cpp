@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "core/context.hpp"
 #include "core/grid_screener.hpp"
@@ -44,39 +43,29 @@ ScreeningReport ScreenerBase::screen(std::span<const Satellite> satellites,
 
 ScreeningReport ScreenerBase::screen(const Propagator& propagator,
                                      const ScreeningConfig& config) const {
-  return with_context(config, [&](ScreeningContext& context,
-                                  const ScreeningConfig& bound) {
-    return run(propagator, bound, context);
-  });
-}
-
-ScreeningReport ScreenerBase::with_context(const ScreeningConfig& caller_config,
-                                           const ContextBody& body) const {
-  if (!std::isfinite(caller_config.threshold_km) || !(caller_config.threshold_km > 0.0)) {
+  if (!std::isfinite(config.threshold_km) || !(config.threshold_km > 0.0)) {
     throw std::invalid_argument("screen: threshold must be finite and > 0");
   }
-  if (!std::isfinite(caller_config.t_begin) || !std::isfinite(caller_config.t_end)) {
+  if (!std::isfinite(config.t_begin) || !std::isfinite(config.t_end)) {
     throw std::invalid_argument("screen: time span must be finite");
   }
-  if (!(caller_config.t_begin < caller_config.t_end)) {
+  if (!(config.t_begin < config.t_end)) {
     throw std::invalid_argument("screen: empty time span");
   }
-  if (!std::isfinite(caller_config.seconds_per_sample)) {
+  if (!std::isfinite(config.seconds_per_sample)) {
     throw std::invalid_argument("screen: seconds_per_sample must be finite");
   }
   detail::ContextLease lease(context_);
   ScreeningContext::Use use(*lease);
-  return body(*lease, lease->apply(caller_config));
+  return run(propagator, lease->apply(config), *lease);
 }
 
-std::unique_ptr<Screener> make_screener(Variant variant,
-                                        ScreeningContext* context,
-                                        GridPipelineOptions pipeline) {
+std::unique_ptr<Screener> make_screener(Variant variant, ScreeningContext* context) {
   switch (variant) {
     case Variant::kGrid:
-      return std::make_unique<GridScreener>(std::move(pipeline), context);
+      return std::make_unique<GridScreener>(GridPipelineOptions{}, context);
     case Variant::kHybrid:
-      return std::make_unique<HybridScreener>(std::move(pipeline), context);
+      return std::make_unique<HybridScreener>(context);
     case Variant::kLegacy:
       return std::make_unique<LegacyScreener>(context);
   }

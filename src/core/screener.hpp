@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -9,7 +8,6 @@
 #include <string_view>
 
 #include "core/config.hpp"
-#include "core/grid_pipeline.hpp"
 #include "core/report.hpp"
 #include "orbit/elements.hpp"
 #include "propagation/propagator.hpp"
@@ -78,15 +76,6 @@ class ScreenerBase : public Screener {
   /// context must outlive the screener.
   explicit ScreenerBase(ScreeningContext* context) : context_(context) {}
 
-  using ContextBody =
-      std::function<ScreeningReport(ScreeningContext&, const ScreeningConfig&)>;
-
-  /// The common preamble of every screen: validates `config`, leases the
-  /// bound-or-ephemeral context, holds ScreeningContext::Use for the call
-  /// and hands `body` the context and the config with its pool bound.
-  ScreeningReport with_context(const ScreeningConfig& config,
-                               const ContextBody& body) const;
-
  private:
   virtual ScreeningReport run(const Propagator& propagator,
                               const ScreeningConfig& config,
@@ -99,10 +88,7 @@ class ScreenerBase : public Screener {
 /// screener borrows its scratch from the context's arena (warm repeat
 /// screens, bit-identical reports); without one each screen() call
 /// allocates and frees as before. The context must outlive the screener.
-/// `pipeline` configures the grid front-end of grid and hybrid; legacy
-/// ignores it.
 std::unique_ptr<Screener> make_screener(Variant variant,
-                                        ScreeningContext* context = nullptr,
-                                        GridPipelineOptions pipeline = {});
+                                        ScreeningContext* context = nullptr);
 
 }  // namespace scod

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <vector>
 
+#include "core/grid_pipeline.hpp"
 #include "filters/coplanarity.hpp"
 #include "orbit/anomaly.hpp"
 #include "orbit/elements.hpp"
@@ -15,6 +17,25 @@
 #include "util/rng.hpp"
 
 namespace scod::testutil {
+
+/// Runs the grid front-end and returns every round's candidates sorted by
+/// (pair, step); the pipeline's counters go to `result`.
+inline std::vector<Candidate> pipeline_candidates(const Propagator& propagator,
+                                                  const ScreeningConfig& config,
+                                                  const ConjunctionCountModel& model,
+                                                  ScreeningContext& context,
+                                                  GridPipelineResult& result) {
+  std::vector<Candidate> all;
+  result = run_grid_pipeline(
+      propagator, config, model, {}, context,
+      [&](std::size_t, std::vector<Candidate>&& round, const GridPipelineResult&) {
+        all.insert(all.end(), round.begin(), round.end());
+      });
+  std::sort(all.begin(), all.end(), [](const Candidate& x, const Candidate& y) {
+    return std::tie(x.sat_a, x.sat_b, x.step) < std::tie(y.sat_a, y.sat_b, y.step);
+  });
+  return all;
+}
 
 /// Forwards every call to another propagator. Not being a
 /// TwoBodyPropagator itself, it hides the devirtualized refinement (and

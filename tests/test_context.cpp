@@ -121,39 +121,25 @@ TEST(Context, WarmScreensActuallyReuseTheArena) {
   EXPECT_GT(context.arena().stats().grid_rebuilds, after_second.grid_rebuilds);
 }
 
-TEST(Context, StreamingWarmMatchesStreamingCold) {
+TEST(Context, MultiRoundWarmMatchesCold) {
+  // A multi-round screen recycles the candidate set between rounds and
+  // refines in between; a warm context must still reproduce a cold screen.
   const auto sats = generate_population({150, 13});
   ScreeningConfig cfg = make_config();
   cfg.memory_budget = 2 << 20;  // force several rounds
 
-  const ContourKeplerSolver solver;
-  const TwoBodyPropagator propagator(sats, solver);
+  for (const Variant variant : {Variant::kGrid, Variant::kHybrid}) {
+    const std::string label = variant_name(variant);
+    const ScreeningReport cold = make_screener(variant)->screen(sats, cfg);
+    EXPECT_GT(cold.stats.rounds, 1u) << label;
 
-  const auto collect = [&](const GridScreener& screener) {
-    std::vector<Conjunction> streamed;
-    screener.screen_streaming(
-        propagator, cfg, [&](std::size_t, std::span<const Conjunction> batch) {
-          streamed.insert(streamed.end(), batch.begin(), batch.end());
-        });
-    return streamed;
-  };
-
-  const GridScreener cold_screener;
-  const std::vector<Conjunction> cold = collect(cold_screener);
-
-  ScreeningContext context;
-  const GridScreener warm_screener({}, &context);
-  collect(warm_screener);  // prime the arena
-  const std::vector<Conjunction> warm = collect(warm_screener);
-
-  ASSERT_EQ(warm.size(), cold.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(warm[i].sat_a, cold[i].sat_a);
-    EXPECT_EQ(warm[i].sat_b, cold[i].sat_b);
-    EXPECT_EQ(warm[i].tca, cold[i].tca);
-    EXPECT_EQ(warm[i].pca, cold[i].pca);
+    ScreeningContext context;
+    const auto warm_screener = make_screener(variant, &context);
+    warm_screener->screen(sats, cfg);  // prime the arena
+    const ScreeningReport warm = warm_screener->screen(sats, cfg);
+    expect_bit_identical(cold, warm, label);
+    EXPECT_GT(context.arena().stats().grid_reuses, 0u) << label;
   }
-  EXPECT_GT(context.arena().stats().grid_reuses, 0u);
 }
 
 TEST(Context, ArenaShrinksGrosslyOversizedBuffers) {

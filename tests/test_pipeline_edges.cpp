@@ -14,6 +14,7 @@
 #include "core/grid_pipeline.hpp"
 #include "core/screen.hpp"
 #include "filters/dense_scan.hpp"
+#include "model/sizing.hpp"
 #include "orbit/geometry.hpp"
 #include "population/generator.hpp"
 #include "propagation/contour_solver.hpp"
@@ -25,6 +26,9 @@
 
 namespace scod {
 namespace {
+
+/// A round sink for the calls that only check what the pipeline throws.
+void discard_round(std::size_t, std::vector<Candidate>&&, const GridPipelineResult&) {}
 
 std::vector<Satellite> small_shell(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -166,7 +170,7 @@ TEST(PipelineEdges, RejectsMoreSatellitesThanCandidateKeysHold) {
   cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
   ScreeningContext context;
   EXPECT_THROW(run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(),
-                                 {}, context),
+                                 {}, context, discard_round),
                std::invalid_argument);
   EXPECT_EQ(context.arena().stats().grid_rebuilds, 0u);
   EXPECT_EQ(context.arena().memory_bytes(), 0u);
@@ -190,7 +194,7 @@ TEST(PipelineEdges, RejectsMoreSampleStepsThanCandidateKeysHold) {
     ScreeningContext context;
     try {
       run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(), {},
-                        context);
+                        context, discard_round);
       ADD_FAILURE() << "expected std::invalid_argument for t_end " << t_end;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("2^24"), std::string::npos) << e.what();
@@ -208,7 +212,7 @@ TEST(PipelineEdges, RequiresAPositiveSamplePeriod) {
   ScreeningConfig cfg;
   ScreeningContext context;
   EXPECT_THROW(run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(),
-                                 {}, context),
+                                 {}, context, discard_round),
                std::invalid_argument);
   EXPECT_EQ(with_sample_period(cfg, 16.0).seconds_per_sample, 16.0);
   cfg.seconds_per_sample = 8.0;
@@ -231,8 +235,9 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
   cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 
   ScreeningContext context;
-  const GridPipelineResult result = run_grid_pipeline(
-      propagator, cfg, ConjunctionCountModel::paper_grid(), {}, context);
+  GridPipelineResult result;
+  const std::vector<Candidate> candidates = testutil::pipeline_candidates(
+      propagator, cfg, ConjunctionCountModel::paper_grid(), context, result);
 
   const std::size_t n = cloud.size();
   const CellIndexer indexer(result.cell_size);
@@ -272,11 +277,11 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
   EXPECT_GT(prefiltered, 0u);
 
   std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> found;
-  for (const Candidate& c : result.candidates) {
+  for (const Candidate& c : candidates) {
     EXPECT_TRUE(found.insert({c.sat_a, c.sat_b, c.step}).second)
         << "duplicate candidate " << c.sat_a << "-" << c.sat_b << " @ " << c.step;
   }
-  EXPECT_EQ(found.size(), result.candidates.size());
+  EXPECT_EQ(found.size(), candidates.size());
   EXPECT_EQ(found, expected);
 }
 
@@ -330,29 +335,92 @@ TEST(PipelineEdges, HybridHalfStencilMatchesFull) {
   EXPECT_GE(must_find, 3u);
 }
 
-TEST(PipelineEdges, StreamingWithSingleRoundStillWorks) {
-  // Degenerate streaming: everything fits into one round; the sink gets
-  // exactly one callback carrying all conjunctions.
+TEST(PipelineEdges, RoundSinkReceivesEachRoundInOrder) {
+  // The sink contract: one call per round, in round order, each carrying
+  // only candidates of its own round's steps, and the per-round counts add
+  // up to the pipeline's total. Checked on one round and on many.
   const auto sats = small_shell(40, 5);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(sats, solver);
   ScreeningConfig cfg;
   cfg.threshold_km = 5.0;
   cfg.t_end = 3000.0;
+  cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 
+  for (const std::uint64_t budget : {ScreeningConfig{}.memory_budget,
+                                     std::uint64_t{2} << 20}) {
+    cfg.memory_budget = budget;
+    ScreeningContext context;
+    std::vector<std::size_t> rounds_seen;
+    std::size_t streamed = 0;
+    const GridPipelineResult result = run_grid_pipeline(
+        propagator, cfg, ConjunctionCountModel::paper_grid(), {}, context,
+        [&](std::size_t round, std::vector<Candidate>&& candidates,
+            const GridPipelineResult& pipeline) {
+          rounds_seen.push_back(round);
+          streamed += candidates.size();
+          const std::size_t p = pipeline.plan.parallel_samples;
+          for (const Candidate& c : candidates) {
+            EXPECT_GE(c.step, round * p) << "round " << round;
+            EXPECT_LT(c.step, std::min((round + 1) * p, pipeline.plan.total_samples))
+                << "round " << round;
+          }
+        });
+    ASSERT_EQ(rounds_seen.size(), result.plan.rounds) << budget;
+    for (std::size_t r = 0; r < rounds_seen.size(); ++r) {
+      EXPECT_EQ(rounds_seen[r], r) << budget;
+    }
+    EXPECT_EQ(streamed, result.total_candidates) << budget;
+    EXPECT_GT(streamed, 0u) << budget;
+    if (budget == ScreeningConfig{}.memory_budget) {
+      EXPECT_EQ(result.plan.rounds, 1u);
+    } else {
+      EXPECT_GT(result.plan.rounds, 1u);
+    }
+  }
+}
+
+TEST(PipelineEdges, CandidateSetHoldsOneRoundAtATime) {
+  // A debris cloud screened in rounds of 4 steps: the floor capacity
+  // covers any one round's distinct candidates but not the whole span's.
+  // The set is drained and cleared between rounds, so it never grows.
+  const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
+  const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
   const ContourKeplerSolver solver;
-  const TwoBodyPropagator prop(sats, solver);
-  const GridScreener screener;
-  const auto batch = screener.screen(prop, cfg);
+  const TwoBodyPropagator propagator(cloud, solver);
+  ScreeningConfig cfg;
+  cfg.threshold_km = 2.0;
+  cfg.t_end = 600.0;
+  cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 
-  std::size_t callbacks = 0;
+  ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
+  tiny.coefficient = 1e-20;  // the 20 000-candidate floor
+  SizingRequest request;
+  request.satellites = cloud.size();
+  request.span_seconds = cfg.span_seconds();
+  request.seconds_per_sample = cfg.seconds_per_sample;
+  request.candidate_capacity = candidate_capacity_from_model(
+      tiny, static_cast<double>(cloud.size()), cfg.seconds_per_sample,
+      cfg.span_seconds(), cfg.threshold_km);
+  const SizingPlan plan = plan_samples(request);
+  constexpr std::size_t kStepsPerRound = 4;
+  cfg.memory_budget = plan.fixed_bytes + kStepsPerRound * plan.per_grid_bytes;
+  // A round holds at most one candidate per pair and step.
+  const std::size_t pairs = cloud.size() * (cloud.size() - 1) / 2;
+  ASSERT_LT(kStepsPerRound * pairs, request.candidate_capacity);
+
+  ScreeningContext context;
   std::size_t streamed = 0;
-  const auto report = screener.screen_streaming(
-      prop, cfg, [&](std::size_t, std::span<const Conjunction> out) {
-        ++callbacks;
-        streamed += out.size();
+  const GridPipelineResult result = run_grid_pipeline(
+      propagator, cfg, tiny, {}, context,
+      [&](std::size_t, std::vector<Candidate>&& candidates, const GridPipelineResult&) {
+        streamed += candidates.size();
       });
-  EXPECT_EQ(report.stats.rounds, 1u);
-  EXPECT_EQ(callbacks, 1u);
-  EXPECT_EQ(streamed, batch.conjunctions.size());
+  ASSERT_EQ(result.plan.parallel_samples, kStepsPerRound);
+  EXPECT_GE(result.plan.rounds, 3u);
+  EXPECT_GT(result.total_candidates, request.candidate_capacity);
+  EXPECT_EQ(result.candidate_set_growths, 0u);
+  EXPECT_EQ(streamed, result.total_candidates);
 }
 
 }  // namespace

@@ -166,8 +166,9 @@ TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
     ScreeningConfig cfg = config(2.0, 600.0, 4.0);
     cfg.pool = &pool;
     ScreeningContext context;
-    const GridPipelineResult result =
-        run_grid_pipeline(propagator, cfg, tiny, {}, context);
+    const GridPipelineResult result = run_grid_pipeline(
+        propagator, cfg, tiny, {}, context,
+        [](std::size_t, std::vector<Candidate>&&, const GridPipelineResult&) {});
     ASSERT_GT(result.candidate_set_growths, 0u) << threads;
 
     const obs::TelemetrySnapshot snap = obs::snapshot();
