@@ -69,8 +69,12 @@ class ScratchArena {
   /// slots flagged valid are ever read).
   std::vector<Conjunction>& conjunction_slots(std::size_t n);
 
-  /// Refinement validity flags, resized to n and zero-filled.
+  /// Refinement outcome flags, resized to n and zero-filled. A slot's
+  /// flags hold kSearched when its Brent search ran and kSlotValid when
+  /// its conjunction slot was written.
   std::vector<std::uint8_t>& valid_flags(std::size_t n);
+  static constexpr std::uint8_t kSearched = 1;
+  static constexpr std::uint8_t kSlotValid = 2;
 
   /// Approximate bytes currently held across all cached buffers.
   std::size_t memory_bytes() const;

@@ -501,7 +501,6 @@ void fill_pipeline_stats(ScreeningReport& report, std::size_t satellites,
   report.stats.seconds_per_sample = pipeline.sample_period;
   report.stats.cell_size_km = pipeline.cell_size;
   report.stats.candidates = pipeline.total_candidates;
-  report.stats.refinements = pipeline.total_candidates;
   report.stats.candidate_set_growths = pipeline.candidate_set_growths;
   report.stats.grid_memory_bytes = pipeline.grid_memory_bytes;
   report.stats.candidate_memory_bytes = pipeline.candidate_memory_bytes;

@@ -118,8 +118,8 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const GridRoundSink& sink);
 
 /// Fills the report's allocation/INS/CD timings and the grid front-end's
-/// stats (sampling plan, cell size, candidates, memory) from `pipeline`;
-/// refinements is set to one per candidate, as the grid variant runs them.
+/// stats (sampling plan, cell size, candidates, memory) from `pipeline`.
+/// The variant sets refinements to the Brent searches it ran.
 void fill_pipeline_stats(ScreeningReport& report, std::size_t satellites,
                          const GridPipelineResult& pipeline);
 

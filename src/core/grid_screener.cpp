@@ -16,34 +16,38 @@ namespace {
 /// Step 4 for one round's candidates: Brent refinement, one logical thread
 /// per candidate (kernel-style fixed output slots keep the phase
 /// lock-free). Appends the raw (unmerged) sub-threshold conjunctions to
-/// `raw`.
-void refine_candidates(const Propagator& propagator, const ScreeningConfig& config,
-                       const GridPipelineResult& pipeline,
-                       const std::vector<Candidate>& candidates, ScratchArena& arena,
-                       std::vector<Conjunction>& raw) {
+/// `raw` and returns the number of Brent searches run.
+std::size_t refine_candidates(const Propagator& propagator, const ScreeningConfig& config,
+                              const GridPipelineResult& pipeline,
+                              const std::vector<Candidate>& candidates,
+                              ScratchArena& arena, std::vector<Conjunction>& raw) {
   std::vector<Conjunction>& slots = arena.conjunction_slots(candidates.size());
-  std::vector<std::uint8_t>& valid = arena.valid_flags(candidates.size());
+  std::vector<std::uint8_t>& flags = arena.valid_flags(candidates.size());
 
   const RefineFastPath fast = RefineFastPath::probe(propagator);
   detail::execute(config, candidates.size(), [&](std::size_t i) {
     const Candidate& c = candidates[i];
     const double t_s = pipeline.sample_time(c.step, config.t_begin, config.t_end);
-    const std::optional<Encounter> encounter =
-        fast.visit(c.sat_a, c.sat_b, [&](const auto& eval) {
-          return refine_grid_candidate(eval, t_s, pipeline.cell_size, config.t_begin,
-                                       config.t_end);
-        });
-    if (encounter.has_value() && encounter->pca <= config.threshold_km) {
-      slots[i] = {c.sat_a, c.sat_b, encounter->tca, encounter->pca};
-      valid[i] = 1;
+    const Refinement refined = fast.visit(c.sat_a, c.sat_b, [&](const auto& eval) {
+      return refine_grid_candidate(eval, t_s, pipeline.cell_size, config.threshold_km,
+                                   config.t_begin, config.t_end);
+    });
+    if (!refined.searched) return;
+    flags[i] = ScratchArena::kSearched;
+    if (refined.encounter.has_value() && refined.encounter->pca <= config.threshold_km) {
+      slots[i] = {c.sat_a, c.sat_b, refined.encounter->tca, refined.encounter->pca};
+      flags[i] |= ScratchArena::kSlotValid;
     }
   });
 
   const std::size_t before = raw.size();
+  std::size_t searches = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (valid[i]) raw.push_back(slots[i]);
+    if (flags[i] & ScratchArena::kSearched) ++searches;
+    if (flags[i] & ScratchArena::kSlotValid) raw.push_back(slots[i]);
   }
   obs::count(obs::Counter::kConjunctionsRaw, raw.size() - before);
+  return searches;
 }
 
 }  // namespace
@@ -60,10 +64,12 @@ ScreeningReport GridScreener::run(const Propagator& propagator,
   // collapses into one conjunction.
   std::vector<Conjunction> raw;
   double refine_seconds = 0.0;
+  std::size_t searches = 0;
   const GridRoundSink refine_round = [&](std::size_t, std::vector<Candidate>&& candidates,
                                          const GridPipelineResult& pipeline) {
     Stopwatch watch;
-    refine_candidates(propagator, config, pipeline, candidates, context.arena(), raw);
+    searches +=
+        refine_candidates(propagator, config, pipeline, candidates, context.arena(), raw);
     refine_seconds += watch.seconds();
   };
   const GridPipelineResult pipeline = run_grid_pipeline(
@@ -77,6 +83,7 @@ ScreeningReport GridScreener::run(const Propagator& propagator,
   obs::add_seconds(obs::Counter::kTimeRefinementNs, report.timings.refinement);
   obs::count(obs::Counter::kConjunctionsReported, report.conjunctions.size());
   fill_pipeline_stats(report, propagator.size(), pipeline);
+  report.stats.refinements = searches;
   return report;
 }
 

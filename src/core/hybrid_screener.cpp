@@ -138,30 +138,36 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
   // ---- Step 4: Brent refinement -----------------------------------------
   Stopwatch refine_watch;
   std::vector<Conjunction>& slots = context.arena().conjunction_slots(tasks.size());
-  std::vector<std::uint8_t>& valid = context.arena().valid_flags(tasks.size());
+  std::vector<std::uint8_t>& flags = context.arena().valid_flags(tasks.size());
 
   const RefineFastPath fast = RefineFastPath::probe(propagator);
   detail::execute(config, tasks.size(), [&](std::size_t i) {
     const RefineTask& task = tasks[i];
-    const std::optional<Encounter> encounter =
+    const Refinement refined =
         fast.visit(task.sat_a, task.sat_b, [&](const auto& eval) {
           return task.grid_style
                      ? refine_grid_candidate(eval, task.center, pipeline.cell_size,
-                                             config.t_begin, config.t_end)
-                     : refine_on_interval_fn(
-                           [&eval](double t) { return eval.distance(t); },
-                           task.t_lo, task.t_hi);
+                                             config.threshold_km, config.t_begin,
+                                             config.t_end)
+                     : Refinement{true, refine_on_interval_fn(
+                                            [&eval](double t) { return eval.distance(t); },
+                                            task.t_lo, task.t_hi)};
         });
+    if (!refined.searched) return;
+    flags[i] = ScratchArena::kSearched;
+    const std::optional<Encounter>& encounter = refined.encounter;
     if (encounter.has_value() && encounter->pca <= config.threshold_km &&
         encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
       slots[i] = {task.sat_a, task.sat_b, encounter->tca, encounter->pca};
-      valid[i] = 1;
+      flags[i] |= ScratchArena::kSlotValid;
     }
   });
 
   std::vector<Conjunction> raw;
+  std::size_t searches = 0;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (valid[i]) raw.push_back(slots[i]);
+    if (flags[i] & ScratchArena::kSearched) ++searches;
+    if (flags[i] & ScratchArena::kSlotValid) raw.push_back(slots[i]);
   }
   obs::count(obs::Counter::kConjunctionsRaw, raw.size());
   report.conjunctions =
@@ -172,7 +178,7 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
   obs::add_seconds(obs::Counter::kTimeFilteringNs, report.timings.filtering);
   obs::add_seconds(obs::Counter::kTimeRefinementNs, report.timings.refinement);
   obs::count(obs::Counter::kConjunctionsReported, report.conjunctions.size());
-  report.stats.refinements = tasks.size();
+  report.stats.refinements = searches;
   return report;
 }
 

@@ -32,6 +32,7 @@ const char* counter_name(Counter c) {
     case Counter::kFilterCoplanarPairs: return "filter_coplanar_pairs";
     case Counter::kFilterSurvivors: return "filter_survivors";
     case Counter::kRefinements: return "refinements";
+    case Counter::kRefinementsSkipped: return "refinements_skipped";
     case Counter::kBrentIterations: return "brent_iterations";
     case Counter::kWindowClamps: return "window_clamps";
     case Counter::kEdgeDiscards: return "edge_discards";

@@ -58,6 +58,7 @@ enum class Counter : std::uint32_t {
   kFilterSurvivors,
   // Refinement.
   kRefinements,
+  kRefinementsSkipped,
   kBrentIterations,
   kWindowClamps,
   kEdgeDiscards,

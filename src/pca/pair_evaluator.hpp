@@ -32,12 +32,19 @@ class PairStateEvaluator {
         .distance(detail::cache_position(cache_b_, *solver_, time));
   }
 
-  /// Orbital speeds [km/s], for the cell-crossing search radius.
-  double speed_a(double time) const {
-    return detail::cache_state(cache_a_, *solver_, time).velocity.norm();
+  /// Both satellites' states, for the cell-crossing search radius and
+  /// the reach bound of grid-style refinement.
+  StateVector state_a(double time) const {
+    return detail::cache_state(cache_a_, *solver_, time);
   }
-  double speed_b(double time) const {
-    return detail::cache_state(cache_b_, *solver_, time).velocity.norm();
+  StateVector state_b(double time) const {
+    return detail::cache_state(cache_b_, *solver_, time);
+  }
+
+  /// Upper bound [km/s^2] on the pair's relative acceleration.
+  double max_acceleration() const {
+    return detail::cache_max_acceleration(cache_a_) +
+           detail::cache_max_acceleration(cache_b_);
   }
 
  private:
@@ -47,7 +54,8 @@ class PairStateEvaluator {
 };
 
 /// Virtual-dispatch counterpart of PairStateEvaluator, with the same
-/// distance / speed_a / speed_b surface, for any other propagator.
+/// distance / state_a / state_b / max_acceleration surface, for any other
+/// propagator.
 class PropagatorPairEvaluator {
  public:
   PropagatorPairEvaluator(const Propagator& propagator, std::uint32_t sat_a,
@@ -57,11 +65,10 @@ class PropagatorPairEvaluator {
   double distance(double time) const {
     return propagator_->distance(sat_a_, sat_b_, time);
   }
-  double speed_a(double time) const {
-    return propagator_->state(sat_a_, time).velocity.norm();
-  }
-  double speed_b(double time) const {
-    return propagator_->state(sat_b_, time).velocity.norm();
+  StateVector state_a(double time) const { return propagator_->state(sat_a_, time); }
+  StateVector state_b(double time) const { return propagator_->state(sat_b_, time); }
+  double max_acceleration() const {
+    return propagator_->max_acceleration(sat_a_) + propagator_->max_acceleration(sat_b_);
   }
 
  private:

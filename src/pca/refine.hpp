@@ -27,9 +27,34 @@ inline constexpr int kRefineMaxIterations = 80;
 /// boundary, as a fraction of the interval radius.
 inline constexpr double kEdgeProbeFraction = 0.05;
 
+/// Slack [km] the reach bound keeps below the threshold before it skips a
+/// search. It covers the Kepler solver's and the bound's own rounding,
+/// which are orders of magnitude smaller.
+inline constexpr double kReachBoundMarginKm = 1e-3;
+
+/// Outcome of one candidate's refinement.
+struct Refinement {
+  bool searched = false;  ///< false when the reach bound skipped the search
+  std::optional<Encounter> encounter;
+};
+
 /// Radius of the search interval for a grid candidate: "t is the time it
 /// takes the slower of both satellites to cross two cells" (Section IV-C).
 double grid_search_radius(double cell_size, double slower_speed_km_s);
+
+/// How far beyond an interval edge of `radius` the boundary rule probes.
+inline double edge_probe_distance(double radius) {
+  return std::max(kEdgeProbeFraction * radius, 4.0 * kRefineTimeTolerance);
+}
+
+/// Lower bound [km] on |r(tau)| for tau in [tau_lo, tau_hi], a range that
+/// contains 0, when r(0) = r0, r'(0) = v0 and |r''| <= max_accel:
+/// r(tau) deviates from r0 + v0 tau by at most max_accel tau^2 / 2, so
+/// |r(tau)| >= min |r0 + v0 tau| - max_accel tau_max^2 / 2. The minimum of
+/// the straight line has a closed form. An infinite max_accel gives
+/// -infinity, a bound that proves nothing.
+double reach_lower_bound(const Vec3& r0, const Vec3& v0, double max_accel,
+                         double tau_lo, double tau_hi);
 
 /// Functor-based core of refine_on_interval: `distance(t)` is the pairwise
 /// distance objective. Exposed as a template so the screeners can pass a
@@ -51,8 +76,7 @@ std::optional<Encounter> refine_on_interval_fn(DistanceFn&& distance, double t_l
   // local minimum lies outside this interval — discard; the neighbouring
   // interval's search will find it. Otherwise the edge really is the
   // (clamped) minimum.
-  const double radius = 0.5 * (t_hi - t_lo);
-  const double probe = std::max(kEdgeProbeFraction * radius, 4.0 * kRefineTimeTolerance);
+  const double probe = edge_probe_distance(0.5 * (t_hi - t_lo));
   const double edge_tol = 2.0 * kRefineTimeTolerance;
 
   if (min.x - t_lo <= edge_tol) {
@@ -88,7 +112,7 @@ std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double cente
   obs::count(obs::Counter::kBrentIterations,
              static_cast<std::uint64_t>(min.iterations));
 
-  const double probe = std::max(kEdgeProbeFraction * radius, 4.0 * kRefineTimeTolerance);
+  const double probe = edge_probe_distance(radius);
   const double edge_tol = 2.0 * kRefineTimeTolerance;
 
   // At the simulation-span boundary the minimum cannot be discarded — there
@@ -112,15 +136,36 @@ std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double cente
 /// "t is the time it takes the slower of both satellites to cross two
 /// cells, which we can calculate simply by using the velocity vector at
 /// that time step" (Section IV-C). `eval` is a pair evaluator
-/// (distance / speed_a / speed_b, see pca/pair_evaluator.hpp).
+/// (distance / state_a / state_b / max_acceleration, see
+/// pca/pair_evaluator.hpp).
+///
+/// The same two states bound how close the pair can come. Every time the
+/// search evaluates lies within one edge probe of the clamped interval;
+/// when reach_lower_bound over that range exceeds `threshold_km` (plus
+/// kReachBoundMarginKm), no evaluation can fall to the threshold, so
+/// whatever the search returned would be rejected by the caller's
+/// `pca <= threshold_km` test. The search is skipped and the result is
+/// {searched = false}.
 template <typename PairEvaluator>
-std::optional<Encounter> refine_grid_candidate(const PairEvaluator& eval,
-                                               double t_sample, double cell_size,
-                                               double t_min, double t_max) {
-  const double radius = grid_search_radius(
-      cell_size, std::min(eval.speed_a(t_sample), eval.speed_b(t_sample)));
-  return refine_candidate_fn([&eval](double t) { return eval.distance(t); },
-                             t_sample, radius, t_min, t_max);
+Refinement refine_grid_candidate(const PairEvaluator& eval, double t_sample,
+                                 double cell_size, double threshold_km, double t_min,
+                                 double t_max) {
+  const StateVector a = eval.state_a(t_sample);
+  const StateVector b = eval.state_b(t_sample);
+  const double radius =
+      grid_search_radius(cell_size, std::min(a.velocity.norm(), b.velocity.norm()));
+
+  const double probe = edge_probe_distance(radius);
+  const double tau_lo = std::max(t_sample - radius, t_min) - probe - t_sample;
+  const double tau_hi = std::min(t_sample + radius, t_max) + probe - t_sample;
+  const double reach = reach_lower_bound(b.position - a.position, b.velocity - a.velocity,
+                                         eval.max_acceleration(), tau_lo, tau_hi);
+  if (reach > threshold_km + kReachBoundMarginKm) {
+    obs::count(obs::Counter::kRefinementsSkipped);
+    return {};
+  }
+  return {true, refine_candidate_fn([&eval](double t) { return eval.distance(t); },
+                                    t_sample, radius, t_min, t_max)};
 }
 
 /// Minimizes the pairwise distance of (sat_a, sat_b) on

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 
 #include "orbit/elements.hpp"
 #include "orbit/state.hpp"
@@ -29,6 +30,15 @@ class Propagator {
 
   /// Epoch elements of satellite `index`.
   virtual const KeplerElements& elements(std::size_t index) const = 0;
+
+  /// Upper bound [km/s^2] on the magnitude of satellite `index`'s
+  /// acceleration at any time. Grid-style refinement skips a Brent search
+  /// when this bound proves the pair cannot come within the threshold.
+  /// The default, +infinity, proves nothing, so such a propagator's
+  /// candidates are always searched.
+  virtual double max_acceleration(std::size_t /*index*/) const {
+    return std::numeric_limits<double>::infinity();
+  }
 
   /// Distance between two satellites at `time` [km]; the objective function
   /// the Brent search minimizes.

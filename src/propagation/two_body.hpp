@@ -8,6 +8,7 @@
 #include "propagation/fast_trig.hpp"
 #include "propagation/kepler_solver.hpp"
 #include "propagation/propagator.hpp"
+#include "util/constants.hpp"
 
 namespace scod {
 
@@ -80,6 +81,13 @@ inline StateVector cache_state(const TwoBodyCache& c, const Solver& solver, doub
   return {c.rotation * Vec3{x, y, 0.0}, c.rotation * vel_pf};
 }
 
+/// Largest two-body acceleration [km/s^2] along the orbit: mu / r^2 peaks
+/// at perigee, r_p = a (1 - e).
+inline double cache_max_acceleration(const TwoBodyCache& c) {
+  const double perigee = c.semi_major * (1.0 - c.eccentricity);
+  return kMuEarth / (perigee * perigee);
+}
+
 }  // namespace detail
 
 /// Unperturbed Keplerian (two-body) propagation, the paper's propagation
@@ -97,6 +105,9 @@ class TwoBodyPropagator final : public Propagator {
   Vec3 position(std::size_t index, double time) const override;
   StateVector state(std::size_t index, double time) const override;
   const KeplerElements& elements(std::size_t index) const override;
+  double max_acceleration(std::size_t index) const override {
+    return detail::cache_max_acceleration(cache_[index]);
+  }
 
   /// Batched positions: out[i - begin] = position(i, time) for every i in
   /// [begin, end), bit-identical to the per-call path. Runs blocked over

@@ -195,6 +195,14 @@ void check_counter_invariants(const std::string& name, Variant variant,
     expect(v(C::kCandidatesEmitted) == report.stats.candidates,
            "emitted == stats.candidates", v(C::kCandidatesEmitted),
            report.stats.candidates);
+    if (variant == Variant::kGrid) {
+      // Each candidate is either searched or skipped by the reach bound.
+      const std::uint64_t refined =
+          v(C::kRefinements) + v(C::kRefinementsSkipped);
+      expect(refined == v(C::kCandidatesEmitted),
+             "refinements + refinements_skipped == candidates_emitted", refined,
+             v(C::kCandidatesEmitted));
+    }
     expect(v(C::kCellsOccupied) <= v(C::kCellsScanned),
            "occupied <= scanned", v(C::kCellsOccupied), v(C::kCellsScanned));
     const std::uint64_t samples = static_cast<std::uint64_t>(

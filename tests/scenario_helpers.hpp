@@ -54,6 +54,9 @@ class ForwardingPropagator final : public Propagator {
   const KeplerElements& elements(std::size_t index) const override {
     return inner_.elements(index);
   }
+  double max_acceleration(std::size_t index) const override {
+    return inner_.max_acceleration(index);
+  }
 
  private:
   const Propagator& inner_;

@@ -1,13 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <vector>
 
+#include "core/context.hpp"
+#include "core/screen.hpp"
+#include "obs/telemetry.hpp"
 #include "pca/brent.hpp"
+#include "pca/pair_evaluator.hpp"
 #include "pca/refine.hpp"
+#include "propagation/contour_solver.hpp"
+#include "propagation/j2_secular.hpp"
 #include "propagation/kepler_solver.hpp"
 #include "propagation/two_body.hpp"
+#include "scenario_helpers.hpp"
 #include "util/constants.hpp"
+#include "util/rng.hpp"
 
 namespace scod {
 namespace {
@@ -164,6 +175,274 @@ TEST_F(RefineFixture, RefineOnIntervalAgrees) {
   // Degenerate interval.
   EXPECT_FALSE(refine_on_interval(*prop_, 0, 1, 10.0, 10.0).has_value());
   EXPECT_FALSE(refine_on_interval(*prop_, 0, 1, 10.0, 5.0).has_value());
+}
+
+TEST(ReachBound, TwoBodyMaxAccelerationIsMuOverPerigeeSquared) {
+  const std::vector<Satellite> sats{{0, {7000.0, 0.0, 0.3, 0.0, 0.0, 0.0}},
+                                    {1, {9000.0, 0.25, 1.1, 0.4, 2.0, 1.0}},
+                                    {2, {26560.0, 0.7, 1.1, 0.4, 4.7, 3.0}}};
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator prop(sats, solver);
+  for (std::size_t i = 0; i < sats.size(); ++i) {
+    const KeplerElements& el = sats[i].elements;
+    const double perigee = el.semi_major_axis * (1.0 - el.eccentricity);
+    EXPECT_DOUBLE_EQ(prop.max_acceleration(i), kMuEarth / (perigee * perigee));
+    // mu / r^2 never exceeds it along the orbit.
+    for (double t = 0.0; t < 20000.0; t += 37.0) {
+      const double r = prop.position(i, t).norm();
+      EXPECT_LE(kMuEarth / (r * r), prop.max_acceleration(i) * (1.0 + 1e-12));
+    }
+  }
+  // A propagator that does not override it proves nothing.
+  const J2SecularPropagator j2(sats, solver);
+  EXPECT_EQ(j2.max_acceleration(0), std::numeric_limits<double>::infinity());
+}
+
+TEST(ReachBound, LineMinimumIsClosedForm) {
+  // Closest point of the line inside the range, then clamped to an edge.
+  EXPECT_DOUBLE_EQ(reach_lower_bound({3.0, -4.0, 0.0}, {0.0, 1.0, 0.0}, 0.0, -10.0, 10.0),
+                   3.0);
+  EXPECT_DOUBLE_EQ(reach_lower_bound({3.0, -4.0, 0.0}, {0.0, 1.0, 0.0}, 0.0, -1.0, 2.0),
+                   std::hypot(3.0, 2.0));
+  // The acceleration term uses the longer side of the range.
+  EXPECT_DOUBLE_EQ(reach_lower_bound({5.0, 0.0, 0.0}, {}, 0.02, -10.0, 4.0), 4.0);
+  EXPECT_EQ(reach_lower_bound({5.0, 0.0, 0.0}, {}, std::numeric_limits<double>::infinity(),
+                              -1.0, 1.0),
+            -std::numeric_limits<double>::infinity());
+}
+
+/// One grid candidate of a soundness case: the pair, the sample time and
+/// the settings refine_grid_candidate sees.
+struct ReachCase {
+  std::vector<Satellite> sats;
+  double t_sample = 0.0;
+  double cell_size = 0.0;
+  double threshold = 0.0;
+  double t_min = 0.0;
+  double t_max = 0.0;
+};
+
+/// Refines `c` through the screeners' path, and through the virtual one;
+/// both must agree on whether the search ran and on what it found.
+Refinement refine_case(const ReachCase& c) {
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator direct(c.sats, solver);
+  const testutil::ForwardingPropagator forwarded(direct);
+  const auto refine = [&](const Propagator& p) {
+    return RefineFastPath::probe(p).visit(0, 1, [&](const auto& eval) {
+      return refine_grid_candidate(eval, c.t_sample, c.cell_size, c.threshold, c.t_min,
+                                   c.t_max);
+    });
+  };
+  const Refinement fast = refine(direct);
+  const Refinement slow = refine(forwarded);
+  EXPECT_EQ(fast.searched, slow.searched);
+  EXPECT_EQ(fast.encounter.has_value(), slow.encounter.has_value());
+  if (fast.encounter && slow.encounter) {
+    EXPECT_EQ(fast.encounter->tca, slow.encounter->tca);
+    EXPECT_EQ(fast.encounter->pca, slow.encounter->pca);
+  }
+  return fast;
+}
+
+/// What the search of `c` can see: the minimum distance over every time
+/// it can evaluate (the clamped interval widened by the edge probes),
+/// scanned at 0.01 s plus the range's ends, and the reach bound over the
+/// same range.
+struct WindowScan {
+  double min_distance = 0.0;
+  double bound = 0.0;
+};
+
+WindowScan scan_search_window(const ReachCase& c) {
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator prop(c.sats, solver);
+  const StateVector a = prop.state(0, c.t_sample);
+  const StateVector b = prop.state(1, c.t_sample);
+  const double radius =
+      grid_search_radius(c.cell_size, std::min(a.velocity.norm(), b.velocity.norm()));
+  const double probe = edge_probe_distance(radius);
+  const double t_lo = std::max(c.t_sample - radius, c.t_min) - probe;
+  const double t_hi = std::min(c.t_sample + radius, c.t_max) + probe;
+  const double lo = std::max(t_lo, c.t_min);
+  const double hi = std::min(t_hi, c.t_max);
+
+  WindowScan scan;
+  scan.min_distance = std::min(prop.distance(0, 1, lo), prop.distance(0, 1, hi));
+  for (double t = lo; t < hi; t += 0.01) {
+    scan.min_distance = std::min(scan.min_distance, prop.distance(0, 1, t));
+  }
+  scan.bound = reach_lower_bound(b.position - a.position, b.velocity - a.velocity,
+                                 prop.max_acceleration(0) + prop.max_acceleration(1),
+                                 t_lo - c.t_sample, t_hi - c.t_sample);
+  return scan;
+}
+
+/// Elements near `el`: the same orbit shifted in every angle and in size,
+/// so the pair stays within tens of km for part of the orbit.
+KeplerElements perturbed(KeplerElements el, Rng& rng, double angle, double size_km) {
+  el.semi_major_axis += rng.uniform(-size_km, size_km);
+  el.inclination += rng.uniform(-angle, angle);
+  el.raan += rng.uniform(-angle, angle);
+  el.arg_perigee += rng.uniform(-angle, angle);
+  el.mean_anomaly += rng.uniform(-angle, angle);
+  return el;
+}
+
+TEST(ReachBound, SkipsOnlyWhereTheWholeWindowStaysAboveThreshold) {
+  // Eccentric orbits, low perigees, co-orbital twins and crossing pairs,
+  // with a third of the samples next to a span edge so the window clamps.
+  Rng rng(0x5EAC4);
+  int skipped = 0, searched = 0, clamped_skips = 0;
+  for (int k = 0; k < 400; ++k) {
+    ReachCase c;
+    c.cell_size = rng.uniform(5.0, 150.0);
+    c.threshold = rng.uniform(0.5, 20.0);
+    c.t_min = rng.uniform(0.0, 5000.0);
+    c.t_max = c.t_min + rng.uniform(300.0, 3600.0);
+
+    KeplerElements a;
+    a.inclination = rng.uniform(0.1, kPi - 0.1);
+    a.raan = rng.uniform(0.0, kTwoPi);
+    a.arg_perigee = rng.uniform(0.0, kTwoPi);
+    a.mean_anomaly = rng.uniform(0.0, kTwoPi);
+    KeplerElements b;
+    switch (k % 4) {
+      case 0: {  // eccentric, perigee in LEO
+        a.semi_major_axis = rng.uniform(8000.0, 26000.0);
+        a.eccentricity = 1.0 - rng.uniform(6600.0, 7500.0) / a.semi_major_axis;
+        b = perturbed(a, rng, 2e-3, 3.0);
+        break;
+      }
+      case 1: {  // low perigee, mildly eccentric
+        a.eccentricity = rng.uniform(0.0, 0.05);
+        a.semi_major_axis = rng.uniform(6450.0, 6700.0) / (1.0 - a.eccentricity);
+        b = perturbed(a, rng, 3e-3, 2.0);
+        break;
+      }
+      case 2: {  // co-orbital twin trailing by up to ~20 km
+        a.semi_major_axis = rng.uniform(6800.0, 7500.0);
+        a.eccentricity = rng.uniform(0.0, 1e-3);
+        b = a;
+        b.mean_anomaly += rng.uniform(-3e-3, 3e-3);
+        b.semi_major_axis += rng.uniform(-0.5, 0.5);
+        break;
+      }
+      default: {  // crossing orbit, passing within a few thresholds
+        a.semi_major_axis = rng.uniform(6800.0, 12000.0);
+        a.eccentricity = rng.uniform(0.0, 0.3) * (1.0 - 6700.0 / a.semi_major_axis);
+        const double t_star = rng.uniform(c.t_min, c.t_max);
+        b = testutil::make_interceptor(a, t_star,
+                                       rng.uniform(-3.0, 3.0) * c.threshold, rng, 1)
+                .elements;
+        break;
+      }
+    }
+    c.sats = {{0, a}, {1, b}};
+    const double edge = rng.uniform(0.0, 60.0);
+    switch (rng.uniform_index(3)) {
+      case 0: c.t_sample = c.t_min + edge; break;
+      case 1: c.t_sample = c.t_max - edge; break;
+      default: c.t_sample = rng.uniform(c.t_min, c.t_max); break;
+    }
+
+    // The bound holds wherever it is evaluated, and where it skips, the
+    // whole range stays above the threshold.
+    const WindowScan scan = scan_search_window(c);
+    EXPECT_GE(scan.min_distance, scan.bound) << "case " << k;
+    if (refine_case(c).searched) {
+      ++searched;
+      continue;
+    }
+    ++skipped;
+    if (c.t_sample - c.t_min < 60.0 || c.t_max - c.t_sample < 60.0) ++clamped_skips;
+    EXPECT_GT(scan.min_distance, c.threshold)
+        << "case " << k << " t_s " << c.t_sample << " cell " << c.cell_size;
+  }
+  // Both outcomes and clamped windows are exercised.
+  EXPECT_GT(skipped, 40);
+  EXPECT_GT(searched, 40);
+  EXPECT_GT(clamped_skips, 10);
+}
+
+TEST(ReachBound, PlantedSubThresholdEncountersAreNeverSkipped) {
+  Rng rng(0x91A7);
+  for (int k = 0; k < 200; ++k) {
+    ReachCase c;
+    c.cell_size = rng.uniform(5.0, 150.0);
+    c.threshold = rng.uniform(0.5, 20.0);
+    c.t_min = 0.0;
+    c.t_max = 3600.0;
+    KeplerElements a;
+    a.semi_major_axis = rng.uniform(6700.0, 20000.0);
+    a.eccentricity = rng.uniform(0.0, 1.0 - 6600.0 / a.semi_major_axis);
+    a.inclination = rng.uniform(0.1, kPi - 0.1);
+    a.raan = rng.uniform(0.0, kTwoPi);
+    a.arg_perigee = rng.uniform(0.0, kTwoPi);
+    a.mean_anomaly = rng.uniform(0.0, kTwoPi);
+    // A crossing within 0.9 d at t_star, sampled anywhere in the window.
+    const double t_star = rng.uniform(c.t_min, c.t_max);
+    const Satellite b = testutil::make_interceptor(
+        a, t_star, rng.uniform(-0.9, 0.9) * c.threshold, rng, 1);
+    c.sats = {{0, a}, {1, b.elements}};
+    const ContourKeplerSolver solver;
+    const TwoBodyPropagator prop(c.sats, solver);
+    ASSERT_LE(prop.distance(0, 1, t_star), c.threshold);
+    const double radius = grid_search_radius(
+        c.cell_size, std::min(prop.state(0, t_star).velocity.norm(),
+                              prop.state(1, t_star).velocity.norm()));
+    c.t_sample = std::clamp(t_star + rng.uniform(-0.9, 0.9) * radius, c.t_min, c.t_max);
+    EXPECT_TRUE(refine_case(c).searched) << "case " << k;
+  }
+}
+
+TEST(ReachBound, GridScreenSkipsOnlyUnderTwoBody) {
+  // A shell with planted crossings. Under two-body most candidates are
+  // skipped; the j2 propagator keeps the default bound, so every
+  // candidate is searched.
+  Rng rng(0x12B);
+  std::vector<Satellite> sats;
+  for (std::uint32_t i = 0; i < 80; ++i) {
+    KeplerElements el;
+    el.semi_major_axis = 7000.0 + rng.uniform(-5.0, 5.0);
+    el.eccentricity = rng.uniform(0.0, 2e-4);
+    el.inclination = rng.uniform(0.2, kPi - 0.2);
+    el.raan = rng.uniform(0.0, kTwoPi);
+    el.arg_perigee = rng.uniform(0.0, kTwoPi);
+    el.mean_anomaly = rng.uniform(0.0, kTwoPi);
+    sats.push_back({i, el});
+  }
+  for (std::uint32_t k = 0; k < 10; ++k) {
+    sats.push_back(testutil::make_interceptor(sats[k].elements, rng.uniform(200.0, 1600.0),
+                                              rng.uniform(-3.0, 3.0), rng,
+                                              static_cast<std::uint32_t>(sats.size())));
+  }
+  ScreeningConfig cfg;
+  cfg.threshold_km = 5.0;
+  cfg.t_end = 1800.0;
+
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator kepler(sats, solver);
+  const J2SecularPropagator j2(sats, solver);
+  ScreeningContext context(ScreeningContext::Options{nullptr, /*telemetry=*/true});
+  const std::unique_ptr<Screener> grid = make_screener(Variant::kGrid, &context);
+
+  obs::reset();
+  const ScreeningReport two_body = grid->screen(kepler, cfg);
+  const std::uint64_t two_body_skipped =
+      obs::snapshot().value(obs::Counter::kRefinementsSkipped);
+  obs::reset();
+  const ScreeningReport drifting = grid->screen(j2, cfg);
+  const std::uint64_t j2_skipped = obs::snapshot().value(obs::Counter::kRefinementsSkipped);
+
+  EXPECT_FALSE(two_body.conjunctions.empty());
+  EXPECT_LT(two_body.stats.refinements, two_body.stats.candidates);
+  EXPECT_GT(drifting.stats.candidates, 0u);
+  EXPECT_EQ(drifting.stats.refinements, drifting.stats.candidates);
+  EXPECT_EQ(j2_skipped, 0u);
+  if (obs::compiled()) {
+    EXPECT_EQ(two_body.stats.refinements + two_body_skipped, two_body.stats.candidates);
+  }
 }
 
 }  // namespace

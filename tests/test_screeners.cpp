@@ -812,9 +812,9 @@ TEST(Screeners, SnapshotAndVirtualEvaluatorsAgreeBitForBit) {
       Counter::kFilterPathRejects,          Counter::kFilterWindowChecks,
       Counter::kFilterWindowRejects,        Counter::kFilterCoplanarPairs,
       Counter::kFilterSurvivors,            Counter::kRefinements,
-      Counter::kBrentIterations,            Counter::kWindowClamps,
-      Counter::kEdgeDiscards,               Counter::kConjunctionsRaw,
-      Counter::kConjunctionsReported};
+      Counter::kRefinementsSkipped,         Counter::kBrentIterations,
+      Counter::kWindowClamps,               Counter::kEdgeDiscards,
+      Counter::kConjunctionsRaw,            Counter::kConjunctionsReported};
 
   for (Variant v : kAllVariants) {
     SCOPED_TRACE(variant_name(v));
