@@ -1,6 +1,6 @@
 /// Micro-benchmarks of the spatial substrates: MurMur3 hashing, the
 /// lock-free grid hash set (the paper's core data structure) under varying
-/// load factors and thread counts, the candidate set, and the k-d tree
+/// load factors and thread counts, the candidate buffer, and the k-d tree
 /// baseline from the related work ([29]) that motivates choosing the grid:
 /// the tree must be rebuilt every sample step.
 
@@ -12,8 +12,8 @@
 #include "util/constants.hpp"
 
 #include "parallel/thread_pool.hpp"
+#include "spatial/candidate_buffer.hpp"
 #include "spatial/cell.hpp"
-#include "spatial/conjunction_set.hpp"
 #include "spatial/grid_hash_set.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/murmur3.hpp"
@@ -131,9 +131,9 @@ void BM_GridHashSetFind(benchmark::State& state) {
 }
 BENCHMARK(BM_GridHashSetFind);
 
-void BM_CandidateSetInsert(benchmark::State& state) {
+void BM_CandidateBufferInsert(benchmark::State& state) {
   const std::size_t n = 1 << 16;
-  CandidateSet set(n);
+  CandidateBuffer buffer(n);
   Rng rng(3);
   std::vector<std::uint64_t> keys(n);
   for (auto& k : keys) {
@@ -143,12 +143,12 @@ void BM_CandidateSetInsert(benchmark::State& state) {
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    if (i == 0) set.clear();
-    benchmark::DoNotOptimize(set.insert(keys[i]));
+    if (i == 0) buffer.clear();
+    benchmark::DoNotOptimize(buffer.insert(keys[i]));
     i = (i + 1) % (n / 2);
   }
 }
-BENCHMARK(BM_CandidateSetInsert);
+BENCHMARK(BM_CandidateBufferInsert);
 
 void BM_KdTreeBuild(benchmark::State& state) {
   // The related-work baseline: a tree rebuild per sample step. Compare

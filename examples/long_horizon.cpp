@@ -45,7 +45,7 @@ int main() {
   for (std::size_t day = 0; day < 7; ++day) std::printf(" %zu", per_day[day]);
   std::printf("\ntotal %zu conjunctions over the week\n", report.conjunctions.size());
   std::printf("pipeline: %zu samples in %zu rounds of %zu parallel grids; "
-              "%.1f MiB of grids + %.1f MiB candidate map resident at a time; "
+              "%.1f MiB of grids + %.1f MiB candidate buffer resident at a time; "
               "%.1f s wall\n",
               report.stats.total_samples, report.stats.rounds,
               report.stats.parallel_samples,

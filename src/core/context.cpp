@@ -45,14 +45,14 @@ std::vector<GridHashSet>& ScratchArena::grids(std::size_t count,
   return grids_;
 }
 
-CandidateSet& ScratchArena::candidates(std::size_t capacity) {
+CandidateBuffer& ScratchArena::candidates(std::size_t capacity) {
   if (candidates_.has_value() && candidates_->capacity() == capacity) {
     candidates_->clear();
     ++stats_.candidate_reuses;
   } else {
-    // Mismatch covers both directions: a different sizing plan, and a set
-    // doubled by a previous screen's grow(). Rebuilding at plan size keeps
-    // warm growth counts identical to a cold screen's.
+    // Mismatch covers both directions: a different sizing plan, and a
+    // buffer doubled by a previous screen's grow(). Rebuilding at plan size
+    // keeps warm growth counts identical to a cold screen's.
     candidates_.emplace(capacity);
     ++stats_.candidate_rebuilds;
   }

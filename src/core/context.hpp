@@ -10,7 +10,7 @@
 
 #include "core/config.hpp"
 #include "core/report.hpp"
-#include "spatial/conjunction_set.hpp"
+#include "spatial/candidate_buffer.hpp"
 #include "spatial/grid_hash_set.hpp"
 
 namespace scod {
@@ -24,10 +24,10 @@ namespace scod {
 ///  - grids are reused only when the entry capacity matches the
 ///    population exactly (a GridHashSet's slot count is a pure function of
 ///    its entry capacity), otherwise they are rebuilt;
-///  - the candidate set is reused only when its capacity equals the sizing
-///    plan's request — after an in-screen grow() the capacities differ and
-///    the next checkout rebuilds at plan size, exactly reproducing a cold
-///    screen's growth count;
+///  - the candidate buffer is reused only when its capacity equals the
+///    sizing plan's request — after an in-screen grow() the capacities
+///    differ and the next checkout rebuilds at plan size, exactly
+///    reproducing a cold screen's growth count;
 ///  - plain vectors are resized to the request and shrunk back when their
 ///    held capacity is grossly oversized for it (shrink-on-oversize), so a
 ///    one-off 100k screen does not pin 100k-sized buffers under a 1k
@@ -56,10 +56,10 @@ class ScratchArena {
   /// step).
   std::vector<GridHashSet>& grids(std::size_t count, std::size_t entries);
 
-  /// Checks out the candidate set at exactly `capacity` (cleared). A
-  /// cached set whose capacity differs — smaller plan, or doubled by a
+  /// Checks out the candidate buffer at exactly `capacity` (cleared). A
+  /// cached buffer whose capacity differs — smaller plan, or doubled by a
   /// previous screen's grow() — is rebuilt at the requested size.
-  CandidateSet& candidates(std::size_t capacity);
+  CandidateBuffer& candidates(std::size_t capacity);
 
   /// Per-satellite speed-bound table, resized to n (contents unspecified;
   /// the pipeline overwrites every element).
@@ -91,7 +91,7 @@ class ScratchArena {
 
   std::vector<GridHashSet> grids_;
   std::size_t grid_entries_ = 0;  ///< entry capacity the cached grids share
-  std::optional<CandidateSet> candidates_;
+  std::optional<CandidateBuffer> candidates_;
   std::vector<double> vmax_;
   std::vector<Conjunction> conjunction_slots_;
   std::vector<std::uint8_t> valid_flags_;

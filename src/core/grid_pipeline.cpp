@@ -42,8 +42,7 @@ void simulate_upload(Device& device, DeviceBuffer<std::byte>& dst, std::size_t b
 /// Detection-funnel tallies of one scan attempt: occupied cells, and the
 /// pairs tested and where each left the funnel.
 struct ScanTally {
-  std::uint64_t occupied = 0, tested = 0, masked = 0, prefiltered = 0,
-                emitted = 0, duplicates = 0;
+  std::uint64_t occupied = 0, tested = 0, masked = 0, prefiltered = 0, emitted = 0;
 
   ScanTally& operator+=(const ScanTally& o) {
     occupied += o.occupied;
@@ -51,7 +50,6 @@ struct ScanTally {
     masked += o.masked;
     prefiltered += o.prefiltered;
     emitted += o.emitted;
-    duplicates += o.duplicates;
     return *this;
   }
 };
@@ -59,7 +57,7 @@ struct ScanTally {
 /// The CD body, shared by the CPU worker and the devicesim CD kernel.
 struct CellScan {
   const CellIndexer& indexer;
-  CandidateSet& candidates;
+  CandidateBuffer& candidates;
   const double* vmax;          ///< per-satellite speed bound [km/s]
   const std::uint8_t* dirty;   ///< GridPipelineOptions::dirty_mask, or nullptr
   double threshold_km;
@@ -68,10 +66,10 @@ struct CellScan {
   /// Scans the cell in `slot` of `grid`, the grid of sample step `step`,
   /// against itself and its 13 forward neighbours. The other 13 neighbours
   /// hold this cell as a forward neighbour, so each pair of neighbouring
-  /// cells is scanned once: the paper scans all 26 and lets the conjunction
-  /// hash map drop the second copy, which yields the same distinct
-  /// candidates. Returns false when the candidate set is full; the round is
-  /// then re-run on a grown set.
+  /// cells is scanned once and each (pair, step) is emitted once: the paper
+  /// scans all 26 and lets the conjunction hash map drop the second copy.
+  /// Returns false when the candidate buffer is full; the round is then
+  /// re-run on a grown buffer.
   bool operator()(const GridHashSet& grid, std::size_t slot, std::uint32_t step,
                   ScanTally& tally) const {
     const std::uint64_t key = grid.slot_key(slot);
@@ -115,16 +113,11 @@ struct CellScan {
             ++cell.prefiltered;
             continue;
           }
-          switch (candidates.insert(a.satellite, b.satellite, step)) {
-            case CandidateSet::Insert::kInserted:
-              ++cell.emitted;
-              break;
-            case CandidateSet::Insert::kDuplicate:
-              ++cell.duplicates;
-              break;
-            case CandidateSet::Insert::kFull:
-              return false;
+          if (candidates.insert(a.satellite, b.satellite, step) ==
+              CandidateBuffer::Insert::kFull) {
+            return false;
           }
+          ++cell.emitted;
         }
       }
     }
@@ -161,7 +154,7 @@ struct RoundInputs {
 };
 
 /// One attempt at a round: its funnel tallies, the seconds of its grid
-/// clears, INS and CD, and whether the candidate set filled up.
+/// clears, INS and CD, and whether the candidate buffer filled up.
 struct RoundAttempt {
   ScanTally tally;
   double clear_seconds = 0.0;
@@ -176,7 +169,7 @@ struct RoundAttempt {
 /// the grid is still in the worker's cache. Phase seconds are the workers'
 /// summed seconds divided by the number of workers. On overflow the workers
 /// stop, and the telemetry they counted is taken back: the caller grows the
-/// candidate set and re-runs the whole round.
+/// candidate buffer and re-runs the whole round.
 RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t steps) {
   ThreadPool& pool = pool_of(in.config);
   const std::size_t workers = in.grids.size();
@@ -250,8 +243,8 @@ RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t s
 
 /// devicesim round, the paper's decomposition: one grid per step, an INS
 /// kernel with one logical thread per (sample, satellite) tuple, then a CD
-/// kernel with one per (sample, slot). A `rescan` after the candidate set
-/// grew re-runs only the CD kernel: the grids still hold the round.
+/// kernel with one per (sample, slot). A `rescan` after the candidate
+/// buffer grew re-runs only the CD kernel: the grids still hold the round.
 RoundAttempt device_round(const RoundInputs& in, std::size_t step0, std::size_t steps,
                           bool rescan) {
   RoundAttempt attempt;
@@ -330,7 +323,7 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
 
   // Sizing (Section V-B): candidate capacity from the Extra-P model, then
   // the sample parallelism p from the remaining budget. The automatic
-  // s_ps reduction kicks in when the conjunction map alone busts the
+  // s_ps reduction kicks in when the candidate buffer alone busts the
   // budget (the paper's Fig. 10c regime).
   //
   // Candidate keys hold 24-bit sample steps. The step count is checked in
@@ -372,7 +365,7 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   const std::size_t p = result.plan.parallel_samples;
   const std::size_t total_steps = result.plan.total_samples;
 
-  // Step 1 (allocation): the grids, the candidate set, and the
+  // Step 1 (allocation): the grids, the candidate buffer, and the
   // per-satellite speed bounds used by the distance prefilter — checked
   // out of the arena at exactly the sizes a cold screen would allocate.
   // devicesim holds one grid per step of a round (p); on the CPU each
@@ -383,7 +376,7 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   const std::size_t grid_count =
       device != nullptr ? p : std::min(p, pool_of(config).thread_count());
   std::vector<GridHashSet>& grids = arena.grids(grid_count, n);
-  CandidateSet& candidates = arena.candidates(request.candidate_capacity);
+  CandidateBuffer& candidates = arena.candidates(request.candidate_capacity);
 
   std::vector<double>& vmax = arena.vmax(n);
   pool_of(config).parallel_for(n, [&](std::size_t i) {
@@ -393,7 +386,7 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   for (const GridHashSet& g : grids) result.grid_memory_bytes += g.memory_bytes();
   result.candidate_memory_bytes = candidates.memory_bytes();
 
-  // Device mode: account the fixed data, grids and candidate map against
+  // Device mode: account the fixed data, grids and candidate buffer against
   // the simulated device memory and model the upload of the propagation
   // cache (the paper reports ~3% of GPU time in allocation + transfers).
   std::optional<DeviceBuffer<std::byte>> dev_fixed, dev_grids, dev_cands;
@@ -422,16 +415,14 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
       config, result, scan, grids};
   const std::size_t slots = grids.front().slot_count();
 
-  // Step 2 (INS + CD), round by round. A round that fills the candidate set
-  // is retried on a grown set; the set keeps what the overflowed attempt
-  // inserted, and the retry finds those again as duplicates. Funnel
-  // tallies are committed only for the attempt that completed, which keeps
-  // the conservation invariant (tested == masked + prefiltered + emitted +
-  // deduped) exact.
+  // Step 2 (INS + CD), round by round. A round that fills the candidate
+  // buffer is retried on a grown, empty buffer, and the retry inserts every
+  // candidate of the round again. Funnel tallies are committed only for
+  // the attempt that completed, which keeps the conservation invariant
+  // (tested == masked + prefiltered + emitted) exact.
   for (std::size_t round = 0; round < result.plan.rounds; ++round) {
     const std::size_t step0 = round * p;
     const std::size_t steps = std::min(p, total_steps - step0);
-    const std::size_t candidates_before = candidates.size();
     for (bool retry = false;; retry = true) {
       const RoundAttempt attempt = device == nullptr
                                        ? fused_round(inputs, step0, steps)
@@ -450,19 +441,7 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
           obs::count(obs::Counter::kPairsTested, tally.tested);
           obs::count(obs::Counter::kPairsMaskedClean, tally.masked);
           obs::count(obs::Counter::kPairsPrefiltered, tally.prefiltered);
-          // A pair first inserted during an overflowed attempt survives the
-          // grow (CandidateSet::grow rehashes in place), so the completed
-          // attempt classifies it as a duplicate. Report distinct inserts
-          // from the set's own size delta and shift the remainder into the
-          // dedup bucket: the identity tested == masked + prefiltered +
-          // emitted' + duplicates' is preserved exactly.
-          const std::uint64_t distinct = candidates.size() - candidates_before;
-          const std::uint64_t classified = tally.duplicates + tally.emitted;
-          obs::count(obs::Counter::kCandidatesEmitted, distinct);
-          // classified < distinct only if telemetry was flipped on mid-scan
-          // of a devicesim round; saturate instead of wrapping.
-          obs::count(obs::Counter::kCandidatesDeduplicated,
-                     classified > distinct ? classified - distinct : 0);
+          obs::count(obs::Counter::kCandidatesEmitted, tally.emitted);
         }
         break;
       }
@@ -470,18 +449,17 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
       ++result.candidate_set_growths;
       obs::count(obs::Counter::kCandidateSetGrowths);
       if (device != nullptr) {
-        dev_cands.reset();  // release before re-accounting the doubled map
+        dev_cands.reset();  // release before re-accounting the doubled buffer
         dev_cands = device->alloc<std::byte>(candidates.memory_bytes());
       }
     }
 
-    // Hand this round's candidates over and recycle the set for the next
-    // round; a (pair, step) key can only be produced by the round owning
-    // that step. The arena clears the set at its next checkout, so the
-    // last round leaves it as it is.
+    // Hand this round's candidates over and recycle the buffer for the
+    // next round; a (pair, step) key can only be produced by the round
+    // owning that step.
     std::vector<Candidate> drained = candidates.drain();
     result.total_candidates += drained.size();
-    if (round + 1 < result.plan.rounds) candidates.clear();
+    candidates.clear();
     sink(round, std::move(drained), result);
   }
 

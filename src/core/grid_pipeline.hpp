@@ -9,7 +9,7 @@
 #include "model/conjunction_model.hpp"
 #include "model/sizing.hpp"
 #include "propagation/propagator.hpp"
-#include "spatial/conjunction_set.hpp"
+#include "spatial/candidate_buffer.hpp"
 
 namespace scod {
 
@@ -61,8 +61,9 @@ inline ScreeningConfig with_sample_period(ScreeningConfig config, double fallbac
   return config;
 }
 
-/// Per-round candidate sink. Receives the round index, the distinct
-/// (pair, step) candidates detected in that round (moved), and the pipeline
+/// Per-round candidate sink. Receives the round index, the (pair, step)
+/// candidates detected in that round, each once and in no particular order
+/// (moved), and the pipeline
 /// result as populated so far (cell_size, sample_period and plan are final
 /// before the first round). A (pair, step) key can only occur in the round
 /// owning that step, so the rounds together hold exactly the candidates of
@@ -72,18 +73,17 @@ using GridRoundSink = std::function<void(
     const GridPipelineResult& pipeline)>;
 
 /// Runs the grid front-end over the whole span at config.seconds_per_sample
-/// (must be > 0): sizes the candidate set from `count_model` (Eq. 3 for
+/// (must be > 0): sizes the candidate buffer from `count_model` (Eq. 3 for
 /// grid, Eq. 4 for hybrid) and plans the sample parallelism p from the
 /// memory budget (device memory when config.device is set), then screens
 /// the steps in rounds of p: each step's satellites are propagated into a
 /// grid, and every occupied cell is scanned against its half-stencil
-/// neighbourhood for candidate pairs, collected in the lock-free candidate
-/// set. If the count model proves too small, the set grows and the round
-/// is re-run. After every round the set is drained into `sink` (the sink
-/// is called once per round, in round order) and cleared for the next
-/// round, so memory stays bounded by one round's candidates regardless of
-/// the span length. The set is not cleared after the last round: the
-/// arena clears it at its next checkout.
+/// neighbourhood for candidate pairs, appended to the lock-free candidate
+/// buffer. If the count model proves too small, the buffer grows and the
+/// round is re-run. After every round the buffer is drained into `sink`
+/// (the sink is called once per round, in round order) and cleared for the
+/// next round, so memory stays bounded by one round's candidates
+/// regardless of the span length.
 ///
 /// The two backends share the insert and cell-scan bodies but not their
 /// execution shape:
@@ -101,7 +101,7 @@ using GridRoundSink = std::function<void(
 /// workers' summed seconds divided by the number of workers; per-step grid
 /// clears count as allocation.
 ///
-/// Step-1 scratch (grids, candidate set, vmax table) is checked out of
+/// Step-1 scratch (grids, candidate buffer, vmax table) is checked out of
 /// `context`'s arena at the sizes a cold screen would allocate, so a warm
 /// context only skips the allocation cost.
 ///

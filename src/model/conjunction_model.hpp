@@ -5,8 +5,8 @@
 namespace scod {
 
 /// Empirical model of the expected candidate count, used to size the
-/// conjunction hash map up front (Section V-B). The paper obtains these
-/// models with Extra-P; Eqs. (3) and (4) give
+/// candidate buffer (the paper's conjunction hash map) up front (Section
+/// V-B). The paper obtains these models with Extra-P; Eqs. (3) and (4) give
 ///
 ///   grid:   c' = 2.32e-9 * n^2 * s^(4/3) * t * d^(7/4)
 ///   hybrid: c' = 2.14e-9 * n^2 * s^(5/3) * t * d
@@ -32,8 +32,9 @@ struct ConjunctionCountModel {
 
 /// The sizing rule around the model: "we ensure that at least 10,000
 /// elements fit into the conjunction hash map ... we double the hash map
-/// size again" (one factor of two; the second factor of the paper is the
-/// slot-table headroom, which CandidateSet allocates internally).
+/// size again" (one factor of two; the paper's second factor is slot-table
+/// headroom for hashing, which the append-only CandidateBuffer does not
+/// need).
 std::size_t candidate_capacity_from_model(const ConjunctionCountModel& model,
                                           double satellites, double seconds_per_sample,
                                           double span_seconds, double threshold_km);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "spatial/conjunction_set.hpp"
+#include "spatial/candidate_buffer.hpp"
 #include "spatial/grid_hash_set.hpp"
 
 namespace scod {
@@ -19,7 +19,7 @@ SizingPlan plan_samples(const SizingRequest& request) {
 
   const std::uint64_t n = request.satellites;
   plan.fixed_bytes = n * (kSatelliteBytes + kKeplerCacheBytes) +
-                     CandidateSet::projected_memory_bytes(request.candidate_capacity);
+                     CandidateBuffer::projected_memory_bytes(request.candidate_capacity);
   plan.per_grid_bytes = GridHashSet::projected_memory_bytes(request.satellites);
 
   if (plan.fixed_bytes + plan.per_grid_bytes > request.memory_budget) {

@@ -9,9 +9,9 @@
 namespace scod {
 
 // Per-satellite bytes of the fixed data in the memory model of Section V-B.
-// The grid (a_gh + a_l) and candidate-map (a_ch) shares come from the
+// The grid (a_gh + a_l) and candidate-buffer (a_ch) shares come from the
 // structures themselves: GridHashSet::projected_memory_bytes and
-// CandidateSet::projected_memory_bytes.
+// CandidateBuffer::projected_memory_bytes.
 
 /// a_s: one Satellite record.
 inline constexpr std::uint64_t kSatelliteBytes = sizeof(Satellite);
@@ -42,7 +42,7 @@ struct SizingPlan {
 SizingPlan plan_samples(const SizingRequest& request);
 
 /// The automatic seconds-per-sample adjustment of Section V-C: when the
-/// conjunction hash map predicted by the model does not fit into the
+/// candidate buffer predicted by the model does not fit into the
 /// memory budget, reduce s_ps (smaller cells produce fewer candidate
 /// pairs; the paper's runs drop from 9 s to 4 s and 1 s at 512k/1024k
 /// objects). Returns the adjusted request; `changed` reports whether any

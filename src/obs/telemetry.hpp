@@ -45,6 +45,8 @@ enum class Counter : std::uint32_t {
   kPairsMaskedClean,
   kPairsPrefiltered,
   kCandidatesEmitted,
+  // Always 0: the half-stencil scan emits each (pair, step) once and the
+  // candidate buffer does not deduplicate. Kept for its readers.
   kCandidatesDeduplicated,
   kCandidateSetGrowths,
   // Classical filter chain (hybrid / legacy front end).
@@ -137,7 +139,7 @@ void reset();
 TelemetrySnapshot snapshot();
 
 // The calling thread's own counters, and their restoration: work that is
-// thrown away and redone (a grid round re-run after the candidate set grew)
+// thrown away and redone (a grid round re-run after the candidate buffer grew)
 // takes back what each of its threads counted since thread_counts(), so
 // every counter describes the work that was kept.
 TelemetrySnapshot thread_counts();

@@ -28,7 +28,7 @@ namespace scod {
 /// Thrown when an allocation exceeds the simulated device memory capacity.
 /// The screener catches this condition indirectly by consulting
 /// `Device::memory_free()` when sizing grids, mirroring the paper's
-/// automatic seconds-per-sample reduction when the conjunction hash map
+/// automatic seconds-per-sample reduction when the candidate buffer
 /// does not fit into the 24 GB of the RTX 3090.
 class DeviceOutOfMemory : public std::runtime_error {
  public:

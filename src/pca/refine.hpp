@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "obs/telemetry.hpp"
@@ -56,13 +57,22 @@ inline double edge_probe_distance(double radius) {
 double reach_lower_bound(const Vec3& r0, const Vec3& v0, double max_accel,
                          double tau_lo, double tau_hi);
 
-/// Functor-based core of refine_on_interval: `distance(t)` is the pairwise
-/// distance objective. Exposed as a template so the screeners can pass a
-/// devirtualized PairStateEvaluator closure instead of paying two virtual
-/// dispatches per Brent evaluation; the Propagator overloads below wrap it.
+/// The Brent search every refinement runs: minimizes `distance(t)`, the
+/// pairwise distance objective, on [t_lo, t_hi]. Exposed as a template so
+/// the screeners can pass a devirtualized PairStateEvaluator closure
+/// instead of paying two virtual dispatches per Brent evaluation.
+///
+/// Boundary handling (Section IV-C): when the search stops at an interval
+/// edge, probe `probe` seconds beyond it. If the distance keeps falling,
+/// the local minimum lies outside this interval — discard; the
+/// neighbouring interval's search will find it. Otherwise the edge really
+/// is the (clamped) minimum. An edge at the simulation span [t_min, t_max]
+/// is never discarded, as there is no neighbouring interval beyond it, and
+/// the probe does not leave the span. Callers without a span pass
+/// -infinity and +infinity, which leaves every edge subject to the rule.
 template <typename DistanceFn>
-std::optional<Encounter> refine_on_interval_fn(DistanceFn&& distance, double t_lo,
-                                               double t_hi) {
+std::optional<Encounter> refine_fn(DistanceFn&& distance, double t_lo, double t_hi,
+                                   double probe, double t_min, double t_max) {
   if (!(t_lo < t_hi)) return std::nullopt;
 
   const MinimizeResult min =
@@ -71,52 +81,7 @@ std::optional<Encounter> refine_on_interval_fn(DistanceFn&& distance, double t_l
   obs::count(obs::Counter::kBrentIterations,
              static_cast<std::uint64_t>(min.iterations));
 
-  // Boundary handling (Section IV-C): when the search stops at an interval
-  // edge, probe slightly beyond it. If the distance keeps falling, the
-  // local minimum lies outside this interval — discard; the neighbouring
-  // interval's search will find it. Otherwise the edge really is the
-  // (clamped) minimum.
-  const double probe = edge_probe_distance(0.5 * (t_hi - t_lo));
   const double edge_tol = 2.0 * kRefineTimeTolerance;
-
-  if (min.x - t_lo <= edge_tol) {
-    if (distance(t_lo - probe) < min.value) {
-      obs::count(obs::Counter::kEdgeDiscards);
-      return std::nullopt;
-    }
-  } else if (t_hi - min.x <= edge_tol) {
-    if (distance(t_hi + probe) < min.value) {
-      obs::count(obs::Counter::kEdgeDiscards);
-      return std::nullopt;
-    }
-  }
-
-  return Encounter{min.x, min.value};
-}
-
-/// Functor-based core of refine_candidate (grid-style search interval
-/// [center - radius, center + radius] clamped to the simulation span).
-template <typename DistanceFn>
-std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double center,
-                                             double radius, double t_min, double t_max) {
-  const double t_lo = std::max(center - radius, t_min);
-  const double t_hi = std::min(center + radius, t_max);
-  if (!(t_lo < t_hi)) return std::nullopt;
-  if (center - radius < t_min || center + radius > t_max) {
-    obs::count(obs::Counter::kWindowClamps);
-  }
-
-  const MinimizeResult min =
-      brent_minimize(distance, t_lo, t_hi, kRefineTimeTolerance, kRefineMaxIterations);
-  obs::count(obs::Counter::kRefinements);
-  obs::count(obs::Counter::kBrentIterations,
-             static_cast<std::uint64_t>(min.iterations));
-
-  const double probe = edge_probe_distance(radius);
-  const double edge_tol = 2.0 * kRefineTimeTolerance;
-
-  // At the simulation-span boundary the minimum cannot be discarded — there
-  // is no neighbouring interval beyond the span; report the clamped value.
   if (min.x - t_lo <= edge_tol && t_lo > t_min) {
     if (distance(std::max(t_lo - probe, t_min)) < min.value) {
       obs::count(obs::Counter::kEdgeDiscards);
@@ -130,6 +95,30 @@ std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double cente
   }
 
   return Encounter{min.x, min.value};
+}
+
+/// refine_fn on an explicit interval [t_lo, t_hi] with no span to respect
+/// (the hybrid variant's filter windows).
+template <typename DistanceFn>
+std::optional<Encounter> refine_on_interval_fn(DistanceFn&& distance, double t_lo,
+                                               double t_hi) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return refine_fn(distance, t_lo, t_hi, edge_probe_distance(0.5 * (t_hi - t_lo)), -kInf,
+                   kInf);
+}
+
+/// refine_fn on the grid-style search interval [center - radius,
+/// center + radius], clamped to the simulation span [t_min, t_max].
+template <typename DistanceFn>
+std::optional<Encounter> refine_candidate_fn(DistanceFn&& distance, double center,
+                                             double radius, double t_min, double t_max) {
+  const double t_lo = std::max(center - radius, t_min);
+  const double t_hi = std::min(center + radius, t_max);
+  if (!(t_lo < t_hi)) return std::nullopt;
+  if (center - radius < t_min || center + radius > t_max) {
+    obs::count(obs::Counter::kWindowClamps);
+  }
+  return refine_fn(distance, t_lo, t_hi, edge_probe_distance(radius), t_min, t_max);
 }
 
 /// Grid-style refinement of a candidate flagged at sample time `t_sample`:

@@ -186,10 +186,11 @@ void check_counter_invariants(const std::string& name, Variant variant,
 
   if (variant == Variant::kGrid || variant == Variant::kHybrid) {
     // Detection funnel conservation: every tested pair lands in exactly one
-    // bucket (clean-masked, prefiltered, emitted, deduplicated).
+    // bucket (clean-masked, prefiltered, emitted); none is emitted twice.
     const std::uint64_t classified =
-        v(C::kPairsMaskedClean) + v(C::kPairsPrefiltered) +
-        v(C::kCandidatesEmitted) + v(C::kCandidatesDeduplicated);
+        v(C::kPairsMaskedClean) + v(C::kPairsPrefiltered) + v(C::kCandidatesEmitted);
+    expect(v(C::kCandidatesDeduplicated) == 0, "deduplicated == 0",
+           v(C::kCandidatesDeduplicated), std::uint64_t{0});
     expect(v(C::kPairsTested) == classified, "pairs_tested conservation",
            v(C::kPairsTested), classified);
     expect(v(C::kCandidatesEmitted) == report.stats.candidates,

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cmath>
 #include <tuple>
@@ -19,7 +21,10 @@
 namespace scod::testutil {
 
 /// Runs the grid front-end and returns every round's candidates sorted by
-/// (pair, step); the pipeline's counters go to `result`.
+/// (pair, step); the pipeline's counters go to `result`. Adds a test
+/// failure when a (pair, step) is emitted more than once: the candidate
+/// buffer does not deduplicate, so the half-stencil scan must not repeat
+/// one.
 inline std::vector<Candidate> pipeline_candidates(const Propagator& propagator,
                                                   const ScreeningConfig& config,
                                                   const ConjunctionCountModel& model,
@@ -31,9 +36,16 @@ inline std::vector<Candidate> pipeline_candidates(const Propagator& propagator,
       [&](std::size_t, std::vector<Candidate>&& round, const GridPipelineResult&) {
         all.insert(all.end(), round.begin(), round.end());
       });
-  std::sort(all.begin(), all.end(), [](const Candidate& x, const Candidate& y) {
-    return std::tie(x.sat_a, x.sat_b, x.step) < std::tie(y.sat_a, y.sat_b, y.step);
-  });
+  const auto key = [](const Candidate& c) { return std::tie(c.sat_a, c.sat_b, c.step); };
+  std::sort(all.begin(), all.end(),
+            [&](const Candidate& x, const Candidate& y) { return key(x) < key(y); });
+  const auto repeat = std::adjacent_find(
+      all.begin(), all.end(),
+      [&](const Candidate& x, const Candidate& y) { return key(x) == key(y); });
+  if (repeat != all.end()) {
+    ADD_FAILURE() << "candidate (" << repeat->sat_a << ", " << repeat->sat_b << ", step "
+                  << repeat->step << ") emitted more than once";
+  }
   return all;
 }
 

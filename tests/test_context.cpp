@@ -79,7 +79,7 @@ TEST(Context, WarmRepeatScreensAreBitIdenticalAcrossVariants) {
 TEST(Context, InterleavedPopulationSizesStayBitIdentical) {
   // Alternating sizes forces the arena down both paths: exact-size reuse
   // (same n as the previous screen) and rebuild (n changed, cached grids
-  // and candidate set are the wrong geometry).
+  // and candidate buffer are the wrong geometry).
   const auto big = generate_population({400, 5});
   const auto small = generate_population({120, 6});
   const ScreeningConfig cfg = make_config();
@@ -122,7 +122,7 @@ TEST(Context, WarmScreensActuallyReuseTheArena) {
 }
 
 TEST(Context, MultiRoundWarmMatchesCold) {
-  // A multi-round screen recycles the candidate set between rounds and
+  // A multi-round screen recycles the candidate buffer between rounds and
   // refines in between; a warm context must still reproduce a cold screen.
   const auto sats = generate_population({150, 13});
   ScreeningConfig cfg = make_config();
@@ -191,19 +191,19 @@ TEST(Context, ArenaGridsRebuildWhenEntryCapacityChanges) {
 
 TEST(Context, ArenaCandidatesRebuildOnCapacityMismatch) {
   ScratchArena arena;
-  CandidateSet& first = arena.candidates(1 << 12);
+  CandidateBuffer& first = arena.candidates(1 << 12);
   EXPECT_EQ(first.capacity(), std::size_t{1} << 12);
   first.insert(1, 2, 3);
   ASSERT_EQ(first.size(), 1u);
 
   // Same capacity: reused, and handed back cleared.
-  CandidateSet& same = arena.candidates(1 << 12);
+  CandidateBuffer& same = arena.candidates(1 << 12);
   EXPECT_EQ(same.size(), 0u);
   EXPECT_EQ(arena.stats().candidate_reuses, 1u);
 
   // Different capacity (e.g. the previous screen's grow() doubled it, or
   // the sizing plan changed): rebuilt at exactly the requested size.
-  CandidateSet& grown = arena.candidates(1 << 13);
+  CandidateBuffer& grown = arena.candidates(1 << 13);
   EXPECT_EQ(grown.capacity(), std::size_t{1} << 13);
   EXPECT_EQ(arena.stats().candidate_rebuilds, 2u);
 }

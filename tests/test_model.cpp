@@ -5,7 +5,7 @@
 #include "model/conjunction_model.hpp"
 #include "model/powerlaw_fit.hpp"
 #include "model/sizing.hpp"
-#include "spatial/conjunction_set.hpp"
+#include "spatial/candidate_buffer.hpp"
 #include "spatial/grid_hash_set.hpp"
 #include "util/rng.hpp"
 
@@ -84,16 +84,16 @@ TEST(Sizing, ReportsWhenNothingFits) {
 }
 
 TEST(Sizing, CandidateMapBytesGrowWithCapacity) {
-  EXPECT_GT(CandidateSet::projected_memory_bytes(100000),
-            CandidateSet::projected_memory_bytes(1000));
-  // Slot table is 2x capacity rounded to a power of two, 8 bytes a slot.
-  EXPECT_EQ(CandidateSet::projected_memory_bytes(1000), 2048u * 8u);
+  EXPECT_GT(CandidateBuffer::projected_memory_bytes(100000),
+            CandidateBuffer::projected_memory_bytes(1000));
+  // One 8-byte key per candidate, no slot-table headroom.
+  EXPECT_EQ(CandidateBuffer::projected_memory_bytes(1000), 1000u * 8u);
 }
 
 TEST(Sizing, ModelAgreesWithTheStructures) {
   // The plan's per-grid bytes are what one GridHashSet of n entries
   // occupies, and its fixed bytes are n * (a_s + a_k) plus what the
-  // CandidateSet of the requested capacity occupies.
+  // CandidateBuffer of the requested capacity occupies.
   EXPECT_EQ(kSatelliteBytes, 56u);
   EXPECT_EQ(kKeplerCacheBytes, 112u);
   for (const std::size_t n : {1u, 2u, 1000u, 65535u, 65536u}) {
@@ -108,7 +108,7 @@ TEST(Sizing, ModelAgreesWithTheStructures) {
       ASSERT_TRUE(plan.fits);
       EXPECT_EQ(plan.per_grid_bytes, GridHashSet(n).memory_bytes()) << n;
       EXPECT_EQ(plan.fixed_bytes - n * (kSatelliteBytes + kKeplerCacheBytes),
-                CandidateSet(capacity).memory_bytes())
+                CandidateBuffer(capacity).memory_bytes())
           << n << " " << capacity;
     }
   }

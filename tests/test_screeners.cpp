@@ -504,7 +504,7 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   // half the steps, and every step in one round), nor the backend may move
   // a single bit of what a screen finds. Covered: the batched kernel
   // (kepler), the position() loop (j2), a dirty-mask screen, and forced
-  // candidate-set grows, where the CPU path re-runs whole rounds.
+  // candidate-buffer grows, where the CPU path re-runs whole rounds.
   auto sats = dense_shell(60, 0xF05E);
   Rng rng(0xF00D);
   for (std::uint32_t k = 0; k < 4; ++k) {
@@ -726,7 +726,7 @@ TEST(Screeners, MultiRoundScreenMatchesSingleRound) {
   cfg.threshold_km = 5.0;
   cfg.t_end = 7200.0;
   ScreeningConfig tight = cfg;
-  tight.memory_budget = 2 << 20;  // 2 MiB: force many small rounds
+  tight.memory_budget = 1 << 20;  // 1 MiB: force many small rounds
 
   for (const Variant v : {Variant::kGrid, Variant::kHybrid}) {
     const auto screener = make_screener(v);

@@ -5,8 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "parallel/thread_pool.hpp"
+#include "spatial/candidate_buffer.hpp"
 #include "spatial/cell.hpp"
-#include "spatial/conjunction_set.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/murmur3.hpp"
 #include "util/rng.hpp"
@@ -161,7 +162,7 @@ TEST(Neighborhood, HalfStencilCoversEachPairOnce) {
   }
 }
 
-TEST(CandidateSet, PackUnpackRoundTrip) {
+TEST(CandidateBuffer, PackUnpackRoundTrip) {
   const std::uint64_t key = pack_candidate(42, 7, 1234);
   const Candidate c = unpack_candidate(key);
   EXPECT_EQ(c.sat_a, 7u);  // normalized to (min, max)
@@ -170,62 +171,108 @@ TEST(CandidateSet, PackUnpackRoundTrip) {
   EXPECT_EQ(pack_candidate(7, 42, 1234), key);
 }
 
-TEST(CandidateSet, PackValidatesRanges) {
+TEST(CandidateBuffer, PackValidatesRanges) {
   EXPECT_NO_THROW(pack_candidate((1u << 20) - 1, 0, 0));
   EXPECT_THROW(pack_candidate(1u << 20, 0, 0), std::out_of_range);
   EXPECT_THROW(pack_candidate(0, 1, 1u << 24), std::out_of_range);
 }
 
-TEST(CandidateSet, InsertDeduplicates) {
-  CandidateSet set(100);
-  EXPECT_EQ(set.insert(1, 2, 3), CandidateSet::Insert::kInserted);
-  EXPECT_EQ(set.insert(2, 1, 3), CandidateSet::Insert::kDuplicate);
-  EXPECT_EQ(set.insert(1, 2, 4), CandidateSet::Insert::kInserted);
-  EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(CandidateSet, DrainReturnsAllStored) {
-  CandidateSet set(1000);
-  std::set<std::uint64_t> reference;
+TEST(CandidateBuffer, DrainReturnsAllStoredInOrder) {
+  CandidateBuffer buffer(1000);
+  std::vector<std::uint64_t> reference;
   Rng rng(5);
   for (int i = 0; i < 500; ++i) {
     const std::uint32_t a = static_cast<std::uint32_t>(rng.uniform_index(100));
     const std::uint32_t b = static_cast<std::uint32_t>(rng.uniform_index(100));
-    if (a == b) continue;
     const std::uint32_t step = static_cast<std::uint32_t>(rng.uniform_index(50));
-    set.insert(a, b, step);
-    reference.insert(pack_candidate(a, b, step));
+    EXPECT_EQ(buffer.insert(a, b, step), CandidateBuffer::Insert::kInserted);
+    reference.push_back(pack_candidate(a, b, step));
   }
-  const auto drained = set.drain();
-  EXPECT_EQ(drained.size(), reference.size());
-  for (const Candidate& c : drained) {
-    EXPECT_TRUE(reference.count(pack_candidate(c.sat_a, c.sat_b, c.step)));
+  const auto drained = buffer.drain();
+  ASSERT_EQ(drained.size(), reference.size());
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    EXPECT_EQ(pack_candidate(drained[i].sat_a, drained[i].sat_b, drained[i].step),
+              reference[i])
+        << i;
   }
 }
 
-TEST(CandidateSet, ReportsFullAndGrows) {
-  CandidateSet set(4);
+TEST(CandidateBuffer, AppendsWithoutDeduplicating) {
+  CandidateBuffer buffer(100);
+  EXPECT_EQ(buffer.insert(1, 2, 3), CandidateBuffer::Insert::kInserted);
+  EXPECT_EQ(buffer.insert(2, 1, 3), CandidateBuffer::Insert::kInserted);
+  EXPECT_EQ(buffer.size(), 2u);
+}
+
+TEST(CandidateBuffer, ReportsFullAtCapacity) {
+  CandidateBuffer buffer(4);
   for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(set.insert(i, i + 1, 0), CandidateSet::Insert::kInserted);
+    EXPECT_EQ(buffer.insert(i, i + 1, 0), CandidateBuffer::Insert::kInserted);
   }
-  EXPECT_EQ(set.insert(50, 51, 0), CandidateSet::Insert::kFull);
-  // Duplicates are still recognized when full.
-  EXPECT_EQ(set.insert(0, 1, 0), CandidateSet::Insert::kDuplicate);
-
-  set.grow();
-  EXPECT_EQ(set.size(), 4u);  // contents preserved
-  EXPECT_EQ(set.insert(50, 51, 0), CandidateSet::Insert::kInserted);
-  EXPECT_EQ(set.insert(0, 1, 0), CandidateSet::Insert::kDuplicate);
-  EXPECT_EQ(set.size(), 5u);
+  EXPECT_EQ(buffer.insert(50, 51, 0), CandidateBuffer::Insert::kFull);
+  EXPECT_EQ(buffer.insert(60, 61, 0), CandidateBuffer::Insert::kFull);
+  EXPECT_EQ(buffer.size(), 4u);  // clamped to the capacity
+  EXPECT_EQ(buffer.drain().size(), 4u);
 }
 
-TEST(CandidateSet, ClearEmptiesTheSet) {
-  CandidateSet set(16);
-  set.insert(1, 2, 3);
-  set.clear();
-  EXPECT_EQ(set.size(), 0u);
-  EXPECT_TRUE(set.drain().empty());
-  EXPECT_EQ(set.insert(1, 2, 3), CandidateSet::Insert::kInserted);
+TEST(CandidateBuffer, GrowLeavesItEmptyAtTwiceTheCapacity) {
+  CandidateBuffer buffer(4);
+  for (std::uint32_t i = 0; i < 5; ++i) buffer.insert(i, i + 1, 0);
+  buffer.grow();
+  EXPECT_EQ(buffer.capacity(), 8u);
+  EXPECT_EQ(buffer.size(), 0u);  // the overflowed attempt is re-run
+  EXPECT_TRUE(buffer.drain().empty());
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(buffer.insert(i, i + 1, 0), CandidateBuffer::Insert::kInserted);
+  }
+  EXPECT_EQ(buffer.insert(50, 51, 0), CandidateBuffer::Insert::kFull);
+}
+
+TEST(CandidateBuffer, ClearEmptiesTheBuffer) {
+  CandidateBuffer buffer(16);
+  buffer.insert(1, 2, 3);
+  buffer.clear();
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_TRUE(buffer.drain().empty());
+  EXPECT_EQ(buffer.insert(1, 2, 3), CandidateBuffer::Insert::kInserted);
+  EXPECT_EQ(buffer.size(), 1u);
+}
+
+TEST(CandidateBuffer, MemoryMatchesProjection) {
+  EXPECT_THROW(CandidateBuffer(0), std::invalid_argument);
+  CandidateBuffer buffer(1000);
+  EXPECT_EQ(buffer.memory_bytes(), CandidateBuffer::projected_memory_bytes(1000));
+  EXPECT_EQ(buffer.memory_bytes(), 1000u * sizeof(std::uint64_t));
+  buffer.grow();
+  EXPECT_EQ(buffer.memory_bytes(), CandidateBuffer::projected_memory_bytes(2000));
+}
+
+TEST(CandidateBuffer, ConcurrentInsertsAreEachDrainedOnce) {
+  // Every worker of the pool appends its own disjoint keys at once; the
+  // drain must hold each exactly once.
+  ThreadPool pool(4);
+  constexpr std::uint32_t kPerWorker = 5000;
+  const std::size_t workers = pool.thread_count();
+  CandidateBuffer buffer(workers * kPerWorker);
+  pool.run_on_all([&](std::size_t w) {
+    const auto a = static_cast<std::uint32_t>(w);
+    for (std::uint32_t i = 0; i < kPerWorker; ++i) {
+      EXPECT_EQ(buffer.insert(a, a + 1, i), CandidateBuffer::Insert::kInserted);
+    }
+  });
+  const auto drained = buffer.drain();
+  ASSERT_EQ(drained.size(), workers * kPerWorker);
+  std::set<std::uint64_t> seen;
+  for (const Candidate& c : drained) {
+    EXPECT_TRUE(seen.insert(pack_candidate(c.sat_a, c.sat_b, c.step)).second);
+  }
+  for (std::size_t w = 0; w < workers; ++w) {
+    const auto a = static_cast<std::uint32_t>(w);
+    for (std::uint32_t i = 0; i < kPerWorker; ++i) {
+      EXPECT_EQ(seen.count(pack_candidate(a, a + 1, i)), 1u);
+    }
+  }
+  EXPECT_EQ(buffer.insert(0, 1, 0), CandidateBuffer::Insert::kFull);
 }
 
 TEST(KdTree, MatchesBruteForceRadiusQueries) {
