@@ -1,9 +1,9 @@
 /// Incremental screening walkthrough: a long-lived ScreeningService owns a
 /// versioned catalog and a warm conjunction baseline. After a delta that
 /// touches k of n objects (a TLE batch, a maneuver, a decay), re-screening
-/// costs roughly the insertion pass plus refinement of the dirty pairs —
-/// not a full n-vs-n screen — and the merged report is identical to one
-/// computed from scratch.
+/// costs roughly one propagation pass plus detection and refinement of the
+/// dirty pairs — not a full n-vs-n screen — and the merged report is
+/// identical to one computed from scratch.
 
 #include <algorithm>
 #include <cstdio>

@@ -1,5 +1,6 @@
 #include "core/grid_pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -39,37 +40,62 @@ void simulate_upload(Device& device, DeviceBuffer<std::byte>& dst, std::size_t b
   }
 }
 
-/// Detection-funnel tallies of one scan attempt: occupied cells, and the
-/// pairs tested and where each left the funnel.
+/// Detection-funnel tallies of one scan attempt: occupied cells (cells
+/// that a masked screen's lookups hit), and the pairs tested and where each
+/// left the funnel.
 struct ScanTally {
-  std::uint64_t occupied = 0, tested = 0, masked = 0, prefiltered = 0, emitted = 0;
+  std::uint64_t occupied = 0, tested = 0, prefiltered = 0, emitted = 0;
 
   ScanTally& operator+=(const ScanTally& o) {
     occupied += o.occupied;
     tested += o.tested;
-    masked += o.masked;
     prefiltered += o.prefiltered;
     emitted += o.emitted;
     return *this;
   }
 };
 
-/// The CD body, shared by the CPU worker and the devicesim CD kernel.
+/// The distance prefilter and candidate emission every pair found in
+/// neighbouring cells goes through, on both the full and the masked path.
+struct PairTest {
+  CandidateBuffer& candidates;
+  const double* vmax;  ///< per-satellite speed bound [km/s]
+  double threshold_km;
+  double half_sps;     ///< half the sample period [s]
+
+  /// Returns false when the candidate buffer is full; the round is then
+  /// re-run on a grown buffer.
+  bool operator()(const GridEntry& a, std::uint32_t b, const Vec3& b_position,
+                  std::uint32_t step, ScanTally& tally) const {
+    ++tally.tested;
+    // A pair farther apart than d + (v_max_a + v_max_b) * s/2 cannot reach
+    // the threshold closer than half a sample from this step; the step
+    // nearest its minimum keeps it.
+    const double cutoff = threshold_km + half_sps * (vmax[a.satellite] + vmax[b]);
+    if ((a.position - b_position).norm2() > cutoff * cutoff) {
+      ++tally.prefiltered;
+      return true;
+    }
+    if (candidates.insert(a.satellite, b, step) == CandidateBuffer::Insert::kFull) {
+      return false;
+    }
+    ++tally.emitted;
+    return true;
+  }
+};
+
+/// The CD body of a full screen, shared by the CPU worker and the
+/// devicesim CD kernel.
 struct CellScan {
   const CellIndexer& indexer;
-  CandidateBuffer& candidates;
-  const double* vmax;          ///< per-satellite speed bound [km/s]
-  const std::uint8_t* dirty;   ///< GridPipelineOptions::dirty_mask, or nullptr
-  double threshold_km;
-  double half_sps;             ///< half the sample period [s]
+  PairTest test;
 
   /// Scans the cell in `slot` of `grid`, the grid of sample step `step`,
   /// against itself and its 13 forward neighbours. The other 13 neighbours
   /// hold this cell as a forward neighbour, so each pair of neighbouring
   /// cells is scanned once and each (pair, step) is emitted once: the paper
   /// scans all 26 and lets the conjunction hash map drop the second copy.
-  /// Returns false when the candidate buffer is full; the round is then
-  /// re-run on a grown buffer.
+  /// Returns false when the candidate buffer is full.
   bool operator()(const GridHashSet& grid, std::size_t slot, std::uint32_t step,
                   ScanTally& tally) const {
     const std::uint64_t key = grid.slot_key(slot);
@@ -92,32 +118,10 @@ struct CellScan {
       }
       for (std::uint32_t ea = head; ea != kNoEntry; ea = grid.entry(ea).next) {
         const GridEntry& a = grid.entry(ea);
-        const bool a_dirty = dirty == nullptr || dirty[a.satellite] != 0;
         for (std::uint32_t eb = self ? a.next : other_head; eb != kNoEntry;
              eb = grid.entry(eb).next) {
           const GridEntry& b = grid.entry(eb);
-          ++cell.tested;
-          // Incremental hook: a pair with no dirty member carries its
-          // baseline conjunctions forward, so it never becomes a candidate
-          // here (see GridPipelineOptions::dirty_mask).
-          if (!a_dirty && dirty[b.satellite] == 0) {
-            ++cell.masked;
-            continue;
-          }
-          // A pair farther apart than d + (v_max_a + v_max_b) * s/2 cannot
-          // reach the threshold closer than half a sample from this step;
-          // the step nearest its minimum keeps it.
-          const double cutoff =
-              threshold_km + half_sps * (vmax[a.satellite] + vmax[b.satellite]);
-          if ((a.position - b.position).norm2() > cutoff * cutoff) {
-            ++cell.prefiltered;
-            continue;
-          }
-          if (candidates.insert(a.satellite, b.satellite, step) ==
-              CandidateBuffer::Insert::kFull) {
-            return false;
-          }
-          ++cell.emitted;
+          if (!test(a, b.satellite, b.position, step, cell)) return false;
         }
       }
     }
@@ -126,8 +130,61 @@ struct CellScan {
   }
 };
 
-/// The INS body for one (sample, satellite) tuple, shared by the CPU
-/// worker and the devicesim INS kernel.
+/// The detection body of a masked screen (GridPipelineOptions::dirty_mask),
+/// shared by the CPU worker and the two devicesim kernels. Each dirty
+/// object is registered in its home cell and the 26 cells around it (its
+/// "phantoms"); each object then looks up its own home cell only, and
+/// finds there every dirty object at Chebyshev cell distance <= 1 — the
+/// neighbour relation of the full scan, restricted to pairs with a dirty
+/// member. Clean objects are never inserted, so no clean-clean pair is
+/// ever tested.
+struct PhantomScan {
+  const CellIndexer& indexer;
+  PairTest test;
+  const std::uint8_t* dirty;                   ///< the dirty mask
+  std::span<const std::uint32_t> dirty_objects;  ///< its set indices, ascending
+
+  /// Registers dirty object `satellite` at `position` in its 27 cells.
+  void enroll(GridHashSet& table, std::uint32_t satellite, const Vec3& position) const {
+    const CellCoord home = indexer.cell_of(position);
+    for (std::int32_t dz = -1; dz <= 1; ++dz) {
+      for (std::int32_t dy = -1; dy <= 1; ++dy) {
+        for (std::int32_t dx = -1; dx <= 1; ++dx) {
+          const CellCoord cell{home.x + dx, home.y + dy, home.z + dz};
+          if (!table.insert(indexer.pack(cell), satellite, position)) {
+            throw std::logic_error("run_grid_pipeline: phantom table overflow "
+                                   "(invariant violation: 27 entries per dirty object)");
+          }
+        }
+      }
+    }
+  }
+
+  /// Tests object `satellite` at `position` against the dirty objects
+  /// registered in its home cell. Returns false when the candidate buffer
+  /// is full.
+  bool lookup(const GridHashSet& table, std::uint32_t satellite, const Vec3& position,
+              std::uint32_t step, ScanTally& tally) const {
+    const std::uint32_t head = table.find(indexer.key_of(position));
+    if (head == kNoEntry) return true;
+    ScanTally cell;
+    cell.occupied = 1;
+    // Only a dirty object finds itself, and it finds every dirty
+    // neighbour whose lookup finds it too: it keeps the pairs with the
+    // higher-indexed ones, so each (pair, step) is tested once.
+    const bool self_dirty = dirty[satellite] != 0;
+    for (std::uint32_t e = head; e != kNoEntry; e = table.entry(e).next) {
+      const GridEntry& d = table.entry(e);
+      if (self_dirty && d.satellite <= satellite) continue;
+      if (!test(d, satellite, position, step, cell)) return false;
+    }
+    tally += cell;
+    return true;
+  }
+};
+
+/// The INS body for one (sample, satellite) tuple of a full screen, shared
+/// by the CPU worker and the devicesim INS kernel.
 void insert_sample(GridHashSet& grid, const CellIndexer& indexer,
                    std::size_t satellite, const Vec3& position) {
   if (!grid.insert(indexer.key_of(position), static_cast<std::uint32_t>(satellite),
@@ -146,10 +203,25 @@ struct RoundInputs {
   const ScreeningConfig& config;
   const GridPipelineResult& result;
   const CellScan& scan;
+  /// Set for a masked screen, whose steps go through the phantom table
+  /// instead of `scan`.
+  const PhantomScan* phantom;
   std::vector<GridHashSet>& grids;
 
   double sample_time(std::size_t step) const {
     return result.sample_time(step, config.t_begin, config.t_end);
+  }
+
+  /// Positions of satellites [begin, end) at time `t`, through the batched
+  /// kernel when there is one.
+  void positions(double t, std::size_t begin, std::size_t end, Vec3* out) const {
+    if (batch_propagator != nullptr) {
+      batch_propagator->positions_at(t, begin, end, out);
+    } else {
+      for (std::size_t sat = begin; sat < end; ++sat) {
+        out[sat - begin] = propagator.position(sat, t);
+      }
+    }
   }
 };
 
@@ -163,18 +235,76 @@ struct RoundAttempt {
   bool overflow = false;
 };
 
-/// CPU round: each worker owns one grid and runs whole sample steps through
-/// it, taking the next step of the round until none is left: clear the
-/// grid, propagate and insert every satellite, then scan every slot while
-/// the grid is still in the worker's cache. Phase seconds are the workers'
-/// summed seconds divided by the number of workers. On overflow the workers
-/// stop, and the telemetry they counted is taken back: the caller grows the
-/// candidate buffer and re-runs the whole round.
+/// Satellites the CPU worker propagates at a time.
+constexpr std::size_t kChunk = 256;
+
+/// CPU, one step of a full screen through the worker's cleared grid:
+/// propagate and insert every satellite, then scan every slot while the
+/// grid is still in the worker's cache. Returns false on overflow.
+bool full_step(const RoundInputs& in, GridHashSet& grid, std::size_t step,
+               RoundAttempt& part, Stopwatch& clock) {
+  const std::size_t n = in.propagator.size();
+  const double t = in.sample_time(step);
+  Vec3 positions[kChunk];
+  for (std::size_t sat0 = 0; sat0 < n; sat0 += kChunk) {
+    const std::size_t end = std::min(n, sat0 + kChunk);
+    in.positions(t, sat0, end, positions);
+    for (std::size_t sat = sat0; sat < end; ++sat) {
+      insert_sample(grid, in.scan.indexer, sat, positions[sat - sat0]);
+    }
+  }
+  part.insertion_seconds += clock.lap();
+
+  bool fits = true;
+  for (std::size_t slot = 0; fits && slot < grid.slot_count(); ++slot) {
+    fits = in.scan(grid, slot, static_cast<std::uint32_t>(step), part.tally);
+  }
+  part.detection_seconds += clock.lap();
+  return fits;
+}
+
+/// CPU, one step of a masked screen through the worker's cleared phantom
+/// table: register the dirty objects, then propagate every satellite chunk
+/// by chunk and look each one up. Propagation counts as INS, lookups as
+/// CD. Returns false on overflow.
+bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step,
+                  RoundAttempt& part, Stopwatch& clock) {
+  const PhantomScan& phantom = *in.phantom;
+  const std::size_t n = in.propagator.size();
+  const double t = in.sample_time(step);
+  for (const std::uint32_t sat : phantom.dirty_objects) {
+    Vec3 position;
+    in.positions(t, sat, sat + 1, &position);
+    phantom.enroll(table, sat, position);
+  }
+  part.insertion_seconds += clock.lap();
+
+  Vec3 positions[kChunk];
+  for (std::size_t sat0 = 0; sat0 < n; sat0 += kChunk) {
+    const std::size_t end = std::min(n, sat0 + kChunk);
+    in.positions(t, sat0, end, positions);
+    part.insertion_seconds += clock.lap();
+    for (std::size_t sat = sat0; sat < end; ++sat) {
+      if (!phantom.lookup(table, static_cast<std::uint32_t>(sat), positions[sat - sat0],
+                          static_cast<std::uint32_t>(step), part.tally)) {
+        part.detection_seconds += clock.lap();
+        return false;
+      }
+    }
+    part.detection_seconds += clock.lap();
+  }
+  return true;
+}
+
+/// CPU round: each worker owns one grid (a phantom table when masked) and
+/// runs whole sample steps through it, taking the next step of the round
+/// until none is left. Phase seconds are the workers' summed seconds
+/// divided by the number of workers. On overflow the workers stop, and the
+/// telemetry they counted is taken back: the caller grows the candidate
+/// buffer and re-runs the whole round.
 RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t steps) {
   ThreadPool& pool = pool_of(in.config);
   const std::size_t workers = in.grids.size();
-  const std::size_t n = in.propagator.size();
-  const std::size_t slots = in.grids.front().slot_count();
 
   std::vector<RoundAttempt> parts(workers);
   std::vector<obs::TelemetrySnapshot> saved(workers);
@@ -191,32 +321,9 @@ RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t s
       if (step >= step0 + steps) break;
       grid.clear();
       part.clear_seconds += clock.lap();
-
-      const double t = in.sample_time(step);
-      if (in.batch_propagator != nullptr) {
-        constexpr std::size_t kChunk = 256;
-        Vec3 positions[kChunk];
-        for (std::size_t sat0 = 0; sat0 < n; sat0 += kChunk) {
-          const std::size_t end = std::min(n, sat0 + kChunk);
-          in.batch_propagator->positions_at(t, sat0, end, positions);
-          for (std::size_t sat = sat0; sat < end; ++sat) {
-            insert_sample(grid, in.scan.indexer, sat, positions[sat - sat0]);
-          }
-        }
-      } else {
-        for (std::size_t sat = 0; sat < n; ++sat) {
-          insert_sample(grid, in.scan.indexer, sat, in.propagator.position(sat, t));
-        }
-      }
-      part.insertion_seconds += clock.lap();
-
-      for (std::size_t slot = 0; slot < slots; ++slot) {
-        if (!in.scan(grid, slot, static_cast<std::uint32_t>(step), part.tally)) {
-          overflow.store(true, std::memory_order_relaxed);
-          break;
-        }
-      }
-      part.detection_seconds += clock.lap();
+      const bool fits = in.phantom == nullptr ? full_step(in, grid, step, part, clock)
+                                              : phantom_step(in, grid, step, part, clock);
+      if (!fits) overflow.store(true, std::memory_order_relaxed);
     }
     parts[w] = part;
   });
@@ -242,37 +349,55 @@ RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t s
 }
 
 /// devicesim round, the paper's decomposition: one grid per step, an INS
-/// kernel with one logical thread per (sample, satellite) tuple, then a CD
-/// kernel with one per (sample, slot). A `rescan` after the candidate
-/// buffer grew re-runs only the CD kernel: the grids still hold the round.
+/// kernel, then a CD kernel. A full screen runs one INS thread per
+/// (sample, satellite) tuple and one CD thread per (sample, slot); a
+/// masked screen registers with one thread per (sample, dirty object) and
+/// looks up with one per (sample, satellite). Both kernels call
+/// position(). A `rescan` after the candidate buffer grew re-runs only the
+/// CD kernel: the grids still hold the round.
 RoundAttempt device_round(const RoundInputs& in, std::size_t step0, std::size_t steps,
                           bool rescan) {
   RoundAttempt attempt;
   const std::size_t n = in.propagator.size();
-  const std::size_t slots = in.grids.front().slot_count();
+  const auto position = [&](std::size_t local, std::size_t sat) {
+    return in.propagator.position(sat, in.sample_time(step0 + local));
+  };
   Stopwatch watch;
   if (!rescan) {
     pool_of(in.config).parallel_for(steps, [&](std::size_t g) { in.grids[g].clear(); },
                                     /*grain=*/1);
     attempt.clear_seconds = watch.lap();
-    execute(in.config, steps * n, [&](std::size_t idx) {
-      const std::size_t local = idx / n;
-      const std::size_t sat = idx % n;
-      insert_sample(in.grids[local], in.scan.indexer, sat,
-                    in.propagator.position(sat, in.sample_time(step0 + local)));
-    });
+    if (in.phantom == nullptr) {
+      execute(in.config, steps * n, [&](std::size_t idx) {
+        const std::size_t local = idx / n;
+        const std::size_t sat = idx % n;
+        insert_sample(in.grids[local], in.scan.indexer, sat, position(local, sat));
+      });
+    } else {
+      const std::span<const std::uint32_t> dirty = in.phantom->dirty_objects;
+      execute(in.config, steps * dirty.size(), [&](std::size_t idx) {
+        const std::size_t local = idx / dirty.size();
+        const std::uint32_t sat = dirty[idx % dirty.size()];
+        in.phantom->enroll(in.grids[local], sat, position(local, sat));
+      });
+    }
     attempt.insertion_seconds = watch.lap();
   }
 
+  const std::size_t width = in.phantom == nullptr ? in.grids.front().slot_count() : n;
   std::atomic<bool> overflow{false};
   std::mutex tally_mutex;
-  execute(in.config, steps * slots, [&](std::size_t idx) {
-    const std::size_t local = idx / slots;
+  execute(in.config, steps * width, [&](std::size_t idx) {
+    const std::size_t local = idx / width;
+    const std::size_t item = idx % width;
+    const auto step = static_cast<std::uint32_t>(step0 + local);
     ScanTally cell;
-    if (!in.scan(in.grids[local], idx % slots,
-                 static_cast<std::uint32_t>(step0 + local), cell)) {
-      overflow.store(true, std::memory_order_relaxed);
-    }
+    const bool fits =
+        in.phantom == nullptr
+            ? in.scan(in.grids[local], item, step, cell)
+            : in.phantom->lookup(in.grids[local], static_cast<std::uint32_t>(item),
+                                 position(local, item), step, cell);
+    if (!fits) overflow.store(true, std::memory_order_relaxed);
     if (cell.occupied != 0 && obs::enabled()) {
       const std::lock_guard<std::mutex> lock(tally_mutex);
       attempt.tally += cell;
@@ -316,10 +441,19 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   const std::uint64_t budget =
       device != nullptr ? device->memory_free() : config.memory_budget;
 
-  if (!options.dirty_mask.empty() && options.dirty_mask.size() != n) {
+  const bool masked = !options.dirty_mask.empty();
+  if (masked && options.dirty_mask.size() != n) {
     throw std::invalid_argument(
         "run_grid_pipeline: dirty_mask size does not match the population");
   }
+  // A masked screen's detection table holds 27 entries per dirty object
+  // (PhantomScan); a full screen's grid one per satellite.
+  std::vector<std::uint32_t> dirty_objects;
+  for (std::size_t i = 0; masked && i < n; ++i) {
+    if (options.dirty_mask[i] != 0) dirty_objects.push_back(static_cast<std::uint32_t>(i));
+  }
+  const std::size_t table_entries =
+      masked ? std::max<std::size_t>(27 * dirty_objects.size(), 1) : n;
 
   // Sizing (Section V-B): candidate capacity from the Extra-P model, then
   // the sample parallelism p from the remaining budget. The automatic
@@ -343,11 +477,12 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   request.span_seconds = config.span_seconds();
   request.seconds_per_sample = config.seconds_per_sample;
   request.memory_budget = budget;
+  request.grid_entries = table_entries;
 
   const AutoAdjustResult adjusted =
       auto_adjust_sps(count_model, request, config.threshold_km);
   if (!adjusted.feasible) {
-    throw std::runtime_error(
+    throw MemoryBudgetExceeded(
         "run_grid_pipeline: population does not fit into the memory budget "
         "even at 1 s sampling");
   }
@@ -365,17 +500,17 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   const std::size_t p = result.plan.parallel_samples;
   const std::size_t total_steps = result.plan.total_samples;
 
-  // Step 1 (allocation): the grids, the candidate buffer, and the
-  // per-satellite speed bounds used by the distance prefilter — checked
-  // out of the arena at exactly the sizes a cold screen would allocate.
-  // devicesim holds one grid per step of a round (p); on the CPU each
-  // worker owns one grid, so min(p, workers) are enough. Every grid is
-  // cleared before a step is inserted into it, so carried-over grids need
-  // no reset here.
+  // Step 1 (allocation): the grids (phantom tables when masked), the
+  // candidate buffer, and the per-satellite speed bounds used by the
+  // distance prefilter — checked out of the arena at exactly the sizes a
+  // cold screen would allocate. devicesim holds one grid per step of a
+  // round (p); on the CPU each worker owns one grid, so min(p, workers)
+  // are enough. Every grid is cleared before a step is inserted into it,
+  // so carried-over grids need no reset here.
   ScratchArena& arena = context.arena();
   const std::size_t grid_count =
       device != nullptr ? p : std::min(p, pool_of(config).thread_count());
-  std::vector<GridHashSet>& grids = arena.grids(grid_count, n);
+  std::vector<GridHashSet>& grids = arena.grids(grid_count, table_entries);
   CandidateBuffer& candidates = arena.candidates(request.candidate_capacity);
 
   std::vector<double>& vmax = arena.vmax(n);
@@ -400,26 +535,27 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
 
   result.allocation_seconds = alloc_watch.seconds();
 
-  const CellScan scan{indexer,
-                      candidates,
-                      vmax.data(),
-                      options.dirty_mask.empty() ? nullptr : options.dirty_mask.data(),
-                      config.threshold_km,
+  const PairTest test{candidates, vmax.data(), config.threshold_km,
                       0.5 * result.sample_period};
-  // The batched insertion kernel needs the concrete SoA propagator and
+  const CellScan scan{indexer, test};
+  const PhantomScan phantom{indexer, test, options.dirty_mask.data(), dirty_objects};
+  // The batched propagation kernel needs the concrete SoA propagator and
   // runs on the CPU backend only.
   const RoundInputs inputs{
       propagator,
       device == nullptr ? dynamic_cast<const TwoBodyPropagator*>(&propagator)
                         : nullptr,
-      config, result, scan, grids};
-  const std::size_t slots = grids.front().slot_count();
+      config, result, scan, masked ? &phantom : nullptr, grids};
+  // Per step, a full screen scans every slot, a masked one looks up each
+  // of the n satellites once.
+  const std::size_t scanned_per_step = masked ? n : grids.front().slot_count();
 
   // Step 2 (INS + CD), round by round. A round that fills the candidate
   // buffer is retried on a grown, empty buffer, and the retry inserts every
   // candidate of the round again. Funnel tallies are committed only for
   // the attempt that completed, which keeps the conservation invariant
-  // (tested == masked + prefiltered + emitted) exact.
+  // (tested == prefiltered + emitted; no clean-clean pair is ever tested,
+  // so kPairsMaskedClean stays 0) exact.
   for (std::size_t round = 0; round < result.plan.rounds; ++round) {
     const std::size_t step0 = round * p;
     const std::size_t steps = std::min(p, total_steps - step0);
@@ -436,10 +572,9 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
         if (obs::enabled()) {
           const ScanTally& tally = attempt.tally;
           obs::count(obs::Counter::kSamplesPropagated, steps * n);
-          obs::count(obs::Counter::kCellsScanned, steps * slots);
+          obs::count(obs::Counter::kCellsScanned, steps * scanned_per_step);
           obs::count(obs::Counter::kCellsOccupied, tally.occupied);
           obs::count(obs::Counter::kPairsTested, tally.tested);
-          obs::count(obs::Counter::kPairsMaskedClean, tally.masked);
           obs::count(obs::Counter::kPairsPrefiltered, tally.prefiltered);
           obs::count(obs::Counter::kCandidatesEmitted, tally.emitted);
         }

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/config.hpp"
@@ -21,11 +22,14 @@ class ScreeningContext;
 struct GridPipelineOptions {
   /// Incremental re-screening hook (src/service): when non-empty it must
   /// have one entry per satellite, and only candidate pairs with at least
-  /// one marked ("dirty") member are emitted by the detection phase. The
-  /// full population is still inserted into the grid, so dirty-vs-clean
-  /// candidates are found exactly as in a full screen; clean-vs-clean
-  /// pairs are skipped because their conjunctions are unchanged from the
-  /// cached baseline report. Empty (the default) screens every pair.
+  /// one marked ("dirty") member are emitted. Each step then registers the
+  /// k dirty objects in their home cell and its 26 neighbours of a
+  /// 27k-entry phantom table instead of inserting every satellite into a
+  /// grid, and every satellite looks up its own cell there: the same
+  /// neighbour relation and distance prefilter as a full screen, so the
+  /// dirty-member candidates are exactly the full screen's. Clean-vs-clean
+  /// pairs are never tested, because their conjunctions are unchanged from
+  /// the cached baseline report. Empty (the default) screens every pair.
   std::span<const std::uint8_t> dirty_mask = {};
   /// Overrides the Eq. (1) cell size [km] when positive. ONLY for the
   /// worst-case ablation (bench_eq1_cellsize): cells smaller than Eq. (1)
@@ -72,30 +76,45 @@ using GridRoundSink = std::function<void(
     std::size_t round, std::vector<Candidate>&& candidates,
     const GridPipelineResult& pipeline)>;
 
+/// Thrown by run_grid_pipeline when even one grid (or phantom table) does
+/// not fit into the memory budget at 1 s sampling.
+class MemoryBudgetExceeded : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Runs the grid front-end over the whole span at config.seconds_per_sample
 /// (must be > 0): sizes the candidate buffer from `count_model` (Eq. 3 for
 /// grid, Eq. 4 for hybrid) and plans the sample parallelism p from the
-/// memory budget (device memory when config.device is set), then screens
-/// the steps in rounds of p: each step's satellites are propagated into a
-/// grid, and every occupied cell is scanned against its half-stencil
-/// neighbourhood for candidate pairs, appended to the lock-free candidate
-/// buffer. If the count model proves too small, the buffer grows and the
-/// round is re-run. After every round the buffer is drained into `sink`
-/// (the sink is called once per round, in round order) and cleared for the
-/// next round, so memory stays bounded by one round's candidates
-/// regardless of the span length.
+/// memory budget (device memory when config.device is set), charging the
+/// detection table each step actually uses: an n-entry grid, or a
+/// 27k-entry phantom table under a dirty mask of k objects. It then
+/// screens the steps in rounds of p: each step's satellites are propagated
+/// into a grid, and every occupied cell is scanned against its
+/// half-stencil neighbourhood for candidate pairs, appended to the
+/// lock-free candidate buffer (a masked step registers the dirty objects
+/// and looks every satellite up instead; see
+/// GridPipelineOptions::dirty_mask). If the count model proves too small,
+/// the buffer grows and the round is re-run. After every round the buffer
+/// is drained into `sink` (the sink is called once per round, in round
+/// order) and cleared for the next round, so memory stays bounded by one
+/// round's candidates regardless of the span length.
 ///
-/// The two backends share the insert and cell-scan bodies but not their
-/// execution shape:
+/// The two backends share the insert and cell-scan bodies (the register
+/// and lookup bodies when masked) but not their execution shape:
 ///  - CPU: min(p, workers) grids, one per worker of the pool. A worker
 ///    takes the round's steps one at a time and clears its grid,
 ///    propagates and inserts every satellite, and scans the grid while it
-///    is still in its cache. A TwoBodyPropagator goes through the batched
-///    SoA kernel, any other propagator through position(). A round with
-///    fewer steps than workers leaves the surplus workers idle.
+///    is still in its cache; under a mask it registers the dirty objects,
+///    then propagates the satellites chunk by chunk and looks each one up.
+///    A TwoBodyPropagator goes through the batched SoA kernel, any other
+///    propagator through position(). A round with fewer steps than workers
+///    leaves the surplus workers idle.
 ///  - devicesim: the paper's decomposition, p grids and per round one INS
 ///    kernel (a thread per (sample, satellite) tuple, position() each)
-///    and one CD kernel (a thread per (sample, slot)).
+///    and one CD kernel (a thread per (sample, slot)). Under a mask the
+///    INS kernel has a thread per (sample, dirty object) and the CD kernel
+///    one per (sample, satellite), position() each.
 /// Positions, candidates and reports are bit-identical across backends,
 /// thread counts and round shapes. Phase seconds on the CPU are the
 /// workers' summed seconds divided by the number of workers; per-step grid
@@ -108,8 +127,8 @@ using GridRoundSink = std::function<void(
 /// Throws std::invalid_argument when the population or the number of
 /// sample steps exceeds what a candidate key can hold (2^20 satellites,
 /// 2^24 steps), checked before anything is allocated, and
-/// std::runtime_error when even a single grid does not fit into the memory
-/// budget.
+/// MemoryBudgetExceeded when even a single grid does not fit into the
+/// memory budget.
 GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const ScreeningConfig& config,
                                      const ConjunctionCountModel& count_model,

@@ -20,7 +20,8 @@ SizingPlan plan_samples(const SizingRequest& request) {
   const std::uint64_t n = request.satellites;
   plan.fixed_bytes = n * (kSatelliteBytes + kKeplerCacheBytes) +
                      CandidateBuffer::projected_memory_bytes(request.candidate_capacity);
-  plan.per_grid_bytes = GridHashSet::projected_memory_bytes(request.satellites);
+  plan.per_grid_bytes = GridHashSet::projected_memory_bytes(
+      request.grid_entries != 0 ? request.grid_entries : request.satellites);
 
   if (plan.fixed_bytes + plan.per_grid_bytes > request.memory_budget) {
     plan.fits = false;

@@ -26,6 +26,10 @@ struct SizingRequest {
   double seconds_per_sample = 1.0;     ///< s_ps
   std::size_t candidate_capacity = 0;  ///< c, from candidate_capacity_from_model()
   std::uint64_t memory_budget = 0;     ///< m [bytes]
+  /// Entries of one sample step's detection table: 27k for a screen that
+  /// registers k dirty objects in their 27-cell neighbourhoods, 0 (the
+  /// default) for the full grid of one entry per satellite.
+  std::size_t grid_entries = 0;
 };
 
 /// The paper's equations: o = t / s_ps total samples, p parallel samples
@@ -35,7 +39,7 @@ struct SizingPlan {
   std::size_t parallel_samples = 0;  ///< p (>= 1 when fits)
   std::size_t rounds = 0;            ///< r_c
   std::uint64_t fixed_bytes = 0;     ///< a_s + a_k + a_ch
-  std::uint64_t per_grid_bytes = 0;  ///< a_gh + a_l
+  std::uint64_t per_grid_bytes = 0;  ///< a_gh + a_l, for grid_entries
   bool fits = false;                 ///< false when even p = 1 exceeds m
 };
 

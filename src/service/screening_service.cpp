@@ -1,6 +1,7 @@
 #include "service/screening_service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -113,27 +114,33 @@ ServiceReport ScreeningService::incremental_screen(
 
   std::vector<IdConjunction> refreshed;
   if (!dirty_ids.empty()) {
-    // Mark the dirty dense indices and run the ordinary grid pass over the
-    // full snapshot; only candidates with >= 1 dirty member survive
-    // detection, so refinement cost scales with the delta, not with n.
+    // Mark the dirty dense indices and run a masked grid pass over the
+    // snapshot: the dirty objects are registered in a small phantom table
+    // that every object looks up, so only pairs with >= 1 dirty member are
+    // tested, and pair tests and refinement scale with the delta.
     std::vector<std::uint8_t> mask(snap->size(), 0);
     for (const std::uint32_t id : dirty_ids) {
       mask[snap->index_of(id)] = 1;  // dirty ids are always present
     }
     GridPipelineOptions pipeline;
     pipeline.dirty_mask = mask;
-    const ScreeningReport dense =
-        GridScreener(pipeline, &context_).screen(snap->satellites, options_.config);
-
-    if (dense.stats.seconds_per_sample != baseline_sps_) {
-      // The sizing model auto-shrank the sample period (population grew
-      // into the memory budget): clean-pair results are no longer
-      // guaranteed to match the baseline grid geometry, so rebuild.
+    std::optional<ScreeningReport> dense;
+    try {
+      dense = GridScreener(pipeline, &context_).screen(snap->satellites, options_.config);
+    } catch (const MemoryBudgetExceeded&) {
+      // The phantom tables (27 entries per dirty object) outgrow the
+      // budget where the full screen's grids may still fit.
+    }
+    if (!dense || dense->stats.seconds_per_sample != baseline_sps_) {
+      // Either the masked plan did not fit, or the sizing model
+      // auto-shrank the sample period (population or dirty set grew into
+      // the memory budget): clean-pair results are no longer guaranteed to
+      // match the baseline grid geometry, so rebuild.
       return full_screen(std::move(snap));
     }
-    refreshed = to_id_space(dense.conjunctions, *snap);
-    report.timings = dense.timings;
-    report.stats = dense.stats;
+    refreshed = to_id_space(dense->conjunctions, *snap);
+    report.timings = dense->timings;
+    report.stats = dense->stats;
   }
 
   // Merge rule: a baseline conjunction stays valid iff neither member

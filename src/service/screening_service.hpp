@@ -85,10 +85,13 @@ struct ServiceOptions {
 /// keeps the last full ConjunctionReport as a warm baseline.
 ///
 /// After a delta touching k of n objects, screen() re-screens only pairs
-/// with at least one dirty member (the full snapshot is inserted into the
-/// grid, so dirty-vs-clean candidates are found exactly as in a full pass;
-/// see GridPipelineOptions::dirty_mask) and merges with the baseline by
-/// evicting pairs whose members changed. The merged report is identical to
+/// with at least one dirty member (the k dirty objects are registered in
+/// the 27 cells around them and every object looks up its own cell, so
+/// dirty-vs-clean candidates are found exactly as in a full pass; see
+/// GridPipelineOptions::dirty_mask) and merges with the baseline by
+/// evicting pairs whose members changed. When the masked pass does not fit
+/// the memory budget, or would sample at a different period than the
+/// baseline, the pass is a full screen instead. The merged report is identical to
 /// a from-scratch screen of the same snapshot: a pair's conjunctions
 /// depend only on the two orbits and the fixed config, so clean-clean
 /// pairs carry over verbatim and everything else is recomputed.

@@ -187,6 +187,7 @@ void check_counter_invariants(const std::string& name, Variant variant,
   if (variant == Variant::kGrid || variant == Variant::kHybrid) {
     // Detection funnel conservation: every tested pair lands in exactly one
     // bucket (clean-masked, prefiltered, emitted); none is emitted twice.
+    // No screen tests a clean-clean pair, so the clean-masked bucket is 0.
     const std::uint64_t classified =
         v(C::kPairsMaskedClean) + v(C::kPairsPrefiltered) + v(C::kCandidatesEmitted);
     expect(v(C::kCandidatesDeduplicated) == 0, "deduplicated == 0",

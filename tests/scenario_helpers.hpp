@@ -23,16 +23,17 @@ namespace scod::testutil {
 /// Runs the grid front-end and returns every round's candidates sorted by
 /// (pair, step); the pipeline's counters go to `result`. Adds a test
 /// failure when a (pair, step) is emitted more than once: the candidate
-/// buffer does not deduplicate, so the half-stencil scan must not repeat
-/// one.
+/// buffer does not deduplicate, so neither the half-stencil scan nor the
+/// masked lookup may repeat one.
 inline std::vector<Candidate> pipeline_candidates(const Propagator& propagator,
                                                   const ScreeningConfig& config,
                                                   const ConjunctionCountModel& model,
+                                                  const GridPipelineOptions& options,
                                                   ScreeningContext& context,
                                                   GridPipelineResult& result) {
   std::vector<Candidate> all;
   result = run_grid_pipeline(
-      propagator, config, model, {}, context,
+      propagator, config, model, options, context,
       [&](std::size_t, std::vector<Candidate>&& round, const GridPipelineResult&) {
         all.insert(all.end(), round.begin(), round.end());
       });

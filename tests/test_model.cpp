@@ -71,6 +71,30 @@ TEST(Sizing, TightBudgetReducesParallelism) {
   EXPECT_GT(tight.rounds, 1000u);
 }
 
+TEST(Sizing, ChargesTheRequestedDetectionTable) {
+  // A grid holds one entry per satellite unless the request names another
+  // table size (a masked screen's 27 entries per dirty object); the fixed
+  // data still scale with n.
+  SizingRequest req;
+  req.satellites = 10000;
+  req.span_seconds = 600.0;
+  req.seconds_per_sample = 4.0;
+  req.candidate_capacity = 10000;
+  req.memory_budget = 1ull << 30;
+  const SizingPlan full = plan_samples(req);
+  EXPECT_EQ(full.per_grid_bytes, GridHashSet::projected_memory_bytes(10000));
+
+  req.grid_entries = 27 * 100;
+  const SizingPlan masked = plan_samples(req);
+  EXPECT_EQ(masked.per_grid_bytes, GridHashSet::projected_memory_bytes(2700));
+  EXPECT_EQ(masked.fixed_bytes, full.fixed_bytes);
+
+  // 27k > n once k > n/27: a budget of one full grid no longer fits.
+  req.grid_entries = 27 * 1000;
+  req.memory_budget = full.fixed_bytes + full.per_grid_bytes;
+  EXPECT_FALSE(plan_samples(req).fits);
+}
+
 TEST(Sizing, ReportsWhenNothingFits) {
   SizingRequest req;
   req.satellites = 1000000;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -15,6 +16,7 @@
 #include "core/screen.hpp"
 #include "filters/dense_scan.hpp"
 #include "model/sizing.hpp"
+#include "parallel/device.hpp"
 #include "orbit/geometry.hpp"
 #include "population/generator.hpp"
 #include "propagation/contour_solver.hpp"
@@ -237,7 +239,7 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
   ScreeningContext context;
   GridPipelineResult result;
   const std::vector<Candidate> candidates = testutil::pipeline_candidates(
-      propagator, cfg, ConjunctionCountModel::paper_grid(), context, result);
+      propagator, cfg, ConjunctionCountModel::paper_grid(), {}, context, result);
 
   const std::size_t n = cloud.size();
   const CellIndexer indexer(result.cell_size);
@@ -281,6 +283,119 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
   for (const Candidate& c : candidates) found.insert({c.sat_a, c.sat_b, c.step});
   EXPECT_EQ(found.size(), candidates.size());
   EXPECT_EQ(found, expected);
+}
+
+TEST(PipelineEdges, DirtyMaskKeepsExactlyTheCandidatesWithADirtyMember) {
+  // A masked screen registers the dirty objects in their 27 cells and looks
+  // every object up in its own cell; it must find exactly the unmasked
+  // screen's candidates that have a dirty member, on both backends and
+  // any thread count: all of them under an all-ones mask, none under an
+  // all-zeros mask.
+  const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
+  const auto sats = generate_debris_cloud(parent, 200, 0.05, 7);
+  const std::size_t n = sats.size();
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(sats, solver);
+  ScreeningConfig base;
+  base.threshold_km = 2.0;
+  base.t_end = 600.0;
+  base.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
+
+  const std::vector<std::uint8_t> all(n, 1), none(n, 0);
+  std::vector<std::uint8_t> some(n, 0);
+  Rng rng(0xD1127);
+  for (std::uint8_t& d : some) d = rng.uniform() < 0.05 ? 1 : 0;
+
+  ThreadPool one(1), four(4);
+  Device device(DeviceProperties{}, &four);
+  for (const int backend : {1, 4, 0}) {
+    const std::string label =
+        backend == 0 ? std::string("devicesim") : std::to_string(backend) + " threads";
+    ScreeningConfig cfg = base;
+    cfg.pool = backend == 1 ? &one : &four;
+    if (backend == 0) cfg.device = &device;
+    const auto candidates = [&](std::span<const std::uint8_t> mask) {
+      ScreeningContext context;
+      GridPipelineResult result;
+      GridPipelineOptions options;
+      options.dirty_mask = mask;
+      return testutil::pipeline_candidates(propagator, cfg,
+                                           ConjunctionCountModel::paper_grid(), options,
+                                           context, result);
+    };
+    const std::vector<Candidate> unmasked = candidates({});
+    ASSERT_GT(unmasked.size(), 0u) << label;
+
+    std::vector<Candidate> expected;
+    std::size_t dirty_dirty = 0;
+    for (const Candidate& c : unmasked) {
+      if (some[c.sat_a] != 0 || some[c.sat_b] != 0) expected.push_back(c);
+      if (some[c.sat_a] != 0 && some[c.sat_b] != 0) ++dirty_dirty;
+    }
+    // The random mask must leave both kinds of dirty pair, and drop some.
+    EXPECT_GT(dirty_dirty, 0u) << label;
+    EXPECT_GT(expected.size(), dirty_dirty) << label;
+    EXPECT_LT(expected.size(), unmasked.size()) << label;
+
+    const auto same = [&](const std::vector<Candidate>& got,
+                          const std::vector<Candidate>& want, const char* mask) {
+      ASSERT_EQ(got.size(), want.size()) << label << " " << mask;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(std::tie(got[i].sat_a, got[i].sat_b, got[i].step),
+                  std::tie(want[i].sat_a, want[i].sat_b, want[i].step))
+            << label << " " << mask << " #" << i;
+      }
+    };
+    same(candidates(all), unmasked, "all-ones");
+    same(candidates(none), {}, "all-zeros");
+    same(candidates(some), expected, "random");
+  }
+}
+
+TEST(PipelineEdges, DirtyMaskPlanChargesThePhantomTables) {
+  // A masked screen sizes and holds 27-entry-per-dirty-object tables, not
+  // n-entry grids. With more than n/27 objects dirty those are the larger
+  // ones, and a budget that fits one full grid no longer fits the screen.
+  const auto sats = small_shell(300, 12);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(sats, solver);
+  ScreeningConfig cfg;
+  cfg.threshold_km = 5.0;
+  cfg.t_end = 600.0;
+  cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
+  ThreadPool two(2);
+  cfg.pool = &two;
+
+  std::vector<std::uint8_t> mask(sats.size(), 0);
+  for (std::size_t i = 0; i < mask.size(); i += 2) mask[i] = 1;  // k = n/2
+  GridPipelineOptions options;
+  options.dirty_mask = mask;
+  const std::size_t entries = 27 * (sats.size() / 2);
+
+  ScreeningContext context;
+  const GridPipelineResult roomy = run_grid_pipeline(
+      propagator, cfg, ConjunctionCountModel::paper_grid(), options, context,
+      discard_round);
+  EXPECT_EQ(roomy.plan.per_grid_bytes, GridHashSet::projected_memory_bytes(entries));
+  EXPECT_EQ(roomy.grid_memory_bytes, 2 * GridHashSet::projected_memory_bytes(entries));
+
+  // The budget of the full screen's plan with exactly one grid.
+  SizingRequest request;
+  request.satellites = sats.size();
+  request.span_seconds = cfg.span_seconds();
+  request.seconds_per_sample = cfg.seconds_per_sample;
+  request.candidate_capacity = candidate_capacity_from_model(
+      ConjunctionCountModel::paper_grid(), static_cast<double>(sats.size()),
+      cfg.seconds_per_sample, cfg.span_seconds(), cfg.threshold_km);
+  const SizingPlan full = plan_samples(request);
+  cfg.memory_budget = full.fixed_bytes + full.per_grid_bytes;
+  EXPECT_EQ(run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(), {},
+                              context, discard_round)
+                .plan.parallel_samples,
+            1u);
+  EXPECT_THROW(run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(),
+                                 options, context, discard_round),
+               MemoryBudgetExceeded);
 }
 
 TEST(PipelineEdges, HybridHalfStencilMatchesFull) {

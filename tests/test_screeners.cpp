@@ -449,7 +449,7 @@ TEST(Screeners, CandidateSetGrowthPathIsCorrect) {
                                      std::size_t& growths) {
     GridPipelineResult result;
     std::vector<Candidate> c =
-        testutil::pipeline_candidates(propagator, cfg, model, context, result);
+        testutil::pipeline_candidates(propagator, cfg, model, {}, context, result);
     growths = result.candidate_set_growths;
     return c;
   };
@@ -503,8 +503,11 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   // Neither the thread count, nor the round length p (1, 2 < 4 workers,
   // half the steps, and every step in one round), nor the backend may move
   // a single bit of what a screen finds. Covered: the batched kernel
-  // (kepler), the position() loop (j2), a dirty-mask screen, and forced
-  // candidate-buffer grows, where the CPU path re-runs whole rounds.
+  // (kepler), the position() loop (j2), a dirty-mask screen through either
+  // (its phantom registration and lookup), and forced candidate-buffer
+  // grows, where the CPU path re-runs whole rounds, with and without a
+  // mask. The masked screen through position() must also match the
+  // batched one exactly.
   auto sats = dense_shell(60, 0xF05E);
   Rng rng(0xF00D);
   for (std::uint32_t k = 0; k < 4; ++k) {
@@ -522,6 +525,10 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
 
   std::vector<std::uint8_t> dirty(sats.size(), 0);
   for (std::size_t i = 0; i < dirty.size(); i += 3) dirty[i] = 1;
+  // Two in three fragments dirty: 8/9 of the cloud's pairs stay, enough to
+  // overflow the floor capacity in rounds of half the span.
+  std::vector<std::uint8_t> cloud_dirty(cloud.size(), 1);
+  for (std::size_t i = 0; i < cloud_dirty.size(); i += 3) cloud_dirty[i] = 0;
 
   ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
   tiny.coefficient = 1e-20;  // the 20 000-candidate floor: the cloud grows it
@@ -530,12 +537,15 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   const std::size_t half_span =
       (static_cast<std::size_t>(base.span_seconds() / base.seconds_per_sample) + 2) / 2;
 
-  // Budget holding the fixed data plus exactly `grids` grids (0: default).
-  const auto budget_for = [&](std::size_t n, const ConjunctionCountModel& model,
+  // Budget holding the fixed data plus exactly `grids` grids of `entries`
+  // entries each (0: default).
+  const auto budget_for = [&](std::size_t n, std::size_t entries,
+                              const ConjunctionCountModel& model,
                               std::size_t grids) -> std::uint64_t {
     if (grids == 0) return ScreeningConfig{}.memory_budget;
     SizingRequest request;
     request.satellites = n;
+    request.grid_entries = entries;
     request.span_seconds = base.span_seconds();
     request.seconds_per_sample = base.seconds_per_sample;
     request.candidate_capacity = candidate_capacity_from_model(
@@ -549,6 +559,7 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   const TwoBodyPropagator kepler(sats, solver);
   const J2SecularPropagator j2(sats, solver);
   const TwoBodyPropagator cloud_kepler(cloud, solver);
+  const testutil::ForwardingPropagator kepler_scalar(kepler);
 
   // One case: a full screen through GridScreener, or (grow) the pipeline
   // alone with the tiny count model.
@@ -561,17 +572,25 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   const Case cases[] = {{"kepler", &kepler, {}, false},
                         {"j2", &j2, {}, false},
                         {"dirty", &kepler, dirty, false},
-                        {"grow", &cloud_kepler, {}, true}};
+                        {"dirty-scalar", &kepler_scalar, dirty, false},
+                        {"grow", &cloud_kepler, {}, true},
+                        {"dirty-grow", &cloud_kepler, cloud_dirty, true}};
 
   ThreadPool one(1), two(2), four(4);
+  std::map<std::string, GridOutcome> references;
   for (const Case& c : cases) {
     const std::size_t n = c.propagator->size();
     const ConjunctionCountModel& model = c.grow ? tiny : ConjunctionCountModel::paper_grid();
-    const std::size_t per_grid = GridHashSet(n).memory_bytes();
+    // A masked screen's phantom table holds 27 entries per dirty object.
+    const std::size_t entries =
+        c.dirty.empty() ? n
+                        : 27 * static_cast<std::size_t>(
+                                   std::count(c.dirty.begin(), c.dirty.end(), 1));
+    const std::size_t per_grid = GridHashSet(entries).memory_bytes();
     std::optional<GridOutcome> reference;
     for (const std::size_t grids :
          {std::size_t{1}, std::size_t{2}, half_span, std::size_t{0}}) {
-      const std::uint64_t budget = budget_for(n, model, grids);
+      const std::uint64_t budget = budget_for(n, entries, model, grids);
       std::optional<GridOutcome> shape_reference;
       for (ThreadPool* pool : {&one, &two, &four, static_cast<ThreadPool*>(nullptr)}) {
         // devicesim accounts a grown candidate map against device memory,
@@ -586,19 +605,19 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
         if (pool == nullptr) cfg.device = &device;
 
         GridOutcome out;
+        GridPipelineOptions options;
+        options.dirty_mask = c.dirty;
         if (c.grow) {
           ScreeningContext context;
           GridPipelineResult result;
-          out.candidates =
-              testutil::pipeline_candidates(*c.propagator, cfg, model, context, result);
+          out.candidates = testutil::pipeline_candidates(*c.propagator, cfg, model,
+                                                         options, context, result);
           out.candidate_count = result.total_candidates;
           out.growths = result.candidate_set_growths;
           out.rounds = result.plan.rounds;
           out.parallel_samples = result.plan.parallel_samples;
           out.grid_memory_bytes = result.grid_memory_bytes;
         } else {
-          GridPipelineOptions options;
-          options.dirty_mask = c.dirty;
           const ScreeningReport report = GridScreener(options).screen(*c.propagator, cfg);
           out.conjunctions = report.conjunctions;
           out.candidate_count = report.stats.candidates;
@@ -639,7 +658,12 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
     if (!c.grow) {
       EXPECT_GT(reference->conjunctions.size(), 0u) << c.name;
     }
+    references.emplace(c.name, *reference);
   }
+  // Hiding the batched kernel changes how positions are computed, never
+  // what a masked screen finds.
+  expect_same_outcome(references.at("dirty-scalar"), references.at("dirty"),
+                      "dirty-scalar vs dirty");
 }
 
 class GridOracleSweep : public testing::TestWithParam<std::uint64_t> {};

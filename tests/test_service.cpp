@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "core/grid_screener.hpp"
+#include "model/conjunction_model.hpp"
+#include "model/sizing.hpp"
 #include "population/catalog_io.hpp"
 #include "population/generator.hpp"
 #include "population/tle.hpp"
@@ -407,12 +409,47 @@ TEST(ScreeningService, IncrementalMatchesFromScratchOverRandomDeltas) {
   EXPECT_EQ(service.stats().incremental_screens, 3u);
 }
 
+TEST(ScreeningService, MaskedPlanOverBudgetFallsBackToFullScreen) {
+  // A masked pass holds 27 table entries per dirty object, so with half the
+  // catalog dirty it needs more memory than a full screen's n-entry grid.
+  // Under a budget that fits exactly one full grid, a forced-incremental
+  // screen must fall back to a full one instead of throwing.
+  ServiceOptions options = dense_options();
+  const auto population = generate_population({300, 5});
+  SizingRequest request;
+  request.satellites = population.size();
+  request.span_seconds = options.config.span_seconds();
+  request.seconds_per_sample = options.config.seconds_per_sample;
+  request.candidate_capacity = candidate_capacity_from_model(
+      ConjunctionCountModel::paper_grid(), static_cast<double>(population.size()),
+      options.config.seconds_per_sample, options.config.span_seconds(),
+      options.config.threshold_km);
+  const SizingPlan plan = plan_samples(request);
+  options.config.memory_budget = plan.fixed_bytes + plan.per_grid_bytes;
+
+  ScreeningService service(options);
+  service.upsert(population);
+  const ServiceReport baseline = service.screen();
+  EXPECT_FALSE(baseline.incremental);
+  EXPECT_EQ(baseline.stats.parallel_samples, 1u);
+
+  std::vector<Satellite> delta(population.begin(), population.begin() + 150);
+  for (Satellite& sat : delta) sat.elements.mean_anomaly += 0.01;
+  service.upsert(delta);
+  const ServiceReport report = service.screen(ScreenMode::kIncremental);
+  EXPECT_FALSE(report.incremental);
+  EXPECT_EQ(service.stats().full_screens, 2u);
+  EXPECT_EQ(service.stats().incremental_screens, 0u);
+  expect_equivalent(report.conjunctions, service.reference_conjunctions(),
+                    "over-budget fallback");
+}
+
 TEST(ScreeningService, DirtyObjectCrossingCellFaceAtSampleInstant) {
   // Edge case of the dirty mask: a delta moves an object across a grid-cell
   // boundary exactly at a sample instant. Its old-cell neighbours and its
   // new-cell neighbours are different sets; the incremental re-screen must
-  // still pair it with the old ones (via the neighbour scan of the cells it
-  // left) and match the from-scratch reference exactly.
+  // still pair it with the old ones (its registration covers the 26 cells
+  // around its new one) and match the from-scratch reference exactly.
   const ServiceOptions options = dense_options();
   const double cell = grid_cell_size(options.config.threshold_km,
                                      options.config.seconds_per_sample);

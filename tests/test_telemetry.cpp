@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 #include <span>
@@ -11,6 +12,7 @@
 #include "core/report.hpp"
 #include "core/screen.hpp"
 #include "obs/telemetry.hpp"
+#include "parallel/device.hpp"
 #include "population/generator.hpp"
 #include "propagation/contour_solver.hpp"
 #include "propagation/two_body.hpp"
@@ -186,6 +188,54 @@ TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
     EXPECT_EQ(snap.value(Counter::kCandidatesDeduplicated), 0u) << threads;
     EXPECT_EQ(snap.value(Counter::kCellsScanned),
               result.plan.total_samples * GridHashSet(cloud.size()).slot_count())
+        << threads;
+  }
+}
+
+// A masked screen registers 27 phantoms per dirty object and step and
+// looks every object up once per step; no clean-clean pair is tested. The
+// counts hold across a grown round's re-run on both backends.
+TEST_F(Telemetry, MaskedScreenCountsPhantomWork) {
+  const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
+  const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(cloud, solver);
+  ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
+  tiny.coefficient = 1e-20;  // the 20 000-candidate floor: the cloud grows it
+  std::vector<std::uint8_t> mask(cloud.size(), 1);
+  for (std::size_t i = 0; i < mask.size(); i += 3) mask[i] = 0;
+  const std::uint64_t dirty = std::count(mask.begin(), mask.end(), 1);
+  GridPipelineOptions options;
+  options.dirty_mask = mask;
+
+  ThreadPool one(1), four(4);
+  Device device(DeviceProperties{}, &four);
+  for (const int threads : {1, 4, 0}) {  // 0: devicesim
+    obs::reset();
+    ScreeningConfig cfg = config(2.0, 600.0, 4.0);
+    cfg.pool = threads == 1 ? &one : &four;
+    if (threads == 0) cfg.device = &device;
+    ScreeningContext context;
+    const GridPipelineResult result = run_grid_pipeline(
+        propagator, cfg, tiny, options, context,
+        [](std::size_t, std::vector<Candidate>&&, const GridPipelineResult&) {});
+    ASSERT_GT(result.candidate_set_growths, 0u) << threads;
+
+    const obs::TelemetrySnapshot snap = obs::snapshot();
+    const std::uint64_t steps = result.plan.total_samples;
+    EXPECT_EQ(snap.value(Counter::kSamplesPropagated), steps * cloud.size()) << threads;
+    EXPECT_EQ(snap.value(Counter::kGridInserts), steps * 27 * dirty) << threads;
+    EXPECT_EQ(histogram_total(snap), snap.value(Counter::kGridInserts)) << threads;
+    EXPECT_EQ(snap.value(Counter::kCellsScanned), steps * cloud.size()) << threads;
+    EXPECT_GT(snap.value(Counter::kCellsOccupied), 0u) << threads;
+    EXPECT_LE(snap.value(Counter::kCellsOccupied), snap.value(Counter::kCellsScanned))
+        << threads;
+    EXPECT_EQ(snap.value(Counter::kPairsMaskedClean), 0u) << threads;
+    EXPECT_EQ(snap.value(Counter::kPairsTested),
+              snap.value(Counter::kPairsPrefiltered) +
+                  snap.value(Counter::kCandidatesEmitted))
+        << threads;
+    EXPECT_EQ(snap.value(Counter::kCandidatesEmitted), result.total_candidates)
         << threads;
   }
 }
