@@ -18,7 +18,7 @@
 #include "spatial/kdtree.hpp"
 #include "spatial/murmur3.hpp"
 #include "util/rng.hpp"
-#include "volumetric/octree.hpp"
+#include "spatial/octree.hpp"
 
 namespace {
 

@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/screener.hpp"
+#include "obs/telemetry.hpp"
 
 #ifndef SCOD_CLI_PATH
 #error "SCOD_CLI_PATH must be defined by the build"
@@ -46,9 +48,11 @@ TEST(Cli, NoArgumentsPrintsUsage) {
 }
 
 TEST(Cli, UnknownCommandFails) {
-  const CliRun run = run_cli("frobnicate");
-  EXPECT_EQ(run.exit_code, 2);
-  EXPECT_NE(run.output.find("unknown command"), std::string::npos);
+  for (const char* command : {"frobnicate", "assess", "cube"}) {
+    const CliRun run = run_cli(command);
+    EXPECT_EQ(run.exit_code, 2) << command;
+    EXPECT_NE(run.output.find("unknown command"), std::string::npos) << command;
+  }
 }
 
 TEST(Cli, InfoReportsHost) {
@@ -61,6 +65,25 @@ TEST(Cli, InfoReportsHost) {
 TEST(Cli, GenerateRequiresOut) {
   const CliRun run = run_cli("generate --count 10");
   EXPECT_EQ(run.exit_code, 2);
+}
+
+TEST(Cli, RejectsUnknownOptionsAndNegativeCount) {
+  const std::string catalog = temp_path("cli_catalog_options.csv");
+  const CliRun typo = run_cli("generate --count 10 --sed 3 --out " + catalog);
+  EXPECT_EQ(typo.exit_code, 2) << typo.output;
+  EXPECT_NE(typo.output.find("unknown option: --sed"), std::string::npos)
+      << typo.output;
+
+  const CliRun negative = run_cli("generate --count -5 --out " + catalog);
+  EXPECT_EQ(negative.exit_code, 2) << negative.output;
+
+  ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);
+  const CliRun screen = run_cli("screen --catalog " + catalog + " --treshold 50");
+  EXPECT_EQ(screen.exit_code, 2) << screen.output;
+  EXPECT_NE(screen.output.find("unknown option: --treshold"), std::string::npos)
+      << screen.output;
+  EXPECT_EQ(screen.output.find("screening of"), std::string::npos) << screen.output;
+  std::remove(catalog.c_str());
 }
 
 TEST(Cli, GenerateScreenPipelineCsv) {
@@ -183,28 +206,122 @@ TEST(Cli, ScreenFailsCleanlyOnMissingCatalog) {
   EXPECT_NE(run.output.find("cannot open"), std::string::npos);
 }
 
-TEST(Cli, CubeEstimatorRuns) {
-  const std::string catalog = temp_path("cli_catalog3.csv");
-  ASSERT_EQ(run_cli("generate --count 200 --seed 5 --out " + catalog).exit_code, 0);
-  const CliRun run = run_cli("cube --catalog " + catalog +
-                             " --span 3600 --samples 200 --cube-size 50");
-  EXPECT_EQ(run.exit_code, 0) << run.output;
-  EXPECT_NE(run.output.find("Cube method"), std::string::npos);
-  EXPECT_NE(run.output.find("expected collisions"), std::string::npos);
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(Cli, ScreenRequiresCatalog) {
+  const CliRun run = run_cli("screen --span 600");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("--catalog is required"), std::string::npos) << run.output;
+}
+
+TEST(Cli, GenerateIsDeterministicInSeed) {
+  const std::string a = temp_path("cli_seed_a.csv");
+  const std::string b = temp_path("cli_seed_b.csv");
+  const std::string c = temp_path("cli_seed_c.csv");
+  ASSERT_EQ(run_cli("generate --count 50 --seed 8 --out " + a).exit_code, 0);
+  ASSERT_EQ(run_cli("generate --count 50 --seed 8 --out " + b).exit_code, 0);
+  ASSERT_EQ(run_cli("generate --count 50 --seed 9 --out " + c).exit_code, 0);
+  const std::string text = read_file(a);
+  EXPECT_FALSE(text.empty());
+  EXPECT_EQ(text, read_file(b));
+  EXPECT_NE(text, read_file(c));
+  for (const std::string& path : {a, b, c}) std::remove(path.c_str());
+}
+
+TEST(Cli, GenerateFailsOnUnwritablePath) {
+  for (const char* out : {"/nonexistent_dir_scod/cat.csv", "/nonexistent_dir_scod/cat.tle"}) {
+    const CliRun run = run_cli(std::string("generate --count 5 --out ") + out);
+    EXPECT_EQ(run.exit_code, 1) << out << ": " << run.output;
+    EXPECT_NE(run.output.find("cannot open"), std::string::npos) << run.output;
+  }
+}
+
+TEST(Cli, EmptyCatalogScreensToNothing) {
+  const std::string catalog = temp_path("cli_catalog_empty.csv");
+  const CliRun gen = run_cli("generate --count 0 --out " + catalog);
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  EXPECT_NE(gen.output.find("wrote 0 objects"), std::string::npos);
+  const CliRun screen = run_cli("screen --catalog " + catalog + " --span 600");
+  EXPECT_EQ(screen.exit_code, 0) << screen.output;
+  EXPECT_NE(screen.output.find("screening of 0 objects"), std::string::npos);
+  EXPECT_NE(screen.output.find("0 conjunctions, 0 pairs"), std::string::npos);
   std::remove(catalog.c_str());
 }
 
-TEST(Cli, AssessEmitsCdms) {
-  const std::string catalog = temp_path("cli_catalog4.csv");
-  ASSERT_EQ(run_cli("generate --count 400 --seed 13 --out " + catalog).exit_code, 0);
-  const CliRun run = run_cli("assess --catalog " + catalog +
-                             " --span 3600 --threshold 10 --top 2");
+TEST(Cli, TxtCatalogIsReadAsTle) {
+  // .txt is the second TLE extension: it is written as TLE sets and the
+  // TLE-secular propagator accepts it.
+  const std::string catalog = temp_path("cli_catalog_tle.txt");
+  ASSERT_EQ(run_cli("generate --count 40 --seed 2 --out " + catalog).exit_code, 0);
+  const std::string text = read_file(catalog);
+  EXPECT_EQ(text.rfind("SYNTH-0\n1 ", 0), 0u) << text.substr(0, 80);
+  const CliRun run =
+      run_cli("screen --catalog " + catalog + " --propagator tle --span 600");
   EXPECT_EQ(run.exit_code, 0) << run.output;
-  EXPECT_NE(run.output.find("conjunctions; emitting CDMs"), std::string::npos);
-  // With a 10 km threshold on 400 objects an hour usually yields at least
-  // one encounter; if it does, a CDM block must be present.
-  if (run.output.find("0 conjunctions") == std::string::npos) {
-    EXPECT_NE(run.output.find("CCSDS_CDM_VERS"), std::string::npos);
+  EXPECT_NE(run.output.find("grid screening of 40 objects"), std::string::npos);
+  std::remove(catalog.c_str());
+}
+
+TEST(Cli, ScreenAcceptsEqualsFormOptions) {
+  const std::string catalog = temp_path("cli_catalog_equals.csv");
+  ASSERT_EQ(run_cli("generate --count 30 --out=" + catalog).exit_code, 0);
+  const CliRun run =
+      run_cli("screen --catalog=" + catalog + " --threshold=7.5 --span=900 --variant=hybrid");
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("hybrid screening of 30 objects over 900 s (d = 7.50 km)"),
+            std::string::npos)
+      << run.output;
+  std::remove(catalog.c_str());
+}
+
+TEST(Cli, ScreenCsvHasOneRowPerConjunction) {
+  const std::string catalog = temp_path("cli_catalog_rows.csv");
+  const std::string results = temp_path("cli_results_rows.csv");
+  ASSERT_EQ(run_cli("generate --count 200 --seed 4 --out " + catalog).exit_code, 0);
+  const CliRun run = run_cli("screen --catalog " + catalog +
+                             " --span 600 --threshold 10 --csv " + results);
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+
+  const std::size_t at = run.output.find(" conjunctions, ");
+  ASSERT_NE(at, std::string::npos) << run.output;
+  const std::size_t start = run.output.rfind(' ', at - 1) + 1;
+  const std::size_t reported = std::stoul(run.output.substr(start, at - start));
+
+  std::ifstream in(results);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "sat_a,sat_b,tca_s,pca_km");
+  std::size_t rows = 0;
+  while (std::getline(in, line)) {
+    ++rows;
+    const std::size_t c1 = line.find(',');
+    ASSERT_NE(c1, std::string::npos) << line;
+    const double pca = std::stod(line.substr(line.rfind(',') + 1));
+    EXPECT_LE(pca, 10.0) << line;
+    EXPECT_LT(std::stoul(line.substr(0, c1)), std::stoul(line.substr(c1 + 1))) << line;
+  }
+  EXPECT_EQ(rows, reported);
+  std::remove(catalog.c_str());
+  std::remove(results.c_str());
+}
+
+TEST(Cli, ScreenTelemetryFlagFollowsTheBuild) {
+  const std::string catalog = temp_path("cli_catalog_telemetry.csv");
+  ASSERT_EQ(run_cli("generate --count 50 --out " + catalog).exit_code, 0);
+  const CliRun run = run_cli("screen --catalog " + catalog + " --span 600 --telemetry");
+  if (obs::compiled()) {
+    EXPECT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_NE(run.output.find("telemetry: {\"samples_propagated\": "), std::string::npos)
+        << run.output;
+  } else {
+    EXPECT_EQ(run.exit_code, 2) << run.output;
+    EXPECT_NE(run.output.find("SCOD_TELEMETRY=OFF"), std::string::npos) << run.output;
   }
   std::remove(catalog.c_str());
 }

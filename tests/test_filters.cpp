@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -385,6 +386,75 @@ TEST(DenseScan, RefineBelowSkipsShallowMinima) {
   strict.step = 5.0;
   strict.refine_below = 10.0;  // all minima are ~50 km -> nothing refined
   EXPECT_TRUE(scan_encounters(prop, 0, 1, 0.0, 12000.0, strict).empty());
+}
+
+
+TEST(MergeIntervals, NestedAndTouchingIntervalsCollapse) {
+  const auto merged =
+      merge_intervals({{12.5, 13.0}, {10.0, 12.0}, {2.0, 3.0}, {0.0, 10.0}});
+  ASSERT_EQ(merged.size(), 2u);
+  // {2, 3} lies inside {0, 10}; {10, 12} touches it and joins.
+  EXPECT_DOUBLE_EQ(merged[0].lo, 0.0);
+  EXPECT_DOUBLE_EQ(merged[0].hi, 12.0);
+  EXPECT_DOUBLE_EQ(merged[1].lo, 12.5);
+  EXPECT_DOUBLE_EQ(merged[1].hi, 13.0);
+}
+
+TEST(MergeIntervals, DisjointInputIsOnlySorted) {
+  const auto merged = merge_intervals({{7.0, 8.0}, {-3.0, -2.0}, {1.0, 1.0}});
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_DOUBLE_EQ(merged[0].lo, -3.0);
+  EXPECT_DOUBLE_EQ(merged[1].lo, 1.0);
+  EXPECT_DOUBLE_EQ(merged[1].length(), 0.0);
+  EXPECT_DOUBLE_EQ(merged[2].hi, 8.0);
+  for (std::size_t i = 1; i < merged.size(); ++i) {
+    EXPECT_LT(merged[i - 1].hi, merged[i].lo);
+  }
+}
+
+TEST(ApogeePerigeeFilter, GapEqualToThresholdSurvives) {
+  // Exactly circular orbits 2 km apart: the filter keeps pairs whose gap
+  // is at most the threshold.
+  const KeplerElements a{7000.0, 0.0, 0.3, 0.0, 0.0, 0.0};
+  const KeplerElements b{7002.0, 0.0, 1.3, 0.5, 0.0, 0.0};
+  EXPECT_DOUBLE_EQ(radial_band_gap(a, b), 2.0);
+  EXPECT_TRUE(apogee_perigee_overlap(a, b, 2.0));
+  EXPECT_FALSE(apogee_perigee_overlap(a, b, 1.999));
+}
+
+TEST(ApogeePerigeeFilter, NestedBandGapIsMinusTheInnerWidth) {
+  // 6750..8250 km encloses 7400..7600 km: the overlap is the inner band.
+  const KeplerElements outer{7500.0, 0.1, 0.5, 0.0, 0.0, 0.0};
+  const KeplerElements inner{7500.0, 100.0 / 7500.0, 0.2, 0.0, 0.0, 0.0};
+  EXPECT_NEAR(radial_band_gap(outer, inner), -200.0, 1e-9);
+  EXPECT_TRUE(apogee_perigee_overlap(outer, inner, 0.0));
+}
+
+TEST(Coplanarity, ToleranceBoundaryOnInclination) {
+  // With equal RAAN the plane angle is the inclination difference.
+  const KeplerElements a = circular(7000.0, 0.7, 0.4);
+  KeplerElements b = a;
+  b.inclination = a.inclination + 0.9 * kCoplanarTolerance;
+  EXPECT_TRUE(are_coplanar(a, b));
+  b.inclination = a.inclination + 1.1 * kCoplanarTolerance;
+  EXPECT_FALSE(are_coplanar(a, b));
+}
+
+TEST(Coplanarity, NodeShiftTiltsOnlyInclinedPlanes) {
+  // Equatorial planes coincide whatever their node; inclined ones do not.
+  EXPECT_TRUE(are_coplanar(circular(7000.0, 0.0, 0.0), circular(7200.0, 0.0, 2.0)));
+  EXPECT_FALSE(are_coplanar(circular(7000.0, 1.0, 0.0), circular(7000.0, 1.0, 0.5)));
+}
+
+TEST(Coplanarity, IsSymmetric) {
+  Rng rng(17);
+  for (int k = 0; k < 200; ++k) {
+    const KeplerElements a = circular(7000.0, rng.uniform(0.0, kPi), rng.uniform(0.0, kTwoPi));
+    KeplerElements b = a;
+    b.inclination = std::clamp(a.inclination + rng.uniform(-0.05, 0.05), 0.0, kPi);
+    b.raan = a.raan + rng.uniform(-0.05, 0.05);
+    EXPECT_EQ(are_coplanar(a, b), are_coplanar(b, a)) << k;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "orbit/anomaly.hpp"
@@ -206,6 +207,27 @@ TEST(State, CircularEquatorialDegenerateCase) {
   const StateVector s2 = state_at_true_anomaly(
       back, eccentric_to_true(back.mean_anomaly, back.eccentricity));
   EXPECT_NEAR(s2.position.distance(s.position), 0.0, 1e-5);
+}
+
+
+TEST(Geometry, VisVivaAtTheApsidesConservesAngularMomentum) {
+  // r_p v_p = r_a v_a = sqrt(mu p) for every ellipse.
+  for (double e : {0.0, 0.01, 0.3, 0.7}) {
+    const KeplerElements el{26000.0, e, 0.5, 0.0, 0.0, 0.0};
+    const double h = std::sqrt(kMuEarth * semi_latus_rectum(el));
+    EXPECT_NEAR(perigee_radius(el) * max_speed(el), h, 1e-9 * h) << e;
+    EXPECT_NEAR(apogee_radius(el) * min_speed(el), h, 1e-9 * h) << e;
+  }
+}
+
+TEST(Geometry, NormalIsUnitAndMatchesInclination) {
+  for (double inc : {0.0, 0.4, kPi / 2.0, 2.5}) {
+    const KeplerElements el{7000.0, 0.001, inc, 1.1, 0.3, 0.0};
+    const Vec3 n = normal_of(el);
+    EXPECT_NEAR(n.norm(), 1.0, 1e-12) << inc;
+    // The angle from the equatorial pole is the inclination.
+    EXPECT_NEAR(std::acos(std::clamp(n.z, -1.0, 1.0)), inc, 1e-9) << inc;
+  }
 }
 
 }  // namespace

@@ -340,5 +340,25 @@ TEST(TwoBodyPropagator, StateVelocityConsistentWithPositions) {
   }
 }
 
+
+TEST(J2Rates, PolarOrbitHasNoNodalDrift) {
+  const KeplerElements polar{7000.0, 0.01, kPi / 2.0, 1.0, 0.5, 0.0};
+  const J2Rates rates = j2_secular_rates(polar);
+  EXPECT_NEAR(rates.raan_rate, 0.0, 1e-18);
+  // Beyond the critical inclination the perigee regresses.
+  EXPECT_LT(rates.arg_perigee_rate, 0.0);
+}
+
+TEST(J2Rates, FadeWithAltitude) {
+  // The secular rates scale as a^-3.5 for fixed e and i.
+  const KeplerElements low{7000.0, 0.001, 0.9, 0.0, 0.0, 0.0};
+  const KeplerElements high{14000.0, 0.001, 0.9, 0.0, 0.0, 0.0};
+  const double ratio = j2_secular_rates(low).raan_rate / j2_secular_rates(high).raan_rate;
+  EXPECT_NEAR(ratio, std::pow(2.0, 3.5), 1e-9 * ratio);
+  const double apsidal =
+      j2_secular_rates(low).arg_perigee_rate / j2_secular_rates(high).arg_perigee_rate;
+  EXPECT_NEAR(apsidal, std::pow(2.0, 3.5), 1e-9 * apsidal);
+}
+
 }  // namespace
 }  // namespace scod

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "spatial/cell.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/murmur3.hpp"
+#include "spatial/octree.hpp"
 #include "util/rng.hpp"
 
 namespace scod {
@@ -309,6 +312,261 @@ TEST(KdTree, EmptyAndSingleton) {
   EXPECT_EQ(one.within({1.0, 2.0, 3.0}, 0.1), std::vector<std::uint32_t>{9});
   EXPECT_TRUE(one.within({50.0, 0.0, 0.0}, 1.0).empty());
 }
+
+TEST(Octree, MatchesBruteForceRadiusQueries) {
+  Rng rng(44);
+  std::vector<Octree::Point> points;
+  for (std::uint32_t i = 0; i < 800; ++i) {
+    points.push_back({{rng.uniform(-200.0, 200.0), rng.uniform(-200.0, 200.0),
+                       rng.uniform(-200.0, 200.0)},
+                      i});
+  }
+  const Octree tree(points, 250.0);
+  EXPECT_EQ(tree.size(), 800u);
+  EXPECT_GT(tree.node_count(), 8u);
+
+  for (int q = 0; q < 60; ++q) {
+    const Vec3 query{rng.uniform(-220.0, 220.0), rng.uniform(-220.0, 220.0),
+                     rng.uniform(-220.0, 220.0)};
+    const double radius = rng.uniform(2.0, 60.0);
+    std::set<std::uint32_t> expected;
+    for (const auto& p : points) {
+      if (p.position.distance(query) <= radius) expected.insert(p.id);
+    }
+    const auto found = tree.within(query, radius);
+    EXPECT_EQ(std::set<std::uint32_t>(found.begin(), found.end()), expected)
+        << "query " << q;
+  }
+}
+
+TEST(Octree, HandlesDegenerateInputs) {
+  EXPECT_EQ(Octree({}, 100.0).size(), 0u);
+  EXPECT_TRUE(Octree({}, 100.0).within({0, 0, 0}, 5.0).empty());
+  EXPECT_THROW(Octree({}, 0.0), std::invalid_argument);
+
+  // Many identical points: subdivision cannot separate them and must stop
+  // at max_depth instead of recursing forever.
+  std::vector<Octree::Point> same(100, {{1.0, 2.0, 3.0}, 0});
+  for (std::uint32_t i = 0; i < same.size(); ++i) same[i].id = i;
+  const Octree tree(same, 10.0, 4, 6);
+  EXPECT_EQ(tree.within({1.0, 2.0, 3.0}, 0.1).size(), 100u);
+  EXPECT_TRUE(tree.within({-5.0, 0.0, 0.0}, 0.1).empty());
+}
+
+TEST(Octree, LeafCapacityControlsDepth) {
+  Rng rng(9);
+  std::vector<Octree::Point> points;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    points.push_back({{rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0),
+                       rng.uniform(-50.0, 50.0)},
+                      i});
+  }
+  const Octree coarse(points, 60.0, /*leaf_capacity=*/256);
+  const Octree fine(points, 60.0, /*leaf_capacity=*/4);
+  EXPECT_LT(coarse.node_count(), fine.node_count());
+  // Both must still answer identically.
+  const auto a = coarse.within({0, 0, 0}, 20.0);
+  const auto b = fine.within({0, 0, 0}, 20.0);
+  EXPECT_EQ(std::set<std::uint32_t>(a.begin(), a.end()),
+            std::set<std::uint32_t>(b.begin(), b.end()));
+}
+
+
+TEST(KdTree, RadiusIsInclusive) {
+  // Points exactly on the query sphere count, as for_each_within documents.
+  const KdTree tree({{{3.0, 0.0, 0.0}, 1}, {{0.0, -3.0, 0.0}, 2}, {{0.0, 0.0, 3.5}, 3}});
+  const auto found = tree.within({0.0, 0.0, 0.0}, 3.0);
+  EXPECT_EQ(std::set<std::uint32_t>(found.begin(), found.end()),
+            (std::set<std::uint32_t>{1, 2}));
+}
+
+TEST(KdTree, ReturnsEveryDuplicatePoint) {
+  std::vector<KdTree::Point> points;
+  for (std::uint32_t i = 0; i < 64; ++i) points.push_back({{5.0, 5.0, 5.0}, i});
+  points.push_back({{-5.0, 5.0, 5.0}, 1000});
+  const KdTree tree(points);
+  const auto found = tree.within({5.0, 5.0, 5.0}, 0.5);
+  EXPECT_EQ(found.size(), 64u);
+  EXPECT_EQ(std::set<std::uint32_t>(found.begin(), found.end()).size(), 64u);
+}
+
+TEST(KdTree, ZeroRadiusMatchesOnlyCoincidentPoints) {
+  const KdTree tree({{{1.0, 1.0, 1.0}, 0}, {{1.0, 1.0, 1.0 + 1e-9}, 1}, {{2.0, 0.0, 0.0}, 2}});
+  EXPECT_EQ(tree.within({1.0, 1.0, 1.0}, 0.0), std::vector<std::uint32_t>{0});
+}
+
+TEST(KdTree, ForEachWithinVisitsEachMatchOnce) {
+  Rng rng(5);
+  std::vector<KdTree::Point> points;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    points.push_back({{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
+                       rng.uniform(-10.0, 10.0)},
+                      i});
+  }
+  const KdTree tree(points);
+  std::vector<int> visits(points.size(), 0);
+  // A radius that covers the whole cloud visits every point exactly once.
+  tree.for_each_within({0.0, 0.0, 0.0}, 100.0,
+                       [&](const KdTree::Point& p) { ++visits[p.id]; });
+  for (std::size_t i = 0; i < visits.size(); ++i) EXPECT_EQ(visits[i], 1) << i;
+}
+
+TEST(Octree, RadiusIsInclusive) {
+  const Octree tree({{{3.0, 0.0, 0.0}, 1}, {{0.0, -3.0, 0.0}, 2}, {{0.0, 0.0, 3.5}, 3}},
+                    10.0, /*leaf_capacity=*/1);
+  EXPECT_GT(tree.node_count(), 1u);
+  const auto found = tree.within({0.0, 0.0, 0.0}, 3.0);
+  EXPECT_EQ(std::set<std::uint32_t>(found.begin(), found.end()),
+            (std::set<std::uint32_t>{1, 2}));
+}
+
+TEST(Octree, FindsPointsOutsideTheRootVolume) {
+  // The root cube is a hint, not a bound: points beyond it must still be
+  // found once the tree subdivides.
+  std::vector<Octree::Point> points;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    points.push_back({{static_cast<double>(i % 5) - 2.0, static_cast<double>(i / 5) - 4.0,
+                       0.5},
+                      i});
+  }
+  points.push_back({{100.0, 0.0, 0.0}, 500});
+  points.push_back({{-80.0, -80.0, 90.0}, 501});
+  const Octree tree(points, 10.0, /*leaf_capacity=*/2);
+  EXPECT_GT(tree.node_count(), 1u);
+  EXPECT_EQ(tree.within({100.0, 0.0, 0.0}, 1.0), std::vector<std::uint32_t>{500});
+  EXPECT_EQ(tree.within({-80.0, -80.0, 90.0}, 1.0), std::vector<std::uint32_t>{501});
+  EXPECT_EQ(tree.within({0.0, 0.0, 0.0}, 1000.0).size(), points.size());
+}
+
+TEST(Octree, ForEachWithinVisitsEachMatchOnce) {
+  Rng rng(6);
+  std::vector<Octree::Point> points;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    points.push_back({{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
+                       rng.uniform(-10.0, 10.0)},
+                      i});
+  }
+  const Octree tree(points, 12.0, /*leaf_capacity=*/3);
+  std::vector<int> visits(points.size(), 0);
+  tree.for_each_within({0.0, 0.0, 0.0}, 100.0,
+                       [&](const Octree::Point& p) { ++visits[p.id]; });
+  for (std::size_t i = 0; i < visits.size(); ++i) EXPECT_EQ(visits[i], 1) << i;
+}
+
+TEST(Octree, MaxDepthBoundsTheTreeButNotTheAnswer) {
+  Rng rng(10);
+  std::vector<Octree::Point> points;
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    points.push_back({{rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0),
+                       rng.uniform(-30.0, 30.0)},
+                      i});
+  }
+  const Octree flat(points, 32.0, /*leaf_capacity=*/1, /*max_depth=*/0);
+  const Octree shallow(points, 32.0, /*leaf_capacity=*/1, /*max_depth=*/2);
+  const Octree deep(points, 32.0, /*leaf_capacity=*/1, /*max_depth=*/12);
+  EXPECT_EQ(flat.node_count(), 1u);
+  EXPECT_EQ(shallow.node_count(), 1u + 8u + 64u);
+  EXPECT_GT(deep.node_count(), shallow.node_count());
+  for (int q = 0; q < 20; ++q) {
+    const Vec3 query{rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0),
+                     rng.uniform(-30.0, 30.0)};
+    const auto a = flat.within(query, 8.0);
+    const auto b = shallow.within(query, 8.0);
+    const auto c = deep.within(query, 8.0);
+    const std::set<std::uint32_t> expected(a.begin(), a.end());
+    EXPECT_EQ(std::set<std::uint32_t>(b.begin(), b.end()), expected) << q;
+    EXPECT_EQ(std::set<std::uint32_t>(c.begin(), c.end()), expected) << q;
+  }
+}
+
+/// Point layouts that stress the trees' splitting rules: ties on a split
+/// axis (lattice, plane, line), dense clusters and an orbital shell.
+enum class Layout { kUniform, kClusters, kPlane, kLine, kLattice, kShell };
+
+std::vector<Vec3> make_layout(Layout layout, std::uint32_t n, Rng& rng) {
+  std::vector<Vec3> out;
+  out.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    switch (layout) {
+      case Layout::kUniform:
+        out.push_back({rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0),
+                       rng.uniform(-100.0, 100.0)});
+        break;
+      case Layout::kClusters: {
+        const double cx = (i % 4 < 2) ? -60.0 : 60.0;
+        const double cy = (i % 2 == 0) ? -60.0 : 60.0;
+        out.push_back({cx + rng.uniform(-2.0, 2.0), cy + rng.uniform(-2.0, 2.0),
+                       rng.uniform(-2.0, 2.0)});
+        break;
+      }
+      case Layout::kPlane:
+        out.push_back({rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0), 0.0});
+        break;
+      case Layout::kLine:
+        out.push_back({rng.uniform(-100.0, 100.0), 7.0, -7.0});
+        break;
+      case Layout::kLattice:
+        out.push_back({10.0 * static_cast<double>(i % 8) - 40.0,
+                       10.0 * static_cast<double>((i / 8) % 8) - 40.0,
+                       10.0 * static_cast<double>(i / 64) - 40.0});
+        break;
+      case Layout::kShell: {
+        const double z = rng.uniform(-1.0, 1.0);
+        const double phi = rng.uniform(0.0, 6.283185307179586);
+        const double r = std::sqrt(1.0 - z * z);
+        out.push_back({90.0 * r * std::cos(phi), 90.0 * r * std::sin(phi), 90.0 * z});
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::string layout_name(const ::testing::TestParamInfo<Layout>& param) {
+  static const char* const kNames[] = {"Uniform", "Clusters", "Plane",
+                                       "Line",    "Lattice",  "Shell"};
+  return kNames[static_cast<int>(param.param)];
+}
+
+class TreeLayouts : public ::testing::TestWithParam<Layout> {};
+
+TEST_P(TreeLayouts, KdTreeAndOctreeMatchBruteForce) {
+  Rng rng(1234 + static_cast<std::uint64_t>(GetParam()));
+  const std::vector<Vec3> cloud = make_layout(GetParam(), 512, rng);
+  std::vector<KdTree::Point> kd_points;
+  std::vector<Octree::Point> oct_points;
+  for (std::uint32_t i = 0; i < cloud.size(); ++i) {
+    kd_points.push_back({cloud[i], i});
+    oct_points.push_back({cloud[i], i});
+  }
+  const KdTree kd(kd_points);
+  const Octree oct(oct_points, 100.0, /*leaf_capacity=*/4);
+
+  for (int q = 0; q < 40; ++q) {
+    // Half the queries sit on stored points, so ties and exact hits occur.
+    const Vec3 query = (q % 2 == 0)
+                           ? cloud[rng.uniform_index(cloud.size())]
+                           : Vec3{rng.uniform(-110.0, 110.0), rng.uniform(-110.0, 110.0),
+                                  rng.uniform(-110.0, 110.0)};
+    const double radius = (q % 5 == 0) ? 10.0 : rng.uniform(0.5, 30.0);
+    std::set<std::uint32_t> expected;
+    for (std::uint32_t i = 0; i < cloud.size(); ++i) {
+      if (cloud[i].distance(query) <= radius) expected.insert(i);
+    }
+    const auto a = kd.within(query, radius);
+    const auto b = oct.within(query, radius);
+    EXPECT_EQ(a.size(), expected.size()) << "query " << q;
+    EXPECT_EQ(std::set<std::uint32_t>(a.begin(), a.end()), expected) << "query " << q;
+    EXPECT_EQ(b.size(), expected.size()) << "query " << q;
+    EXPECT_EQ(std::set<std::uint32_t>(b.begin(), b.end()), expected) << "query " << q;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, TreeLayouts,
+                         ::testing::Values(Layout::kUniform, Layout::kClusters,
+                                           Layout::kPlane, Layout::kLine,
+                                           Layout::kLattice, Layout::kShell),
+                         layout_name);
 
 }  // namespace
 }  // namespace scod

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/cli.hpp"
 #include "util/constants.hpp"
@@ -225,6 +227,165 @@ TEST(Constants, PhysicallyConsistent) {
   EXPECT_GT(kGeoSemiMajorAxis, kEarthRadius);
   EXPECT_GT(kSimulationHalfExtent, kGeoSemiMajorAxis - 1000.0);
   EXPECT_NEAR(kTwoPi, 2.0 * kPi, 1e-15);
+}
+
+
+TEST(RunningStats, EmptyAndSingleSample) {
+  RunningStats s;
+  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(s.min(), 0.0);
+  EXPECT_DOUBLE_EQ(s.max(), 0.0);
+  s.add(-3.5);
+  EXPECT_EQ(s.count(), 1u);
+  EXPECT_DOUBLE_EQ(s.mean(), -3.5);
+  EXPECT_DOUBLE_EQ(s.min(), -3.5);
+  EXPECT_DOUBLE_EQ(s.max(), -3.5);
+  // The unbiased variance needs two samples.
+  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
+}
+
+TEST(RunningStats, StableForLargeOffsets) {
+  // Welford's update keeps the variance of {1e9 + 4, 1e9 + 7, 1e9 + 13,
+  // 1e9 + 16} (= 30) where the naive sum-of-squares formula cancels.
+  RunningStats s;
+  for (double d : {4.0, 7.0, 13.0, 16.0}) s.add(1e9 + d);
+  EXPECT_DOUBLE_EQ(s.mean(), 1e9 + 10.0);
+  EXPECT_NEAR(s.variance(), 30.0, 1e-6);
+  EXPECT_DOUBLE_EQ(s.min(), 1e9 + 4.0);
+  EXPECT_DOUBLE_EQ(s.max(), 1e9 + 16.0);
+}
+
+TEST(Percentile, ClampsQuantileAndSortsACopy) {
+  const std::vector<double> v{9.0, -1.0, 4.0};
+  EXPECT_DOUBLE_EQ(percentile(v, -0.5), -1.0);
+  EXPECT_DOUBLE_EQ(percentile(v, 7.0), 9.0);
+  EXPECT_DOUBLE_EQ(percentile(v, 0.25), 1.5);
+  EXPECT_DOUBLE_EQ(percentile({42.0}, 0.9), 42.0);
+  EXPECT_EQ(v, (std::vector<double>{9.0, -1.0, 4.0}));
+}
+
+TEST(Median, OddAndEvenCounts) {
+  EXPECT_DOUBLE_EQ(median({5.0, 1.0, 3.0}), 3.0);
+  EXPECT_DOUBLE_EQ(median({8.0, 1.0, 3.0, 6.0}), 4.5);
+  EXPECT_DOUBLE_EQ(median({}), 0.0);
+}
+
+TEST(MeanOf, EmptyIsZeroAndAveragesValues) {
+  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
+  EXPECT_DOUBLE_EQ(mean_of({2.0}), 2.0);
+  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0, 10.0}), 4.0);
+}
+
+TEST(Histogram2D, BinsSumToTotalIncludingUpperEdges) {
+  Histogram2D h(0.0, 1.0, 4, -1.0, 1.0, 2);
+  // Upper range edges fall into the last bin, not past it.
+  h.add(1.0, 1.0);
+  h.add(0.0, -1.0);
+  h.add(0.5, 0.0);
+  h.add(1e9, -1e9);
+  EXPECT_EQ(h.at(3, 1), 1u);
+  EXPECT_EQ(h.at(0, 0), 1u);
+  EXPECT_EQ(h.at(2, 1), 1u);
+  EXPECT_EQ(h.at(3, 0), 1u);
+  std::size_t sum = 0;
+  for (std::size_t x = 0; x < h.x_bins(); ++x)
+    for (std::size_t y = 0; y < h.y_bins(); ++y) sum += h.at(x, y);
+  EXPECT_EQ(sum, h.total());
+  EXPECT_EQ(h.total(), 4u);
+  EXPECT_THROW(h.at(4, 0), std::out_of_range);
+}
+
+TEST(CliArgs, BareFlagBeforeAnotherOptionTakesNoValue) {
+  const char* argv[] = {"prog", "--telemetry", "--count", "3", "--verbose"};
+  CliArgs args(5, argv, {"telemetry", "count", "verbose"});
+  EXPECT_TRUE(args.get_bool("telemetry", false));
+  EXPECT_EQ(args.get_int("count", 0), 3);
+  EXPECT_TRUE(args.get_bool("verbose", false));
+  EXPECT_TRUE(args.unknown().empty());
+}
+
+TEST(CliArgs, BoolSpellings) {
+  const char* argv[] = {"prog", "--a=1", "--b=yes", "--c=true", "--d=0", "--e=no", "--f=on"};
+  CliArgs args(7, argv, {"a", "b", "c", "d", "e", "f"});
+  EXPECT_TRUE(args.get_bool("a", false));
+  EXPECT_TRUE(args.get_bool("b", false));
+  EXPECT_TRUE(args.get_bool("c", false));
+  EXPECT_FALSE(args.get_bool("d", true));
+  EXPECT_FALSE(args.get_bool("e", true));
+  EXPECT_FALSE(args.get_bool("f", true));
+  EXPECT_TRUE(args.get_bool("missing", true));
+}
+
+TEST(CliArgs, NegativeNumbersAreValues) {
+  const char* argv[] = {"prog", "--count", "-5", "--offset", "-2.5"};
+  CliArgs args(5, argv, {"count", "offset"});
+  EXPECT_EQ(args.get_int("count", 0), -5);
+  EXPECT_DOUBLE_EQ(args.get_double("offset", 0.0), -2.5);
+  EXPECT_TRUE(args.unknown().empty());
+}
+
+TEST(CliArgs, MalformedNumbersThrow) {
+  const char* argv[] = {"prog", "--count", "many", "--ratio=", "--sizes", "1,x"};
+  CliArgs args(6, argv, {"count", "ratio", "sizes"});
+  EXPECT_THROW(args.get_int("count", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("ratio", 0.0), std::invalid_argument);
+  EXPECT_THROW(args.get_int_list("sizes", {}), std::invalid_argument);
+  EXPECT_EQ(args.get_string("ratio", "fallback"), "");
+}
+
+TEST(CliArgs, LastValueWinsAndEmptyListEntriesAreSkipped) {
+  const char* argv[] = {"prog", "--seed", "1", "--seed=9", "--sizes", "4,,8,"};
+  CliArgs args(6, argv, {"seed", "sizes"});
+  EXPECT_EQ(args.get_int("seed", 0), 9);
+  EXPECT_EQ(args.get_int_list("sizes", {}), (std::vector<std::int64_t>{4, 8}));
+  EXPECT_EQ(args.program(), "prog");
+}
+
+TEST(TextTable, PadsShortRowsAndFormatsNumbers) {
+  EXPECT_EQ(TextTable::num(2.0, 0), "2");
+  EXPECT_EQ(TextTable::num(-1.23456, 3), "-1.235");
+  EXPECT_EQ(TextTable::num(0.5), "0.500");
+  EXPECT_EQ(TextTable::integer(-7), "-7");
+
+  TextTable table({"a", "b", "c"});
+  table.add_row({"x"});
+  table.add_row({"1", "2", "3", "dropped"});
+  std::ostringstream os;
+  table.print(os);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("| x |   |   |"), std::string::npos) << out;
+  EXPECT_NE(out.find("| 1 | 2 | 3 |"), std::string::npos) << out;
+  EXPECT_EQ(out.find("dropped"), std::string::npos) << out;
+  // Rule, header, rule, two rows, rule.
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 6);
+}
+
+TEST(CsvWriter, ThrowsWhenPathCannotBeOpened) {
+  const std::string path = testing::TempDir() + "/no_such_dir_scod/out.csv";
+  EXPECT_THROW(CsvWriter(path, {"a"}), std::runtime_error);
+}
+
+TEST(CsvEscape, EmptyAndCommaOnlyFields) {
+  EXPECT_EQ(csv_escape(""), "");
+  EXPECT_EQ(csv_escape(","), "\",\"");
+  EXPECT_EQ(csv_escape("\""), "\"\"\"\"");
+  EXPECT_EQ(csv_escape("a b;c"), "a b;c");
+}
+
+TEST(Log, WritesOnlyAtOrAboveTheLevel) {
+  const LogLevel original = log_level();
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  log_info("hidden-info");
+  log_warn("shown-warn ", 7);
+  log_message(LogLevel::kError, "shown-error");
+  log_message(LogLevel::kDebug, "hidden-debug");
+  const std::string err = testing::internal::GetCapturedStderr();
+  set_log_level(original);
+  EXPECT_EQ(err.find("hidden"), std::string::npos) << err;
+  EXPECT_NE(err.find("[WARN ] shown-warn 7"), std::string::npos) << err;
+  EXPECT_NE(err.find("[ERROR] shown-error"), std::string::npos) << err;
 }
 
 }  // namespace

@@ -3,24 +3,21 @@
 ///   scod generate --count 4000 --seed 7 --out catalog.csv
 ///   scod generate --count 800 --out catalog.tle
 ///   scod screen   --catalog catalog.csv --variant hybrid --span 7200
-///                 --threshold 2 [--propagator kepler|j2|ephemeris] [--csv out.csv]
-///   scod assess   --catalog catalog.csv --span 7200 --threshold 5 --top 3
-///   scod cube     --catalog catalog.csv --span 7200 --cube-size 10
+///                 --threshold 2 [--propagator kepler|j2|ephemeris|tle]
+///                 [--csv out.csv] [--telemetry]
 ///   scod info
 ///
-/// Catalog format is chosen by extension: .csv (catalog_io) or .tle.
+/// Catalog format is chosen by extension: .csv (catalog_io), or .tle / .txt
+/// (TLE sets). An unknown option is a usage error (exit 2).
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <cstring>
-#include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "assessment/cdm.hpp"
 #include "core/screen.hpp"
 #include "obs/telemetry.hpp"
 #include "population/catalog_io.hpp"
@@ -31,12 +28,10 @@
 #include "propagation/ephemeris.hpp"
 #include "propagation/j2_secular.hpp"
 #include "propagation/tle_secular.hpp"
-#include "propagation/two_body.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/sysinfo.hpp"
 #include "util/table.hpp"
-#include "volumetric/cube.hpp"
 
 namespace {
 
@@ -47,17 +42,20 @@ int usage() {
                "usage: scod <command> [options]\n"
                "\n"
                "commands:\n"
-               "  generate  --count N [--seed S] --out FILE(.csv|.tle)\n"
+               "  generate  --count N [--seed S] --out FILE(.csv|.tle|.txt)\n"
                "  screen    --catalog FILE [--variant grid|hybrid|legacy]\n"
                "            [--threshold KM] [--span S] [--sps S]\n"
                "            [--propagator kepler|j2|ephemeris|tle] [--csv OUT]\n"
                "            [--telemetry]\n"
-               "  assess    --catalog FILE [--threshold KM] [--span S]\n"
-               "            [--sigma KM] [--radius KM] [--top N]\n"
-               "  cube      --catalog FILE [--span S] [--cube-size KM]\n"
-               "            [--samples N] [--radius KM]\n"
                "  info\n");
   return 2;
+}
+
+/// A misspelled or leftover option is a usage error, not a silent default.
+bool has_unknown_option(const CliArgs& args) {
+  if (args.unknown().empty()) return false;
+  std::fprintf(stderr, "unknown option: %s\n", args.unknown().front().c_str());
+  return true;
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -84,7 +82,12 @@ std::vector<Satellite> load_catalog(const std::string& path) {
 
 int cmd_generate(int argc, const char* const* argv) {
   const CliArgs args(argc, argv, {"count", "seed", "out"});
-  const auto count = static_cast<std::size_t>(args.get_int("count", 1000));
+  if (has_unknown_option(args)) return usage();
+  const std::int64_t count = args.get_int("count", 1000);
+  if (count < 0) {
+    std::fprintf(stderr, "generate: --count must be non-negative\n");
+    return 2;
+  }
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const std::string out = args.get_string("out", "");
   if (out.empty()) {
@@ -92,8 +95,8 @@ int cmd_generate(int argc, const char* const* argv) {
     return 2;
   }
 
-  const auto sats = generate_population({count, seed});
-  if (ends_with(out, ".tle") || ends_with(out, ".txt")) {
+  const auto sats = generate_population({static_cast<std::size_t>(count), seed});
+  if (is_tle_path(out)) {
     std::ofstream file(out);
     if (!file) {
       std::fprintf(stderr, "generate: cannot open %s\n", out.c_str());
@@ -121,6 +124,7 @@ int cmd_generate(int argc, const char* const* argv) {
 int cmd_screen(int argc, const char* const* argv) {
   const CliArgs args(argc, argv, {"catalog", "variant", "threshold", "span", "sps",
                                   "propagator", "csv", "telemetry"});
+  if (has_unknown_option(args)) return usage();
   const std::string catalog_path = args.get_string("catalog", "");
   if (catalog_path.empty()) {
     std::fprintf(stderr, "screen: --catalog is required\n");
@@ -213,80 +217,6 @@ int cmd_screen(int argc, const char* const* argv) {
   return 0;
 }
 
-int cmd_assess(int argc, const char* const* argv) {
-  const CliArgs args(argc, argv,
-                     {"catalog", "threshold", "span", "sigma", "radius", "top"});
-  const std::string catalog_path = args.get_string("catalog", "");
-  if (catalog_path.empty()) {
-    std::fprintf(stderr, "assess: --catalog is required\n");
-    return 2;
-  }
-  const auto sats = load_catalog(catalog_path);
-
-  ScreeningConfig config;
-  config.threshold_km = args.get_double("threshold", 5.0);
-  config.t_end = args.get_double("span", 7200.0);
-
-  const ContourKeplerSolver solver;
-  const TwoBodyPropagator propagator(sats, solver);
-  const ScreeningReport report = GridScreener().screen(propagator, config);
-
-  std::vector<CdmObject> objects(sats.size());
-  for (std::size_t i = 0; i < sats.size(); ++i) {
-    objects[i].designator = "OBJECT-" + std::to_string(sats[i].id);
-    objects[i].position_sigma_km = args.get_double("sigma", 0.5);
-    objects[i].hard_body_radius_km = args.get_double("radius", 0.005);
-  }
-  auto assessments = assess_conjunctions(propagator, report, objects);
-  std::sort(assessments.begin(), assessments.end(),
-            [](const ConjunctionAssessment& x, const ConjunctionAssessment& y) {
-              return x.collision_probability > y.collision_probability;
-            });
-
-  const auto top = static_cast<std::size_t>(args.get_int("top", 5));
-  std::printf("%zu conjunctions; emitting CDMs for the top %zu by Pc\n\n",
-              assessments.size(), std::min(top, assessments.size()));
-  for (std::size_t i = 0; i < std::min(top, assessments.size()); ++i) {
-    write_cdm(std::cout, assessments[i], objects[assessments[i].conjunction.sat_a],
-              objects[assessments[i].conjunction.sat_b]);
-    std::printf("\n");
-  }
-  return 0;
-}
-
-int cmd_cube(int argc, const char* const* argv) {
-  const CliArgs args(argc, argv, {"catalog", "span", "cube-size", "samples", "radius"});
-  const std::string catalog_path = args.get_string("catalog", "");
-  if (catalog_path.empty()) {
-    std::fprintf(stderr, "cube: --catalog is required\n");
-    return 2;
-  }
-  const auto sats = load_catalog(catalog_path);
-  const ContourKeplerSolver solver;
-  const TwoBodyPropagator propagator(sats, solver);
-
-  CubeConfig config;
-  config.cube_size_km = args.get_double("cube-size", 10.0);
-  config.samples = static_cast<std::size_t>(args.get_int("samples", 2000));
-  config.object_radius_km = args.get_double("radius", 0.005);
-  const double span = args.get_double("span", 7200.0);
-
-  const CubeResult result = cube_collision_estimate(propagator, 0.0, span, config);
-  std::printf("Cube method (Liou et al. 2003): %zu samples, %.0f km cubes\n",
-              result.samples, config.cube_size_km);
-  std::printf("  expected collisions over %.0f s: %.3e\n", span,
-              result.expected_collisions);
-  std::printf("  mean co-resident pairs per sample: %.3f\n",
-              result.mean_pairs_per_sample);
-  std::printf("  pairs with any co-residency: %zu\n", result.pair_rates.size());
-  for (std::size_t i = 0; i < std::min<std::size_t>(5, result.pair_rates.size()); ++i) {
-    const CubePairRate& r = result.pair_rates[i];
-    std::printf("    %6u %6u: %zu co-residencies, E[collisions] = %.3e\n", r.sat_a,
-                r.sat_b, r.co_residencies, r.expected_collisions);
-  }
-  return 0;
-}
-
 int cmd_info() {
   const SystemInfo info = query_system_info();
   std::printf("scod 1.0.0\n");
@@ -303,8 +233,6 @@ int main(int argc, char** argv) {
   try {
     if (command == "generate") return cmd_generate(argc - 1, argv + 1);
     if (command == "screen") return cmd_screen(argc - 1, argv + 1);
-    if (command == "assess") return cmd_assess(argc - 1, argv + 1);
-    if (command == "cube") return cmd_cube(argc - 1, argv + 1);
     if (command == "info") return cmd_info();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "scod %s: %s\n", command.c_str(), e.what());
