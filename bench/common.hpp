@@ -104,21 +104,16 @@ class JsonBenchWriter {
   JsonBenchWriter(const JsonBenchWriter&) = delete;
   JsonBenchWriter& operator=(const JsonBenchWriter&) = delete;
 
-  /// `extra_fields`, when non-empty, is spliced verbatim into the record
-  /// as additional `"key": value` pairs (no surrounding braces/comma) —
-  /// e.g. `"\"allocation_seconds\": 0.12` for the context-reuse bench.
   void record(const std::string& workload, std::uint64_t n,
               const std::string& variant, double seconds,
               std::uint64_t conjunctions,
-              const std::string& telemetry_json = "",
-              const std::string& extra_fields = "") {
+              const std::string& telemetry_json = "") {
     if (!out_.is_open()) return;
     if (!first_) out_ << ",\n";
     first_ = false;
     out_ << "  {\"workload\": \"" << workload << "\", \"n\": " << n
          << ", \"variant\": \"" << variant << "\", \"seconds\": " << seconds
          << ", \"conjunctions\": " << conjunctions;
-    if (!extra_fields.empty()) out_ << ", " << extra_fields;
     if (!telemetry_json.empty()) out_ << ", \"telemetry\": " << telemetry_json;
     out_ << "}";
     out_.flush();

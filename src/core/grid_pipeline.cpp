@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/context.hpp"
 #include "core/exec.hpp"
 #include "obs/telemetry.hpp"
 #include "orbit/geometry.hpp"
@@ -411,15 +410,11 @@ RoundAttempt device_round(const RoundInputs& in, std::size_t step0, std::size_t 
 }  // namespace
 
 GridPipelineResult run_grid_pipeline(const Propagator& propagator,
-                                     const ScreeningConfig& caller_config,
+                                     const ScreeningConfig& config,
                                      const ConjunctionCountModel& count_model,
                                      const GridPipelineOptions& options,
-                                     ScreeningContext& context,
                                      const GridRoundSink& sink) {
   GridPipelineResult result;
-
-  ScreeningContext::Use use(context);
-  const ScreeningConfig config = context.apply(caller_config);
 
   Stopwatch alloc_watch;
 
@@ -502,18 +497,17 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
 
   // Step 1 (allocation): the grids (phantom tables when masked), the
   // candidate buffer, and the per-satellite speed bounds used by the
-  // distance prefilter — checked out of the arena at exactly the sizes a
-  // cold screen would allocate. devicesim holds one grid per step of a
-  // round (p); on the CPU each worker owns one grid, so min(p, workers)
-  // are enough. Every grid is cleared before a step is inserted into it,
-  // so carried-over grids need no reset here.
-  ScratchArena& arena = context.arena();
+  // distance prefilter. devicesim holds one grid per step of a round (p);
+  // on the CPU each worker owns one grid, so min(p, workers) are enough.
+  // Every grid is cleared before a step is inserted into it.
   const std::size_t grid_count =
       device != nullptr ? p : std::min(p, pool_of(config).thread_count());
-  std::vector<GridHashSet>& grids = arena.grids(grid_count, table_entries);
-  CandidateBuffer& candidates = arena.candidates(request.candidate_capacity);
+  std::vector<GridHashSet> grids;
+  grids.reserve(grid_count);
+  while (grids.size() < grid_count) grids.emplace_back(table_entries);
+  CandidateBuffer candidates(request.candidate_capacity);
 
-  std::vector<double>& vmax = arena.vmax(n);
+  std::vector<double> vmax(n);
   pool_of(config).parallel_for(n, [&](std::size_t i) {
     vmax[i] = max_speed(propagator.elements(i));
   });

@@ -14,8 +14,6 @@
 
 namespace scod {
 
-class ScreeningContext;
-
 /// Options of the shared grid front-end (steps 1-2 of Section III: memory
 /// allocation, parallel propagation + insertion, parallel candidate
 /// detection). The defaults screen every pair at the Eq. (1) cell size.
@@ -120,10 +118,6 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// workers' summed seconds divided by the number of workers; per-step grid
 /// clears count as allocation.
 ///
-/// Step-1 scratch (grids, candidate buffer, vmax table) is checked out of
-/// `context`'s arena at the sizes a cold screen would allocate, so a warm
-/// context only skips the allocation cost.
-///
 /// Throws std::invalid_argument when the population or the number of
 /// sample steps exceeds what a candidate key can hold (2^20 satellites,
 /// 2^24 steps), checked before anything is allocated, and
@@ -133,7 +127,6 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const ScreeningConfig& config,
                                      const ConjunctionCountModel& count_model,
                                      const GridPipelineOptions& options,
-                                     ScreeningContext& context,
                                      const GridRoundSink& sink);
 
 /// Fills the report's allocation/INS/CD timings and the grid front-end's

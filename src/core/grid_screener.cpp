@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "core/context.hpp"
 #include "core/exec.hpp"
 #include "obs/telemetry.hpp"
 #include "pca/pair_evaluator.hpp"
@@ -14,67 +13,55 @@ namespace scod {
 namespace {
 
 /// Step 4 for one round's candidates: Brent refinement, one logical thread
-/// per candidate (kernel-style fixed output slots keep the phase
-/// lock-free). Appends the raw (unmerged) sub-threshold conjunctions to
+/// per candidate. Appends the raw (unmerged) sub-threshold conjunctions to
 /// `raw` and returns the number of Brent searches run.
 std::size_t refine_candidates(const Propagator& propagator, const ScreeningConfig& config,
                               const GridPipelineResult& pipeline,
                               const std::vector<Candidate>& candidates,
-                              ScratchArena& arena, std::vector<Conjunction>& raw) {
-  std::vector<Conjunction>& slots = arena.conjunction_slots(candidates.size());
-  std::vector<std::uint8_t>& flags = arena.valid_flags(candidates.size());
-
+                              detail::RefineSlots& slots, std::vector<Conjunction>& raw) {
   const RefineFastPath fast = RefineFastPath::probe(propagator);
-  detail::execute(config, candidates.size(), [&](std::size_t i) {
-    const Candidate& c = candidates[i];
-    const double t_s = pipeline.sample_time(c.step, config.t_begin, config.t_end);
-    const Refinement refined = fast.visit(c.sat_a, c.sat_b, [&](const auto& eval) {
-      return refine_grid_candidate(eval, t_s, pipeline.cell_size, config.threshold_km,
-                                   config.t_begin, config.t_end);
-    });
-    if (!refined.searched) return;
-    flags[i] = ScratchArena::kSearched;
-    if (refined.encounter.has_value() && refined.encounter->pca <= config.threshold_km) {
-      slots[i] = {c.sat_a, c.sat_b, refined.encounter->tca, refined.encounter->pca};
-      flags[i] |= ScratchArena::kSlotValid;
-    }
-  });
-
-  const std::size_t before = raw.size();
-  std::size_t searches = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (flags[i] & ScratchArena::kSearched) ++searches;
-    if (flags[i] & ScratchArena::kSlotValid) raw.push_back(slots[i]);
-  }
-  obs::count(obs::Counter::kConjunctionsRaw, raw.size() - before);
-  return searches;
+  return slots.run(
+      config, candidates.size(),
+      [&](std::size_t i, Conjunction& slot) -> std::uint8_t {
+        const Candidate& c = candidates[i];
+        const double t_s = pipeline.sample_time(c.step, config.t_begin, config.t_end);
+        const Refinement refined = fast.visit(c.sat_a, c.sat_b, [&](const auto& eval) {
+          return refine_grid_candidate(eval, t_s, pipeline.cell_size, config.threshold_km,
+                                       config.t_begin, config.t_end);
+        });
+        if (!refined.searched) return 0;
+        if (refined.encounter.has_value() && refined.encounter->pca <= config.threshold_km) {
+          slot = {c.sat_a, c.sat_b, refined.encounter->tca, refined.encounter->pca};
+          return detail::RefineSlots::kSearched | detail::RefineSlots::kSlotValid;
+        }
+        return detail::RefineSlots::kSearched;
+      },
+      raw);
 }
 
 }  // namespace
 
-GridScreener::GridScreener(GridPipelineOptions options, ScreeningContext* context)
-    : ScreenerBase(context), options_(std::move(options)) {}
+GridScreener::GridScreener(GridPipelineOptions options) : options_(std::move(options)) {}
 
 ScreeningReport GridScreener::run(const Propagator& propagator,
-                                  const ScreeningConfig& config,
-                                  ScreeningContext& context) const {
+                                  const ScreeningConfig& config) const {
   // Step 4 runs on each round's candidates as the round drains, so a
   // screen holds one round's candidates at a time; merging waits for the
   // whole span, where a minimum found from both sides of a round boundary
-  // collapses into one conjunction.
+  // collapses into one conjunction. The rounds share one set of slots.
   std::vector<Conjunction> raw;
+  detail::RefineSlots slots;
   double refine_seconds = 0.0;
   std::size_t searches = 0;
   const GridRoundSink refine_round = [&](std::size_t, std::vector<Candidate>&& candidates,
                                          const GridPipelineResult& pipeline) {
     Stopwatch watch;
-    searches +=
-        refine_candidates(propagator, config, pipeline, candidates, context.arena(), raw);
+    searches += refine_candidates(propagator, config, pipeline, candidates, slots, raw);
     refine_seconds += watch.seconds();
   };
   const GridPipelineResult pipeline = run_grid_pipeline(
       propagator, with_sample_period(config, kDefaultSecondsPerSample),
-      ConjunctionCountModel::paper_grid(), options_, context, refine_round);
+      ConjunctionCountModel::paper_grid(), options_, refine_round);
 
   ScreeningReport report;
   Stopwatch merge_watch;

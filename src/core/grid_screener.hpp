@@ -20,16 +20,13 @@ class GridScreener final : public ScreenerBase {
   /// ScreeningConfig::seconds_per_sample when that is positive.
   static constexpr double kDefaultSecondsPerSample = 4.0;
 
-  /// With a context, pipeline scratch and refinement slots are borrowed
-  /// from its arena across calls; the context must outlive the screener.
-  explicit GridScreener(GridPipelineOptions options = {},
-                        ScreeningContext* context = nullptr);
+  explicit GridScreener(GridPipelineOptions options = {});
 
   Variant variant() const override { return Variant::kGrid; }
 
  private:
-  ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
-                      ScreeningContext& context) const override;
+  ScreeningReport run(const Propagator& propagator,
+                      const ScreeningConfig& config) const override;
 
   GridPipelineOptions options_;
 };

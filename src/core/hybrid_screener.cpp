@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/context.hpp"
 #include "core/exec.hpp"
 #include "core/grid_pipeline.hpp"
 #include "filters/filter_chain.hpp"
@@ -31,11 +30,8 @@ struct RefineTask {
 
 }  // namespace
 
-HybridScreener::HybridScreener(ScreeningContext* context) : ScreenerBase(context) {}
-
 ScreeningReport HybridScreener::run(const Propagator& propagator,
-                                    const ScreeningConfig& config,
-                                    ScreeningContext& context) const {
+                                    const ScreeningConfig& config) const {
   // The filters classify each pair once over the whole span, so every
   // round's candidates are collected first. The first round's vector is
   // moved in: a one-round screen never holds two copies of its candidates.
@@ -50,7 +46,7 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
   };
   const GridPipelineResult pipeline = run_grid_pipeline(
       propagator, with_sample_period(config, kDefaultSecondsPerSample),
-      ConjunctionCountModel::paper_hybrid(), {}, context, collect);
+      ConjunctionCountModel::paper_hybrid(), {}, collect);
 
   ScreeningReport report;
   fill_pipeline_stats(report, propagator.size(), pipeline);
@@ -137,39 +133,33 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
 
   // ---- Step 4: Brent refinement -----------------------------------------
   Stopwatch refine_watch;
-  std::vector<Conjunction>& slots = context.arena().conjunction_slots(tasks.size());
-  std::vector<std::uint8_t>& flags = context.arena().valid_flags(tasks.size());
-
   const RefineFastPath fast = RefineFastPath::probe(propagator);
-  detail::execute(config, tasks.size(), [&](std::size_t i) {
-    const RefineTask& task = tasks[i];
-    const Refinement refined =
-        fast.visit(task.sat_a, task.sat_b, [&](const auto& eval) {
-          return task.grid_style
-                     ? refine_grid_candidate(eval, task.center, pipeline.cell_size,
-                                             config.threshold_km, config.t_begin,
-                                             config.t_end)
-                     : Refinement{true, refine_on_interval_fn(
-                                            [&eval](double t) { return eval.distance(t); },
-                                            task.t_lo, task.t_hi)};
-        });
-    if (!refined.searched) return;
-    flags[i] = ScratchArena::kSearched;
-    const std::optional<Encounter>& encounter = refined.encounter;
-    if (encounter.has_value() && encounter->pca <= config.threshold_km &&
-        encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
-      slots[i] = {task.sat_a, task.sat_b, encounter->tca, encounter->pca};
-      flags[i] |= ScratchArena::kSlotValid;
-    }
-  });
-
   std::vector<Conjunction> raw;
-  std::size_t searches = 0;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (flags[i] & ScratchArena::kSearched) ++searches;
-    if (flags[i] & ScratchArena::kSlotValid) raw.push_back(slots[i]);
-  }
-  obs::count(obs::Counter::kConjunctionsRaw, raw.size());
+  detail::RefineSlots slots;
+  const std::size_t searches = slots.run(
+      config, tasks.size(),
+      [&](std::size_t i, Conjunction& slot) -> std::uint8_t {
+        const RefineTask& task = tasks[i];
+        const Refinement refined =
+            fast.visit(task.sat_a, task.sat_b, [&](const auto& eval) {
+              return task.grid_style
+                         ? refine_grid_candidate(eval, task.center, pipeline.cell_size,
+                                                 config.threshold_km, config.t_begin,
+                                                 config.t_end)
+                         : Refinement{true, refine_on_interval_fn(
+                                                [&eval](double t) { return eval.distance(t); },
+                                                task.t_lo, task.t_hi)};
+            });
+        if (!refined.searched) return 0;
+        const std::optional<Encounter>& encounter = refined.encounter;
+        if (encounter.has_value() && encounter->pca <= config.threshold_km &&
+            encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
+          slot = {task.sat_a, task.sat_b, encounter->tca, encounter->pca};
+          return detail::RefineSlots::kSearched | detail::RefineSlots::kSlotValid;
+        }
+        return detail::RefineSlots::kSearched;
+      },
+      raw);
   report.conjunctions =
       merge_conjunctions(std::move(raw), kMergeToleranceSeconds);
   report.timings.refinement = refine_watch.seconds();

@@ -22,15 +22,11 @@ class HybridScreener final : public ScreenerBase {
   /// four-times-fewer sample steps with correspondingly larger cells.
   static constexpr double kDefaultSecondsPerSample = 16.0;
 
-  /// With a context, pipeline scratch and refinement slots are borrowed
-  /// from its arena across calls; the context must outlive the screener.
-  explicit HybridScreener(ScreeningContext* context = nullptr);
-
   Variant variant() const override { return Variant::kHybrid; }
 
  private:
-  ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
-                      ScreeningContext& context) const override;
+  ScreeningReport run(const Propagator& propagator,
+                      const ScreeningConfig& config) const override;
 };
 
 }  // namespace scod

@@ -20,8 +20,7 @@ constexpr double kDenseScanStep = 16.0;
 }  // namespace
 
 ScreeningReport LegacyScreener::run(const Propagator& propagator,
-                                    const ScreeningConfig& config,
-                                    ScreeningContext& /*context*/) const {
+                                    const ScreeningConfig& config) const {
   if (config.device != nullptr) {
     throw std::invalid_argument("screen: the legacy variant has no device backend");
   }

@@ -16,17 +16,13 @@ namespace scod {
 /// baseline, so the quadratic pair loop is undiluted.
 class LegacyScreener final : public ScreenerBase {
  public:
-  explicit LegacyScreener(ScreeningContext* context = nullptr)
-      : ScreenerBase(context) {}
-
   Variant variant() const override { return Variant::kLegacy; }
 
  private:
   /// CPU-only (and single-threaded) by definition: throws
-  /// std::invalid_argument when config.device is set. The context is only
-  /// the telemetry handle, the chain needs no sized scratch.
-  ScreeningReport run(const Propagator& propagator, const ScreeningConfig& config,
-                      ScreeningContext& context) const override;
+  /// std::invalid_argument when config.device is set.
+  ScreeningReport run(const Propagator& propagator,
+                      const ScreeningConfig& config) const override;
 };
 
 }  // namespace scod

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/context.hpp"
 #include "core/grid_screener.hpp"
 #include "core/hybrid_screener.hpp"
 #include "core/legacy_screener.hpp"
@@ -55,19 +54,17 @@ ScreeningReport ScreenerBase::screen(const Propagator& propagator,
   if (!std::isfinite(config.seconds_per_sample)) {
     throw std::invalid_argument("screen: seconds_per_sample must be finite");
   }
-  detail::ContextLease lease(context_);
-  ScreeningContext::Use use(*lease);
-  return run(propagator, lease->apply(config), *lease);
+  return run(propagator, config);
 }
 
-std::unique_ptr<Screener> make_screener(Variant variant, ScreeningContext* context) {
+std::unique_ptr<Screener> make_screener(Variant variant) {
   switch (variant) {
     case Variant::kGrid:
-      return std::make_unique<GridScreener>(GridPipelineOptions{}, context);
+      return std::make_unique<GridScreener>();
     case Variant::kHybrid:
-      return std::make_unique<HybridScreener>(context);
+      return std::make_unique<HybridScreener>();
     case Variant::kLegacy:
-      return std::make_unique<LegacyScreener>(context);
+      return std::make_unique<LegacyScreener>();
   }
   throw std::invalid_argument("make_screener: unknown variant");
 }

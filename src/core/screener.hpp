@@ -14,8 +14,6 @@
 
 namespace scod {
 
-class ScreeningContext;
-
 /// The conjunction-detection variants of the paper's evaluation.
 enum class Variant {
   kGrid,    ///< purely grid-based (Section III, first variant)
@@ -37,8 +35,16 @@ inline constexpr std::array kAllVariants = {Variant::kGrid, Variant::kHybrid,
 
 /// Common interface of the three screening variants. A screener is an
 /// immutable strategy object: screen() is const and safe to call
-/// repeatedly; all per-run state lives on the stack or in the attached
-/// ScreeningContext. Obtain instances through make_screener.
+/// repeatedly, and every screen allocates its own scratch (step 1 of
+/// Section III), so no state carries over from one screen to the next.
+/// Obtain instances through make_screener.
+///
+/// Concurrency: screens may run at once from several threads only on
+/// distinct pools (ScreeningConfig::pool). Two screens that share a pool
+/// with workers — the process-global one included — would share its
+/// workers, which the grid pipeline's one-grid-per-worker rounds cannot
+/// allow; the second submission throws std::logic_error (see
+/// ThreadPool::run_on_all). A screen on a one-thread pool runs inline.
 class Screener {
  public:
   virtual ~Screener() = default;
@@ -62,8 +68,7 @@ class Screener {
 
 /// The skeleton every variant derives from: both screen() overloads are
 /// implemented here once (and final); a variant only implements run(),
-/// which receives a validated config with the context's pool bound and the
-/// bound-or-ephemeral context already held.
+/// which receives a validated config.
 class ScreenerBase : public Screener {
  public:
   ScreeningReport screen(std::span<const Satellite> satellites,
@@ -71,24 +76,12 @@ class ScreenerBase : public Screener {
   ScreeningReport screen(const Propagator& propagator,
                          const ScreeningConfig& config) const final;
 
- protected:
-  /// With a context, scratch is borrowed from its arena across calls; the
-  /// context must outlive the screener.
-  explicit ScreenerBase(ScreeningContext* context) : context_(context) {}
-
  private:
   virtual ScreeningReport run(const Propagator& propagator,
-                              const ScreeningConfig& config,
-                              ScreeningContext& context) const = 0;
-
-  ScreeningContext* context_ = nullptr;
+                              const ScreeningConfig& config) const = 0;
 };
 
-/// Factory behind every variant dispatch site. With a context the returned
-/// screener borrows its scratch from the context's arena (warm repeat
-/// screens, bit-identical reports); without one each screen() call
-/// allocates and frees as before. The context must outlive the screener.
-std::unique_ptr<Screener> make_screener(Variant variant,
-                                        ScreeningContext* context = nullptr);
+/// Factory behind every variant dispatch site.
+std::unique_ptr<Screener> make_screener(Variant variant);
 
 }  // namespace scod

@@ -1,5 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
+#include <stdexcept>
+
 namespace scod {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -47,6 +49,11 @@ void ThreadPool::run_on_all(const std::function<void(std::size_t)>& fn) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (job_ != nullptr) {
+      throw std::logic_error(
+          "ThreadPool::run_on_all: a job is already in flight on this pool; "
+          "concurrent submitters need distinct pools");
+    }
     job_ = &fn;
     active_ = workers_.size();
     first_error_ = nullptr;

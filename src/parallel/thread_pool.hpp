@@ -23,6 +23,12 @@ namespace scod {
 /// with `threads == 1` runs everything inline with zero synchronization
 /// overhead — that configuration is the single-thread baseline of the
 /// speedup measurements.
+///
+/// A pool with workers runs one job at a time: any number of threads may
+/// submit to it one after another, but a submission while another job is
+/// in flight — from a second thread, or nested inside the running job —
+/// throws std::logic_error instead of taking the workers over. Threads
+/// that work at once need distinct pools.
 class ThreadPool {
  public:
   /// `threads` is the total number of worker contexts including the caller;
@@ -38,7 +44,9 @@ class ThreadPool {
   /// Runs `fn(worker_id)` once on every worker context (ids in
   /// [0, thread_count()), the caller gets id thread_count()-1) and returns
   /// when all invocations finished. Exceptions thrown by any invocation are
-  /// rethrown on the caller (first one wins).
+  /// rethrown on the caller (first one wins). Throws std::logic_error,
+  /// before running anything, while another job is in flight on a pool
+  /// with workers; a one-thread pool runs `fn(0)` inline every time.
   void run_on_all(const std::function<void(std::size_t)>& fn);
 
   /// Dynamic-chunked parallel loop over [0, n). `body(i)` must be safe to

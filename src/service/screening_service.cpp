@@ -92,7 +92,7 @@ ServiceReport ScreeningService::full_screen(
   report.catalog_size = snap->size();
 
   const ScreeningReport dense =
-      make_screener(Variant::kGrid, &context_)->screen(snap->satellites, options_.config);
+      make_screener(Variant::kGrid)->screen(snap->satellites, options_.config);
   report.conjunctions = to_id_space(dense.conjunctions, *snap);
   report.refreshed = report.conjunctions.size();
   report.timings = dense.timings;
@@ -126,7 +126,7 @@ ServiceReport ScreeningService::incremental_screen(
     pipeline.dirty_mask = mask;
     std::optional<ScreeningReport> dense;
     try {
-      dense = GridScreener(pipeline, &context_).screen(snap->satellites, options_.config);
+      dense = GridScreener(pipeline).screen(snap->satellites, options_.config);
     } catch (const MemoryBudgetExceeded&) {
       // The phantom tables (27 entries per dirty object) outgrow the
       // budget where the full screen's grids may still fit.
@@ -169,8 +169,6 @@ ServiceReport ScreeningService::incremental_screen(
 }
 
 std::vector<IdConjunction> ScreeningService::reference_conjunctions() const {
-  // Deliberately cold (no shared context): the reference must not be able
-  // to inherit state from the passes it is checking.
   const std::shared_ptr<const CatalogSnapshot> snap = store_.snapshot();
   const ScreeningReport dense =
       make_screener(Variant::kGrid)->screen(snap->satellites, options_.config);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/context.hpp"
 #include "core/report.hpp"
 #include "service/catalog_store.hpp"
 
@@ -107,13 +106,6 @@ class ScreeningService {
   const ServiceOptions& options() const { return options_; }
   const ServiceStats& stats() const { return stats_; }
 
-  /// The long-lived screening context every full and incremental pass
-  /// borrows scratch from. Exposed so callers can inspect arena stats or
-  /// force a cold pass (context().arena().release()); reports are
-  /// bit-identical either way.
-  ScreeningContext& context() { return context_; }
-  const ScreeningContext& context() const { return context_; }
-
   /// Convenience mutators forwarding to the store, with service counters.
   std::size_t ingest_csv(const std::string& path);
   std::size_t ingest_tle(const std::string& path);
@@ -143,7 +135,6 @@ class ScreeningService {
   ServiceOptions options_;
   CatalogStore store_;
   ServiceStats stats_;
-  ScreeningContext context_;  ///< warm scratch reused across epochs
 
   // Warm baseline: the conjunction set of `baseline_epoch_`, in id space.
   bool has_baseline_ = false;

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "core/context.hpp"
 #include "obs/telemetry.hpp"
 #include "service/screening_service.hpp"
 
@@ -242,55 +241,6 @@ void check_counter_invariants(const std::string& name, Variant variant,
   }
 }
 
-/// Bit-exact comparison of a warm-context rerun against the cold report.
-/// Exact equality (not tolerance matching) is the contract: the arena must
-/// hand back buffers in precisely the state a fresh allocation would have,
-/// so every arithmetic operation replays identically. Timings are excluded
-/// (wall clock), as are the memory gauges (an arena may retain capacity for
-/// a larger past case; the computed results must not notice).
-void diff_context_reuse(const std::string& name, const ScreeningReport& cold,
-                        const ScreeningReport& warm,
-                        std::vector<Divergence>& out) {
-  const auto emit = [&](const std::string& what, const Conjunction& event) {
-    out.push_back({name, Divergence::Kind::kContextMismatch, event,
-                   "context reuse: " + what});
-  };
-
-  if (warm.conjunctions.size() != cold.conjunctions.size()) {
-    emit("warm reports " + std::to_string(warm.conjunctions.size()) +
-             " conjunctions, cold " + std::to_string(cold.conjunctions.size()),
-         Conjunction{});
-  } else {
-    for (std::size_t i = 0; i < cold.conjunctions.size(); ++i) {
-      const Conjunction& c = cold.conjunctions[i];
-      const Conjunction& w = warm.conjunctions[i];
-      if (w.sat_a != c.sat_a || w.sat_b != c.sat_b || w.tca != c.tca ||
-          w.pca != c.pca) {
-        emit(event_detail("warm conjunction differs from cold", w), w);
-      }
-    }
-  }
-
-  const auto stat = [&](const char* field, auto cold_value, auto warm_value) {
-    if (warm_value == cold_value) return;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "stats.%s differs: warm %.17g vs cold %.17g",
-                  field, static_cast<double>(warm_value),
-                  static_cast<double>(cold_value));
-    emit(buf, Conjunction{});
-  };
-  stat("candidates", cold.stats.candidates, warm.stats.candidates);
-  stat("refinements", cold.stats.refinements, warm.stats.refinements);
-  stat("pairs_examined", cold.stats.pairs_examined, warm.stats.pairs_examined);
-  stat("candidate_set_growths", cold.stats.candidate_set_growths,
-       warm.stats.candidate_set_growths);
-  stat("total_samples", cold.stats.total_samples, warm.stats.total_samples);
-  stat("rounds", cold.stats.rounds, warm.stats.rounds);
-  stat("seconds_per_sample", cold.stats.seconds_per_sample,
-       warm.stats.seconds_per_sample);
-  stat("cell_size_km", cold.stats.cell_size_km, warm.stats.cell_size_km);
-}
-
 }  // namespace
 
 const char* divergence_kind_name(Divergence::Kind kind) {
@@ -300,7 +250,6 @@ const char* divergence_kind_name(Divergence::Kind kind) {
     case Divergence::Kind::kPcaMismatch: return "pca-mismatch";
     case Divergence::Kind::kServiceMismatch: return "service-mismatch";
     case Divergence::Kind::kCounterViolation: return "counter-violation";
-    case Divergence::Kind::kContextMismatch: return "context-mismatch";
   }
   return "unknown";
 }
@@ -376,16 +325,6 @@ CaseResult run_differential(const FuzzCase& fuzz_case,
     }
     diff_against_oracle(variant_name(variant), report.conjunctions, oracle,
                         threshold, tol, result.divergences);
-
-    if (options.shared_context != nullptr) {
-      // Warm rerun through the long-lived context: same inputs, arena
-      // buffers carried over from every earlier screen of the run.
-      const ScreeningReport warm =
-          make_screener(variant, options.shared_context)
-              ->screen(fuzz_case.satellites, fuzz_case.config);
-      diff_context_reuse(variant_name(variant), report, warm,
-                         result.divergences);
-    }
   }
 
   if (options.check_service) {

@@ -36,7 +36,6 @@ struct Divergence {
     kPcaMismatch,       ///< matched event, PCA disagreement beyond tolerance
     kServiceMismatch,   ///< incremental report != from-scratch reference
     kCounterViolation,  ///< telemetry funnel invariant broken (src/obs)
-    kContextMismatch,   ///< warm-context rerun != cold report (state leak)
   } kind = Kind::kMissed;
   /// The event at issue (oracle's for kMissed, screener's otherwise), in
   /// dense-index space; for kServiceMismatch the indices are catalog ids.
@@ -81,11 +80,6 @@ struct DifferentialOptions {
   /// conservation, filter monotonicity) around every variant screen.
   /// Silently skipped in builds with SCOD_TELEMETRY=OFF.
   bool check_counters = true;
-  /// Context-reuse mode: when set, every variant is screened a second time
-  /// through this long-lived context (whose arena accumulates state across
-  /// cases) and the warm report must be bit-identical to the cold one —
-  /// any divergence is a state leak between screens (kContextMismatch).
-  ScreeningContext* shared_context = nullptr;
 };
 
 /// Screens `fuzz_case` through every variant in kAllVariants and the

@@ -29,11 +29,10 @@ inline std::vector<Candidate> pipeline_candidates(const Propagator& propagator,
                                                   const ScreeningConfig& config,
                                                   const ConjunctionCountModel& model,
                                                   const GridPipelineOptions& options,
-                                                  ScreeningContext& context,
                                                   GridPipelineResult& result) {
   std::vector<Candidate> all;
   result = run_grid_pipeline(
-      propagator, config, model, options, context,
+      propagator, config, model, options,
       [&](std::size_t, std::vector<Candidate>&& round, const GridPipelineResult&) {
         all.insert(all.end(), round.begin(), round.end());
       });

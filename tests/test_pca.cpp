@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/context.hpp"
 #include "core/screen.hpp"
 #include "obs/telemetry.hpp"
 #include "pca/brent.hpp"
@@ -424,9 +423,9 @@ TEST(ReachBound, GridScreenSkipsOnlyUnderTwoBody) {
   const ContourKeplerSolver solver;
   const TwoBodyPropagator kepler(sats, solver);
   const J2SecularPropagator j2(sats, solver);
-  ScreeningContext context(ScreeningContext::Options{nullptr, /*telemetry=*/true});
-  const std::unique_ptr<Screener> grid = make_screener(Variant::kGrid, &context);
+  const std::unique_ptr<Screener> grid = make_screener(Variant::kGrid);
 
+  obs::set_enabled(true);
   obs::reset();
   const ScreeningReport two_body = grid->screen(kepler, cfg);
   const std::uint64_t two_body_skipped =
@@ -434,6 +433,7 @@ TEST(ReachBound, GridScreenSkipsOnlyUnderTwoBody) {
   obs::reset();
   const ScreeningReport drifting = grid->screen(j2, cfg);
   const std::uint64_t j2_skipped = obs::snapshot().value(obs::Counter::kRefinementsSkipped);
+  obs::set_enabled(false);
 
   EXPECT_FALSE(two_body.conjunctions.empty());
   EXPECT_LT(two_body.stats.refinements, two_body.stats.candidates);

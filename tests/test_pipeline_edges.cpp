@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/context.hpp"
 #include "core/grid_pipeline.hpp"
 #include "core/screen.hpp"
 #include "filters/dense_scan.hpp"
@@ -23,6 +22,7 @@
 #include "propagation/two_body.hpp"
 #include "scenario_helpers.hpp"
 #include "spatial/cell.hpp"
+#include "spatial/grid_hash_set.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
 
@@ -170,12 +170,9 @@ TEST(PipelineEdges, RejectsMoreSatellitesThanCandidateKeysHold) {
   const UntouchablePropagator propagator((std::size_t{1} << 20) + 1);
   ScreeningConfig cfg;
   cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
-  ScreeningContext context;
   EXPECT_THROW(run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(),
-                                 {}, context, discard_round),
+                                 {}, discard_round),
                std::invalid_argument);
-  EXPECT_EQ(context.arena().stats().grid_rebuilds, 0u);
-  EXPECT_EQ(context.arena().memory_bytes(), 0u);
   EXPECT_THROW(GridScreener().screen(propagator, cfg), std::invalid_argument);
   EXPECT_THROW(HybridScreener().screen(propagator, cfg), std::invalid_argument);
 }
@@ -184,25 +181,21 @@ TEST(PipelineEdges, RejectsMoreSampleStepsThanCandidateKeysHold) {
   // Candidate keys hold 24-bit sample steps: a 2e7 s span at 1 s sampling
   // is over 2^24 steps and must be refused before anything is allocated.
   // Spans far beyond the limit are refused by the same check, before the
-  // sizing model turns them into candidate counts.
-  const auto sats = small_shell(2, 6);
-  const ContourKeplerSolver solver;
-  const TwoBodyPropagator propagator(sats, solver);
+  // sizing model turns them into candidate counts. The population is
+  // untouchable: the refusal comes before step 1 reads a single element.
+  const UntouchablePropagator propagator(2);
   for (const auto& [t_end, sps] : {std::pair{2e7, 1.0}, std::pair{1e12, 4.0},
                                    std::pair{1e300, 4.0}}) {
     ScreeningConfig cfg;
     cfg.t_end = t_end;
     cfg.seconds_per_sample = sps;
-    ScreeningContext context;
     try {
       run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(), {},
-                        context, discard_round);
+                        discard_round);
       ADD_FAILURE() << "expected std::invalid_argument for t_end " << t_end;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("2^24"), std::string::npos) << e.what();
     }
-    EXPECT_EQ(context.arena().stats().grid_rebuilds, 0u);
-    EXPECT_EQ(context.arena().memory_bytes(), 0u);
   }
 }
 
@@ -212,9 +205,8 @@ TEST(PipelineEdges, RequiresAPositiveSamplePeriod) {
   const ContourKeplerSolver solver;
   const TwoBodyPropagator propagator(sats, solver);
   ScreeningConfig cfg;
-  ScreeningContext context;
   EXPECT_THROW(run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(),
-                                 {}, context, discard_round),
+                                 {}, discard_round),
                std::invalid_argument);
   EXPECT_EQ(with_sample_period(cfg, 16.0).seconds_per_sample, 16.0);
   cfg.seconds_per_sample = 8.0;
@@ -236,10 +228,9 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
   cfg.t_end = 600.0;
   cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 
-  ScreeningContext context;
   GridPipelineResult result;
   const std::vector<Candidate> candidates = testutil::pipeline_candidates(
-      propagator, cfg, ConjunctionCountModel::paper_grid(), {}, context, result);
+      propagator, cfg, ConjunctionCountModel::paper_grid(), {}, result);
 
   const std::size_t n = cloud.size();
   const CellIndexer indexer(result.cell_size);
@@ -315,13 +306,12 @@ TEST(PipelineEdges, DirtyMaskKeepsExactlyTheCandidatesWithADirtyMember) {
     cfg.pool = backend == 1 ? &one : &four;
     if (backend == 0) cfg.device = &device;
     const auto candidates = [&](std::span<const std::uint8_t> mask) {
-      ScreeningContext context;
       GridPipelineResult result;
       GridPipelineOptions options;
       options.dirty_mask = mask;
       return testutil::pipeline_candidates(propagator, cfg,
                                            ConjunctionCountModel::paper_grid(), options,
-                                           context, result);
+                                           result);
     };
     const std::vector<Candidate> unmasked = candidates({});
     ASSERT_GT(unmasked.size(), 0u) << label;
@@ -372,10 +362,8 @@ TEST(PipelineEdges, DirtyMaskPlanChargesThePhantomTables) {
   options.dirty_mask = mask;
   const std::size_t entries = 27 * (sats.size() / 2);
 
-  ScreeningContext context;
   const GridPipelineResult roomy = run_grid_pipeline(
-      propagator, cfg, ConjunctionCountModel::paper_grid(), options, context,
-      discard_round);
+      propagator, cfg, ConjunctionCountModel::paper_grid(), options, discard_round);
   EXPECT_EQ(roomy.plan.per_grid_bytes, GridHashSet::projected_memory_bytes(entries));
   EXPECT_EQ(roomy.grid_memory_bytes, 2 * GridHashSet::projected_memory_bytes(entries));
 
@@ -390,11 +378,11 @@ TEST(PipelineEdges, DirtyMaskPlanChargesThePhantomTables) {
   const SizingPlan full = plan_samples(request);
   cfg.memory_budget = full.fixed_bytes + full.per_grid_bytes;
   EXPECT_EQ(run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(), {},
-                              context, discard_round)
+                              discard_round)
                 .plan.parallel_samples,
             1u);
   EXPECT_THROW(run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(),
-                                 options, context, discard_round),
+                                 options, discard_round),
                MemoryBudgetExceeded);
 }
 
@@ -463,11 +451,10 @@ TEST(PipelineEdges, RoundSinkReceivesEachRoundInOrder) {
   for (const std::uint64_t budget : {ScreeningConfig{}.memory_budget,
                                      std::uint64_t{2} << 20}) {
     cfg.memory_budget = budget;
-    ScreeningContext context;
     std::vector<std::size_t> rounds_seen;
     std::size_t streamed = 0;
     const GridPipelineResult result = run_grid_pipeline(
-        propagator, cfg, ConjunctionCountModel::paper_grid(), {}, context,
+        propagator, cfg, ConjunctionCountModel::paper_grid(), {},
         [&](std::size_t round, std::vector<Candidate>&& candidates,
             const GridPipelineResult& pipeline) {
           rounds_seen.push_back(round);
@@ -522,10 +509,9 @@ TEST(PipelineEdges, CandidateSetHoldsOneRoundAtATime) {
   const std::size_t pairs = cloud.size() * (cloud.size() - 1) / 2;
   ASSERT_LT(kStepsPerRound * pairs, request.candidate_capacity);
 
-  ScreeningContext context;
   std::size_t streamed = 0;
   const GridPipelineResult result = run_grid_pipeline(
-      propagator, cfg, tiny, {}, context,
+      propagator, cfg, tiny, {},
       [&](std::size_t, std::vector<Candidate>&& candidates, const GridPipelineResult&) {
         streamed += candidates.size();
       });

@@ -10,11 +10,11 @@
 #include <tuple>
 #include <vector>
 
-#include "core/context.hpp"
 #include "core/screen.hpp"
 #include "filters/dense_scan.hpp"
 #include "obs/telemetry.hpp"
 #include "orbit/geometry.hpp"
+#include "parallel/thread_pool.hpp"
 #include "pca/pair_evaluator.hpp"
 #include "population/generator.hpp"
 #include "propagation/contour_solver.hpp"
@@ -22,6 +22,7 @@
 #include "propagation/j2_secular.hpp"
 #include "propagation/two_body.hpp"
 #include "scenario_helpers.hpp"
+#include "spatial/grid_hash_set.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
 
@@ -444,12 +445,11 @@ TEST(Screeners, CandidateSetGrowthPathIsCorrect) {
   ConjunctionCountModel roomy = ConjunctionCountModel::paper_grid();
   roomy.coefficient *= 1e6;  // far above what the cloud produces
 
-  ScreeningContext context;
   const auto sorted_candidates = [&](const ConjunctionCountModel& model,
                                      std::size_t& growths) {
     GridPipelineResult result;
     std::vector<Candidate> c =
-        testutil::pipeline_candidates(propagator, cfg, model, {}, context, result);
+        testutil::pipeline_candidates(propagator, cfg, model, {}, result);
     growths = result.candidate_set_growths;
     return c;
   };
@@ -608,10 +608,9 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
         GridPipelineOptions options;
         options.dirty_mask = c.dirty;
         if (c.grow) {
-          ScreeningContext context;
           GridPipelineResult result;
           out.candidates = testutil::pipeline_candidates(*c.propagator, cfg, model,
-                                                         options, context, result);
+                                                         options, result);
           out.candidate_count = result.total_candidates;
           out.growths = result.candidate_set_growths;
           out.rounds = result.plan.rounds;
@@ -840,10 +839,10 @@ TEST(Screeners, SnapshotAndVirtualEvaluatorsAgreeBitForBit) {
       Counter::kWindowClamps,               Counter::kEdgeDiscards,
       Counter::kConjunctionsRaw,            Counter::kConjunctionsReported};
 
+  obs::set_enabled(true);
   for (Variant v : kAllVariants) {
     SCOPED_TRACE(variant_name(v));
-    ScreeningContext context(ScreeningContext::Options{nullptr, /*telemetry=*/true});
-    const std::unique_ptr<Screener> screener = make_screener(v, &context);
+    const std::unique_ptr<Screener> screener = make_screener(v);
 
     obs::reset();
     const ScreeningReport fast = screener->screen(direct, cfg);
@@ -880,6 +879,112 @@ TEST(Screeners, SnapshotAndVirtualEvaluatorsAgreeBitForBit) {
       EXPECT_GT(fast_counters.value(Counter::kFilterSurvivors), window_survivors);
     }
   }
+  obs::set_enabled(false);
+}
+
+/// Every field of a report but its timings and memory gauges, compared to
+/// the last bit (EXPECT_EQ, not EXPECT_DOUBLE_EQ).
+void expect_bit_identical(const ScreeningReport& want, const ScreeningReport& got,
+                          const std::string& label) {
+  ASSERT_EQ(got.conjunctions.size(), want.conjunctions.size()) << label;
+  for (std::size_t i = 0; i < want.conjunctions.size(); ++i) {
+    EXPECT_EQ(got.conjunctions[i].sat_a, want.conjunctions[i].sat_a) << label;
+    EXPECT_EQ(got.conjunctions[i].sat_b, want.conjunctions[i].sat_b) << label;
+    EXPECT_EQ(got.conjunctions[i].tca, want.conjunctions[i].tca) << label;
+    EXPECT_EQ(got.conjunctions[i].pca, want.conjunctions[i].pca) << label;
+  }
+  EXPECT_EQ(got.stats.satellites, want.stats.satellites) << label;
+  EXPECT_EQ(got.stats.total_samples, want.stats.total_samples) << label;
+  EXPECT_EQ(got.stats.rounds, want.stats.rounds) << label;
+  EXPECT_EQ(got.stats.seconds_per_sample, want.stats.seconds_per_sample) << label;
+  EXPECT_EQ(got.stats.cell_size_km, want.stats.cell_size_km) << label;
+  EXPECT_EQ(got.stats.candidates, want.stats.candidates) << label;
+  EXPECT_EQ(got.stats.pairs_examined, want.stats.pairs_examined) << label;
+  EXPECT_EQ(got.stats.refinements, want.stats.refinements) << label;
+  EXPECT_EQ(got.stats.candidate_set_growths, want.stats.candidate_set_growths) << label;
+}
+
+ScreeningConfig repeat_config() {
+  ScreeningConfig cfg;
+  cfg.threshold_km = 10.0;
+  cfg.t_end = 1800.0;
+  cfg.seconds_per_sample = 8.0;
+  return cfg;
+}
+
+TEST(Screeners, WarmRepeatScreensAreBitIdenticalAcrossVariants) {
+  // One screener object screening again and again reports what a fresh
+  // one does, in one round and (tight budget) in several: no scratch of a
+  // screen outlives it.
+  const auto sats = generate_population({150, 21});
+  ScreeningConfig tight = repeat_config();
+  tight.memory_budget = 2 << 20;
+
+  for (const Variant variant : kAllVariants) {
+    for (const ScreeningConfig& cfg : {repeat_config(), tight}) {
+      const std::string label = variant_name(variant) + " budget " +
+                                std::to_string(cfg.memory_budget);
+      const ScreeningReport fresh = make_screener(variant)->screen(sats, cfg);
+      if (variant != Variant::kLegacy && cfg.memory_budget == tight.memory_budget) {
+        EXPECT_GT(fresh.stats.rounds, 1u) << label;
+      }
+      const auto screener = make_screener(variant);
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        expect_bit_identical(fresh, screener->screen(sats, cfg),
+                             label + " repeat " + std::to_string(repeat));
+      }
+    }
+  }
+}
+
+TEST(Screeners, InterleavedPopulationSizesStayBitIdentical) {
+  // Alternating population sizes through one screener: each screen sizes
+  // its grids and candidate buffer for its own population.
+  const auto big = generate_population({400, 5});
+  const auto small = generate_population({120, 6});
+  const ScreeningConfig cfg = repeat_config();
+
+  const ScreeningReport fresh_big = make_screener(Variant::kGrid)->screen(big, cfg);
+  const ScreeningReport fresh_small = make_screener(Variant::kGrid)->screen(small, cfg);
+
+  const auto screener = make_screener(Variant::kGrid);
+  expect_bit_identical(fresh_big, screener->screen(big, cfg), "big #1");
+  expect_bit_identical(fresh_small, screener->screen(small, cfg), "small after big");
+  expect_bit_identical(fresh_big, screener->screen(big, cfg), "big after small");
+  expect_bit_identical(fresh_big, screener->screen(big, cfg), "big repeat");
+}
+
+TEST(Screeners, TelemetryCountersIdenticalColdVersusWarm) {
+  if (!obs::compiled()) GTEST_SKIP() << "built with SCOD_TELEMETRY=OFF";
+  // A one-thread pool makes the probe/CAS counters deterministic, so the
+  // whole snapshot (minus wall-clock timers) must replay exactly.
+  ThreadPool one(1);
+  const auto sats = generate_population({150, 41});
+  ScreeningConfig cfg = repeat_config();
+  cfg.pool = &one;
+
+  const auto snapshot_of = [&](const Screener& screener) {
+    obs::reset();
+    obs::set_enabled(true);
+    screener.screen(sats, cfg);
+    obs::set_enabled(false);
+    return obs::snapshot();
+  };
+
+  const obs::TelemetrySnapshot fresh = snapshot_of(*make_screener(Variant::kGrid));
+  const auto screener = make_screener(Variant::kGrid);
+  snapshot_of(*screener);
+  const obs::TelemetrySnapshot repeat = snapshot_of(*screener);
+
+  const auto first_timer = static_cast<std::size_t>(obs::Counter::kTimeInsertionNs);
+  for (std::size_t i = 0; i < first_timer; ++i) {
+    EXPECT_EQ(repeat.counters[i], fresh.counters[i])
+        << obs::counter_name(static_cast<obs::Counter>(i));
+  }
+  for (std::size_t i = 0; i < repeat.probe_histogram.size(); ++i) {
+    EXPECT_EQ(repeat.probe_histogram[i], fresh.probe_histogram[i]) << "probe bucket " << i;
+  }
+  obs::reset();
 }
 
 TEST(Screeners, PhaseTimingsArePopulated) {

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/context.hpp"
 #include "core/grid_pipeline.hpp"
 #include "core/report.hpp"
 #include "core/screen.hpp"
@@ -17,6 +16,7 @@
 #include "propagation/contour_solver.hpp"
 #include "propagation/two_body.hpp"
 #include "service/screening_service.hpp"
+#include "spatial/grid_hash_set.hpp"
 #include "verify/case_io.hpp"
 
 #ifndef SCOD_CORPUS_DIR
@@ -165,9 +165,8 @@ TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
     ThreadPool pool(threads);
     ScreeningConfig cfg = config(2.0, 600.0, 4.0);
     cfg.pool = &pool;
-    ScreeningContext context;
     const GridPipelineResult result = run_grid_pipeline(
-        propagator, cfg, tiny, {}, context,
+        propagator, cfg, tiny, {},
         [](std::size_t, std::vector<Candidate>&&, const GridPipelineResult&) {});
     ASSERT_GT(result.candidate_set_growths, 0u) << threads;
 
@@ -215,9 +214,8 @@ TEST_F(Telemetry, MaskedScreenCountsPhantomWork) {
     ScreeningConfig cfg = config(2.0, 600.0, 4.0);
     cfg.pool = threads == 1 ? &one : &four;
     if (threads == 0) cfg.device = &device;
-    ScreeningContext context;
     const GridPipelineResult result = run_grid_pipeline(
-        propagator, cfg, tiny, options, context,
+        propagator, cfg, tiny, options,
         [](std::size_t, std::vector<Candidate>&&, const GridPipelineResult&) {});
     ASSERT_GT(result.candidate_set_growths, 0u) << threads;
 

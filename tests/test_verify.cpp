@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -15,6 +16,10 @@
 #include "verify/differential.hpp"
 #include "verify/oracle.hpp"
 #include "verify/shrink.hpp"
+
+#ifndef SCOD_CORPUS_DIR
+#error "SCOD_CORPUS_DIR must be defined by the build"
+#endif
 
 namespace scod::verify {
 namespace {
@@ -372,6 +377,47 @@ TEST(CaseIo, RejectsMalformedFiles) {
   std::remove(path.c_str());
   EXPECT_THROW(load_case(path), std::runtime_error);  // missing file
 }
+
+// ---------------------------------------------------------------------------
+// Regression corpus: every saved case, one test each
+
+TEST(Corpus, IsNotEmpty) { EXPECT_FALSE(list_corpus(SCOD_CORPUS_DIR).empty()); }
+
+class CorpusReplay : public testing::TestWithParam<std::string> {};
+
+TEST_P(CorpusReplay, AgreesWithTheOracle) {
+  DifferentialOptions options;
+  options.check_service = false;  // exercised by test_service / scod_fuzz
+  options.check_counters = false;
+  const CaseResult result =
+      run_differential(load_case(SCOD_CORPUS_DIR "/" + GetParam()), options);
+  for (const Divergence& d : result.divergences) {
+    ADD_FAILURE() << "[" << d.screener << "/" << divergence_kind_name(d.kind) << "] "
+                  << d.detail;
+  }
+}
+
+/// The corpus' case file names, without their directory.
+std::vector<std::string> corpus_files() {
+  std::vector<std::string> files;
+  for (const std::string& path : list_corpus(SCOD_CORPUS_DIR)) {
+    files.push_back(path.substr(path.find_last_of('/') + 1));
+  }
+  return files;
+}
+
+/// The case file's stem with every character gtest does not allow in a
+/// test name replaced by '_'.
+std::string case_name(const testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param.substr(0, info.param.rfind(".case"));
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, CorpusReplay, testing::ValuesIn(corpus_files()),
+                         case_name);
 
 }  // namespace
 }  // namespace scod::verify

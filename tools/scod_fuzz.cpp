@@ -15,11 +15,9 @@
 /// The final stdout line is a RunStats JSON object for CI trending.
 
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/context.hpp"
 #include "util/cli.hpp"
 #include "verify/adversarial.hpp"
 #include "verify/case_io.hpp"
@@ -49,9 +47,6 @@ int usage() {
                "  --no-service      skip the incremental-service check\n"
                "  --no-counters     skip the telemetry funnel-invariant checks\n"
                "  --no-shrink      report divergences without minimizing\n"
-               "  --shared-context  rerun every screen through one long-lived\n"
-               "                    ScreeningContext shared across all cases and\n"
-               "                    flag any warm-vs-cold report difference\n"
                "\n"
                "exit status: 0 when every case agrees, 1 on any divergence.\n");
   return 2;
@@ -106,8 +101,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv,
                      {"runs", "seed", "objects", "per-regime", "span",
                       "threshold", "sps", "case", "corpus", "save-case", "out",
-                      "no-service", "no-counters", "no-shrink",
-                      "shared-context", "help"});
+                      "no-service", "no-counters", "no-shrink", "help"});
   if (args.has("help")) return usage();
   if (!args.unknown().empty()) {
     for (const std::string& opt : args.unknown()) {
@@ -121,15 +115,6 @@ int main(int argc, char** argv) {
   settings.out_dir = args.get_string("out", ".");
   settings.differential.check_service = !args.get_bool("no-service", false);
   settings.differential.check_counters = !args.get_bool("no-counters", false);
-
-  // One context across the entire run: each case's warm rerun inherits
-  // arena buffers from every case before it — the strongest version of the
-  // "no state leaks between screens" property the context promises.
-  std::optional<ScreeningContext> shared_context;
-  if (args.get_bool("shared-context", false)) {
-    shared_context.emplace();
-    settings.differential.shared_context = &*shared_context;
-  }
 
   AdversarialConfig generator;
   generator.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));

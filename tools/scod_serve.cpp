@@ -99,18 +99,6 @@ void print_stats(const ScreeningService& service) {
               s.last_timings.insertion, s.last_timings.detection,
               s.last_timings.refinement, s.last_merge_seconds);
   std::printf("  total screen time %.3f s\n", s.total_screen_seconds);
-  // The warm scratch the service carries between epochs: how often grids
-  // and candidate buffers were reused vs rebuilt, and what is held resident.
-  const ScratchArena& arena = service.context().arena();
-  const ScratchArena::Stats& a = arena.stats();
-  std::printf("  context arena: %.1f MiB resident; grids %llu reused / %llu "
-              "rebuilt, candidates %llu reused / %llu rebuilt, %llu shrinks\n",
-              static_cast<double>(arena.memory_bytes()) / (1024.0 * 1024.0),
-              static_cast<unsigned long long>(a.grid_reuses),
-              static_cast<unsigned long long>(a.grid_rebuilds),
-              static_cast<unsigned long long>(a.candidate_reuses),
-              static_cast<unsigned long long>(a.candidate_rebuilds),
-              static_cast<unsigned long long>(a.vector_shrinks));
 }
 
 }  // namespace
