@@ -313,6 +313,40 @@ TEST(ScreeningService, SecondScreenWithoutDeltaIsCached) {
   EXPECT_EQ(service.stats().full_screens, 1u);
 }
 
+TEST(ScreeningService, RepeatFullScreensAreBitIdentical) {
+  // Each full epoch allocates its own scratch; a second full screen of the
+  // same catalog must reproduce the first to the last bit, and an
+  // incremental pass after it must still match the from-scratch reference.
+  ServiceOptions options;
+  options.config.threshold_km = 10.0;
+  options.config.t_end = 1800.0;
+  options.config.seconds_per_sample = 8.0;
+  ScreeningService service(options);
+  service.upsert(generate_population({250, 17}));
+
+  const ServiceReport first = service.screen(ScreenMode::kFull);
+  const ServiceReport second = service.screen(ScreenMode::kFull);
+  EXPECT_FALSE(second.incremental);
+  EXPECT_EQ(service.stats().full_screens, 2u);
+  ASSERT_FALSE(first.conjunctions.empty());
+  ASSERT_EQ(second.conjunctions.size(), first.conjunctions.size());
+  for (std::size_t i = 0; i < first.conjunctions.size(); ++i) {
+    EXPECT_EQ(second.conjunctions[i].id_a, first.conjunctions[i].id_a);
+    EXPECT_EQ(second.conjunctions[i].id_b, first.conjunctions[i].id_b);
+    // EXPECT_EQ, not EXPECT_DOUBLE_EQ: zero ULPs of slack.
+    EXPECT_EQ(second.conjunctions[i].tca, first.conjunctions[i].tca);
+    EXPECT_EQ(second.conjunctions[i].pca, first.conjunctions[i].pca);
+  }
+
+  Satellite touched = service.store().snapshot()->satellites[3];
+  touched.elements.mean_anomaly += 0.01;
+  service.upsert(touched);
+  const ServiceReport incremental = service.screen(ScreenMode::kIncremental);
+  EXPECT_TRUE(incremental.incremental);
+  expect_equivalent(incremental.conjunctions, service.reference_conjunctions(),
+                    "incremental after repeat full screens");
+}
+
 TEST(ScreeningService, AutoModeFallsBackToFullOnHighChurn) {
   ServiceOptions options = dense_options();
   options.full_rescreen_fraction = 0.25;
