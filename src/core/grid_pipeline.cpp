@@ -473,6 +473,13 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   request.seconds_per_sample = config.seconds_per_sample;
   request.memory_budget = budget;
   request.grid_entries = table_entries;
+  if (masked) {
+    // Only pairs with a dirty member are tested: a share 1 - (1 - f)^2 of
+    // all pairs for a dirty fraction f. An undershoot grows the buffer.
+    const double clean = 1.0 - static_cast<double>(dirty_objects.size()) /
+                                   static_cast<double>(n);
+    request.pair_share = 1.0 - clean * clean;
+  }
 
   const AutoAdjustResult adjusted =
       auto_adjust_sps(count_model, request, config.threshold_km);
@@ -586,10 +593,10 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
     // Hand this round's candidates over and recycle the buffer for the
     // next round; a (pair, step) key can only be produced by the round
     // owning that step.
-    std::vector<Candidate> drained = candidates.drain();
-    result.total_candidates += drained.size();
+    const std::span<const std::uint64_t> keys = candidates.keys();
+    result.total_candidates += keys.size();
+    sink(round, keys, result);
     candidates.clear();
-    sink(round, std::move(drained), result);
   }
 
   result.candidate_memory_bytes = candidates.memory_bytes();

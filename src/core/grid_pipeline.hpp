@@ -63,15 +63,16 @@ inline ScreeningConfig with_sample_period(ScreeningConfig config, double fallbac
   return config;
 }
 
-/// Per-round candidate sink. Receives the round index, the (pair, step)
-/// candidates detected in that round, each once and in no particular order
-/// (moved), and the pipeline
-/// result as populated so far (cell_size, sample_period and plan are final
-/// before the first round). A (pair, step) key can only occur in the round
-/// owning that step, so the rounds together hold exactly the candidates of
-/// the whole span.
+/// Per-round candidate sink. Receives the round index, the packed
+/// (pair, step) keys (pack_candidate) detected in that round, each once and
+/// in no particular order, and the pipeline result as populated so far
+/// (cell_size, sample_period and plan are final before the first round).
+/// The keys are a view of the candidate buffer, valid only during the
+/// call: the buffer is cleared for the next round when the sink returns. A
+/// (pair, step) key can only occur in the round owning that step, so the
+/// rounds together hold exactly the candidates of the whole span.
 using GridRoundSink = std::function<void(
-    std::size_t round, std::vector<Candidate>&& candidates,
+    std::size_t round, std::span<const std::uint64_t> keys,
     const GridPipelineResult& pipeline)>;
 
 /// Thrown by run_grid_pipeline when even one grid (or phantom table) does
@@ -83,7 +84,8 @@ class MemoryBudgetExceeded : public std::runtime_error {
 
 /// Runs the grid front-end over the whole span at config.seconds_per_sample
 /// (must be > 0): sizes the candidate buffer from `count_model` (Eq. 3 for
-/// grid, Eq. 4 for hybrid) and plans the sample parallelism p from the
+/// grid, Eq. 4 for hybrid; under a dirty mask scaled by the share of pairs
+/// with a dirty member, 1 - (1 - k/n)^2) and plans the sample parallelism p from the
 /// memory budget (device memory when config.device is set), charging the
 /// detection table each step actually uses: an n-entry grid, or a
 /// 27k-entry phantom table under a dirty mask of k objects. It then
@@ -94,7 +96,7 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// and looks every satellite up instead; see
 /// GridPipelineOptions::dirty_mask). If the count model proves too small,
 /// the buffer grows and the round is re-run. After every round the buffer
-/// is drained into `sink` (the sink is called once per round, in round
+/// is handed to `sink` (the sink is called once per round, in round
 /// order) and cleared for the next round, so memory stays bounded by one
 /// round's candidates regardless of the span length.
 ///

@@ -12,18 +12,18 @@ namespace scod {
 
 namespace {
 
-/// Step 4 for one round's candidates: Brent refinement, one logical thread
-/// per candidate. Appends the raw (unmerged) sub-threshold conjunctions to
+/// Step 4 for one round's candidate keys: Brent refinement, one logical
+/// thread per candidate. Appends the raw (unmerged) sub-threshold conjunctions to
 /// `raw` and returns the number of Brent searches run.
 std::size_t refine_candidates(const Propagator& propagator, const ScreeningConfig& config,
                               const GridPipelineResult& pipeline,
-                              const std::vector<Candidate>& candidates,
+                              std::span<const std::uint64_t> keys,
                               detail::RefineSlots& slots, std::vector<Conjunction>& raw) {
   const RefineFastPath fast = RefineFastPath::probe(propagator);
   return slots.run(
-      config, candidates.size(),
+      config, keys.size(),
       [&](std::size_t i, Conjunction& slot) -> std::uint8_t {
-        const Candidate& c = candidates[i];
+        const Candidate c = unpack_candidate(keys[i]);
         const double t_s = pipeline.sample_time(c.step, config.t_begin, config.t_end);
         const Refinement refined = fast.visit(c.sat_a, c.sat_b, [&](const auto& eval) {
           return refine_grid_candidate(eval, t_s, pipeline.cell_size, config.threshold_km,
@@ -53,10 +53,10 @@ ScreeningReport GridScreener::run(const Propagator& propagator,
   detail::RefineSlots slots;
   double refine_seconds = 0.0;
   std::size_t searches = 0;
-  const GridRoundSink refine_round = [&](std::size_t, std::vector<Candidate>&& candidates,
+  const GridRoundSink refine_round = [&](std::size_t, std::span<const std::uint64_t> keys,
                                          const GridPipelineResult& pipeline) {
     Stopwatch watch;
-    searches += refine_candidates(propagator, config, pipeline, candidates, slots, raw);
+    searches += refine_candidates(propagator, config, pipeline, keys, slots, raw);
     refine_seconds += watch.seconds();
   };
   const GridPipelineResult pipeline = run_grid_pipeline(

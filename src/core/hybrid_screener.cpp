@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "core/exec.hpp"
 #include "core/grid_pipeline.hpp"
 #include "filters/filter_chain.hpp"
 #include "obs/telemetry.hpp"
+#include "parallel/radix_sort.hpp"
 #include "pca/pair_evaluator.hpp"
 #include "pca/refine.hpp"
 #include "util/stopwatch.hpp"
@@ -28,21 +30,103 @@ struct RefineTask {
   double center = 0.0;
 };
 
+/// True when two sorted candidate keys belong to the same pair.
+bool same_pair(std::uint64_t x, std::uint64_t y) {
+  return x >> kCandidateStepBits == y >> kCandidateStepBits;
+}
+
+/// Sorted candidate keys per chunk of step 3.
+constexpr std::size_t kFilterChunkKeys = std::size_t{1} << 14;
+
+/// What one chunk of step 3 produced: the verdict tally and the
+/// refinement tasks of its pairs, in key order.
+struct FilterChunk {
+  FilterFunnel funnel;
+  std::vector<RefineTask> tasks;
+};
+
+/// Appends the refinement tasks of the pair whose candidate keys are
+/// `keys` (one run of the sorted keys). Coplanar survivors get one grid-style task per candidate
+/// step; window survivors one task per window reachable from a candidate
+/// sample.
+void append_tasks(const PairClassification& v, std::span<const std::uint64_t> keys,
+                  const GridPipelineResult& pipeline, const ScreeningConfig& config,
+                  std::vector<RefineTask>& tasks) {
+  const Candidate first = unpack_candidate(keys.front());
+  const auto sample_time = [&](std::uint64_t key) {
+    return pipeline.sample_time(unpack_candidate(key).step, config.t_begin, config.t_end);
+  };
+
+  if (v.verdict == PairVerdict::kCoplanarSurvivor) {
+    for (const std::uint64_t key : keys) {
+      tasks.push_back(
+          {first.sat_a, first.sat_b, 0.0, 0.0, /*grid_style=*/true, sample_time(key)});
+    }
+    return;
+  }
+  if (v.verdict != PairVerdict::kWindowSurvivor) return;
+
+  // A candidate at sample t_s flags a minimum within +- the cell-crossing
+  // radius; mark every window overlapping that reach.
+  std::vector<std::uint8_t> used(v.windows.size(), 0);
+  for (const std::uint64_t key : keys) {
+    const double t_s = sample_time(key);
+    // Cell-crossing reach at a very conservative 1 km/s lower speed
+    // bound; matching only gates which windows get refined, so erring
+    // wide costs a few extra Brent calls, never a missed encounter.
+    constexpr double kMinCrossSpeed = 1.0;  // km/s
+    const double reach_time = 2.0 * pipeline.cell_size / kMinCrossSpeed;
+    for (std::size_t w = 0; w < v.windows.size(); ++w) {
+      if (v.windows[w].lo <= t_s + reach_time && v.windows[w].hi >= t_s - reach_time) {
+        used[w] = 1;
+      }
+    }
+  }
+  for (std::size_t w = 0; w < v.windows.size(); ++w) {
+    if (!used[w]) continue;
+    // Extend the filter window slightly so a minimum grazing its edge is
+    // found inside the search interval rather than discarded.
+    const double ext = 0.25 * v.windows[w].length() + 5.0;
+    tasks.push_back({first.sat_a, first.sat_b, v.windows[w].lo - ext,
+                     v.windows[w].hi + ext, /*grid_style=*/false, 0.0});
+  }
+}
+
+/// Step 3 for chunk `c` of the sorted keys: classifies every pair whose
+/// run of keys starts inside the chunk (its last run may extend past it)
+/// and turns each into refinement tasks.
+FilterChunk filter_chunk(std::span<const std::uint64_t> keys, std::size_t c,
+                         const std::vector<FilterOrbit>& orbits,
+                         const GridPipelineResult& pipeline,
+                         const ScreeningConfig& config) {
+  FilterChunk out;
+  const std::size_t end = std::min(keys.size(), (c + 1) * kFilterChunkKeys);
+  std::size_t begin = c * kFilterChunkKeys;
+  // Skip the tail of a run the previous chunk owns.
+  while (begin > 0 && begin < end && same_pair(keys[begin - 1], keys[begin])) ++begin;
+  while (begin < end) {
+    std::size_t run_end = begin + 1;
+    while (run_end < keys.size() && same_pair(keys[begin], keys[run_end])) ++run_end;
+    const Candidate pair = unpack_candidate(keys[begin]);
+    const PairClassification v =
+        classify_pair(orbits[pair.sat_a], orbits[pair.sat_b], config);
+    out.funnel.add(v);
+    append_tasks(v, keys.subspan(begin, run_end - begin), pipeline, config, out.tasks);
+    begin = run_end;
+  }
+  return out;
+}
+
 }  // namespace
 
 ScreeningReport HybridScreener::run(const Propagator& propagator,
                                     const ScreeningConfig& config) const {
   // The filters classify each pair once over the whole span, so every
-  // round's candidates are collected first. The first round's vector is
-  // moved in: a one-round screen never holds two copies of its candidates.
-  std::vector<Candidate> candidates;
-  const GridRoundSink collect = [&](std::size_t, std::vector<Candidate>&& round,
+  // round's candidate keys are collected first.
+  std::vector<std::uint64_t> keys;
+  const GridRoundSink collect = [&](std::size_t, std::span<const std::uint64_t> round,
                                     const GridPipelineResult&) {
-    if (candidates.empty()) {
-      candidates = std::move(round);
-    } else {
-      candidates.insert(candidates.end(), round.begin(), round.end());
-    }
+    keys.insert(keys.end(), round.begin(), round.end());
   };
   const GridPipelineResult pipeline = run_grid_pipeline(
       propagator, with_sample_period(config, kDefaultSecondsPerSample),
@@ -53,81 +137,28 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
 
   // ---- Step 3: orbital filters on the distinct pairs --------------------
   Stopwatch filter_watch;
+  ThreadPool& pool = detail::pool_of(config);
 
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& x, const Candidate& y) {
-              if (x.sat_a != y.sat_a) return x.sat_a < y.sat_a;
-              if (x.sat_b != y.sat_b) return x.sat_b < y.sat_b;
-              return x.step < y.step;
-            });
+  // Keys pack (sat_a, sat_b, step) from high bits to low and are unique,
+  // so ascending keys are the candidates in (pair, step) order, and each
+  // distinct pair is one run of keys sharing their bits above the step.
+  parallel_radix_sort(keys, pool);
+  const std::vector<FilterOrbit> orbits = build_filter_orbits(propagator, pool);
 
-  // Index ranges of the distinct pairs in the sorted candidate list.
-  std::vector<std::pair<std::size_t, std::size_t>> pair_ranges;
-  for (std::size_t i = 0; i < candidates.size();) {
-    std::size_t j = i + 1;
-    while (j < candidates.size() && candidates[j].sat_a == candidates[i].sat_a &&
-           candidates[j].sat_b == candidates[i].sat_b) {
-      ++j;
-    }
-    pair_ranges.emplace_back(i, j);
-    i = j;
-  }
+  // The chunks are joined in key order, so the tasks are in the order one
+  // serial pass over the pairs would emit them.
+  std::vector<FilterChunk> chunks((keys.size() + kFilterChunkKeys - 1) /
+                                  kFilterChunkKeys);
+  pool.parallel_for(
+      chunks.size(),
+      [&](std::size_t c) { chunks[c] = filter_chunk(keys, c, orbits, pipeline, config); },
+      /*grain=*/1);
 
-  std::vector<PairClassification> verdicts(pair_ranges.size());
-  detail::pool_of(config).parallel_for(pair_ranges.size(), [&](std::size_t pi) {
-    const Candidate& c = candidates[pair_ranges[pi].first];
-    verdicts[pi] = classify_pair(propagator.elements(c.sat_a),
-                                 propagator.elements(c.sat_b), config);
-  });
-
-  // Tally the verdicts and turn surviving pairs into refinement tasks.
-  // Window tasks are emitted once per (pair, window) that is reachable from
-  // a candidate sample; coplanar pairs get one grid-style task per
-  // candidate step.
   FilterFunnel funnel;
   std::vector<RefineTask> tasks;
-  for (std::size_t pi = 0; pi < pair_ranges.size(); ++pi) {
-    const PairClassification& v = verdicts[pi];
-    funnel.add(v);
-    const auto [begin, end] = pair_ranges[pi];
-    const std::uint32_t sat_a = candidates[begin].sat_a;
-    const std::uint32_t sat_b = candidates[begin].sat_b;
-
-    if (v.verdict == PairVerdict::kCoplanarSurvivor) {
-      for (std::size_t k = begin; k < end; ++k) {
-        const double t_s =
-            pipeline.sample_time(candidates[k].step, config.t_begin, config.t_end);
-        tasks.push_back({sat_a, sat_b, 0.0, 0.0, /*grid_style=*/true, t_s});
-      }
-      continue;
-    }
-    if (v.verdict != PairVerdict::kWindowSurvivor) continue;
-
-    // A candidate at sample t_s flags a minimum within +- the cell-crossing
-    // radius; mark every window overlapping that reach.
-    std::vector<std::uint8_t> used(v.windows.size(), 0);
-    for (std::size_t k = begin; k < end; ++k) {
-      const double t_s =
-          pipeline.sample_time(candidates[k].step, config.t_begin, config.t_end);
-      // Cell-crossing reach at a very conservative 1 km/s lower speed
-      // bound; matching only gates which windows get refined, so erring
-      // wide costs a few extra Brent calls, never a missed encounter.
-      constexpr double kMinCrossSpeed = 1.0;  // km/s
-      const double reach_time = 2.0 * pipeline.cell_size / kMinCrossSpeed;
-      for (std::size_t w = 0; w < v.windows.size(); ++w) {
-        if (v.windows[w].lo <= t_s + reach_time && v.windows[w].hi >= t_s - reach_time) {
-          used[w] = 1;
-        }
-      }
-    }
-    for (std::size_t w = 0; w < v.windows.size(); ++w) {
-      if (!used[w]) continue;
-      // Extend the filter window slightly so a minimum grazing its edge is
-      // found inside the search interval rather than discarded.
-      const double ext = 0.25 * v.windows[w].length() + 5.0;
-      tasks.push_back({sat_a, sat_b, v.windows[w].lo - ext, v.windows[w].hi + ext,
-                       /*grid_style=*/false, 0.0});
-    }
+  for (const FilterChunk& chunk : chunks) {
+    funnel += chunk.funnel;
+    tasks.insert(tasks.end(), chunk.tasks.begin(), chunk.tasks.end());
   }
   report.timings.filtering = filter_watch.seconds();
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/exec.hpp"
 #include "filters/dense_scan.hpp"
 #include "filters/filter_chain.hpp"
 #include "obs/telemetry.hpp"
@@ -46,10 +47,11 @@ ScreeningReport LegacyScreener::run(const Propagator& propagator,
   std::size_t refinements = 0;
 
   Stopwatch section;
+  const std::vector<FilterOrbit> orbits =
+      build_filter_orbits(propagator, detail::pool_of(config));
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    const KeplerElements& ea = propagator.elements(i);
     for (std::size_t j = i + 1; j < n; ++j) {
-      const PairClassification pair = classify_pair(ea, propagator.elements(j), config);
+      const PairClassification pair = classify_pair(orbits[i], orbits[j], config);
       funnel.add(pair);
       if (pair.verdict != PairVerdict::kCoplanarSurvivor &&
           pair.verdict != PairVerdict::kWindowSurvivor) {

@@ -2,17 +2,15 @@
 
 #include <algorithm>
 
-#include "orbit/geometry.hpp"
-
 namespace scod {
 
-double radial_band_gap(const KeplerElements& a, const KeplerElements& b) {
-  const double highest_perigee = std::max(perigee_radius(a), perigee_radius(b));
-  const double lowest_apogee = std::min(apogee_radius(a), apogee_radius(b));
+double radial_band_gap(const FilterOrbit& a, const FilterOrbit& b) {
+  const double highest_perigee = std::max(a.perigee, b.perigee);
+  const double lowest_apogee = std::min(a.apogee, b.apogee);
   return highest_perigee - lowest_apogee;
 }
 
-bool apogee_perigee_overlap(const KeplerElements& a, const KeplerElements& b,
+bool apogee_perigee_overlap(const FilterOrbit& a, const FilterOrbit& b,
                             double threshold_km) {
   return radial_band_gap(a, b) <= threshold_km;
 }

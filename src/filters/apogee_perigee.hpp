@@ -1,6 +1,6 @@
 #pragma once
 
-#include "orbit/elements.hpp"
+#include "filters/filter_orbit.hpp"
 
 namespace scod {
 
@@ -14,12 +14,12 @@ namespace scod {
 ///
 /// Returns true when the pair SURVIVES the filter (bands overlap), i.e.
 /// max(perigee_a, perigee_b) - min(apogee_a, apogee_b) <= threshold.
-bool apogee_perigee_overlap(const KeplerElements& a, const KeplerElements& b,
+bool apogee_perigee_overlap(const FilterOrbit& a, const FilterOrbit& b,
                             double threshold_km);
 
 /// The radial gap the filter compares against the threshold; negative when
 /// the bands already overlap without padding. Exposed for tests and for
 /// diagnostics in the filter chain statistics.
-double radial_band_gap(const KeplerElements& a, const KeplerElements& b);
+double radial_band_gap(const FilterOrbit& a, const FilterOrbit& b);
 
 }  // namespace scod

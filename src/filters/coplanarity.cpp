@@ -4,8 +4,8 @@
 
 namespace scod {
 
-bool are_coplanar(const KeplerElements& a, const KeplerElements& b) {
-  return plane_angle(a, b) < kCoplanarTolerance;
+bool are_coplanar(const FilterOrbit& a, const FilterOrbit& b) {
+  return plane_angle(a.normal, b.normal) < kCoplanarTolerance;
 }
 
 }  // namespace scod

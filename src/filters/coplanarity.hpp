@@ -1,6 +1,6 @@
 #pragma once
 
-#include "orbit/elements.hpp"
+#include "filters/filter_orbit.hpp"
 
 namespace scod {
 
@@ -14,6 +14,6 @@ inline constexpr double kCoplanarTolerance = 0.02;  // rad, ~1.15 deg
 
 /// True when the planes of the two orbits are within kCoplanarTolerance of
 /// each other (normals parallel or anti-parallel).
-bool are_coplanar(const KeplerElements& a, const KeplerElements& b);
+bool are_coplanar(const FilterOrbit& a, const FilterOrbit& b);
 
 }  // namespace scod

@@ -1,5 +1,8 @@
 #include "filters/filter_chain.hpp"
 
+#include <array>
+#include <cmath>
+
 #include "core/config.hpp"
 #include "core/report.hpp"
 #include "filters/apogee_perigee.hpp"
@@ -9,7 +12,36 @@
 
 namespace scod {
 
-PairClassification classify_pair(const KeplerElements& a, const KeplerElements& b,
+namespace {
+
+/// True when both relative nodes of a non-coplanar pair certainly miss by
+/// more than `reach`. It takes the node radii in closed form: along the
+/// node direction u (in an orbit's perifocal frame) cos f = u_x / |u|,
+/// and the opposite node has -cos f, so one square root per orbit stands
+/// in for the atan2, wrap and cos per orbit and node of node_crossings.
+/// The two forms differ by rounding only, far below a millimetre for any
+/// bound orbit, so outside a 1 m band above `reach` this decides as the
+/// exact test; a pair inside the band, or one that may pass, takes the
+/// exact test.
+bool nodes_certainly_miss(const FilterOrbit& a, const FilterOrbit& b, double reach) {
+  constexpr double kBandKm = 1e-3;
+  const Vec3 k = a.normal.cross(b.normal).normalized();
+  const auto node_radii = [&k](const FilterOrbit& orbit) {
+    const Vec3 u = orbit.rotation.transposed() * k;
+    const double cos_f = u.x / std::sqrt(u.x * u.x + u.y * u.y);
+    const double e = orbit.elements.eccentricity;
+    return std::array<double, 2>{orbit.p / (1.0 + e * cos_f),
+                                 orbit.p / (1.0 - e * cos_f)};
+  };
+  const std::array<double, 2> ra = node_radii(a);
+  const std::array<double, 2> rb = node_radii(b);
+  return std::abs(ra[0] - rb[0]) > reach + kBandKm &&
+         std::abs(ra[1] - rb[1]) > reach + kBandKm;
+}
+
+}  // namespace
+
+PairClassification classify_pair(const FilterOrbit& a, const FilterOrbit& b,
                                  const ScreeningConfig& config) {
   PairClassification out;
   const double reach = config.threshold_km + kFilterPadKm;
@@ -26,13 +58,17 @@ PairClassification classify_pair(const KeplerElements& a, const KeplerElements& 
     return out;
   }
 
+  if (nodes_certainly_miss(a, b, reach)) {
+    out.verdict = PairVerdict::kPathReject;
+    return out;
+  }
   const auto crossings = node_crossings(a, b);
   if (crossings[0].miss_distance > reach && crossings[1].miss_distance > reach) {
     out.verdict = PairVerdict::kPathReject;
     return out;
   }
 
-  out.windows = conjunction_time_windows(a, b, config.t_begin, config.t_end,
+  out.windows = conjunction_time_windows(a, b, crossings, config.t_begin, config.t_end,
                                          config.threshold_km);
   out.verdict = out.windows.empty() ? PairVerdict::kWindowReject
                                     : PairVerdict::kWindowSurvivor;
@@ -49,6 +85,17 @@ void FilterFunnel::add(const PairClassification& pair) {
     case PairVerdict::kCoplanarSurvivor: ++coplanar_survivors; break;
     case PairVerdict::kWindowSurvivor: ++window_survivors; break;
   }
+}
+
+FilterFunnel& FilterFunnel::operator+=(const FilterFunnel& other) {
+  pairs_in += other.pairs_in;
+  ap_rejects += other.ap_rejects;
+  path_rejects += other.path_rejects;
+  window_rejects += other.window_rejects;
+  coplanar += other.coplanar;
+  coplanar_survivors += other.coplanar_survivors;
+  window_survivors += other.window_survivors;
+  return *this;
 }
 
 void FilterFunnel::publish(ScreeningStats& stats) const {

@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "filters/filter_orbit.hpp"
 #include "filters/time_windows.hpp"
-#include "orbit/elements.hpp"
 
 namespace scod {
 
@@ -39,8 +39,10 @@ struct PairClassification {
 /// overlap, then coplanarity; coplanar pairs take the orbit-path filter,
 /// the others the node-miss check (the analytic orbit-path filter — the
 /// orbits can only approach near the relative nodes) and then the node
-/// time windows over [config.t_begin, config.t_end].
-PairClassification classify_pair(const KeplerElements& a, const KeplerElements& b,
+/// time windows over [config.t_begin, config.t_end]. Reads only the two
+/// objects' FilterOrbits, which a screen builds once per object
+/// (build_filter_orbits).
+PairClassification classify_pair(const FilterOrbit& a, const FilterOrbit& b,
                                  const ScreeningConfig& config);
 
 /// Tally of classify_pair verdicts: every pair lands in exactly one of
@@ -56,6 +58,10 @@ struct FilterFunnel {
   std::size_t window_survivors = 0;
 
   void add(const PairClassification& pair);
+
+  /// Adds another tally, e.g. one that counted a different share of the
+  /// pairs.
+  FilterFunnel& operator+=(const FilterFunnel& other);
 
   std::size_t survivors() const { return coplanar_survivors + window_survivors; }
 

@@ -1,0 +1,46 @@
+#pragma once
+
+#include <vector>
+
+#include "orbit/elements.hpp"
+#include "orbit/frames.hpp"
+#include "parallel/thread_pool.hpp"
+#include "propagation/propagator.hpp"
+#include "util/vec3.hpp"
+
+namespace scod {
+
+/// One object's orbit as the classical filters read it: its epoch
+/// elements plus the geometry every pair test of the object needs, taken
+/// once per screen instead of once per pair. Each field is the value the
+/// elements-based formula returns (perigee_radius, apogee_radius,
+/// normal_of, perifocal_to_eci, semi_latus_rectum), so a filter reading it
+/// decides bit for bit as one recomputing them from the elements.
+///
+/// It is also the orbit as a closed space curve parameterized by true
+/// anomaly, which the orbit-path filter minimizes over.
+struct FilterOrbit {
+  FilterOrbit() = default;
+  explicit FilterOrbit(const KeplerElements& el);
+
+  /// Radius at true anomaly f, p / (1 + e cos f) [km].
+  double radius_at(double true_anomaly) const;
+
+  /// ECI position at true anomaly f [km].
+  Vec3 position(double true_anomaly) const;
+
+  KeplerElements elements;
+  double perigee = 0.0;  ///< perigee radius [km]
+  double apogee = 0.0;   ///< apogee radius [km]
+  Vec3 normal;           ///< unit normal of the orbital plane
+  Mat3 rotation;         ///< perifocal -> ECI
+  double p = 0.0;        ///< semi-latus rectum [km]
+  double h = 0.0;        ///< specific angular momentum sqrt(mu p) [km^2/s]
+};
+
+/// The FilterOrbit of every object of `propagator` from its epoch elements
+/// (Propagator::elements), built on `pool`.
+std::vector<FilterOrbit> build_filter_orbits(const Propagator& propagator,
+                                             ThreadPool& pool);
+
+}  // namespace scod

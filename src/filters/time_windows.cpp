@@ -5,7 +5,6 @@
 
 #include "filters/filter_chain.hpp"
 #include "orbit/anomaly.hpp"
-#include "orbit/frames.hpp"
 #include "orbit/geometry.hpp"
 #include "util/constants.hpp"
 
@@ -31,19 +30,18 @@ namespace {
 
 /// True anomaly at which the orbit's position vector points along the
 /// (unit) direction `k`, which must lie in the orbital plane.
-double anomaly_toward(const KeplerElements& el, const Vec3& k) {
-  const Mat3 rot = perifocal_to_eci(el.inclination, el.raan, el.arg_perigee);
-  const Vec3 u = rot.transposed() * k;  // node direction in the perifocal frame
+double anomaly_toward(const FilterOrbit& orbit, const Vec3& k) {
+  // The node direction in the perifocal frame.
+  const Vec3 u = orbit.rotation.transposed() * k;
   return wrap_two_pi(std::atan2(u.y, u.x));
 }
 
-NodeCrossing crossing_at(const KeplerElements& a, const KeplerElements& b,
-                         const Vec3& k) {
+NodeCrossing crossing_at(const FilterOrbit& a, const FilterOrbit& b, const Vec3& k) {
   NodeCrossing c;
   c.true_anomaly_a = anomaly_toward(a, k);
   c.true_anomaly_b = anomaly_toward(b, k);
-  c.radius_a = radius_at_true_anomaly(a, c.true_anomaly_a);
-  c.radius_b = radius_at_true_anomaly(b, c.true_anomaly_b);
+  c.radius_a = a.radius_at(c.true_anomaly_a);
+  c.radius_b = b.radius_at(c.true_anomaly_b);
   c.miss_distance = std::abs(c.radius_a - c.radius_b);
   return c;
 }
@@ -83,19 +81,25 @@ void intersect_into(const std::vector<Interval>& xs, const std::vector<Interval>
 
 }  // namespace
 
-std::array<NodeCrossing, 2> node_crossings(const KeplerElements& a,
-                                           const KeplerElements& b) {
-  const Vec3 k = normal_of(a).cross(normal_of(b)).normalized();
+std::array<NodeCrossing, 2> node_crossings(const FilterOrbit& a,
+                                           const FilterOrbit& b) {
+  const Vec3 k = a.normal.cross(b.normal).normalized();
   return {crossing_at(a, b, k), crossing_at(a, b, -k)};
 }
 
-std::vector<Interval> conjunction_time_windows(const KeplerElements& a,
-                                               const KeplerElements& b,
+std::vector<Interval> conjunction_time_windows(const FilterOrbit& a,
+                                               const FilterOrbit& b,
                                                double t_begin, double t_end,
                                                double threshold_km) {
-  const Vec3 cross = normal_of(a).cross(normal_of(b));
-  const double sin_angle = std::max(cross.norm(), 0.05);
-  const Vec3 k = cross / cross.norm();
+  return conjunction_time_windows(a, b, node_crossings(a, b), t_begin, t_end,
+                                  threshold_km);
+}
+
+std::vector<Interval> conjunction_time_windows(
+    const FilterOrbit& a, const FilterOrbit& b,
+    const std::array<NodeCrossing, 2>& crossings, double t_begin, double t_end,
+    double threshold_km) {
+  const double sin_angle = std::max(a.normal.cross(b.normal).norm(), 0.05);
 
   const double reach = threshold_km + kFilterPadKm;
   // The spatial corridor around a node is kCorridorScale reaches wide;
@@ -106,20 +110,17 @@ std::vector<Interval> conjunction_time_windows(const KeplerElements& a,
   const double corridor = kCorridorScale * reach / sin_angle;
 
   std::vector<Interval> result;
-  for (const Vec3& direction : {k, -k}) {
-    const NodeCrossing c = crossing_at(a, b, direction);
+  for (const NodeCrossing& c : crossings) {
     if (c.miss_distance > reach) continue;
 
     // Along-track corridor -> time window: arc speed at the node is
     // r * df/dt = h / r, so w = corridor * r / h.
-    const double h_a = std::sqrt(kMuEarth * semi_latus_rectum(a));
-    const double h_b = std::sqrt(kMuEarth * semi_latus_rectum(b));
-    const double w_a = corridor * c.radius_a / h_a;
-    const double w_b = corridor * c.radius_b / h_b;
+    const double w_a = corridor * c.radius_a / a.h;
+    const double w_b = corridor * c.radius_b / b.h;
 
     std::vector<Interval> windows_a, windows_b;
-    append_crossing_windows(a, c.true_anomaly_a, w_a, t_begin, t_end, windows_a);
-    append_crossing_windows(b, c.true_anomaly_b, w_b, t_begin, t_end, windows_b);
+    append_crossing_windows(a.elements, c.true_anomaly_a, w_a, t_begin, t_end, windows_a);
+    append_crossing_windows(b.elements, c.true_anomaly_b, w_b, t_begin, t_end, windows_b);
     intersect_into(merge_intervals(std::move(windows_a)),
                    merge_intervals(std::move(windows_b)), result);
   }

@@ -3,7 +3,7 @@
 #include <array>
 #include <vector>
 
-#include "orbit/elements.hpp"
+#include "filters/filter_orbit.hpp"
 
 namespace scod {
 
@@ -36,8 +36,8 @@ struct NodeCrossing {
 /// The two relative nodes of a non-coplanar orbit pair. Callers must
 /// ensure the pair is not coplanar (are_coplanar() == false); for
 /// degenerate geometry the crossing anomalies are meaningless.
-std::array<NodeCrossing, 2> node_crossings(const KeplerElements& a,
-                                           const KeplerElements& b);
+std::array<NodeCrossing, 2> node_crossings(const FilterOrbit& a,
+                                           const FilterOrbit& b);
 
 /// Time filter (Woodburn & Dichmann 1998 / Hoots et al. 1984, simplified):
 /// computes the windows inside [t_begin, t_end] during which BOTH objects
@@ -53,9 +53,16 @@ std::array<NodeCrossing, 2> node_crossings(const KeplerElements& a,
 /// `threshold` are guaranteed (up to the stated first-order window
 /// construction) to lie inside the returned intervals; the screener
 /// verifies this against a dense-scan oracle in the tests.
-std::vector<Interval> conjunction_time_windows(const KeplerElements& a,
-                                               const KeplerElements& b,
+std::vector<Interval> conjunction_time_windows(const FilterOrbit& a,
+                                               const FilterOrbit& b,
                                                double t_begin, double t_end,
                                                double threshold_km);
+
+/// The same windows from the pair's node_crossings(a, b), for a caller
+/// that already has them (classify_pair tests their miss distances first).
+std::vector<Interval> conjunction_time_windows(
+    const FilterOrbit& a, const FilterOrbit& b,
+    const std::array<NodeCrossing, 2>& crossings, double t_begin, double t_end,
+    double threshold_km);
 
 }  // namespace scod

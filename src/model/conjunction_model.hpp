@@ -34,9 +34,12 @@ struct ConjunctionCountModel {
 /// elements fit into the conjunction hash map ... we double the hash map
 /// size again" (one factor of two; the paper's second factor is slot-table
 /// headroom for hashing, which the append-only CandidateBuffer does not
-/// need).
+/// need). `pair_share` scales the prediction to a screen that tests only
+/// that share of the population's pairs (a masked re-screen); the floor
+/// applies after scaling.
 std::size_t candidate_capacity_from_model(const ConjunctionCountModel& model,
                                           double satellites, double seconds_per_sample,
-                                          double span_seconds, double threshold_km);
+                                          double span_seconds, double threshold_km,
+                                          double pair_share = 1.0);
 
 }  // namespace scod

@@ -48,7 +48,7 @@ AutoAdjustResult auto_adjust_sps(const ConjunctionCountModel& model,
   for (;;) {
     result.candidate_capacity = candidate_capacity_from_model(
         model, static_cast<double>(request.satellites), result.seconds_per_sample,
-        request.span_seconds, threshold_km);
+        request.span_seconds, threshold_km, request.pair_share);
     SizingRequest trial = request;
     trial.seconds_per_sample = result.seconds_per_sample;
     trial.candidate_capacity = result.candidate_capacity;

@@ -30,6 +30,11 @@ struct SizingRequest {
   /// registers k dirty objects in their 27-cell neighbourhoods, 0 (the
   /// default) for the full grid of one entry per satellite.
   std::size_t grid_entries = 0;
+  /// Share of the population's pairs the screen tests, which scales the
+  /// model's candidate count in auto_adjust_sps: 1 for a full screen,
+  /// 1 - (1 - k/n)^2 for one that tests only pairs with one of k dirty
+  /// members.
+  double pair_share = 1.0;
 };
 
 /// The paper's equations: o = t / s_ps total samples, p parallel samples

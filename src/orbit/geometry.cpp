@@ -51,7 +51,11 @@ Vec3 normal_of(const KeplerElements& el) {
 }
 
 double plane_angle(const KeplerElements& a, const KeplerElements& b) {
-  const double c = std::clamp(normal_of(a).dot(normal_of(b)), -1.0, 1.0);
+  return plane_angle(normal_of(a), normal_of(b));
+}
+
+double plane_angle(const Vec3& normal_a, const Vec3& normal_b) {
+  const double c = std::clamp(normal_a.dot(normal_b), -1.0, 1.0);
   // Opposite normals describe the same geometric plane, so fold into
   // [0, pi/2].
   return std::acos(std::abs(c));

@@ -45,6 +45,9 @@ Vec3 normal_of(const KeplerElements& el);
 /// opposite normals) is below a tolerance.
 double plane_angle(const KeplerElements& a, const KeplerElements& b);
 
+/// The same angle from the two unit plane normals.
+double plane_angle(const Vec3& normal_a, const Vec3& normal_b);
+
 /// True whether the elements describe a bound, elliptic, physically valid
 /// orbit with perigee above the Earth's surface.
 bool is_valid_orbit(const KeplerElements& el);

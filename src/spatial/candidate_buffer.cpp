@@ -36,12 +36,6 @@ std::size_t CandidateBuffer::size() const {
   return std::min(cursor_.load(std::memory_order_acquire), capacity_);
 }
 
-std::vector<Candidate> CandidateBuffer::drain() const {
-  std::vector<Candidate> out(size());
-  std::transform(keys_.get(), keys_.get() + out.size(), out.begin(), unpack_candidate);
-  return out;
-}
-
 void CandidateBuffer::grow() {
   capacity_ *= 2;
   keys_.reset();  // release before allocating the doubled array

@@ -3,7 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <span>
 
 namespace scod {
 
@@ -56,8 +56,9 @@ class CandidateBuffer {
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
 
-  /// Collects the stored candidates in insertion order (post-barrier only).
-  std::vector<Candidate> drain() const;
+  /// The stored keys in insertion order (post-barrier only); valid until
+  /// the next insert, clear() or grow().
+  std::span<const std::uint64_t> keys() const { return {keys_.get(), size()}; }
 
   /// Doubles the capacity and drops the stored keys: a full buffer means
   /// the attempt that filled it is re-run. Single-threaded.

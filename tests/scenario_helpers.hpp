@@ -33,8 +33,8 @@ inline std::vector<Candidate> pipeline_candidates(const Propagator& propagator,
   std::vector<Candidate> all;
   result = run_grid_pipeline(
       propagator, config, model, options,
-      [&](std::size_t, std::vector<Candidate>&& round, const GridPipelineResult&) {
-        all.insert(all.end(), round.begin(), round.end());
+      [&](std::size_t, std::span<const std::uint64_t> round, const GridPipelineResult&) {
+        for (const std::uint64_t key : round) all.push_back(unpack_candidate(key));
       });
   const auto key = [](const Candidate& c) { return std::tie(c.sat_a, c.sat_b, c.step); };
   std::sort(all.begin(), all.end(),

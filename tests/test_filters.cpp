@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -13,7 +16,11 @@
 #include "filters/filter_chain.hpp"
 #include "filters/orbit_path.hpp"
 #include "filters/time_windows.hpp"
+#include "orbit/anomaly.hpp"
+#include "orbit/frames.hpp"
 #include "orbit/geometry.hpp"
+#include "parallel/thread_pool.hpp"
+#include "pca/brent.hpp"
 #include "population/generator.hpp"
 #include "propagation/kepler_solver.hpp"
 #include "scenario_helpers.hpp"
@@ -30,41 +37,45 @@ KeplerElements circular(double radius, double inc = 0.0, double raan = 0.0) {
 
 TEST(ApogeePerigeeFilter, SeparatedBandsExcluded) {
   // Orbits at 7000 and 7100 km: a 100 km radial gap can never close to 2 km.
-  EXPECT_FALSE(apogee_perigee_overlap(circular(7000.0), circular(7100.0), 2.0));
-  EXPECT_NEAR(radial_band_gap(circular(7000.0), circular(7100.0)), 98.6, 0.1);
+  const FilterOrbit low(circular(7000.0)), high(circular(7100.0));
+  EXPECT_FALSE(apogee_perigee_overlap(low, high, 2.0));
+  EXPECT_NEAR(radial_band_gap(low, high), 98.6, 0.1);
 }
 
 TEST(ApogeePerigeeFilter, OverlappingBandsSurvive) {
-  EXPECT_TRUE(apogee_perigee_overlap(circular(7000.0), circular(7001.0), 2.0));
+  EXPECT_TRUE(apogee_perigee_overlap(FilterOrbit(circular(7000.0)),
+                                     FilterOrbit(circular(7001.0)), 2.0));
   // Eccentric orbit sweeping across the other's radius.
   const KeplerElements ecc{7500.0, 0.1, 0.5, 0.0, 0.0, 0.0};  // 6750..8250 km
-  EXPECT_TRUE(apogee_perigee_overlap(ecc, circular(7000.0), 2.0));
-  EXPECT_LT(radial_band_gap(ecc, circular(7000.0)), 0.0);
+  const FilterOrbit eccentric(ecc), circle(circular(7000.0));
+  EXPECT_TRUE(apogee_perigee_overlap(eccentric, circle, 2.0));
+  EXPECT_LT(radial_band_gap(eccentric, circle), 0.0);
 }
 
 TEST(ApogeePerigeeFilter, ThresholdPaddingMatters) {
   const KeplerElements a = circular(7000.0);
   const KeplerElements b = circular(7003.0);
   // Gap ~ 1.6 km (the 0.0001 eccentricities widen both bands slightly).
-  EXPECT_TRUE(apogee_perigee_overlap(a, b, 2.0));
-  EXPECT_FALSE(apogee_perigee_overlap(a, b, 1.0));
+  EXPECT_TRUE(apogee_perigee_overlap(FilterOrbit(a), FilterOrbit(b), 2.0));
+  EXPECT_FALSE(apogee_perigee_overlap(FilterOrbit(a), FilterOrbit(b), 1.0));
 }
 
 TEST(ApogeePerigeeFilter, IsSymmetric) {
   const KeplerElements a{7500.0, 0.05, 1.0, 0.0, 0.0, 0.0};
   const KeplerElements b{7800.0, 0.02, 0.5, 1.0, 2.0, 3.0};
-  EXPECT_EQ(apogee_perigee_overlap(a, b, 2.0), apogee_perigee_overlap(b, a, 2.0));
-  EXPECT_DOUBLE_EQ(radial_band_gap(a, b), radial_band_gap(b, a));
+  const FilterOrbit fa(a), fb(b);
+  EXPECT_EQ(apogee_perigee_overlap(fa, fb, 2.0), apogee_perigee_overlap(fb, fa, 2.0));
+  EXPECT_DOUBLE_EQ(radial_band_gap(fa, fb), radial_band_gap(fb, fa));
 }
 
 TEST(Coplanarity, DetectsIdenticalAndTiltedPlanes) {
   const KeplerElements a = circular(7000.0, 0.9, 1.2);
-  EXPECT_TRUE(are_coplanar(a, a));
+  EXPECT_TRUE(are_coplanar(FilterOrbit(a), FilterOrbit(a)));
   KeplerElements b = a;
   b.inclination += 0.001;
-  EXPECT_TRUE(are_coplanar(a, b));
+  EXPECT_TRUE(are_coplanar(FilterOrbit(a), FilterOrbit(b)));
   b.inclination = a.inclination + 0.5;
-  EXPECT_FALSE(are_coplanar(a, b));
+  EXPECT_FALSE(are_coplanar(FilterOrbit(a), FilterOrbit(b)));
 }
 
 TEST(Coplanarity, OppositeNormalsAreCoplanar) {
@@ -72,31 +83,35 @@ TEST(Coplanarity, OppositeNormalsAreCoplanar) {
   KeplerElements b = a;
   b.inclination = kPi - a.inclination;
   b.raan = a.raan + kPi;
-  EXPECT_TRUE(are_coplanar(a, b));
+  EXPECT_TRUE(are_coplanar(FilterOrbit(a), FilterOrbit(b)));
 }
 
 TEST(OrbitPath, ConcentricCoplanarCircles) {
   // Same plane, radii 7000/7050: minimum distance is the radial gap.
-  const double d = min_orbit_distance(circular(7000.0), circular(7050.0));
+  const double d =
+      min_orbit_distance(FilterOrbit(circular(7000.0)), FilterOrbit(circular(7050.0)));
   EXPECT_NEAR(d, 50.0, 1.5);  // near-circular e=1e-4 shifts apsides slightly
 }
 
 TEST(OrbitPath, IntersectingPerpendicularCircles) {
   // Equal radii in perpendicular planes intersect: distance ~ 0.
-  const double d = min_orbit_distance(circular(7000.0), circular(7000.0, kPi / 2.0));
+  const double d = min_orbit_distance(FilterOrbit(circular(7000.0)),
+                                      FilterOrbit(circular(7000.0, kPi / 2.0)));
   EXPECT_LT(d, 2.0);
 }
 
 TEST(OrbitPath, EllipseGrazingCircle) {
   // Ellipse with perigee at the circle's radius, same plane.
   KeplerElements ellipse{8000.0, 0.125, 0.0, 0.0, 0.0, 0.0};  // perigee 7000
-  const double d = min_orbit_distance(ellipse, circular(7000.0));
+  const double d =
+      min_orbit_distance(FilterOrbit(ellipse), FilterOrbit(circular(7000.0)));
   EXPECT_LT(d, 3.0);
 }
 
 TEST(OrbitPath, FilterPassesAndRejects) {
-  EXPECT_TRUE(orbit_path_overlap(circular(7000.0), circular(7001.0), 2.0));
-  EXPECT_FALSE(orbit_path_overlap(circular(7000.0), circular(7100.0), 2.0));
+  const FilterOrbit inner(circular(7000.0));
+  EXPECT_TRUE(orbit_path_overlap(inner, FilterOrbit(circular(7001.0)), 2.0));
+  EXPECT_FALSE(orbit_path_overlap(inner, FilterOrbit(circular(7100.0)), 2.0));
 }
 
 TEST(OrbitPath, LowerBoundsTimeDependentDistance) {
@@ -110,7 +125,8 @@ TEST(OrbitPath, LowerBoundsTimeDependentDistance) {
     const auto j = rng.uniform_index(sats.size());
     if (i == j) continue;
     const double moid =
-        min_orbit_distance(sats[i].elements, sats[j].elements, /*coarse=*/48);
+        min_orbit_distance(FilterOrbit(sats[i].elements), FilterOrbit(sats[j].elements),
+                           /*coarse=*/48);
     for (double t = 0.0; t < 5000.0; t += 500.0) {
       EXPECT_LE(moid, prop.distance(i, j, t) + 0.5) << "pair " << i << "," << j;
     }
@@ -139,7 +155,7 @@ TEST(Interval, ContainsAndLength) {
 TEST(NodeCrossings, PerpendicularEqualCircles) {
   const KeplerElements a = circular(7000.0);
   const KeplerElements b = circular(7000.0, kPi / 2.0);
-  const auto crossings = node_crossings(a, b);
+  const auto crossings = node_crossings(FilterOrbit(a), FilterOrbit(b));
   // Equal radii: both nodes have ~zero miss distance.
   EXPECT_LT(crossings[0].miss_distance, 1.5);
   EXPECT_LT(crossings[1].miss_distance, 1.5);
@@ -151,7 +167,7 @@ TEST(NodeCrossings, PerpendicularEqualCircles) {
 TEST(NodeCrossings, RadialGapIsMissDistance) {
   const KeplerElements a = circular(7000.0);
   const KeplerElements b = circular(7080.0, 0.7, 0.4);
-  const auto crossings = node_crossings(a, b);
+  const auto crossings = node_crossings(FilterOrbit(a), FilterOrbit(b));
   EXPECT_NEAR(crossings[0].miss_distance, 80.0, 2.5);
   EXPECT_NEAR(crossings[1].miss_distance, 80.0, 2.5);
 }
@@ -159,12 +175,12 @@ TEST(NodeCrossings, RadialGapIsMissDistance) {
 TEST(NodeCrossings, CrossingPointsLieOnNodeLine) {
   const KeplerElements a{7300.0, 0.05, 0.8, 1.0, 0.5, 0.0};
   const KeplerElements b{7400.0, 0.02, 1.4, 2.0, 1.5, 0.0};
-  const auto crossings = node_crossings(a, b);
+  const auto crossings = node_crossings(FilterOrbit(a), FilterOrbit(b));
   const Vec3 k = normal_of(a).cross(normal_of(b)).normalized();
   for (int s = 0; s < 2; ++s) {
     const Vec3 dir = s == 0 ? k : -k;
-    const Vec3 pa = OrbitCurve(a).position(crossings[s].true_anomaly_a);
-    const Vec3 pb = OrbitCurve(b).position(crossings[s].true_anomaly_b);
+    const Vec3 pa = FilterOrbit(a).position(crossings[s].true_anomaly_a);
+    const Vec3 pb = FilterOrbit(b).position(crossings[s].true_anomaly_b);
     // Positions point along the node direction...
     EXPECT_GT(pa.normalized().dot(dir), 0.999);
     EXPECT_GT(pb.normalized().dot(dir), 0.999);
@@ -176,7 +192,8 @@ TEST(NodeCrossings, CrossingPointsLieOnNodeLine) {
 TEST(TimeWindows, ExcludedWhenNodeMissTooLarge) {
   const KeplerElements a = circular(7000.0);
   const KeplerElements b = circular(7100.0, 0.9);  // 100 km node miss
-  const auto windows = conjunction_time_windows(a, b, 0.0, 20000.0, 2.0);
+  const auto windows =
+      conjunction_time_windows(FilterOrbit(a), FilterOrbit(b), 0.0, 20000.0, 2.0);
   EXPECT_TRUE(windows.empty());
 }
 
@@ -186,7 +203,8 @@ TEST(TimeWindows, ProducedForSynchronizedNodeCrossings) {
   // the window intersection must be non-empty.
   const KeplerElements a = circular(7000.0);
   const KeplerElements b = circular(7000.0, kPi / 2.0);
-  const auto windows = conjunction_time_windows(a, b, 0.0, 20000.0, 2.0);
+  const auto windows =
+      conjunction_time_windows(FilterOrbit(a), FilterOrbit(b), 0.0, 20000.0, 2.0);
   EXPECT_FALSE(windows.empty());
   for (const Interval& w : windows) {
     EXPECT_GE(w.lo, 0.0);
@@ -220,7 +238,7 @@ TEST(TimeWindows, ContainSubThresholdMinima) {
     const Satellite interceptor =
         testutil::make_interceptor(a, t_star, offset, rng, 1);
     const KeplerElements& b = interceptor.elements;
-    ASSERT_FALSE(are_coplanar(a, b));
+    ASSERT_FALSE(are_coplanar(FilterOrbit(a), FilterOrbit(b)));
 
     const std::vector<Satellite> sats{{0, a}, interceptor};
     const TwoBodyPropagator prop(sats, solver);
@@ -228,7 +246,8 @@ TEST(TimeWindows, ContainSubThresholdMinima) {
     scan.step = 2.0;
     const auto encounters = scan_encounters(prop, 0, 1, 0.0, span, scan);
 
-    const auto windows = conjunction_time_windows(a, b, 0.0, span, threshold);
+    const auto windows =
+        conjunction_time_windows(FilterOrbit(a), FilterOrbit(b), 0.0, span, threshold);
     bool found_engineered = false;
     for (const Encounter& e : encounters) {
       if (e.pca > threshold) continue;
@@ -294,7 +313,8 @@ TEST(FilterChain, ClassifiesOnePairPerVerdict) {
 
   FilterFunnel funnel;
   for (const Case& c : cases) {
-    const PairClassification pair = classify_pair(c.a, c.b, config);
+    const PairClassification pair =
+        classify_pair(FilterOrbit(c.a), FilterOrbit(c.b), config);
     EXPECT_EQ(pair.verdict, c.verdict) << c.name;
     EXPECT_EQ(pair.coplanar, c.coplanar) << c.name;
     EXPECT_EQ(pair.windows.empty(), c.verdict != PairVerdict::kWindowSurvivor)
@@ -417,17 +437,17 @@ TEST(ApogeePerigeeFilter, GapEqualToThresholdSurvives) {
   // is at most the threshold.
   const KeplerElements a{7000.0, 0.0, 0.3, 0.0, 0.0, 0.0};
   const KeplerElements b{7002.0, 0.0, 1.3, 0.5, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(radial_band_gap(a, b), 2.0);
-  EXPECT_TRUE(apogee_perigee_overlap(a, b, 2.0));
-  EXPECT_FALSE(apogee_perigee_overlap(a, b, 1.999));
+  EXPECT_DOUBLE_EQ(radial_band_gap(FilterOrbit(a), FilterOrbit(b)), 2.0);
+  EXPECT_TRUE(apogee_perigee_overlap(FilterOrbit(a), FilterOrbit(b), 2.0));
+  EXPECT_FALSE(apogee_perigee_overlap(FilterOrbit(a), FilterOrbit(b), 1.999));
 }
 
 TEST(ApogeePerigeeFilter, NestedBandGapIsMinusTheInnerWidth) {
   // 6750..8250 km encloses 7400..7600 km: the overlap is the inner band.
   const KeplerElements outer{7500.0, 0.1, 0.5, 0.0, 0.0, 0.0};
   const KeplerElements inner{7500.0, 100.0 / 7500.0, 0.2, 0.0, 0.0, 0.0};
-  EXPECT_NEAR(radial_band_gap(outer, inner), -200.0, 1e-9);
-  EXPECT_TRUE(apogee_perigee_overlap(outer, inner, 0.0));
+  EXPECT_NEAR(radial_band_gap(FilterOrbit(outer), FilterOrbit(inner)), -200.0, 1e-9);
+  EXPECT_TRUE(apogee_perigee_overlap(FilterOrbit(outer), FilterOrbit(inner), 0.0));
 }
 
 TEST(Coplanarity, ToleranceBoundaryOnInclination) {
@@ -435,15 +455,17 @@ TEST(Coplanarity, ToleranceBoundaryOnInclination) {
   const KeplerElements a = circular(7000.0, 0.7, 0.4);
   KeplerElements b = a;
   b.inclination = a.inclination + 0.9 * kCoplanarTolerance;
-  EXPECT_TRUE(are_coplanar(a, b));
+  EXPECT_TRUE(are_coplanar(FilterOrbit(a), FilterOrbit(b)));
   b.inclination = a.inclination + 1.1 * kCoplanarTolerance;
-  EXPECT_FALSE(are_coplanar(a, b));
+  EXPECT_FALSE(are_coplanar(FilterOrbit(a), FilterOrbit(b)));
 }
 
 TEST(Coplanarity, NodeShiftTiltsOnlyInclinedPlanes) {
   // Equatorial planes coincide whatever their node; inclined ones do not.
-  EXPECT_TRUE(are_coplanar(circular(7000.0, 0.0, 0.0), circular(7200.0, 0.0, 2.0)));
-  EXPECT_FALSE(are_coplanar(circular(7000.0, 1.0, 0.0), circular(7000.0, 1.0, 0.5)));
+  EXPECT_TRUE(are_coplanar(FilterOrbit(circular(7000.0, 0.0, 0.0)),
+                           FilterOrbit(circular(7200.0, 0.0, 2.0))));
+  EXPECT_FALSE(are_coplanar(FilterOrbit(circular(7000.0, 1.0, 0.0)),
+                            FilterOrbit(circular(7000.0, 1.0, 0.5))));
 }
 
 TEST(Coplanarity, IsSymmetric) {
@@ -453,7 +475,338 @@ TEST(Coplanarity, IsSymmetric) {
     KeplerElements b = a;
     b.inclination = std::clamp(a.inclination + rng.uniform(-0.05, 0.05), 0.0, kPi);
     b.raan = a.raan + rng.uniform(-0.05, 0.05);
-    EXPECT_EQ(are_coplanar(a, b), are_coplanar(b, a)) << k;
+    const FilterOrbit fa(a), fb(b);
+    EXPECT_EQ(are_coplanar(fa, fb), are_coplanar(fb, fa)) << k;
+  }
+}
+
+// ---- FilterOrbit against the elements-based formulas ---------------------
+//
+// A copy of the filter chain as it read KeplerElements, recomputing every
+// per-object quantity (radial band, plane normal, perifocal rotation,
+// conic parameters) for each pair. The FilterOrbit-based chain must decide
+// and compute exactly as it does.
+namespace from_elements {
+
+double radial_band_gap(const KeplerElements& a, const KeplerElements& b) {
+  return std::max(perigee_radius(a), perigee_radius(b)) -
+         std::min(apogee_radius(a), apogee_radius(b));
+}
+
+bool are_coplanar(const KeplerElements& a, const KeplerElements& b) {
+  return plane_angle(a, b) < kCoplanarTolerance;
+}
+
+Vec3 curve_position(const KeplerElements& el, double f) {
+  const Mat3 rotation = perifocal_to_eci(el.inclination, el.raan, el.arg_perigee);
+  const double cf = std::cos(f);
+  const double sf = std::sin(f);
+  const double r = semi_latus_rectum(el) / (1.0 + el.eccentricity * cf);
+  return rotation * Vec3{r * cf, r * sf, 0.0};
+}
+
+double min_orbit_distance(const KeplerElements& a, const KeplerElements& b,
+                          int coarse_samples = 24) {
+  const double step = kTwoPi / static_cast<double>(coarse_samples);
+  double best_fa = 0.0, best_fb = 0.0;
+  double best_d2 = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < coarse_samples; ++i) {
+    const double fa = static_cast<double>(i) * step;
+    const Vec3 pa = curve_position(a, fa);
+    for (int j = 0; j < coarse_samples; ++j) {
+      const double fb = static_cast<double>(j) * step;
+      const double d2 = (pa - curve_position(b, fb)).norm2();
+      if (d2 < best_d2) {
+        best_d2 = d2;
+        best_fa = fa;
+        best_fb = fb;
+      }
+    }
+  }
+  double fa = best_fa, fb = best_fb;
+  for (int round = 0; round < 4; ++round) {
+    const auto over_fa = [&](double f) {
+      return (curve_position(a, f) - curve_position(b, fb)).norm2();
+    };
+    fa = brent_minimize(over_fa, fa - step, fa + step, 1e-10).x;
+    const auto over_fb = [&](double f) {
+      return (curve_position(a, fa) - curve_position(b, f)).norm2();
+    };
+    fb = brent_minimize(over_fb, fb - step, fb + step, 1e-10).x;
+  }
+  return (curve_position(a, fa) - curve_position(b, fb)).norm();
+}
+
+NodeCrossing crossing_at(const KeplerElements& a, const KeplerElements& b,
+                         const Vec3& k) {
+  const auto anomaly_toward = [&k](const KeplerElements& el) {
+    const Mat3 rot = perifocal_to_eci(el.inclination, el.raan, el.arg_perigee);
+    const Vec3 u = rot.transposed() * k;
+    return wrap_two_pi(std::atan2(u.y, u.x));
+  };
+  NodeCrossing c;
+  c.true_anomaly_a = anomaly_toward(a);
+  c.true_anomaly_b = anomaly_toward(b);
+  c.radius_a = radius_at_true_anomaly(a, c.true_anomaly_a);
+  c.radius_b = radius_at_true_anomaly(b, c.true_anomaly_b);
+  c.miss_distance = std::abs(c.radius_a - c.radius_b);
+  return c;
+}
+
+std::array<NodeCrossing, 2> node_crossings(const KeplerElements& a,
+                                           const KeplerElements& b) {
+  const Vec3 k = normal_of(a).cross(normal_of(b)).normalized();
+  return {crossing_at(a, b, k), crossing_at(a, b, -k)};
+}
+
+std::vector<Interval> conjunction_time_windows(const KeplerElements& a,
+                                               const KeplerElements& b, double t_begin,
+                                               double t_end, double threshold_km) {
+  const Vec3 cross = normal_of(a).cross(normal_of(b));
+  const double sin_angle = std::max(cross.norm(), 0.05);
+  const Vec3 k = cross / cross.norm();
+  const double reach = threshold_km + kFilterPadKm;
+  const double corridor = 8.0 * reach / sin_angle;
+
+  const auto crossing_windows = [&](const KeplerElements& el, double f_node, double w) {
+    std::vector<Interval> out;
+    const double n = mean_motion(el);
+    const double period = kTwoPi / n;
+    const double m_node = true_to_mean(f_node, el.eccentricity);
+    const double t0 = wrap_two_pi(m_node - el.mean_anomaly) / n;
+    const double j_start = std::ceil((t_begin - w - t0) / period);
+    for (double t = t0 + j_start * period; t - w <= t_end; t += period) {
+      out.push_back({t - w, t + w});
+    }
+    return merge_intervals(std::move(out));
+  };
+
+  std::vector<Interval> result;
+  for (const Vec3& direction : {k, -k}) {
+    const NodeCrossing c = crossing_at(a, b, direction);
+    if (c.miss_distance > reach) continue;
+    const double h_a = std::sqrt(kMuEarth * semi_latus_rectum(a));
+    const double h_b = std::sqrt(kMuEarth * semi_latus_rectum(b));
+    const std::vector<Interval> xs =
+        crossing_windows(a, c.true_anomaly_a, corridor * c.radius_a / h_a);
+    const std::vector<Interval> ys =
+        crossing_windows(b, c.true_anomaly_b, corridor * c.radius_b / h_b);
+    std::size_t i = 0, j = 0;
+    while (i < xs.size() && j < ys.size()) {
+      const double lo = std::max(xs[i].lo, ys[j].lo);
+      const double hi = std::min(xs[i].hi, ys[j].hi);
+      if (lo <= hi) result.push_back({lo, hi});
+      if (xs[i].hi < ys[j].hi) {
+        ++i;
+      } else {
+        ++j;
+      }
+    }
+  }
+  for (Interval& iv : result) {
+    iv.lo = std::max(iv.lo, t_begin);
+    iv.hi = std::min(iv.hi, t_end);
+  }
+  std::erase_if(result, [](const Interval& iv) { return !(iv.lo < iv.hi); });
+  return merge_intervals(std::move(result));
+}
+
+PairClassification classify_pair(const KeplerElements& a, const KeplerElements& b,
+                                 const ScreeningConfig& config) {
+  PairClassification out;
+  const double reach = config.threshold_km + kFilterPadKm;
+  if (radial_band_gap(a, b) > reach) return out;
+  out.coplanar = are_coplanar(a, b);
+  if (out.coplanar) {
+    out.verdict = min_orbit_distance(a, b) <= config.threshold_km + kFilterPadKm
+                      ? PairVerdict::kCoplanarSurvivor
+                      : PairVerdict::kPathReject;
+    return out;
+  }
+  const auto crossings = node_crossings(a, b);
+  if (crossings[0].miss_distance > reach && crossings[1].miss_distance > reach) {
+    out.verdict = PairVerdict::kPathReject;
+    return out;
+  }
+  out.windows = conjunction_time_windows(a, b, config.t_begin, config.t_end,
+                                         config.threshold_km);
+  out.verdict = out.windows.empty() ? PairVerdict::kWindowReject
+                                    : PairVerdict::kWindowSurvivor;
+  return out;
+}
+
+}  // namespace from_elements
+
+/// Randomized pairs from four regimes: planes crossing at any angle,
+/// eccentric orbits sweeping across each other's radii, planes within a
+/// few percent of kCoplanarTolerance, and radially disjoint bands.
+std::vector<std::pair<KeplerElements, KeplerElements>> regime_pairs(
+    std::size_t per_regime) {
+  Rng rng(0xF117E2);
+  const auto random_orbit = [&](double a, double e) {
+    return KeplerElements{a,
+                          e,
+                          rng.uniform(0.0, kPi),
+                          rng.uniform(0.0, kTwoPi),
+                          rng.uniform(0.0, kTwoPi),
+                          rng.uniform(0.0, kTwoPi)};
+  };
+  std::vector<std::pair<KeplerElements, KeplerElements>> pairs;
+  for (std::size_t k = 0; k < per_regime; ++k) {
+    // Crossing: near-circular orbits whose bands overlap.
+    const double r = rng.uniform(6800.0, 7600.0);
+    pairs.emplace_back(random_orbit(r, rng.uniform(0.0, 2e-3)),
+                       random_orbit(r + rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2e-3)));
+    // Eccentric: one orbit sweeps across the other's radius.
+    pairs.emplace_back(random_orbit(rng.uniform(7500.0, 9000.0), rng.uniform(0.05, 0.3)),
+                       random_orbit(rng.uniform(6900.0, 7800.0), rng.uniform(0.0, 0.05)));
+    // Near-coplanar: the second plane tilted by 0.9-1.1 of the tolerance
+    // about the first's line of nodes, with nearly equal a and e.
+    KeplerElements base =
+        random_orbit(rng.uniform(6900.0, 7400.0), rng.uniform(0.0, 0.02));
+    base.inclination = rng.uniform(0.1, kPi - 0.1);
+    KeplerElements tilted = base;
+    tilted.inclination += rng.uniform(0.9, 1.1) * kCoplanarTolerance;
+    tilted.semi_major_axis += rng.uniform(-2.0, 2.0);
+    tilted.eccentricity += rng.uniform(0.0, 1e-3);
+    tilted.arg_perigee = rng.uniform(0.0, kTwoPi);
+    tilted.mean_anomaly = rng.uniform(0.0, kTwoPi);
+    pairs.emplace_back(base, tilted);
+    // Radially disjoint: bands at least 20 km apart.
+    const double low = rng.uniform(6800.0, 7400.0);
+    pairs.emplace_back(random_orbit(low, 1e-4),
+                       random_orbit(low + rng.uniform(20.0, 400.0), 1e-4));
+  }
+  return pairs;
+}
+
+TEST(FilterOrbit, ChainMatchesElementsFormulasBitForBit) {
+  ScreeningConfig config;
+  config.threshold_km = 5.0;
+  config.t_end = 86400.0;
+  const auto pairs = regime_pairs(520);
+  ASSERT_GE(pairs.size(), 2000u);
+
+  std::size_t coplanar = 0, crossings_checked = 0;
+  std::array<std::size_t, 5> verdicts{};
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const auto& [ea, eb] = pairs[k];
+    const FilterOrbit a(ea), b(eb);
+    EXPECT_EQ(radial_band_gap(a, b), from_elements::radial_band_gap(ea, eb)) << k;
+    EXPECT_EQ(are_coplanar(a, b), from_elements::are_coplanar(ea, eb)) << k;
+    EXPECT_EQ(min_orbit_distance(a, b), from_elements::min_orbit_distance(ea, eb)) << k;
+    if (!are_coplanar(a, b)) {
+      const auto got = node_crossings(a, b);
+      const auto want = from_elements::node_crossings(ea, eb);
+      for (int s = 0; s < 2; ++s) {
+        EXPECT_EQ(got[s].true_anomaly_a, want[s].true_anomaly_a) << k;
+        EXPECT_EQ(got[s].true_anomaly_b, want[s].true_anomaly_b) << k;
+        EXPECT_EQ(got[s].radius_a, want[s].radius_a) << k;
+        EXPECT_EQ(got[s].radius_b, want[s].radius_b) << k;
+        EXPECT_EQ(got[s].miss_distance, want[s].miss_distance) << k;
+      }
+      ++crossings_checked;
+    }
+
+    const PairClassification got = classify_pair(a, b, config);
+    const PairClassification want = from_elements::classify_pair(ea, eb, config);
+    EXPECT_EQ(got.verdict, want.verdict) << k;
+    EXPECT_EQ(got.coplanar, want.coplanar) << k;
+    ASSERT_EQ(got.windows.size(), want.windows.size()) << k;
+    for (std::size_t w = 0; w < want.windows.size(); ++w) {
+      EXPECT_EQ(got.windows[w].lo, want.windows[w].lo) << k;
+      EXPECT_EQ(got.windows[w].hi, want.windows[w].hi) << k;
+    }
+    coplanar += got.coplanar ? 1 : 0;
+    ++verdicts[static_cast<std::size_t>(got.verdict)];
+  }
+  // Every verdict and both branches of the chain were exercised.
+  EXPECT_GT(coplanar, 100u);
+  EXPECT_GT(crossings_checked, 1000u);
+  for (std::size_t v = 0; v < verdicts.size(); ++v) EXPECT_GT(verdicts[v], 0u) << v;
+}
+
+TEST(FilterOrbit, NodeMissDecisionMatchesAtTheReachBoundary) {
+  // classify_pair decides most node misses from closed-form node radii
+  // and only near the reach takes node_crossings; its verdicts must equal
+  // the exact per-pair chain when a node miss sits within micrometres to
+  // metres of the reach. a is circular and b slightly eccentric, so their
+  // radial bands overlap; b is scaled so that its radius at the first node
+  // is r_a + reach + delta.
+  ScreeningConfig config;
+  config.threshold_km = 5.0;
+  config.t_end = 86400.0;
+  const double reach = config.threshold_km + kFilterPadKm;
+  Rng rng(0xB0CA);
+  std::size_t rejects = 0, passes = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    KeplerElements ea{rng.uniform(6900.0, 7500.0), 1e-9, rng.uniform(0.1, kPi - 0.1),
+                      rng.uniform(0.0, kTwoPi), rng.uniform(0.0, kTwoPi),
+                      rng.uniform(0.0, kTwoPi)};
+    KeplerElements eb{ea.semi_major_axis, rng.uniform(0.005, 0.02),
+                      rng.uniform(0.1, kPi - 0.1),
+                      rng.uniform(0.0, kTwoPi), rng.uniform(0.0, kTwoPi),
+                      rng.uniform(0.0, kTwoPi)};
+    if (from_elements::are_coplanar(ea, eb)) continue;
+    const NodeCrossing node = from_elements::node_crossings(ea, eb)[0];
+    for (const double delta : {-2e-3, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 2e-3}) {
+      KeplerElements scaled = eb;
+      scaled.semi_major_axis *= (node.radius_a + reach + delta) / node.radius_b;
+      const PairClassification got =
+          classify_pair(FilterOrbit(ea), FilterOrbit(scaled), config);
+      const PairClassification want = from_elements::classify_pair(ea, scaled, config);
+      EXPECT_EQ(got.verdict, want.verdict) << trial << " delta " << delta;
+      ASSERT_EQ(got.windows.size(), want.windows.size()) << trial << " delta " << delta;
+      for (std::size_t w = 0; w < want.windows.size(); ++w) {
+        EXPECT_EQ(got.windows[w].lo, want.windows[w].lo) << trial;
+        EXPECT_EQ(got.windows[w].hi, want.windows[w].hi) << trial;
+      }
+      (want.verdict == PairVerdict::kPathReject ? rejects : passes) += 1;
+    }
+  }
+  // Both sides of the reach were exercised.
+  EXPECT_GT(rejects, 200u);
+  EXPECT_GT(passes, 200u);
+}
+
+TEST(FilterOrbit, MinOrbitDistanceMatchesAtAnyResolution) {
+  const auto pairs = regime_pairs(20);
+  for (const int coarse : {7, 24, 48}) {
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      const auto& [ea, eb] = pairs[k];
+      EXPECT_EQ(min_orbit_distance(FilterOrbit(ea), FilterOrbit(eb), coarse),
+                from_elements::min_orbit_distance(ea, eb, coarse))
+          << coarse << " #" << k;
+    }
+  }
+}
+
+TEST(FilterOrbit, BuiltOnAPoolEqualsPerObjectConstruction) {
+  const auto sats = generate_population({500, 77});
+  const NewtonKeplerSolver solver;
+  const TwoBodyPropagator propagator(sats, solver);
+  ThreadPool one(1), four(4);
+  for (ThreadPool* pool : {&one, &four}) {
+    const std::vector<FilterOrbit> orbits = build_filter_orbits(propagator, *pool);
+    ASSERT_EQ(orbits.size(), sats.size());
+    for (std::size_t i = 0; i < sats.size(); ++i) {
+      const KeplerElements& el = propagator.elements(i);
+      const FilterOrbit& orbit = orbits[i];
+      EXPECT_EQ(orbit.elements, el) << i;
+      EXPECT_EQ(orbit.perigee, perigee_radius(el)) << i;
+      EXPECT_EQ(orbit.apogee, apogee_radius(el)) << i;
+      EXPECT_EQ(orbit.normal, normal_of(el)) << i;
+      EXPECT_EQ(orbit.p, semi_latus_rectum(el)) << i;
+      EXPECT_EQ(orbit.h, std::sqrt(kMuEarth * semi_latus_rectum(el))) << i;
+      const Mat3 rotation = perifocal_to_eci(el.inclination, el.raan, el.arg_perigee);
+      for (int r = 0; r < 3; ++r) {
+        for (int c = 0; c < 3; ++c) EXPECT_EQ(orbit.rotation.m[r][c], rotation.m[r][c]);
+      }
+      for (const double f : {0.0, 1.0, 4.0}) {
+        EXPECT_EQ(orbit.radius_at(f), radius_at_true_anomaly(el, f)) << i;
+        EXPECT_EQ(orbit.position(f), from_elements::curve_position(el, f)) << i;
+      }
+    }
   }
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
@@ -13,8 +15,11 @@
 #include "core/exec.hpp"
 #include "core/screener.hpp"
 #include "obs/telemetry.hpp"
+#include "parallel/radix_sort.hpp"
 #include "parallel/thread_pool.hpp"
 #include "population/generator.hpp"
+#include "spatial/candidate_buffer.hpp"
+#include "util/rng.hpp"
 
 namespace scod {
 namespace {
@@ -340,6 +345,94 @@ TEST(RefineSlots, ReusedSlotsStartEachRunWithClearFlags) {
 TEST(GlobalThreadPool, IsSingleton) {
   EXPECT_EQ(&global_thread_pool(), &global_thread_pool());
   EXPECT_GE(global_thread_pool().thread_count(), 1u);
+}
+
+/// Sorts a copy of `keys` with parallel_radix_sort on a one-thread and a
+/// four-thread pool and expects std::sort's result from both.
+void expect_sorts_like_std_sort(const std::vector<std::uint64_t>& keys,
+                                const std::string& label) {
+  std::vector<std::uint64_t> want = keys;
+  std::sort(want.begin(), want.end());
+  ThreadPool one(1), four(4);
+  for (ThreadPool* pool : {&one, &four}) {
+    std::vector<std::uint64_t> got = keys;
+    parallel_radix_sort(got, *pool);
+    EXPECT_EQ(got, want) << label << " on " << pool->thread_count() << " threads";
+  }
+}
+
+std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> keys(n);
+  for (std::uint64_t& key : keys) key = rng.next();
+  return keys;
+}
+
+TEST(RadixSort, TinyInputs) {
+  expect_sorts_like_std_sort({}, "empty");
+  expect_sorts_like_std_sort({42}, "one key");
+  expect_sorts_like_std_sort({7, 3}, "two keys, reversed");
+  expect_sorts_like_std_sort({3, 7}, "two keys, sorted");
+  expect_sorts_like_std_sort({~std::uint64_t{0}, 0}, "extreme keys");
+}
+
+TEST(RadixSort, RandomKeys) {
+  expect_sorts_like_std_sort(random_keys(20000, 1), "random 64-bit");
+  std::vector<std::uint64_t> narrow = random_keys(20000, 2);
+  for (std::uint64_t& key : narrow) key %= 1000;  // many duplicates
+  expect_sorts_like_std_sort(narrow, "random with duplicates");
+}
+
+TEST(RadixSort, AllEqualKeys) {
+  expect_sorts_like_std_sort(std::vector<std::uint64_t>(5000, 0x0123456789ABCDEFull),
+                             "all equal");
+  expect_sorts_like_std_sort(std::vector<std::uint64_t>(5000, 0), "all zero");
+}
+
+TEST(RadixSort, ConstantDigitsAreSkippedWithoutReordering) {
+  // Keys whose low, middle or high 11-bit digits are constant (and a key
+  // that differs in one bit of an otherwise constant digit).
+  std::vector<std::uint64_t> low = random_keys(9000, 3);
+  std::vector<std::uint64_t> middle = random_keys(9000, 4);
+  std::vector<std::uint64_t> high = random_keys(9000, 5);
+  for (std::uint64_t& key : low) key = (key & ~std::uint64_t{0x3FFFFF}) | 0x12345;
+  for (std::uint64_t& key : middle) {
+    key = (key & ~(std::uint64_t{0x7FF} << 33)) | (5ull << 33);
+  }
+  for (std::uint64_t& key : high) key = (key >> 20) | (0xABCull << 52);
+  expect_sorts_like_std_sort(low, "constant low digits");
+  expect_sorts_like_std_sort(middle, "constant middle digit");
+  expect_sorts_like_std_sort(high, "constant high digits");
+  std::vector<std::uint64_t> one_bit = high;
+  one_bit[4321] ^= std::uint64_t{1} << 60;
+  expect_sorts_like_std_sort(one_bit, "one bit differs in a high digit");
+}
+
+TEST(RadixSort, CandidateKeysInPairThenStepOrder) {
+  // Packed candidate keys of a small population, appended in no order:
+  // the sort puts them in (sat_a, sat_b, step) order.
+  Rng rng(6);
+  std::vector<std::uint64_t> keys;
+  const auto skip = [&rng](std::size_t most) {
+    return 1 + static_cast<std::uint32_t>(rng.uniform_index(most));
+  };
+  for (std::uint32_t a = 0; a < 60; ++a) {
+    for (std::uint32_t b = a + 1; b < 60; b += skip(7)) {
+      for (std::uint32_t step = 0; step < 113; step += skip(40)) {
+        keys.push_back(pack_candidate(b, a, step));
+      }
+    }
+  }
+  for (std::size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.uniform_index(i)]);
+  }
+  expect_sorts_like_std_sort(keys, "candidate keys");
+}
+
+TEST(RadixSort, SizesThatDoNotDivideByTheThreadCount) {
+  for (const std::size_t n : {3u, 5u, 4097u, 10001u}) {
+    expect_sorts_like_std_sort(random_keys(n, 100 + n), "n = " + std::to_string(n));
+  }
 }
 
 }  // namespace

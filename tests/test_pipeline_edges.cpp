@@ -30,7 +30,8 @@ namespace scod {
 namespace {
 
 /// A round sink for the calls that only check what the pipeline throws.
-void discard_round(std::size_t, std::vector<Candidate>&&, const GridPipelineResult&) {}
+void discard_round(std::size_t, std::span<const std::uint64_t>,
+                   const GridPipelineResult&) {}
 
 std::vector<Satellite> small_shell(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -386,6 +387,144 @@ TEST(PipelineEdges, DirtyMaskPlanChargesThePhantomTables) {
                MemoryBudgetExceeded);
 }
 
+/// Every `stride`-th object of n marked dirty.
+std::vector<std::uint8_t> every_nth(std::size_t n, std::size_t stride) {
+  std::vector<std::uint8_t> mask(n, 0);
+  for (std::size_t i = 0; i < n; i += stride) mask[i] = 1;
+  return mask;
+}
+
+/// The candidates of `unmasked` with a member marked in `mask`.
+std::vector<Candidate> with_dirty_member(const std::vector<Candidate>& unmasked,
+                                         std::span<const std::uint8_t> mask) {
+  std::vector<Candidate> kept;
+  for (const Candidate& c : unmasked) {
+    if (mask[c.sat_a] != 0 || mask[c.sat_b] != 0) kept.push_back(c);
+  }
+  return kept;
+}
+
+void expect_same_candidates(const std::vector<Candidate>& got,
+                            const std::vector<Candidate>& want,
+                            const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::tie(got[i].sat_a, got[i].sat_b, got[i].step),
+              std::tie(want[i].sat_a, want[i].sat_b, want[i].step))
+        << label << " #" << i;
+  }
+}
+
+TEST(PipelineEdges, DirtyMaskSizesTheCandidateBufferFromTheDirtyPairShare) {
+  // A masked screen tests only the pairs with a dirty member, a share
+  // 1 - (1 - f)^2 of them for a dirty fraction f, so its candidate buffer
+  // (and the a_ch the plan charges) is the count model scaled by that
+  // share; the 10 000-candidate floor still holds. The candidates stay
+  // exactly the unmasked ones with a dirty member.
+  const auto sats = small_shell(400, 31);
+  const std::size_t n = sats.size();
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(sats, solver);
+  ScreeningConfig cfg;
+  cfg.threshold_km = 5.0;
+  cfg.t_end = 600.0;
+  cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
+  // Scaled up so that the prediction, not the floor, sizes every share.
+  ConjunctionCountModel model = ConjunctionCountModel::paper_grid();
+  model.coefficient *= 1e5;
+
+  GridPipelineResult full;
+  const std::vector<Candidate> unmasked =
+      testutil::pipeline_candidates(propagator, cfg, model, {}, full);
+  ASSERT_GT(unmasked.size(), 0u);
+  EXPECT_EQ(full.candidate_memory_bytes,
+            CandidateBuffer::projected_memory_bytes(candidate_capacity_from_model(
+                model, static_cast<double>(n), cfg.seconds_per_sample,
+                cfg.span_seconds(), cfg.threshold_km)));
+
+  std::uint64_t previous = 0;
+  for (const std::size_t stride : {40u, 10u, 4u, 2u, 1u}) {
+    const std::vector<std::uint8_t> mask = every_nth(n, stride);
+    const double f = static_cast<double>(std::count(mask.begin(), mask.end(), 1)) /
+                     static_cast<double>(n);
+    GridPipelineOptions options;
+    options.dirty_mask = mask;
+    GridPipelineResult result;
+    const std::vector<Candidate> got =
+        testutil::pipeline_candidates(propagator, cfg, model, options, result);
+    const std::string label = "f = " + std::to_string(f);
+
+    const std::size_t capacity = candidate_capacity_from_model(
+        model, static_cast<double>(n), cfg.seconds_per_sample, cfg.span_seconds(),
+        cfg.threshold_km, 1.0 - (1.0 - f) * (1.0 - f));
+    EXPECT_EQ(result.candidate_memory_bytes,
+              CandidateBuffer::projected_memory_bytes(capacity))
+        << label;
+    EXPECT_EQ(result.plan.fixed_bytes,
+              n * (kSatelliteBytes + kKeplerCacheBytes) +
+                  CandidateBuffer::projected_memory_bytes(capacity))
+        << label;
+    EXPECT_GT(result.candidate_memory_bytes, previous) << label;
+    EXPECT_LE(result.candidate_memory_bytes, full.candidate_memory_bytes) << label;
+    previous = result.candidate_memory_bytes;
+    EXPECT_EQ(result.candidate_set_growths, 0u) << label;
+    expect_same_candidates(got, with_dirty_member(unmasked, mask), label);
+  }
+  // An all-dirty mask tests every pair: the full screen's buffer.
+  EXPECT_EQ(previous, full.candidate_memory_bytes);
+
+  // A mask too small for the prediction keeps the floor.
+  GridPipelineOptions one_dirty;
+  const std::vector<std::uint8_t> single = every_nth(n, n);
+  one_dirty.dirty_mask = single;
+  GridPipelineResult floor;
+  testutil::pipeline_candidates(propagator, cfg, ConjunctionCountModel::paper_grid(),
+                                one_dirty, floor);
+  EXPECT_EQ(floor.candidate_memory_bytes, CandidateBuffer::projected_memory_bytes(20000));
+}
+
+TEST(PipelineEdges, DirtyMaskUndersizedBufferGrowsToTheSameCandidates) {
+  // A dense debris cloud with two in three fragments dirty produces more
+  // dirty-member candidates than the floor capacity holds: the scaled
+  // buffer overflows, grows and re-runs the round, and the candidates are
+  // still exactly the unmasked ones with a dirty member, on 1 and 4
+  // threads and on devicesim.
+  const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
+  const auto cloud = generate_debris_cloud(parent, 300, 0.05, 99);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(cloud, solver);
+  ScreeningConfig base;
+  base.threshold_km = 2.0;
+  base.t_end = 600.0;
+  base.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
+  ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
+  tiny.coefficient = 1e-20;  // the 20 000-candidate floor
+
+  std::vector<std::uint8_t> mask(cloud.size(), 1);
+  for (std::size_t i = 0; i < mask.size(); i += 3) mask[i] = 0;
+
+  ThreadPool one(1), four(4);
+  Device device(DeviceProperties{}, &four);
+  for (const int backend : {1, 4, 0}) {
+    const std::string label =
+        backend == 0 ? std::string("devicesim") : std::to_string(backend) + " threads";
+    ScreeningConfig cfg = base;
+    cfg.pool = backend == 1 ? &one : &four;
+    if (backend == 0) cfg.device = &device;
+    GridPipelineResult full;
+    const std::vector<Candidate> unmasked =
+        testutil::pipeline_candidates(propagator, cfg, tiny, {}, full);
+    GridPipelineOptions options;
+    options.dirty_mask = mask;
+    GridPipelineResult masked;
+    const std::vector<Candidate> got =
+        testutil::pipeline_candidates(propagator, cfg, tiny, options, masked);
+    EXPECT_GT(masked.candidate_set_growths, 0u) << label;
+    EXPECT_EQ(masked.total_candidates, got.size()) << label;
+    expect_same_candidates(got, with_dirty_member(unmasked, mask), label);
+  }
+}
+
 TEST(PipelineEdges, HybridHalfStencilMatchesFull) {
   // The hybrid variant's grid front-end scans each pair of neighbouring
   // cells once; its report must still match an exhaustive dense scan of
@@ -455,12 +594,13 @@ TEST(PipelineEdges, RoundSinkReceivesEachRoundInOrder) {
     std::size_t streamed = 0;
     const GridPipelineResult result = run_grid_pipeline(
         propagator, cfg, ConjunctionCountModel::paper_grid(), {},
-        [&](std::size_t round, std::vector<Candidate>&& candidates,
+        [&](std::size_t round, std::span<const std::uint64_t> keys,
             const GridPipelineResult& pipeline) {
           rounds_seen.push_back(round);
-          streamed += candidates.size();
+          streamed += keys.size();
           const std::size_t p = pipeline.plan.parallel_samples;
-          for (const Candidate& c : candidates) {
+          for (const std::uint64_t key : keys) {
+            const Candidate c = unpack_candidate(key);
             EXPECT_GE(c.step, round * p) << "round " << round;
             EXPECT_LT(c.step, std::min((round + 1) * p, pipeline.plan.total_samples))
                 << "round " << round;
@@ -512,8 +652,8 @@ TEST(PipelineEdges, CandidateSetHoldsOneRoundAtATime) {
   std::size_t streamed = 0;
   const GridPipelineResult result = run_grid_pipeline(
       propagator, cfg, tiny, {},
-      [&](std::size_t, std::vector<Candidate>&& candidates, const GridPipelineResult&) {
-        streamed += candidates.size();
+      [&](std::size_t, std::span<const std::uint64_t> keys, const GridPipelineResult&) {
+        streamed += keys.size();
       });
   ASSERT_EQ(result.plan.parallel_samples, kStepsPerRound);
   EXPECT_GE(result.plan.rounds, 3u);

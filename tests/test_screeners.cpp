@@ -987,6 +987,90 @@ TEST(Screeners, TelemetryCountersIdenticalColdVersusWarm) {
   obs::reset();
 }
 
+TEST(Screeners, HybridFilterStageIdenticalAcrossThreadsAndRounds) {
+  // Hybrid sorts its candidate keys and classifies the distinct pairs on
+  // the pool. Its report, filter funnel and filter counters must not
+  // depend on the thread count, nor on how many rounds the front end cut
+  // the span into.
+  auto sats = dense_shell(120, 0xF11);
+  Rng rng(0xF12);
+  for (std::uint32_t k = 0; k < 12; ++k) {
+    // Same-plane companions take the coplanar branch, interceptors the
+    // node windows.
+    Satellite companion = sats[k];
+    companion.id = static_cast<std::uint32_t>(sats.size());
+    companion.elements.mean_anomaly += rng.uniform(0.01, 0.1);
+    sats.push_back(companion);
+    sats.push_back(testutil::make_interceptor(
+        sats[3 * k + 20].elements, rng.uniform(300.0, 3300.0), rng.uniform(-3.5, 3.5),
+        rng, static_cast<std::uint32_t>(sats.size())));
+  }
+  ScreeningConfig roomy;
+  roomy.threshold_km = 5.0;
+  roomy.t_end = 3600.0;
+  ScreeningConfig tight = roomy;
+  tight.memory_budget = 1 << 20;
+
+  struct Outcome {
+    ScreeningReport report;
+    obs::TelemetrySnapshot counters;
+  };
+  ThreadPool one(1), four(4);
+  std::optional<Outcome> reference;
+  for (const ScreeningConfig& base : {roomy, tight}) {
+    for (ThreadPool* pool : {&one, &four}) {
+      ScreeningConfig cfg = base;
+      cfg.pool = pool;
+      const std::string label = std::to_string(pool->thread_count()) +
+                                " threads, budget " + std::to_string(cfg.memory_budget);
+      obs::reset();
+      obs::set_enabled(true);
+      ScreeningReport report = make_screener(Variant::kHybrid)->screen(sats, cfg);
+      const Outcome outcome{std::move(report), obs::snapshot()};
+      obs::set_enabled(false);
+      const ScreeningStats& stats = outcome.report.stats;
+      EXPECT_EQ(stats.rounds == 1, base.memory_budget == roomy.memory_budget) << label;
+      if (!reference) {
+        EXPECT_GT(stats.coplanar_pairs, 0u);
+        EXPECT_GT(stats.filtered_windows, 0u);
+        EXPECT_GT(stats.pairs_examined, stats.filtered_apogee_perigee +
+                                            stats.filtered_path + stats.filtered_windows);
+        EXPECT_FALSE(outcome.report.conjunctions.empty());
+        reference = outcome;
+        continue;
+      }
+      const std::vector<Conjunction>& got = outcome.report.conjunctions;
+      const std::vector<Conjunction>& expected = reference->report.conjunctions;
+      ASSERT_EQ(got.size(), expected.size()) << label;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::tie(got[i].sat_a, got[i].sat_b, got[i].tca, got[i].pca),
+                  std::tie(expected[i].sat_a, expected[i].sat_b, expected[i].tca,
+                           expected[i].pca))
+            << label << " #" << i;
+      }
+      const ScreeningStats& want = reference->report.stats;
+      EXPECT_EQ(stats.candidates, want.candidates) << label;
+      EXPECT_EQ(stats.refinements, want.refinements) << label;
+      EXPECT_EQ(stats.pairs_examined, want.pairs_examined) << label;
+      EXPECT_EQ(stats.filtered_apogee_perigee, want.filtered_apogee_perigee) << label;
+      EXPECT_EQ(stats.filtered_path, want.filtered_path) << label;
+      EXPECT_EQ(stats.filtered_windows, want.filtered_windows) << label;
+      EXPECT_EQ(stats.coplanar_pairs, want.coplanar_pairs) << label;
+      for (const obs::Counter c :
+           {obs::Counter::kFilterPairsIn, obs::Counter::kFilterApogeePerigeeRejects,
+            obs::Counter::kFilterPathChecks, obs::Counter::kFilterPathRejects,
+            obs::Counter::kFilterWindowChecks, obs::Counter::kFilterWindowRejects,
+            obs::Counter::kFilterCoplanarPairs, obs::Counter::kFilterSurvivors,
+            obs::Counter::kRefinements, obs::Counter::kConjunctionsRaw,
+            obs::Counter::kConjunctionsReported}) {
+        EXPECT_EQ(outcome.counters.value(c), reference->counters.value(c))
+            << label << " " << obs::counter_name(c);
+      }
+    }
+  }
+  obs::reset();
+}
+
 TEST(Screeners, PhaseTimingsArePopulated) {
   std::vector<Satellite> sats = dense_shell(30, 4);
   ScreeningConfig cfg;

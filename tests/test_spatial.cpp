@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -180,7 +181,7 @@ TEST(CandidateBuffer, PackValidatesRanges) {
   EXPECT_THROW(pack_candidate(0, 1, 1u << 24), std::out_of_range);
 }
 
-TEST(CandidateBuffer, DrainReturnsAllStoredInOrder) {
+TEST(CandidateBuffer, KeysReturnAllStoredInOrder) {
   CandidateBuffer buffer(1000);
   std::vector<std::uint64_t> reference;
   Rng rng(5);
@@ -191,13 +192,9 @@ TEST(CandidateBuffer, DrainReturnsAllStoredInOrder) {
     EXPECT_EQ(buffer.insert(a, b, step), CandidateBuffer::Insert::kInserted);
     reference.push_back(pack_candidate(a, b, step));
   }
-  const auto drained = buffer.drain();
-  ASSERT_EQ(drained.size(), reference.size());
-  for (std::size_t i = 0; i < drained.size(); ++i) {
-    EXPECT_EQ(pack_candidate(drained[i].sat_a, drained[i].sat_b, drained[i].step),
-              reference[i])
-        << i;
-  }
+  const std::span<const std::uint64_t> keys = buffer.keys();
+  ASSERT_EQ(keys.size(), reference.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(keys[i], reference[i]) << i;
 }
 
 TEST(CandidateBuffer, AppendsWithoutDeduplicating) {
@@ -215,7 +212,7 @@ TEST(CandidateBuffer, ReportsFullAtCapacity) {
   EXPECT_EQ(buffer.insert(50, 51, 0), CandidateBuffer::Insert::kFull);
   EXPECT_EQ(buffer.insert(60, 61, 0), CandidateBuffer::Insert::kFull);
   EXPECT_EQ(buffer.size(), 4u);  // clamped to the capacity
-  EXPECT_EQ(buffer.drain().size(), 4u);
+  EXPECT_EQ(buffer.keys().size(), 4u);
 }
 
 TEST(CandidateBuffer, GrowLeavesItEmptyAtTwiceTheCapacity) {
@@ -224,7 +221,7 @@ TEST(CandidateBuffer, GrowLeavesItEmptyAtTwiceTheCapacity) {
   buffer.grow();
   EXPECT_EQ(buffer.capacity(), 8u);
   EXPECT_EQ(buffer.size(), 0u);  // the overflowed attempt is re-run
-  EXPECT_TRUE(buffer.drain().empty());
+  EXPECT_TRUE(buffer.keys().empty());
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_EQ(buffer.insert(i, i + 1, 0), CandidateBuffer::Insert::kInserted);
   }
@@ -236,7 +233,7 @@ TEST(CandidateBuffer, ClearEmptiesTheBuffer) {
   buffer.insert(1, 2, 3);
   buffer.clear();
   EXPECT_EQ(buffer.size(), 0u);
-  EXPECT_TRUE(buffer.drain().empty());
+  EXPECT_TRUE(buffer.keys().empty());
   EXPECT_EQ(buffer.insert(1, 2, 3), CandidateBuffer::Insert::kInserted);
   EXPECT_EQ(buffer.size(), 1u);
 }
@@ -250,9 +247,9 @@ TEST(CandidateBuffer, MemoryMatchesProjection) {
   EXPECT_EQ(buffer.memory_bytes(), CandidateBuffer::projected_memory_bytes(2000));
 }
 
-TEST(CandidateBuffer, ConcurrentInsertsAreEachDrainedOnce) {
+TEST(CandidateBuffer, ConcurrentInsertsAreEachStoredOnce) {
   // Every worker of the pool appends its own disjoint keys at once; the
-  // drain must hold each exactly once.
+  // stored keys must hold each exactly once.
   ThreadPool pool(4);
   constexpr std::uint32_t kPerWorker = 5000;
   const std::size_t workers = pool.thread_count();
@@ -263,12 +260,10 @@ TEST(CandidateBuffer, ConcurrentInsertsAreEachDrainedOnce) {
       EXPECT_EQ(buffer.insert(a, a + 1, i), CandidateBuffer::Insert::kInserted);
     }
   });
-  const auto drained = buffer.drain();
-  ASSERT_EQ(drained.size(), workers * kPerWorker);
+  const std::span<const std::uint64_t> keys = buffer.keys();
+  ASSERT_EQ(keys.size(), workers * kPerWorker);
   std::set<std::uint64_t> seen;
-  for (const Candidate& c : drained) {
-    EXPECT_TRUE(seen.insert(pack_candidate(c.sat_a, c.sat_b, c.step)).second);
-  }
+  for (const std::uint64_t key : keys) EXPECT_TRUE(seen.insert(key).second);
   for (std::size_t w = 0; w < workers; ++w) {
     const auto a = static_cast<std::uint32_t>(w);
     for (std::uint32_t i = 0; i < kPerWorker; ++i) {

@@ -167,7 +167,7 @@ TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
     cfg.pool = &pool;
     const GridPipelineResult result = run_grid_pipeline(
         propagator, cfg, tiny, {},
-        [](std::size_t, std::vector<Candidate>&&, const GridPipelineResult&) {});
+        [](std::size_t, std::span<const std::uint64_t>, const GridPipelineResult&) {});
     ASSERT_GT(result.candidate_set_growths, 0u) << threads;
 
     const obs::TelemetrySnapshot snap = obs::snapshot();
@@ -216,7 +216,7 @@ TEST_F(Telemetry, MaskedScreenCountsPhantomWork) {
     if (threads == 0) cfg.device = &device;
     const GridPipelineResult result = run_grid_pipeline(
         propagator, cfg, tiny, options,
-        [](std::size_t, std::vector<Candidate>&&, const GridPipelineResult&) {});
+        [](std::size_t, std::span<const std::uint64_t>, const GridPipelineResult&) {});
     ASSERT_GT(result.candidate_set_growths, 0u) << threads;
 
     const obs::TelemetrySnapshot snap = obs::snapshot();
