@@ -1,19 +1,25 @@
 /// Micro-benchmarks of the spatial substrates: MurMur3 hashing, the
 /// lock-free grid hash set (the paper's core data structure) under varying
-/// load factors and thread counts, the candidate buffer, and the k-d tree
-/// baseline from the related work ([29]) that motivates choosing the grid:
-/// the tree must be rebuilt every sample step.
+/// load factors and thread counts, one whole sample step through the hash
+/// grid against one through the CPU's cell list, the candidate buffer, and
+/// the k-d tree baseline from the related work ([29]) that motivates
+/// choosing the grid: the tree must be rebuilt every sample step.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "util/constants.hpp"
 
 #include "parallel/thread_pool.hpp"
+#include "population/generator.hpp"
+#include "propagation/contour_solver.hpp"
+#include "propagation/two_body.hpp"
 #include "spatial/candidate_buffer.hpp"
 #include "spatial/cell.hpp"
+#include "spatial/cell_list.hpp"
 #include "spatial/grid_hash_set.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/murmur3.hpp"
@@ -130,6 +136,92 @@ void BM_GridHashSetFind(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridHashSetFind);
+
+/// Epoch positions of generate_population({n, 1}): the shells, planes and
+/// clustering the screener sees.
+std::vector<Vec3> population_positions(std::size_t n) {
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(generate_population({n, 1}), solver);
+  std::vector<Vec3> out(n);
+  propagator.positions_at(0.0, 0, n, out.data());
+  return out;
+}
+
+/// Step arguments: n, and the cell size in units of 0.1 km (33.2 km is
+/// grid_20k's d = 2 km, s_ps = 4 s; 126.8 km hybrid_50k's d = 2 km,
+/// s_ps = 16 s).
+void step_args(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t n : {1000, 20000, 100000}) {
+    for (const std::int64_t cell : {332, 1268}) b->Args({n, cell});
+  }
+}
+
+/// One full-screen sample step through the paper's hash grid, as devicesim
+/// runs it on one thread: clear, insert every satellite, then scan every
+/// slot and probe the 13 forward neighbours of each occupied cell. Counts
+/// the pairs met so the two structures can be compared.
+void BM_StepGridHashSet(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const CellIndexer indexer(static_cast<double>(state.range(1)) / 10.0);
+  const auto positions = population_positions(n);
+  GridHashSet grid(n);
+  std::uint64_t pairs = 0;
+  for (auto _ : state) {
+    grid.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      grid.insert(indexer.key_of(positions[i]), static_cast<std::uint32_t>(i), positions[i]);
+    }
+    pairs = 0;
+    for (std::size_t slot = 0; slot < grid.slot_count(); ++slot) {
+      const std::uint64_t key = grid.slot_key(slot);
+      if (key == kEmptySlotKey) continue;
+      const CellCoord c = indexer.unpack(key);
+      const std::uint32_t head = grid.slot_head(slot);
+      for (const CellCoord& off : cell_half_neighborhood()) {
+        const bool self = off == CellCoord{};
+        const std::uint32_t other =
+            self ? head : grid.find(indexer.pack({c.x + off.x, c.y + off.y, c.z + off.z}));
+        for (std::uint32_t a = head; other != kNoEntry && a != kNoEntry;
+             a = grid.entry(a).next) {
+          for (std::uint32_t b = self ? grid.entry(a).next : other; b != kNoEntry;
+               b = grid.entry(b).next) {
+            ++pairs;
+          }
+        }
+      }
+    }
+    benchmark::DoNotOptimize(pairs);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["bytes"] = static_cast<double>(grid.memory_bytes());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_StepGridHashSet)->Apply(step_args);
+
+/// The same step through the CPU's cell list: compute keys and radix-sort,
+/// then one forward sweep. `pairs` must equal BM_StepGridHashSet's.
+void BM_StepCellList(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const CellIndexer indexer(static_cast<double>(state.range(1)) / 10.0);
+  const auto positions = population_positions(n);
+  CellList list(indexer, n);
+  std::uint64_t pairs = 0;
+  for (auto _ : state) {
+    list.build(n, [&](std::size_t begin, std::size_t end, Vec3* out) {
+      std::copy(positions.begin() + static_cast<std::ptrdiff_t>(begin),
+                positions.begin() + static_cast<std::ptrdiff_t>(end), out);
+    });
+    pairs = 0;
+    std::uint64_t cells = 0;
+    list.sweep([&](std::uint32_t, const Vec3&, std::uint32_t, const Vec3&) { return ++pairs; },
+               cells);
+    benchmark::DoNotOptimize(cells);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["bytes"] = static_cast<double>(list.memory_bytes());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_StepCellList)->Apply(step_args);
 
 void BM_CandidateBufferInsert(benchmark::State& state) {
   const std::size_t n = 1 << 16;

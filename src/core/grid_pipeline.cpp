@@ -14,6 +14,7 @@
 #include "orbit/geometry.hpp"
 #include "propagation/two_body.hpp"
 #include "spatial/cell.hpp"
+#include "spatial/cell_list.hpp"
 #include "spatial/grid_hash_set.hpp"
 #include "util/stopwatch.hpp"
 
@@ -39,9 +40,9 @@ void simulate_upload(Device& device, DeviceBuffer<std::byte>& dst, std::size_t b
   }
 }
 
-/// Detection-funnel tallies of one scan attempt: occupied cells (cells
-/// that a masked screen's lookups hit), and the pairs tested and where each
-/// left the funnel.
+/// Detection-funnel tallies of one scan attempt: occupied cells (on a
+/// masked screen, the cells its lookups hit), and the pairs tested and
+/// where each left the funnel.
 struct ScanTally {
   std::uint64_t occupied = 0, tested = 0, prefiltered = 0, emitted = 0;
 
@@ -55,7 +56,9 @@ struct ScanTally {
 };
 
 /// The distance prefilter and candidate emission every pair found in
-/// neighbouring cells goes through, on both the full and the masked path.
+/// neighbouring cells goes through, on every path: the CPU's cell-list
+/// sweep, the devicesim cell scan and the masked lookups. The test is
+/// symmetric in a and b, so the order a path meets a pair in never matters.
 struct PairTest {
   CandidateBuffer& candidates;
   const double* vmax;  ///< per-satellite speed bound [km/s]
@@ -64,18 +67,18 @@ struct PairTest {
 
   /// Returns false when the candidate buffer is full; the round is then
   /// re-run on a grown buffer.
-  bool operator()(const GridEntry& a, std::uint32_t b, const Vec3& b_position,
-                  std::uint32_t step, ScanTally& tally) const {
+  bool operator()(std::uint32_t a, const Vec3& a_position, std::uint32_t b,
+                  const Vec3& b_position, std::uint32_t step, ScanTally& tally) const {
     ++tally.tested;
     // A pair farther apart than d + (v_max_a + v_max_b) * s/2 cannot reach
     // the threshold closer than half a sample from this step; the step
     // nearest its minimum keeps it.
-    const double cutoff = threshold_km + half_sps * (vmax[a.satellite] + vmax[b]);
-    if ((a.position - b_position).norm2() > cutoff * cutoff) {
+    const double cutoff = threshold_km + half_sps * (vmax[a] + vmax[b]);
+    if ((a_position - b_position).norm2() > cutoff * cutoff) {
       ++tally.prefiltered;
       return true;
     }
-    if (candidates.insert(a.satellite, b, step) == CandidateBuffer::Insert::kFull) {
+    if (candidates.insert(a, b, step) == CandidateBuffer::Insert::kFull) {
       return false;
     }
     ++tally.emitted;
@@ -83,8 +86,8 @@ struct PairTest {
   }
 };
 
-/// The CD body of a full screen, shared by the CPU worker and the
-/// devicesim CD kernel.
+/// The CD body of a devicesim full screen: the paper's scan of one slot of
+/// a GridHashSet. (A CPU full screen sweeps a CellList instead.)
 struct CellScan {
   const CellIndexer& indexer;
   PairTest test;
@@ -120,7 +123,9 @@ struct CellScan {
         for (std::uint32_t eb = self ? a.next : other_head; eb != kNoEntry;
              eb = grid.entry(eb).next) {
           const GridEntry& b = grid.entry(eb);
-          if (!test(a, b.satellite, b.position, step, cell)) return false;
+          if (!test(a.satellite, a.position, b.satellite, b.position, step, cell)) {
+            return false;
+          }
         }
       }
     }
@@ -175,15 +180,15 @@ struct PhantomScan {
     for (std::uint32_t e = head; e != kNoEntry; e = table.entry(e).next) {
       const GridEntry& d = table.entry(e);
       if (self_dirty && d.satellite <= satellite) continue;
-      if (!test(d, satellite, position, step, cell)) return false;
+      if (!test(d.satellite, d.position, satellite, position, step, cell)) return false;
     }
     tally += cell;
     return true;
   }
 };
 
-/// The INS body for one (sample, satellite) tuple of a full screen, shared
-/// by the CPU worker and the devicesim INS kernel.
+/// The INS body for one (sample, satellite) tuple of a devicesim full
+/// screen.
 void insert_sample(GridHashSet& grid, const CellIndexer& indexer,
                    std::size_t satellite, const Vec3& position) {
   if (!grid.insert(indexer.key_of(position), static_cast<std::uint32_t>(satellite),
@@ -205,7 +210,12 @@ struct RoundInputs {
   /// Set for a masked screen, whose steps go through the phantom table
   /// instead of `scan`.
   const PhantomScan* phantom;
+  /// The per-step tables: on the CPU one cell list per worker for a full
+  /// screen (`grids` empty) and one phantom table per worker when masked
+  /// (`lists` empty); on devicesim one grid or phantom table per step of a
+  /// round.
   std::vector<GridHashSet>& grids;
+  std::vector<CellList>& lists;
 
   double sample_time(std::size_t step) const {
     return result.sample_time(step, config.t_begin, config.t_end);
@@ -224,7 +234,7 @@ struct RoundInputs {
   }
 };
 
-/// One attempt at a round: its funnel tallies, the seconds of its grid
+/// One attempt at a round: its funnel tallies, the seconds of its table
 /// clears, INS and CD, and whether the candidate buffer filled up.
 struct RoundAttempt {
   ScanTally tally;
@@ -234,43 +244,47 @@ struct RoundAttempt {
   bool overflow = false;
 };
 
-/// Satellites the CPU worker propagates at a time.
+/// Satellites a masked CPU step propagates at a time.
 constexpr std::size_t kChunk = 256;
 
-/// CPU, one step of a full screen through the worker's cleared grid:
-/// propagate and insert every satellite, then scan every slot while the
-/// grid is still in the worker's cache. Returns false on overflow.
-bool full_step(const RoundInputs& in, GridHashSet& grid, std::size_t step,
+/// CPU, one step of a full screen through the worker's cell list:
+/// propagate every satellite and sort the step by cell (INS), then sweep
+/// the cells while the list is still in the worker's cache (CD). Every
+/// pair the sweep meets goes through the same PairTest as on the grid, so
+/// the step's candidates are exactly the grid's. Returns false on
+/// overflow.
+bool full_step(const RoundInputs& in, CellList& list, std::size_t step,
                RoundAttempt& part, Stopwatch& clock) {
   const std::size_t n = in.propagator.size();
   const double t = in.sample_time(step);
-  Vec3 positions[kChunk];
-  for (std::size_t sat0 = 0; sat0 < n; sat0 += kChunk) {
-    const std::size_t end = std::min(n, sat0 + kChunk);
-    in.positions(t, sat0, end, positions);
-    for (std::size_t sat = sat0; sat < end; ++sat) {
-      insert_sample(grid, in.scan.indexer, sat, positions[sat - sat0]);
-    }
-  }
+  list.build(n, [&](std::size_t begin, std::size_t end, Vec3* out) {
+    in.positions(t, begin, end, out);
+  });
+  obs::count_unprobed_inserts(n);
   part.insertion_seconds += clock.lap();
 
-  bool fits = true;
-  for (std::size_t slot = 0; fits && slot < grid.slot_count(); ++slot) {
-    fits = in.scan(grid, slot, static_cast<std::uint32_t>(step), part.tally);
-  }
+  const auto s = static_cast<std::uint32_t>(step);
+  const PairTest& test = in.scan.test;
+  const bool fits = list.sweep(
+      [&](std::uint32_t a, const Vec3& a_position, std::uint32_t b, const Vec3& b_position) {
+        return test(a, a_position, b, b_position, s, part.tally);
+      },
+      part.tally.occupied);
   part.detection_seconds += clock.lap();
   return fits;
 }
 
-/// CPU, one step of a masked screen through the worker's cleared phantom
-/// table: register the dirty objects, then propagate every satellite chunk
-/// by chunk and look each one up. Propagation counts as INS, lookups as
-/// CD. Returns false on overflow.
+/// CPU, one step of a masked screen through the worker's phantom table:
+/// clear it, register the dirty objects, then propagate every satellite
+/// chunk by chunk and look each one up. Propagation counts as INS, lookups
+/// as CD. Returns false on overflow.
 bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step,
                   RoundAttempt& part, Stopwatch& clock) {
   const PhantomScan& phantom = *in.phantom;
   const std::size_t n = in.propagator.size();
   const double t = in.sample_time(step);
+  table.clear();
+  part.clear_seconds += clock.lap();
   for (const std::uint32_t sat : phantom.dirty_objects) {
     Vec3 position;
     in.positions(t, sat, sat + 1, &position);
@@ -295,15 +309,15 @@ bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step,
   return true;
 }
 
-/// CPU round: each worker owns one grid (a phantom table when masked) and
-/// runs whole sample steps through it, taking the next step of the round
-/// until none is left. Phase seconds are the workers' summed seconds
+/// CPU round: each worker owns one cell list (a phantom table when masked)
+/// and runs whole sample steps through it, taking the next step of the
+/// round until none is left. Phase seconds are the workers' summed seconds
 /// divided by the number of workers. On overflow the workers stop, and the
 /// telemetry they counted is taken back: the caller grows the candidate
 /// buffer and re-runs the whole round.
 RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t steps) {
   ThreadPool& pool = pool_of(in.config);
-  const std::size_t workers = in.grids.size();
+  const std::size_t workers = in.phantom == nullptr ? in.lists.size() : in.grids.size();
 
   std::vector<RoundAttempt> parts(workers);
   std::vector<obs::TelemetrySnapshot> saved(workers);
@@ -312,16 +326,14 @@ RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t s
   pool.run_on_all([&](std::size_t w) {
     if (w >= workers) return;
     saved[w] = obs::thread_counts();
-    GridHashSet& grid = in.grids[w];
     RoundAttempt part;
     Stopwatch clock;
     while (!overflow.load(std::memory_order_relaxed)) {
       const std::size_t step = step0 + next.fetch_add(1, std::memory_order_relaxed);
       if (step >= step0 + steps) break;
-      grid.clear();
-      part.clear_seconds += clock.lap();
-      const bool fits = in.phantom == nullptr ? full_step(in, grid, step, part, clock)
-                                              : phantom_step(in, grid, step, part, clock);
+      const bool fits = in.phantom == nullptr
+                            ? full_step(in, in.lists[w], step, part, clock)
+                            : phantom_step(in, in.grids[w], step, part, clock);
       if (!fits) overflow.store(true, std::memory_order_relaxed);
     }
     parts[w] = part;
@@ -442,11 +454,13 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
         "run_grid_pipeline: dirty_mask size does not match the population");
   }
   // A masked screen's detection table holds 27 entries per dirty object
-  // (PhantomScan); a full screen's grid one per satellite.
+  // (PhantomScan); a full screen's one per satellite, in a cell list on
+  // the CPU and in the paper's grid on devicesim.
   std::vector<std::uint32_t> dirty_objects;
   for (std::size_t i = 0; masked && i < n; ++i) {
     if (options.dirty_mask[i] != 0) dirty_objects.push_back(static_cast<std::uint32_t>(i));
   }
+  const bool cell_lists = device == nullptr && !masked;
   const std::size_t table_entries =
       masked ? std::max<std::size_t>(27 * dirty_objects.size(), 1) : n;
 
@@ -472,7 +486,7 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   request.span_seconds = config.span_seconds();
   request.seconds_per_sample = config.seconds_per_sample;
   request.memory_budget = budget;
-  request.grid_entries = table_entries;
+  request.grid_entries = cell_lists ? 0 : table_entries;
   if (masked) {
     // Only pairs with a dirty member are tested: a share 1 - (1 - f)^2 of
     // all pairs for a dirty fraction f. An undershoot grows the buffer.
@@ -502,16 +516,26 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   const std::size_t p = result.plan.parallel_samples;
   const std::size_t total_steps = result.plan.total_samples;
 
-  // Step 1 (allocation): the grids (phantom tables when masked), the
-  // candidate buffer, and the per-satellite speed bounds used by the
-  // distance prefilter. devicesim holds one grid per step of a round (p);
-  // on the CPU each worker owns one grid, so min(p, workers) are enough.
-  // Every grid is cleared before a step is inserted into it.
-  const std::size_t grid_count =
+  // Step 1 (allocation): the per-step tables, the candidate buffer, and
+  // the per-satellite speed bounds used by the distance prefilter.
+  // devicesim holds one grid (phantom table when masked) per step of a
+  // round (p); on the CPU each worker owns one cell list (phantom table
+  // when masked), so min(p, workers) are enough. Every hash table is
+  // cleared before a step is inserted into it; a cell list is simply
+  // rebuilt.
+  const std::size_t table_count =
       device != nullptr ? p : std::min(p, pool_of(config).thread_count());
   std::vector<GridHashSet> grids;
-  grids.reserve(grid_count);
-  while (grids.size() < grid_count) grids.emplace_back(table_entries);
+  std::vector<CellList> lists;
+  if (cell_lists) {
+    lists.reserve(table_count);
+    while (lists.size() < table_count) lists.emplace_back(indexer, n);
+    for (const CellList& l : lists) result.grid_memory_bytes += l.memory_bytes();
+  } else {
+    grids.reserve(table_count);
+    while (grids.size() < table_count) grids.emplace_back(table_entries);
+    for (const GridHashSet& g : grids) result.grid_memory_bytes += g.memory_bytes();
+  }
   CandidateBuffer candidates(request.candidate_capacity);
 
   std::vector<double> vmax(n);
@@ -519,7 +543,6 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
     vmax[i] = max_speed(propagator.elements(i));
   });
 
-  for (const GridHashSet& g : grids) result.grid_memory_bytes += g.memory_bytes();
   result.candidate_memory_bytes = candidates.memory_bytes();
 
   // Device mode: account the fixed data, grids and candidate buffer against
@@ -546,10 +569,11 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
       propagator,
       device == nullptr ? dynamic_cast<const TwoBodyPropagator*>(&propagator)
                         : nullptr,
-      config, result, scan, masked ? &phantom : nullptr, grids};
-  // Per step, a full screen scans every slot, a masked one looks up each
-  // of the n satellites once.
-  const std::size_t scanned_per_step = masked ? n : grids.front().slot_count();
+      config, result, scan, masked ? &phantom : nullptr, grids, lists};
+  // Per step, a CPU full screen sweeps its n list entries, a masked one
+  // looks up each of the n satellites once, and a devicesim full screen
+  // scans every slot of its grid.
+  const std::size_t scanned_per_step = cell_lists || masked ? n : grids.front().slot_count();
 
   // Step 2 (INS + CD), round by round. A round that fills the candidate
   // buffer is retried on a grown, empty buffer, and the retry inserts every

@@ -75,8 +75,9 @@ using GridRoundSink = std::function<void(
     std::size_t round, std::span<const std::uint64_t> keys,
     const GridPipelineResult& pipeline)>;
 
-/// Thrown by run_grid_pipeline when even one grid (or phantom table) does
-/// not fit into the memory budget at 1 s sampling.
+/// Thrown by run_grid_pipeline when even one per-step table (cell list,
+/// grid or phantom table) does not fit into the memory budget at 1 s
+/// sampling.
 class MemoryBudgetExceeded : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -87,44 +88,46 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// grid, Eq. 4 for hybrid; under a dirty mask scaled by the share of pairs
 /// with a dirty member, 1 - (1 - k/n)^2) and plans the sample parallelism p from the
 /// memory budget (device memory when config.device is set), charging the
-/// detection table each step actually uses: an n-entry grid, or a
-/// 27k-entry phantom table under a dirty mask of k objects. It then
-/// screens the steps in rounds of p: each step's satellites are propagated
-/// into a grid, and every occupied cell is scanned against its
-/// half-stencil neighbourhood for candidate pairs, appended to the
-/// lock-free candidate buffer (a masked step registers the dirty objects
-/// and looks every satellite up instead; see
+/// detection table each step actually uses: an n-entry cell list on the
+/// CPU, an n-entry grid on devicesim, or a 27k-entry phantom table under a
+/// dirty mask of k objects. It then screens the steps in rounds of p: each
+/// step's satellites are propagated into the table, and every pair in
+/// the same or neighbouring cells (each once) that passes the distance
+/// prefilter is appended to the lock-free candidate buffer (a masked step
+/// registers the dirty objects and looks every satellite up instead; see
 /// GridPipelineOptions::dirty_mask). If the count model proves too small,
 /// the buffer grows and the round is re-run. After every round the buffer
 /// is handed to `sink` (the sink is called once per round, in round
 /// order) and cleared for the next round, so memory stays bounded by one
 /// round's candidates regardless of the span length.
 ///
-/// The two backends share the insert and cell-scan bodies (the register
-/// and lookup bodies when masked) but not their execution shape:
-///  - CPU: min(p, workers) grids, one per worker of the pool. A worker
-///    takes the round's steps one at a time and clears its grid,
-///    propagates and inserts every satellite, and scans the grid while it
-///    is still in its cache; under a mask it registers the dirty objects,
-///    then propagates the satellites chunk by chunk and looks each one up.
-///    A TwoBodyPropagator goes through the batched SoA kernel, any other
-///    propagator through position(). A round with fewer steps than workers
-///    leaves the surplus workers idle.
-///  - devicesim: the paper's decomposition, p grids and per round one INS
-///    kernel (a thread per (sample, satellite) tuple, position() each)
+/// The two backends share the pair test (and the register and lookup
+/// bodies when masked) but not their detection structure or execution
+/// shape:
+///  - CPU: min(p, workers) cell lists, one per worker of the pool. A
+///    worker takes the round's steps one at a time, propagates every
+///    satellite into its list and sorts it by cell (INS), and sweeps the
+///    list while it is still in its cache (CD); under a mask it clears a
+///    phantom table, registers the dirty objects, then propagates the
+///    satellites chunk by chunk and looks each one up. A TwoBodyPropagator
+///    goes through the batched SoA kernel, any other propagator through
+///    position(). A round with fewer steps than workers leaves the surplus
+///    workers idle.
+///  - devicesim: the paper's decomposition, p hash grids and per round one
+///    INS kernel (a thread per (sample, satellite) tuple, position() each)
 ///    and one CD kernel (a thread per (sample, slot)). Under a mask the
 ///    INS kernel has a thread per (sample, dirty object) and the CD kernel
 ///    one per (sample, satellite), position() each.
 /// Positions, candidates and reports are bit-identical across backends,
 /// thread counts and round shapes. Phase seconds on the CPU are the
-/// workers' summed seconds divided by the number of workers; per-step grid
-/// clears count as allocation.
+/// workers' summed seconds divided by the number of workers; per-step
+/// table clears count as allocation.
 ///
 /// Throws std::invalid_argument when the population or the number of
 /// sample steps exceeds what a candidate key can hold (2^20 satellites,
 /// 2^24 steps), checked before anything is allocated, and
-/// MemoryBudgetExceeded when even a single grid does not fit into the
-/// memory budget.
+/// MemoryBudgetExceeded when even a single per-step table does not fit
+/// into the memory budget.
 GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const ScreeningConfig& config,
                                      const ConjunctionCountModel& count_model,

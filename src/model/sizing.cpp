@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "spatial/candidate_buffer.hpp"
+#include "spatial/cell_list.hpp"
 #include "spatial/grid_hash_set.hpp"
 
 namespace scod {
@@ -20,8 +21,9 @@ SizingPlan plan_samples(const SizingRequest& request) {
   const std::uint64_t n = request.satellites;
   plan.fixed_bytes = n * (kSatelliteBytes + kKeplerCacheBytes) +
                      CandidateBuffer::projected_memory_bytes(request.candidate_capacity);
-  plan.per_grid_bytes = GridHashSet::projected_memory_bytes(
-      request.grid_entries != 0 ? request.grid_entries : request.satellites);
+  plan.per_grid_bytes = request.grid_entries != 0
+                           ? GridHashSet::projected_memory_bytes(request.grid_entries)
+                           : CellList::projected_memory_bytes(request.satellites);
 
   if (plan.fixed_bytes + plan.per_grid_bytes > request.memory_budget) {
     plan.fits = false;

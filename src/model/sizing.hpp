@@ -9,9 +9,10 @@
 namespace scod {
 
 // Per-satellite bytes of the fixed data in the memory model of Section V-B.
-// The grid (a_gh + a_l) and candidate-buffer (a_ch) shares come from the
-// structures themselves: GridHashSet::projected_memory_bytes and
-// CandidateBuffer::projected_memory_bytes.
+// The per-step table (a_gh + a_l) and candidate-buffer (a_ch) shares come
+// from the structures themselves: CellList::projected_memory_bytes (a CPU
+// full screen), GridHashSet::projected_memory_bytes (devicesim and masked
+// screens) and CandidateBuffer::projected_memory_bytes.
 
 /// a_s: one Satellite record.
 inline constexpr std::uint64_t kSatelliteBytes = sizeof(Satellite);
@@ -26,9 +27,10 @@ struct SizingRequest {
   double seconds_per_sample = 1.0;     ///< s_ps
   std::size_t candidate_capacity = 0;  ///< c, from candidate_capacity_from_model()
   std::uint64_t memory_budget = 0;     ///< m [bytes]
-  /// Entries of one sample step's detection table: 27k for a screen that
-  /// registers k dirty objects in their 27-cell neighbourhoods, 0 (the
-  /// default) for the full grid of one entry per satellite.
+  /// Entries of one sample step's GridHashSet: 27k for a screen that
+  /// registers k dirty objects in their 27-cell neighbourhoods, n for a
+  /// devicesim full screen. 0 (the default) stands for a CPU full screen,
+  /// whose step goes through a CellList of one entry per satellite.
   std::size_t grid_entries = 0;
   /// Share of the population's pairs the screen tests, which scales the
   /// model's candidate count in auto_adjust_sps: 1 for a full screen,
@@ -44,7 +46,7 @@ struct SizingPlan {
   std::size_t parallel_samples = 0;  ///< p (>= 1 when fits)
   std::size_t rounds = 0;            ///< r_c
   std::uint64_t fixed_bytes = 0;     ///< a_s + a_k + a_ch
-  std::uint64_t per_grid_bytes = 0;  ///< a_gh + a_l, for grid_entries
+  std::uint64_t per_grid_bytes = 0;  ///< a_gh + a_l: one step's table
   bool fits = false;                 ///< false when even p = 1 exceeds m
 };
 

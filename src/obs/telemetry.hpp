@@ -32,7 +32,8 @@
 namespace scod::obs {
 
 enum class Counter : std::uint32_t {
-  // Insertion phase / GridHashSet internals.
+  // Insertion phase: GridHashSet internals (a cell list's inserts take no
+  // probe step and no CAS).
   kSamplesPropagated,
   kGridInserts,
   kGridProbeSteps,
@@ -168,6 +169,17 @@ inline void count_grid_insert(std::uint64_t probe_steps,
   h.store(h.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
+// `n` inserts that took no probe step: a cell list registers a step's
+// samples by sorting them. Counts them as inserts in histogram bucket 0,
+// so the histogram still sums to the inserts.
+inline void count_unprobed_inserts(std::uint64_t n) {
+  if (!enabled()) return;
+  detail::ThreadBlock& block = detail::local_block();
+  block.bump(static_cast<std::size_t>(Counter::kGridInserts), n);
+  auto& h = block.probes[0];
+  h.store(h.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
 inline void add_seconds(Counter c, double seconds) {
   if (!enabled()) return;
   if (seconds < 0.0) return;
@@ -184,6 +196,7 @@ inline TelemetrySnapshot thread_counts() { return {}; }
 inline void restore_thread_counts(const TelemetrySnapshot&) {}
 inline void count(Counter, std::uint64_t = 1) {}
 inline void count_grid_insert(std::uint64_t, std::uint64_t) {}
+inline void count_unprobed_inserts(std::uint64_t) {}
 inline void add_seconds(Counter, double) {}
 
 #endif  // SCOD_TELEMETRY_ENABLED

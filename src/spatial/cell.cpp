@@ -1,6 +1,5 @@
 #include "spatial/cell.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,15 +20,6 @@ CellIndexer::CellIndexer(double cell_size, double half_extent)
     throw std::invalid_argument("CellIndexer: cell size too small for 21-bit axis keys");
   }
   cells_per_axis_ = static_cast<std::int32_t>(cells);
-}
-
-CellCoord CellIndexer::cell_of(const Vec3& position) const {
-  auto axis = [&](double v) {
-    const double idx = std::floor((v + half_extent_) * inv_cell_size_);
-    const double clamped = std::clamp(idx, 0.0, static_cast<double>(cells_per_axis_ - 1));
-    return static_cast<std::int32_t>(clamped);
-  };
-  return {axis(position.x), axis(position.y), axis(position.z)};
 }
 
 std::uint64_t CellIndexer::pack(const CellCoord& c) const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -44,8 +45,17 @@ class CellIndexer {
 
   /// Cell containing `position`; positions outside the cube are clamped to
   /// the boundary cells (the population generator never produces them, but
-  /// propagation of an HEO apogee might graze the boundary).
-  CellCoord cell_of(const Vec3& position) const;
+  /// propagation of an HEO apogee might graze the boundary). Clamping
+  /// before truncating equals flooring before clamping, without a call to
+  /// floor(): every step of a screen computes n cells.
+  CellCoord cell_of(const Vec3& position) const {
+    const double last = static_cast<double>(cells_per_axis_ - 1);
+    const auto axis = [&](double v) {
+      return static_cast<std::int32_t>(
+          std::clamp((v + half_extent_) * inv_cell_size_, 0.0, last));
+    };
+    return {axis(position.x), axis(position.y), axis(position.z)};
+  }
 
   /// Packs a coordinate into a key: 21 bits per axis, offset to unsigned.
   std::uint64_t pack(const CellCoord& c) const;

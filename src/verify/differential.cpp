@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "obs/telemetry.hpp"
+#include "parallel/device.hpp"
 #include "service/screening_service.hpp"
 
 namespace scod::verify {
@@ -90,6 +91,25 @@ void diff_against_oracle(const std::string& name,
                          " oracle_pca=" + std::to_string(best->pca)});
     }
   }
+}
+
+/// Requires devicesim's grid report, detected through the paper's hash
+/// grid, to equal the CPU's, detected through cell lists: the two
+/// structures must find the same candidates, so every conjunction must
+/// match bit for bit. Reports the first event where the two differ.
+void diff_backends(const std::vector<Conjunction>& cpu,
+                   const std::vector<Conjunction>& device,
+                   std::vector<Divergence>& out) {
+  const auto same = [](const Conjunction& a, const Conjunction& b) {
+    return a.sat_a == b.sat_a && a.sat_b == b.sat_b && a.tca == b.tca && a.pca == b.pca;
+  };
+  const auto [c, d] = std::mismatch(cpu.begin(), cpu.end(), device.begin(), device.end(), same);
+  if (c == cpu.end() && d == device.end()) return;
+  const bool from_cpu = c != cpu.end();
+  const Conjunction& event = from_cpu ? *c : *d;
+  out.push_back({"grid-devicesim", Divergence::Kind::kBackendMismatch, event,
+                 event_detail(from_cpu ? "CPU event devicesim lacks" : "devicesim extra event",
+                              event)});
 }
 
 /// Runs the case's randomized delta through the incremental service and
@@ -250,6 +270,7 @@ const char* divergence_kind_name(Divergence::Kind kind) {
     case Divergence::Kind::kPcaMismatch: return "pca-mismatch";
     case Divergence::Kind::kServiceMismatch: return "service-mismatch";
     case Divergence::Kind::kCounterViolation: return "counter-violation";
+    case Divergence::Kind::kBackendMismatch: return "backend-mismatch";
   }
   return "unknown";
 }
@@ -311,21 +332,36 @@ CaseResult run_differential(const FuzzCase& fuzz_case,
 
   const bool counters = options.check_counters && obs::compiled();
   const bool was_enabled = obs::enabled();
-  for (const Variant variant : kAllVariants) {
+  const auto screen_checked = [&](const std::string& name, Variant variant,
+                                  const ScreeningConfig& config) {
     if (counters) {
       obs::reset();
       obs::set_enabled(true);
     }
-    const ScreeningReport report =
-        screen(fuzz_case.satellites, fuzz_case.config, variant);
+    ScreeningReport report = screen(fuzz_case.satellites, config, variant);
     if (counters) {
       obs::set_enabled(was_enabled);
-      check_counter_invariants(variant_name(variant), variant, report,
-                               obs::snapshot(), result.divergences);
+      check_counter_invariants(name, variant, report, obs::snapshot(), result.divergences);
     }
-    diff_against_oracle(variant_name(variant), report.conjunctions, oracle,
-                        threshold, tol, result.divergences);
+    diff_against_oracle(name, report.conjunctions, oracle, threshold, tol,
+                        result.divergences);
+    return report;
+  };
+  std::vector<Conjunction> cpu_grid;
+  for (const Variant variant : kAllVariants) {
+    ScreeningReport report =
+        screen_checked(variant_name(variant), variant, fuzz_case.config);
+    if (variant == Variant::kGrid) cpu_grid = std::move(report.conjunctions);
   }
+
+  // The grid once more on devicesim, where the paper's hash grid detects
+  // what the CPU's cell lists did.
+  Device device;
+  ScreeningConfig device_config = fuzz_case.config;
+  device_config.device = &device;
+  diff_backends(cpu_grid,
+                screen_checked("grid-devicesim", Variant::kGrid, device_config).conjunctions,
+                result.divergences);
 
   if (options.check_service) {
     diff_service(fuzz_case, result.divergences);

@@ -29,13 +29,15 @@ struct DiffTolerances {
 
 /// One confirmed disagreement between a screener and the reference.
 struct Divergence {
-  std::string screener;  ///< "grid", "hybrid", "legacy", "service"
+  /// "grid", "hybrid", "legacy", "grid-devicesim", "service"
+  std::string screener;
   enum class Kind : std::uint8_t {
     kMissed,            ///< oracle event below the band, screener silent
     kSpurious,          ///< screener event with no oracle counterpart
     kPcaMismatch,       ///< matched event, PCA disagreement beyond tolerance
     kServiceMismatch,   ///< incremental report != from-scratch reference
     kCounterViolation,  ///< telemetry funnel invariant broken (src/obs)
+    kBackendMismatch,   ///< devicesim's grid report != the CPU's
   } kind = Kind::kMissed;
   /// The event at issue (oracle's for kMissed, screener's otherwise), in
   /// dense-index space; for kServiceMismatch the indices are catalog ids.
@@ -82,10 +84,12 @@ struct DifferentialOptions {
   bool check_counters = true;
 };
 
-/// Screens `fuzz_case` through every variant in kAllVariants and the
-/// incremental service, diffs each conjunction set against the dense-scan
-/// oracle (the service against its own from-scratch reference), and
-/// reports every divergence. A passing case returns ok() == true.
+/// Screens `fuzz_case` through every variant in kAllVariants, through grid
+/// once more on devicesim, and through the incremental service; diffs each
+/// conjunction set against the dense-scan oracle (the service against its
+/// own from-scratch reference, devicesim's grid also against the CPU's,
+/// which must match exactly), and reports every divergence. A passing case
+/// returns ok() == true.
 CaseResult run_differential(const FuzzCase& fuzz_case,
                             const DifferentialOptions& options = {});
 

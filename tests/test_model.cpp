@@ -6,6 +6,7 @@
 #include "model/powerlaw_fit.hpp"
 #include "model/sizing.hpp"
 #include "spatial/candidate_buffer.hpp"
+#include "spatial/cell_list.hpp"
 #include "spatial/grid_hash_set.hpp"
 #include "util/rng.hpp"
 
@@ -72,8 +73,9 @@ TEST(Sizing, TightBudgetReducesParallelism) {
 }
 
 TEST(Sizing, ChargesTheRequestedDetectionTable) {
-  // A grid holds one entry per satellite unless the request names another
-  // table size (a masked screen's 27 entries per dirty object); the fixed
+  // A CPU full screen's step goes through a cell list of one entry per
+  // satellite unless the request names a GridHashSet size (a masked
+  // screen's 27 entries per dirty object, a devicesim grid's n); the fixed
   // data still scale with n.
   SizingRequest req;
   req.satellites = 10000;
@@ -82,7 +84,13 @@ TEST(Sizing, ChargesTheRequestedDetectionTable) {
   req.candidate_capacity = 10000;
   req.memory_budget = 1ull << 30;
   const SizingPlan full = plan_samples(req);
-  EXPECT_EQ(full.per_grid_bytes, GridHashSet::projected_memory_bytes(10000));
+  EXPECT_EQ(full.per_grid_bytes, CellList::projected_memory_bytes(10000));
+  EXPECT_EQ(full.per_grid_bytes, 10000u * 48u + 16u);
+
+  req.grid_entries = 10000;
+  const SizingPlan device = plan_samples(req);
+  EXPECT_EQ(device.per_grid_bytes, GridHashSet::projected_memory_bytes(10000));
+  EXPECT_EQ(device.fixed_bytes, full.fixed_bytes);
 
   req.grid_entries = 27 * 100;
   const SizingPlan masked = plan_samples(req);
@@ -115,8 +123,9 @@ TEST(Sizing, CandidateMapBytesGrowWithCapacity) {
 }
 
 TEST(Sizing, ModelAgreesWithTheStructures) {
-  // The plan's per-grid bytes are what one GridHashSet of n entries
-  // occupies, and its fixed bytes are n * (a_s + a_k) plus what the
+  // The plan's per-grid bytes are what one CellList of n entries (sort
+  // scratch included) occupies, or one GridHashSet when the request names
+  // its entries, and its fixed bytes are n * (a_s + a_k) plus what the
   // CandidateBuffer of the requested capacity occupies.
   EXPECT_EQ(kSatelliteBytes, 56u);
   EXPECT_EQ(kKeplerCacheBytes, 112u);
@@ -130,7 +139,9 @@ TEST(Sizing, ModelAgreesWithTheStructures) {
       req.memory_budget = 4ull << 30;
       const SizingPlan plan = plan_samples(req);
       ASSERT_TRUE(plan.fits);
-      EXPECT_EQ(plan.per_grid_bytes, GridHashSet(n).memory_bytes()) << n;
+      EXPECT_EQ(plan.per_grid_bytes, CellList(CellIndexer(10.0), n).memory_bytes()) << n;
+      req.grid_entries = n;
+      EXPECT_EQ(plan_samples(req).per_grid_bytes, GridHashSet(n).memory_bytes()) << n;
       EXPECT_EQ(plan.fixed_bytes - n * (kSatelliteBytes + kKeplerCacheBytes),
                 CandidateBuffer(capacity).memory_bytes())
           << n << " " << capacity;

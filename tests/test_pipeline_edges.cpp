@@ -22,6 +22,7 @@
 #include "propagation/two_body.hpp"
 #include "scenario_helpers.hpp"
 #include "spatial/cell.hpp"
+#include "spatial/cell_list.hpp"
 #include "spatial/grid_hash_set.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
@@ -219,7 +220,9 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
   // neighbours and lets the conjunction map drop the second copy of each
   // pair. Enumerate that by brute force: every pair in the same or an
   // adjacent cell at a step, kept when it passes the distance prefilter.
-  // The half-stencil pipeline must produce exactly this set, each once.
+  // The half-stencil pipeline must produce exactly this set, each once:
+  // through the cell-list sweep on 1 and 4 threads, and through the
+  // paper's hash grid on devicesim.
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 60, 0.05, 7);
   const ContourKeplerSolver solver;
@@ -229,9 +232,17 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
   cfg.t_end = 600.0;
   cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 
+  ThreadPool one(1), four(4);
+  Device device(DeviceProperties{}, &four);
+  const auto run = [&](ThreadPool* pool, Device* dev, GridPipelineResult& result) {
+    ScreeningConfig c = cfg;
+    c.pool = pool;
+    c.device = dev;
+    return testutil::pipeline_candidates(propagator, c, ConjunctionCountModel::paper_grid(),
+                                         {}, result);
+  };
   GridPipelineResult result;
-  const std::vector<Candidate> candidates = testutil::pipeline_candidates(
-      propagator, cfg, ConjunctionCountModel::paper_grid(), {}, result);
+  run(&one, nullptr, result);
 
   const std::size_t n = cloud.size();
   const CellIndexer indexer(result.cell_size);
@@ -271,10 +282,17 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
   EXPECT_GT(prefiltered, 0u);
 
   // pipeline_candidates fails the test if any (pair, step) repeats.
-  std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> found;
-  for (const Candidate& c : candidates) found.insert({c.sat_a, c.sat_b, c.step});
-  EXPECT_EQ(found.size(), candidates.size());
-  EXPECT_EQ(found, expected);
+  for (const auto& [pool, dev, label] :
+       {std::tuple{&one, static_cast<Device*>(nullptr), "1 thread"},
+        std::tuple{&four, static_cast<Device*>(nullptr), "4 threads"},
+        std::tuple{&four, &device, "devicesim"}}) {
+    GridPipelineResult backend;
+    const std::vector<Candidate> candidates = run(pool, dev, backend);
+    std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> found;
+    for (const Candidate& c : candidates) found.insert({c.sat_a, c.sat_b, c.step});
+    EXPECT_EQ(found.size(), candidates.size()) << label;
+    EXPECT_EQ(found, expected) << label;
+  }
 }
 
 TEST(PipelineEdges, DirtyMaskKeepsExactlyTheCandidatesWithADirtyMember) {
@@ -385,6 +403,51 @@ TEST(PipelineEdges, DirtyMaskPlanChargesThePhantomTables) {
   EXPECT_THROW(run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(),
                                  options, discard_round),
                MemoryBudgetExceeded);
+}
+
+TEST(PipelineEdges, BudgetBoundCpuFullScreenStaysWithinItsBudget) {
+  // A CPU full screen plans p from its cell lists' bytes, sort scratch
+  // included, and holds min(p, workers) of them: what it allocates (the
+  // fixed data, the candidate buffer and the lists) never exceeds the
+  // budget that planned p.
+  const auto sats = small_shell(300, 12);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(sats, solver);
+  ScreeningConfig cfg;
+  cfg.threshold_km = 5.0;
+  cfg.t_end = 600.0;
+  cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
+
+  SizingRequest request;
+  request.satellites = sats.size();
+  request.span_seconds = cfg.span_seconds();
+  request.seconds_per_sample = cfg.seconds_per_sample;
+  request.candidate_capacity = candidate_capacity_from_model(
+      ConjunctionCountModel::paper_grid(), static_cast<double>(sats.size()),
+      cfg.seconds_per_sample, cfg.span_seconds(), cfg.threshold_km);
+  const SizingPlan plan = plan_samples(request);
+  ASSERT_EQ(plan.per_grid_bytes, CellList::projected_memory_bytes(sats.size()));
+
+  for (const std::size_t lists : {std::size_t{1}, std::size_t{3}}) {
+    cfg.memory_budget = plan.fixed_bytes + lists * plan.per_grid_bytes;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ThreadPool pool(threads);
+      cfg.pool = &pool;
+      const GridPipelineResult result = run_grid_pipeline(
+          propagator, cfg, ConjunctionCountModel::paper_grid(), {}, discard_round);
+      const std::string label =
+          std::to_string(lists) + " lists, " + std::to_string(threads) + " threads";
+      EXPECT_EQ(result.plan.parallel_samples, lists) << label;
+      EXPECT_GT(result.plan.rounds, 1u) << label;
+      EXPECT_EQ(result.candidate_set_growths, 0u) << label;
+      EXPECT_EQ(result.grid_memory_bytes, std::min(lists, threads) * plan.per_grid_bytes)
+          << label;
+      const std::uint64_t allocated = sats.size() * (kSatelliteBytes + kKeplerCacheBytes) +
+                                      result.candidate_memory_bytes +
+                                      result.grid_memory_bytes;
+      EXPECT_LE(allocated, cfg.memory_budget) << label;
+    }
+  }
 }
 
 /// Every `stride`-th object of n marked dirty.
@@ -588,7 +651,7 @@ TEST(PipelineEdges, RoundSinkReceivesEachRoundInOrder) {
   cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 
   for (const std::uint64_t budget : {ScreeningConfig{}.memory_budget,
-                                     std::uint64_t{2} << 20}) {
+                                     std::uint64_t{1} << 20}) {
     cfg.memory_budget = budget;
     std::vector<std::size_t> rounds_seen;
     std::size_t streamed = 0;

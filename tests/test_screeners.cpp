@@ -22,6 +22,7 @@
 #include "propagation/j2_secular.hpp"
 #include "propagation/two_body.hpp"
 #include "scenario_helpers.hpp"
+#include "spatial/cell_list.hpp"
 #include "spatial/grid_hash_set.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
@@ -537,8 +538,9 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   const std::size_t half_span =
       (static_cast<std::size_t>(base.span_seconds() / base.seconds_per_sample) + 2) / 2;
 
-  // Budget holding the fixed data plus exactly `grids` grids of `entries`
-  // entries each (0: default).
+  // Budget holding the fixed data plus exactly `grids` per-step tables
+  // (0: default): GridHashSets of `entries` entries each, or the CPU full
+  // screen's cell lists when `entries` is 0.
   const auto budget_for = [&](std::size_t n, std::size_t entries,
                               const ConjunctionCountModel& model,
                               std::size_t grids) -> std::uint64_t {
@@ -581,21 +583,25 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   for (const Case& c : cases) {
     const std::size_t n = c.propagator->size();
     const ConjunctionCountModel& model = c.grow ? tiny : ConjunctionCountModel::paper_grid();
-    // A masked screen's phantom table holds 27 entries per dirty object.
+    // A masked screen's phantom table holds 27 entries per dirty object; a
+    // full screen's step goes through a cell list of n on the CPU and a
+    // grid of n on devicesim.
     const std::size_t entries =
         c.dirty.empty() ? n
                         : 27 * static_cast<std::size_t>(
                                    std::count(c.dirty.begin(), c.dirty.end(), 1));
-    const std::size_t per_grid = GridHashSet(entries).memory_bytes();
     std::optional<GridOutcome> reference;
     for (const std::size_t grids :
          {std::size_t{1}, std::size_t{2}, half_span, std::size_t{0}}) {
-      const std::uint64_t budget = budget_for(n, entries, model, grids);
       std::optional<GridOutcome> shape_reference;
       for (ThreadPool* pool : {&one, &two, &four, static_cast<ThreadPool*>(nullptr)}) {
         // devicesim accounts a grown candidate map against device memory,
         // and a budget of exactly p grids leaves it no room to grow.
         if (pool == nullptr && c.grow && grids != 0) continue;
+        const bool cell_lists = c.dirty.empty() && pool != nullptr;
+        const std::uint64_t budget = budget_for(n, cell_lists ? 0 : entries, model, grids);
+        const std::size_t per_grid = cell_lists ? CellList::projected_memory_bytes(n)
+                                                : GridHashSet(entries).memory_bytes();
         DeviceProperties props;
         props.memory_bytes = budget;
         Device device(props, &four);
@@ -918,7 +924,7 @@ TEST(Screeners, WarmRepeatScreensAreBitIdenticalAcrossVariants) {
   // screen outlives it.
   const auto sats = generate_population({150, 21});
   ScreeningConfig tight = repeat_config();
-  tight.memory_budget = 2 << 20;
+  tight.memory_budget = 1 << 20;
 
   for (const Variant variant : kAllVariants) {
     for (const ScreeningConfig& cfg : {repeat_config(), tight}) {

@@ -1,16 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <string>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
 #include "spatial/candidate_buffer.hpp"
 #include "spatial/cell.hpp"
+#include "spatial/cell_list.hpp"
 #include "spatial/kdtree.hpp"
 #include "spatial/murmur3.hpp"
 #include "spatial/octree.hpp"
@@ -164,6 +167,217 @@ TEST(Neighborhood, HalfStencilCoversEachPairOnce) {
       }
     }
   }
+}
+
+using SatPair = std::pair<std::uint32_t, std::uint32_t>;
+
+/// The pairs a CellList sweep visits, as (lower, higher) satellite index.
+/// Fails the test when a pair is visited twice, when the visit does not
+/// carry the satellites' own positions, or when the cell count is not the
+/// number of distinct cells.
+std::set<SatPair> swept_pairs(const CellIndexer& indexer, const std::vector<Vec3>& points) {
+  CellList list(indexer, points.size());
+  list.build(points.size(), [&](std::size_t begin, std::size_t end, Vec3* out) {
+    std::copy(points.begin() + static_cast<std::ptrdiff_t>(begin),
+              points.begin() + static_cast<std::ptrdiff_t>(end), out);
+  });
+  EXPECT_EQ(list.size(), points.size());
+  std::set<SatPair> pairs;
+  std::uint64_t cells = 0;
+  const bool complete = list.sweep(
+      [&](std::uint32_t a, const Vec3& pa, std::uint32_t b, const Vec3& pb) {
+        EXPECT_NE(a, b);
+        EXPECT_EQ(pa, points[a]);
+        EXPECT_EQ(pb, points[b]);
+        EXPECT_TRUE(pairs.insert(std::minmax(a, b)).second)
+            << "pair " << a << "-" << b << " visited twice";
+        return true;
+      },
+      cells);
+  EXPECT_TRUE(complete);
+  std::set<std::uint64_t> distinct;
+  for (const Vec3& p : points) distinct.insert(indexer.key_of(p));
+  EXPECT_EQ(cells, distinct.size());
+  return pairs;
+}
+
+/// Every pair whose cells are at Chebyshev distance <= 1, by brute force.
+std::set<SatPair> neighbour_pairs(const CellIndexer& indexer, const std::vector<Vec3>& points) {
+  std::set<SatPair> pairs;
+  for (std::uint32_t a = 0; a < points.size(); ++a) {
+    const CellCoord ca = indexer.cell_of(points[a]);
+    for (std::uint32_t b = a + 1; b < points.size(); ++b) {
+      const CellCoord cb = indexer.cell_of(points[b]);
+      if (std::abs(ca.x - cb.x) <= 1 && std::abs(ca.y - cb.y) <= 1 &&
+          std::abs(ca.z - cb.z) <= 1) {
+        pairs.insert({a, b});
+      }
+    }
+  }
+  return pairs;
+}
+
+/// The centre of cell `c`.
+Vec3 cell_centre(const CellIndexer& indexer, const CellCoord& c) {
+  const auto axis = [&](std::int32_t i) {
+    return (i + 0.5) * indexer.cell_size() - indexer.half_extent();
+  };
+  return {axis(c.x), axis(c.y), axis(c.z)};
+}
+
+TEST(CellList, MatchesBruteForceOnRandomClusters) {
+  // Clustered points so that cells hold several satellites and most of
+  // them have neighbours; a few spread over the whole cube.
+  const CellIndexer indexer(50.0);
+  Rng rng(42);
+  std::vector<Vec3> points;
+  for (int cluster = 0; cluster < 12; ++cluster) {
+    const Vec3 centre{rng.uniform(-8000.0, 8000.0), rng.uniform(-8000.0, 8000.0),
+                      rng.uniform(-8000.0, 8000.0)};
+    for (int k = 0; k < 40; ++k) {
+      points.push_back(centre + Vec3{rng.uniform(-120.0, 120.0), rng.uniform(-120.0, 120.0),
+                                     rng.uniform(-120.0, 120.0)});
+    }
+  }
+  for (int k = 0; k < 100; ++k) {
+    points.push_back({rng.uniform(-42000.0, 42000.0), rng.uniform(-42000.0, 42000.0),
+                      rng.uniform(-42000.0, 42000.0)});
+  }
+  const std::set<SatPair> expected = neighbour_pairs(indexer, points);
+  ASSERT_GT(expected.size(), points.size());
+  EXPECT_EQ(swept_pairs(indexer, points), expected);
+}
+
+TEST(CellList, ManyObjectsInOneCellAndDuplicatePositions) {
+  const CellIndexer indexer(10.0);
+  std::vector<Vec3> points;
+  for (int k = 0; k < 30; ++k) points.push_back({1.0 + 0.1 * k, 2.0, 3.0});
+  for (int k = 0; k < 5; ++k) points.push_back({4.0, 4.0, 4.0});  // duplicates
+  const std::set<SatPair> swept = swept_pairs(indexer, points);
+  EXPECT_EQ(swept.size(), points.size() * (points.size() - 1) / 2);
+  EXPECT_EQ(swept, neighbour_pairs(indexer, points));
+}
+
+TEST(CellList, PairsEveryNeighbourOffsetAndNothingFarther) {
+  // Two satellites, one in a centre cell and one at each of the 124
+  // offsets in [-2, 2]^3 \ {0}, in either order: the forward offsets
+  // (+1 in x; the rows dy, dz = (1, 0), (-1, 1), (0, 1), (1, 1)), their
+  // mirrors, and the cells two away that no pair may come from.
+  const CellIndexer indexer(20.0);
+  const CellCoord centre{1500, 2100, 1800};
+  for (std::int32_t dz = -2; dz <= 2; ++dz) {
+    for (std::int32_t dy = -2; dy <= 2; ++dy) {
+      for (std::int32_t dx = -2; dx <= 2; ++dx) {
+        if (dx == 0 && dy == 0 && dz == 0) continue;
+        const Vec3 here = cell_centre(indexer, centre);
+        const Vec3 there =
+            cell_centre(indexer, {centre.x + dx, centre.y + dy, centre.z + dz});
+        const bool neighbours = std::abs(dx) <= 1 && std::abs(dy) <= 1 && std::abs(dz) <= 1;
+        const std::set<SatPair> want =
+            neighbours ? std::set<SatPair>{{0, 1}} : std::set<SatPair>{};
+        EXPECT_EQ(swept_pairs(indexer, {here, there}), want) << dx << " " << dy << " " << dz;
+        EXPECT_EQ(swept_pairs(indexer, {there, here}), want) << dx << " " << dy << " " << dz;
+      }
+    }
+  }
+}
+
+TEST(CellList, FullNeighbourhoodAtOnce) {
+  // All 27 cells of a 3x3x3 block occupied at once, two satellites each:
+  // every pair is a neighbour pair but the opposite corners' and edges'.
+  const CellIndexer indexer(20.0);
+  std::vector<Vec3> points;
+  for (std::int32_t dz = -1; dz <= 1; ++dz)
+    for (std::int32_t dy = -1; dy <= 1; ++dy)
+      for (std::int32_t dx = -1; dx <= 1; ++dx)
+        for (int copy = 0; copy < 2; ++copy) {
+          points.push_back(cell_centre(indexer, {700 + dx, 900 + dy, 1100 + dz}) +
+                           Vec3{copy * 0.5, 0.0, 0.0});
+        }
+  EXPECT_EQ(swept_pairs(indexer, points), neighbour_pairs(indexer, points));
+}
+
+TEST(CellList, ClampedBoundaryCellsOnBothFaces) {
+  // Positions beyond the cube clamp into its boundary cells; the ±1 of a
+  // boundary cell must neither wrap to the opposite face nor borrow into
+  // the next row or plane. At 664.0625 km the cube is exactly 128 cells
+  // wide, a power of two, so a key field one bit too narrow would alias
+  // the last cell of a row with the first of the next.
+  for (const double cell_size : {1000.0, 664.0625}) {
+    const CellIndexer indexer(cell_size);
+    const std::int32_t last = indexer.cells_per_axis() - 1;
+    const double h = indexer.half_extent();
+    std::vector<Vec3> points;
+    for (const double x :
+         {-h - 5000.0, -h + 10.0, -h + 1500.0, h - 10.0, h - 1500.0, h + 9000.0}) {
+      for (const double y : {-h - 1.0, -h + 900.0, 0.0, h - 900.0, h + 1.0}) {
+        for (const double z : {-h - 20000.0, -h + 10.0, h - 10.0, h + 20000.0}) {
+          points.push_back({x, y, z});
+        }
+      }
+    }
+    // Row and plane ends next to the starts of the next row and plane.
+    const auto row_end = static_cast<std::uint32_t>(points.size());
+    points.push_back(cell_centre(indexer, {last, 10, 10}));
+    points.push_back(cell_centre(indexer, {0, 11, 10}));
+    points.push_back(cell_centre(indexer, {0, 0, 11}));
+    points.push_back(cell_centre(indexer, {last, last, 10}));
+    const std::set<SatPair> expected = neighbour_pairs(indexer, points);
+    ASSERT_GT(expected.size(), 0u) << cell_size;
+    EXPECT_EQ(expected.count({row_end, row_end + 1}), 0u) << cell_size;
+    EXPECT_EQ(expected.count({row_end + 2, row_end + 3}), 0u) << cell_size;
+    EXPECT_EQ(swept_pairs(indexer, points), expected) << cell_size;
+  }
+  EXPECT_EQ(CellIndexer(664.0625).cells_per_axis(), 128);
+}
+
+TEST(CellList, TinyPopulations) {
+  const CellIndexer indexer(10.0);
+  EXPECT_TRUE(swept_pairs(indexer, {}).empty());
+  EXPECT_TRUE(swept_pairs(indexer, {{1.0, 1.0, 1.0}}).empty());
+  EXPECT_EQ(swept_pairs(indexer, {{1.0, 1.0, 1.0}, {2.0, 2.0, 2.0}}),
+            (std::set<SatPair>{{0, 1}}));
+  EXPECT_TRUE(swept_pairs(indexer, {{1.0, 1.0, 1.0}, {100.0, 1.0, 1.0}}).empty());
+}
+
+TEST(CellList, RebuildsAndStopsWhenTheVisitorDeclines) {
+  const CellIndexer indexer(10.0);
+  const std::vector<Vec3> first(10, Vec3{1.0, 1.0, 1.0});
+  CellList list(indexer, first.size());
+  const auto copy_from = [](const std::vector<Vec3>& points) {
+    return [&points](std::size_t begin, std::size_t end, Vec3* out) {
+      std::copy(points.begin() + static_cast<std::ptrdiff_t>(begin),
+                points.begin() + static_cast<std::ptrdiff_t>(end), out);
+    };
+  };
+  list.build(first.size(), copy_from(first));
+  std::size_t visits = 0;
+  std::uint64_t cells = 0;
+  EXPECT_FALSE(list.sweep(
+      [&](std::uint32_t, const Vec3&, std::uint32_t, const Vec3&) { return ++visits < 7; },
+      cells));
+  EXPECT_EQ(visits, 7u);
+
+  // A rebuild with fewer, spread-out satellites replaces the old step.
+  const std::vector<Vec3> second{{1.0, 1.0, 1.0}, {500.0, 1.0, 1.0}, {1000.0, 1.0, 1.0}};
+  list.build(second.size(), copy_from(second));
+  visits = 0;
+  cells = 0;
+  EXPECT_TRUE(list.sweep(
+      [&](std::uint32_t, const Vec3&, std::uint32_t, const Vec3&) { return ++visits > 0; },
+      cells));
+  EXPECT_EQ(visits, 0u);
+  EXPECT_EQ(cells, 3u);
+}
+
+TEST(CellList, MemoryMatchesProjection) {
+  // Positions, keys, satellites and the radix sort's scratch: 48 B each,
+  // and a sentinel key ending each of the two key arrays.
+  const CellList list(CellIndexer(33.2), 1000);
+  EXPECT_EQ(list.memory_bytes(), CellList::projected_memory_bytes(1000));
+  EXPECT_EQ(CellList::projected_memory_bytes(1000), 48016u);
+  // Cell keys hold cells_per_axis + 2 values per axis.
+  EXPECT_EQ(list.axis_bits(), 12u);
 }
 
 TEST(CandidateBuffer, PackUnpackRoundTrip) {

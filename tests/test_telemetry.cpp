@@ -135,23 +135,41 @@ TEST_F(Telemetry, GridFunnelConservation) {
   EXPECT_GT(snap.value(Counter::kTimeDetectionNs), 0u);
 }
 
-// Eq. 1 sizes cells at g_c = d + 7.8 s_ps and the pipeline doubles the
-// slot table, so scanned-slot occupancy stays at or below ~one half.
+// Eq. 1 sizes cells at g_c = d + 7.8 s_ps and the paper's grid (devicesim)
+// doubles the slot table, so scanned-slot occupancy stays at or below ~one
+// half. A CPU full screen sweeps cell-list entries instead of slots, one
+// per sample: its occupancy is occupied cells per sample, and its inserts
+// take no probe steps.
 TEST_F(Telemetry, GridOccupancyMatchesEq1Sizing) {
   const auto sats = generate_population({600, 3});
-  screen(sats, config(10.0, 1800.0, 8.0), Variant::kGrid);
+  ThreadPool four(4);
+  Device device(DeviceProperties{}, &four);
+  ScreeningConfig cfg = config(10.0, 1800.0, 8.0);
+  cfg.device = &device;
+  screen(sats, cfg, Variant::kGrid);
   const obs::TelemetrySnapshot snap = obs::snapshot();
   ASSERT_GT(snap.value(Counter::kCellsScanned), 0u);
   EXPECT_GT(snap.occupancy(), 0.0);
   EXPECT_LE(snap.occupancy(), 0.55);
   EXPECT_GE(snap.mean_probe_length(), 0.0);
+
+  obs::reset();
+  cfg.device = nullptr;
+  screen(sats, cfg, Variant::kGrid);
+  const obs::TelemetrySnapshot cpu = obs::snapshot();
+  EXPECT_EQ(cpu.value(Counter::kCellsScanned), cpu.value(Counter::kSamplesPropagated));
+  EXPECT_EQ(cpu.value(Counter::kCellsOccupied), snap.value(Counter::kCellsOccupied));
+  EXPECT_GT(cpu.occupancy(), 0.0);
+  EXPECT_LE(cpu.occupancy(), 1.0);
+  EXPECT_EQ(cpu.mean_probe_length(), 0.0);
 }
 
 // The classical filter chain is conservative too: every pair entering it
 // is rejected by exactly one filter or survives to refinement.
 // A round that fills the candidate buffer is re-run on the CPU, propagation
-// and insertion included. The re-run's counts replace the discarded
-// attempt's, so the insertion and funnel invariants stay exact.
+// and insertion included (devicesim re-runs only its CD kernel). The
+// re-run's counts replace the discarded attempt's, so the insertion and
+// funnel invariants stay exact on both backends.
 TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
@@ -160,11 +178,14 @@ TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
   ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
   tiny.coefficient = 1e-20;  // the 20 000-candidate floor: the cloud grows it
 
-  for (const std::size_t threads : {1u, 4u}) {
+  ThreadPool four(4);
+  Device device(DeviceProperties{}, &four);
+  for (const std::size_t threads : {1u, 4u, 0u}) {  // 0: devicesim
     obs::reset();
-    ThreadPool pool(threads);
+    ThreadPool pool(std::max<std::size_t>(threads, 1));
     ScreeningConfig cfg = config(2.0, 600.0, 4.0);
     cfg.pool = &pool;
+    if (threads == 0) cfg.device = &device;
     const GridPipelineResult result = run_grid_pipeline(
         propagator, cfg, tiny, {},
         [](std::size_t, std::span<const std::uint64_t>, const GridPipelineResult&) {});
@@ -185,8 +206,11 @@ TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
                   snap.value(Counter::kCandidatesEmitted))
         << threads;
     EXPECT_EQ(snap.value(Counter::kCandidatesDeduplicated), 0u) << threads;
+    // A CPU step sweeps its n cell-list entries, a devicesim step scans
+    // every slot of its grid.
     EXPECT_EQ(snap.value(Counter::kCellsScanned),
-              result.plan.total_samples * GridHashSet(cloud.size()).slot_count())
+              result.plan.total_samples *
+                  (threads == 0 ? GridHashSet(cloud.size()).slot_count() : cloud.size()))
         << threads;
   }
 }

@@ -200,7 +200,8 @@ TEST(Differential, CleanCaseAgreesAcrossAllVariants) {
 
 TEST(Differential, ScreensEveryListedVariant) {
   // A negative PCA tolerance turns every matched event into a mismatch, so
-  // each variant the runner screens leaves its name on the result.
+  // each variant the runner screens leaves its name on the result: grid
+  // twice, once on each backend.
   DifferentialOptions options;
   options.tolerances.pca_tolerance = -1.0;
   options.check_service = false;
@@ -209,6 +210,7 @@ TEST(Differential, ScreensEveryListedVariant) {
   for (const Divergence& d : result.divergences) screened.insert(d.screener);
   std::set<std::string> expected;
   for (const Variant v : kAllVariants) expected.insert(variant_name(v));
+  expected.insert("grid-devicesim");
   EXPECT_EQ(screened, expected);
 }
 
