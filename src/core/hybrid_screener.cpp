@@ -18,16 +18,16 @@ namespace scod {
 
 namespace {
 
-/// One Brent task produced by the filter stage.
+/// One Brent task produced by the filter stage: a window task refines the
+/// filter-built interval [t_lo, t_hi]; a grid-style task (coplanar pairs)
+/// has t_lo == t_hi, the sample time it centres a cell-crossing radius on.
 struct RefineTask {
   std::uint32_t sat_a = 0;
   std::uint32_t sat_b = 0;
   double t_lo = 0.0;
   double t_hi = 0.0;
-  /// Grid-style tasks center on a sample time with a cell-crossing radius
-  /// (coplanar pairs); window tasks refine a filter-built interval.
-  bool grid_style = false;
-  double center = 0.0;
+
+  bool grid_style() const { return t_lo == t_hi; }
 };
 
 /// True when two sorted candidate keys belong to the same pair.
@@ -59,8 +59,8 @@ void append_tasks(const PairClassification& v, std::span<const std::uint64_t> ke
 
   if (v.verdict == PairVerdict::kCoplanarSurvivor) {
     for (const std::uint64_t key : keys) {
-      tasks.push_back(
-          {first.sat_a, first.sat_b, 0.0, 0.0, /*grid_style=*/true, sample_time(key)});
+      const double t_s = sample_time(key);
+      tasks.push_back({first.sat_a, first.sat_b, t_s, t_s});
     }
     return;
   }
@@ -88,7 +88,7 @@ void append_tasks(const PairClassification& v, std::span<const std::uint64_t> ke
     // found inside the search interval rather than discarded.
     const double ext = 0.25 * v.windows[w].length() + 5.0;
     tasks.push_back({first.sat_a, first.sat_b, v.windows[w].lo - ext,
-                     v.windows[w].hi + ext, /*grid_style=*/false, 0.0});
+                     v.windows[w].hi + ext});
   }
 }
 
@@ -173,8 +173,8 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
         const RefineTask& task = tasks[i];
         const Refinement refined =
             fast.visit(task.sat_a, task.sat_b, [&](const auto& eval) {
-              return task.grid_style
-                         ? refine_grid_candidate(eval, task.center, pipeline.cell_size,
+              return task.grid_style()
+                         ? refine_grid_candidate(eval, task.t_lo, pipeline.cell_size,
                                                  config.threshold_km, config.t_begin,
                                                  config.t_end)
                          : Refinement{true, refine_on_interval_fn(

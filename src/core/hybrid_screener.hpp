@@ -11,8 +11,8 @@ namespace scod {
 /// The hybrid conjunction-detection variant (Section III): the same grid
 /// front-end, but sampled less frequently (larger cells), with the
 /// candidate pairs passed through the classical orbital filter chain —
-/// apogee/perigee overlap, coplanarity classification, node-miss (orbit
-/// path) check and the node time-window filter — before the Brent
+/// apogee/perigee overlap, coplanarity classification, the node test and
+/// the node time-window filter — before the Brent
 /// refinement. "The additional checks reduce the number of pairs we have
 /// to examine for their PCAs and TCAs, so we sample less frequently ...
 /// effectively trading time for space."

@@ -10,8 +10,8 @@ namespace scod {
 
 /// The traditional deterministic all-on-all baseline the paper measures
 /// against ("legacy", [45]): every pair of satellites is pushed through a
-/// chain of orbital filters — apogee/perigee, coplanarity, orbit-path /
-/// node-miss, node time windows — and the survivors get a Brent TCA/PCA
+/// chain of orbital filters — apogee/perigee, coplanarity, node test,
+/// node time windows — and the survivors get a Brent TCA/PCA
 /// search. Deliberately single-threaded, like the paper's numba-JIT Python
 /// baseline, so the quadratic pair loop is undiluted.
 class LegacyScreener final : public ScreenerBase {

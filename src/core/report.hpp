@@ -42,7 +42,7 @@ struct ScreeningStats {
   std::size_t candidates = 0;        ///< distinct (pair, step) candidates
   std::size_t pairs_examined = 0;    ///< pairs entering the filter chain
   std::size_t filtered_apogee_perigee = 0;
-  std::size_t filtered_path = 0;     ///< orbit-path / node-miss exclusions
+  std::size_t filtered_path = 0;     ///< node-test exclusions
   std::size_t filtered_windows = 0;  ///< pairs with no overlapping windows
   std::size_t coplanar_pairs = 0;
   std::size_t refinements = 0;       ///< Brent searches executed

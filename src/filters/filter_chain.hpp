@@ -13,15 +13,15 @@ struct ScreeningConfig;
 struct ScreeningStats;
 
 /// Distance pad added to the screening threshold by every orbital filter
-/// (apogee/perigee, orbit path, node miss, node time windows) [km]. It
-/// absorbs the first-order approximations of the filters.
+/// (apogee/perigee, node test, node time windows) [km]. It absorbs the
+/// first-order approximations of the time windows.
 inline constexpr double kFilterPadKm = 0.5;
 
 /// Where a pair left the classical filter chain (Section III), or how it
 /// survived it.
 enum class PairVerdict : std::uint8_t {
   kApogeePerigeeReject,  ///< radial bands do not overlap
-  kPathReject,           ///< orbit-path (coplanar) or node-miss rejection
+  kPathReject,           ///< node test: no approach near either node
   kWindowReject,         ///< no node time window inside the span
   kCoplanarSurvivor,     ///< coplanar; refined by a sampling search
   kWindowSurvivor,       ///< refined inside `windows`
@@ -29,18 +29,17 @@ enum class PairVerdict : std::uint8_t {
 
 struct PairClassification {
   PairVerdict verdict = PairVerdict::kApogeePerigeeReject;
-  /// Passed the apogee/perigee filter and took the coplanar branch.
-  bool coplanar = false;
   /// Node time windows, merged and sorted; set for kWindowSurvivor only.
   std::vector<Interval> windows;
 };
 
 /// The filter chain the hybrid and legacy variants share: apogee/perigee
-/// overlap, then coplanarity; coplanar pairs take the orbit-path filter,
-/// the others the node-miss check (the analytic orbit-path filter — the
-/// orbits can only approach near the relative nodes) and then the node
-/// time windows over [config.t_begin, config.t_end]. Reads only the two
-/// objects' FilterOrbits, which a screen builds once per object
+/// overlap, then coplanarity. Coplanar pairs survive as they are (the
+/// paper's hybrid refines them like grid pairs, Section IV-C); the others
+/// take the node test (node_gaps: the orbits can only approach on an arc
+/// around a relative node) and then the node time windows over
+/// [config.t_begin, config.t_end]. Reads only the two objects'
+/// FilterOrbits, which a screen builds once per object
 /// (build_filter_orbits).
 PairClassification classify_pair(const FilterOrbit& a, const FilterOrbit& b,
                                  const ScreeningConfig& config);
@@ -53,7 +52,6 @@ struct FilterFunnel {
   std::size_t ap_rejects = 0;
   std::size_t path_rejects = 0;
   std::size_t window_rejects = 0;
-  std::size_t coplanar = 0;
   std::size_t coplanar_survivors = 0;
   std::size_t window_survivors = 0;
 

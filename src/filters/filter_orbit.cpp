@@ -20,13 +20,6 @@ double FilterOrbit::radius_at(double true_anomaly) const {
   return p / (1.0 + elements.eccentricity * std::cos(true_anomaly));
 }
 
-Vec3 FilterOrbit::position(double true_anomaly) const {
-  const double cf = std::cos(true_anomaly);
-  const double sf = std::sin(true_anomaly);
-  const double r = p / (1.0 + elements.eccentricity * cf);
-  return rotation * Vec3{r * cf, r * sf, 0.0};
-}
-
 std::vector<FilterOrbit> build_filter_orbits(const Propagator& propagator,
                                              ThreadPool& pool) {
   std::vector<FilterOrbit> orbits(propagator.size());

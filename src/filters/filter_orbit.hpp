@@ -16,18 +16,12 @@ namespace scod {
 /// elements-based formula returns (perigee_radius, apogee_radius,
 /// normal_of, perifocal_to_eci, semi_latus_rectum), so a filter reading it
 /// decides bit for bit as one recomputing them from the elements.
-///
-/// It is also the orbit as a closed space curve parameterized by true
-/// anomaly, which the orbit-path filter minimizes over.
 struct FilterOrbit {
   FilterOrbit() = default;
   explicit FilterOrbit(const KeplerElements& el);
 
   /// Radius at true anomaly f, p / (1 + e cos f) [km].
   double radius_at(double true_anomaly) const;
-
-  /// ECI position at true anomaly f [km].
-  Vec3 position(double true_anomaly) const;
 
   KeplerElements elements;
   double perigee = 0.0;  ///< perigee radius [km]

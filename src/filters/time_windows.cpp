@@ -87,18 +87,52 @@ std::array<NodeCrossing, 2> node_crossings(const FilterOrbit& a,
   return {crossing_at(a, b, k), crossing_at(a, b, -k)};
 }
 
-std::vector<Interval> conjunction_time_windows(const FilterOrbit& a,
-                                               const FilterOrbit& b,
-                                               double t_begin, double t_end,
-                                               double threshold_km) {
-  return conjunction_time_windows(a, b, node_crossings(a, b), t_begin, t_end,
-                                  threshold_km);
+std::array<NodeGap, 2> node_gaps(const FilterOrbit& a, const FilterOrbit& b,
+                                 double reach) {
+  const Vec3 cross = a.normal.cross(b.normal);
+  const double sin_angle = cross.norm();
+  const Vec3 k = cross / sin_angle;
+  // Half-width of the arc around a node that can hold an approach within
+  // the reach; r_lo is the smallest radius of a point pair that close.
+  const double r_lo = std::max(a.perigee, b.perigee) - reach;
+  const double w =
+      r_lo > 0.0 ? std::min(kPi, std::asin(std::min(1.0, reach / (r_lo * sin_angle))) +
+                                     2.0 * std::asin(std::min(1.0, 0.5 * reach / r_lo)))
+                 : kPi;
+  const double sin_w = w < 0.5 * kPi ? std::sin(w) : 1.0;
+  const double cos_w = std::cos(w);
+
+  // Along k, in an orbit's perifocal frame u, cos f = u_x / |u| and
+  // sin f = u_y / |u|; the opposite node has -cos f and -sin f. Over
+  // |f - f_node| <= w, |sin f| <= |sin f_node| + |cos f_node| sin w and
+  // cos f >= min(cos f_node cos w, cos f_node) - |sin f_node| sin w.
+  std::array<NodeGap, 2> gaps;
+  const auto add = [&](const FilterOrbit& orbit, double NodeGap::*radius) {
+    const Vec3 u = orbit.rotation.transposed() * k;
+    const double inv = 1.0 / std::sqrt(u.x * u.x + u.y * u.y);
+    const double e = orbit.elements.eccentricity;
+    for (int s = 0; s < 2; ++s) {
+      const double cos_f = (s == 0 ? u.x : -u.x) * inv;
+      const double sin_f = (s == 0 ? u.y : -u.y) * inv;
+      const double sin_max = std::min(1.0, std::abs(sin_f) + std::abs(cos_f) * sin_w);
+      const double cos_min =
+          std::max(-1.0, std::min(cos_f * cos_w, cos_f) - std::abs(sin_f) * sin_w);
+      const double q = 1.0 + e * cos_min;
+      gaps[s].*radius = orbit.p / (1.0 + e * cos_f);
+      gaps[s].bound += w * (orbit.p * e * sin_max / (q * q));
+    }
+  };
+  add(a, &NodeGap::radius_a);
+  add(b, &NodeGap::radius_b);
+  for (NodeGap& gap : gaps) gap.bound += reach;
+  return gaps;
 }
 
-std::vector<Interval> conjunction_time_windows(
-    const FilterOrbit& a, const FilterOrbit& b,
-    const std::array<NodeCrossing, 2>& crossings, double t_begin, double t_end,
-    double threshold_km) {
+std::vector<Interval> conjunction_time_windows(const FilterOrbit& a,
+                                               const FilterOrbit& b,
+                                               const std::array<NodeGap, 2>& gaps,
+                                               double t_begin, double t_end,
+                                               double threshold_km) {
   const double sin_angle = std::max(a.normal.cross(b.normal).norm(), 0.05);
 
   const double reach = threshold_km + kFilterPadKm;
@@ -109,9 +143,11 @@ std::vector<Interval> conjunction_time_windows(
   constexpr double kCorridorScale = 8.0;
   const double corridor = kCorridorScale * reach / sin_angle;
 
+  const std::array<NodeCrossing, 2> crossings = node_crossings(a, b);
   std::vector<Interval> result;
-  for (const NodeCrossing& c : crossings) {
-    if (c.miss_distance > reach) continue;
+  for (int s = 0; s < 2; ++s) {
+    if (!gaps[s].open()) continue;
+    const NodeCrossing& c = crossings[s];
 
     // Along-track corridor -> time window: arc speed at the node is
     // r * df/dt = h / r, so w = corridor * r / h.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <vector>
 
 #include "filters/filter_orbit.hpp"
@@ -39,12 +40,36 @@ struct NodeCrossing {
 std::array<NodeCrossing, 2> node_crossings(const FilterOrbit& a,
                                            const FilterOrbit& b);
 
+/// One relative node as the node test sees it: both orbits' radii on the
+/// node line, in closed form, and the largest radial gap there at which
+/// the orbits can still come within the reach near the node.
+struct NodeGap {
+  double radius_a = 0.0;  ///< radius of orbit A on the node line [km]
+  double radius_b = 0.0;  ///< radius of orbit B on the node line [km]
+  double bound = 0.0;     ///< reach + pad [km]
+
+  /// False when no point pair near this node comes within the reach.
+  bool open() const { return std::abs(radius_a - radius_b) <= bound; }
+};
+
+/// The node test of a non-coplanar pair, one entry per node in
+/// node_crossings' order. Two points within `reach` of each other lie
+/// within w = asin(min(1, reach / (r sin theta))) + 2 asin(reach / 2r) of
+/// the same node in their planes (r: the smallest radius such a pair can
+/// have), and over that arc a radius moves from its node value by at most
+/// w max|dr/df|, with max|dr/df| = max p e |sin f| / (1 + e cos f)^2
+/// bounded from the node's cos f and sin f, never sampled. So the pad is
+/// w (max|r_a'| + max|r_b'|).
+std::array<NodeGap, 2> node_gaps(const FilterOrbit& a, const FilterOrbit& b,
+                                 double reach);
+
 /// Time filter (Woodburn & Dichmann 1998 / Hoots et al. 1984, simplified):
 /// computes the windows inside [t_begin, t_end] during which BOTH objects
-/// are near a relative node with sub-threshold node miss distance — the
-/// only times a non-coplanar pair can produce a conjunction. "It excludes
-/// all object pairs that are not in these windows simultaneously and can,
-/// therefore, not generate a conjunction."
+/// are near a relative node that `gaps` (node_gaps(a, b, threshold_km +
+/// kFilterPadKm)) leaves open — the only times a non-coplanar pair can
+/// produce a conjunction. "It excludes all object pairs that are not in
+/// these windows simultaneously and can, therefore, not generate a
+/// conjunction."
 ///
 /// The threshold is padded by kFilterPadKm to absorb the first-order
 /// approximations in the window construction. The returned intervals are
@@ -55,14 +80,8 @@ std::array<NodeCrossing, 2> node_crossings(const FilterOrbit& a,
 /// verifies this against a dense-scan oracle in the tests.
 std::vector<Interval> conjunction_time_windows(const FilterOrbit& a,
                                                const FilterOrbit& b,
+                                               const std::array<NodeGap, 2>& gaps,
                                                double t_begin, double t_end,
                                                double threshold_km);
-
-/// The same windows from the pair's node_crossings(a, b), for a caller
-/// that already has them (classify_pair tests their miss distances first).
-std::vector<Interval> conjunction_time_windows(
-    const FilterOrbit& a, const FilterOrbit& b,
-    const std::array<NodeCrossing, 2>& crossings, double t_begin, double t_end,
-    double threshold_km);
 
 }  // namespace scod

@@ -42,6 +42,7 @@ const char* regime_name(OrbitRegime regime) {
     case OrbitRegime::kGrazingInterceptor: return "grazing-interceptor";
     case OrbitRegime::kCellBoundaryStraddler: return "cell-straddler";
     case OrbitRegime::kEpochEdgeInterceptor: return "epoch-edge";
+    case OrbitRegime::kNearCoplanarEccentric: return "near-coplanar-eccentric";
   }
   return "unknown";
 }
@@ -87,6 +88,39 @@ Satellite make_interceptor(const KeplerElements& target, double t_star,
     el.mean_anomaly = wrap_two_pi(m_at_t - mean_motion(el) * t_star);
     break;
   }
+  return {id, el};
+}
+
+Satellite make_near_coplanar_grazer(const KeplerElements& target, double t_star,
+                                    double plane_angle, double node_angle,
+                                    double eccentricity, double radial_offset_km,
+                                    Rng& rng, std::uint32_t id) {
+  const NewtonKeplerSolver solver;
+  const std::vector<Satellite> one{{0, target}};
+  const Vec3 p = TwoBodyPropagator(one, solver).position(0, t_star);
+  const Vec3 p_hat = p.normalized();
+  const Vec3 n = normal_of(target);
+  // The node line, node_angle behind p in the target's plane, and the
+  // plane normal tilted about it.
+  const Vec3 node = p_hat * std::cos(node_angle) - n.cross(p_hat) * std::sin(node_angle);
+  const Vec3 normal = n * std::cos(plane_angle) + node.cross(n) * std::sin(plane_angle);
+  const Vec3 q = p - normal * p.dot(normal);
+  const double r_q = q.norm() + radial_offset_km;
+
+  // r_q = a (1 - e^2) / (1 + e cos f), with the perigee a (1 - e) >= 6500 km.
+  const double e = eccentricity;
+  const double cos_floor = std::clamp((6500.0 / r_q * (1.0 + e) - 1.0) / e, -1.0, 1.0);
+  const double f_abs = std::acos(rng.uniform(cos_floor, 1.0));
+  const double f = rng.uniform() < 0.5 ? f_abs : -f_abs;
+  KeplerElements el;
+  el.semi_major_axis = r_q * (1.0 + e * std::cos(f)) / (1.0 - e * e);
+  el.eccentricity = e;
+  el.inclination = std::acos(std::clamp(normal.z, -1.0, 1.0));
+  el.raan = wrap_two_pi(std::atan2(normal.x, -normal.y));
+  const Vec3 in_plane = perifocal_to_eci(el.inclination, el.raan, 0.0).transposed() * q;
+  el.arg_perigee = wrap_two_pi(std::atan2(in_plane.y, in_plane.x) - f);
+  el.mean_anomaly =
+      wrap_two_pi(true_to_mean(wrap_two_pi(f), e) - mean_motion(el) * t_star);
   return {id, el};
 }
 
@@ -215,6 +249,25 @@ FuzzCase generate_case(const AdversarialConfig& config) {
           out.satellites[target].elements, t_star,
           config.threshold_km * rng.uniform(0.3, 0.8), rng, next_id);
       push(sat.elements, OrbitRegime::kEpochEdgeInterceptor);
+    }
+
+    // Near-coplanar eccentric pair: a shell object and a grazer with
+    // e = 0.3-0.75 on a plane 0.002-0.06 rad from its (both sides of
+    // kCoplanarTolerance), passing within 0.85 d of it off the node line.
+    {
+      const KeplerElements target = shell_orbit(rng, r0, band);
+      const double tilt = rng.uniform(0.002, 0.06);
+      const double t_star = config.t_begin + span * rng.uniform(0.15, 0.85);
+      const double out_of_plane = 0.6 * config.threshold_km * rng.uniform();
+      const double node_angle =
+          std::asin(std::min(1.0, out_of_plane / (r0 * std::sin(tilt)))) *
+          (rng.uniform() < 0.5 ? 1.0 : -1.0);
+      const double offset = 0.6 * config.threshold_km * rng.uniform(-1.0, 1.0);
+      const double e = rng.uniform(0.3, 0.75);
+      push(target, OrbitRegime::kNearCoplanarEccentric);
+      const Satellite grazer = make_near_coplanar_grazer(target, t_star, tilt, node_angle,
+                                                         e, offset, rng, next_id);
+      push(grazer.elements, OrbitRegime::kNearCoplanarEccentric);
     }
   }
 

@@ -15,8 +15,10 @@ namespace scod::verify {
 /// known soft spot of the screening pipeline: angle-convention degeneracies
 /// (near-circular, critically inclined), filter-chain special cases
 /// (coplanar pairs), tolerance boundaries (grazing-threshold PCAs), grid
-/// geometry (cell-boundary straddlers at sample instants) and span
-/// boundaries (TCAs at the epoch edges).
+/// geometry (cell-boundary straddlers at sample instants), span
+/// boundaries (TCAs at the epoch edges) and the node test (eccentric
+/// orbits meeting near-circular ones off the node line of nearly
+/// coplanar planes).
 enum class OrbitRegime : std::uint8_t {
   kBackgroundShell,       ///< dense near-circular shell traffic
   kNearCircular,          ///< e below 1e-5: anomaly conventions degenerate
@@ -25,13 +27,14 @@ enum class OrbitRegime : std::uint8_t {
   kGrazingInterceptor,    ///< engineered PCA straddling the threshold
   kCellBoundaryStraddler, ///< sits on a grid-cell face at a sample instant
   kEpochEdgeInterceptor,  ///< engineered TCA near t_begin / t_end
+  kNearCoplanarEccentric, ///< eccentric grazer a few mrad off a shell plane
 };
 
-inline constexpr std::array<OrbitRegime, 7> kAllRegimes = {
+inline constexpr std::array<OrbitRegime, 8> kAllRegimes = {
     OrbitRegime::kBackgroundShell,       OrbitRegime::kNearCircular,
     OrbitRegime::kCriticallyInclined,    OrbitRegime::kCoplanarPair,
     OrbitRegime::kGrazingInterceptor,    OrbitRegime::kCellBoundaryStraddler,
-    OrbitRegime::kEpochEdgeInterceptor,
+    OrbitRegime::kEpochEdgeInterceptor,  OrbitRegime::kNearCoplanarEccentric,
 };
 
 const char* regime_name(OrbitRegime regime);
@@ -89,5 +92,15 @@ FuzzCase generate_case(const AdversarialConfig& config);
 /// conjunction at a known time and depth.
 Satellite make_interceptor(const KeplerElements& target, double t_star,
                            double offset_km, Rng& rng, std::uint32_t id);
+
+/// Builds a satellite of eccentricity `eccentricity` on a plane tilted by
+/// `plane_angle` from `target`'s about a node line `node_angle` behind the
+/// target's position p at `t_star`. At t_star it is at p's projection onto
+/// its plane, raised by `radial_offset_km`; its true anomaly there is drawn
+/// from `rng`, keeping the perigee above 6500 km.
+Satellite make_near_coplanar_grazer(const KeplerElements& target, double t_star,
+                                    double plane_angle, double node_angle,
+                                    double eccentricity, double radial_offset_km,
+                                    Rng& rng, std::uint32_t id);
 
 }  // namespace scod::verify

@@ -248,13 +248,17 @@ void check_counter_invariants(const std::string& name, Variant variant,
         v(C::kFilterWindowRejects) + v(C::kFilterSurvivors);
     expect(v(C::kFilterPairsIn) == buckets, "filter_pairs_in conservation",
            v(C::kFilterPairsIn), buckets);
-    expect(v(C::kFilterPathChecks) ==
-               v(C::kFilterPairsIn) - v(C::kFilterApogeePerigeeRejects),
-           "path_checks == in - ap_rejects", v(C::kFilterPathChecks),
-           v(C::kFilterPairsIn) - v(C::kFilterApogeePerigeeRejects));
-    expect(v(C::kFilterWindowChecks) <= v(C::kFilterPathChecks),
-           "window_checks <= path_checks", v(C::kFilterWindowChecks),
-           v(C::kFilterPathChecks));
+    // The node test runs on every non-coplanar ap-pass pair and hands the
+    // pairs it leaves open to the window filter.
+    const std::uint64_t node_tests = v(C::kFilterPairsIn) -
+                                     v(C::kFilterApogeePerigeeRejects) -
+                                     v(C::kFilterCoplanarPairs);
+    expect(v(C::kFilterPathChecks) == node_tests,
+           "path_checks == in - ap_rejects - coplanar", v(C::kFilterPathChecks),
+           node_tests);
+    expect(v(C::kFilterWindowChecks) == node_tests - v(C::kFilterPathRejects),
+           "window_checks == path_checks - path_rejects", v(C::kFilterWindowChecks),
+           node_tests - v(C::kFilterPathRejects));
     expect(v(C::kFilterWindowRejects) <= v(C::kFilterWindowChecks),
            "window_rejects <= window_checks", v(C::kFilterWindowRejects),
            v(C::kFilterWindowChecks));

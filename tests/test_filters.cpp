@@ -14,7 +14,6 @@
 #include "filters/coplanarity.hpp"
 #include "filters/dense_scan.hpp"
 #include "filters/filter_chain.hpp"
-#include "filters/orbit_path.hpp"
 #include "filters/time_windows.hpp"
 #include "orbit/anomaly.hpp"
 #include "orbit/frames.hpp"
@@ -27,6 +26,7 @@
 #include "propagation/two_body.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
+#include "verify/adversarial.hpp"
 
 namespace scod {
 namespace {
@@ -86,53 +86,6 @@ TEST(Coplanarity, OppositeNormalsAreCoplanar) {
   EXPECT_TRUE(are_coplanar(FilterOrbit(a), FilterOrbit(b)));
 }
 
-TEST(OrbitPath, ConcentricCoplanarCircles) {
-  // Same plane, radii 7000/7050: minimum distance is the radial gap.
-  const double d =
-      min_orbit_distance(FilterOrbit(circular(7000.0)), FilterOrbit(circular(7050.0)));
-  EXPECT_NEAR(d, 50.0, 1.5);  // near-circular e=1e-4 shifts apsides slightly
-}
-
-TEST(OrbitPath, IntersectingPerpendicularCircles) {
-  // Equal radii in perpendicular planes intersect: distance ~ 0.
-  const double d = min_orbit_distance(FilterOrbit(circular(7000.0)),
-                                      FilterOrbit(circular(7000.0, kPi / 2.0)));
-  EXPECT_LT(d, 2.0);
-}
-
-TEST(OrbitPath, EllipseGrazingCircle) {
-  // Ellipse with perigee at the circle's radius, same plane.
-  KeplerElements ellipse{8000.0, 0.125, 0.0, 0.0, 0.0, 0.0};  // perigee 7000
-  const double d =
-      min_orbit_distance(FilterOrbit(ellipse), FilterOrbit(circular(7000.0)));
-  EXPECT_LT(d, 3.0);
-}
-
-TEST(OrbitPath, FilterPassesAndRejects) {
-  const FilterOrbit inner(circular(7000.0));
-  EXPECT_TRUE(orbit_path_overlap(inner, FilterOrbit(circular(7001.0)), 2.0));
-  EXPECT_FALSE(orbit_path_overlap(inner, FilterOrbit(circular(7100.0)), 2.0));
-}
-
-TEST(OrbitPath, LowerBoundsTimeDependentDistance) {
-  // The MOID must never exceed the distance at any common instant.
-  Rng rng(31);
-  const NewtonKeplerSolver solver;
-  const auto sats = generate_population({20, 900});
-  const TwoBodyPropagator prop(sats, solver);
-  for (int k = 0; k < 15; ++k) {
-    const auto i = rng.uniform_index(sats.size());
-    const auto j = rng.uniform_index(sats.size());
-    if (i == j) continue;
-    const double moid =
-        min_orbit_distance(FilterOrbit(sats[i].elements), FilterOrbit(sats[j].elements),
-                           /*coarse=*/48);
-    for (double t = 0.0; t < 5000.0; t += 500.0) {
-      EXPECT_LE(moid, prop.distance(i, j, t) + 0.5) << "pair " << i << "," << j;
-    }
-  }
-}
-
 TEST(MergeIntervals, SortsAndMerges) {
   std::vector<Interval> in{{5, 7}, {1, 2}, {6, 9}, {2, 3}};
   const auto merged = merge_intervals(in);
@@ -151,6 +104,10 @@ TEST(Interval, ContainsAndLength) {
   EXPECT_FALSE(iv.contains(5.1));
   EXPECT_DOUBLE_EQ(iv.length(), 3.0);
 }
+
+namespace from_elements {
+Vec3 curve_position(const KeplerElements& el, double f);
+}  // namespace from_elements
 
 TEST(NodeCrossings, PerpendicularEqualCircles) {
   const KeplerElements a = circular(7000.0);
@@ -179,8 +136,8 @@ TEST(NodeCrossings, CrossingPointsLieOnNodeLine) {
   const Vec3 k = normal_of(a).cross(normal_of(b)).normalized();
   for (int s = 0; s < 2; ++s) {
     const Vec3 dir = s == 0 ? k : -k;
-    const Vec3 pa = FilterOrbit(a).position(crossings[s].true_anomaly_a);
-    const Vec3 pb = FilterOrbit(b).position(crossings[s].true_anomaly_b);
+    const Vec3 pa = from_elements::curve_position(a, crossings[s].true_anomaly_a);
+    const Vec3 pb = from_elements::curve_position(b, crossings[s].true_anomaly_b);
     // Positions point along the node direction...
     EXPECT_GT(pa.normalized().dot(dir), 0.999);
     EXPECT_GT(pb.normalized().dot(dir), 0.999);
@@ -189,11 +146,18 @@ TEST(NodeCrossings, CrossingPointsLieOnNodeLine) {
   }
 }
 
+/// The time windows over the pair's node test, as classify_pair takes them.
+std::vector<Interval> time_windows(const KeplerElements& a, const KeplerElements& b,
+                                   double t_begin, double t_end, double threshold_km) {
+  const FilterOrbit fa(a), fb(b);
+  return conjunction_time_windows(fa, fb, node_gaps(fa, fb, threshold_km + kFilterPadKm),
+                                  t_begin, t_end, threshold_km);
+}
+
 TEST(TimeWindows, ExcludedWhenNodeMissTooLarge) {
   const KeplerElements a = circular(7000.0);
   const KeplerElements b = circular(7100.0, 0.9);  // 100 km node miss
-  const auto windows =
-      conjunction_time_windows(FilterOrbit(a), FilterOrbit(b), 0.0, 20000.0, 2.0);
+  const auto windows = time_windows(a, b, 0.0, 20000.0, 2.0);
   EXPECT_TRUE(windows.empty());
 }
 
@@ -203,8 +167,7 @@ TEST(TimeWindows, ProducedForSynchronizedNodeCrossings) {
   // the window intersection must be non-empty.
   const KeplerElements a = circular(7000.0);
   const KeplerElements b = circular(7000.0, kPi / 2.0);
-  const auto windows =
-      conjunction_time_windows(FilterOrbit(a), FilterOrbit(b), 0.0, 20000.0, 2.0);
+  const auto windows = time_windows(a, b, 0.0, 20000.0, 2.0);
   EXPECT_FALSE(windows.empty());
   for (const Interval& w : windows) {
     EXPECT_GE(w.lo, 0.0);
@@ -246,8 +209,7 @@ TEST(TimeWindows, ContainSubThresholdMinima) {
     scan.step = 2.0;
     const auto encounters = scan_encounters(prop, 0, 1, 0.0, span, scan);
 
-    const auto windows =
-        conjunction_time_windows(FilterOrbit(a), FilterOrbit(b), 0.0, span, threshold);
+    const auto windows = time_windows(a, b, 0.0, span, threshold);
     bool found_engineered = false;
     for (const Encounter& e : encounters) {
       if (e.pca > threshold) continue;
@@ -273,7 +235,6 @@ TEST(FilterChain, ClassifiesOnePairPerVerdict) {
     const char* name;
     KeplerElements a, b;
     PairVerdict verdict;
-    bool coplanar;
   };
   KeplerElements in_phase = circular(7000.0);
   in_phase.mean_anomaly = 1.0;
@@ -287,28 +248,28 @@ TEST(FilterChain, ClassifiesOnePairPerVerdict) {
   const Case cases[] = {
       // 100 km radial gap.
       {"ap reject", circular(7000.0), circular(7100.0),
-       PairVerdict::kApogeePerigeeReject, false},
-      // Same plane and orientation, radial bands overlapping, but the
-      // curves stay ~20 km apart everywhere.
-      {"coplanar path reject", ellipse, {7020.0, 0.01, 0.0, 0.0, 0.0, 0.0},
-       PairVerdict::kPathReject, true},
+       PairVerdict::kApogeePerigeeReject},
+      // Same plane and orientation, radial bands overlapping: the curves
+      // stay ~20 km apart everywhere, but a coplanar pair is never
+      // rejected by geometry; the refinement decides it.
+      {"coplanar, 20 km apart", ellipse, {7020.0, 0.01, 0.0, 0.0, 0.0, 0.0},
+       PairVerdict::kCoplanarSurvivor},
       // One circular orbit, two phases: the paths coincide.
       {"coplanar survivor", circular(7000.0), in_phase,
-       PairVerdict::kCoplanarSurvivor, true},
+       PairVerdict::kCoplanarSurvivor},
       // Node line along x: the ellipse is at 6930 / 7070 km there, the
       // tilted circle at 7040 km, so both node misses exceed the reach.
       {"node-miss reject", ellipse, circular(7040.0, 0.9),
-       PairVerdict::kPathReject, false},
+       PairVerdict::kPathReject},
       // Perpendicular equal circles reach the node a quarter period apart.
       {"window reject", circular(7000.0), out_of_phase,
-       PairVerdict::kWindowReject, false},
+       PairVerdict::kWindowReject},
       // ... and together when both start at the node.
       {"window survivor", circular(7000.0), circular(7000.0, kPi / 2.0),
-       PairVerdict::kWindowSurvivor, false},
+       PairVerdict::kWindowSurvivor},
       // Node misses of ~140 km (+x) and ~0 km (-x): one close node is
       // enough to pass the node-miss check.
-      {"one-node survivor", ellipse, apogee_meet, PairVerdict::kWindowSurvivor,
-       false},
+      {"one-node survivor", ellipse, apogee_meet, PairVerdict::kWindowSurvivor},
   };
 
   FilterFunnel funnel;
@@ -316,7 +277,6 @@ TEST(FilterChain, ClassifiesOnePairPerVerdict) {
     const PairClassification pair =
         classify_pair(FilterOrbit(c.a), FilterOrbit(c.b), config);
     EXPECT_EQ(pair.verdict, c.verdict) << c.name;
-    EXPECT_EQ(pair.coplanar, c.coplanar) << c.name;
     EXPECT_EQ(pair.windows.empty(), c.verdict != PairVerdict::kWindowSurvivor)
         << c.name;
     for (const Interval& w : pair.windows) {
@@ -328,10 +288,9 @@ TEST(FilterChain, ClassifiesOnePairPerVerdict) {
 
   EXPECT_EQ(funnel.pairs_in, 7u);
   EXPECT_EQ(funnel.ap_rejects, 1u);
-  EXPECT_EQ(funnel.path_rejects, 2u);
+  EXPECT_EQ(funnel.path_rejects, 1u);
   EXPECT_EQ(funnel.window_rejects, 1u);
-  EXPECT_EQ(funnel.coplanar, 2u);
-  EXPECT_EQ(funnel.coplanar_survivors, 1u);
+  EXPECT_EQ(funnel.coplanar_survivors, 2u);
   EXPECT_EQ(funnel.window_survivors, 2u);
   // Conservation: every pair leaves through exactly one bucket.
   EXPECT_EQ(funnel.pairs_in, funnel.ap_rejects + funnel.path_rejects +
@@ -341,7 +300,7 @@ TEST(FilterChain, ClassifiesOnePairPerVerdict) {
   funnel.publish(stats);
   EXPECT_EQ(stats.pairs_examined, 7u);
   EXPECT_EQ(stats.filtered_apogee_perigee, 1u);
-  EXPECT_EQ(stats.filtered_path, 2u);
+  EXPECT_EQ(stats.filtered_path, 1u);
   EXPECT_EQ(stats.filtered_windows, 1u);
   EXPECT_EQ(stats.coplanar_pairs, 2u);
 }
@@ -505,38 +464,6 @@ Vec3 curve_position(const KeplerElements& el, double f) {
   return rotation * Vec3{r * cf, r * sf, 0.0};
 }
 
-double min_orbit_distance(const KeplerElements& a, const KeplerElements& b,
-                          int coarse_samples = 24) {
-  const double step = kTwoPi / static_cast<double>(coarse_samples);
-  double best_fa = 0.0, best_fb = 0.0;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < coarse_samples; ++i) {
-    const double fa = static_cast<double>(i) * step;
-    const Vec3 pa = curve_position(a, fa);
-    for (int j = 0; j < coarse_samples; ++j) {
-      const double fb = static_cast<double>(j) * step;
-      const double d2 = (pa - curve_position(b, fb)).norm2();
-      if (d2 < best_d2) {
-        best_d2 = d2;
-        best_fa = fa;
-        best_fb = fb;
-      }
-    }
-  }
-  double fa = best_fa, fb = best_fb;
-  for (int round = 0; round < 4; ++round) {
-    const auto over_fa = [&](double f) {
-      return (curve_position(a, f) - curve_position(b, fb)).norm2();
-    };
-    fa = brent_minimize(over_fa, fa - step, fa + step, 1e-10).x;
-    const auto over_fb = [&](double f) {
-      return (curve_position(a, fa) - curve_position(b, f)).norm2();
-    };
-    fb = brent_minimize(over_fb, fb - step, fb + step, 1e-10).x;
-  }
-  return (curve_position(a, fa) - curve_position(b, fb)).norm();
-}
-
 NodeCrossing crossing_at(const KeplerElements& a, const KeplerElements& b,
                          const Vec3& k) {
   const auto anomaly_toward = [&k](const KeplerElements& el) {
@@ -559,13 +486,50 @@ std::array<NodeCrossing, 2> node_crossings(const KeplerElements& a,
   return {crossing_at(a, b, k), crossing_at(a, b, -k)};
 }
 
+std::array<NodeGap, 2> node_gaps(const KeplerElements& a, const KeplerElements& b,
+                                 double reach) {
+  const Vec3 cross = normal_of(a).cross(normal_of(b));
+  const double sin_angle = cross.norm();
+  const Vec3 k = cross / sin_angle;
+  const double r_lo = std::max(perigee_radius(a), perigee_radius(b)) - reach;
+  const double w =
+      r_lo > 0.0 ? std::min(kPi, std::asin(std::min(1.0, reach / (r_lo * sin_angle))) +
+                                     2.0 * std::asin(std::min(1.0, 0.5 * reach / r_lo)))
+                 : kPi;
+  const double sin_w = w < 0.5 * kPi ? std::sin(w) : 1.0;
+  const double cos_w = std::cos(w);
+  std::array<NodeGap, 2> gaps;
+  const auto add = [&](const KeplerElements& el, double NodeGap::*radius) {
+    const Mat3 rot = perifocal_to_eci(el.inclination, el.raan, el.arg_perigee);
+    const Vec3 u = rot.transposed() * k;
+    const double inv = 1.0 / std::sqrt(u.x * u.x + u.y * u.y);
+    const double p = semi_latus_rectum(el);
+    const double e = el.eccentricity;
+    for (int s = 0; s < 2; ++s) {
+      const double cos_f = (s == 0 ? u.x : -u.x) * inv;
+      const double sin_f = (s == 0 ? u.y : -u.y) * inv;
+      const double sin_max = std::min(1.0, std::abs(sin_f) + std::abs(cos_f) * sin_w);
+      const double cos_min =
+          std::max(-1.0, std::min(cos_f * cos_w, cos_f) - std::abs(sin_f) * sin_w);
+      const double q = 1.0 + e * cos_min;
+      gaps[s].*radius = p / (1.0 + e * cos_f);
+      gaps[s].bound += w * (p * e * sin_max / (q * q));
+    }
+  };
+  add(a, &NodeGap::radius_a);
+  add(b, &NodeGap::radius_b);
+  for (NodeGap& gap : gaps) gap.bound += reach;
+  return gaps;
+}
+
 std::vector<Interval> conjunction_time_windows(const KeplerElements& a,
                                                const KeplerElements& b, double t_begin,
                                                double t_end, double threshold_km) {
   const Vec3 cross = normal_of(a).cross(normal_of(b));
   const double sin_angle = std::max(cross.norm(), 0.05);
-  const Vec3 k = cross / cross.norm();
+  const Vec3 k = cross.normalized();
   const double reach = threshold_km + kFilterPadKm;
+  const std::array<NodeGap, 2> gaps = node_gaps(a, b, reach);
   const double corridor = 8.0 * reach / sin_angle;
 
   const auto crossing_windows = [&](const KeplerElements& el, double f_node, double w) {
@@ -582,9 +546,9 @@ std::vector<Interval> conjunction_time_windows(const KeplerElements& a,
   };
 
   std::vector<Interval> result;
-  for (const Vec3& direction : {k, -k}) {
-    const NodeCrossing c = crossing_at(a, b, direction);
-    if (c.miss_distance > reach) continue;
+  for (int s = 0; s < 2; ++s) {
+    if (!gaps[s].open()) continue;
+    const NodeCrossing c = crossing_at(a, b, s == 0 ? k : -k);
     const double h_a = std::sqrt(kMuEarth * semi_latus_rectum(a));
     const double h_b = std::sqrt(kMuEarth * semi_latus_rectum(b));
     const std::vector<Interval> xs =
@@ -616,15 +580,12 @@ PairClassification classify_pair(const KeplerElements& a, const KeplerElements& 
   PairClassification out;
   const double reach = config.threshold_km + kFilterPadKm;
   if (radial_band_gap(a, b) > reach) return out;
-  out.coplanar = are_coplanar(a, b);
-  if (out.coplanar) {
-    out.verdict = min_orbit_distance(a, b) <= config.threshold_km + kFilterPadKm
-                      ? PairVerdict::kCoplanarSurvivor
-                      : PairVerdict::kPathReject;
+  if (are_coplanar(a, b)) {
+    out.verdict = PairVerdict::kCoplanarSurvivor;
     return out;
   }
-  const auto crossings = node_crossings(a, b);
-  if (crossings[0].miss_distance > reach && crossings[1].miss_distance > reach) {
+  const std::array<NodeGap, 2> gaps = node_gaps(a, b, reach);
+  if (!gaps[0].open() && !gaps[1].open()) {
     out.verdict = PairVerdict::kPathReject;
     return out;
   }
@@ -694,8 +655,15 @@ TEST(FilterOrbit, ChainMatchesElementsFormulasBitForBit) {
     const FilterOrbit a(ea), b(eb);
     EXPECT_EQ(radial_band_gap(a, b), from_elements::radial_band_gap(ea, eb)) << k;
     EXPECT_EQ(are_coplanar(a, b), from_elements::are_coplanar(ea, eb)) << k;
-    EXPECT_EQ(min_orbit_distance(a, b), from_elements::min_orbit_distance(ea, eb)) << k;
     if (!are_coplanar(a, b)) {
+      const auto gaps = node_gaps(a, b, config.threshold_km + kFilterPadKm);
+      const auto want_gaps =
+          from_elements::node_gaps(ea, eb, config.threshold_km + kFilterPadKm);
+      for (int s = 0; s < 2; ++s) {
+        EXPECT_EQ(gaps[s].radius_a, want_gaps[s].radius_a) << k;
+        EXPECT_EQ(gaps[s].radius_b, want_gaps[s].radius_b) << k;
+        EXPECT_EQ(gaps[s].bound, want_gaps[s].bound) << k;
+      }
       const auto got = node_crossings(a, b);
       const auto want = from_elements::node_crossings(ea, eb);
       for (int s = 0; s < 2; ++s) {
@@ -711,13 +679,12 @@ TEST(FilterOrbit, ChainMatchesElementsFormulasBitForBit) {
     const PairClassification got = classify_pair(a, b, config);
     const PairClassification want = from_elements::classify_pair(ea, eb, config);
     EXPECT_EQ(got.verdict, want.verdict) << k;
-    EXPECT_EQ(got.coplanar, want.coplanar) << k;
     ASSERT_EQ(got.windows.size(), want.windows.size()) << k;
     for (std::size_t w = 0; w < want.windows.size(); ++w) {
       EXPECT_EQ(got.windows[w].lo, want.windows[w].lo) << k;
       EXPECT_EQ(got.windows[w].hi, want.windows[w].hi) << k;
     }
-    coplanar += got.coplanar ? 1 : 0;
+    coplanar += got.verdict == PairVerdict::kCoplanarSurvivor ? 1 : 0;
     ++verdicts[static_cast<std::size_t>(got.verdict)];
   }
   // Every verdict and both branches of the chain were exercised.
@@ -727,12 +694,12 @@ TEST(FilterOrbit, ChainMatchesElementsFormulasBitForBit) {
 }
 
 TEST(FilterOrbit, NodeMissDecisionMatchesAtTheReachBoundary) {
-  // classify_pair decides most node misses from closed-form node radii
-  // and only near the reach takes node_crossings; its verdicts must equal
-  // the exact per-pair chain when a node miss sits within micrometres to
-  // metres of the reach. a is circular and b slightly eccentric, so their
-  // radial bands overlap; b is scaled so that its radius at the first node
-  // is r_a + reach + delta.
+  // The node test takes the node radii in closed form; they must equal
+  // node_crossings' atan2-based radii to well under a millimetre, and the
+  // verdict must flip exactly at the padded bound. a is circular and b
+  // slightly eccentric, so their radial bands overlap; b is scaled so that
+  // its first node's gap is bound + delta (the bound moves with b's scale,
+  // so the scale is iterated to a fixed point).
   ScreeningConfig config;
   config.threshold_km = 5.0;
   config.t_end = 86400.0;
@@ -748,37 +715,111 @@ TEST(FilterOrbit, NodeMissDecisionMatchesAtTheReachBoundary) {
                       rng.uniform(0.0, kTwoPi), rng.uniform(0.0, kTwoPi),
                       rng.uniform(0.0, kTwoPi)};
     if (from_elements::are_coplanar(ea, eb)) continue;
-    const NodeCrossing node = from_elements::node_crossings(ea, eb)[0];
-    for (const double delta : {-2e-3, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 2e-3}) {
+    const FilterOrbit a(ea);
+    for (const double delta : {-2e-3, -1e-3, -1e-6, 1e-6, 1e-3, 2e-3}) {
       KeplerElements scaled = eb;
-      scaled.semi_major_axis *= (node.radius_a + reach + delta) / node.radius_b;
-      const PairClassification got =
-          classify_pair(FilterOrbit(ea), FilterOrbit(scaled), config);
-      const PairClassification want = from_elements::classify_pair(ea, scaled, config);
-      EXPECT_EQ(got.verdict, want.verdict) << trial << " delta " << delta;
-      ASSERT_EQ(got.windows.size(), want.windows.size()) << trial << " delta " << delta;
-      for (std::size_t w = 0; w < want.windows.size(); ++w) {
-        EXPECT_EQ(got.windows[w].lo, want.windows[w].lo) << trial;
-        EXPECT_EQ(got.windows[w].hi, want.windows[w].hi) << trial;
+      for (int iteration = 0; iteration < 4; ++iteration) {
+        const NodeGap gap = node_gaps(a, FilterOrbit(scaled), reach)[0];
+        scaled.semi_major_axis *= (gap.radius_a + gap.bound + delta) / gap.radius_b;
       }
-      (want.verdict == PairVerdict::kPathReject ? rejects : passes) += 1;
+      const FilterOrbit b(scaled);
+      const auto gaps = node_gaps(a, b, reach);
+      const auto crossings = node_crossings(a, b);
+      for (int s = 0; s < 2; ++s) {
+        EXPECT_NEAR(gaps[s].radius_a, crossings[s].radius_a, 1e-6) << trial;
+        EXPECT_NEAR(gaps[s].radius_b, crossings[s].radius_b, 1e-6) << trial;
+      }
+      // Node 0 sits delta outside its bound, to well under the deltas.
+      const double margin = gaps[0].radius_b - gaps[0].radius_a - gaps[0].bound;
+      ASSERT_NEAR(margin, delta, 1e-7) << trial;
+
+      const PairClassification got = classify_pair(a, b, config);
+      EXPECT_EQ(got.verdict == PairVerdict::kPathReject,
+                !gaps[0].open() && !gaps[1].open())
+          << trial << " delta " << delta;
+      if (delta < 0.0) {
+        EXPECT_NE(got.verdict, PairVerdict::kPathReject) << trial;
+      }
+      (got.verdict == PairVerdict::kPathReject ? rejects : passes) += 1;
     }
   }
-  // Both sides of the reach were exercised.
-  EXPECT_GT(rejects, 200u);
-  EXPECT_GT(passes, 200u);
+  // Both sides of the bound were exercised.
+  EXPECT_GT(rejects, 100u);
+  EXPECT_GT(passes, 300u);
 }
 
-TEST(FilterOrbit, MinOrbitDistanceMatchesAtAnyResolution) {
-  const auto pairs = regime_pairs(20);
-  for (const int coarse : {7, 24, 48}) {
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-      const auto& [ea, eb] = pairs[k];
-      EXPECT_EQ(min_orbit_distance(FilterOrbit(ea), FilterOrbit(eb), coarse),
-                from_elements::min_orbit_distance(ea, eb, coarse))
-          << coarse << " #" << k;
+TEST(NodeTest, KeepsAnEccentricPairWhoseApproachIsOffTheNode) {
+  // Objects 12759 and 48314 of generate_population({100000, 1}): planes
+  // 0.035 rad apart, e = 0.0043 and 0.71. The radial gap at the nearer
+  // node is 6.1 km, more than the 2.5 km reach, but the eccentric orbit's
+  // radius changes by ~830 km per radian there, and the orbits pass
+  // 1.7 km apart 0.0067 rad from the node: grid reports a 1.73 km
+  // conjunction. The node test must not reject the pair.
+  const KeplerElements ea{6851.8559723860444, 0.0043251557342097909,
+                          3.1163690884230602, 2.0307225102824109,
+                          2.9997053372412883, 0.91008383660645809};
+  const KeplerElements eb{23292.148991704798, 0.70996584869024948,
+                          0.011291244571926897, 2.6284359331112879,
+                          5.5765169801375922, 5.970513518336837};
+  const FilterOrbit a(ea), b(eb);
+  ASSERT_FALSE(are_coplanar(a, b));
+  const ScreeningConfig config;  // d = 2 km
+  const double reach = config.threshold_km + kFilterPadKm;
+  const auto crossings = node_crossings(a, b);
+  EXPECT_NEAR(std::min(crossings[0].miss_distance, crossings[1].miss_distance), 6.14,
+              0.01);
+  const auto gaps = node_gaps(a, b, reach);
+  EXPECT_TRUE(gaps[0].open() || gaps[1].open());
+  EXPECT_NE(classify_pair(a, b, config).verdict, PairVerdict::kPathReject);
+}
+
+TEST(NodeTest, RejectsOnlyPairsTheOracleFindsApart) {
+  // Property: planes 0.02-0.1 rad apart, one orbit with e in [0.3, 0.75],
+  // an approach planted near the node arc at radial offsets around d.
+  // Every pair the chain rejects (node test or windows) must have a
+  // dense-scan minimum above d.
+  ScreeningConfig config;  // d = 2 km
+  config.t_end = 3000.0;
+  const double d = config.threshold_km;
+  const NewtonKeplerSolver solver;
+  Rng rng(0x5EED21);
+  std::size_t rejected = 0, close = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const double plane_angle = rng.uniform(1.05 * kCoplanarTolerance, 0.1);
+    // Out-of-plane gap at the planted point: 0 to about 0.8 d.
+    const double gap = rng.uniform(0.0, 0.8) * d;
+    const double node_angle = std::asin(gap / (7000.0 * std::sin(plane_angle))) *
+                              (rng.uniform() < 0.5 ? 1.0 : -1.0);
+    // Radial offsets within 1.5 d on even trials, within 20 d on odd ones.
+    const double offset = rng.uniform(-1.0, 1.0) * d * (trial % 2 == 0 ? 1.5 : 20.0);
+    const KeplerElements ea{rng.uniform(6900.0, 7400.0), rng.uniform(0.0, 0.01),
+                            rng.uniform(0.1, kPi - 0.1), rng.uniform(0.0, kTwoPi),
+                            rng.uniform(0.0, kTwoPi), rng.uniform(0.0, kTwoPi)};
+    const KeplerElements eb =
+        verify::make_near_coplanar_grazer(ea, 1500.0, plane_angle, node_angle,
+                                          rng.uniform(0.3, 0.75), offset, rng, 1)
+            .elements;
+    const FilterOrbit a(ea), b(eb);
+    ASSERT_FALSE(are_coplanar(a, b)) << trial;
+    const PairVerdict verdict = classify_pair(a, b, config).verdict;
+
+    const TwoBodyPropagator prop(std::vector<Satellite>{{0, ea}, {1, eb}}, solver);
+    DenseScanOptions scan;
+    scan.step = 1.0;
+    double oracle = std::numeric_limits<double>::infinity();
+    for (const Encounter& e :
+         scan_encounters(prop, 0, 1, config.t_begin, config.t_end, scan)) {
+      oracle = std::min(oracle, e.pca);
+    }
+    if (oracle <= d) ++close;
+    if (verdict == PairVerdict::kPathReject || verdict == PairVerdict::kWindowReject) {
+      ++rejected;
+      EXPECT_GT(oracle, d) << trial << " plane angle " << plane_angle;
     }
   }
+  // Both kinds of pair were generated in numbers.
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(close, 100u);
 }
 
 TEST(FilterOrbit, BuiltOnAPoolEqualsPerObjectConstruction) {
@@ -804,7 +845,6 @@ TEST(FilterOrbit, BuiltOnAPoolEqualsPerObjectConstruction) {
       }
       for (const double f : {0.0, 1.0, 4.0}) {
         EXPECT_EQ(orbit.radius_at(f), radius_at_true_anomaly(el, f)) << i;
-        EXPECT_EQ(orbit.position(f), from_elements::curve_position(el, f)) << i;
       }
     }
   }

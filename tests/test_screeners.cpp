@@ -207,6 +207,44 @@ TEST_F(ScreenerAccuracy, VariantsAgreeOnCollidingPairs) {
   EXPECT_LE(gl.only_in_second, 1u);
 }
 
+TEST_F(ScreenerAccuracy, HybridMatchesGridOnGeneratedPopulation) {
+  // Generated populations hold eccentric objects on planes a few hundredths
+  // of a radian from near-circular ones, where a node test that reads the
+  // radial gap at the node alone rejects real conjunctions. Hybrid must
+  // report exactly grid's pairs (n = 50k, 1800 s, d = 2 km), except pairs
+  // whose PCA lies within 50 m of d, where the two refinements may land on
+  // either side of the threshold.
+  constexpr double kEdgeKm = 0.05;
+  for (const std::uint64_t seed : {1u, 7u}) {
+    const auto sats = generate_population({50000, seed});
+    ScreeningConfig cfg;
+    cfg.t_end = 1800.0;
+    const auto closest = [&](Variant variant) {
+      std::map<std::pair<std::uint32_t, std::uint32_t>, double> pca;
+      for (const Conjunction& c : screen(sats, cfg, variant).conjunctions) {
+        const auto [it, inserted] = pca.try_emplace({c.sat_a, c.sat_b}, c.pca);
+        if (!inserted) it->second = std::min(it->second, c.pca);
+      }
+      return pca;
+    };
+    const auto grid = closest(Variant::kGrid);
+    const auto hybrid = closest(Variant::kHybrid);
+    ASSERT_GT(grid.size(), 500u) << seed;
+    const auto expect_within = [&](const auto& first, const auto& second,
+                                   const char* what) {
+      for (const auto& [pair, pca] : first) {
+        if (second.count(pair) == 0) {
+          EXPECT_LT(std::abs(pca - cfg.threshold_km), kEdgeKm)
+              << what << " seed " << seed << ": " << pair.first << "-" << pair.second
+              << " pca " << pca;
+        }
+      }
+    };
+    expect_within(grid, hybrid, "hybrid missed");
+    expect_within(hybrid, grid, "hybrid invented");
+  }
+}
+
 TEST_F(ScreenerAccuracy, GridDeterministicAcrossRunsAndThreads) {
   // Bit-identical for every pool size, including 2 and 3 workers, and
   // across repeated runs.

@@ -282,11 +282,13 @@ TEST_F(Telemetry, HybridFilterConservation) {
   EXPECT_EQ(snap.value(Counter::kFilterCoplanarPairs),
             report.stats.coplanar_pairs);
 
-  // Filter monotonicity: each stage sees no more pairs than the one before.
+  // The node test sees every non-coplanar ap-pass pair, and the window
+  // filter the pairs it leaves open.
   const std::uint64_t path_checks = snap.value(Counter::kFilterPathChecks);
   const std::uint64_t win_checks = snap.value(Counter::kFilterWindowChecks);
-  EXPECT_EQ(path_checks, in - ap);
-  EXPECT_LE(win_checks, path_checks);
+  const std::uint64_t coplanar = snap.value(Counter::kFilterCoplanarPairs);
+  EXPECT_EQ(path_checks, in - ap - coplanar);
+  EXPECT_EQ(win_checks, path_checks - path_rej);
   EXPECT_LE(win_rej, win_checks);
   EXPECT_LE(survivors, in);
 
@@ -308,7 +310,8 @@ TEST_F(Telemetry, LegacyFilterConservation) {
   const std::uint64_t survivors = snap.value(Counter::kFilterSurvivors);
   ASSERT_EQ(in, static_cast<std::uint64_t>(sats.size()) * (sats.size() - 1) / 2);
   EXPECT_EQ(in, ap + path_rej + win_rej + survivors);
-  EXPECT_EQ(snap.value(Counter::kFilterPathChecks), in - ap);
+  EXPECT_EQ(snap.value(Counter::kFilterPathChecks),
+            in - ap - snap.value(Counter::kFilterCoplanarPairs));
 
   // The legacy funnel never touches the grid-side counters.
   EXPECT_EQ(snap.value(Counter::kPairsTested), 0u);

@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "core/screener.hpp"
+#include "orbit/geometry.hpp"
+#include "propagation/kepler_solver.hpp"
+#include "propagation/two_body.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
 #include "verify/adversarial.hpp"
@@ -44,8 +47,9 @@ TEST(AdversarialGenerator, CoversEveryRegime) {
   for (const OrbitRegime regime : kAllRegimes) {
     EXPECT_TRUE(seen.count(regime)) << regime_name(regime);
   }
-  // 8 background + per_regime * (1 + 1 + 2 + 1 + 2 + 1) engineered objects.
-  EXPECT_EQ(fuzz_case.size(), 8u + 8u);
+  // 8 background + per_regime * (1 + 1 + 2 + 1 + 2 + 1 + 2) engineered
+  // objects.
+  EXPECT_EQ(fuzz_case.size(), 8u + 10u);
   // Ids are the dense indices of generation order, each exactly once.
   std::set<std::uint32_t> ids;
   for (const Satellite& sat : fuzz_case.satellites) ids.insert(sat.id);
@@ -82,6 +86,37 @@ TEST(AdversarialGenerator, DeltaReferencesLiveIdsOnly) {
   ASSERT_FALSE(fuzz_case.delta_adds.empty());
   for (const Satellite& sat : fuzz_case.delta_adds) {
     EXPECT_FALSE(ids.count(sat.id)) << sat.id;  // adds use fresh ids
+  }
+}
+
+TEST(AdversarialGenerator, NearCoplanarGrazerPassesAtThePlantedDistance) {
+  // The grazer's plane is tilted by exactly plane_angle, its perigee stays
+  // above 6500 km, and at t_star it sits hypot(out-of-plane gap, offset)
+  // from the target: the gap r sin(plane_angle) |sin(node_angle)| is normal
+  // to its plane and the offset radial within it.
+  KeplerElements target;
+  target.semi_major_axis = 7000.0;
+  target.eccentricity = 1e-4;
+  target.inclination = 0.9;
+  target.raan = 1.0;
+  target.arg_perigee = 0.3;
+  target.mean_anomaly = 2.0;
+  const NewtonKeplerSolver solver;
+  Rng rng(11);
+  for (int k = 0; k < 40; ++k) {
+    const double tilt = rng.uniform(0.002, 0.06);
+    const double node_angle = rng.uniform(-0.05, 0.05);
+    const double offset = rng.uniform(-3.0, 3.0);
+    const double t_star = rng.uniform(0.0, 3600.0);
+    const Satellite grazer = make_near_coplanar_grazer(
+        target, t_star, tilt, node_angle, rng.uniform(0.3, 0.75), offset, rng, 1);
+    EXPECT_NEAR(plane_angle(grazer.elements, target), tilt, 1e-9) << k;
+    EXPECT_GE(perigee_radius(grazer.elements), 6500.0 - 1e-6) << k;
+
+    const TwoBodyPropagator prop(std::vector<Satellite>{{0, target}, grazer}, solver);
+    const double r = prop.position(0, t_star).norm();
+    const double gap = r * std::sin(tilt) * std::abs(std::sin(node_angle));
+    EXPECT_NEAR(prop.distance(0, 1, t_star), std::hypot(gap, offset), 1e-4) << k;
   }
 }
 
