@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -27,10 +29,11 @@ void execute(const ScreeningConfig& config, std::size_t n, Fn&& fn) {
 }
 
 /// Step 4 (Brent refinement) in the kernel style grid and hybrid share:
-/// one logical thread per task writes only its own fixed output slot, so
-/// the phase is lock-free, and the slots are then collected in task order,
-/// so the raw conjunctions do not depend on scheduling. One object can
-/// serve several phases (grid refines round by round) and keeps its slots.
+/// one logical thread per task sets only its own flag byte, and the few
+/// tasks that yield a conjunction hand it in with their task index. The
+/// conjunctions are then put in task order, so the raw conjunctions do not
+/// depend on scheduling. One object can serve several phases (grid refines
+/// round by round) and keeps its buffers.
 class RefineSlots {
  public:
   /// Flags a task returns: its Brent search ran, and it wrote its slot.
@@ -45,23 +48,33 @@ class RefineSlots {
   template <typename Refine>
   std::size_t run(const ScreeningConfig& config, std::size_t tasks, Refine&& refine,
                   std::vector<Conjunction>& raw) {
-    slots_.resize(tasks);
     flags_.assign(tasks, 0);
-    execute(config, tasks, [&](std::size_t i) { flags_[i] = refine(i, slots_[i]); });
+    found_.clear();
+    std::mutex found_mutex;
+    execute(config, tasks, [&](std::size_t i) {
+      Conjunction slot;
+      flags_[i] = refine(i, slot);
+      if (flags_[i] & kSlotValid) {
+        const std::lock_guard<std::mutex> lock(found_mutex);
+        found_.emplace_back(i, slot);
+      }
+    });
+    std::sort(found_.begin(), found_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
 
-    const std::size_t before = raw.size();
     std::size_t searches = 0;
-    for (std::size_t i = 0; i < tasks; ++i) {
-      if (flags_[i] & kSearched) ++searches;
-      if (flags_[i] & kSlotValid) raw.push_back(slots_[i]);
+    for (const std::uint8_t flags : flags_) {
+      if (flags & kSearched) ++searches;
     }
-    obs::count(obs::Counter::kConjunctionsRaw, raw.size() - before);
+    for (const auto& [task, conjunction] : found_) raw.push_back(conjunction);
+    obs::count(obs::Counter::kConjunctionsRaw, found_.size());
     return searches;
   }
 
  private:
-  std::vector<Conjunction> slots_;
   std::vector<std::uint8_t> flags_;
+  /// The valid slots, each with its task index.
+  std::vector<std::pair<std::size_t, Conjunction>> found_;
 };
 
 }  // namespace scod::detail

@@ -216,20 +216,29 @@ struct RoundInputs {
   /// round.
   std::vector<GridHashSet>& grids;
   std::vector<CellList>& lists;
+  /// With the batched kernel on the CPU, n warm-start eccentric anomalies
+  /// per worker (worker w's at w * n); otherwise empty.
+  std::span<double> anomalies;
 
   double sample_time(std::size_t step) const {
     return result.sample_time(step, config.t_begin, config.t_end);
   }
 
   /// Positions of satellites [begin, end) at time `t`, through the batched
-  /// kernel when there is one.
-  void positions(double t, std::size_t begin, std::size_t end, Vec3* out) const {
-    if (batch_propagator != nullptr) {
-      batch_propagator->positions_at(t, begin, end, out);
-    } else {
+  /// kernel when there is one. Its eccentric anomalies are in `big_e`
+  /// (indexed from `begin`): solved cold when `dt` is 0, on the first step
+  /// of a run, and advanced from the previous step, `dt` earlier,
+  /// otherwise.
+  void positions(double t, double dt, std::size_t begin, std::size_t end, Vec3* out,
+                 double* big_e) const {
+    if (batch_propagator == nullptr) {
       for (std::size_t sat = begin; sat < end; ++sat) {
         out[sat - begin] = propagator.position(sat, t);
       }
+    } else if (dt == 0.0) {
+      batch_propagator->positions_at(t, begin, end, out, big_e);
+    } else {
+      batch_propagator->positions_warm(t, dt, begin, end, big_e, out);
     }
   }
 };
@@ -251,14 +260,14 @@ constexpr std::size_t kChunk = 256;
 /// propagate every satellite and sort the step by cell (INS), then sweep
 /// the cells while the list is still in the worker's cache (CD). Every
 /// pair the sweep meets goes through the same PairTest as on the grid, so
-/// the step's candidates are exactly the grid's. Returns false on
-/// overflow.
-bool full_step(const RoundInputs& in, CellList& list, std::size_t step,
-               RoundAttempt& part, Stopwatch& clock) {
+/// the step's candidates are exactly the grid's. `dt` and `big_e` are the
+/// warm start of RoundInputs::positions. Returns false on overflow.
+bool full_step(const RoundInputs& in, CellList& list, std::size_t step, double dt,
+               double* big_e, RoundAttempt& part, Stopwatch& clock) {
   const std::size_t n = in.propagator.size();
   const double t = in.sample_time(step);
   list.build(n, [&](std::size_t begin, std::size_t end, Vec3* out) {
-    in.positions(t, begin, end, out);
+    in.positions(t, dt, begin, end, out, big_e == nullptr ? nullptr : big_e + begin);
   });
   obs::count_unprobed_inserts(n);
   part.insertion_seconds += clock.lap();
@@ -277,17 +286,21 @@ bool full_step(const RoundInputs& in, CellList& list, std::size_t step,
 /// CPU, one step of a masked screen through the worker's phantom table:
 /// clear it, register the dirty objects, then propagate every satellite
 /// chunk by chunk and look each one up. Propagation counts as INS, lookups
-/// as CD. Returns false on overflow.
-bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step,
-                  RoundAttempt& part, Stopwatch& clock) {
+/// as CD. `dt` and `big_e` are the warm start of RoundInputs::positions.
+/// Returns false on overflow.
+bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step, double dt,
+                  double* big_e, RoundAttempt& part, Stopwatch& clock) {
   const PhantomScan& phantom = *in.phantom;
   const std::size_t n = in.propagator.size();
   const double t = in.sample_time(step);
   table.clear();
   part.clear_seconds += clock.lap();
   for (const std::uint32_t sat : phantom.dirty_objects) {
+    // A copy of the warm state: the chunk loop below advances it, and
+    // computes this same position there.
+    double sat_e = big_e == nullptr ? 0.0 : big_e[sat];
     Vec3 position;
-    in.positions(t, sat, sat + 1, &position);
+    in.positions(t, dt, sat, sat + 1, &position, &sat_e);
     phantom.enroll(table, sat, position);
   }
   part.insertion_seconds += clock.lap();
@@ -295,7 +308,7 @@ bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step,
   Vec3 positions[kChunk];
   for (std::size_t sat0 = 0; sat0 < n; sat0 += kChunk) {
     const std::size_t end = std::min(n, sat0 + kChunk);
-    in.positions(t, sat0, end, positions);
+    in.positions(t, dt, sat0, end, positions, big_e == nullptr ? nullptr : big_e + sat0);
     part.insertion_seconds += clock.lap();
     for (std::size_t sat = sat0; sat < end; ++sat) {
       if (!phantom.lookup(table, static_cast<std::uint32_t>(sat), positions[sat - sat0],
@@ -310,14 +323,17 @@ bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step,
 }
 
 /// CPU round: each worker owns one cell list (a phantom table when masked)
-/// and runs whole sample steps through it, taking the next step of the
-/// round until none is left. Phase seconds are the workers' summed seconds
-/// divided by the number of workers. On overflow the workers stop, and the
-/// telemetry they counted is taken back: the caller grows the candidate
-/// buffer and re-runs the whole round.
+/// and the warm-start anomalies, and runs whole sample steps through them,
+/// taking the next of the round's warm_runs(steps) runs until none is left.
+/// Phase seconds are the workers' summed seconds divided by the number of
+/// workers. On overflow the workers stop, and the telemetry they counted
+/// is taken back: the caller grows the candidate buffer and re-runs the
+/// whole round.
 RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t steps) {
   ThreadPool& pool = pool_of(in.config);
   const std::size_t workers = in.phantom == nullptr ? in.lists.size() : in.grids.size();
+  const std::size_t n = in.propagator.size();
+  const std::size_t runs = warm_runs(steps);
 
   std::vector<RoundAttempt> parts(workers);
   std::vector<obs::TelemetrySnapshot> saved(workers);
@@ -326,15 +342,28 @@ RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t s
   pool.run_on_all([&](std::size_t w) {
     if (w >= workers) return;
     saved[w] = obs::thread_counts();
+    double* big_e = in.anomalies.empty() ? nullptr : in.anomalies.data() + w * n;
     RoundAttempt part;
     Stopwatch clock;
     while (!overflow.load(std::memory_order_relaxed)) {
-      const std::size_t step = step0 + next.fetch_add(1, std::memory_order_relaxed);
-      if (step >= step0 + steps) break;
-      const bool fits = in.phantom == nullptr
-                            ? full_step(in, in.lists[w], step, part, clock)
-                            : phantom_step(in, in.grids[w], step, part, clock);
-      if (!fits) overflow.store(true, std::memory_order_relaxed);
+      const std::size_t run = next.fetch_add(1, std::memory_order_relaxed);
+      if (run >= runs) break;
+      const std::size_t first = step0 + run * steps / runs;
+      const std::size_t last = step0 + (run + 1) * steps / runs;
+      // A one-step run has no state to hand on: it skips the anomaly writes.
+      double* run_e = last - first > 1 ? big_e : nullptr;
+      for (std::size_t step = first; step < last; ++step) {
+        const double dt =
+            step == first ? 0.0 : in.sample_time(step) - in.sample_time(step - 1);
+        const bool fits =
+            in.phantom == nullptr
+                ? full_step(in, in.lists[w], step, dt, run_e, part, clock)
+                : phantom_step(in, in.grids[w], step, dt, run_e, part, clock);
+        if (!fits) {
+          overflow.store(true, std::memory_order_relaxed);
+          break;
+        }
+      }
     }
     parts[w] = part;
   });
@@ -461,6 +490,10 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
     if (options.dirty_mask[i] != 0) dirty_objects.push_back(static_cast<std::uint32_t>(i));
   }
   const bool cell_lists = device == nullptr && !masked;
+  // The batched propagation kernel, and with it the warm start, needs the
+  // concrete SoA propagator and runs on the CPU backend only.
+  const auto* batch_propagator =
+      device == nullptr ? dynamic_cast<const TwoBodyPropagator*>(&propagator) : nullptr;
   const std::size_t table_entries =
       masked ? std::max<std::size_t>(27 * dirty_objects.size(), 1) : n;
 
@@ -487,6 +520,7 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   request.seconds_per_sample = config.seconds_per_sample;
   request.memory_budget = budget;
   request.grid_entries = cell_lists ? 0 : table_entries;
+  request.warm_start = batch_propagator != nullptr;
   if (masked) {
     // Only pairs with a dirty member are tested: a share 1 - (1 - f)^2 of
     // all pairs for a dirty fraction f. An undershoot grows the buffer.
@@ -520,9 +554,9 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   // the per-satellite speed bounds used by the distance prefilter.
   // devicesim holds one grid (phantom table when masked) per step of a
   // round (p); on the CPU each worker owns one cell list (phantom table
-  // when masked), so min(p, workers) are enough. Every hash table is
-  // cleared before a step is inserted into it; a cell list is simply
-  // rebuilt.
+  // when masked) and, with the batched kernel, n warm-start anomalies, so
+  // min(p, workers) of each are enough. Every hash table is cleared before
+  // a step is inserted into it; a cell list is simply rebuilt.
   const std::size_t table_count =
       device != nullptr ? p : std::min(p, pool_of(config).thread_count());
   std::vector<GridHashSet> grids;
@@ -536,6 +570,8 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
     while (grids.size() < table_count) grids.emplace_back(table_entries);
     for (const GridHashSet& g : grids) result.grid_memory_bytes += g.memory_bytes();
   }
+  std::vector<double> anomalies(batch_propagator != nullptr ? table_count * n : 0);
+  result.grid_memory_bytes += anomalies.size() * sizeof(double);
   CandidateBuffer candidates(request.candidate_capacity);
 
   std::vector<double> vmax(n);
@@ -563,13 +599,8 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                       0.5 * result.sample_period};
   const CellScan scan{indexer, test};
   const PhantomScan phantom{indexer, test, options.dirty_mask.data(), dirty_objects};
-  // The batched propagation kernel needs the concrete SoA propagator and
-  // runs on the CPU backend only.
-  const RoundInputs inputs{
-      propagator,
-      device == nullptr ? dynamic_cast<const TwoBodyPropagator*>(&propagator)
-                        : nullptr,
-      config, result, scan, masked ? &phantom : nullptr, grids, lists};
+  const RoundInputs inputs{propagator, batch_propagator, config, result, scan,
+                           masked ? &phantom : nullptr, grids, lists, anomalies};
   // Per step, a CPU full screen sweeps its n list entries, a masked one
   // looks up each of the n satellites once, and a devicesim full screen
   // scans every slot of its grid.

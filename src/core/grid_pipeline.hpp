@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <span>
 #include <stdexcept>
@@ -13,6 +15,28 @@
 #include "spatial/candidate_buffer.hpp"
 
 namespace scod {
+
+/// Most consecutive sample steps a CPU worker of the grid front end takes
+/// at a time. With a TwoBodyPropagator the first step of a run solves
+/// Kepler's equation cold and the others warm-start it from the step
+/// before (TwoBodyPropagator::positions_warm).
+inline constexpr std::size_t kWarmRun = 16;
+
+/// The number of runs a CPU round is cut into is a multiple of this, so
+/// that 1, 2, 4 or 8 workers share a round's runs evenly.
+inline constexpr std::size_t kRunMultiple = 8;
+
+/// Runs a CPU round of `steps` sample steps is cut into: the fewest
+/// multiple of kRunMultiple that keeps every run within kWarmRun steps,
+/// but no more than there are steps. Run j of a round starting at step0
+/// covers [step0 + j * steps / runs, step0 + (j + 1) * steps / runs). The
+/// cuts depend on the round alone, never on the thread count or on which
+/// worker takes a run; a round shorter than kRunMultiple steps is one cold
+/// step per run.
+constexpr std::size_t warm_runs(std::size_t steps) {
+  const std::size_t per_group = kRunMultiple * kWarmRun;
+  return std::min(steps, kRunMultiple * ((steps + per_group - 1) / per_group));
+}
 
 /// Options of the shared grid front-end (steps 1-2 of Section III: memory
 /// allocation, parallel propagation + insertion, parallel candidate
@@ -105,21 +129,26 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// bodies when masked) but not their detection structure or execution
 /// shape:
 ///  - CPU: min(p, workers) cell lists, one per worker of the pool. A
-///    worker takes the round's steps one at a time, propagates every
-///    satellite into its list and sorts it by cell (INS), and sweeps the
-///    list while it is still in its cache (CD); under a mask it clears a
-///    phantom table, registers the dirty objects, then propagates the
-///    satellites chunk by chunk and looks each one up. A TwoBodyPropagator
-///    goes through the batched SoA kernel, any other propagator through
-///    position(). A round with fewer steps than workers leaves the surplus
-///    workers idle.
+///    worker takes the round's runs (warm_runs) one at a time and, step by
+///    step, propagates every satellite into its list and sorts it by cell
+///    (INS), and sweeps the list while it is still in its cache (CD); under
+///    a mask it clears a phantom table, registers the dirty objects, then
+///    propagates the satellites chunk by chunk and looks each one up. A
+///    TwoBodyPropagator goes through the batched SoA kernel, cold on a
+///    run's first step and warm-started on the others (each worker keeps n
+///    anomalies), any other propagator through position(). A round with
+///    fewer runs than workers leaves the surplus workers idle.
 ///  - devicesim: the paper's decomposition, p hash grids and per round one
 ///    INS kernel (a thread per (sample, satellite) tuple, position() each)
 ///    and one CD kernel (a thread per (sample, slot)). Under a mask the
 ///    INS kernel has a thread per (sample, dirty object) and the CD kernel
 ///    one per (sample, satellite), position() each.
-/// Positions, candidates and reports are bit-identical across backends,
-/// thread counts and round shapes. Phase seconds on the CPU are the
+/// Positions, candidates and reports are bit-identical across thread
+/// counts. Across backends and round shapes they are bit-identical except
+/// for the warm-started CPU positions, which depend on where the round's
+/// runs are cut and agree with position() within 1e-9 km: a pair within
+/// that distance of the prefilter cutoff or a cell face could be a
+/// candidate on one and not the other. Phase seconds on the CPU are the
 /// workers' summed seconds divided by the number of workers; per-step
 /// table clears count as allocation.
 ///

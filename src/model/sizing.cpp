@@ -24,6 +24,7 @@ SizingPlan plan_samples(const SizingRequest& request) {
   plan.per_grid_bytes = request.grid_entries != 0
                            ? GridHashSet::projected_memory_bytes(request.grid_entries)
                            : CellList::projected_memory_bytes(request.satellites);
+  if (request.warm_start) plan.per_grid_bytes += n * sizeof(double);
 
   if (plan.fixed_bytes + plan.per_grid_bytes > request.memory_budget) {
     plan.fits = false;

@@ -37,6 +37,10 @@ struct SizingRequest {
   /// 1 - (1 - k/n)^2 for one that tests only pairs with one of k dirty
   /// members.
   double pair_share = 1.0;
+  /// A CPU screen with two-body propagation: the worker holding each
+  /// step's table also keeps one warm-start eccentric anomaly (a double)
+  /// per satellite, charged with the table.
+  bool warm_start = false;
 };
 
 /// The paper's equations: o = t / s_ps total samples, p parallel samples
@@ -46,7 +50,7 @@ struct SizingPlan {
   std::size_t parallel_samples = 0;  ///< p (>= 1 when fits)
   std::size_t rounds = 0;            ///< r_c
   std::uint64_t fixed_bytes = 0;     ///< a_s + a_k + a_ch
-  std::uint64_t per_grid_bytes = 0;  ///< a_gh + a_l: one step's table
+  std::uint64_t per_grid_bytes = 0;  ///< a_gh + a_l: one step's table (+ warm start)
   bool fits = false;                 ///< false when even p = 1 exceeds m
 };
 

@@ -19,10 +19,19 @@ namespace scod::detail {
 /// units using them compile with -ffp-contract=off so the compiler cannot
 /// contract a*b+c into fma in one path but not the other.
 ///
+/// One batched kernel is not bit-identical by design:
+/// TwoBodyPropagator::positions_warm, which the CPU grid front end uses on
+/// every step of a run but the first, solves Kepler's equation by Newton
+/// from the previous step's anomaly instead of by the contour quadrature.
+/// It uses these helpers too, and its positions agree with the scalar
+/// path's within 1e-9 km. Refinement, devicesim and positions_at stay
+/// bit-identical to position().
+///
 /// Domains are what the contour quadrature needs — NOT general-purpose:
-/// the quadrature arguments satisfy |zx| < 4.2, |zy| <= 0.52, and the
+/// the quadrature arguments satisfy |zx| < 4.2, |zy| <= 0.52, the
 /// Newton-polish/position arguments are eccentric anomalies in
-/// [0, 2*pi) + epsilon.
+/// [0, 2*pi) + epsilon, and positions_warm's are clamped to the root's
+/// bracket [M - e, M + e] with M in [0, 2*pi), so lie in (-1, 2*pi + 1).
 
 /// Simultaneous sin/cos for |x| <= 8 (one Cody-Waite reduction step by
 /// pi/2; with |k| <= 5 the dropped third reduction term contributes

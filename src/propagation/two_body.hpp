@@ -113,8 +113,31 @@ class TwoBodyPropagator final : public Propagator {
   /// [begin, end), bit-identical to the per-call path. Runs blocked over
   /// the SoA mirror — one virtual solver dispatch per block instead of two
   /// per satellite — and is the insertion-phase kernel of the grid
-  /// pipeline. Safe to call concurrently for disjoint output ranges.
-  void positions_at(double time, std::size_t begin, std::size_t end, Vec3* out) const;
+  /// pipeline. When `anomalies` is set, anomalies[i - begin] receives the
+  /// eccentric anomaly solved for satellite i, the state positions_warm
+  /// starts from. Safe to call concurrently for disjoint output ranges.
+  void positions_at(double time, std::size_t begin, std::size_t end, Vec3* out,
+                    double* anomalies = nullptr) const;
+
+  /// Newton steps of the warm-start kernel.
+  static constexpr int kWarmNewtonSteps = 3;
+  /// Largest final Newton correction [rad] the warm-start kernel accepts.
+  /// Newton converges quadratically, so the returned anomaly is then within
+  /// e / (2 (1 - e)) * 1e-16 rad of the root: rounding level for e <= 0.9.
+  static constexpr double kWarmTolerance = 1e-8;
+
+  /// Warm-started batched positions for the CPU grid front end, whose
+  /// workers propagate consecutive sample steps. On entry anomalies[i -
+  /// begin] holds satellite i's eccentric anomaly at time - dt (from
+  /// positions_at or an earlier call); on exit it holds the one at `time`,
+  /// and out[i - begin] the position. Each lane predicts E0 = E_prev + n dt
+  /// and takes kWarmNewtonSteps Newton steps; a lane whose last correction
+  /// exceeds kWarmTolerance (a poor start: large dt, e near 1) is re-solved
+  /// cold with the configured solver. Positions agree with position() to
+  /// within 1e-9 km but are not bit-identical to it. Safe to call
+  /// concurrently for disjoint ranges.
+  void positions_warm(double time, double dt, std::size_t begin, std::size_t end,
+                      double* anomalies, Vec3* out) const;
 
   /// True anomaly at `time`; exposed for the filter chain's anomaly-window
   /// computations.

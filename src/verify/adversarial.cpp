@@ -188,9 +188,11 @@ FuzzCase generate_case(const AdversarialConfig& config) {
       const std::size_t target = rng.uniform_index(out.satellites.size());
       const double t_star =
           config.t_begin + span * rng.uniform(0.15, 0.85);
-      const double offset =
-          config.threshold_km * rng.uniform(0.9, 1.1) *
-          (rng.uniform() < 0.5 ? 1.0 : -1.0);
+      // One draw per statement: the order of two draws in one expression
+      // is unspecified, so a seed's case could differ between compilers.
+      const double magnitude = config.threshold_km * rng.uniform(0.9, 1.1);
+      const double sign = rng.uniform() < 0.5 ? 1.0 : -1.0;
+      const double offset = magnitude * sign;
       const Satellite sat = make_interceptor(out.satellites[target].elements,
                                              t_star, offset, rng, next_id);
       push(sat.elements, OrbitRegime::kGrazingInterceptor);

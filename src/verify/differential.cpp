@@ -96,7 +96,10 @@ void diff_against_oracle(const std::string& name,
 /// Requires devicesim's grid report, detected through the paper's hash
 /// grid, to equal the CPU's, detected through cell lists: the two
 /// structures must find the same candidates, so every conjunction must
-/// match bit for bit. Reports the first event where the two differ.
+/// match bit for bit. (The CPU's warm-started positions are within 1e-9 km
+/// of devicesim's cold ones, not equal: a pair that close to the
+/// prefilter cutoff or a cell face could differ by design.) Reports the
+/// first event where the two differ.
 void diff_backends(const std::vector<Conjunction>& cpu,
                    const std::vector<Conjunction>& device,
                    std::vector<Divergence>& out) {

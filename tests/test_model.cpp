@@ -97,6 +97,13 @@ TEST(Sizing, ChargesTheRequestedDetectionTable) {
   EXPECT_EQ(masked.per_grid_bytes, GridHashSet::projected_memory_bytes(2700));
   EXPECT_EQ(masked.fixed_bytes, full.fixed_bytes);
 
+  // A warm-started CPU screen charges each table its worker's n anomalies.
+  req.warm_start = true;
+  EXPECT_EQ(plan_samples(req).per_grid_bytes, masked.per_grid_bytes + 10000u * 8u);
+  req.grid_entries = 0;
+  EXPECT_EQ(plan_samples(req).per_grid_bytes, full.per_grid_bytes + 10000u * 8u);
+  req.warm_start = false;
+
   // 27k > n once k > n/27: a budget of one full grid no longer fits.
   req.grid_entries = 27 * 1000;
   req.memory_budget = full.fixed_bytes + full.per_grid_bytes;

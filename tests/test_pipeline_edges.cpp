@@ -383,12 +383,17 @@ TEST(PipelineEdges, DirtyMaskPlanChargesThePhantomTables) {
 
   const GridPipelineResult roomy = run_grid_pipeline(
       propagator, cfg, ConjunctionCountModel::paper_grid(), options, discard_round);
-  EXPECT_EQ(roomy.plan.per_grid_bytes, GridHashSet::projected_memory_bytes(entries));
-  EXPECT_EQ(roomy.grid_memory_bytes, 2 * GridHashSet::projected_memory_bytes(entries));
+  // Each CPU worker's table comes with its warm-start anomalies.
+  const std::size_t warm = sats.size() * sizeof(double);
+  EXPECT_EQ(roomy.plan.per_grid_bytes,
+            GridHashSet::projected_memory_bytes(entries) + warm);
+  EXPECT_EQ(roomy.grid_memory_bytes,
+            2 * (GridHashSet::projected_memory_bytes(entries) + warm));
 
   // The budget of the full screen's plan with exactly one grid.
   SizingRequest request;
   request.satellites = sats.size();
+  request.warm_start = true;
   request.span_seconds = cfg.span_seconds();
   request.seconds_per_sample = cfg.seconds_per_sample;
   request.candidate_capacity = candidate_capacity_from_model(
@@ -406,10 +411,10 @@ TEST(PipelineEdges, DirtyMaskPlanChargesThePhantomTables) {
 }
 
 TEST(PipelineEdges, BudgetBoundCpuFullScreenStaysWithinItsBudget) {
-  // A CPU full screen plans p from its cell lists' bytes, sort scratch
-  // included, and holds min(p, workers) of them: what it allocates (the
-  // fixed data, the candidate buffer and the lists) never exceeds the
-  // budget that planned p.
+  // A CPU full screen plans p from its cell lists' bytes, sort scratch and
+  // the worker's warm-start anomalies included, and holds min(p, workers)
+  // of them: what it allocates (the fixed data, the candidate buffer, the
+  // lists and the anomalies) never exceeds the budget that planned p.
   const auto sats = small_shell(300, 12);
   const ContourKeplerSolver solver;
   const TwoBodyPropagator propagator(sats, solver);
@@ -425,8 +430,10 @@ TEST(PipelineEdges, BudgetBoundCpuFullScreenStaysWithinItsBudget) {
   request.candidate_capacity = candidate_capacity_from_model(
       ConjunctionCountModel::paper_grid(), static_cast<double>(sats.size()),
       cfg.seconds_per_sample, cfg.span_seconds(), cfg.threshold_km);
+  request.warm_start = true;
   const SizingPlan plan = plan_samples(request);
-  ASSERT_EQ(plan.per_grid_bytes, CellList::projected_memory_bytes(sats.size()));
+  ASSERT_EQ(plan.per_grid_bytes,
+            CellList::projected_memory_bytes(sats.size()) + sats.size() * sizeof(double));
 
   for (const std::size_t lists : {std::size_t{1}, std::size_t{3}}) {
     cfg.memory_budget = plan.fixed_bytes + lists * plan.per_grid_bytes;
@@ -683,6 +690,31 @@ TEST(PipelineEdges, RoundSinkReceivesEachRoundInOrder) {
   }
 }
 
+TEST(PipelineEdges, WarmRunsSpreadEveryRoundOverTheWorkers) {
+  // A CPU round is cut into warm_runs(steps) runs: one step each while the
+  // round has fewer than kRunMultiple steps (no step waits behind another
+  // worker's warm run), otherwise a multiple of kRunMultiple runs, the
+  // fewest that keep each within kWarmRun steps.
+  for (std::size_t steps = 1; steps < kRunMultiple; ++steps) {
+    EXPECT_EQ(warm_runs(steps), steps);
+  }
+  EXPECT_EQ(warm_runs(16), 8u);
+  EXPECT_EQ(warm_runs(113), 8u);
+  EXPECT_EQ(warm_runs(128), 8u);
+  EXPECT_EQ(warm_runs(129), 16u);
+  EXPECT_EQ(warm_runs(450), 32u);
+  for (std::size_t steps = 1; steps <= 2000; ++steps) {
+    const std::size_t runs = warm_runs(steps);
+    ASSERT_GE(runs, 1u);
+    EXPECT_TRUE(runs == steps || runs % kRunMultiple == 0) << steps;
+    // Run j covers [j * steps / runs, (j + 1) * steps / runs).
+    EXPECT_LE((steps + runs - 1) / runs, kWarmRun) << steps;
+    if (runs > kRunMultiple) {
+      EXPECT_GT((steps + runs - kRunMultiple - 1) / (runs - kRunMultiple), kWarmRun) << steps;
+    }
+  }
+}
+
 TEST(PipelineEdges, CandidateSetHoldsOneRoundAtATime) {
   // A debris cloud screened in rounds of 4 steps: the floor capacity
   // covers any one round's candidates but not the whole span's. The
@@ -705,6 +737,7 @@ TEST(PipelineEdges, CandidateSetHoldsOneRoundAtATime) {
   request.candidate_capacity = candidate_capacity_from_model(
       tiny, static_cast<double>(cloud.size()), cfg.seconds_per_sample,
       cfg.span_seconds(), cfg.threshold_km);
+  request.warm_start = true;
   const SizingPlan plan = plan_samples(request);
   constexpr std::size_t kStepsPerRound = 4;
   cfg.memory_budget = plan.fixed_bytes + kStepsPerRound * plan.per_grid_bytes;

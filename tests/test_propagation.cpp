@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -320,6 +323,128 @@ TEST(TwoBodyPropagator, BatchPositionsHonorSubranges) {
     for (std::size_t i = begin; i < end; ++i) {
       EXPECT_LE(prop.position(i, 777.0).distance(batch[i - begin]), 1e-12);
     }
+  }
+}
+
+/// Forwards batched solves to a ContourKeplerSolver and counts the lanes it
+/// was asked for: the warm-start kernel's cold re-solves.
+class CountingSolver final : public KeplerSolver {
+ public:
+  double eccentric_anomaly(double m, double e) const override {
+    return inner_.eccentric_anomaly(m, e);
+  }
+  void eccentric_anomalies(std::span<const double> ms, std::span<const double> es,
+                           std::span<double> out) const override {
+    lanes += ms.size();
+    inner_.eccentric_anomalies(ms, es, out);
+  }
+  mutable std::size_t lanes = 0;
+
+ private:
+  ContourKeplerSolver inner_;
+};
+
+/// Satellites with perigee at 7000 km for each eccentricity, at mean
+/// anomalies 0, pi and 2 pi (the contour solver's degenerate points) and
+/// two between them.
+std::vector<Satellite> warm_start_sats(std::initializer_list<double> eccentricities) {
+  std::vector<Satellite> sats;
+  std::uint32_t id = 0;
+  for (double e : eccentricities) {
+    for (double m : {0.0, 1.0, kPi, 4.0, kTwoPi}) {
+      sats.push_back(make_sat(id, {7000.0 / (1.0 - e), e, 0.3 + 0.2 * (id % 7),
+                                   0.4 * (id % 5), 0.9 * (id % 3), m}));
+      ++id;
+    }
+  }
+  return sats;
+}
+
+TEST(TwoBodyPropagator, WarmPositionsMatchScalarAcrossEccentricitiesAndSteps) {
+  // The warm-start kernel is not bit-identical to position(), but it must
+  // agree to 1e-9 km for every eccentricity the screeners meet, for sample
+  // periods from 1 s to 600 s, starting at epoch and a month after it, and
+  // over spans of several revolutions (at 600 s, six of the e = 0.9 orbit's
+  // 51 h revolutions and two hundred of the circular one's).
+  const ContourKeplerSolver solver;
+  const auto sats = warm_start_sats({0.0, 1e-12, 0.3, 0.9});
+  const TwoBodyPropagator prop(sats, solver);
+  const std::size_t n = sats.size();
+
+  std::vector<Vec3> warm(n);
+  std::vector<double> anomalies(n);
+  for (const double dt : {1.0, 7.0, 60.0, 600.0}) {
+    const auto steps = static_cast<std::size_t>(std::max(2000.0, 20000.0 / dt));
+    for (const double t0 : {0.0, 30.0 * 86400.0}) {
+      prop.positions_at(t0, 0, n, warm.data(), anomalies.data());
+      double worst = 0.0;
+      for (std::size_t s = 1; s <= steps; ++s) {
+        const double t = t0 + static_cast<double>(s) * dt;
+        prop.positions_warm(t, dt, 0, n, anomalies.data(), warm.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          worst = std::max(worst, prop.position(i, t).distance(warm[i]));
+        }
+      }
+      EXPECT_LE(worst, 1e-9) << "dt=" << dt << " t0=" << t0;
+    }
+  }
+}
+
+TEST(TwoBodyPropagator, WarmPositionsReSolveUnsettledLanesCold) {
+  // A good warm state settles every lane in Newton's steps; a state that
+  // is far off (or NaN) leaves the correction large, and those lanes are
+  // re-solved by the configured solver, so positions still match.
+  const CountingSolver solver;
+  const auto sats = warm_start_sats({0.01, 0.3, 0.9});
+  const TwoBodyPropagator prop(sats, solver);
+  const std::size_t n = sats.size();
+  std::vector<Vec3> out(n);
+  std::vector<double> anomalies(n);
+
+  prop.positions_at(100.0, 0, n, out.data(), anomalies.data());
+  solver.lanes = 0;
+  prop.positions_warm(104.0, 4.0, 0, n, anomalies.data(), out.data());
+  EXPECT_EQ(solver.lanes, 0u);
+
+  // Steps from 104 s to 108 s after `corrupt` has spoilt the state, checks
+  // the positions and returns the lanes re-solved cold.
+  const auto step_from = [&](auto corrupt) {
+    prop.positions_at(104.0, 0, n, out.data(), anomalies.data());
+    for (double& big_e : anomalies) big_e = corrupt(big_e);
+    solver.lanes = 0;
+    prop.positions_warm(108.0, 4.0, 0, n, anomalies.data(), out.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_LE(prop.position(i, 108.0).distance(out[i]), 1e-9) << "sat " << i;
+    }
+    return solver.lanes;
+  };
+  EXPECT_EQ(step_from([](double) { return std::nan(""); }), n);
+  // Three radians off at e = 0.9 is outside three Newton steps' reach.
+  EXPECT_GT(step_from([](double big_e) { return big_e + 3.0; }), 0u);
+  // A start a million radians off still gives exact positions: it is
+  // shifted by whole turns and clamped to the root's bracket, and any lane
+  // Newton does not settle is re-solved cold.
+  step_from([](double big_e) { return big_e + 1.0e6; });
+}
+
+TEST(TwoBodyPropagator, ColdPositionsReportTheSolvedAnomalies) {
+  // positions_at's optional anomaly output is the solver's E, and the
+  // positions are unchanged by asking for it.
+  const ContourKeplerSolver solver;
+  const auto sats = warm_start_sats({0.0, 0.3, 0.9});
+  const TwoBodyPropagator prop(sats, solver);
+  std::vector<Vec3> plain(sats.size()), with(sats.size());
+  std::vector<double> anomalies(sats.size());
+  prop.positions_at(321.0, 0, sats.size(), plain.data());
+  prop.positions_at(321.0, 0, sats.size(), with.data(), anomalies.data());
+  for (std::size_t i = 0; i < sats.size(); ++i) {
+    const TwoBodyCache& c = prop.cache(i);
+    EXPECT_EQ(anomalies[i],
+              solver.eccentric_anomaly(c.mean_anomaly0 + c.mean_motion * 321.0,
+                                       c.eccentricity));
+    EXPECT_EQ(plain[i].x, with[i].x);
+    EXPECT_EQ(plain[i].y, with[i].y);
+    EXPECT_EQ(plain[i].z, with[i].z);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -22,6 +23,7 @@
 #include "propagation/j2_secular.hpp"
 #include "propagation/two_body.hpp"
 #include "scenario_helpers.hpp"
+#include "service/screening_service.hpp"
 #include "spatial/cell_list.hpp"
 #include "spatial/grid_hash_set.hpp"
 #include "util/constants.hpp"
@@ -541,12 +543,15 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   // devicesim path one grid per step with separate INS and CD kernels.
   // Neither the thread count, nor the round length p (1, 2 < 4 workers,
   // half the steps, and every step in one round), nor the backend may move
-  // a single bit of what a screen finds. Covered: the batched kernel
-  // (kepler), the position() loop (j2), a dirty-mask screen through either
-  // (its phantom registration and lookup), and forced candidate-buffer
-  // grows, where the CPU path re-runs whole rounds, with and without a
-  // mask. The masked screen through position() must also match the
-  // batched one exactly.
+  // a single bit of what a screen finds. (The round length decides where a
+  // CPU worker's warm-started runs are cut, and devicesim solves every
+  // sample cold, so their positions differ by under 1e-9 km; no pair here
+  // sits that close to a prefilter cutoff or cell face, and refinement
+  // always solves cold.) Covered: the batched kernel (kepler), the
+  // position() loop (j2), a dirty-mask screen through either (its phantom
+  // registration and lookup), and forced candidate-buffer grows, where the
+  // CPU path re-runs whole rounds, with and without a mask. The masked
+  // screen through position() must also match the batched one exactly.
   auto sats = dense_shell(60, 0xF05E);
   Rng rng(0xF00D);
   for (std::uint32_t k = 0; k < 4; ++k) {
@@ -578,14 +583,16 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
 
   // Budget holding the fixed data plus exactly `grids` per-step tables
   // (0: default): GridHashSets of `entries` entries each, or the CPU full
-  // screen's cell lists when `entries` is 0.
+  // screen's cell lists when `entries` is 0, each with its worker's
+  // warm-start anomalies when `warm`.
   const auto budget_for = [&](std::size_t n, std::size_t entries,
-                              const ConjunctionCountModel& model,
-                              std::size_t grids) -> std::uint64_t {
+                              const ConjunctionCountModel& model, std::size_t grids,
+                              bool warm) -> std::uint64_t {
     if (grids == 0) return ScreeningConfig{}.memory_budget;
     SizingRequest request;
     request.satellites = n;
     request.grid_entries = entries;
+    request.warm_start = warm;
     request.span_seconds = base.span_seconds();
     request.seconds_per_sample = base.seconds_per_sample;
     request.candidate_capacity = candidate_capacity_from_model(
@@ -637,9 +644,15 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
         // and a budget of exactly p grids leaves it no room to grow.
         if (pool == nullptr && c.grow && grids != 0) continue;
         const bool cell_lists = c.dirty.empty() && pool != nullptr;
-        const std::uint64_t budget = budget_for(n, cell_lists ? 0 : entries, model, grids);
-        const std::size_t per_grid = cell_lists ? CellList::projected_memory_bytes(n)
-                                                : GridHashSet(entries).memory_bytes();
+        // A CPU worker with the batched kernel also holds n anomalies.
+        const bool warm = pool != nullptr &&
+                          dynamic_cast<const TwoBodyPropagator*>(c.propagator) != nullptr;
+        const std::uint64_t budget =
+            budget_for(n, cell_lists ? 0 : entries, model, grids, warm);
+        const std::size_t per_grid =
+            (cell_lists ? CellList::projected_memory_bytes(n)
+                        : GridHashSet(entries).memory_bytes()) +
+            (warm ? n * sizeof(double) : 0);
         DeviceProperties props;
         props.memory_bytes = budget;
         Device device(props, &four);
@@ -746,11 +759,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GridOracleSweep,
                          testing::Values(11u, 222u, 3333u, 44444u));
 
 TEST(Screeners, BatchedInsertionKernelMatchesScalarExactly) {
-  // The SoA insertion kernel is documented as bit-identical to the
-  // per-tuple scalar path. A forwarding propagator is not a
-  // TwoBodyPropagator, so it takes the scalar path (and the virtual
-  // refinement evaluator, itself bit-identical to the snapshot one); no
-  // conjunction may move: same pairs, same TCAs, same PCAs, to the last bit.
+  // The SoA insertion kernel warm-starts Kepler's equation from a worker's
+  // previous step, so its positions agree with the per-tuple scalar path
+  // to 1e-9 km rather than bit for bit; no candidate sits that close to a
+  // cutoff here. A forwarding propagator is not a TwoBodyPropagator, so it
+  // takes the scalar path (and the virtual refinement evaluator, itself
+  // bit-identical to the snapshot one); no conjunction may move: same
+  // pairs, same TCAs, same PCAs, to the last bit.
   auto sats = dense_shell(60, 0xBA7C);
   Rng rng(0x5EED);
   sats.push_back(testutil::make_interceptor(sats[5].elements, 1800.0, 1.5, rng,
@@ -776,6 +791,70 @@ TEST(Screeners, BatchedInsertionKernelMatchesScalarExactly) {
     EXPECT_EQ(batch_report.conjunctions[i].pca, scalar_report.conjunctions[i].pca);
   }
   EXPECT_EQ(batch_report.stats.candidates, scalar_report.stats.candidates);
+}
+
+TEST(Screeners, WarmStartedScreensIdenticalOnOneAndFourThreads) {
+  // The CPU workers warm-start Kepler's equation across runs of
+  // consecutive steps whose boundaries depend on the step index alone, so
+  // grid, hybrid and a masked service epoch report the same to the bit
+  // however many workers share the runs. 1800 s is 451 grid steps (29
+  // runs) and 113 hybrid steps (8 runs).
+  const auto sats = generate_population({3000, 23});
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(sats, solver);
+  ScreeningConfig base;
+  base.threshold_km = 5.0;
+  base.t_end = 1800.0;
+
+  const auto expect_same = [](const std::vector<Conjunction>& a,
+                              const std::vector<Conjunction>& b, const std::string& label) {
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(std::tie(a[i].sat_a, a[i].sat_b, a[i].tca, a[i].pca),
+                std::tie(b[i].sat_a, b[i].sat_b, b[i].tca, b[i].pca))
+          << label << " #" << i;
+    }
+  };
+
+  ThreadPool one(1), four(4);
+  for (const Variant variant : {Variant::kGrid, Variant::kHybrid}) {
+    const std::unique_ptr<Screener> screener = make_screener(variant);
+    ScreeningConfig cfg = base;
+    cfg.pool = &one;
+    const ScreeningReport serial = screener->screen(propagator, cfg);
+    cfg.pool = &four;
+    const ScreeningReport parallel = screener->screen(propagator, cfg);
+    const std::string label(variant_name(variant));
+    EXPECT_GT(serial.conjunctions.size(), 0u) << label;
+    EXPECT_EQ(serial.stats.candidates, parallel.stats.candidates) << label;
+    expect_same(serial.conjunctions, parallel.conjunctions, label);
+  }
+
+  // A service epoch that moves 30 objects screens incrementally, through
+  // the masked (phantom) step.
+  std::vector<Satellite> moved(sats.begin(), sats.begin() + 30);
+  for (Satellite& sat : moved) sat.elements.mean_anomaly += 0.02;
+  std::vector<ServiceReport> epochs;
+  for (ThreadPool* pool : {&one, &four}) {
+    ServiceOptions options;
+    options.config = base;
+    options.config.pool = pool;
+    ScreeningService service(options);
+    service.upsert(sats);
+    service.screen();
+    service.upsert(moved);
+    epochs.push_back(service.screen(ScreenMode::kIncremental));
+    EXPECT_TRUE(epochs.back().incremental);
+  }
+  EXPECT_EQ(epochs[0].stats.candidates, epochs[1].stats.candidates);
+  ASSERT_EQ(epochs[0].conjunctions.size(), epochs[1].conjunctions.size());
+  EXPECT_GT(epochs[0].conjunctions.size(), 0u);
+  for (std::size_t i = 0; i < epochs[0].conjunctions.size(); ++i) {
+    const IdConjunction& a = epochs[0].conjunctions[i];
+    const IdConjunction& b = epochs[1].conjunctions[i];
+    EXPECT_EQ(std::tie(a.id_a, a.id_b, a.tca, a.pca), std::tie(b.id_a, b.id_b, b.tca, b.pca))
+        << "service #" << i;
+  }
 }
 
 TEST(Screeners, MultiRoundScreenMatchesSingleRound) {

@@ -458,6 +458,7 @@ TEST(ScreeningService, MaskedPlanOverBudgetFallsBackToFullScreen) {
       ConjunctionCountModel::paper_grid(), static_cast<double>(population.size()),
       options.config.seconds_per_sample, options.config.span_seconds(),
       options.config.threshold_km);
+  request.warm_start = true;  // two-body propagation on the CPU
   const SizingPlan plan = plan_samples(request);
   options.config.memory_budget = plan.fixed_bytes + plan.per_grid_bytes;
 
