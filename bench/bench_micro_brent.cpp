@@ -1,6 +1,6 @@
 /// Micro-benchmarks of the PCA/TCA refinement: the Brent minimizer against
-/// the golden-section fallback, and a full refine_candidate() on a
-/// realistic two-satellite encounter (the step-4 hot loop).
+/// the golden-section fallback, and a full refine_fn() on a realistic
+/// two-satellite encounter (the step-4 hot loop).
 
 #include <benchmark/benchmark.h>
 
@@ -55,8 +55,9 @@ void BM_RefineCandidate(benchmark::State& state) {
     }
   }
 
+  const auto distance = [&](double t) { return prop.distance(0, 1, t); };
   for (auto _ : state) {
-    const auto enc = refine_candidate(prop, 0, 1, best_t + 2.0, 20.0, 0.0, 6000.0);
+    const auto enc = refine_fn(distance, best_t - 18.0, best_t + 22.0, 0.0, 6000.0);
     benchmark::DoNotOptimize(enc);
   }
   state.SetItemsProcessed(state.iterations());

@@ -30,7 +30,7 @@ std::size_t refine_candidates(const Propagator& propagator, const ScreeningConfi
                                        config.t_begin, config.t_end);
         });
         if (!refined.searched) return 0;
-        if (refined.encounter.has_value() && refined.encounter->pca <= config.threshold_km) {
+        if (refined.encounter.has_value()) {
           slot = {c.sat_a, c.sat_b, refined.encounter->tca, refined.encounter->pca};
           return detail::RefineSlots::kSearched | detail::RefineSlots::kSlotValid;
         }

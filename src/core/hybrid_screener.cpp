@@ -1,8 +1,8 @@
 #include "core/hybrid_screener.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "core/exec.hpp"
@@ -19,15 +19,15 @@ namespace scod {
 namespace {
 
 /// One Brent task produced by the filter stage: a window task refines the
-/// filter-built interval [t_lo, t_hi]; a grid-style task (coplanar pairs)
-/// has t_lo == t_hi, the sample time it centres a cell-crossing radius on.
+/// filter window [t_lo, t_hi]; a grid-style task (coplanar pairs) centres
+/// a cell-crossing radius on the sample time t_lo and has a NaN t_hi.
 struct RefineTask {
   std::uint32_t sat_a = 0;
   std::uint32_t sat_b = 0;
   double t_lo = 0.0;
   double t_hi = 0.0;
 
-  bool grid_style() const { return t_lo == t_hi; }
+  bool grid_style() const { return std::isnan(t_hi); }
 };
 
 /// True when two sorted candidate keys belong to the same pair.
@@ -60,7 +60,7 @@ void append_tasks(const PairClassification& v, std::span<const std::uint64_t> ke
   if (v.verdict == PairVerdict::kCoplanarSurvivor) {
     for (const std::uint64_t key : keys) {
       const double t_s = sample_time(key);
-      tasks.push_back({first.sat_a, first.sat_b, t_s, t_s});
+      tasks.push_back({first.sat_a, first.sat_b, t_s, std::nan("")});
     }
     return;
   }
@@ -83,12 +83,9 @@ void append_tasks(const PairClassification& v, std::span<const std::uint64_t> ke
     }
   }
   for (std::size_t w = 0; w < v.windows.size(); ++w) {
-    if (!used[w]) continue;
-    // Extend the filter window slightly so a minimum grazing its edge is
-    // found inside the search interval rather than discarded.
-    const double ext = 0.25 * v.windows[w].length() + 5.0;
-    tasks.push_back({first.sat_a, first.sat_b, v.windows[w].lo - ext,
-                     v.windows[w].hi + ext});
+    if (used[w]) {
+      tasks.push_back({first.sat_a, first.sat_b, v.windows[w].lo, v.windows[w].hi});
+    }
   }
 }
 
@@ -121,6 +118,7 @@ FilterChunk filter_chunk(std::span<const std::uint64_t> keys, std::size_t c,
 
 ScreeningReport HybridScreener::run(const Propagator& propagator,
                                     const ScreeningConfig& config) const {
+  require_fixed_elements(propagator);
   // The filters classify each pair once over the whole span, so every
   // round's candidate keys are collected first.
   std::vector<std::uint64_t> keys;
@@ -177,15 +175,13 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
                          ? refine_grid_candidate(eval, task.t_lo, pipeline.cell_size,
                                                  config.threshold_km, config.t_begin,
                                                  config.t_end)
-                         : Refinement{true, refine_on_interval_fn(
-                                                [&eval](double t) { return eval.distance(t); },
-                                                task.t_lo, task.t_hi)};
+                         : Refinement{true, refine_window(eval, task.t_lo, task.t_hi,
+                                                          config.threshold_km,
+                                                          config.t_begin, config.t_end)};
             });
         if (!refined.searched) return 0;
-        const std::optional<Encounter>& encounter = refined.encounter;
-        if (encounter.has_value() && encounter->pca <= config.threshold_km &&
-            encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
-          slot = {task.sat_a, task.sat_b, encounter->tca, encounter->pca};
+        if (refined.encounter.has_value()) {
+          slot = {task.sat_a, task.sat_b, refined.encounter->tca, refined.encounter->pca};
           return detail::RefineSlots::kSearched | detail::RefineSlots::kSlotValid;
         }
         return detail::RefineSlots::kSearched;

@@ -8,6 +8,7 @@
 #include "filters/dense_scan.hpp"
 #include "filters/filter_chain.hpp"
 #include "obs/telemetry.hpp"
+#include "pca/pair_evaluator.hpp"
 #include "pca/refine.hpp"
 #include "util/constants.hpp"
 #include "util/stopwatch.hpp"
@@ -25,6 +26,7 @@ ScreeningReport LegacyScreener::run(const Propagator& propagator,
   if (config.device != nullptr) {
     throw std::invalid_argument("screen: the legacy variant has no device backend");
   }
+  require_fixed_elements(propagator);
   // Refused up front, before the pair loop, rather than by the first
   // coplanar pair's scan.
   if (!(dense_scan_samples(config.span_seconds(), kDenseScanStep) <=
@@ -47,6 +49,7 @@ ScreeningReport LegacyScreener::run(const Propagator& propagator,
   std::size_t refinements = 0;
 
   Stopwatch section;
+  const RefineFastPath fast = RefineFastPath::probe(propagator);
   const std::vector<FilterOrbit> orbits =
       build_filter_orbits(propagator, detail::pool_of(config));
   for (std::size_t i = 0; i + 1 < n; ++i) {
@@ -71,16 +74,15 @@ ScreeningReport LegacyScreener::run(const Propagator& propagator,
           if (e.pca <= config.threshold_km) raw.push_back({sat_a, sat_b, e.tca, e.pca});
         }
       } else {
-        for (const Interval& window : pair.windows) {
-          const double ext = 0.25 * window.length() + 5.0;
-          const auto encounter = refine_on_interval(propagator, sat_a, sat_b,
-                                                    window.lo - ext, window.hi + ext);
-          ++refinements;
-          if (encounter.has_value() && encounter->pca <= config.threshold_km &&
-              encounter->tca >= config.t_begin && encounter->tca <= config.t_end) {
-            raw.push_back({sat_a, sat_b, encounter->tca, encounter->pca});
+        fast.visit(sat_a, sat_b, [&](const auto& eval) {
+          for (const Interval& window : pair.windows) {
+            const std::optional<Encounter> e =
+                refine_window(eval, window.lo, window.hi, config.threshold_km,
+                              config.t_begin, config.t_end);
+            ++refinements;
+            if (e.has_value()) raw.push_back({sat_a, sat_b, e->tca, e->pca});
           }
-        }
+        });
       }
       refine_seconds += section.seconds();
       section.restart();

@@ -4,27 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/telemetry.hpp"
-#include "pca/brent.hpp"
-
 namespace scod {
-
-namespace {
-
-// Keeps the dense scan's minimizations in the same telemetry bucket as the
-// interval refiners, so "refinements >= raw conjunctions" holds for every
-// screener including the legacy coplanar path.
-template <typename DistanceFn>
-MinimizeResult counted_minimize(const DistanceFn& distance, double lo, double hi) {
-  const MinimizeResult m =
-      brent_minimize(distance, lo, hi, kRefineTimeTolerance, kRefineMaxIterations);
-  obs::count(obs::Counter::kRefinements);
-  obs::count(obs::Counter::kBrentIterations,
-             static_cast<std::uint64_t>(m.iterations));
-  return m;
-}
-
-}  // namespace
 
 std::vector<Encounter> scan_encounters(const Propagator& propagator,
                                        std::uint32_t sat_a, std::uint32_t sat_b,
@@ -49,8 +29,7 @@ std::vector<Encounter> scan_encounters(const Propagator& propagator,
   // Leading edge: if the signal rises from the very first sample, the span
   // start is a running minimum.
   if (d_prev <= d_curr && d_prev < options.refine_below) {
-    const MinimizeResult m =
-        counted_minimize(distance, t_begin, t_begin + step);
+    const MinimizeResult m = counted_brent(distance, t_begin, t_begin + step);
     encounters.push_back({m.x, m.value});
   }
 
@@ -60,16 +39,14 @@ std::vector<Encounter> scan_encounters(const Propagator& propagator,
     const double t_curr = t_begin + static_cast<double>(k) * step;
     d_curr = distance(t_curr);
     if (d_prev <= d_prev2 && d_prev <= d_curr && d_prev < options.refine_below) {
-      const MinimizeResult m =
-          counted_minimize(distance, t_curr - 2.0 * step, t_curr);
+      const MinimizeResult m = counted_brent(distance, t_curr - 2.0 * step, t_curr);
       encounters.push_back({m.x, m.value});
     }
   }
 
   // Trailing edge: signal still falling at the end of the span.
   if (samples > 1 && d_curr < d_prev && d_curr < options.refine_below) {
-    const MinimizeResult m =
-        counted_minimize(distance, t_end - step, t_end);
+    const MinimizeResult m = counted_brent(distance, t_end - step, t_end);
     encounters.push_back({m.x, m.value});
   }
 

@@ -1,6 +1,7 @@
 #include "filters/filter_orbit.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "orbit/geometry.hpp"
 #include "util/constants.hpp"
@@ -18,6 +19,14 @@ FilterOrbit::FilterOrbit(const KeplerElements& el)
 
 double FilterOrbit::radius_at(double true_anomaly) const {
   return p / (1.0 + elements.eccentricity * std::cos(true_anomaly));
+}
+
+void require_fixed_elements(const Propagator& propagator) {
+  if (!propagator.fixed_elements()) {
+    throw std::invalid_argument(
+        "screen: the hybrid and legacy variants need two-body propagation (their "
+        "orbital filters read epoch elements)");
+  }
 }
 
 std::vector<FilterOrbit> build_filter_orbits(const Propagator& propagator,

@@ -32,6 +32,11 @@ struct FilterOrbit {
   double h = 0.0;        ///< specific angular momentum sqrt(mu p) [km^2/s]
 };
 
+/// Throws std::invalid_argument unless `propagator` has fixed_elements().
+/// The filters read only the epoch elements, so under a propagator whose
+/// orbits drift (j2, tle, ephemeris) they reject pairs that do meet.
+void require_fixed_elements(const Propagator& propagator);
+
 /// The FilterOrbit of every object of `propagator` from its epoch elements
 /// (Propagator::elements), built on `pool`.
 std::vector<FilterOrbit> build_filter_orbits(const Propagator& propagator,

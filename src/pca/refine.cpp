@@ -16,20 +16,4 @@ double reach_lower_bound(const Vec3& r0, const Vec3& v0, double max_accel,
   return (r0 + v0 * closest).norm() - 0.5 * max_accel * tau_max * tau_max;
 }
 
-std::optional<Encounter> refine_on_interval(const Propagator& propagator,
-                                            std::uint32_t sat_a, std::uint32_t sat_b,
-                                            double t_lo, double t_hi) {
-  return refine_on_interval_fn(
-      [&](double t) { return propagator.distance(sat_a, sat_b, t); }, t_lo, t_hi);
-}
-
-std::optional<Encounter> refine_candidate(const Propagator& propagator,
-                                          std::uint32_t sat_a, std::uint32_t sat_b,
-                                          double center, double radius,
-                                          double t_min, double t_max) {
-  return refine_candidate_fn(
-      [&](double t) { return propagator.distance(sat_a, sat_b, t); }, center, radius,
-      t_min, t_max);
-}
-
 }  // namespace scod

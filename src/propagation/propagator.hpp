@@ -40,6 +40,13 @@ class Propagator {
     return std::numeric_limits<double>::infinity();
   }
 
+  /// True when every satellite moves for all time on the fixed Kepler
+  /// ellipse of its elements(), as under two-body propagation. The hybrid
+  /// and legacy variants' orbital filters read only those elements, so
+  /// they refuse a propagator for which this is false. The default, false,
+  /// fits every propagator whose orbits drift (j2, tle, ephemeris).
+  virtual bool fixed_elements() const { return false; }
+
   /// Distance between two satellites at `time` [km]; the objective function
   /// the Brent search minimizes.
   double distance(std::size_t a, std::size_t b, double time) const {

@@ -108,6 +108,7 @@ class TwoBodyPropagator final : public Propagator {
   double max_acceleration(std::size_t index) const override {
     return detail::cache_max_acceleration(cache_[index]);
   }
+  bool fixed_elements() const override { return true; }
 
   /// Batched positions: out[i - begin] = position(i, time) for every i in
   /// [begin, end), bit-identical to the per-call path. Runs blocked over

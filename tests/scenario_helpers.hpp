@@ -69,6 +69,7 @@ class ForwardingPropagator final : public Propagator {
   double max_acceleration(std::size_t index) const override {
     return inner_.max_acceleration(index);
   }
+  bool fixed_elements() const override { return inner_.fixed_elements(); }
 
  private:
   const Propagator& inner_;

@@ -137,6 +137,31 @@ TEST(Cli, GenerateTleAndScreenWithJ2) {
   std::remove(csv_catalog.c_str());
 }
 
+TEST(Cli, FilterVariantsRefuseDriftingPropagators) {
+  // hybrid and legacy read epoch elements, so only kepler propagation
+  // suits them; grid screens with all four propagators.
+  const std::string catalog = temp_path("cli_catalog_drift.tle");
+  ASSERT_EQ(run_cli("generate --count 30 --seed 4 --out " + catalog).exit_code, 0);
+  const std::string screen = "screen --catalog " + catalog + " --span 600";
+  for (const char* variant : {"hybrid", "legacy"}) {
+    for (const char* propagator : {"j2", "ephemeris", "tle"}) {
+      const CliRun run = run_cli(screen + " --variant " + variant + " --propagator " +
+                                 propagator);
+      EXPECT_EQ(run.exit_code, 1) << variant << " " << propagator << ": " << run.output;
+      EXPECT_NE(run.output.find("need two-body propagation"), std::string::npos)
+          << run.output;
+    }
+    const CliRun kepler =
+        run_cli(screen + " --variant " + variant + " --propagator kepler");
+    EXPECT_EQ(kepler.exit_code, 0) << variant << ": " << kepler.output;
+  }
+  for (const char* propagator : {"kepler", "j2", "ephemeris", "tle"}) {
+    const CliRun run = run_cli(screen + " --variant grid --propagator " + propagator);
+    EXPECT_EQ(run.exit_code, 0) << propagator << ": " << run.output;
+  }
+  std::remove(catalog.c_str());
+}
+
 TEST(Cli, ScreenRejectsBadVariantAndPropagator) {
   const std::string catalog = temp_path("cli_catalog2.csv");
   ASSERT_EQ(run_cli("generate --count 20 --out " + catalog).exit_code, 0);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/screen.hpp"
@@ -99,81 +101,105 @@ class RefineFixture : public testing::Test {
     sats_.push_back({0, {7000.0, 0.0001, 0.0, 0.0, 0.0, 0.0}});
     sats_.push_back({1, {7000.0, 0.0001, kPi / 2.0, 0.0, 0.0, 0.01}});
     prop_ = std::make_unique<TwoBodyPropagator>(sats_, solver_);
+    for (double t = 1000.0; t < 4000.0; t += 0.5) {
+      const double d = distance(t);
+      if (d < best_d_) {
+        best_d_ = d;
+        best_t_ = t;
+      }
+    }
+  }
+
+  double distance(double t) const { return prop_->distance(0, 1, t); }
+
+  /// refine_fn on [t_lo, t_hi] inside the span [t_min, t_max].
+  std::optional<Encounter> refine(double t_lo, double t_hi, double t_min,
+                                  double t_max) const {
+    return refine_fn([this](double t) { return distance(t); }, t_lo, t_hi, t_min, t_max);
   }
 
   NewtonKeplerSolver solver_;
   std::vector<Satellite> sats_;
   std::unique_ptr<TwoBodyPropagator> prop_;
+  /// The encounter, located by a 0.5 s scan over [1000, 4000) s.
+  double best_t_ = 0.0;
+  double best_d_ = 1e300;
 };
 
 TEST_F(RefineFixture, FindsInteriorMinimum) {
-  // Locate the true minimum with a fine scan, then check refine_candidate
-  // finds it from a nearby sample point.
-  double best_t = 0.0, best_d = 1e300;
-  for (double t = 1000.0; t < 4000.0; t += 0.5) {
-    const double d = prop_->distance(0, 1, t);
-    if (d < best_d) {
-      best_d = d;
-      best_t = t;
-    }
-  }
-  const auto enc = refine_candidate(*prop_, 0, 1, best_t + 3.0, 30.0, 0.0, 5000.0);
+  // A search interval of radius 30 s centred 3 s from the true minimum.
+  const auto enc = refine(best_t_ + 3.0 - 30.0, best_t_ + 3.0 + 30.0, 0.0, 5000.0);
   ASSERT_TRUE(enc.has_value());
-  EXPECT_NEAR(enc->tca, best_t, 1.0);
-  EXPECT_LE(enc->pca, best_d + 1e-6);
+  EXPECT_NEAR(enc->tca, best_t_, 1.0);
+  EXPECT_LE(enc->pca, best_d_ + 1e-6);
 }
 
 TEST_F(RefineFixture, DiscardsBoundaryMinimumOwnedByNeighbourInterval) {
   // Place the interval so the distance still falls at its right edge; the
   // candidate must be discarded (the neighbouring interval owns the
   // minimum).
-  double best_t = 0.0, best_d = 1e300;
-  for (double t = 1000.0; t < 4000.0; t += 0.5) {
-    const double d = prop_->distance(0, 1, t);
-    if (d < best_d) {
-      best_d = d;
-      best_t = t;
-    }
-  }
-  const double center = best_t - 100.0;  // minimum lies 100 s right of center
-  const auto enc = refine_candidate(*prop_, 0, 1, center, 50.0, 0.0, 5000.0);
+  const double center = best_t_ - 100.0;  // minimum lies 100 s right of center
+  const auto enc = refine(center - 50.0, center + 50.0, 0.0, 5000.0);
   EXPECT_FALSE(enc.has_value());
+}
+
+TEST_F(RefineFixture, DiscardsEdgeMinimumJustPastTheTrueMinimum) {
+  // The lower edge lies 1.7 s past the true minimum, and the interval has
+  // the 134 s radius of a coarse-s_ps grid candidate. The distance still
+  // falls beyond the edge, so the edge minimum must be discarded. A probe
+  // that reached further than the minimum (5% of the radius, 6.7 s) saw
+  // the distance rising again and kept the edge.
+  const double t_lo = best_t_ + 1.7;
+  const bool telemetry = obs::compiled();
+  obs::set_enabled(true);
+  obs::reset();
+  const auto enc = refine(t_lo, t_lo + 2.0 * 134.0, 0.0, 5000.0);
+  const std::uint64_t discards = obs::snapshot().value(obs::Counter::kEdgeDiscards);
+  obs::set_enabled(false);
+  EXPECT_FALSE(enc.has_value()) << "tca " << enc->tca << " pca " << enc->pca;
+  if (telemetry) {
+    EXPECT_EQ(discards, 1u);
+  }
 }
 
 TEST_F(RefineFixture, SpanBoundaryMinimumIsClamped) {
   // If the span itself ends before the approach completes, the clamped
   // edge minimum must be reported, not discarded (there is no neighbouring
   // interval beyond the span).
-  double best_t = 0.0, best_d = 1e300;
-  for (double t = 1000.0; t < 4000.0; t += 0.5) {
-    const double d = prop_->distance(0, 1, t);
-    if (d < best_d) {
-      best_d = d;
-      best_t = t;
-    }
-  }
-  const double span_end = best_t - 20.0;  // span ends while still approaching
-  const auto enc = refine_candidate(*prop_, 0, 1, span_end - 5.0, 10.0, 0.0, span_end);
+  const double span_end = best_t_ - 20.0;  // span ends while still approaching
+  const auto enc = refine(span_end - 15.0, span_end, 0.0, span_end);
   ASSERT_TRUE(enc.has_value());
   EXPECT_NEAR(enc->tca, span_end, 1.0);
 }
 
 TEST_F(RefineFixture, RefineOnIntervalAgrees) {
-  double best_t = 0.0, best_d = 1e300;
-  for (double t = 1000.0; t < 4000.0; t += 0.5) {
-    const double d = prop_->distance(0, 1, t);
-    if (d < best_d) {
-      best_d = d;
-      best_t = t;
-    }
-  }
-  const auto enc = refine_on_interval(*prop_, 0, 1, best_t - 40.0, best_t + 40.0);
+  // An interval with no span to respect, as the filter windows are refined.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto enc = refine(best_t_ - 40.0, best_t_ + 40.0, -kInf, kInf);
   ASSERT_TRUE(enc.has_value());
-  EXPECT_NEAR(enc->tca, best_t, 1.0);
+  EXPECT_NEAR(enc->tca, best_t_, 1.0);
 
   // Degenerate interval.
-  EXPECT_FALSE(refine_on_interval(*prop_, 0, 1, 10.0, 10.0).has_value());
-  EXPECT_FALSE(refine_on_interval(*prop_, 0, 1, 10.0, 5.0).has_value());
+  EXPECT_FALSE(refine(10.0, 10.0, -kInf, kInf).has_value());
+  EXPECT_FALSE(refine(10.0, 5.0, -kInf, kInf).has_value());
+}
+
+TEST_F(RefineFixture, WindowRefinementAcceptsOnlyInSpanSubThresholdEncounters) {
+  const PropagatorPairEvaluator eval(*prop_, 0, 1);
+  // A 20 s window ending 5 s before the minimum: its 10 s extension
+  // reaches the minimum, which is found and accepted.
+  const auto found =
+      refine_window(eval, best_t_ - 25.0, best_t_ - 5.0, best_d_ + 1.0, 0.0, 5000.0);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_NEAR(found->tca, best_t_, 1.0);
+  EXPECT_LE(found->pca, best_d_ + 1e-6);
+  // The same minimum above the threshold, or outside the span, is refused.
+  EXPECT_FALSE(
+      refine_window(eval, best_t_ - 25.0, best_t_ - 5.0, 0.5 * best_d_, 0.0, 5000.0)
+          .has_value());
+  EXPECT_FALSE(refine_window(eval, best_t_ - 25.0, best_t_ - 5.0, best_d_ + 1.0, 0.0,
+                             best_t_ - 2.0)
+                   .has_value());
 }
 
 TEST(ReachBound, TwoBodyMaxAccelerationIsMuOverPerigeeSquared) {
@@ -260,9 +286,8 @@ WindowScan scan_search_window(const ReachCase& c) {
   const StateVector b = prop.state(1, c.t_sample);
   const double radius =
       grid_search_radius(c.cell_size, std::min(a.velocity.norm(), b.velocity.norm()));
-  const double probe = edge_probe_distance(radius);
-  const double t_lo = std::max(c.t_sample - radius, c.t_min) - probe;
-  const double t_hi = std::min(c.t_sample + radius, c.t_max) + probe;
+  const double t_lo = std::max(c.t_sample - radius, c.t_min) - kEdgeProbeSeconds;
+  const double t_hi = std::min(c.t_sample + radius, c.t_max) + kEdgeProbeSeconds;
   const double lo = std::max(t_lo, c.t_min);
   const double hi = std::min(t_hi, c.t_max);
 

@@ -160,6 +160,8 @@ class UntouchablePropagator final : public Propagator {
     ADD_FAILURE() << "elements() called";
     return elements_;
   }
+  // Fixed ellipses, so hybrid gets as far as the size check.
+  bool fixed_elements() const override { return true; }
 
  private:
   std::size_t count_;

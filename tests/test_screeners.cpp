@@ -21,6 +21,7 @@
 #include "propagation/contour_solver.hpp"
 #include "propagation/ephemeris.hpp"
 #include "propagation/j2_secular.hpp"
+#include "propagation/tle_secular.hpp"
 #include "propagation/two_body.hpp"
 #include "scenario_helpers.hpp"
 #include "service/screening_service.hpp"
@@ -419,6 +420,60 @@ TEST(Screeners, LegacyHasNoDeviceBackend) {
   cfg.device = &device;
   std::vector<Satellite> sats = dense_shell(4, 2);
   EXPECT_THROW(screen(sats, cfg, Variant::kLegacy), std::invalid_argument);
+}
+
+// The hybrid and legacy filters read epoch elements, so they refuse a
+// propagator whose orbits drift (j2, tle, ephemeris) before any work, and
+// a forwarding propagator answers as the one it wraps. Grid screens all
+// four propagators.
+TEST(Screeners, FilterVariantsRefuseDriftingPropagators) {
+  const std::vector<Satellite> sats = dense_shell(12, 3);
+  ScreeningConfig cfg;
+  cfg.t_end = 1200.0;
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator kepler(sats, solver);
+  const J2SecularPropagator j2(sats, solver);
+  std::vector<TleRecord> records;
+  for (const Satellite& sat : sats) {
+    TleRecord rec;
+    rec.catalog_number = sat.id;
+    rec.elements = sat.elements;
+    rec.mean_motion_rev_day = 86400.0 / orbital_period(sat.elements);
+    records.push_back(rec);
+  }
+  const TleSecularPropagator tle(records, solver);
+  const auto ephemeris =
+      EphemerisPropagator::sample(kepler, cfg.t_begin, cfg.t_end, 20.0);
+  const testutil::ForwardingPropagator forwarded_kepler(kepler);
+  const testutil::ForwardingPropagator forwarded_j2(j2);
+  EXPECT_TRUE(kepler.fixed_elements());
+  EXPECT_TRUE(forwarded_kepler.fixed_elements());
+
+  const std::pair<const char*, const Propagator*> drifting[] = {
+      {"j2", &j2},
+      {"tle", &tle},
+      {"ephemeris", &ephemeris},
+      {"forwarded j2", &forwarded_j2}};
+  for (const Variant v : kAllVariants) {
+    const std::unique_ptr<Screener> screener = make_screener(v);
+    EXPECT_NO_THROW(screener->screen(forwarded_kepler, cfg)) << variant_name(v);
+    for (const auto& [name, propagator] : drifting) {
+      SCOPED_TRACE(variant_name(v) + " / " + name);
+      EXPECT_FALSE(propagator->fixed_elements());
+      if (v == Variant::kGrid) {
+        EXPECT_NO_THROW(screener->screen(*propagator, cfg));
+        continue;
+      }
+      try {
+        screener->screen(*propagator, cfg);
+        ADD_FAILURE() << "accepted a drifting propagator";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("need two-body propagation"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // The shared skeleton passes a device to every variant; only legacy

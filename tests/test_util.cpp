@@ -9,7 +9,6 @@
 #include "util/cli.hpp"
 #include "util/constants.hpp"
 #include "util/csv.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
@@ -209,20 +208,6 @@ TEST(SystemInfo, QueriesHost) {
   EXPECT_FALSE(info.os.empty());
 }
 
-TEST(Log, LevelIsProcessGlobalAndFilters) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below-threshold messages are dropped before formatting; these calls
-  // must be cheap no-ops rather than crashes.
-  log_debug("dropped ", 1);
-  log_info("dropped ", 2.5);
-  log_warn("dropped ", "three");
-  set_log_level(LogLevel::kDebug);
-  EXPECT_EQ(log_level(), LogLevel::kDebug);
-  set_log_level(original);
-}
-
 TEST(Constants, PhysicallyConsistent) {
   EXPECT_GT(kGeoSemiMajorAxis, kEarthRadius);
   EXPECT_GT(kSimulationHalfExtent, kGeoSemiMajorAxis - 1000.0);
@@ -371,21 +356,6 @@ TEST(CsvEscape, EmptyAndCommaOnlyFields) {
   EXPECT_EQ(csv_escape(","), "\",\"");
   EXPECT_EQ(csv_escape("\""), "\"\"\"\"");
   EXPECT_EQ(csv_escape("a b;c"), "a b;c");
-}
-
-TEST(Log, WritesOnlyAtOrAboveTheLevel) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kWarn);
-  testing::internal::CaptureStderr();
-  log_info("hidden-info");
-  log_warn("shown-warn ", 7);
-  log_message(LogLevel::kError, "shown-error");
-  log_message(LogLevel::kDebug, "hidden-debug");
-  const std::string err = testing::internal::GetCapturedStderr();
-  set_log_level(original);
-  EXPECT_EQ(err.find("hidden"), std::string::npos) << err;
-  EXPECT_NE(err.find("[WARN ] shown-warn 7"), std::string::npos) << err;
-  EXPECT_NE(err.find("[ERROR] shown-error"), std::string::npos) << err;
 }
 
 }  // namespace
