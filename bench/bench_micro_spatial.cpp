@@ -1,4 +1,4 @@
-/// Micro-benchmarks of the spatial substrates: MurMur3 hashing, the
+/// Micro-benchmarks of the spatial substrates: the MurMur3 finalizer, the
 /// lock-free grid hash set (the paper's core data structure) under varying
 /// load factors and thread counts, one whole sample step through the hash
 /// grid against one through the CPU's cell list, the candidate buffer, and
@@ -38,17 +38,6 @@ void BM_Murmur3Fmix64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Murmur3Fmix64);
-
-void BM_Murmur3X64_128(benchmark::State& state) {
-  std::vector<char> data(static_cast<std::size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    std::uint64_t lo, hi;
-    murmur3_x64_128(data.data(), data.size(), 0, &lo, &hi);
-    benchmark::DoNotOptimize(lo);
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Murmur3X64_128)->Arg(8)->Arg(64)->Arg(1024);
 
 std::vector<Vec3> random_positions(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);

@@ -35,7 +35,6 @@ ScreeningReport LegacyScreener::run(const Propagator& propagator,
   }
   ScreeningReport report;
   const std::size_t n = propagator.size();
-  const double reach = config.threshold_km + kFilterPadKm;
 
   std::vector<Conjunction> raw;
   double filter_seconds = 0.0;
@@ -43,7 +42,8 @@ ScreeningReport LegacyScreener::run(const Propagator& propagator,
 
   DenseScanOptions scan_options;
   scan_options.step = kDenseScanStep;
-  scan_options.refine_below = 8.0 * reach + 2.0 * kLeoSpeed * scan_options.step;
+  scan_options.refine_below =
+      8.0 * config.threshold_km + 2.0 * kLeoSpeed * scan_options.step;
 
   FilterFunnel funnel;
   std::size_t refinements = 0;

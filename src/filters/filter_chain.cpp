@@ -13,8 +13,8 @@ namespace scod {
 PairClassification classify_pair(const FilterOrbit& a, const FilterOrbit& b,
                                  const ScreeningConfig& config) {
   PairClassification out;
-  const double reach = config.threshold_km + kFilterPadKm;
-  if (!apogee_perigee_overlap(a, b, reach)) {
+  const double d = config.threshold_km;
+  if (!apogee_perigee_overlap(a, b, d)) {
     out.verdict = PairVerdict::kApogeePerigeeReject;
     return out;
   }
@@ -24,13 +24,12 @@ PairClassification classify_pair(const FilterOrbit& a, const FilterOrbit& b,
     return out;
   }
 
-  const std::array<NodeGap, 2> gaps = node_gaps(a, b, reach);
+  const std::array<NodeGap, 2> gaps = node_gaps(a, b, d);
   if (!gaps[0].open() && !gaps[1].open()) {
     out.verdict = PairVerdict::kPathReject;
     return out;
   }
-  out.windows = conjunction_time_windows(a, b, gaps, config.t_begin, config.t_end,
-                                         config.threshold_km);
+  out.windows = conjunction_time_windows(a, b, gaps, config.t_begin, config.t_end);
   out.verdict = out.windows.empty() ? PairVerdict::kWindowReject
                                     : PairVerdict::kWindowSurvivor;
   return out;

@@ -12,11 +12,6 @@ namespace scod {
 struct ScreeningConfig;
 struct ScreeningStats;
 
-/// Distance pad added to the screening threshold by every orbital filter
-/// (apogee/perigee, node test, node time windows) [km]. It absorbs the
-/// first-order approximations of the time windows.
-inline constexpr double kFilterPadKm = 0.5;
-
 /// Where a pair left the classical filter chain (Section III), or how it
 /// survived it.
 enum class PairVerdict : std::uint8_t {

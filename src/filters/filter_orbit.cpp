@@ -17,10 +17,6 @@ FilterOrbit::FilterOrbit(const KeplerElements& el)
       p(semi_latus_rectum(el)),
       h(std::sqrt(kMuEarth * p)) {}
 
-double FilterOrbit::radius_at(double true_anomaly) const {
-  return p / (1.0 + elements.eccentricity * std::cos(true_anomaly));
-}
-
 void require_fixed_elements(const Propagator& propagator) {
   if (!propagator.fixed_elements()) {
     throw std::invalid_argument(

@@ -20,9 +20,6 @@ struct FilterOrbit {
   FilterOrbit() = default;
   explicit FilterOrbit(const KeplerElements& el);
 
-  /// Radius at true anomaly f, p / (1 + e cos f) [km].
-  double radius_at(double true_anomaly) const;
-
   KeplerElements elements;
   double perigee = 0.0;  ///< perigee radius [km]
   double apogee = 0.0;   ///< apogee radius [km]

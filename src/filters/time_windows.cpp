@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "filters/filter_chain.hpp"
 #include "orbit/anomaly.hpp"
 #include "orbit/geometry.hpp"
 #include "util/constants.hpp"
@@ -28,38 +27,21 @@ std::vector<Interval> merge_intervals(std::vector<Interval> intervals) {
 
 namespace {
 
-/// True anomaly at which the orbit's position vector points along the
-/// (unit) direction `k`, which must lie in the orbital plane.
-double anomaly_toward(const FilterOrbit& orbit, const Vec3& k) {
-  // The node direction in the perifocal frame.
-  const Vec3 u = orbit.rotation.transposed() * k;
-  return wrap_two_pi(std::atan2(u.y, u.x));
-}
-
-NodeCrossing crossing_at(const FilterOrbit& a, const FilterOrbit& b, const Vec3& k) {
-  NodeCrossing c;
-  c.true_anomaly_a = anomaly_toward(a, k);
-  c.true_anomaly_b = anomaly_toward(b, k);
-  c.radius_a = a.radius_at(c.true_anomaly_a);
-  c.radius_b = b.radius_at(c.true_anomaly_b);
-  c.miss_distance = std::abs(c.radius_a - c.radius_b);
-  return c;
-}
-
-/// Appends the windows [t_cross - w, t_cross + w] for every time the
-/// object passes true anomaly `f_node` within [t_begin - w, t_end + w].
-void append_crossing_windows(const KeplerElements& el, double f_node, double w,
-                             double t_begin, double t_end,
-                             std::vector<Interval>& out) {
+/// Appends the windows [t_cross - half_time, t_cross + half_time] for every
+/// time the orbit crosses `node` within [t_begin - half_time, t_end +
+/// half_time].
+void append_crossing_windows(const KeplerElements& el, const NodeArc& node,
+                             double t_begin, double t_end, std::vector<Interval>& out) {
   const double n = mean_motion(el);
   const double period = kTwoPi / n;
-  const double m_node = true_to_mean(f_node, el.eccentricity);
+  const double half = node.half_time;
+  const double m_node = true_to_mean(std::atan2(node.sin_f, node.cos_f), el.eccentricity);
   // Crossings happen at t0 + j * period; start with the first window that
   // can still reach into [t_begin, t_end].
   const double t0 = wrap_two_pi(m_node - el.mean_anomaly) / n;
-  const double j_start = std::ceil((t_begin - w - t0) / period);
-  for (double t = t0 + j_start * period; t - w <= t_end; t += period) {
-    out.push_back({t - w, t + w});
+  const double j_start = std::ceil((t_begin - half - t0) / period);
+  for (double t = t0 + j_start * period; t - half <= t_end; t += period) {
+    out.push_back({t - half, t + half});
   }
 }
 
@@ -81,12 +63,6 @@ void intersect_into(const std::vector<Interval>& xs, const std::vector<Interval>
 
 }  // namespace
 
-std::array<NodeCrossing, 2> node_crossings(const FilterOrbit& a,
-                                           const FilterOrbit& b) {
-  const Vec3 k = a.normal.cross(b.normal).normalized();
-  return {crossing_at(a, b, k), crossing_at(a, b, -k)};
-}
-
 std::array<NodeGap, 2> node_gaps(const FilterOrbit& a, const FilterOrbit& b,
                                  double reach) {
   const Vec3 cross = a.normal.cross(b.normal);
@@ -107,23 +83,28 @@ std::array<NodeGap, 2> node_gaps(const FilterOrbit& a, const FilterOrbit& b,
   // |f - f_node| <= w, |sin f| <= |sin f_node| + |cos f_node| sin w and
   // cos f >= min(cos f_node cos w, cos f_node) - |sin f_node| sin w.
   std::array<NodeGap, 2> gaps;
-  const auto add = [&](const FilterOrbit& orbit, double NodeGap::*radius) {
+  const auto add = [&](const FilterOrbit& orbit, NodeArc NodeGap::*arc) {
     const Vec3 u = orbit.rotation.transposed() * k;
     const double inv = 1.0 / std::sqrt(u.x * u.x + u.y * u.y);
     const double e = orbit.elements.eccentricity;
     for (int s = 0; s < 2; ++s) {
-      const double cos_f = (s == 0 ? u.x : -u.x) * inv;
-      const double sin_f = (s == 0 ? u.y : -u.y) * inv;
-      const double sin_max = std::min(1.0, std::abs(sin_f) + std::abs(cos_f) * sin_w);
-      const double cos_min =
-          std::max(-1.0, std::min(cos_f * cos_w, cos_f) - std::abs(sin_f) * sin_w);
+      NodeArc& node = gaps[s].*arc;
+      node.cos_f = (s == 0 ? u.x : -u.x) * inv;
+      node.sin_f = (s == 0 ? u.y : -u.y) * inv;
+      const double sin_max =
+          std::min(1.0, std::abs(node.sin_f) + std::abs(node.cos_f) * sin_w);
+      const double cos_min = std::max(
+          -1.0, std::min(node.cos_f * cos_w, node.cos_f) - std::abs(node.sin_f) * sin_w);
       const double q = 1.0 + e * cos_min;
-      gaps[s].*radius = orbit.p / (1.0 + e * cos_f);
-      gaps[s].bound += w * (orbit.p * e * sin_max / (q * q));
+      const double slope = orbit.p * e * sin_max / (q * q);  // max|dr/df| on the arc
+      node.radius = orbit.p / (1.0 + e * node.cos_f);
+      const double r_max = node.radius + w * slope;
+      node.half_time = w * r_max * r_max / orbit.h;
+      gaps[s].bound += w * slope;
     }
   };
-  add(a, &NodeGap::radius_a);
-  add(b, &NodeGap::radius_b);
+  add(a, &NodeGap::a);
+  add(b, &NodeGap::b);
   for (NodeGap& gap : gaps) gap.bound += reach;
   return gaps;
 }
@@ -131,32 +112,13 @@ std::array<NodeGap, 2> node_gaps(const FilterOrbit& a, const FilterOrbit& b,
 std::vector<Interval> conjunction_time_windows(const FilterOrbit& a,
                                                const FilterOrbit& b,
                                                const std::array<NodeGap, 2>& gaps,
-                                               double t_begin, double t_end,
-                                               double threshold_km) {
-  const double sin_angle = std::max(a.normal.cross(b.normal).norm(), 0.05);
-
-  const double reach = threshold_km + kFilterPadKm;
-  // The spatial corridor around a node is kCorridorScale reaches wide;
-  // larger values widen the windows (more Brent work, fewer missed
-  // encounters). Shallow plane crossings produce broad distance minima, so
-  // the corridor also grows as 1/sin of the plane angle (floored).
-  constexpr double kCorridorScale = 8.0;
-  const double corridor = kCorridorScale * reach / sin_angle;
-
-  const std::array<NodeCrossing, 2> crossings = node_crossings(a, b);
+                                               double t_begin, double t_end) {
   std::vector<Interval> result;
-  for (int s = 0; s < 2; ++s) {
-    if (!gaps[s].open()) continue;
-    const NodeCrossing& c = crossings[s];
-
-    // Along-track corridor -> time window: arc speed at the node is
-    // r * df/dt = h / r, so w = corridor * r / h.
-    const double w_a = corridor * c.radius_a / a.h;
-    const double w_b = corridor * c.radius_b / b.h;
-
+  for (const NodeGap& gap : gaps) {
+    if (!gap.open()) continue;
     std::vector<Interval> windows_a, windows_b;
-    append_crossing_windows(a.elements, c.true_anomaly_a, w_a, t_begin, t_end, windows_a);
-    append_crossing_windows(b.elements, c.true_anomaly_b, w_b, t_begin, t_end, windows_b);
+    append_crossing_windows(a.elements, gap.a, t_begin, t_end, windows_a);
+    append_crossing_windows(b.elements, gap.b, t_begin, t_end, windows_b);
     intersect_into(merge_intervals(std::move(windows_a)),
                    merge_intervals(std::move(windows_b)), result);
   }

@@ -101,9 +101,12 @@ struct TelemetrySnapshot {
   std::uint64_t value(Counter c) const {
     return counters[static_cast<std::size_t>(c)];
   }
-  // Fraction of scanned grid slots that held at least one sample; with the
-  // pipeline's 2x slot factor this stays near or below 0.5 (Eq. 1 sizing
-  // keeps per-cell chains short rather than the table sparse).
+  // cells_occupied / cells_scanned. On the CPU's cell list: occupied cells
+  // (runs of equal cell keys) per sample, at most 1 and near 1 when most
+  // samples sit alone in their cell. On devicesim's hash grid: the share of
+  // slots that held a sample, near or below 0.5 with the 2x slot factor.
+  // On a masked screen: the share of home-cell lookups that found a dirty
+  // object.
   double occupancy() const;
   // Mean linear-probe steps per successful insert.
   double mean_probe_length() const;

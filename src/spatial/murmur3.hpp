@@ -6,10 +6,8 @@
 namespace scod {
 
 /// MurmurHash3 (Austin Appleby, public domain) — the hash the paper uses to
-/// map grid-cell keys to hash-map slots. We provide the 64-bit finalizer
-/// (the slot-index path used in the hot loop, where the key is already a
-/// packed 64-bit cell coordinate) and the full x64 128-bit variant for
-/// arbitrary byte strings.
+/// map grid-cell keys to hash-map slots. The key is already a packed 64-bit
+/// cell coordinate, so only the 64-bit finalizer is needed.
 
 /// The fmix64 finalizer: a full-avalanche mix of a 64-bit value.
 constexpr std::uint64_t murmur3_fmix64(std::uint64_t k) {
@@ -20,14 +18,6 @@ constexpr std::uint64_t murmur3_fmix64(std::uint64_t k) {
   k ^= k >> 33;
   return k;
 }
-
-/// MurmurHash3_x64_128 over an arbitrary byte buffer; returns the low and
-/// high 64 bits through the out parameters.
-void murmur3_x64_128(const void* data, std::size_t len, std::uint64_t seed,
-                     std::uint64_t* out_low, std::uint64_t* out_high);
-
-/// Convenience: 64-bit hash of a byte buffer (low half of the 128-bit hash).
-std::uint64_t murmur3_x64_64(const void* data, std::size_t len, std::uint64_t seed = 0);
 
 /// The smallest power of two >= v: the slot count of the open-addressed
 /// hash sets, so a hash maps to a slot with a mask.

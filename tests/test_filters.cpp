@@ -109,40 +109,46 @@ namespace from_elements {
 Vec3 curve_position(const KeplerElements& el, double f);
 }  // namespace from_elements
 
+/// The radial gap on the node line, |r_a - r_b|.
+double radial_gap(const NodeGap& gap) { return std::abs(gap.a.radius - gap.b.radius); }
+
+/// The true anomaly at which an orbit crosses the node line.
+double node_anomaly(const NodeArc& arc) { return std::atan2(arc.sin_f, arc.cos_f); }
+
 TEST(NodeCrossings, PerpendicularEqualCircles) {
-  const KeplerElements a = circular(7000.0);
-  const KeplerElements b = circular(7000.0, kPi / 2.0);
-  const auto crossings = node_crossings(FilterOrbit(a), FilterOrbit(b));
-  // Equal radii: both nodes have ~zero miss distance.
-  EXPECT_LT(crossings[0].miss_distance, 1.5);
-  EXPECT_LT(crossings[1].miss_distance, 1.5);
+  const auto gaps = node_gaps(FilterOrbit(circular(7000.0)),
+                              FilterOrbit(circular(7000.0, kPi / 2.0)), 2.0);
+  // Equal radii: both nodes have ~zero radial gap.
+  EXPECT_LT(radial_gap(gaps[0]), 1.5);
+  EXPECT_LT(radial_gap(gaps[1]), 1.5);
   // The two crossings of one orbit are half a revolution apart.
-  const double df = std::abs(crossings[0].true_anomaly_a - crossings[1].true_anomaly_a);
+  const double df = std::abs(node_anomaly(gaps[0].a) - node_anomaly(gaps[1].a));
   EXPECT_NEAR(std::min(df, kTwoPi - df), kPi, 1e-6);
 }
 
 TEST(NodeCrossings, RadialGapIsMissDistance) {
-  const KeplerElements a = circular(7000.0);
-  const KeplerElements b = circular(7080.0, 0.7, 0.4);
-  const auto crossings = node_crossings(FilterOrbit(a), FilterOrbit(b));
-  EXPECT_NEAR(crossings[0].miss_distance, 80.0, 2.5);
-  EXPECT_NEAR(crossings[1].miss_distance, 80.0, 2.5);
+  const auto gaps = node_gaps(FilterOrbit(circular(7000.0)),
+                              FilterOrbit(circular(7080.0, 0.7, 0.4)), 2.0);
+  EXPECT_NEAR(radial_gap(gaps[0]), 80.0, 2.5);
+  EXPECT_NEAR(radial_gap(gaps[1]), 80.0, 2.5);
 }
 
 TEST(NodeCrossings, CrossingPointsLieOnNodeLine) {
   const KeplerElements a{7300.0, 0.05, 0.8, 1.0, 0.5, 0.0};
   const KeplerElements b{7400.0, 0.02, 1.4, 2.0, 1.5, 0.0};
-  const auto crossings = node_crossings(FilterOrbit(a), FilterOrbit(b));
+  const auto gaps = node_gaps(FilterOrbit(a), FilterOrbit(b), 2.0);
   const Vec3 k = normal_of(a).cross(normal_of(b)).normalized();
   for (int s = 0; s < 2; ++s) {
     const Vec3 dir = s == 0 ? k : -k;
-    const Vec3 pa = from_elements::curve_position(a, crossings[s].true_anomaly_a);
-    const Vec3 pb = from_elements::curve_position(b, crossings[s].true_anomaly_b);
+    const Vec3 pa = from_elements::curve_position(a, node_anomaly(gaps[s].a));
+    const Vec3 pb = from_elements::curve_position(b, node_anomaly(gaps[s].b));
     // Positions point along the node direction...
     EXPECT_GT(pa.normalized().dot(dir), 0.999);
     EXPECT_GT(pb.normalized().dot(dir), 0.999);
-    // ...so the inter-orbit distance there is the radial gap.
-    EXPECT_NEAR(pa.distance(pb), crossings[s].miss_distance, 1e-6);
+    // ...at the node radii, so the inter-orbit distance there is the gap.
+    EXPECT_NEAR(pa.norm(), gaps[s].a.radius, 1e-6);
+    EXPECT_NEAR(pb.norm(), gaps[s].b.radius, 1e-6);
+    EXPECT_NEAR(pa.distance(pb), radial_gap(gaps[s]), 1e-6);
   }
 }
 
@@ -150,8 +156,8 @@ TEST(NodeCrossings, CrossingPointsLieOnNodeLine) {
 std::vector<Interval> time_windows(const KeplerElements& a, const KeplerElements& b,
                                    double t_begin, double t_end, double threshold_km) {
   const FilterOrbit fa(a), fb(b);
-  return conjunction_time_windows(fa, fb, node_gaps(fa, fb, threshold_km + kFilterPadKm),
-                                  t_begin, t_end, threshold_km);
+  return conjunction_time_windows(fa, fb, node_gaps(fa, fb, threshold_km), t_begin,
+                                  t_end);
 }
 
 TEST(TimeWindows, ExcludedWhenNodeMissTooLarge) {
@@ -227,8 +233,28 @@ TEST(TimeWindows, ContainSubThresholdMinima) {
   EXPECT_GE(checked_minima, 25);
 }
 
+TEST(TimeWindows, ClippedToTheSpan) {
+  // A window that starts before t_begin or ends after t_end is cut at the
+  // span's edge, not dropped: the windows over a sub-span are the windows
+  // over the whole span intersected with it.
+  const FilterOrbit a(circular(7000.0)), b(circular(7000.0, kPi / 2.0));
+  const auto gaps = node_gaps(a, b, 2.0);
+  const auto whole = conjunction_time_windows(a, b, gaps, 0.0, 20000.0);
+  ASSERT_GE(whole.size(), 3u);
+  // Cut through the middle of the first and the last window.
+  const double lo = 0.5 * (whole.front().lo + whole.front().hi);
+  const double hi = 0.5 * (whole.back().lo + whole.back().hi);
+  const auto part = conjunction_time_windows(a, b, gaps, lo, hi);
+  ASSERT_EQ(part.size(), whole.size());
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    EXPECT_EQ(part[i].lo, std::max(whole[i].lo, lo)) << i;
+    EXPECT_EQ(part[i].hi, std::min(whole[i].hi, hi)) << i;
+  }
+  EXPECT_TRUE(conjunction_time_windows(a, b, gaps, lo, lo).empty());
+}
+
 TEST(FilterChain, ClassifiesOnePairPerVerdict) {
-  const ScreeningConfig config;  // d = 2 km, pad 0.5 km, span [0, 7200] s
+  const ScreeningConfig config;  // d = 2 km, span [0, 7200] s
   const KeplerElements ellipse{7000.0, 0.01, 0.0, 0.0, 0.0, 0.0};  // 6930..7070 km
 
   struct Case {
@@ -464,60 +490,57 @@ Vec3 curve_position(const KeplerElements& el, double f) {
   return rotation * Vec3{r * cf, r * sf, 0.0};
 }
 
-NodeCrossing crossing_at(const KeplerElements& a, const KeplerElements& b,
-                         const Vec3& k) {
-  const auto anomaly_toward = [&k](const KeplerElements& el) {
-    const Mat3 rot = perifocal_to_eci(el.inclination, el.raan, el.arg_perigee);
-    const Vec3 u = rot.transposed() * k;
-    return wrap_two_pi(std::atan2(u.y, u.x));
-  };
-  NodeCrossing c;
-  c.true_anomaly_a = anomaly_toward(a);
-  c.true_anomaly_b = anomaly_toward(b);
-  c.radius_a = radius_at_true_anomaly(a, c.true_anomaly_a);
-  c.radius_b = radius_at_true_anomaly(b, c.true_anomaly_b);
-  c.miss_distance = std::abs(c.radius_a - c.radius_b);
-  return c;
+/// True anomaly at which the orbit points along the unit direction k of
+/// its plane, through atan2: an independent route to the node radii.
+double anomaly_toward(const KeplerElements& el, const Vec3& k) {
+  const Mat3 rot = perifocal_to_eci(el.inclination, el.raan, el.arg_perigee);
+  const Vec3 u = rot.transposed() * k;
+  return wrap_two_pi(std::atan2(u.y, u.x));
 }
 
-std::array<NodeCrossing, 2> node_crossings(const KeplerElements& a,
-                                           const KeplerElements& b) {
-  const Vec3 k = normal_of(a).cross(normal_of(b)).normalized();
-  return {crossing_at(a, b, k), crossing_at(a, b, -k)};
+/// Half-width w of the node arc that can hold an approach within `reach`.
+double arc_half_width(const KeplerElements& a, const KeplerElements& b, double reach) {
+  const double sin_angle = normal_of(a).cross(normal_of(b)).norm();
+  const double r_lo = std::max(perigee_radius(a), perigee_radius(b)) - reach;
+  return r_lo > 0.0
+             ? std::min(kPi, std::asin(std::min(1.0, reach / (r_lo * sin_angle))) +
+                                 2.0 * std::asin(std::min(1.0, 0.5 * reach / r_lo)))
+             : kPi;
 }
 
 std::array<NodeGap, 2> node_gaps(const KeplerElements& a, const KeplerElements& b,
                                  double reach) {
   const Vec3 cross = normal_of(a).cross(normal_of(b));
-  const double sin_angle = cross.norm();
-  const Vec3 k = cross / sin_angle;
-  const double r_lo = std::max(perigee_radius(a), perigee_radius(b)) - reach;
-  const double w =
-      r_lo > 0.0 ? std::min(kPi, std::asin(std::min(1.0, reach / (r_lo * sin_angle))) +
-                                     2.0 * std::asin(std::min(1.0, 0.5 * reach / r_lo)))
-                 : kPi;
+  const Vec3 k = cross / cross.norm();
+  const double w = arc_half_width(a, b, reach);
   const double sin_w = w < 0.5 * kPi ? std::sin(w) : 1.0;
   const double cos_w = std::cos(w);
   std::array<NodeGap, 2> gaps;
-  const auto add = [&](const KeplerElements& el, double NodeGap::*radius) {
+  const auto add = [&](const KeplerElements& el, NodeArc NodeGap::*arc) {
     const Mat3 rot = perifocal_to_eci(el.inclination, el.raan, el.arg_perigee);
     const Vec3 u = rot.transposed() * k;
     const double inv = 1.0 / std::sqrt(u.x * u.x + u.y * u.y);
     const double p = semi_latus_rectum(el);
+    const double h = std::sqrt(kMuEarth * p);
     const double e = el.eccentricity;
     for (int s = 0; s < 2; ++s) {
-      const double cos_f = (s == 0 ? u.x : -u.x) * inv;
-      const double sin_f = (s == 0 ? u.y : -u.y) * inv;
-      const double sin_max = std::min(1.0, std::abs(sin_f) + std::abs(cos_f) * sin_w);
-      const double cos_min =
-          std::max(-1.0, std::min(cos_f * cos_w, cos_f) - std::abs(sin_f) * sin_w);
+      NodeArc& node = gaps[s].*arc;
+      node.cos_f = (s == 0 ? u.x : -u.x) * inv;
+      node.sin_f = (s == 0 ? u.y : -u.y) * inv;
+      const double sin_max =
+          std::min(1.0, std::abs(node.sin_f) + std::abs(node.cos_f) * sin_w);
+      const double cos_min = std::max(
+          -1.0, std::min(node.cos_f * cos_w, node.cos_f) - std::abs(node.sin_f) * sin_w);
       const double q = 1.0 + e * cos_min;
-      gaps[s].*radius = p / (1.0 + e * cos_f);
-      gaps[s].bound += w * (p * e * sin_max / (q * q));
+      const double slope = p * e * sin_max / (q * q);
+      node.radius = p / (1.0 + e * node.cos_f);
+      const double r_max = node.radius + w * slope;
+      node.half_time = w * r_max * r_max / h;
+      gaps[s].bound += w * slope;
     }
   };
-  add(a, &NodeGap::radius_a);
-  add(b, &NodeGap::radius_b);
+  add(a, &NodeGap::a);
+  add(b, &NodeGap::b);
   for (NodeGap& gap : gaps) gap.bound += reach;
   return gaps;
 }
@@ -525,36 +548,26 @@ std::array<NodeGap, 2> node_gaps(const KeplerElements& a, const KeplerElements& 
 std::vector<Interval> conjunction_time_windows(const KeplerElements& a,
                                                const KeplerElements& b, double t_begin,
                                                double t_end, double threshold_km) {
-  const Vec3 cross = normal_of(a).cross(normal_of(b));
-  const double sin_angle = std::max(cross.norm(), 0.05);
-  const Vec3 k = cross.normalized();
-  const double reach = threshold_km + kFilterPadKm;
-  const std::array<NodeGap, 2> gaps = node_gaps(a, b, reach);
-  const double corridor = 8.0 * reach / sin_angle;
-
-  const auto crossing_windows = [&](const KeplerElements& el, double f_node, double w) {
+  const auto crossing_windows = [&](const KeplerElements& el, const NodeArc& node) {
     std::vector<Interval> out;
     const double n = mean_motion(el);
     const double period = kTwoPi / n;
-    const double m_node = true_to_mean(f_node, el.eccentricity);
+    const double half = node.half_time;
+    const double m_node =
+        true_to_mean(std::atan2(node.sin_f, node.cos_f), el.eccentricity);
     const double t0 = wrap_two_pi(m_node - el.mean_anomaly) / n;
-    const double j_start = std::ceil((t_begin - w - t0) / period);
-    for (double t = t0 + j_start * period; t - w <= t_end; t += period) {
-      out.push_back({t - w, t + w});
+    const double j_start = std::ceil((t_begin - half - t0) / period);
+    for (double t = t0 + j_start * period; t - half <= t_end; t += period) {
+      out.push_back({t - half, t + half});
     }
     return merge_intervals(std::move(out));
   };
 
   std::vector<Interval> result;
-  for (int s = 0; s < 2; ++s) {
-    if (!gaps[s].open()) continue;
-    const NodeCrossing c = crossing_at(a, b, s == 0 ? k : -k);
-    const double h_a = std::sqrt(kMuEarth * semi_latus_rectum(a));
-    const double h_b = std::sqrt(kMuEarth * semi_latus_rectum(b));
-    const std::vector<Interval> xs =
-        crossing_windows(a, c.true_anomaly_a, corridor * c.radius_a / h_a);
-    const std::vector<Interval> ys =
-        crossing_windows(b, c.true_anomaly_b, corridor * c.radius_b / h_b);
+  for (const NodeGap& gap : node_gaps(a, b, threshold_km)) {
+    if (!gap.open()) continue;
+    const std::vector<Interval> xs = crossing_windows(a, gap.a);
+    const std::vector<Interval> ys = crossing_windows(b, gap.b);
     std::size_t i = 0, j = 0;
     while (i < xs.size() && j < ys.size()) {
       const double lo = std::max(xs[i].lo, ys[j].lo);
@@ -578,19 +591,18 @@ std::vector<Interval> conjunction_time_windows(const KeplerElements& a,
 PairClassification classify_pair(const KeplerElements& a, const KeplerElements& b,
                                  const ScreeningConfig& config) {
   PairClassification out;
-  const double reach = config.threshold_km + kFilterPadKm;
-  if (radial_band_gap(a, b) > reach) return out;
+  const double d = config.threshold_km;
+  if (radial_band_gap(a, b) > d) return out;
   if (are_coplanar(a, b)) {
     out.verdict = PairVerdict::kCoplanarSurvivor;
     return out;
   }
-  const std::array<NodeGap, 2> gaps = node_gaps(a, b, reach);
+  const std::array<NodeGap, 2> gaps = node_gaps(a, b, d);
   if (!gaps[0].open() && !gaps[1].open()) {
     out.verdict = PairVerdict::kPathReject;
     return out;
   }
-  out.windows = conjunction_time_windows(a, b, config.t_begin, config.t_end,
-                                         config.threshold_km);
+  out.windows = conjunction_time_windows(a, b, config.t_begin, config.t_end, d);
   out.verdict = out.windows.empty() ? PairVerdict::kWindowReject
                                     : PairVerdict::kWindowSurvivor;
   return out;
@@ -648,7 +660,7 @@ TEST(FilterOrbit, ChainMatchesElementsFormulasBitForBit) {
   const auto pairs = regime_pairs(520);
   ASSERT_GE(pairs.size(), 2000u);
 
-  std::size_t coplanar = 0, crossings_checked = 0;
+  std::size_t coplanar = 0, gaps_checked = 0;
   std::array<std::size_t, 5> verdicts{};
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     const auto& [ea, eb] = pairs[k];
@@ -656,24 +668,20 @@ TEST(FilterOrbit, ChainMatchesElementsFormulasBitForBit) {
     EXPECT_EQ(radial_band_gap(a, b), from_elements::radial_band_gap(ea, eb)) << k;
     EXPECT_EQ(are_coplanar(a, b), from_elements::are_coplanar(ea, eb)) << k;
     if (!are_coplanar(a, b)) {
-      const auto gaps = node_gaps(a, b, config.threshold_km + kFilterPadKm);
-      const auto want_gaps =
-          from_elements::node_gaps(ea, eb, config.threshold_km + kFilterPadKm);
+      const auto gaps = node_gaps(a, b, config.threshold_km);
+      const auto want_gaps = from_elements::node_gaps(ea, eb, config.threshold_km);
       for (int s = 0; s < 2; ++s) {
-        EXPECT_EQ(gaps[s].radius_a, want_gaps[s].radius_a) << k;
-        EXPECT_EQ(gaps[s].radius_b, want_gaps[s].radius_b) << k;
+        for (const NodeArc NodeGap::*arc : {&NodeGap::a, &NodeGap::b}) {
+          const NodeArc& got = gaps[s].*arc;
+          const NodeArc& want = want_gaps[s].*arc;
+          EXPECT_EQ(got.cos_f, want.cos_f) << k;
+          EXPECT_EQ(got.sin_f, want.sin_f) << k;
+          EXPECT_EQ(got.radius, want.radius) << k;
+          EXPECT_EQ(got.half_time, want.half_time) << k;
+        }
         EXPECT_EQ(gaps[s].bound, want_gaps[s].bound) << k;
       }
-      const auto got = node_crossings(a, b);
-      const auto want = from_elements::node_crossings(ea, eb);
-      for (int s = 0; s < 2; ++s) {
-        EXPECT_EQ(got[s].true_anomaly_a, want[s].true_anomaly_a) << k;
-        EXPECT_EQ(got[s].true_anomaly_b, want[s].true_anomaly_b) << k;
-        EXPECT_EQ(got[s].radius_a, want[s].radius_a) << k;
-        EXPECT_EQ(got[s].radius_b, want[s].radius_b) << k;
-        EXPECT_EQ(got[s].miss_distance, want[s].miss_distance) << k;
-      }
-      ++crossings_checked;
+      ++gaps_checked;
     }
 
     const PairClassification got = classify_pair(a, b, config);
@@ -689,21 +697,21 @@ TEST(FilterOrbit, ChainMatchesElementsFormulasBitForBit) {
   }
   // Every verdict and both branches of the chain were exercised.
   EXPECT_GT(coplanar, 100u);
-  EXPECT_GT(crossings_checked, 1000u);
+  EXPECT_GT(gaps_checked, 1000u);
   for (std::size_t v = 0; v < verdicts.size(); ++v) EXPECT_GT(verdicts[v], 0u) << v;
 }
 
 TEST(FilterOrbit, NodeMissDecisionMatchesAtTheReachBoundary) {
   // The node test takes the node radii in closed form; they must equal
-  // node_crossings' atan2-based radii to well under a millimetre, and the
-  // verdict must flip exactly at the padded bound. a is circular and b
-  // slightly eccentric, so their radial bands overlap; b is scaled so that
-  // its first node's gap is bound + delta (the bound moves with b's scale,
-  // so the scale is iterated to a fixed point).
+  // the radii at the atan2-based node anomalies to well under a
+  // millimetre, and the verdict must flip exactly at the arc-padded bound.
+  // a is circular and b slightly eccentric, so their radial bands overlap;
+  // b is scaled so that its first node's gap is bound + delta (the bound
+  // moves with b's scale, so the scale is iterated to a fixed point).
   ScreeningConfig config;
   config.threshold_km = 5.0;
   config.t_end = 86400.0;
-  const double reach = config.threshold_km + kFilterPadKm;
+  const double reach = config.threshold_km;
   Rng rng(0xB0CA);
   std::size_t rejects = 0, passes = 0;
   for (int trial = 0; trial < 200; ++trial) {
@@ -720,17 +728,25 @@ TEST(FilterOrbit, NodeMissDecisionMatchesAtTheReachBoundary) {
       KeplerElements scaled = eb;
       for (int iteration = 0; iteration < 4; ++iteration) {
         const NodeGap gap = node_gaps(a, FilterOrbit(scaled), reach)[0];
-        scaled.semi_major_axis *= (gap.radius_a + gap.bound + delta) / gap.radius_b;
+        scaled.semi_major_axis *= (gap.a.radius + gap.bound + delta) / gap.b.radius;
       }
       const FilterOrbit b(scaled);
       const auto gaps = node_gaps(a, b, reach);
-      const auto crossings = node_crossings(a, b);
+      const Vec3 k = normal_of(ea).cross(normal_of(scaled)).normalized();
       for (int s = 0; s < 2; ++s) {
-        EXPECT_NEAR(gaps[s].radius_a, crossings[s].radius_a, 1e-6) << trial;
-        EXPECT_NEAR(gaps[s].radius_b, crossings[s].radius_b, 1e-6) << trial;
+        const Vec3 dir = s == 0 ? k : -k;
+        EXPECT_NEAR(gaps[s].a.radius,
+                    radius_at_true_anomaly(ea, from_elements::anomaly_toward(ea, dir)),
+                    1e-6)
+            << trial;
+        EXPECT_NEAR(
+            gaps[s].b.radius,
+            radius_at_true_anomaly(scaled, from_elements::anomaly_toward(scaled, dir)),
+            1e-6)
+            << trial;
       }
       // Node 0 sits delta outside its bound, to well under the deltas.
-      const double margin = gaps[0].radius_b - gaps[0].radius_a - gaps[0].bound;
+      const double margin = gaps[0].b.radius - gaps[0].a.radius - gaps[0].bound;
       ASSERT_NEAR(margin, delta, 1e-7) << trial;
 
       const PairClassification got = classify_pair(a, b, config);
@@ -751,7 +767,7 @@ TEST(FilterOrbit, NodeMissDecisionMatchesAtTheReachBoundary) {
 TEST(NodeTest, KeepsAnEccentricPairWhoseApproachIsOffTheNode) {
   // Objects 12759 and 48314 of generate_population({100000, 1}): planes
   // 0.035 rad apart, e = 0.0043 and 0.71. The radial gap at the nearer
-  // node is 6.1 km, more than the 2.5 km reach, but the eccentric orbit's
+  // node is 6.1 km, more than d = 2 km, but the eccentric orbit's
   // radius changes by ~830 km per radian there, and the orbits pass
   // 1.7 km apart 0.0067 rad from the node: grid reports a 1.73 km
   // conjunction. The node test must not reject the pair.
@@ -764,26 +780,135 @@ TEST(NodeTest, KeepsAnEccentricPairWhoseApproachIsOffTheNode) {
   const FilterOrbit a(ea), b(eb);
   ASSERT_FALSE(are_coplanar(a, b));
   const ScreeningConfig config;  // d = 2 km
-  const double reach = config.threshold_km + kFilterPadKm;
-  const auto crossings = node_crossings(a, b);
-  EXPECT_NEAR(std::min(crossings[0].miss_distance, crossings[1].miss_distance), 6.14,
-              0.01);
-  const auto gaps = node_gaps(a, b, reach);
+  const auto gaps = node_gaps(a, b, config.threshold_km);
+  EXPECT_NEAR(std::min(radial_gap(gaps[0]), radial_gap(gaps[1])), 6.14, 0.01);
   EXPECT_TRUE(gaps[0].open() || gaps[1].open());
   EXPECT_NE(classify_pair(a, b, config).verdict, PairVerdict::kPathReject);
+}
+
+TEST(NodeTest, HalfTimeBoundsTheArcCrossingTime) {
+  // An orbit within w of its node reached or leaves the node line within
+  // half_time: the exact times from the node to f_node + w and from
+  // f_node - w, taken from the mean anomalies, never exceed the bound.
+  Rng rng(0xA4C);
+  double worst_ratio = 0.0;
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const double reach = rng.uniform(0.5, 50.0);
+    const KeplerElements ea{rng.uniform(6800.0, 7400.0), rng.uniform(0.0, 0.01),
+                            rng.uniform(0.1, kPi - 0.1), rng.uniform(0.0, kTwoPi),
+                            rng.uniform(0.0, kTwoPi), rng.uniform(0.0, kTwoPi)};
+    const KeplerElements eb{rng.uniform(7000.0, 30000.0), rng.uniform(0.0, 0.75),
+                            rng.uniform(0.1, kPi - 0.1), rng.uniform(0.0, kTwoPi),
+                            rng.uniform(0.0, kTwoPi), rng.uniform(0.0, kTwoPi)};
+    if (from_elements::are_coplanar(ea, eb)) continue;
+    const double w = from_elements::arc_half_width(ea, eb, reach);
+    ASSERT_LT(w, 0.5 * kPi) << trial;
+    for (const NodeGap& gap : node_gaps(FilterOrbit(ea), FilterOrbit(eb), reach)) {
+      for (const auto& [arc, el] : {std::pair{gap.a, ea}, std::pair{gap.b, eb}}) {
+        const double f = node_anomaly(arc);
+        const double e = el.eccentricity;
+        const double m = true_to_mean(f, e);
+        const double ahead = wrap_two_pi(true_to_mean(f + w, e) - m) / mean_motion(el);
+        const double behind = wrap_two_pi(m - true_to_mean(f - w, e)) / mean_motion(el);
+        EXPECT_LE(ahead, arc.half_time) << trial;
+        EXPECT_LE(behind, arc.half_time) << trial;
+        worst_ratio = std::max(worst_ratio, arc.half_time / std::max(ahead, behind));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1500u);
+  // The bound stays close to the exact time (1.05 of it at worst here).
+  EXPECT_LT(worst_ratio, 1.5);
+}
+
+TEST(NodeTest, CircularOrbitsPadNothingAndCrossTheArcAtTheMeanMotion) {
+  // With e = 0 the radius is constant on the arc: the bound is the reach
+  // itself, and half_time is the arc half-width over the mean motion.
+  Rng rng(0xC1C);
+  for (int trial = 0; trial < 100; ++trial) {
+    const double reach = rng.uniform(0.5, 50.0);
+    const KeplerElements ea{rng.uniform(6800.0, 7400.0), 0.0,
+                            rng.uniform(0.1, kPi - 0.1), rng.uniform(0.0, kTwoPi),
+                            0.0, rng.uniform(0.0, kTwoPi)};
+    const KeplerElements eb{rng.uniform(6800.0, 7400.0), 0.0,
+                            rng.uniform(0.1, kPi - 0.1), rng.uniform(0.0, kTwoPi),
+                            0.0, rng.uniform(0.0, kTwoPi)};
+    if (from_elements::are_coplanar(ea, eb)) continue;
+    const double w = from_elements::arc_half_width(ea, eb, reach);
+    for (const NodeGap& gap : node_gaps(FilterOrbit(ea), FilterOrbit(eb), reach)) {
+      EXPECT_EQ(gap.bound, reach) << trial;
+      EXPECT_NEAR(gap.a.radius, ea.semi_major_axis, 1e-9) << trial;
+      EXPECT_NEAR(gap.b.radius, eb.semi_major_axis, 1e-9) << trial;
+      EXPECT_NEAR(gap.a.half_time * mean_motion(ea), w, 1e-12) << trial;
+      EXPECT_NEAR(gap.b.half_time * mean_motion(eb), w, 1e-12) << trial;
+    }
+  }
+}
+
+TEST(TimeWindows, CoverEveryTimeBothOrbitsAreOnTheArc) {
+  // Whenever both orbits are within w of an open node at the same time,
+  // that time lies inside a returned window: the windows give up nothing
+  // of the arc the node test leaves open. Eccentric grazers as in
+  // NodeTest.RejectsOnlyPairsTheOracleFindsApart, sampled every second.
+  const double d = 2.0;
+  const double span = 3000.0;
+  const NewtonKeplerSolver solver;
+  Rng rng(0xA7C5);
+  const auto true_anomaly = [&](const KeplerElements& el, double t) {
+    const double m = el.mean_anomaly + mean_motion(el) * t;
+    return eccentric_to_true(solver.eccentric_anomaly(m, el.eccentricity),
+                             el.eccentricity);
+  };
+  std::size_t on_arc = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    const double plane_angle = rng.uniform(1.05 * kCoplanarTolerance, 0.1);
+    const double node_angle = rng.uniform(-0.01, 0.01);
+    const KeplerElements ea{rng.uniform(6900.0, 7400.0), rng.uniform(0.0, 0.01),
+                            rng.uniform(0.1, kPi - 0.1), rng.uniform(0.0, kTwoPi),
+                            rng.uniform(0.0, kTwoPi), rng.uniform(0.0, kTwoPi)};
+    const KeplerElements eb =
+        verify::make_near_coplanar_grazer(ea, 1500.0, plane_angle, node_angle,
+                                          rng.uniform(0.3, 0.75),
+                                          rng.uniform(-1.0, 1.0) * d, rng, 1)
+            .elements;
+    const FilterOrbit a(ea), b(eb);
+    ASSERT_FALSE(are_coplanar(a, b)) << trial;
+    const double w = from_elements::arc_half_width(ea, eb, d);
+    const auto gaps = node_gaps(a, b, d);
+    const auto windows = conjunction_time_windows(a, b, gaps, 0.0, span);
+    for (double t = 0.0; t <= span; t += 1.0) {
+      const double fa = true_anomaly(ea, t);
+      const double fb = true_anomaly(eb, t);
+      for (const NodeGap& gap : gaps) {
+        if (!gap.open()) continue;
+        if (std::abs(wrap_pi(fa - node_anomaly(gap.a))) > w ||
+            std::abs(wrap_pi(fb - node_anomaly(gap.b))) > w) {
+          continue;
+        }
+        ++on_arc;
+        EXPECT_TRUE(std::any_of(windows.begin(), windows.end(),
+                                [&](const Interval& iv) { return iv.contains(t); }))
+            << trial << " t " << t;
+      }
+    }
+  }
+  EXPECT_GT(on_arc, 500u);
 }
 
 TEST(NodeTest, RejectsOnlyPairsTheOracleFindsApart) {
   // Property: planes 0.02-0.1 rad apart, one orbit with e in [0.3, 0.75],
   // an approach planted near the node arc at radial offsets around d.
   // Every pair the chain rejects (node test or windows) must have a
-  // dense-scan minimum above d.
+  // dense-scan minimum above d, and every minimum within d of a window
+  // survivor must lie inside one of its windows.
   ScreeningConfig config;  // d = 2 km
   config.t_end = 3000.0;
   const double d = config.threshold_km;
   const NewtonKeplerSolver solver;
   Rng rng(0x5EED21);
-  std::size_t rejected = 0, close = 0;
+  std::size_t rejected = 0, close = 0, windowed = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const double plane_angle = rng.uniform(1.05 * kCoplanarTolerance, 0.1);
     // Out-of-plane gap at the planted point: 0 to about 0.8 d.
@@ -801,7 +926,8 @@ TEST(NodeTest, RejectsOnlyPairsTheOracleFindsApart) {
             .elements;
     const FilterOrbit a(ea), b(eb);
     ASSERT_FALSE(are_coplanar(a, b)) << trial;
-    const PairVerdict verdict = classify_pair(a, b, config).verdict;
+    const PairClassification pair = classify_pair(a, b, config);
+    const PairVerdict verdict = pair.verdict;
 
     const TwoBodyPropagator prop(std::vector<Satellite>{{0, ea}, {1, eb}}, solver);
     DenseScanOptions scan;
@@ -810,6 +936,12 @@ TEST(NodeTest, RejectsOnlyPairsTheOracleFindsApart) {
     for (const Encounter& e :
          scan_encounters(prop, 0, 1, config.t_begin, config.t_end, scan)) {
       oracle = std::min(oracle, e.pca);
+      if (verdict == PairVerdict::kWindowSurvivor && e.pca <= d) {
+        ++windowed;
+        EXPECT_TRUE(std::any_of(pair.windows.begin(), pair.windows.end(),
+                                [&](const Interval& w) { return w.contains(e.tca); }))
+            << trial << " tca " << e.tca << " pca " << e.pca;
+      }
     }
     if (oracle <= d) ++close;
     if (verdict == PairVerdict::kPathReject || verdict == PairVerdict::kWindowReject) {
@@ -820,6 +952,7 @@ TEST(NodeTest, RejectsOnlyPairsTheOracleFindsApart) {
   // Both kinds of pair were generated in numbers.
   EXPECT_GT(rejected, 100u);
   EXPECT_GT(close, 100u);
+  EXPECT_GT(windowed, 100u);
 }
 
 TEST(FilterOrbit, BuiltOnAPoolEqualsPerObjectConstruction) {
@@ -842,9 +975,6 @@ TEST(FilterOrbit, BuiltOnAPoolEqualsPerObjectConstruction) {
       const Mat3 rotation = perifocal_to_eci(el.inclination, el.raan, el.arg_perigee);
       for (int r = 0; r < 3; ++r) {
         for (int c = 0; c < 3; ++c) EXPECT_EQ(orbit.rotation.m[r][c], rotation.m[r][c]);
-      }
-      for (const double f : {0.0, 1.0, 4.0}) {
-        EXPECT_EQ(orbit.radius_at(f), radius_at_true_anomaly(el, f)) << i;
       }
     }
   }

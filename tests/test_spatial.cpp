@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -33,52 +32,14 @@ TEST(Murmur3, Fmix64AvalanchesAndIsDeterministic) {
   EXPECT_EQ(murmur3_fmix64(0), 0u);
 }
 
-TEST(Murmur3, EmptyInputSeedZeroIsZero) {
-  std::uint64_t lo = 1, hi = 1;
-  murmur3_x64_128("", 0, 0, &lo, &hi);
-  EXPECT_EQ(lo, 0u);
-  EXPECT_EQ(hi, 0u);
-}
-
-TEST(Murmur3, SmhasherVerificationValue) {
-  // Austin Appleby's smhasher VerificationTest: hash keys {0}, {0,1}, ...,
-  // {0..254} with seed 256-len, hash the concatenated digests with seed 0,
-  // and compare the first 32 bits against the published constant for
-  // MurmurHash3_x64_128. This pins our port bit-for-bit to the original.
-  std::uint8_t key[256];
-  std::uint8_t hashes[256 * 16];
-  for (int i = 0; i < 256; ++i) {
-    key[i] = static_cast<std::uint8_t>(i);
-    std::uint64_t lo = 0, hi = 0;
-    murmur3_x64_128(key, static_cast<std::size_t>(i),
-                    static_cast<std::uint64_t>(256 - i), &lo, &hi);
-    std::memcpy(hashes + i * 16, &lo, 8);
-    std::memcpy(hashes + i * 16 + 8, &hi, 8);
-  }
-  std::uint64_t lo = 0, hi = 0;
-  murmur3_x64_128(hashes, sizeof(hashes), 0, &lo, &hi);
-  std::uint32_t verification;
-  std::memcpy(&verification, &lo, 4);
-  EXPECT_EQ(verification, 0x6384BA69u);
-}
-
-TEST(Murmur3, SeedChangesHash) {
-  const char* data = "spatial";
-  EXPECT_NE(murmur3_x64_64(data, 7, 0), murmur3_x64_64(data, 7, 1));
-}
-
-TEST(Murmur3, AllTailLengthsCovered) {
-  // Exercise every tail-switch branch (lengths 0..16) and check
-  // prefix-extension changes the hash.
-  const std::string base(32, 'x');
-  std::uint64_t previous = 0;
-  for (std::size_t len = 0; len <= 17; ++len) {
-    const std::uint64_t h = murmur3_x64_64(base.data(), len, 7);
-    if (len > 0) {
-      EXPECT_NE(h, previous) << "len=" << len;
-    }
-    previous = h;
-  }
+TEST(Murmur3, RoundUpPow2IsTheSmallestPowerOfTwoAtLeastV) {
+  EXPECT_EQ(round_up_pow2(0), 1u);
+  EXPECT_EQ(round_up_pow2(1), 1u);
+  EXPECT_EQ(round_up_pow2(2), 2u);
+  EXPECT_EQ(round_up_pow2(3), 4u);
+  EXPECT_EQ(round_up_pow2(1000), 1024u);
+  EXPECT_EQ(round_up_pow2(std::size_t{1} << 20), std::size_t{1} << 20);
+  EXPECT_EQ(round_up_pow2((std::size_t{1} << 20) + 1), std::size_t{1} << 21);
 }
 
 TEST(CellSize, FollowsEquationOne) {
