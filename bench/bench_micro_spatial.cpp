@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -153,6 +154,7 @@ void BM_StepGridHashSet(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const CellIndexer indexer(static_cast<double>(state.range(1)) / 10.0);
   const auto positions = population_positions(n);
+  const std::array<std::uint64_t, 14> half = cell_half_neighborhood(indexer);
   GridHashSet grid(n);
   std::uint64_t pairs = 0;
   for (auto _ : state) {
@@ -164,12 +166,10 @@ void BM_StepGridHashSet(benchmark::State& state) {
     for (std::size_t slot = 0; slot < grid.slot_count(); ++slot) {
       const std::uint64_t key = grid.slot_key(slot);
       if (key == kEmptySlotKey) continue;
-      const CellCoord c = indexer.unpack(key);
       const std::uint32_t head = grid.slot_head(slot);
-      for (const CellCoord& off : cell_half_neighborhood()) {
-        const bool self = off == CellCoord{};
-        const std::uint32_t other =
-            self ? head : grid.find(indexer.pack({c.x + off.x, c.y + off.y, c.z + off.z}));
+      for (const std::uint64_t off : half) {
+        const bool self = off == 0;
+        const std::uint32_t other = self ? head : grid.find(key + off);
         for (std::uint32_t a = head; other != kNoEntry && a != kNoEntry;
              a = grid.entry(a).next) {
           for (std::uint32_t b = self ? grid.entry(a).next : other; b != kNoEntry;

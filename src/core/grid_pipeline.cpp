@@ -1,6 +1,7 @@
 #include "core/grid_pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -90,6 +91,7 @@ struct PairTest {
 /// a GridHashSet. (A CPU full screen sweeps a CellList instead.)
 struct CellScan {
   const CellIndexer& indexer;
+  std::array<std::uint64_t, 14> half;  ///< cell_half_neighborhood(indexer)
   PairTest test;
 
   /// Scans the cell in `slot` of `grid`, the grid of sample step `step`,
@@ -103,21 +105,14 @@ struct CellScan {
     const std::uint64_t key = grid.slot_key(slot);
     if (key == kEmptySlotKey) return true;
 
-    const CellCoord coord = indexer.unpack(key);
     const std::uint32_t head = grid.slot_head(slot);
     ScanTally cell;
     cell.occupied = 1;
 
-    for (const CellCoord& off : cell_half_neighborhood()) {
-      const bool self = off == CellCoord{};
-      std::uint32_t other_head;
-      if (self) {
-        other_head = head;
-      } else {
-        const CellCoord nc{coord.x + off.x, coord.y + off.y, coord.z + off.z};
-        other_head = grid.find(indexer.pack(nc));
-        if (other_head == kNoEntry) continue;
-      }
+    for (const std::uint64_t off : half) {
+      const bool self = off == 0;
+      const std::uint32_t other_head = self ? head : grid.find(key + off);
+      if (other_head == kNoEntry) continue;
       for (std::uint32_t ea = head; ea != kNoEntry; ea = grid.entry(ea).next) {
         const GridEntry& a = grid.entry(ea);
         for (std::uint32_t eb = self ? a.next : other_head; eb != kNoEntry;
@@ -135,13 +130,12 @@ struct CellScan {
 };
 
 /// The detection body of a masked screen (GridPipelineOptions::dirty_mask),
-/// shared by the CPU worker and the two devicesim kernels. Each dirty
-/// object is registered in its home cell and the 26 cells around it (its
-/// "phantoms"); each object then looks up its own home cell only, and
-/// finds there every dirty object at Chebyshev cell distance <= 1 — the
-/// neighbour relation of the full scan, restricted to pairs with a dirty
-/// member. Clean objects are never inserted, so no clean-clean pair is
-/// ever tested.
+/// run by the CPU workers' phantom_step. Each dirty object is registered
+/// in its home cell and the 26 cells around it (its "phantoms"); each
+/// object then looks up its own home cell only, and finds there every
+/// dirty object at Chebyshev cell distance <= 1 — the neighbour relation
+/// of the full scan, restricted to pairs with a dirty member. Clean
+/// objects are never inserted, so no clean-clean pair is ever tested.
 struct PhantomScan {
   const CellIndexer& indexer;
   PairTest test;
@@ -150,12 +144,12 @@ struct PhantomScan {
 
   /// Registers dirty object `satellite` at `position` in its 27 cells.
   void enroll(GridHashSet& table, std::uint32_t satellite, const Vec3& position) const {
-    const CellCoord home = indexer.cell_of(position);
+    const std::uint64_t home = indexer.key_of(position);
     for (std::int32_t dz = -1; dz <= 1; ++dz) {
       for (std::int32_t dy = -1; dy <= 1; ++dy) {
         for (std::int32_t dx = -1; dx <= 1; ++dx) {
-          const CellCoord cell{home.x + dx, home.y + dy, home.z + dz};
-          if (!table.insert(indexer.pack(cell), satellite, position)) {
+          const std::uint64_t cell = home + indexer.neighbor_offset(dx, dy, dz);
+          if (!table.insert(cell, satellite, position)) {
             throw std::logic_error("run_grid_pipeline: phantom table overflow "
                                    "(invariant violation: 27 entries per dirty object)");
           }
@@ -212,8 +206,7 @@ struct RoundInputs {
   const PhantomScan* phantom;
   /// The per-step tables: on the CPU one cell list per worker for a full
   /// screen (`grids` empty) and one phantom table per worker when masked
-  /// (`lists` empty); on devicesim one grid or phantom table per step of a
-  /// round.
+  /// (`lists` empty); on devicesim one grid per step of a round.
   std::vector<GridHashSet>& grids;
   std::vector<CellList>& lists;
   /// With the batched kernel on the CPU, n warm-start eccentric anomalies
@@ -389,54 +382,36 @@ RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t s
 }
 
 /// devicesim round, the paper's decomposition: one grid per step, an INS
-/// kernel, then a CD kernel. A full screen runs one INS thread per
-/// (sample, satellite) tuple and one CD thread per (sample, slot); a
-/// masked screen registers with one thread per (sample, dirty object) and
-/// looks up with one per (sample, satellite). Both kernels call
-/// position(). A `rescan` after the candidate buffer grew re-runs only the
-/// CD kernel: the grids still hold the round.
+/// kernel with one thread per (sample, satellite) tuple, each calling
+/// position(), then a CD kernel with one thread per (sample, slot). A
+/// `rescan` after the candidate buffer grew re-runs only the CD kernel:
+/// the grids still hold the round.
 RoundAttempt device_round(const RoundInputs& in, std::size_t step0, std::size_t steps,
                           bool rescan) {
   RoundAttempt attempt;
   const std::size_t n = in.propagator.size();
-  const auto position = [&](std::size_t local, std::size_t sat) {
-    return in.propagator.position(sat, in.sample_time(step0 + local));
-  };
   Stopwatch watch;
   if (!rescan) {
     pool_of(in.config).parallel_for(steps, [&](std::size_t g) { in.grids[g].clear(); },
                                     /*grain=*/1);
     attempt.clear_seconds = watch.lap();
-    if (in.phantom == nullptr) {
-      execute(in.config, steps * n, [&](std::size_t idx) {
-        const std::size_t local = idx / n;
-        const std::size_t sat = idx % n;
-        insert_sample(in.grids[local], in.scan.indexer, sat, position(local, sat));
-      });
-    } else {
-      const std::span<const std::uint32_t> dirty = in.phantom->dirty_objects;
-      execute(in.config, steps * dirty.size(), [&](std::size_t idx) {
-        const std::size_t local = idx / dirty.size();
-        const std::uint32_t sat = dirty[idx % dirty.size()];
-        in.phantom->enroll(in.grids[local], sat, position(local, sat));
-      });
-    }
+    execute(in.config, steps * n, [&](std::size_t idx) {
+      const std::size_t local = idx / n;
+      const std::size_t sat = idx % n;
+      insert_sample(in.grids[local], in.scan.indexer, sat,
+                    in.propagator.position(sat, in.sample_time(step0 + local)));
+    });
     attempt.insertion_seconds = watch.lap();
   }
 
-  const std::size_t width = in.phantom == nullptr ? in.grids.front().slot_count() : n;
+  const std::size_t slots = in.grids.front().slot_count();
   std::atomic<bool> overflow{false};
   std::mutex tally_mutex;
-  execute(in.config, steps * width, [&](std::size_t idx) {
-    const std::size_t local = idx / width;
-    const std::size_t item = idx % width;
+  execute(in.config, steps * slots, [&](std::size_t idx) {
+    const std::size_t local = idx / slots;
     const auto step = static_cast<std::uint32_t>(step0 + local);
     ScanTally cell;
-    const bool fits =
-        in.phantom == nullptr
-            ? in.scan(in.grids[local], item, step, cell)
-            : in.phantom->lookup(in.grids[local], static_cast<std::uint32_t>(item),
-                                 position(local, item), step, cell);
+    const bool fits = in.scan(in.grids[local], idx % slots, step, cell);
     if (!fits) overflow.store(true, std::memory_order_relaxed);
     if (cell.occupied != 0 && obs::enabled()) {
       const std::lock_guard<std::mutex> lock(tally_mutex);
@@ -481,6 +456,9 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   if (masked && options.dirty_mask.size() != n) {
     throw std::invalid_argument(
         "run_grid_pipeline: dirty_mask size does not match the population");
+  }
+  if (masked && device != nullptr) {
+    throw std::invalid_argument("run_grid_pipeline: a masked screen runs on the CPU only");
   }
   // A masked screen's detection table holds 27 entries per dirty object
   // (PhantomScan); a full screen's one per satellite, in a cell list on
@@ -552,11 +530,11 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
 
   // Step 1 (allocation): the per-step tables, the candidate buffer, and
   // the per-satellite speed bounds used by the distance prefilter.
-  // devicesim holds one grid (phantom table when masked) per step of a
-  // round (p); on the CPU each worker owns one cell list (phantom table
-  // when masked) and, with the batched kernel, n warm-start anomalies, so
-  // min(p, workers) of each are enough. Every hash table is cleared before
-  // a step is inserted into it; a cell list is simply rebuilt.
+  // devicesim holds one grid per step of a round (p); on the CPU each
+  // worker owns one cell list (phantom table when masked) and, with the
+  // batched kernel, n warm-start anomalies, so min(p, workers) of each are
+  // enough. Every hash table is cleared before a step is inserted into it;
+  // a cell list is simply rebuilt.
   const std::size_t table_count =
       device != nullptr ? p : std::min(p, pool_of(config).thread_count());
   std::vector<GridHashSet> grids;
@@ -597,7 +575,7 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
 
   const PairTest test{candidates, vmax.data(), config.threshold_km,
                       0.5 * result.sample_period};
-  const CellScan scan{indexer, test};
+  const CellScan scan{indexer, cell_half_neighborhood(indexer), test};
   const PhantomScan phantom{indexer, test, options.dirty_mask.data(), dirty_objects};
   const RoundInputs inputs{propagator, batch_propagator, config, result, scan,
                            masked ? &phantom : nullptr, grids, lists, anomalies};

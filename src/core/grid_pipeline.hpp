@@ -51,7 +51,9 @@ struct GridPipelineOptions {
   /// neighbour relation and distance prefilter as a full screen, so the
   /// dirty-member candidates are exactly the full screen's. Clean-vs-clean
   /// pairs are never tested, because their conjunctions are unchanged from
-  /// the cached baseline report. Empty (the default) screens every pair.
+  /// the cached baseline report. A masked screen runs on the CPU only;
+  /// with config.device set it is refused. Empty (the default) screens
+  /// every pair.
   std::span<const std::uint8_t> dirty_mask = {};
   /// Overrides the Eq. (1) cell size [km] when positive. ONLY for the
   /// worst-case ablation (bench_eq1_cellsize): cells smaller than Eq. (1)
@@ -125,9 +127,8 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// order) and cleared for the next round, so memory stays bounded by one
 /// round's candidates regardless of the span length.
 ///
-/// The two backends share the pair test (and the register and lookup
-/// bodies when masked) but not their detection structure or execution
-/// shape:
+/// The two backends share the cell key and the pair test but not their
+/// detection structure or execution shape:
 ///  - CPU: min(p, workers) cell lists, one per worker of the pool. A
 ///    worker takes the round's runs (warm_runs) one at a time and, step by
 ///    step, propagates every satellite into its list and sorts it by cell
@@ -140,9 +141,8 @@ class MemoryBudgetExceeded : public std::runtime_error {
 ///    fewer runs than workers leaves the surplus workers idle.
 ///  - devicesim: the paper's decomposition, p hash grids and per round one
 ///    INS kernel (a thread per (sample, satellite) tuple, position() each)
-///    and one CD kernel (a thread per (sample, slot)). Under a mask the
-///    INS kernel has a thread per (sample, dirty object) and the CD kernel
-///    one per (sample, satellite), position() each.
+///    and one CD kernel (a thread per (sample, slot)). It screens full
+///    screens only: a masked screen runs on the CPU.
 /// Positions, candidates and reports are bit-identical across thread
 /// counts. Across backends and round shapes they are bit-identical except
 /// for the warm-started CPU positions, which depend on where the round's
@@ -154,7 +154,8 @@ class MemoryBudgetExceeded : public std::runtime_error {
 ///
 /// Throws std::invalid_argument when the population or the number of
 /// sample steps exceeds what a candidate key can hold (2^20 satellites,
-/// 2^24 steps), checked before anything is allocated, and
+/// 2^24 steps) or when both config.device and a dirty mask are set, checked
+/// before anything is allocated, and
 /// MemoryBudgetExceeded when even a single per-step table does not fit
 /// into the memory budget.
 GridPipelineResult run_grid_pipeline(const Propagator& propagator,

@@ -1,6 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -167,30 +166,6 @@ void restore_thread_counts(const TelemetrySnapshot& saved) {
     block.counters[i].store(saved.counters[i], std::memory_order_relaxed);
   for (std::size_t i = 0; i < kProbeHistogramBuckets; ++i)
     block.probes[i].store(saved.probe_histogram[i], std::memory_order_relaxed);
-}
-
-namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
-StageTimer::StageTimer(Counter c) : counter_(c) {
-  if (enabled()) {
-    start_ns_ = now_ns();
-    armed_ = true;
-  }
-}
-
-StageTimer::~StageTimer() {
-  // A timer armed before a reset()/disable mid-scope still commits; that is
-  // benign (at worst one stale interval) and keeps the hot path branch-light.
-  if (armed_ && enabled()) count(counter_, now_ns() - start_ns_);
 }
 
 #endif  // SCOD_TELEMETRY_ENABLED

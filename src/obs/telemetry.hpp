@@ -204,27 +204,4 @@ inline void add_seconds(Counter, double) {}
 
 #endif  // SCOD_TELEMETRY_ENABLED
 
-// RAII stage timer: accumulates the scope's wall time into a timer counter.
-// Cheap enough to leave in place — it reads the clock only when telemetry is
-// both compiled in and enabled.
-class StageTimer {
- public:
-  explicit StageTimer(Counter c);
-  ~StageTimer();
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
- private:
-#if SCOD_TELEMETRY_ENABLED
-  Counter counter_;
-  std::uint64_t start_ns_ = 0;
-  bool armed_ = false;
-#endif
-};
-
-#if !SCOD_TELEMETRY_ENABLED
-inline StageTimer::StageTimer(Counter) {}
-inline StageTimer::~StageTimer() {}
-#endif
-
 }  // namespace scod::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
@@ -38,6 +39,9 @@ std::vector<IdConjunction> to_id_space(const std::vector<Conjunction>& conjuncti
 
 ScreeningService::ScreeningService(ServiceOptions options)
     : options_(std::move(options)) {
+  if (options_.config.device != nullptr) {
+    throw std::invalid_argument("ScreeningService: the masked pass runs on the CPU only");
+  }
   // Pin the sample period: GridScreener would default it anyway, but making
   // it explicit in the config documents that every epoch screens with
   // identical grid geometry.
@@ -201,8 +205,7 @@ ServiceReport ScreeningService::screen(ScreenMode mode) {
               ? 1.0
               : static_cast<double>(dirty.size()) / static_cast<double>(snap->size());
       const bool go_incremental =
-          mode == ScreenMode::kIncremental ||
-          fraction <= options_.full_rescreen_fraction;
+          mode == ScreenMode::kIncremental || fraction <= kFullRescreenFraction;
       if (go_incremental) {
         report = incremental_screen(std::move(snap), dirty, removed);
         if (report.incremental) {

@@ -29,12 +29,23 @@ constexpr double grid_cell_size(double threshold_km, double seconds_per_sample) 
   return threshold_km + kLeoSpeed * seconds_per_sample;
 }
 
-/// Maps ECI positions to grid cells and packs cell coordinates into 64-bit
-/// keys for the hash map. The cube [-half_extent, +half_extent]^3 covers
-/// the space up to GEO (the paper's (85,000 km)^3 volume); each packed axis
-/// gets 21 bits, enough for cells well below 0.1 km at that extent.
+/// Maps ECI positions to grid cells and cells to 64-bit keys, the one cell
+/// key of every grid structure (the cell list, the paper's hash grid and
+/// the masked screen's phantom table). The cube
+/// [-half_extent, +half_extent]^3 covers the space up to GEO (the paper's
+/// (85,000 km)^3 volume).
+///
+/// A key packs (z, y, x) with axis_bits() bits per axis, the smallest width
+/// that holds cells_per_axis + 2, and each axis offset by one: key order is
+/// (z, y, x) order, and the neighbour (dx, dy, dz) of a cell has the cell's
+/// key plus neighbor_offset(dx, dy, dz). A ±1 on any axis of any clamped
+/// cell stays within its field (never borrowing into the next one) and
+/// lands either on a real neighbour or on a cell outside the cube, a key
+/// that no position produces.
 class CellIndexer {
  public:
+  /// Throws std::invalid_argument unless cell_size and half_extent are
+  /// positive and a key's three fields fit into 63 bits.
   explicit CellIndexer(double cell_size, double half_extent = kSimulationHalfExtent);
 
   double cell_size() const { return cell_size_; }
@@ -42,6 +53,9 @@ class CellIndexer {
 
   /// Number of cells along one axis.
   std::int32_t cells_per_axis() const { return cells_per_axis_; }
+
+  /// Bits per axis of a cell key.
+  unsigned axis_bits() const { return axis_bits_; }
 
   /// Cell containing `position`; positions outside the cube are clamped to
   /// the boundary cells (the population generator never produces them, but
@@ -57,26 +71,40 @@ class CellIndexer {
     return {axis(position.x), axis(position.y), axis(position.z)};
   }
 
-  /// Packs a coordinate into a key: 21 bits per axis, offset to unsigned.
-  std::uint64_t pack(const CellCoord& c) const;
+  /// Key of the cell containing `position`.
+  std::uint64_t key_of(const Vec3& position) const {
+    const CellCoord c = cell_of(position);
+    return (static_cast<std::uint64_t>(c.z + 1) << (2 * axis_bits_)) |
+           (static_cast<std::uint64_t>(c.y + 1) << axis_bits_) |
+           static_cast<std::uint64_t>(c.x + 1);
+  }
 
-  /// Inverse of pack().
-  CellCoord unpack(std::uint64_t key) const;
+  /// Key step of one cell along y (a row) and along z (a plane).
+  std::uint64_t row() const { return std::uint64_t{1} << axis_bits_; }
+  std::uint64_t plane() const { return std::uint64_t{1} << (2 * axis_bits_); }
 
-  std::uint64_t key_of(const Vec3& position) const { return pack(cell_of(position)); }
+  /// Key offset of the neighbour (dx, dy, dz), each in {-1, 0, 1}; a
+  /// negative offset wraps, so key + offset is the neighbour's key either
+  /// way.
+  std::uint64_t neighbor_offset(std::int32_t dx, std::int32_t dy, std::int32_t dz) const {
+    return static_cast<std::uint64_t>(dx) + static_cast<std::uint64_t>(dy) * row() +
+           static_cast<std::uint64_t>(dz) * plane();
+  }
 
  private:
   double cell_size_;
   double half_extent_;
   double inv_cell_size_;
   std::int32_t cells_per_axis_;
+  unsigned axis_bits_;
 };
 
-/// The cell itself (first entry) and its 13 "forward" neighbours, 14
-/// offsets forming a half stencil: of the 26 neighbour offsets o and -o
-/// exactly one is included, so scanning each occupied cell against these
-/// covers every unordered pair of neighbouring cells exactly once. The
-/// conjunction detection scans them.
-const std::array<CellCoord, 14>& cell_half_neighborhood();
+/// Key offsets of the cell itself (first entry, 0) and its 13 "forward"
+/// neighbours, a half stencil: of the 26 neighbour offsets o and -o
+/// exactly one is included, the one lexicographically positive in
+/// (z, y, x), so every entry is a positive key offset. Scanning each
+/// occupied cell against these covers every unordered pair of
+/// neighbouring cells exactly once; the conjunction detection scans them.
+std::array<std::uint64_t, 14> cell_half_neighborhood(const CellIndexer& indexer);
 
 }  // namespace scod

@@ -1,15 +1,12 @@
 #include "spatial/cell_list.hpp"
 
 #include <array>
-#include <bit>
 #include <utility>
 
 namespace scod {
 
 CellList::CellList(const CellIndexer& indexer, std::size_t max_entries)
     : indexer_(indexer),
-      axis_bits_(static_cast<unsigned>(
-          std::bit_width(static_cast<std::uint32_t>(indexer.cells_per_axis() + 1)))),
       positions_(max_entries),
       keys_(max_entries + 1),
       scratch_keys_(max_entries + 1),
@@ -21,7 +18,7 @@ void CellList::sort() {
   constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
   const std::size_t n = size_;
   if (n < 2) return;
-  for (unsigned shift = 0; shift < 3 * axis_bits_; shift += kDigitBits) {
+  for (unsigned shift = 0; shift < 3 * indexer_.axis_bits(); shift += kDigitBits) {
     std::array<std::uint32_t, kDigitMask + 1> offset{};
     for (std::size_t i = 0; i < n; ++i) ++offset[(keys_[i] >> shift) & kDigitMask];
     // Every key has the same digit: this pass would not move anything.

@@ -22,12 +22,8 @@ namespace scod {
 ///     ascending order (build),
 ///  3. walks the runs of equal keys once, forward (sweep).
 ///
-/// A key packs the CellIndexer coordinate with `axis_bits` bits per axis,
-/// the smallest width that holds cells_per_axis + 2, and each axis offset
-/// by one: key order is (z, y, x) order, and a ±1 on any axis of any
-/// clamped cell lands on a key of the same row, column or plane (never
-/// borrowing into the next field) that is either a real neighbour or a
-/// cell outside the cube that no satellite occupies.
+/// Keys are CellIndexer::key_of, so they sort in (z, y, x) order and a
+/// neighbour's key is the cell's key plus a fixed offset.
 class CellList {
  public:
   /// Sizes the list for at most `max_entries` satellites in the cells of
@@ -44,7 +40,7 @@ class CellList {
       const std::size_t end = std::min(n, begin + kChunk);
       fill(begin, end, positions_.data() + begin);
       for (std::size_t i = begin; i < end; ++i) {
-        keys_[i] = key_of(positions_[i]);
+        keys_[i] = indexer_.key_of(positions_[i]);
         satellites_[i] = static_cast<std::uint32_t>(i);
       }
     }
@@ -69,8 +65,8 @@ class CellList {
     const std::uint64_t* key = keys_.data();
     const std::uint32_t* sat = satellites_.data();
     const std::size_t n = size_;
-    const std::uint64_t row = std::uint64_t{1} << axis_bits_;
-    const std::uint64_t plane = row << axis_bits_;
+    const std::uint64_t row = indexer_.row();
+    const std::uint64_t plane = indexer_.plane();
     const std::uint64_t rows[4] = {row, plane - row, plane, plane + row};
     // Each row's entries [begin, end): both ends only move forward.
     std::size_t begin[4] = {0, 0, 0, 0}, end[4] = {0, 0, 0, 0};
@@ -119,7 +115,6 @@ class CellList {
   /// Number of satellites of the last build().
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return positions_.size(); }
-  unsigned axis_bits() const { return axis_bits_; }
 
   /// Bytes held: positions, keys (with the sentinel) and satellites, and
   /// the radix sort's scratch copies of the keys and satellites.
@@ -142,18 +137,10 @@ class CellList {
   /// Ends the sorted keys; no cell key reaches it.
   static constexpr std::uint64_t kSentinel = ~std::uint64_t{0};
 
-  std::uint64_t key_of(const Vec3& position) const {
-    const CellCoord c = indexer_.cell_of(position);
-    return (static_cast<std::uint64_t>(c.z + 1) << (2 * axis_bits_)) |
-           (static_cast<std::uint64_t>(c.y + 1) << axis_bits_) |
-           static_cast<std::uint64_t>(c.x + 1);
-  }
-
   /// Stable LSD radix sort of the first size_ (key, satellite) pairs.
   void sort();
 
   CellIndexer indexer_;
-  unsigned axis_bits_;
   std::size_t size_ = 0;
   std::vector<Vec3> positions_;  ///< by satellite index
   std::vector<std::uint64_t> keys_, scratch_keys_;  ///< one more: the sentinel

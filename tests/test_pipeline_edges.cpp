@@ -21,6 +21,7 @@
 #include "propagation/contour_solver.hpp"
 #include "propagation/two_body.hpp"
 #include "scenario_helpers.hpp"
+#include "service/screening_service.hpp"
 #include "spatial/cell.hpp"
 #include "spatial/cell_list.hpp"
 #include "spatial/grid_hash_set.hpp"
@@ -300,9 +301,8 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
 TEST(PipelineEdges, DirtyMaskKeepsExactlyTheCandidatesWithADirtyMember) {
   // A masked screen registers the dirty objects in their 27 cells and looks
   // every object up in its own cell; it must find exactly the unmasked
-  // screen's candidates that have a dirty member, on both backends and
-  // any thread count: all of them under an all-ones mask, none under an
-  // all-zeros mask.
+  // screen's candidates that have a dirty member, on any thread count: all
+  // of them under an all-ones mask, none under an all-zeros mask.
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto sats = generate_debris_cloud(parent, 200, 0.05, 7);
   const std::size_t n = sats.size();
@@ -319,13 +319,10 @@ TEST(PipelineEdges, DirtyMaskKeepsExactlyTheCandidatesWithADirtyMember) {
   for (std::uint8_t& d : some) d = rng.uniform() < 0.05 ? 1 : 0;
 
   ThreadPool one(1), four(4);
-  Device device(DeviceProperties{}, &four);
-  for (const int backend : {1, 4, 0}) {
-    const std::string label =
-        backend == 0 ? std::string("devicesim") : std::to_string(backend) + " threads";
+  for (const int threads : {1, 4}) {
+    const std::string label = std::to_string(threads) + " threads";
     ScreeningConfig cfg = base;
-    cfg.pool = backend == 1 ? &one : &four;
-    if (backend == 0) cfg.device = &device;
+    cfg.pool = threads == 1 ? &one : &four;
     const auto candidates = [&](std::span<const std::uint8_t> mask) {
       GridPipelineResult result;
       GridPipelineOptions options;
@@ -560,7 +557,7 @@ TEST(PipelineEdges, DirtyMaskUndersizedBufferGrowsToTheSameCandidates) {
   // dirty-member candidates than the floor capacity holds: the scaled
   // buffer overflows, grows and re-runs the round, and the candidates are
   // still exactly the unmasked ones with a dirty member, on 1 and 4
-  // threads and on devicesim.
+  // threads.
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 300, 0.05, 99);
   const ContourKeplerSolver solver;
@@ -576,13 +573,10 @@ TEST(PipelineEdges, DirtyMaskUndersizedBufferGrowsToTheSameCandidates) {
   for (std::size_t i = 0; i < mask.size(); i += 3) mask[i] = 0;
 
   ThreadPool one(1), four(4);
-  Device device(DeviceProperties{}, &four);
-  for (const int backend : {1, 4, 0}) {
-    const std::string label =
-        backend == 0 ? std::string("devicesim") : std::to_string(backend) + " threads";
+  for (const int threads : {1, 4}) {
+    const std::string label = std::to_string(threads) + " threads";
     ScreeningConfig cfg = base;
-    cfg.pool = backend == 1 ? &one : &four;
-    if (backend == 0) cfg.device = &device;
+    cfg.pool = threads == 1 ? &one : &four;
     GridPipelineResult full;
     const std::vector<Candidate> unmasked =
         testutil::pipeline_candidates(propagator, cfg, tiny, {}, full);
@@ -595,6 +589,33 @@ TEST(PipelineEdges, DirtyMaskUndersizedBufferGrowsToTheSameCandidates) {
     EXPECT_EQ(masked.total_candidates, got.size()) << label;
     expect_same_candidates(got, with_dirty_member(unmasked, mask), label);
   }
+}
+
+TEST(PipelineEdges, MaskedScreensRefuseADevice) {
+  // A masked screen runs on the CPU only: the pipeline refuses a dirty mask
+  // with a device before it allocates anything, and the service, whose
+  // incremental passes are masked, refuses a device at construction.
+  const auto sats = small_shell(50, 3);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(sats, solver);
+  ThreadPool four(4);
+  Device device(DeviceProperties{}, &four);
+  ScreeningConfig cfg;
+  cfg.threshold_km = 5.0;
+  cfg.t_end = 600.0;
+  cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
+  cfg.device = &device;
+  const std::vector<std::uint8_t> mask(sats.size(), 1);
+  GridPipelineOptions options;
+  options.dirty_mask = mask;
+  EXPECT_THROW(run_grid_pipeline(propagator, cfg, ConjunctionCountModel::paper_grid(), options,
+                                 discard_round),
+               std::invalid_argument);
+  EXPECT_EQ(device.memory_used(), 0u);
+
+  ServiceOptions service_options;
+  service_options.config = cfg;
+  EXPECT_THROW(ScreeningService{service_options}, std::invalid_argument);
 }
 
 TEST(PipelineEdges, HybridHalfStencilMatchesFull) {

@@ -604,9 +604,10 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   // sits that close to a prefilter cutoff or cell face, and refinement
   // always solves cold.) Covered: the batched kernel (kepler), the
   // position() loop (j2), a dirty-mask screen through either (its phantom
-  // registration and lookup), and forced candidate-buffer grows, where the
-  // CPU path re-runs whole rounds, with and without a mask. The masked
-  // screen through position() must also match the batched one exactly.
+  // registration and lookup, on the CPU only: a masked screen refuses a
+  // device), and forced candidate-buffer grows, where the CPU path re-runs
+  // whole rounds, with and without a mask. The masked screen through
+  // position() must also match the batched one exactly.
   auto sats = dense_shell(60, 0xF05E);
   Rng rng(0xF00D);
   for (std::uint32_t k = 0; k < 4; ++k) {
@@ -698,6 +699,7 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
         // devicesim accounts a grown candidate map against device memory,
         // and a budget of exactly p grids leaves it no room to grow.
         if (pool == nullptr && c.grow && grids != 0) continue;
+        if (pool == nullptr && !c.dirty.empty()) continue;
         const bool cell_lists = c.dirty.empty() && pool != nullptr;
         // A CPU worker with the batched kernel also holds n anomalies.
         const bool warm = pool != nullptr &&

@@ -348,9 +348,7 @@ TEST(ScreeningService, RepeatFullScreensAreBitIdentical) {
 }
 
 TEST(ScreeningService, AutoModeFallsBackToFullOnHighChurn) {
-  ServiceOptions options = dense_options();
-  options.full_rescreen_fraction = 0.25;
-  ScreeningService service(options);
+  ScreeningService service(dense_options());
   const auto population = generate_population({200, 5});
   service.upsert(population);
   service.screen();

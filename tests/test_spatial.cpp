@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <set>
@@ -58,25 +59,82 @@ TEST(CellIndexer, MapsPositionsToCells) {
   EXPECT_EQ(indexer.cell_of({1e6, -1e6, 0.0}), (CellCoord{19, 0, 10}));
 }
 
-TEST(CellIndexer, PackUnpackRoundTrip) {
-  const CellIndexer indexer(5.0, 50000.0);
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const CellCoord c{static_cast<std::int32_t>(rng.uniform_index(20000)) - 1000,
-                      static_cast<std::int32_t>(rng.uniform_index(20000)) - 1000,
-                      static_cast<std::int32_t>(rng.uniform_index(20000)) - 1000};
-    EXPECT_EQ(indexer.unpack(indexer.pack(c)), c);
-  }
+/// The centre of cell `c`.
+Vec3 cell_centre(const CellIndexer& indexer, const CellCoord& c) {
+  const auto axis = [&](std::int32_t i) {
+    return (i + 0.5) * indexer.cell_size() - indexer.half_extent();
+  };
+  return {axis(c.x), axis(c.y), axis(c.z)};
 }
 
-TEST(CellIndexer, NegativeNeighborCoordsPackDistinctly) {
-  // Neighbour scans at the cube boundary produce coordinate -1; those keys
-  // must be valid and distinct from every in-range cell.
-  const CellIndexer indexer(10.0, 100.0);
-  const std::uint64_t edge = indexer.pack({0, 0, 0});
-  const std::uint64_t outside = indexer.pack({-1, 0, 0});
-  EXPECT_NE(edge, outside);
-  EXPECT_EQ(indexer.unpack(outside), (CellCoord{-1, 0, 0}));
+TEST(CellIndexer, NeighbourKeysAreTheKeyPlusAFixedOffset) {
+  // Cell keys hold cells_per_axis + 2 values per axis.
+  EXPECT_EQ(CellIndexer(33.2).axis_bits(), 12u);
+
+  // Inside the cube: key + offset is the neighbouring cell's key.
+  {
+    const CellIndexer indexer(33.2);
+    const std::int32_t cells = indexer.cells_per_axis();
+    Rng rng(3);
+    const double h = indexer.half_extent();
+    for (int i = 0; i < 1000; ++i) {
+      const Vec3 p{rng.uniform(-h, h), rng.uniform(-h, h), rng.uniform(-h, h)};
+      const CellCoord c = indexer.cell_of(p);
+      const std::uint64_t key = indexer.key_of(p);
+      for (std::int32_t dz = -1; dz <= 1; ++dz)
+        for (std::int32_t dy = -1; dy <= 1; ++dy)
+          for (std::int32_t dx = -1; dx <= 1; ++dx) {
+            const CellCoord nc{c.x + dx, c.y + dy, c.z + dz};
+            const auto inside = [&](std::int32_t v) { return v >= 0 && v < cells; };
+            if (!inside(nc.x) || !inside(nc.y) || !inside(nc.z)) continue;
+            EXPECT_EQ(key + indexer.neighbor_offset(dx, dy, dz),
+                      indexer.key_of(cell_centre(indexer, nc)))
+                << dx << "," << dy << "," << dz;
+          }
+    }
+  }
+
+  // Off the clamped faces: a small cube whose every cell is enumerated, so
+  // `reachable` holds every key a position (clamped or not) can produce.
+  // With 31 cells a key field holds 0 .. 32, one value more than 5 bits.
+  const CellIndexer indexer(10.0, 155.0);
+  const std::int32_t cells = indexer.cells_per_axis();
+  ASSERT_EQ(cells, 31);
+  EXPECT_EQ(indexer.axis_bits(), 6u);
+  std::set<std::uint64_t> reachable;
+  for (std::int32_t z = 0; z < cells; ++z)
+    for (std::int32_t y = 0; y < cells; ++y)
+      for (std::int32_t x = 0; x < cells; ++x)
+        reachable.insert(indexer.key_of(cell_centre(indexer, {x, y, z})));
+  ASSERT_EQ(reachable.size(), static_cast<std::size_t>(cells * cells * cells));
+  for (const Vec3& far : {Vec3{1e6, -1e6, 0.0}, Vec3{-1e9, 1e9, 1e9}, Vec3{0.0, 0.0, -150.0}}) {
+    EXPECT_EQ(reachable.count(indexer.key_of(far)), 1u);
+  }
+  // Every step of a face cell that leaves the cube, on both faces of every
+  // axis: its key is distinct from every other and from every cell's.
+  std::set<std::uint64_t> off_cube;
+  std::size_t steps = 0;
+  for (std::int32_t z = 0; z < cells; ++z)
+    for (std::int32_t y = 0; y < cells; ++y)
+      for (std::int32_t x = 0; x < cells; ++x) {
+        const std::uint64_t key = indexer.key_of(cell_centre(indexer, {x, y, z}));
+        for (std::int32_t dz = -1; dz <= 1; ++dz)
+          for (std::int32_t dy = -1; dy <= 1; ++dy)
+            for (std::int32_t dx = -1; dx <= 1; ++dx) {
+              const auto outside = [&](std::int32_t v) { return v < 0 || v >= cells; };
+              if (!outside(x + dx) && !outside(y + dy) && !outside(z + dz)) continue;
+              ++steps;
+              const std::uint64_t step = key + indexer.neighbor_offset(dx, dy, dz);
+              EXPECT_EQ(reachable.count(step), 0u) << x << "," << y << "," << z;
+              off_cube.insert(step);
+            }
+      }
+  // The off-cube cells form the shell of a (cells + 2)^3 cube: distinct
+  // keys, one per shell cell, however many face cells step onto it.
+  const std::size_t shell =
+      static_cast<std::size_t>((cells + 2) * (cells + 2) * (cells + 2) - cells * cells * cells);
+  EXPECT_GT(steps, shell);
+  EXPECT_EQ(off_cube.size(), shell);
 }
 
 TEST(CellIndexer, AdjacentPositionsWithinCellSizeAreNeighbours) {
@@ -104,29 +162,36 @@ TEST(CellIndexer, RejectsInvalidConfig) {
   EXPECT_THROW(CellIndexer(0.0), std::invalid_argument);
   EXPECT_THROW(CellIndexer(-1.0), std::invalid_argument);
   EXPECT_THROW(CellIndexer(10.0, -5.0), std::invalid_argument);
-  // 21-bit axis limit: half-extent 42500 km at 1 m cells would overflow.
+  // Three 21-bit key fields: half-extent 42500 km at 1 m cells would
+  // overflow them.
   EXPECT_THROW(CellIndexer(0.001), std::invalid_argument);
 }
 
 TEST(Neighborhood, HalfStencilCoversEachPairOnce) {
-  const auto& half = cell_half_neighborhood();
-  EXPECT_EQ(half.size(), 14u);
-  EXPECT_EQ(half[0], (CellCoord{0, 0, 0}));
-  // For each of the 26 neighbour offsets o, exactly one of {o, -o} is in
-  // the half stencil, so a scan of every cell against it sees each pair
+  const CellIndexer indexer(33.2);
+  const std::array<std::uint64_t, 14> half = cell_half_neighborhood(indexer);
+  EXPECT_EQ(half[0], 0u);
+  // For each of the 26 neighbour key offsets o, exactly one of {o, -o} is
+  // in the half stencil, so a scan of every cell against it sees each pair
   // of neighbouring cells once; self appears once.
   for (std::int32_t dz = -1; dz <= 1; ++dz) {
     for (std::int32_t dy = -1; dy <= 1; ++dy) {
       for (std::int32_t dx = -1; dx <= 1; ++dx) {
-        const CellCoord o{dx, dy, dz};
+        const std::uint64_t o = indexer.neighbor_offset(dx, dy, dz);
         int count = 0;
-        for (const CellCoord& h : half) {
+        for (const std::uint64_t h : half) {
           if (h == o) ++count;
-          if (o != CellCoord{} && h == CellCoord{-dx, -dy, -dz}) ++count;
+          if (o != 0 && h == indexer.neighbor_offset(-dx, -dy, -dz)) ++count;
         }
         EXPECT_EQ(count, 1) << dx << "," << dy << "," << dz;
       }
     }
+  }
+  // Every forward offset is a positive key step: the cell list's sweep
+  // finds them ahead of the cell in key order.
+  for (std::size_t i = 1; i < half.size(); ++i) {
+    EXPECT_GT(half[i], 0u);
+    EXPECT_LT(half[i], std::uint64_t{1} << 63);
   }
 }
 
@@ -176,14 +241,6 @@ std::set<SatPair> neighbour_pairs(const CellIndexer& indexer, const std::vector<
     }
   }
   return pairs;
-}
-
-/// The centre of cell `c`.
-Vec3 cell_centre(const CellIndexer& indexer, const CellCoord& c) {
-  const auto axis = [&](std::int32_t i) {
-    return (i + 0.5) * indexer.cell_size() - indexer.half_extent();
-  };
-  return {axis(c.x), axis(c.y), axis(c.z)};
 }
 
 TEST(CellList, MatchesBruteForceOnRandomClusters) {
@@ -337,8 +394,6 @@ TEST(CellList, MemoryMatchesProjection) {
   const CellList list(CellIndexer(33.2), 1000);
   EXPECT_EQ(list.memory_bytes(), CellList::projected_memory_bytes(1000));
   EXPECT_EQ(CellList::projected_memory_bytes(1000), 48016u);
-  // Cell keys hold cells_per_axis + 2 values per axis.
-  EXPECT_EQ(list.axis_bits(), 12u);
 }
 
 TEST(CandidateBuffer, PackUnpackRoundTrip) {

@@ -232,12 +232,10 @@ TEST_F(Telemetry, MaskedScreenCountsPhantomWork) {
   options.dirty_mask = mask;
 
   ThreadPool one(1), four(4);
-  Device device(DeviceProperties{}, &four);
-  for (const int threads : {1, 4, 0}) {  // 0: devicesim
+  for (const int threads : {1, 4}) {
     obs::reset();
     ScreeningConfig cfg = config(2.0, 600.0, 4.0);
     cfg.pool = threads == 1 ? &one : &four;
-    if (threads == 0) cfg.device = &device;
     const GridPipelineResult result = run_grid_pipeline(
         propagator, cfg, tiny, options,
         [](std::size_t, std::span<const std::uint64_t>, const GridPipelineResult&) {});

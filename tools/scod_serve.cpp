@@ -104,13 +104,11 @@ void print_stats(const ScreeningService& service) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv,
-                     {"threshold", "span", "sps", "full-fraction", "top"});
+  const CliArgs args(argc, argv, {"threshold", "span", "sps", "top"});
   if (!args.unknown().empty()) {
     std::fprintf(stderr, "unknown option: %s\n", args.unknown().front().c_str());
     std::fprintf(stderr,
-                 "usage: scod_serve [--threshold KM] [--span S] [--sps S] "
-                 "[--full-fraction F] [--top N]\n");
+                 "usage: scod_serve [--threshold KM] [--span S] [--sps S] [--top N]\n");
     return 2;
   }
 
@@ -118,7 +116,6 @@ int main(int argc, char** argv) {
   options.config.threshold_km = args.get_double("threshold", 2.0);
   options.config.t_end = args.get_double("span", 7200.0);
   options.config.seconds_per_sample = args.get_double("sps", 0.0);
-  options.full_rescreen_fraction = args.get_double("full-fraction", 0.25);
   const auto top = static_cast<std::size_t>(args.get_int("top", 10));
 
   ScreeningService service(options);
