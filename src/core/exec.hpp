@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -29,51 +28,37 @@ void execute(const ScreeningConfig& config, std::size_t n, Fn&& fn) {
 }
 
 /// Step 4 (Brent refinement) in the kernel style grid and hybrid share:
-/// one logical thread per task sets only its own flag byte, and the few
-/// tasks that yield a conjunction hand it in with their task index. The
-/// conjunctions are then put in task order, so the raw conjunctions do not
-/// depend on scheduling. One object can serve several phases (grid refines
-/// round by round) and keeps its buffers.
+/// one logical thread per task, and the few tasks that yield a conjunction
+/// hand it in with their task index. The conjunctions are then put in task
+/// order, so the raw conjunctions do not depend on scheduling. One object
+/// can serve several phases (grid refines round by round) and keeps its
+/// buffer.
 class RefineSlots {
  public:
-  /// Flags a task returns: its Brent search ran, and it wrote its slot.
-  static constexpr std::uint8_t kSearched = 1;
-  static constexpr std::uint8_t kSlotValid = 2;
-
   /// Runs `refine(i, slot)` for every task i in [0, tasks) on the
-  /// configured backend; it returns kSearched / kSlotValid and writes
-  /// `slot` only when it returns kSlotValid. Appends the valid slots to
-  /// `raw` in task order, counts them as kConjunctionsRaw, and returns the
-  /// number of searches run.
+  /// configured backend; it returns true and writes `slot` when task i
+  /// yields a conjunction. Appends those to `raw` in task order and counts
+  /// them as kConjunctionsRaw.
   template <typename Refine>
-  std::size_t run(const ScreeningConfig& config, std::size_t tasks, Refine&& refine,
-                  std::vector<Conjunction>& raw) {
-    flags_.assign(tasks, 0);
+  void run(const ScreeningConfig& config, std::size_t tasks, Refine&& refine,
+           std::vector<Conjunction>& raw) {
     found_.clear();
     std::mutex found_mutex;
     execute(config, tasks, [&](std::size_t i) {
       Conjunction slot;
-      flags_[i] = refine(i, slot);
-      if (flags_[i] & kSlotValid) {
+      if (refine(i, slot)) {
         const std::lock_guard<std::mutex> lock(found_mutex);
         found_.emplace_back(i, slot);
       }
     });
     std::sort(found_.begin(), found_.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-
-    std::size_t searches = 0;
-    for (const std::uint8_t flags : flags_) {
-      if (flags & kSearched) ++searches;
-    }
     for (const auto& [task, conjunction] : found_) raw.push_back(conjunction);
     obs::count(obs::Counter::kConjunctionsRaw, found_.size());
-    return searches;
   }
 
  private:
-  std::vector<std::uint8_t> flags_;
-  /// The valid slots, each with its task index.
+  /// The conjunctions found, each with its task index.
   std::vector<std::pair<std::size_t, Conjunction>> found_;
 };
 

@@ -5,14 +5,17 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/exec.hpp"
 #include "obs/telemetry.hpp"
 #include "orbit/geometry.hpp"
+#include "pca/refine.hpp"
 #include "propagation/two_body.hpp"
 #include "spatial/cell.hpp"
 #include "spatial/cell_list.hpp"
@@ -45,31 +48,57 @@ void simulate_upload(Device& device, DeviceBuffer<std::byte>& dst, std::size_t b
 /// masked screen, the cells its lookups hit), and the pairs tested and
 /// where each left the funnel.
 struct ScanTally {
-  std::uint64_t occupied = 0, tested = 0, prefiltered = 0, emitted = 0;
+  std::uint64_t occupied = 0, tested = 0, prefiltered = 0, reach_rejected = 0,
+                emitted = 0;
 
   ScanTally& operator+=(const ScanTally& o) {
     occupied += o.occupied;
     tested += o.tested;
     prefiltered += o.prefiltered;
+    reach_rejected += o.reach_rejected;
     emitted += o.emitted;
     return *this;
   }
 };
 
-/// The distance prefilter and candidate emission every pair found in
-/// neighbouring cells goes through, on every path: the CPU's cell-list
-/// sweep, the devicesim cell scan and the masked lookups. The test is
-/// symmetric in a and b, so the order a path meets a pair in never matters.
+/// A sample step: its global index and its time [s].
+struct Sample {
+  std::uint32_t step = 0;
+  double time = 0.0;
+};
+
+/// An anomaly source for a step without solved anomalies: PairTest then
+/// takes the states from Propagator::state().
+const double* no_anomaly(std::uint32_t) { return nullptr; }
+
+/// The distance prefilter, the reach test and candidate emission every
+/// pair found in neighbouring cells goes through, on every path: the CPU's
+/// cell-list sweep, the devicesim cell scan and the masked lookups. Both
+/// tests are symmetric in a and b, so the order a path meets a pair in
+/// never matters.
 struct PairTest {
   CandidateBuffer& candidates;
+  const Propagator& propagator;
+  /// The concrete propagator whose caches turn a solved eccentric anomaly
+  /// into a state (CPU batched kernel), otherwise nullptr.
+  const TwoBodyPropagator* two_body;
   const double* vmax;  ///< per-satellite speed bound [km/s]
   double threshold_km;
   double half_sps;     ///< half the sample period [s]
+  double cell_size;    ///< g_c [km], which sets refinement's search interval
+  double t_begin;      ///< the span, which clamps that interval
+  double t_end;
 
-  /// Returns false when the candidate buffer is full; the round is then
-  /// re-run on a grown buffer.
+  /// Tests the pair (a, b) at `sample`. `anomaly(i)` points to satellite
+  /// i's eccentric anomaly at the sample time, as this step's propagation
+  /// solved it, or is nullptr where there is none (no TwoBodyPropagator,
+  /// or devicesim); it is called only for a pair that passes the
+  /// prefilter. Returns false when the candidate buffer is full; the round
+  /// is then re-run on a grown buffer.
+  template <typename Anomaly>
   bool operator()(std::uint32_t a, const Vec3& a_position, std::uint32_t b,
-                  const Vec3& b_position, std::uint32_t step, ScanTally& tally) const {
+                  const Vec3& b_position, Sample sample, const Anomaly& anomaly,
+                  ScanTally& tally) const {
     ++tally.tested;
     // A pair farther apart than d + (v_max_a + v_max_b) * s/2 cannot reach
     // the threshold closer than half a sample from this step; the step
@@ -79,11 +108,37 @@ struct PairTest {
       ++tally.prefiltered;
       return true;
     }
-    if (candidates.insert(a, b, step) == CandidateBuffer::Insert::kFull) {
+    return emit(a, b, sample, anomaly, tally);
+  }
+
+  /// The rest of the test, for the few pairs that pass the prefilter. Kept
+  /// out of line so that the scan loops around the prefilter stay small.
+  template <typename Anomaly>
+  [[gnu::noinline]] bool emit(std::uint32_t a, std::uint32_t b, Sample sample,
+                              const Anomaly& anomaly, ScanTally& tally) const {
+    // Refinement would search this candidate on an interval around the
+    // sample time; a pair the reach bound keeps above the threshold there
+    // is not emitted. An infinite acceleration bound (j2, tle, ephemeris)
+    // rejects nothing, so no state is computed for it.
+    const double accel = propagator.max_acceleration(a) + propagator.max_acceleration(b);
+    if (accel < std::numeric_limits<double>::infinity() &&
+        out_of_reach(state(a, sample.time, anomaly(a)), state(b, sample.time, anomaly(b)),
+                     accel, sample.time, cell_size, threshold_km, t_begin, t_end)) {
+      ++tally.reach_rejected;
+      return true;
+    }
+    if (candidates.insert(a, b, sample.step) == CandidateBuffer::Insert::kFull) {
       return false;
     }
     ++tally.emitted;
     return true;
+  }
+
+  /// Satellite `sat`'s state at time `t`: from its solved anomaly when
+  /// there is one, which costs no Kepler solve, otherwise from state().
+  StateVector state(std::uint32_t sat, double t, const double* big_e) const {
+    return big_e != nullptr ? detail::state_from_anomaly(two_body->cache(sat), *big_e)
+                            : propagator.state(sat, t);
   }
 };
 
@@ -94,13 +149,13 @@ struct CellScan {
   std::array<std::uint64_t, 14> half;  ///< cell_half_neighborhood(indexer)
   PairTest test;
 
-  /// Scans the cell in `slot` of `grid`, the grid of sample step `step`,
-  /// against itself and its 13 forward neighbours. The other 13 neighbours
+  /// Scans the cell in `slot` of `grid`, the grid of `sample`, against
+  /// itself and its 13 forward neighbours. The other 13 neighbours
   /// hold this cell as a forward neighbour, so each pair of neighbouring
   /// cells is scanned once and each (pair, step) is emitted once: the paper
   /// scans all 26 and lets the conjunction hash map drop the second copy.
   /// Returns false when the candidate buffer is full.
-  bool operator()(const GridHashSet& grid, std::size_t slot, std::uint32_t step,
+  bool operator()(const GridHashSet& grid, std::size_t slot, Sample sample,
                   ScanTally& tally) const {
     const std::uint64_t key = grid.slot_key(slot);
     if (key == kEmptySlotKey) return true;
@@ -118,7 +173,8 @@ struct CellScan {
         for (std::uint32_t eb = self ? a.next : other_head; eb != kNoEntry;
              eb = grid.entry(eb).next) {
           const GridEntry& b = grid.entry(eb);
-          if (!test(a.satellite, a.position, b.satellite, b.position, step, cell)) {
+          if (!test(a.satellite, a.position, b.satellite, b.position, sample, no_anomaly,
+                    cell)) {
             return false;
           }
         }
@@ -142,6 +198,14 @@ struct PhantomScan {
   const std::uint8_t* dirty;                   ///< the dirty mask
   std::span<const std::uint32_t> dirty_objects;  ///< its set indices, ascending
 
+  /// Where dirty object `satellite`'s anomaly is kept in `enrolled`, the
+  /// step's anomalies in dirty_objects order.
+  const double* enrolled_anomaly(const double* enrolled, std::uint32_t satellite) const {
+    const auto it =
+        std::lower_bound(dirty_objects.begin(), dirty_objects.end(), satellite);
+    return enrolled + (it - dirty_objects.begin());
+  }
+
   /// Registers dirty object `satellite` at `position` in its 27 cells.
   void enroll(GridHashSet& table, std::uint32_t satellite, const Vec3& position) const {
     const std::uint64_t home = indexer.key_of(position);
@@ -159,10 +223,13 @@ struct PhantomScan {
   }
 
   /// Tests object `satellite` at `position` against the dirty objects
-  /// registered in its home cell. Returns false when the candidate buffer
-  /// is full.
+  /// registered in its home cell, at `sample`. `big_e` points to its
+  /// anomaly and `enrolled` to the dirty objects' (enrolled_anomaly), both
+  /// at the sample time, or both are nullptr. Returns false when the
+  /// candidate buffer is full.
   bool lookup(const GridHashSet& table, std::uint32_t satellite, const Vec3& position,
-              std::uint32_t step, ScanTally& tally) const {
+              Sample sample, const double* big_e, const double* enrolled,
+              ScanTally& tally) const {
     const std::uint32_t head = table.find(indexer.key_of(position));
     if (head == kNoEntry) return true;
     ScanTally cell;
@@ -171,10 +238,16 @@ struct PhantomScan {
     // neighbour whose lookup finds it too: it keeps the pairs with the
     // higher-indexed ones, so each (pair, step) is tested once.
     const bool self_dirty = dirty[satellite] != 0;
+    const auto anomaly = [&](std::uint32_t sat) -> const double* {
+      if (big_e == nullptr) return nullptr;
+      return sat == satellite ? big_e : enrolled_anomaly(enrolled, sat);
+    };
     for (std::uint32_t e = head; e != kNoEntry; e = table.entry(e).next) {
       const GridEntry& d = table.entry(e);
       if (self_dirty && d.satellite <= satellite) continue;
-      if (!test(d.satellite, d.position, satellite, position, step, cell)) return false;
+      if (!test(d.satellite, d.position, satellite, position, sample, anomaly, cell)) {
+        return false;
+      }
     }
     tally += cell;
     return true;
@@ -221,7 +294,8 @@ struct RoundInputs {
   /// kernel when there is one. Its eccentric anomalies are in `big_e`
   /// (indexed from `begin`): solved cold when `dt` is 0, on the first step
   /// of a run, and advanced from the previous step, `dt` earlier,
-  /// otherwise.
+  /// otherwise. Either way `big_e` then holds the anomalies at `t`, which
+  /// the step's pair tests turn into states.
   void positions(double t, double dt, std::size_t begin, std::size_t end, Vec3* out,
                  double* big_e) const {
     if (batch_propagator == nullptr) {
@@ -254,7 +328,8 @@ constexpr std::size_t kChunk = 256;
 /// the cells while the list is still in the worker's cache (CD). Every
 /// pair the sweep meets goes through the same PairTest as on the grid, so
 /// the step's candidates are exactly the grid's. `dt` and `big_e` are the
-/// warm start of RoundInputs::positions. Returns false on overflow.
+/// warm start of RoundInputs::positions; after the build `big_e` holds
+/// every satellite's anomaly at this step. Returns false on overflow.
 bool full_step(const RoundInputs& in, CellList& list, std::size_t step, double dt,
                double* big_e, RoundAttempt& part, Stopwatch& clock) {
   const std::size_t n = in.propagator.size();
@@ -265,11 +340,14 @@ bool full_step(const RoundInputs& in, CellList& list, std::size_t step, double d
   obs::count_unprobed_inserts(n);
   part.insertion_seconds += clock.lap();
 
-  const auto s = static_cast<std::uint32_t>(step);
+  const Sample sample{static_cast<std::uint32_t>(step), t};
   const PairTest& test = in.scan.test;
+  const auto anomaly = [big_e](std::uint32_t sat) {
+    return big_e == nullptr ? nullptr : big_e + sat;
+  };
   const bool fits = list.sweep(
       [&](std::uint32_t a, const Vec3& a_position, std::uint32_t b, const Vec3& b_position) {
-        return test(a, a_position, b, b_position, s, part.tally);
+        return test(a, a_position, b, b_position, sample, anomaly, part.tally);
       },
       part.tally.occupied);
   part.detection_seconds += clock.lap();
@@ -279,25 +357,31 @@ bool full_step(const RoundInputs& in, CellList& list, std::size_t step, double d
 /// CPU, one step of a masked screen through the worker's phantom table:
 /// clear it, register the dirty objects, then propagate every satellite
 /// chunk by chunk and look each one up. Propagation counts as INS, lookups
-/// as CD. `dt` and `big_e` are the warm start of RoundInputs::positions.
-/// Returns false on overflow.
+/// as CD. `dt` and `big_e` are the warm start of RoundInputs::positions;
+/// `enrolled` (k entries, set with `big_e`) receives the dirty objects'
+/// anomalies at this step as they are registered, since a lookup may meet
+/// a dirty object before the chunk loop reaches it. Returns false on
+/// overflow.
 bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step, double dt,
-                  double* big_e, RoundAttempt& part, Stopwatch& clock) {
+                  double* big_e, double* enrolled, RoundAttempt& part, Stopwatch& clock) {
   const PhantomScan& phantom = *in.phantom;
   const std::size_t n = in.propagator.size();
   const double t = in.sample_time(step);
   table.clear();
   part.clear_seconds += clock.lap();
-  for (const std::uint32_t sat : phantom.dirty_objects) {
+  for (std::size_t r = 0; r < phantom.dirty_objects.size(); ++r) {
+    const std::uint32_t sat = phantom.dirty_objects[r];
     // A copy of the warm state: the chunk loop below advances it, and
-    // computes this same position there.
+    // computes this same position and anomaly there.
     double sat_e = big_e == nullptr ? 0.0 : big_e[sat];
     Vec3 position;
     in.positions(t, dt, sat, sat + 1, &position, &sat_e);
+    if (enrolled != nullptr) enrolled[r] = sat_e;
     phantom.enroll(table, sat, position);
   }
   part.insertion_seconds += clock.lap();
 
+  const Sample sample{static_cast<std::uint32_t>(step), t};
   Vec3 positions[kChunk];
   for (std::size_t sat0 = 0; sat0 < n; sat0 += kChunk) {
     const std::size_t end = std::min(n, sat0 + kChunk);
@@ -305,7 +389,8 @@ bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step, d
     part.insertion_seconds += clock.lap();
     for (std::size_t sat = sat0; sat < end; ++sat) {
       if (!phantom.lookup(table, static_cast<std::uint32_t>(sat), positions[sat - sat0],
-                          static_cast<std::uint32_t>(step), part.tally)) {
+                          sample, big_e == nullptr ? nullptr : big_e + sat, enrolled,
+                          part.tally)) {
         part.detection_seconds += clock.lap();
         return false;
       }
@@ -336,6 +421,8 @@ RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t s
     if (w >= workers) return;
     saved[w] = obs::thread_counts();
     double* big_e = in.anomalies.empty() ? nullptr : in.anomalies.data() + w * n;
+    std::vector<double> enrolled(
+        big_e != nullptr && in.phantom != nullptr ? in.phantom->dirty_objects.size() : 0);
     RoundAttempt part;
     Stopwatch clock;
     while (!overflow.load(std::memory_order_relaxed)) {
@@ -343,15 +430,16 @@ RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t s
       if (run >= runs) break;
       const std::size_t first = step0 + run * steps / runs;
       const std::size_t last = step0 + (run + 1) * steps / runs;
-      // A one-step run has no state to hand on: it skips the anomaly writes.
-      double* run_e = last - first > 1 ? big_e : nullptr;
+      // Every step writes its anomalies, a run's last one included: the
+      // step's pair tests read them.
       for (std::size_t step = first; step < last; ++step) {
         const double dt =
             step == first ? 0.0 : in.sample_time(step) - in.sample_time(step - 1);
         const bool fits =
             in.phantom == nullptr
-                ? full_step(in, in.lists[w], step, dt, run_e, part, clock)
-                : phantom_step(in, in.grids[w], step, dt, run_e, part, clock);
+                ? full_step(in, in.lists[w], step, dt, big_e, part, clock)
+                : phantom_step(in, in.grids[w], step, dt, big_e,
+                               enrolled.empty() ? nullptr : enrolled.data(), part, clock);
         if (!fits) {
           overflow.store(true, std::memory_order_relaxed);
           break;
@@ -409,9 +497,10 @@ RoundAttempt device_round(const RoundInputs& in, std::size_t step0, std::size_t 
   std::mutex tally_mutex;
   execute(in.config, steps * slots, [&](std::size_t idx) {
     const std::size_t local = idx / slots;
-    const auto step = static_cast<std::uint32_t>(step0 + local);
+    const Sample sample{static_cast<std::uint32_t>(step0 + local),
+                        in.sample_time(step0 + local)};
     ScanTally cell;
-    const bool fits = in.scan(in.grids[local], idx % slots, step, cell);
+    const bool fits = in.scan(in.grids[local], idx % slots, sample, cell);
     if (!fits) overflow.store(true, std::memory_order_relaxed);
     if (cell.occupied != 0 && obs::enabled()) {
       const std::lock_guard<std::mutex> lock(tally_mutex);
@@ -573,8 +662,9 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
 
   result.allocation_seconds = alloc_watch.seconds();
 
-  const PairTest test{candidates, vmax.data(), config.threshold_km,
-                      0.5 * result.sample_period};
+  const PairTest test{candidates,         propagator,        batch_propagator,
+                      vmax.data(),        config.threshold_km, 0.5 * result.sample_period,
+                      result.cell_size,   config.t_begin,    config.t_end};
   const CellScan scan{indexer, cell_half_neighborhood(indexer), test};
   const PhantomScan phantom{indexer, test, options.dirty_mask.data(), dirty_objects};
   const RoundInputs inputs{propagator, batch_propagator, config, result, scan,
@@ -588,8 +678,8 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   // buffer is retried on a grown, empty buffer, and the retry inserts every
   // candidate of the round again. Funnel tallies are committed only for
   // the attempt that completed, which keeps the conservation invariant
-  // (tested == prefiltered + emitted; no clean-clean pair is ever tested,
-  // so kPairsMaskedClean stays 0) exact.
+  // (tested == prefiltered + reach_rejected + emitted; no clean-clean pair
+  // is ever tested, so kPairsMaskedClean stays 0) exact.
   for (std::size_t round = 0; round < result.plan.rounds; ++round) {
     const std::size_t step0 = round * p;
     const std::size_t steps = std::min(p, total_steps - step0);
@@ -610,6 +700,7 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
           obs::count(obs::Counter::kCellsOccupied, tally.occupied);
           obs::count(obs::Counter::kPairsTested, tally.tested);
           obs::count(obs::Counter::kPairsPrefiltered, tally.prefiltered);
+          obs::count(obs::Counter::kPairsReachRejected, tally.reach_rejected);
           obs::count(obs::Counter::kCandidatesEmitted, tally.emitted);
         }
         break;
@@ -619,6 +710,13 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
       obs::count(obs::Counter::kCandidateSetGrowths);
       if (device != nullptr) {
         dev_cands.reset();  // release before re-accounting the doubled buffer
+        // The plan reserved no device memory for a grow.
+        if (candidates.memory_bytes() > device->memory_free()) {
+          throw MemoryBudgetExceeded(
+              "run_grid_pipeline: the grown candidate buffer needs " +
+              std::to_string(candidates.memory_bytes()) + " B of device memory, " +
+              std::to_string(device->memory_free()) + " B free");
+        }
         dev_cands = device->alloc<std::byte>(candidates.memory_bytes());
       }
     }

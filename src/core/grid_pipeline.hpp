@@ -103,7 +103,8 @@ using GridRoundSink = std::function<void(
 
 /// Thrown by run_grid_pipeline when even one per-step table (cell list,
 /// grid or phantom table) does not fit into the memory budget at 1 s
-/// sampling.
+/// sampling, and on devicesim when a grown candidate buffer does not fit
+/// the free device memory.
 class MemoryBudgetExceeded : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -119,7 +120,11 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// dirty mask of k objects. It then screens the steps in rounds of p: each
 /// step's satellites are propagated into the table, and every pair in
 /// the same or neighbouring cells (each once) that passes the distance
-/// prefilter is appended to the lock-free candidate buffer (a masked step
+/// prefilter and the reach test (out_of_reach, pca/refine.hpp, on the
+/// pair's states at the sample: from the step's solved anomalies on the
+/// CPU with a TwoBodyPropagator, from state() elsewhere, skipped when the
+/// pair's max_acceleration is infinite) is appended to the lock-free
+/// candidate buffer (a masked step
 /// registers the dirty objects and looks every satellite up instead; see
 /// GridPipelineOptions::dirty_mask). If the count model proves too small,
 /// the buffer grows and the round is re-run. After every round the buffer
@@ -145,10 +150,10 @@ class MemoryBudgetExceeded : public std::runtime_error {
 ///    screens only: a masked screen runs on the CPU.
 /// Positions, candidates and reports are bit-identical across thread
 /// counts. Across backends and round shapes they are bit-identical except
-/// for the warm-started CPU positions, which depend on where the round's
-/// runs are cut and agree with position() within 1e-9 km: a pair within
-/// that distance of the prefilter cutoff or a cell face could be a
-/// candidate on one and not the other. Phase seconds on the CPU are the
+/// for the warm-started CPU positions and states, which depend on where
+/// the round's runs are cut and agree with position() within 1e-9 km: a
+/// pair within that distance of the prefilter cutoff, a cell face or the
+/// reach test's bound could be a candidate on one and not the other. Phase seconds on the CPU are the
 /// workers' summed seconds divided by the number of workers; per-step
 /// table clears count as allocation.
 ///
@@ -157,7 +162,8 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// 2^24 steps) or when both config.device and a dirty mask are set, checked
 /// before anything is allocated, and
 /// MemoryBudgetExceeded when even a single per-step table does not fit
-/// into the memory budget.
+/// into the memory budget, or when on devicesim a grown candidate buffer
+/// does not fit the free device memory.
 GridPipelineResult run_grid_pipeline(const Propagator& propagator,
                                      const ScreeningConfig& config,
                                      const ConjunctionCountModel& count_model,

@@ -1,6 +1,7 @@
 #include "core/grid_screener.hpp"
 
 #include <cstdint>
+#include <optional>
 
 #include "core/exec.hpp"
 #include "obs/telemetry.hpp"
@@ -13,28 +14,27 @@ namespace scod {
 namespace {
 
 /// Step 4 for one round's candidate keys: Brent refinement, one logical
-/// thread per candidate. Appends the raw (unmerged) sub-threshold conjunctions to
-/// `raw` and returns the number of Brent searches run.
-std::size_t refine_candidates(const Propagator& propagator, const ScreeningConfig& config,
-                              const GridPipelineResult& pipeline,
-                              std::span<const std::uint64_t> keys,
-                              detail::RefineSlots& slots, std::vector<Conjunction>& raw) {
+/// thread per candidate. Appends the raw (unmerged) sub-threshold
+/// conjunctions to `raw`.
+void refine_candidates(const Propagator& propagator, const ScreeningConfig& config,
+                       const GridPipelineResult& pipeline,
+                       std::span<const std::uint64_t> keys, detail::RefineSlots& slots,
+                       std::vector<Conjunction>& raw) {
   const RefineFastPath fast = RefineFastPath::probe(propagator);
-  return slots.run(
+  slots.run(
       config, keys.size(),
-      [&](std::size_t i, Conjunction& slot) -> std::uint8_t {
+      [&](std::size_t i, Conjunction& slot) {
         const Candidate c = unpack_candidate(keys[i]);
         const double t_s = pipeline.sample_time(c.step, config.t_begin, config.t_end);
-        const Refinement refined = fast.visit(c.sat_a, c.sat_b, [&](const auto& eval) {
-          return refine_grid_candidate(eval, t_s, pipeline.cell_size, config.threshold_km,
-                                       config.t_begin, config.t_end);
-        });
-        if (!refined.searched) return 0;
-        if (refined.encounter.has_value()) {
-          slot = {c.sat_a, c.sat_b, refined.encounter->tca, refined.encounter->pca};
-          return detail::RefineSlots::kSearched | detail::RefineSlots::kSlotValid;
-        }
-        return detail::RefineSlots::kSearched;
+        const std::optional<Encounter> found =
+            fast.visit(c.sat_a, c.sat_b, [&](const auto& eval) {
+              return refine_grid_candidate(eval, t_s, pipeline.cell_size,
+                                           config.threshold_km, config.t_begin,
+                                           config.t_end);
+            });
+        if (!found.has_value()) return false;
+        slot = {c.sat_a, c.sat_b, found->tca, found->pca};
+        return true;
       },
       raw);
 }
@@ -52,11 +52,10 @@ ScreeningReport GridScreener::run(const Propagator& propagator,
   std::vector<Conjunction> raw;
   detail::RefineSlots slots;
   double refine_seconds = 0.0;
-  std::size_t searches = 0;
   const GridRoundSink refine_round = [&](std::size_t, std::span<const std::uint64_t> keys,
                                          const GridPipelineResult& pipeline) {
     Stopwatch watch;
-    searches += refine_candidates(propagator, config, pipeline, keys, slots, raw);
+    refine_candidates(propagator, config, pipeline, keys, slots, raw);
     refine_seconds += watch.seconds();
   };
   const GridPipelineResult pipeline = run_grid_pipeline(
@@ -70,7 +69,9 @@ ScreeningReport GridScreener::run(const Propagator& propagator,
   obs::add_seconds(obs::Counter::kTimeRefinementNs, report.timings.refinement);
   obs::count(obs::Counter::kConjunctionsReported, report.conjunctions.size());
   fill_pipeline_stats(report, propagator.size(), pipeline);
-  report.stats.refinements = searches;
+  // The front end rejected the candidates out of reach, so every
+  // candidate is searched.
+  report.stats.refinements = pipeline.total_candidates;
   return report;
 }
 

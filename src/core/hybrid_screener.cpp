@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "core/exec.hpp"
@@ -165,26 +166,22 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
   const RefineFastPath fast = RefineFastPath::probe(propagator);
   std::vector<Conjunction> raw;
   detail::RefineSlots slots;
-  const std::size_t searches = slots.run(
+  slots.run(
       config, tasks.size(),
-      [&](std::size_t i, Conjunction& slot) -> std::uint8_t {
+      [&](std::size_t i, Conjunction& slot) {
         const RefineTask& task = tasks[i];
-        const Refinement refined =
+        const std::optional<Encounter> found =
             fast.visit(task.sat_a, task.sat_b, [&](const auto& eval) {
               return task.grid_style()
                          ? refine_grid_candidate(eval, task.t_lo, pipeline.cell_size,
                                                  config.threshold_km, config.t_begin,
                                                  config.t_end)
-                         : Refinement{true, refine_window(eval, task.t_lo, task.t_hi,
-                                                          config.threshold_km,
-                                                          config.t_begin, config.t_end)};
+                         : refine_window(eval, task.t_lo, task.t_hi, config.threshold_km,
+                                         config.t_begin, config.t_end);
             });
-        if (!refined.searched) return 0;
-        if (refined.encounter.has_value()) {
-          slot = {task.sat_a, task.sat_b, refined.encounter->tca, refined.encounter->pca};
-          return detail::RefineSlots::kSearched | detail::RefineSlots::kSlotValid;
-        }
-        return detail::RefineSlots::kSearched;
+        if (!found.has_value()) return false;
+        slot = {task.sat_a, task.sat_b, found->tca, found->pca};
+        return true;
       },
       raw);
   report.conjunctions =
@@ -195,7 +192,7 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
   obs::add_seconds(obs::Counter::kTimeFilteringNs, report.timings.filtering);
   obs::add_seconds(obs::Counter::kTimeRefinementNs, report.timings.refinement);
   obs::count(obs::Counter::kConjunctionsReported, report.conjunctions.size());
-  report.stats.refinements = searches;
+  report.stats.refinements = tasks.size();
   return report;
 }
 

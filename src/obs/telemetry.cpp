@@ -19,6 +19,7 @@ const char* counter_name(Counter c) {
     case Counter::kPairsTested: return "pairs_tested";
     case Counter::kPairsMaskedClean: return "pairs_masked_clean";
     case Counter::kPairsPrefiltered: return "pairs_prefiltered";
+    case Counter::kPairsReachRejected: return "pairs_reach_rejected";
     case Counter::kCandidatesEmitted: return "candidates_emitted";
     case Counter::kCandidatesDeduplicated: return "candidates_deduplicated";
     case Counter::kCandidateSetGrowths: return "candidate_set_growths";
@@ -31,7 +32,6 @@ const char* counter_name(Counter c) {
     case Counter::kFilterCoplanarPairs: return "filter_coplanar_pairs";
     case Counter::kFilterSurvivors: return "filter_survivors";
     case Counter::kRefinements: return "refinements";
-    case Counter::kRefinementsSkipped: return "refinements_skipped";
     case Counter::kBrentIterations: return "brent_iterations";
     case Counter::kWindowClamps: return "window_clamps";
     case Counter::kEdgeDiscards: return "edge_discards";

@@ -45,6 +45,7 @@ enum class Counter : std::uint32_t {
   kPairsTested,
   kPairsMaskedClean,
   kPairsPrefiltered,
+  kPairsReachRejected,
   kCandidatesEmitted,
   // Always 0: the half-stencil scan emits each (pair, step) once and the
   // candidate buffer does not deduplicate. Kept for its readers.
@@ -61,7 +62,6 @@ enum class Counter : std::uint32_t {
   kFilterSurvivors,
   // Refinement.
   kRefinements,
-  kRefinementsSkipped,
   kBrentIterations,
   kWindowClamps,
   kEdgeDiscards,

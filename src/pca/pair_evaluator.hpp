@@ -32,19 +32,13 @@ class PairStateEvaluator {
         .distance(detail::cache_position(cache_b_, *solver_, time));
   }
 
-  /// Both satellites' states, for the cell-crossing search radius and
-  /// the reach bound of grid-style refinement.
+  /// Both satellites' states, for the cell-crossing search radius of
+  /// grid-style refinement.
   StateVector state_a(double time) const {
     return detail::cache_state(cache_a_, *solver_, time);
   }
   StateVector state_b(double time) const {
     return detail::cache_state(cache_b_, *solver_, time);
-  }
-
-  /// Upper bound [km/s^2] on the pair's relative acceleration.
-  double max_acceleration() const {
-    return detail::cache_max_acceleration(cache_a_) +
-           detail::cache_max_acceleration(cache_b_);
   }
 
  private:
@@ -54,8 +48,7 @@ class PairStateEvaluator {
 };
 
 /// Virtual-dispatch counterpart of PairStateEvaluator, with the same
-/// distance / state_a / state_b / max_acceleration surface, for any other
-/// propagator.
+/// distance / state_a / state_b surface, for any other propagator.
 class PropagatorPairEvaluator {
  public:
   PropagatorPairEvaluator(const Propagator& propagator, std::uint32_t sat_a,
@@ -67,9 +60,6 @@ class PropagatorPairEvaluator {
   }
   StateVector state_a(double time) const { return propagator_->state(sat_a_, time); }
   StateVector state_b(double time) const { return propagator_->state(sat_b_, time); }
-  double max_acceleration() const {
-    return propagator_->max_acceleration(sat_a_) + propagator_->max_acceleration(sat_b_);
-  }
 
  private:
   const Propagator* propagator_;

@@ -30,21 +30,29 @@ inline constexpr int kRefineMaxIterations = 80;
 /// a minimum just outside the edge could already be behind it.
 inline constexpr double kEdgeProbeSeconds = 4.0 * kRefineTimeTolerance;
 
-/// Slack [km] the reach bound keeps below the threshold before it skips a
-/// search. It covers the Kepler solver's and the bound's own rounding,
-/// which are orders of magnitude smaller.
+/// Slack [km] the reach test keeps above the threshold before it rejects a
+/// candidate. It covers the bound's own rounding and the error of states
+/// taken from warm-started anomalies (TwoBodyPropagator::positions_warm,
+/// within 1e-9 km of state()), which are orders of magnitude smaller.
 inline constexpr double kReachBoundMarginKm = 1e-3;
-
-/// Outcome of one candidate's refinement.
-struct Refinement {
-  bool searched = false;  ///< false when the reach bound skipped the search
-  /// The encounter found, set only when its PCA is within the threshold.
-  std::optional<Encounter> encounter;
-};
 
 /// Radius of the search interval for a grid candidate: "t is the time it
 /// takes the slower of both satellites to cross two cells" (Section IV-C).
 double grid_search_radius(double cell_size, double slower_speed_km_s);
+
+/// A search interval [lo, hi] [s].
+struct SearchInterval {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// The search interval of a grid candidate flagged at sample time
+/// `t_sample`, where the pair's states are `a` and `b`: [t_sample - t,
+/// t_sample + t] for the grid_search_radius t of the slower satellite,
+/// clamped to the simulation span [t_min, t_max].
+SearchInterval grid_search_interval(const StateVector& a, const StateVector& b,
+                                    double t_sample, double cell_size, double t_min,
+                                    double t_max);
 
 /// Lower bound [km] on |r(tau)| for tau in [tau_lo, tau_hi], a range that
 /// contains 0, when r(0) = r0, r'(0) = v0 and |r''| <= max_accel:
@@ -54,6 +62,19 @@ double grid_search_radius(double cell_size, double slower_speed_km_s);
 /// -infinity, a bound that proves nothing.
 double reach_lower_bound(const Vec3& r0, const Vec3& v0, double max_accel,
                          double tau_lo, double tau_hi);
+
+/// The reach test of a grid candidate, run where the candidate is emitted
+/// (the grid front end's PairTest): true when the pair, in states `a` and
+/// `b` at `t_sample` and with relative acceleration at most `max_accel`,
+/// stays farther than `threshold_km` + kReachBoundMarginKm apart at every
+/// time refine_grid_candidate's search can evaluate, its
+/// grid_search_interval widened by kEdgeProbeSeconds. Such a candidate's
+/// search could only return a PCA above the threshold, which refinement
+/// rejects, so it need not be emitted. An infinite `max_accel` rejects
+/// nothing.
+bool out_of_reach(const StateVector& a, const StateVector& b, double max_accel,
+                  double t_sample, double cell_size, double threshold_km, double t_min,
+                  double t_max);
 
 /// One Brent search for a refinement: minimizes `distance` on [lo, hi] with
 /// the refinement settings and counts it as one refinement. Every Brent
@@ -107,43 +128,25 @@ std::optional<Encounter> refine_fn(const DistanceFn& distance, double t_lo, doub
 /// Grid-style refinement of a candidate flagged at sample time `t_sample`:
 /// "t is the time it takes the slower of both satellites to cross two
 /// cells, which we can calculate simply by using the velocity vector at
-/// that time step" (Section IV-C). The search runs on [t_sample - t,
-/// t_sample + t], clamped to the simulation span [t_min, t_max]. `eval` is
-/// a pair evaluator (distance / state_a / state_b / max_acceleration, see
-/// pca/pair_evaluator.hpp).
-///
-/// The same two states bound how close the pair can come. Every time the
-/// search evaluates lies within kEdgeProbeSeconds of the clamped interval;
-/// when reach_lower_bound over that range exceeds `threshold_km` (plus
-/// kReachBoundMarginKm), no evaluation can fall to the threshold, so
-/// whatever the search returned would be rejected by the `pca <=
-/// threshold_km` acceptance. The search is skipped and the result is
-/// {searched = false}.
+/// that time step" (Section IV-C). The search runs on
+/// grid_search_interval, [t_sample - t, t_sample + t] clamped to the
+/// simulation span [t_min, t_max]. `eval` is a pair evaluator (distance /
+/// state_a / state_b, see pca/pair_evaluator.hpp). The candidates that
+/// reach it have passed out_of_reach in the grid front end. Returns the
+/// encounter only when its PCA is within the threshold.
 template <typename PairEvaluator>
-Refinement refine_grid_candidate(const PairEvaluator& eval, double t_sample,
-                                 double cell_size, double threshold_km, double t_min,
-                                 double t_max) {
-  const StateVector a = eval.state_a(t_sample);
-  const StateVector b = eval.state_b(t_sample);
-  const double radius =
-      grid_search_radius(cell_size, std::min(a.velocity.norm(), b.velocity.norm()));
-  const double t_lo = std::max(t_sample - radius, t_min);
-  const double t_hi = std::min(t_sample + radius, t_max);
-
-  const double reach = reach_lower_bound(
-      b.position - a.position, b.velocity - a.velocity, eval.max_acceleration(),
-      t_lo - kEdgeProbeSeconds - t_sample, t_hi + kEdgeProbeSeconds - t_sample);
-  if (reach > threshold_km + kReachBoundMarginKm) {
-    obs::count(obs::Counter::kRefinementsSkipped);
-    return {};
-  }
-  if (t_sample - radius < t_min || t_sample + radius > t_max) {
+std::optional<Encounter> refine_grid_candidate(const PairEvaluator& eval, double t_sample,
+                                               double cell_size, double threshold_km,
+                                               double t_min, double t_max) {
+  const SearchInterval range = grid_search_interval(
+      eval.state_a(t_sample), eval.state_b(t_sample), t_sample, cell_size, t_min, t_max);
+  if (range.lo == t_min || range.hi == t_max) {
     obs::count(obs::Counter::kWindowClamps);
   }
-  std::optional<Encounter> found =
-      refine_fn([&eval](double t) { return eval.distance(t); }, t_lo, t_hi, t_min, t_max);
+  std::optional<Encounter> found = refine_fn([&eval](double t) { return eval.distance(t); },
+                                             range.lo, range.hi, t_min, t_max);
   if (found.has_value() && !(found->pca <= threshold_km)) found.reset();
-  return {true, found};
+  return found;
 }
 
 /// Refinement of a filter window [lo, hi] (hybrid and legacy). The window

@@ -64,13 +64,12 @@ inline Vec3 cache_position(const TwoBodyCache& c, const Solver& solver, double t
   return c.rotation * Vec3{x, y, 0.0};
 }
 
-/// Position and velocity from the eccentric anomaly. With w = 1 - e cos E:
-/// v_pf = sqrt(mu/p)/(a w) * (-b sin E, p cos E), the E-form of the
-/// classic (-sin f, e + cos f) expression.
-template <typename Solver>
-inline StateVector cache_state(const TwoBodyCache& c, const Solver& solver, double time) {
-  const double m = c.mean_anomaly0 + c.mean_motion * time;
-  const double big_e = solver.eccentric_anomaly(m, c.eccentricity);
+/// Position and velocity from a solved eccentric anomaly `big_e`. With
+/// w = 1 - e cos E: v_pf = sqrt(mu/p)/(a w) * (-b sin E, p cos E), the
+/// E-form of the classic (-sin f, e + cos f) expression. cache_state solves
+/// E and calls this; the grid front end calls it on the anomalies its
+/// propagation kernel already solved.
+inline StateVector state_from_anomaly(const TwoBodyCache& c, double big_e) {
   double se, ce;
   sincos_bounded(big_e, se, ce);
   const double x = c.semi_major * (ce - c.eccentricity);
@@ -79,6 +78,14 @@ inline StateVector cache_state(const TwoBodyCache& c, const Solver& solver, doub
   const double u = c.vis_viva_factor / (w * c.semi_major);
   const Vec3 vel_pf{-u * c.semi_minor * se, u * c.semi_latus * ce, 0.0};
   return {c.rotation * Vec3{x, y, 0.0}, c.rotation * vel_pf};
+}
+
+/// Position and velocity at `time`: Kepler's equation solved, then
+/// state_from_anomaly.
+template <typename Solver>
+inline StateVector cache_state(const TwoBodyCache& c, const Solver& solver, double time) {
+  const double m = c.mean_anomaly0 + c.mean_motion * time;
+  return state_from_anomaly(c, solver.eccentric_anomaly(m, c.eccentricity));
 }
 
 /// Largest two-body acceleration [km/s^2] along the orbit: mu / r^2 peaks

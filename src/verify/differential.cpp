@@ -208,10 +208,12 @@ void check_counter_invariants(const std::string& name, Variant variant,
 
   if (variant == Variant::kGrid || variant == Variant::kHybrid) {
     // Detection funnel conservation: every tested pair lands in exactly one
-    // bucket (clean-masked, prefiltered, emitted); none is emitted twice.
-    // No screen tests a clean-clean pair, so the clean-masked bucket is 0.
-    const std::uint64_t classified =
-        v(C::kPairsMaskedClean) + v(C::kPairsPrefiltered) + v(C::kCandidatesEmitted);
+    // bucket (clean-masked, prefiltered, out of reach, emitted); none is
+    // emitted twice. No screen tests a clean-clean pair, so the
+    // clean-masked bucket is 0.
+    const std::uint64_t classified = v(C::kPairsMaskedClean) + v(C::kPairsPrefiltered) +
+                                     v(C::kPairsReachRejected) +
+                                     v(C::kCandidatesEmitted);
     expect(v(C::kCandidatesDeduplicated) == 0, "deduplicated == 0",
            v(C::kCandidatesDeduplicated), std::uint64_t{0});
     expect(v(C::kPairsTested) == classified, "pairs_tested conservation",
@@ -220,11 +222,10 @@ void check_counter_invariants(const std::string& name, Variant variant,
            "emitted == stats.candidates", v(C::kCandidatesEmitted),
            report.stats.candidates);
     if (variant == Variant::kGrid) {
-      // Each candidate is either searched or skipped by the reach bound.
-      const std::uint64_t refined =
-          v(C::kRefinements) + v(C::kRefinementsSkipped);
-      expect(refined == v(C::kCandidatesEmitted),
-             "refinements + refinements_skipped == candidates_emitted", refined,
+      // The front end rejected the candidates out of reach: each emitted
+      // one is searched.
+      expect(v(C::kRefinements) == v(C::kCandidatesEmitted),
+             "refinements == candidates_emitted", v(C::kRefinements),
              v(C::kCandidatesEmitted));
     }
     expect(v(C::kCellsOccupied) <= v(C::kCellsScanned),

@@ -273,17 +273,16 @@ TEST(RefineSlots, CollectsValidSlotsInTaskOrderOnAWorkerPool) {
   ThreadPool pool(4);
   ScreeningConfig cfg;
   cfg.pool = &pool;
-  // Task i searches unless i % 3 == 0, and yields a slot when i % 3 == 1,
-  // so the valid slots interleave with searched-but-empty and skipped tasks.
+  // Task i yields a slot when i % 3 == 1, so the valid slots interleave
+  // with empty tasks.
   constexpr std::size_t kTasks = 1001;
-  const auto refine = [](std::size_t i, Conjunction& slot) -> std::uint8_t {
-    if (i % 3 == 0) return 0;
-    if (i % 3 == 2) return detail::RefineSlots::kSearched;
+  const auto refine = [](std::size_t i, Conjunction& slot) {
+    if (i % 3 != 1) return false;
     slot.sat_a = static_cast<std::uint32_t>(i);
     slot.sat_b = static_cast<std::uint32_t>(i + 1);
     slot.tca = static_cast<double>(i);
     slot.pca = 0.5;
-    return detail::RefineSlots::kSearched | detail::RefineSlots::kSlotValid;
+    return true;
   };
 
   obs::reset();
@@ -291,12 +290,11 @@ TEST(RefineSlots, CollectsValidSlotsInTaskOrderOnAWorkerPool) {
   detail::RefineSlots slots;
   std::vector<Conjunction> raw(1);  // the collect appends; earlier rounds stay
   raw[0].sat_a = 7;
-  const std::size_t searches = slots.run(cfg, kTasks, refine, raw);
+  slots.run(cfg, kTasks, refine, raw);
   obs::set_enabled(false);
 
   std::size_t valid = 0;
   for (std::size_t i = 0; i < kTasks; ++i) valid += (i % 3 == 1) ? 1 : 0;
-  EXPECT_EQ(searches, kTasks - (kTasks + 2) / 3);
   ASSERT_EQ(raw.size(), 1 + valid);
   EXPECT_EQ(raw[0].sat_a, 7u);
   for (std::size_t k = 1; k < raw.size(); ++k) {
@@ -316,28 +314,21 @@ TEST(RefineSlots, ReusedSlotsStartEachRunWithClearFlags) {
   detail::RefineSlots slots;
   std::vector<Conjunction> raw;
 
-  // A first round marks every slot valid.
-  const std::size_t first = slots.run(
+  // A first round yields a slot from every task.
+  slots.run(
       cfg, 64,
-      [](std::size_t i, Conjunction& slot) -> std::uint8_t {
+      [](std::size_t i, Conjunction& slot) {
         slot.sat_a = static_cast<std::uint32_t>(i);
-        return detail::RefineSlots::kSearched | detail::RefineSlots::kSlotValid;
+        return true;
       },
       raw);
-  EXPECT_EQ(first, 64u);
   ASSERT_EQ(raw.size(), 64u);
 
   // A second, smaller and then larger round on the same object yields no
-  // slot: nothing of the first round's flags or slots may leak into it.
+  // slot: nothing of the first round's slots may leak into it.
   raw.clear();
   for (const std::size_t tasks : {std::size_t{16}, std::size_t{128}}) {
-    const std::size_t searches = slots.run(
-        cfg, tasks,
-        [](std::size_t i, Conjunction&) -> std::uint8_t {
-          return i % 2 == 0 ? detail::RefineSlots::kSearched : 0;
-        },
-        raw);
-    EXPECT_EQ(searches, tasks / 2) << tasks << " tasks";
+    slots.run(cfg, tasks, [](std::size_t, Conjunction&) { return false; }, raw);
     EXPECT_TRUE(raw.empty()) << tasks << " tasks";
   }
 }

@@ -237,7 +237,7 @@ TEST(ReachBound, LineMinimumIsClosedForm) {
 }
 
 /// One grid candidate of a soundness case: the pair, the sample time and
-/// the settings refine_grid_candidate sees.
+/// the settings the reach test and refine_grid_candidate see.
 struct ReachCase {
   std::vector<Satellite> sats;
   double t_sample = 0.0;
@@ -247,11 +247,29 @@ struct ReachCase {
   double t_max = 0.0;
 };
 
-/// Refines `c` through the screeners' path, and through the virtual one;
-/// both must agree on whether the search ran and on what it found.
-Refinement refine_case(const ReachCase& c) {
+/// Whether the reach test rejects `c`, with the states the grid front end
+/// takes on the CPU: from anomalies warm-started 16 s before the sample
+/// (TwoBodyPropagator::positions_warm). The verdict must be the one the
+/// cold states of state() give, and a candidate the test keeps is refined
+/// alike through the screeners' devirtualized path and the virtual one.
+bool reach_rejects(const ReachCase& c) {
   const ContourKeplerSolver solver;
   const TwoBodyPropagator direct(c.sats, solver);
+  double big_e[2];
+  Vec3 positions[2];
+  direct.positions_at(c.t_sample - 16.0, 0, 2, positions, big_e);
+  direct.positions_warm(c.t_sample, 16.0, 0, 2, big_e, positions);
+  const double accel = direct.max_acceleration(0) + direct.max_acceleration(1);
+  const bool warm = out_of_reach(detail::state_from_anomaly(direct.cache(0), big_e[0]),
+                                 detail::state_from_anomaly(direct.cache(1), big_e[1]),
+                                 accel, c.t_sample, c.cell_size, c.threshold, c.t_min,
+                                 c.t_max);
+  const bool cold = out_of_reach(direct.state(0, c.t_sample), direct.state(1, c.t_sample),
+                                 accel, c.t_sample, c.cell_size, c.threshold, c.t_min,
+                                 c.t_max);
+  EXPECT_EQ(warm, cold);
+  if (cold) return true;
+
   const testutil::ForwardingPropagator forwarded(direct);
   const auto refine = [&](const Propagator& p) {
     return RefineFastPath::probe(p).visit(0, 1, [&](const auto& eval) {
@@ -259,15 +277,14 @@ Refinement refine_case(const ReachCase& c) {
                                    c.t_max);
     });
   };
-  const Refinement fast = refine(direct);
-  const Refinement slow = refine(forwarded);
-  EXPECT_EQ(fast.searched, slow.searched);
-  EXPECT_EQ(fast.encounter.has_value(), slow.encounter.has_value());
-  if (fast.encounter && slow.encounter) {
-    EXPECT_EQ(fast.encounter->tca, slow.encounter->tca);
-    EXPECT_EQ(fast.encounter->pca, slow.encounter->pca);
+  const std::optional<Encounter> fast = refine(direct);
+  const std::optional<Encounter> slow = refine(forwarded);
+  EXPECT_EQ(fast.has_value(), slow.has_value());
+  if (fast && slow) {
+    EXPECT_EQ(fast->tca, slow->tca);
+    EXPECT_EQ(fast->pca, slow->pca);
   }
-  return fast;
+  return false;
 }
 
 /// What the search of `c` can see: the minimum distance over every time
@@ -286,6 +303,7 @@ WindowScan scan_search_window(const ReachCase& c) {
   const StateVector b = prop.state(1, c.t_sample);
   const double radius =
       grid_search_radius(c.cell_size, std::min(a.velocity.norm(), b.velocity.norm()));
+  // The interval written out, not taken from grid_search_interval.
   const double t_lo = std::max(c.t_sample - radius, c.t_min) - kEdgeProbeSeconds;
   const double t_hi = std::min(c.t_sample + radius, c.t_max) + kEdgeProbeSeconds;
   const double lo = std::max(t_lo, c.t_min);
@@ -370,11 +388,11 @@ TEST(ReachBound, SkipsOnlyWhereTheWholeWindowStaysAboveThreshold) {
       default: c.t_sample = rng.uniform(c.t_min, c.t_max); break;
     }
 
-    // The bound holds wherever it is evaluated, and where it skips, the
-    // whole range stays above the threshold.
+    // The bound holds wherever it is evaluated, and where the reach test
+    // rejects, the whole range stays above the threshold.
     const WindowScan scan = scan_search_window(c);
     EXPECT_GE(scan.min_distance, scan.bound) << "case " << k;
-    if (refine_case(c).searched) {
+    if (!reach_rejects(c)) {
       ++searched;
       continue;
     }
@@ -416,14 +434,15 @@ TEST(ReachBound, PlantedSubThresholdEncountersAreNeverSkipped) {
         c.cell_size, std::min(prop.state(0, t_star).velocity.norm(),
                               prop.state(1, t_star).velocity.norm()));
     c.t_sample = std::clamp(t_star + rng.uniform(-0.9, 0.9) * radius, c.t_min, c.t_max);
-    EXPECT_TRUE(refine_case(c).searched) << "case " << k;
+    EXPECT_FALSE(reach_rejects(c)) << "case " << k;
   }
 }
 
 TEST(ReachBound, GridScreenSkipsOnlyUnderTwoBody) {
-  // A shell with planted crossings. Under two-body most candidates are
-  // skipped; the j2 propagator keeps the default bound, so every
-  // candidate is searched.
+  // A shell with planted crossings. Under two-body the front end rejects
+  // most pairs that pass the prefilter as out of reach; the j2 propagator
+  // keeps the default bound, so it rejects none. Either way every
+  // candidate emitted is searched.
   Rng rng(0x12B);
   std::vector<Satellite> sats;
   for (std::uint32_t i = 0; i < 80; ++i) {
@@ -453,20 +472,22 @@ TEST(ReachBound, GridScreenSkipsOnlyUnderTwoBody) {
   obs::set_enabled(true);
   obs::reset();
   const ScreeningReport two_body = grid->screen(kepler, cfg);
-  const std::uint64_t two_body_skipped =
-      obs::snapshot().value(obs::Counter::kRefinementsSkipped);
+  const obs::TelemetrySnapshot two_body_counts = obs::snapshot();
   obs::reset();
   const ScreeningReport drifting = grid->screen(j2, cfg);
-  const std::uint64_t j2_skipped = obs::snapshot().value(obs::Counter::kRefinementsSkipped);
+  const obs::TelemetrySnapshot j2_counts = obs::snapshot();
   obs::set_enabled(false);
 
   EXPECT_FALSE(two_body.conjunctions.empty());
-  EXPECT_LT(two_body.stats.refinements, two_body.stats.candidates);
+  EXPECT_EQ(two_body.stats.refinements, two_body.stats.candidates);
   EXPECT_GT(drifting.stats.candidates, 0u);
   EXPECT_EQ(drifting.stats.refinements, drifting.stats.candidates);
-  EXPECT_EQ(j2_skipped, 0u);
   if (obs::compiled()) {
-    EXPECT_EQ(two_body.stats.refinements + two_body_skipped, two_body.stats.candidates);
+    using obs::Counter;
+    EXPECT_GT(two_body_counts.value(Counter::kPairsReachRejected), 0u);
+    EXPECT_EQ(two_body_counts.value(Counter::kRefinements), two_body.stats.candidates);
+    EXPECT_EQ(j2_counts.value(Counter::kPairsReachRejected), 0u);
+    EXPECT_EQ(j2_counts.value(Counter::kRefinements), drifting.stats.candidates);
   }
 }
 

@@ -17,6 +17,7 @@
 #include "model/sizing.hpp"
 #include "parallel/device.hpp"
 #include "orbit/geometry.hpp"
+#include "pca/refine.hpp"
 #include "population/generator.hpp"
 #include "propagation/contour_solver.hpp"
 #include "propagation/two_body.hpp"
@@ -94,6 +95,63 @@ TEST(PipelineEdges, DeviceTooSmallThrows) {
   cfg.t_end = 600.0;
   cfg.device = &tiny;
   EXPECT_THROW(screen(sats, cfg, Variant::kGrid), std::runtime_error);
+}
+
+TEST(PipelineEdges, DeviceCandidateGrowBeyondFreeMemoryThrowsBudgetExceeded) {
+  // The plan reserves no device memory for a candidate-buffer grow. On a
+  // device the plan fills with tables, a round that outgrows an undersized
+  // count model's buffer must fail with MemoryBudgetExceeded, naming the
+  // bytes the grown buffer needs and those free, not with the device's
+  // own allocation error. The CPU screens the same population in the same
+  // budget, growing its buffer in host memory.
+  const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
+  const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(cloud, solver);
+  ScreeningConfig cfg;
+  cfg.threshold_km = 20.0;  // most of the cloud's pairs stay within reach
+  cfg.t_end = 600.0;
+  cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
+  ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
+  tiny.coefficient = 1e-20;  // the 20 000-candidate floor
+
+  // A device holding the fixed data and 100 grids: the first round's 100
+  // steps overflow the floor.
+  SizingRequest request;
+  request.satellites = cloud.size();
+  request.grid_entries = cloud.size();
+  request.span_seconds = cfg.span_seconds();
+  request.seconds_per_sample = cfg.seconds_per_sample;
+  request.candidate_capacity = candidate_capacity_from_model(
+      tiny, static_cast<double>(cloud.size()), cfg.seconds_per_sample, cfg.span_seconds(),
+      cfg.threshold_km);
+  const SizingPlan plan = plan_samples(request);
+  DeviceProperties props;
+  props.memory_bytes = plan.fixed_bytes + 100 * plan.per_grid_bytes;
+  ThreadPool four(4);
+  Device device(props, &four);
+
+  GridPipelineResult cpu;
+  ScreeningConfig host = cfg;
+  host.pool = &four;
+  host.memory_budget = props.memory_bytes;
+  testutil::pipeline_candidates(propagator, host, tiny, {}, cpu);
+  EXPECT_GT(cpu.candidate_set_growths, 0u);
+
+  ScreeningConfig on_device = host;
+  on_device.device = &device;
+  try {
+    run_grid_pipeline(propagator, on_device, tiny, {}, discard_round);
+    ADD_FAILURE() << "the grow fitted into the device";
+  } catch (const MemoryBudgetExceeded& e) {
+    const std::string what = e.what();
+    const std::string needed =
+        std::to_string(CandidateBuffer::projected_memory_bytes(2 * 20000));
+    EXPECT_NE(what.find("needs " + needed + " B of device memory"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(" B free"), std::string::npos) << what;
+  }
+  EXPECT_EQ(device.memory_used(), 0u);  // everything released
 }
 
 TEST(PipelineEdges, HeoApogeesBeyondCubeAreClampedSafely) {
@@ -222,10 +280,11 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
   // The paper's detection scans each occupied cell against all 26
   // neighbours and lets the conjunction map drop the second copy of each
   // pair. Enumerate that by brute force: every pair in the same or an
-  // adjacent cell at a step, kept when it passes the distance prefilter.
-  // The half-stencil pipeline must produce exactly this set, each once:
-  // through the cell-list sweep on 1 and 4 threads, and through the
-  // paper's hash grid on devicesim.
+  // adjacent cell at a step, kept when it passes the distance prefilter
+  // and the reach test (on states from state()). The half-stencil
+  // pipeline must produce exactly this set, each once: through the
+  // cell-list sweep on 1 and 4 threads, and through the paper's hash grid
+  // on devicesim.
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 60, 0.05, 7);
   const ContourKeplerSolver solver;
@@ -254,7 +313,7 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
   for (std::size_t i = 0; i < n; ++i) vmax[i] = max_speed(cloud[i].elements);
 
   std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> expected;
-  std::size_t same_cell = 0, adjacent_cell = 0, prefiltered = 0;
+  std::size_t same_cell = 0, adjacent_cell = 0, prefiltered = 0, out_of_range = 0;
   for (std::uint32_t step = 0; step < result.plan.total_samples; ++step) {
     const double t = result.sample_time(step, cfg.t_begin, cfg.t_end);
     std::vector<Vec3> pos(n);
@@ -273,16 +332,23 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
           ++prefiltered;
           continue;
         }
+        if (out_of_reach(propagator.state(a, t), propagator.state(b, t),
+                         propagator.max_acceleration(a) + propagator.max_acceleration(b),
+                         t, result.cell_size, cfg.threshold_km, cfg.t_begin, cfg.t_end)) {
+          ++out_of_range;
+          continue;
+        }
         ++(d == CellCoord{} ? same_cell : adjacent_cell);
         expected.insert({a, b, step});
       }
     }
   }
-  // The population must exercise the self cell, the neighbour offsets and
-  // the prefilter, or the comparison below proves little.
+  // The population must exercise the self cell, the neighbour offsets, the
+  // prefilter and the reach test, or the comparison below proves little.
   EXPECT_GT(same_cell, 0u);
   EXPECT_GT(adjacent_cell, 0u);
   EXPECT_GT(prefiltered, 0u);
+  EXPECT_GT(out_of_range, 0u);
 
   // pipeline_candidates fails the test if any (pair, step) repeats.
   for (const auto& [pool, dev, label] :
@@ -302,21 +368,23 @@ TEST(PipelineEdges, DirtyMaskKeepsExactlyTheCandidatesWithADirtyMember) {
   // A masked screen registers the dirty objects in their 27 cells and looks
   // every object up in its own cell; it must find exactly the unmasked
   // screen's candidates that have a dirty member, on any thread count: all
-  // of them under an all-ones mask, none under an all-zeros mask.
+  // of them under an all-ones mask, none under an all-zeros mask. (At
+  // d = 5 km and a fifth of the cloud dirty, enough of its pairs stay
+  // within reach to leave dirty-dirty candidates under the random mask.)
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto sats = generate_debris_cloud(parent, 200, 0.05, 7);
   const std::size_t n = sats.size();
   const ContourKeplerSolver solver;
   const TwoBodyPropagator propagator(sats, solver);
   ScreeningConfig base;
-  base.threshold_km = 2.0;
+  base.threshold_km = 5.0;
   base.t_end = 600.0;
   base.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 
   const std::vector<std::uint8_t> all(n, 1), none(n, 0);
   std::vector<std::uint8_t> some(n, 0);
   Rng rng(0xD1127);
-  for (std::uint8_t& d : some) d = rng.uniform() < 0.05 ? 1 : 0;
+  for (std::uint8_t& d : some) d = rng.uniform() < 0.2 ? 1 : 0;
 
   ThreadPool one(1), four(4);
   for (const int threads : {1, 4}) {
@@ -484,6 +552,88 @@ void expect_same_candidates(const std::vector<Candidate>& got,
   }
 }
 
+TEST(PipelineEdges, DirtyMaskTestsEachPairOnItsStepsStates) {
+  // The reach test takes a pair's states from the step's solved anomalies.
+  // A masked step propagates 256 objects at a time, so a lookup in the
+  // first chunk meets a dirty object of the last chunk before the loop
+  // has advanced its anomaly: the anomaly registration solved has to be
+  // the one read. One-step runs (a budget of one table) solve cold and
+  // must hand on their anomalies too. Dirty objects here are all in the
+  // last chunk, each the partner of a clean object in the first: a
+  // co-orbital twin trailing by 1-3 km (a candidate at nearly every
+  // step) or a crossing interceptor. The masked candidates must be
+  // exactly the full screen's with a dirty member, on 1 and 4 threads,
+  // in multi-step runs and in one-step runs.
+  std::vector<Satellite> sats = small_shell(600, 0x5EED);
+  Rng rng(0x5EEE);
+  std::vector<std::uint32_t> partners;
+  for (std::uint32_t k = 0; k < 12; ++k) {
+    const std::uint32_t partner = 20 * k + 3;
+    const auto id = static_cast<std::uint32_t>(sats.size());
+    if (k % 2 == 0) {
+      KeplerElements twin = sats[partner].elements;
+      twin.mean_anomaly += rng.uniform(1.5e-4, 4e-4);
+      twin.semi_major_axis += rng.uniform(-0.2, 0.2);
+      sats.push_back({id, twin});
+    } else {
+      sats.push_back(testutil::make_interceptor(sats[partner].elements,
+                                                rng.uniform(100.0, 500.0),
+                                                rng.uniform(-3.0, 3.0), rng, id));
+    }
+    partners.push_back(partner);
+  }
+  const std::size_t n = sats.size();
+  constexpr std::size_t kMaskedChunk = 256;  // objects a masked step propagates at once
+  ASSERT_GT(n, 2 * kMaskedChunk);
+  std::vector<std::uint8_t> mask(n, 0);
+  for (std::size_t i = 600; i < n; ++i) mask[i] = 1;
+
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator propagator(sats, solver);
+  ScreeningConfig base;
+  base.threshold_km = 5.0;
+  base.t_end = 600.0;
+  base.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
+  GridPipelineOptions options;
+  options.dirty_mask = mask;
+
+  GridPipelineResult full;
+  const std::vector<Candidate> expected = with_dirty_member(
+      testutil::pipeline_candidates(propagator, base,
+                                    ConjunctionCountModel::paper_grid(), {}, full),
+      mask);
+  // Every planted pair is a candidate, the twins at most steps.
+  std::set<std::pair<std::uint32_t, std::uint32_t>> planted;
+  for (const Candidate& c : expected) planted.insert({c.sat_a, c.sat_b});
+  for (std::uint32_t k = 0; k < partners.size(); ++k) {
+    EXPECT_TRUE(planted.count({partners[k], 600 + k}) == 1) << "pair " << k;
+  }
+  EXPECT_GT(expected.size(), 6 * full.plan.total_samples / 2);
+
+  // The masked plan with one table per round: one-step runs.
+  GridPipelineResult roomy;
+  testutil::pipeline_candidates(propagator, base, ConjunctionCountModel::paper_grid(),
+                                options, roomy);
+  ASSERT_GT(roomy.plan.parallel_samples, 8u);
+  const std::uint64_t one_table = roomy.plan.fixed_bytes + roomy.plan.per_grid_bytes;
+
+  ThreadPool one(1), four(4);
+  for (const int threads : {1, 4}) {
+    for (const std::uint64_t budget : {base.memory_budget, one_table}) {
+      const std::string label = std::to_string(threads) + " threads, budget " +
+                                std::to_string(budget);
+      ScreeningConfig cfg = base;
+      cfg.pool = threads == 1 ? &one : &four;
+      cfg.memory_budget = budget;
+      GridPipelineResult result;
+      const std::vector<Candidate> got = testutil::pipeline_candidates(
+          propagator, cfg, ConjunctionCountModel::paper_grid(), options, result);
+      EXPECT_EQ(result.plan.parallel_samples == 1, budget == one_table) << label;
+      expect_same_candidates(got, expected, label);
+    }
+  }
+}
+
 TEST(PipelineEdges, DirtyMaskSizesTheCandidateBufferFromTheDirtyPairShare) {
   // A masked screen tests only the pairs with a dirty member, a share
   // 1 - (1 - f)^2 of them for a dirty fraction f, so its candidate buffer
@@ -554,16 +704,16 @@ TEST(PipelineEdges, DirtyMaskSizesTheCandidateBufferFromTheDirtyPairShare) {
 
 TEST(PipelineEdges, DirtyMaskUndersizedBufferGrowsToTheSameCandidates) {
   // A dense debris cloud with two in three fragments dirty produces more
-  // dirty-member candidates than the floor capacity holds: the scaled
-  // buffer overflows, grows and re-runs the round, and the candidates are
-  // still exactly the unmasked ones with a dirty member, on 1 and 4
-  // threads.
+  // dirty-member candidates than the floor capacity holds (at d = 5 km
+  // enough of its pairs stay within reach): the scaled buffer overflows,
+  // grows and re-runs the round, and the candidates are still exactly the
+  // unmasked ones with a dirty member, on 1 and 4 threads.
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 300, 0.05, 99);
   const ContourKeplerSolver solver;
   const TwoBodyPropagator propagator(cloud, solver);
   ScreeningConfig base;
-  base.threshold_km = 2.0;
+  base.threshold_km = 5.0;
   base.t_end = 600.0;
   base.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
   ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
@@ -740,14 +890,15 @@ TEST(PipelineEdges, WarmRunsSpreadEveryRoundOverTheWorkers) {
 
 TEST(PipelineEdges, CandidateSetHoldsOneRoundAtATime) {
   // A debris cloud screened in rounds of 4 steps: the floor capacity
-  // covers any one round's candidates but not the whole span's. The
-  // buffer is drained and cleared between rounds, so it never grows.
+  // covers any one round's candidates but not the whole span's (at
+  // d = 20 km most of its pairs stay within reach). The buffer is drained
+  // and cleared between rounds, so it never grows.
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
   const ContourKeplerSolver solver;
   const TwoBodyPropagator propagator(cloud, solver);
   ScreeningConfig cfg;
-  cfg.threshold_km = 2.0;
+  cfg.threshold_km = 20.0;
   cfg.t_end = 600.0;
   cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 

@@ -427,6 +427,43 @@ TEST(TwoBodyPropagator, WarmPositionsReSolveUnsettledLanesCold) {
   step_from([](double big_e) { return big_e + 1.0e6; });
 }
 
+TEST(TwoBodyPropagator, WarmAnomaliesGiveStatesWithinTheReachMargin) {
+  // The grid front end's reach test turns the anomalies positions_warm
+  // leaves behind into states (detail::state_from_anomaly) and keeps
+  // kReachBoundMarginKm = 1e-3 km of slack for their error. They must
+  // agree with state() far inside it, for e from 0 to 0.9 and sample
+  // periods up to 64 s, and so must the lanes positions_warm re-solves
+  // cold (here forced every 50th step by spoiling the state).
+  const CountingSolver solver;
+  const auto sats = warm_start_sats({0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9});
+  const TwoBodyPropagator prop(sats, solver);
+  const std::size_t n = sats.size();
+
+  std::vector<Vec3> out(n);
+  std::vector<double> anomalies(n);
+  for (const double dt : {1.0, 4.0, 16.0, 64.0}) {
+    prop.positions_at(0.0, 0, n, out.data(), anomalies.data());
+    solver.lanes = 0;
+    double worst_position = 0.0, worst_velocity = 0.0;
+    for (std::size_t s = 1; s <= 400; ++s) {
+      if (s % 50 == 0) {
+        for (std::size_t i = 0; i < n; i += 2) anomalies[i] += 3.0;
+      }
+      const double t = static_cast<double>(s) * dt;
+      prop.positions_warm(t, dt, 0, n, anomalies.data(), out.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const StateVector warm = detail::state_from_anomaly(prop.cache(i), anomalies[i]);
+        const StateVector cold = prop.state(i, t);
+        worst_position = std::max(worst_position, warm.position.distance(cold.position));
+        worst_velocity = std::max(worst_velocity, warm.velocity.distance(cold.velocity));
+      }
+    }
+    EXPECT_GT(solver.lanes, 0u) << "dt=" << dt;
+    EXPECT_LE(worst_position, 1e-6) << "dt=" << dt;
+    EXPECT_LE(worst_velocity, 1e-9) << "dt=" << dt;
+  }
+}
+
 TEST(TwoBodyPropagator, ColdPositionsReportTheSolvedAnomalies) {
   // positions_at's optional anomaly output is the solver's E, and the
   // positions are unchanged by asking for it.

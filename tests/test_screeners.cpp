@@ -525,14 +525,15 @@ TEST(Screeners, CandidateSetGrowthPathIsCorrect) {
   // A debris cloud is so dense that candidate counts blow through a
   // near-zero model's floor capacity, forcing the grow-and-retry path; the
   // re-scan after each grow must leave exactly the candidates of a run
-  // that was reference generously from the start.
+  // that was reference generously from the start. At d = 20 km most of
+  // the cloud's pairs stay within reach for much of the span.
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
   const ContourKeplerSolver solver;
   const TwoBodyPropagator propagator(cloud, solver);
 
   ScreeningConfig cfg;
-  cfg.threshold_km = 2.0;
+  cfg.threshold_km = 20.0;
   cfg.t_end = 600.0;
   cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 
@@ -616,7 +617,7 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
         static_cast<std::uint32_t>(sats.size())));
   }
   const KeplerElements cloud_parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
-  const auto cloud = generate_debris_cloud(cloud_parent, 80, 0.05, 99);
+  const auto cloud = generate_debris_cloud(cloud_parent, 160, 0.05, 99);
 
   ScreeningConfig base;
   base.threshold_km = 5.0;
@@ -1010,12 +1011,12 @@ TEST(Screeners, SnapshotAndVirtualEvaluatorsAgreeBitForBit) {
 
   using obs::Counter;
   constexpr Counter kFunnel[] = {
-      Counter::kCandidatesEmitted,          Counter::kFilterPairsIn,
-      Counter::kFilterApogeePerigeeRejects, Counter::kFilterPathChecks,
-      Counter::kFilterPathRejects,          Counter::kFilterWindowChecks,
-      Counter::kFilterWindowRejects,        Counter::kFilterCoplanarPairs,
-      Counter::kFilterSurvivors,            Counter::kRefinements,
-      Counter::kRefinementsSkipped,         Counter::kBrentIterations,
+      Counter::kPairsReachRejected,         Counter::kCandidatesEmitted,
+      Counter::kFilterPairsIn,              Counter::kFilterApogeePerigeeRejects,
+      Counter::kFilterPathChecks,           Counter::kFilterPathRejects,
+      Counter::kFilterWindowChecks,         Counter::kFilterWindowRejects,
+      Counter::kFilterCoplanarPairs,        Counter::kFilterSurvivors,
+      Counter::kRefinements,                Counter::kBrentIterations,
       Counter::kWindowClamps,               Counter::kEdgeDiscards,
       Counter::kConjunctionsRaw,            Counter::kConjunctionsReported};
 
@@ -1175,11 +1176,11 @@ TEST(Screeners, HybridFilterStageIdenticalAcrossThreadsAndRounds) {
   auto sats = dense_shell(120, 0xF11);
   Rng rng(0xF12);
   for (std::uint32_t k = 0; k < 12; ++k) {
-    // Same-plane companions take the coplanar branch, interceptors the
-    // node windows.
+    // Same-plane companions trailing within d take the coplanar branch,
+    // interceptors the node windows.
     Satellite companion = sats[k];
     companion.id = static_cast<std::uint32_t>(sats.size());
-    companion.elements.mean_anomaly += rng.uniform(0.01, 0.1);
+    companion.elements.mean_anomaly += rng.uniform(1e-4, 6e-4);
     sats.push_back(companion);
     sats.push_back(testutil::make_interceptor(
         sats[3 * k + 20].elements, rng.uniform(300.0, 3300.0), rng.uniform(-3.5, 3.5),

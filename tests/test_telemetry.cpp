@@ -97,10 +97,12 @@ TEST_F(Telemetry, GridFunnelConservation) {
   const std::uint64_t tested = snap.value(Counter::kPairsTested);
   const std::uint64_t masked = snap.value(Counter::kPairsMaskedClean);
   const std::uint64_t prefiltered = snap.value(Counter::kPairsPrefiltered);
+  const std::uint64_t reach_rejected = snap.value(Counter::kPairsReachRejected);
   const std::uint64_t emitted = snap.value(Counter::kCandidatesEmitted);
   const std::uint64_t deduped = snap.value(Counter::kCandidatesDeduplicated);
   ASSERT_GT(tested, 0u);
-  EXPECT_EQ(tested, masked + prefiltered + emitted);
+  EXPECT_GT(reach_rejected, 0u);
+  EXPECT_EQ(tested, masked + prefiltered + reach_rejected + emitted);
   EXPECT_EQ(emitted, report.stats.candidates);
   // The half stencil emits each (pair, step) once and the candidate buffer
   // does not deduplicate; this population fits the paper's model.
@@ -118,10 +120,12 @@ TEST_F(Telemetry, GridFunnelConservation) {
   EXPECT_EQ(histogram_total(snap), inserts);
   EXPECT_EQ(snap.value(Counter::kGridPoolRejects), 0u);
 
-  // Refinement tail is monotone down to the reported set.
+  // The front end rejected the candidates out of reach, so each emitted
+  // one is searched, and the tail is monotone down to the reported set.
   const std::uint64_t refinements = snap.value(Counter::kRefinements);
   const std::uint64_t raw = snap.value(Counter::kConjunctionsRaw);
   const std::uint64_t reported = snap.value(Counter::kConjunctionsReported);
+  EXPECT_EQ(refinements, emitted);
   EXPECT_GE(refinements, raw);
   EXPECT_GE(raw, reported);
   EXPECT_EQ(reported, report.conjunctions.size());
@@ -183,7 +187,8 @@ TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
   for (const std::size_t threads : {1u, 4u, 0u}) {  // 0: devicesim
     obs::reset();
     ThreadPool pool(std::max<std::size_t>(threads, 1));
-    ScreeningConfig cfg = config(2.0, 600.0, 4.0);
+    // At d = 20 km most of the cloud's pairs stay within reach.
+    ScreeningConfig cfg = config(20.0, 600.0, 4.0);
     cfg.pool = &pool;
     if (threads == 0) cfg.device = &device;
     const GridPipelineResult result = run_grid_pipeline(
@@ -203,6 +208,7 @@ TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
     EXPECT_EQ(snap.value(Counter::kPairsTested),
               snap.value(Counter::kPairsMaskedClean) +
                   snap.value(Counter::kPairsPrefiltered) +
+                  snap.value(Counter::kPairsReachRejected) +
                   snap.value(Counter::kCandidatesEmitted))
         << threads;
     EXPECT_EQ(snap.value(Counter::kCandidatesDeduplicated), 0u) << threads;
@@ -234,7 +240,8 @@ TEST_F(Telemetry, MaskedScreenCountsPhantomWork) {
   ThreadPool one(1), four(4);
   for (const int threads : {1, 4}) {
     obs::reset();
-    ScreeningConfig cfg = config(2.0, 600.0, 4.0);
+    // At d = 20 km most of the cloud's pairs stay within reach.
+    ScreeningConfig cfg = config(20.0, 600.0, 4.0);
     cfg.pool = threads == 1 ? &one : &four;
     const GridPipelineResult result = run_grid_pipeline(
         propagator, cfg, tiny, options,
@@ -253,6 +260,7 @@ TEST_F(Telemetry, MaskedScreenCountsPhantomWork) {
     EXPECT_EQ(snap.value(Counter::kPairsMaskedClean), 0u) << threads;
     EXPECT_EQ(snap.value(Counter::kPairsTested),
               snap.value(Counter::kPairsPrefiltered) +
+                  snap.value(Counter::kPairsReachRejected) +
                   snap.value(Counter::kCandidatesEmitted))
         << threads;
     EXPECT_EQ(snap.value(Counter::kCandidatesEmitted), result.total_candidates)
@@ -274,6 +282,16 @@ TEST_F(Telemetry, HybridFilterConservation) {
   ASSERT_GT(in, 0u);
   EXPECT_EQ(in, ap + path_rej + win_rej + survivors);
   EXPECT_EQ(in, report.stats.pairs_examined);
+  // The grid front end's funnel: the filters see only the distinct pairs
+  // of the candidates it emitted, after the reach test.
+  const std::uint64_t emitted = snap.value(Counter::kCandidatesEmitted);
+  EXPECT_GT(snap.value(Counter::kPairsReachRejected), 0u);
+  EXPECT_EQ(snap.value(Counter::kPairsTested),
+            snap.value(Counter::kPairsMaskedClean) +
+                snap.value(Counter::kPairsPrefiltered) +
+                snap.value(Counter::kPairsReachRejected) + emitted);
+  EXPECT_EQ(emitted, report.stats.candidates);
+  EXPECT_LE(in, emitted);
   EXPECT_EQ(ap, report.stats.filtered_apogee_perigee);
   EXPECT_EQ(path_rej, report.stats.filtered_path);
   EXPECT_EQ(win_rej, report.stats.filtered_windows);
