@@ -1,9 +1,8 @@
 /// Micro-benchmarks of the spatial substrates: the MurMur3 finalizer, the
 /// lock-free grid hash set (the paper's core data structure) under varying
 /// load factors and thread counts, one whole sample step through the hash
-/// grid against one through the CPU's cell list, the candidate buffer, and
-/// the k-d tree baseline from the related work ([29]) that motivates
-/// choosing the grid: the tree must be rebuilt every sample step.
+/// grid against one through the CPU's cell list, and devicesim's candidate
+/// buffer.
 
 #include <benchmark/benchmark.h>
 
@@ -22,10 +21,8 @@
 #include "spatial/cell.hpp"
 #include "spatial/cell_list.hpp"
 #include "spatial/grid_hash_set.hpp"
-#include "spatial/kdtree.hpp"
 #include "spatial/murmur3.hpp"
 #include "util/rng.hpp"
-#include "spatial/octree.hpp"
 
 namespace {
 
@@ -202,8 +199,7 @@ void BM_StepCellList(benchmark::State& state) {
     });
     pairs = 0;
     std::uint64_t cells = 0;
-    list.sweep([&](std::uint32_t, const Vec3&, std::uint32_t, const Vec3&) { return ++pairs; },
-               cells);
+    list.sweep([&](std::uint32_t, const Vec3&, std::uint32_t, const Vec3&) { ++pairs; }, cells);
     benchmark::DoNotOptimize(cells);
   }
   state.counters["pairs"] = static_cast<double>(pairs);
@@ -230,75 +226,5 @@ void BM_CandidateBufferInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CandidateBufferInsert);
-
-void BM_KdTreeBuild(benchmark::State& state) {
-  // The related-work baseline: a tree rebuild per sample step. Compare
-  // against BM_GridHashSetInsert at equal n — the grid's per-step cost.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto positions = random_positions(n, 17);
-  std::vector<KdTree::Point> points(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    points[i] = {positions[i], static_cast<std::uint32_t>(i)};
-  }
-  for (auto _ : state) {
-    KdTree tree(points);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_KdTreeBuild)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_OctreeBuild(benchmark::State& state) {
-  // The other tree baseline ruled out in Section IV-A; like the k-d tree
-  // it must be rebuilt every sample step.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto positions = random_positions(n, 23);
-  std::vector<Octree::Point> points(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    points[i] = {positions[i], static_cast<std::uint32_t>(i)};
-  }
-  for (auto _ : state) {
-    Octree tree(points, 8000.0);
-    benchmark::DoNotOptimize(tree.node_count());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_OctreeBuild)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_OctreeRadiusQuery(benchmark::State& state) {
-  const std::size_t n = 100000;
-  const auto positions = random_positions(n, 29);
-  std::vector<Octree::Point> points(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    points[i] = {positions[i], static_cast<std::uint32_t>(i)};
-  }
-  const Octree tree(points, 8000.0);
-  std::size_t i = 0;
-  std::size_t hits = 0;
-  for (auto _ : state) {
-    tree.for_each_within(positions[i], 33.2, [&](const Octree::Point&) { ++hits; });
-    benchmark::DoNotOptimize(hits);
-    i = (i + 1) % n;
-  }
-}
-BENCHMARK(BM_OctreeRadiusQuery);
-
-void BM_KdTreeRadiusQuery(benchmark::State& state) {
-  const std::size_t n = 100000;
-  const auto positions = random_positions(n, 19);
-  std::vector<KdTree::Point> points(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    points[i] = {positions[i], static_cast<std::uint32_t>(i)};
-  }
-  const KdTree tree(points);
-  std::size_t i = 0;
-  std::size_t hits = 0;
-  for (auto _ : state) {
-    tree.for_each_within(positions[i], 33.2, [&](const KdTree::Point&) { ++hits; });
-    benchmark::DoNotOptimize(hits);
-    i = (i + 1) % n;
-  }
-}
-BENCHMARK(BM_KdTreeRadiusQuery);
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/exec.hpp"
@@ -44,9 +45,9 @@ void simulate_upload(Device& device, DeviceBuffer<std::byte>& dst, std::size_t b
   }
 }
 
-/// Detection-funnel tallies of one scan attempt: occupied cells (on a
-/// masked screen, the cells its lookups hit), and the pairs tested and
-/// where each left the funnel.
+/// Detection-funnel tallies of a scan: occupied cells (on a masked screen,
+/// the cells its lookups hit), and the pairs tested and where each left
+/// the funnel.
 struct ScanTally {
   std::uint64_t occupied = 0, tested = 0, prefiltered = 0, reach_rejected = 0,
                 emitted = 0;
@@ -71,13 +72,12 @@ struct Sample {
 /// takes the states from Propagator::state().
 const double* no_anomaly(std::uint32_t) { return nullptr; }
 
-/// The distance prefilter, the reach test and candidate emission every
-/// pair found in neighbouring cells goes through, on every path: the CPU's
-/// cell-list sweep, the devicesim cell scan and the masked lookups. Both
-/// tests are symmetric in a and b, so the order a path meets a pair in
-/// never matters.
+/// The distance prefilter and the reach test every pair found in
+/// neighbouring cells goes through, on every path: the CPU's cell-list
+/// sweep, the devicesim cell scan and the masked lookups. It decides and
+/// tallies; the path stores the pairs it keeps. Both tests are symmetric
+/// in a and b, so the order a path meets a pair in never matters.
 struct PairTest {
-  CandidateBuffer& candidates;
   const Propagator& propagator;
   /// The concrete propagator whose caches turn a solved eccentric anomaly
   /// into a state (CPU batched kernel), otherwise nullptr.
@@ -89,15 +89,15 @@ struct PairTest {
   double t_begin;      ///< the span, which clamps that interval
   double t_end;
 
-  /// Tests the pair (a, b) at `sample`. `anomaly(i)` points to satellite
-  /// i's eccentric anomaly at the sample time, as this step's propagation
-  /// solved it, or is nullptr where there is none (no TwoBodyPropagator,
-  /// or devicesim); it is called only for a pair that passes the
-  /// prefilter. Returns false when the candidate buffer is full; the round
-  /// is then re-run on a grown buffer.
+  /// Whether the pair (a, b) at sample time `t` is kept as a candidate;
+  /// tallies where it leaves the funnel, or that it is emitted.
+  /// `anomaly(i)` points to satellite i's eccentric anomaly at `t`, as this
+  /// step's propagation solved it, or is nullptr where there is none (no
+  /// TwoBodyPropagator, or devicesim); it is called only for a pair that
+  /// passes the prefilter.
   template <typename Anomaly>
   bool operator()(std::uint32_t a, const Vec3& a_position, std::uint32_t b,
-                  const Vec3& b_position, Sample sample, const Anomaly& anomaly,
+                  const Vec3& b_position, double t, const Anomaly& anomaly,
                   ScanTally& tally) const {
     ++tally.tested;
     // A pair farther apart than d + (v_max_a + v_max_b) * s/2 cannot reach
@@ -106,28 +106,25 @@ struct PairTest {
     const double cutoff = threshold_km + half_sps * (vmax[a] + vmax[b]);
     if ((a_position - b_position).norm2() > cutoff * cutoff) {
       ++tally.prefiltered;
-      return true;
+      return false;
     }
-    return emit(a, b, sample, anomaly, tally);
+    return within_reach(a, b, t, anomaly, tally);
   }
 
-  /// The rest of the test, for the few pairs that pass the prefilter. Kept
-  /// out of line so that the scan loops around the prefilter stay small.
+  /// The reach test, for the few pairs that pass the prefilter. Kept out
+  /// of line so that the scan loops around the prefilter stay small.
   template <typename Anomaly>
-  [[gnu::noinline]] bool emit(std::uint32_t a, std::uint32_t b, Sample sample,
-                              const Anomaly& anomaly, ScanTally& tally) const {
+  [[gnu::noinline]] bool within_reach(std::uint32_t a, std::uint32_t b, double t,
+                                      const Anomaly& anomaly, ScanTally& tally) const {
     // Refinement would search this candidate on an interval around the
     // sample time; a pair the reach bound keeps above the threshold there
     // is not emitted. An infinite acceleration bound (j2, tle, ephemeris)
     // rejects nothing, so no state is computed for it.
     const double accel = propagator.max_acceleration(a) + propagator.max_acceleration(b);
     if (accel < std::numeric_limits<double>::infinity() &&
-        out_of_reach(state(a, sample.time, anomaly(a)), state(b, sample.time, anomaly(b)),
-                     accel, sample.time, cell_size, threshold_km, t_begin, t_end)) {
+        out_of_reach(state(a, t, anomaly(a)), state(b, t, anomaly(b)), accel, t, cell_size,
+                     threshold_km, t_begin, t_end)) {
       ++tally.reach_rejected;
-      return true;
-    }
-    if (candidates.insert(a, b, sample.step) == CandidateBuffer::Insert::kFull) {
       return false;
     }
     ++tally.emitted;
@@ -143,11 +140,12 @@ struct PairTest {
 };
 
 /// The CD body of a devicesim full screen: the paper's scan of one slot of
-/// a GridHashSet. (A CPU full screen sweeps a CellList instead.)
+/// a GridHashSet into its candidate buffer. (A CPU full screen sweeps a
+/// CellList instead.)
 struct CellScan {
-  const CellIndexer& indexer;
   std::array<std::uint64_t, 14> half;  ///< cell_half_neighborhood(indexer)
-  PairTest test;
+  const PairTest& test;
+  CandidateBuffer& candidates;
 
   /// Scans the cell in `slot` of `grid`, the grid of `sample`, against
   /// itself and its 13 forward neighbours. The other 13 neighbours
@@ -173,8 +171,10 @@ struct CellScan {
         for (std::uint32_t eb = self ? a.next : other_head; eb != kNoEntry;
              eb = grid.entry(eb).next) {
           const GridEntry& b = grid.entry(eb);
-          if (!test(a.satellite, a.position, b.satellite, b.position, sample, no_anomaly,
-                    cell)) {
+          if (test(a.satellite, a.position, b.satellite, b.position, sample.time,
+                   no_anomaly, cell) &&
+              candidates.insert(a.satellite, b.satellite, sample.step) ==
+                  CandidateBuffer::Insert::kFull) {
             return false;
           }
         }
@@ -194,7 +194,7 @@ struct CellScan {
 /// objects are never inserted, so no clean-clean pair is ever tested.
 struct PhantomScan {
   const CellIndexer& indexer;
-  PairTest test;
+  const PairTest& test;
   const std::uint8_t* dirty;                   ///< the dirty mask
   std::span<const std::uint32_t> dirty_objects;  ///< its set indices, ascending
 
@@ -223,15 +223,15 @@ struct PhantomScan {
   }
 
   /// Tests object `satellite` at `position` against the dirty objects
-  /// registered in its home cell, at `sample`. `big_e` points to its
-  /// anomaly and `enrolled` to the dirty objects' (enrolled_anomaly), both
-  /// at the sample time, or both are nullptr. Returns false when the
-  /// candidate buffer is full.
-  bool lookup(const GridHashSet& table, std::uint32_t satellite, const Vec3& position,
+  /// registered in its home cell, at `sample`, and appends the keys it
+  /// keeps to `keys`. `big_e` points to its anomaly and `enrolled` to the
+  /// dirty objects' (enrolled_anomaly), both at the sample time, or both
+  /// are nullptr.
+  void lookup(const GridHashSet& table, std::uint32_t satellite, const Vec3& position,
               Sample sample, const double* big_e, const double* enrolled,
-              ScanTally& tally) const {
+              std::vector<std::uint64_t>& keys, ScanTally& tally) const {
     const std::uint32_t head = table.find(indexer.key_of(position));
-    if (head == kNoEntry) return true;
+    if (head == kNoEntry) return;
     ScanTally cell;
     cell.occupied = 1;
     // Only a dirty object finds itself, and it finds every dirty
@@ -245,12 +245,12 @@ struct PhantomScan {
     for (std::uint32_t e = head; e != kNoEntry; e = table.entry(e).next) {
       const GridEntry& d = table.entry(e);
       if (self_dirty && d.satellite <= satellite) continue;
-      if (!test(d.satellite, d.position, satellite, position, sample, anomaly, cell)) {
-        return false;
+      if (test(d.satellite, d.position, satellite, position, sample.time, anomaly, cell))
+          [[unlikely]] {
+        keys.push_back(pack_candidate(d.satellite, satellite, sample.step));
       }
     }
     tally += cell;
-    return true;
   }
 };
 
@@ -273,9 +273,10 @@ struct RoundInputs {
   const TwoBodyPropagator* batch_propagator;
   const ScreeningConfig& config;
   const GridPipelineResult& result;
-  const CellScan& scan;
+  const CellIndexer& indexer;
+  const PairTest& test;
   /// Set for a masked screen, whose steps go through the phantom table
-  /// instead of `scan`.
+  /// instead of a cell list.
   const PhantomScan* phantom;
   /// The per-step tables: on the CPU one cell list per worker for a full
   /// screen (`grids` empty) and one phantom table per worker when masked
@@ -285,6 +286,10 @@ struct RoundInputs {
   /// With the batched kernel on the CPU, n warm-start eccentric anomalies
   /// per worker (worker w's at w * n); otherwise empty.
   std::span<double> anomalies;
+  /// On the CPU, one list per worker of the candidate keys its steps keep,
+  /// and the round's keys joined; both reused from round to round.
+  std::vector<std::vector<std::uint64_t>>& worker_keys;
+  std::vector<std::uint64_t>& round_keys;
 
   double sample_time(std::size_t step) const {
     return result.sample_time(step, config.t_begin, config.t_end);
@@ -310,14 +315,14 @@ struct RoundInputs {
   }
 };
 
-/// One attempt at a round: its funnel tallies, the seconds of its table
-/// clears, INS and CD, and whether the candidate buffer filled up.
-struct RoundAttempt {
+/// One round: its funnel tallies, the seconds of its table clears, INS and
+/// CD, and its candidate keys, each once, valid until the next round.
+struct RoundWork {
   ScanTally tally;
   double clear_seconds = 0.0;
   double insertion_seconds = 0.0;
   double detection_seconds = 0.0;
-  bool overflow = false;
+  std::span<const std::uint64_t> keys;
 };
 
 /// Satellites a masked CPU step propagates at a time.
@@ -325,13 +330,14 @@ constexpr std::size_t kChunk = 256;
 
 /// CPU, one step of a full screen through the worker's cell list:
 /// propagate every satellite and sort the step by cell (INS), then sweep
-/// the cells while the list is still in the worker's cache (CD). Every
-/// pair the sweep meets goes through the same PairTest as on the grid, so
-/// the step's candidates are exactly the grid's. `dt` and `big_e` are the
-/// warm start of RoundInputs::positions; after the build `big_e` holds
-/// every satellite's anomaly at this step. Returns false on overflow.
-bool full_step(const RoundInputs& in, CellList& list, std::size_t step, double dt,
-               double* big_e, RoundAttempt& part, Stopwatch& clock) {
+/// the cells while the list is still in the worker's cache (CD), appending
+/// the keys it keeps to `keys`. Every pair the sweep meets goes through the
+/// same PairTest as on the grid, so the step's candidates are exactly the
+/// grid's. `dt` and `big_e` are the warm start of RoundInputs::positions;
+/// after the build `big_e` holds every satellite's anomaly at this step.
+void full_step(const RoundInputs& in, CellList& list, std::size_t step, double dt,
+               double* big_e, std::vector<std::uint64_t>& keys, RoundWork& part,
+               Stopwatch& clock) {
   const std::size_t n = in.propagator.size();
   const double t = in.sample_time(step);
   list.build(n, [&](std::size_t begin, std::size_t end, Vec3* out) {
@@ -340,30 +346,33 @@ bool full_step(const RoundInputs& in, CellList& list, std::size_t step, double d
   obs::count_unprobed_inserts(n);
   part.insertion_seconds += clock.lap();
 
-  const Sample sample{static_cast<std::uint32_t>(step), t};
-  const PairTest& test = in.scan.test;
+  const auto step_key = static_cast<std::uint32_t>(step);
+  const PairTest& test = in.test;
   const auto anomaly = [big_e](std::uint32_t sat) {
     return big_e == nullptr ? nullptr : big_e + sat;
   };
-  const bool fits = list.sweep(
+  // Few pairs are kept: the append stays off the sweep's hot path.
+  list.sweep(
       [&](std::uint32_t a, const Vec3& a_position, std::uint32_t b, const Vec3& b_position) {
-        return test(a, a_position, b, b_position, sample, anomaly, part.tally);
+        if (test(a, a_position, b, b_position, t, anomaly, part.tally)) [[unlikely]] {
+          keys.push_back(pack_candidate(a, b, step_key));
+        }
       },
       part.tally.occupied);
   part.detection_seconds += clock.lap();
-  return fits;
 }
 
 /// CPU, one step of a masked screen through the worker's phantom table:
 /// clear it, register the dirty objects, then propagate every satellite
-/// chunk by chunk and look each one up. Propagation counts as INS, lookups
-/// as CD. `dt` and `big_e` are the warm start of RoundInputs::positions;
-/// `enrolled` (k entries, set with `big_e`) receives the dirty objects'
-/// anomalies at this step as they are registered, since a lookup may meet
-/// a dirty object before the chunk loop reaches it. Returns false on
-/// overflow.
-bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step, double dt,
-                  double* big_e, double* enrolled, RoundAttempt& part, Stopwatch& clock) {
+/// chunk by chunk and look each one up, appending the keys it keeps to
+/// `keys`. Propagation counts as INS, lookups as CD. `dt` and `big_e` are
+/// the warm start of RoundInputs::positions; `enrolled` (k entries, set
+/// with `big_e`) receives the dirty objects' anomalies at this step as they
+/// are registered, since a lookup may meet a dirty object before the chunk
+/// loop reaches it.
+void phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step, double dt,
+                  double* big_e, double* enrolled, std::vector<std::uint64_t>& keys,
+                  RoundWork& part, Stopwatch& clock) {
   const PhantomScan& phantom = *in.phantom;
   const std::size_t n = in.propagator.size();
   const double t = in.sample_time(step);
@@ -388,46 +397,39 @@ bool phantom_step(const RoundInputs& in, GridHashSet& table, std::size_t step, d
     in.positions(t, dt, sat0, end, positions, big_e == nullptr ? nullptr : big_e + sat0);
     part.insertion_seconds += clock.lap();
     for (std::size_t sat = sat0; sat < end; ++sat) {
-      if (!phantom.lookup(table, static_cast<std::uint32_t>(sat), positions[sat - sat0],
-                          sample, big_e == nullptr ? nullptr : big_e + sat, enrolled,
-                          part.tally)) {
-        part.detection_seconds += clock.lap();
-        return false;
-      }
+      phantom.lookup(table, static_cast<std::uint32_t>(sat), positions[sat - sat0], sample,
+                     big_e == nullptr ? nullptr : big_e + sat, enrolled, keys, part.tally);
     }
     part.detection_seconds += clock.lap();
   }
-  return true;
 }
 
-/// CPU round: each worker owns one cell list (a phantom table when masked)
-/// and the warm-start anomalies, and runs whole sample steps through them,
-/// taking the next of the round's warm_runs(steps) runs until none is left.
+/// CPU round: each worker owns one cell list (a phantom table when masked),
+/// the warm-start anomalies and a list of candidate keys, and runs whole
+/// sample steps through them, taking the next of the round's
+/// warm_runs(steps) runs until none is left. No two workers share a step,
+/// so no key is found twice; the workers' lists are joined after the round.
 /// Phase seconds are the workers' summed seconds divided by the number of
-/// workers. On overflow the workers stop, and the telemetry they counted
-/// is taken back: the caller grows the candidate buffer and re-runs the
-/// whole round.
-RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t steps) {
-  ThreadPool& pool = pool_of(in.config);
-  const std::size_t workers = in.phantom == nullptr ? in.lists.size() : in.grids.size();
+/// workers.
+RoundWork fused_round(const RoundInputs& in, std::size_t step0, std::size_t steps) {
+  const std::size_t workers = in.worker_keys.size();
   const std::size_t n = in.propagator.size();
   const std::size_t runs = warm_runs(steps);
 
-  std::vector<RoundAttempt> parts(workers);
-  std::vector<obs::TelemetrySnapshot> saved(workers);
+  std::vector<RoundWork> parts(workers);
   std::atomic<std::size_t> next{0};
-  std::atomic<bool> overflow{false};
-  pool.run_on_all([&](std::size_t w) {
+  pool_of(in.config).run_on_all([&](std::size_t w) {
     if (w >= workers) return;
-    saved[w] = obs::thread_counts();
     double* big_e = in.anomalies.empty() ? nullptr : in.anomalies.data() + w * n;
     std::vector<double> enrolled(
         big_e != nullptr && in.phantom != nullptr ? in.phantom->dirty_objects.size() : 0);
-    RoundAttempt part;
+    // Worked on locally, like the tallies, so no two workers write one
+    // cache line.
+    std::vector<std::uint64_t> keys = std::move(in.worker_keys[w]);
+    keys.clear();
+    RoundWork part;
     Stopwatch clock;
-    while (!overflow.load(std::memory_order_relaxed)) {
-      const std::size_t run = next.fetch_add(1, std::memory_order_relaxed);
-      if (run >= runs) break;
+    for (std::size_t run; (run = next.fetch_add(1, std::memory_order_relaxed)) < runs;) {
       const std::size_t first = step0 + run * steps / runs;
       const std::size_t last = step0 + (run + 1) * steps / runs;
       // Every step writes its anomalies, a run's last one included: the
@@ -435,81 +437,84 @@ RoundAttempt fused_round(const RoundInputs& in, std::size_t step0, std::size_t s
       for (std::size_t step = first; step < last; ++step) {
         const double dt =
             step == first ? 0.0 : in.sample_time(step) - in.sample_time(step - 1);
-        const bool fits =
-            in.phantom == nullptr
-                ? full_step(in, in.lists[w], step, dt, big_e, part, clock)
-                : phantom_step(in, in.grids[w], step, dt, big_e,
-                               enrolled.empty() ? nullptr : enrolled.data(), part, clock);
-        if (!fits) {
-          overflow.store(true, std::memory_order_relaxed);
-          break;
+        if (in.phantom == nullptr) {
+          full_step(in, in.lists[w], step, dt, big_e, keys, part, clock);
+        } else {
+          phantom_step(in, in.grids[w], step, dt, big_e,
+                       enrolled.empty() ? nullptr : enrolled.data(), keys, part, clock);
         }
       }
     }
     parts[w] = part;
+    in.worker_keys[w] = std::move(keys);
   });
 
-  RoundAttempt attempt;
-  attempt.overflow = overflow.load();
-  for (const RoundAttempt& part : parts) {
-    attempt.tally += part.tally;
-    attempt.clear_seconds += part.clear_seconds;
-    attempt.insertion_seconds += part.insertion_seconds;
-    attempt.detection_seconds += part.detection_seconds;
+  RoundWork round;
+  in.round_keys.clear();
+  for (std::size_t w = 0; w < workers; ++w) {
+    round.tally += parts[w].tally;
+    round.clear_seconds += parts[w].clear_seconds;
+    round.insertion_seconds += parts[w].insertion_seconds;
+    round.detection_seconds += parts[w].detection_seconds;
+    in.round_keys.insert(in.round_keys.end(), in.worker_keys[w].begin(),
+                         in.worker_keys[w].end());
   }
   const double share = 1.0 / static_cast<double>(workers);
-  attempt.clear_seconds *= share;
-  attempt.insertion_seconds *= share;
-  attempt.detection_seconds *= share;
-  if (attempt.overflow) {
-    pool.run_on_all([&](std::size_t w) {
-      if (w < workers) obs::restore_thread_counts(saved[w]);
-    });
-  }
-  return attempt;
+  round.clear_seconds *= share;
+  round.insertion_seconds *= share;
+  round.detection_seconds *= share;
+  round.keys = in.round_keys;
+  return round;
 }
 
 /// devicesim round, the paper's decomposition: one grid per step, an INS
 /// kernel with one thread per (sample, satellite) tuple, each calling
-/// position(), then a CD kernel with one thread per (sample, slot). A
-/// `rescan` after the candidate buffer grew re-runs only the CD kernel:
-/// the grids still hold the round.
-RoundAttempt device_round(const RoundInputs& in, std::size_t step0, std::size_t steps,
-                          bool rescan) {
-  RoundAttempt attempt;
+/// position(), then a CD kernel with one thread per (sample, slot) that
+/// appends to `candidates`. When the candidate buffer fills, `grow()`
+/// doubles it and the CD kernel re-runs: the grids still hold the round.
+template <class Grow>
+RoundWork device_round(const RoundInputs& in, CandidateBuffer& candidates,
+                       std::size_t step0, std::size_t steps, const Grow& grow) {
+  RoundWork round;
   const std::size_t n = in.propagator.size();
   Stopwatch watch;
-  if (!rescan) {
-    pool_of(in.config).parallel_for(steps, [&](std::size_t g) { in.grids[g].clear(); },
-                                    /*grain=*/1);
-    attempt.clear_seconds = watch.lap();
-    execute(in.config, steps * n, [&](std::size_t idx) {
-      const std::size_t local = idx / n;
-      const std::size_t sat = idx % n;
-      insert_sample(in.grids[local], in.scan.indexer, sat,
-                    in.propagator.position(sat, in.sample_time(step0 + local)));
-    });
-    attempt.insertion_seconds = watch.lap();
-  }
-
-  const std::size_t slots = in.grids.front().slot_count();
-  std::atomic<bool> overflow{false};
-  std::mutex tally_mutex;
-  execute(in.config, steps * slots, [&](std::size_t idx) {
-    const std::size_t local = idx / slots;
-    const Sample sample{static_cast<std::uint32_t>(step0 + local),
-                        in.sample_time(step0 + local)};
-    ScanTally cell;
-    const bool fits = in.scan(in.grids[local], idx % slots, sample, cell);
-    if (!fits) overflow.store(true, std::memory_order_relaxed);
-    if (cell.occupied != 0 && obs::enabled()) {
-      const std::lock_guard<std::mutex> lock(tally_mutex);
-      attempt.tally += cell;
-    }
+  pool_of(in.config).parallel_for(steps, [&](std::size_t g) { in.grids[g].clear(); },
+                                  /*grain=*/1);
+  round.clear_seconds = watch.lap();
+  execute(in.config, steps * n, [&](std::size_t idx) {
+    const std::size_t local = idx / n;
+    const std::size_t sat = idx % n;
+    insert_sample(in.grids[local], in.indexer, sat,
+                  in.propagator.position(sat, in.sample_time(step0 + local)));
   });
-  attempt.detection_seconds = watch.lap();
-  attempt.overflow = overflow.load();
-  return attempt;
+  round.insertion_seconds = watch.lap();
+
+  const CellScan scan{cell_half_neighborhood(in.indexer), in.test, candidates};
+  const std::size_t slots = in.grids.front().slot_count();
+  for (bool full = true; full;) {
+    candidates.clear();
+    round.tally = {};
+    std::atomic<bool> overflow{false};
+    std::mutex tally_mutex;
+    execute(in.config, steps * slots, [&](std::size_t idx) {
+      const std::size_t local = idx / slots;
+      const Sample sample{static_cast<std::uint32_t>(step0 + local),
+                          in.sample_time(step0 + local)};
+      ScanTally cell;
+      if (!scan(in.grids[local], idx % slots, sample, cell)) {
+        overflow.store(true, std::memory_order_relaxed);
+      }
+      if (cell.occupied != 0 && obs::enabled()) {
+        const std::lock_guard<std::mutex> lock(tally_mutex);
+        round.tally += cell;
+      }
+    });
+    round.detection_seconds += watch.lap();
+    full = overflow.load();
+    if (full) grow();
+  }
+  round.keys = candidates.keys();
+  return round;
 }
 
 }  // namespace
@@ -617,11 +622,12 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   const std::size_t p = result.plan.parallel_samples;
   const std::size_t total_steps = result.plan.total_samples;
 
-  // Step 1 (allocation): the per-step tables, the candidate buffer, and
+  // Step 1 (allocation): the per-step tables, the candidate storage, and
   // the per-satellite speed bounds used by the distance prefilter.
-  // devicesim holds one grid per step of a round (p); on the CPU each
-  // worker owns one cell list (phantom table when masked) and, with the
-  // batched kernel, n warm-start anomalies, so min(p, workers) of each are
+  // devicesim holds one grid per step of a round (p) and the paper's
+  // candidate buffer; on the CPU each worker owns one cell list (phantom
+  // table when masked), a list of candidate keys and, with the batched
+  // kernel, n warm-start anomalies, so min(p, workers) of each are
   // enough. Every hash table is cleared before a step is inserted into it;
   // a cell list is simply rebuilt.
   const std::size_t table_count =
@@ -639,98 +645,95 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   }
   std::vector<double> anomalies(batch_propagator != nullptr ? table_count * n : 0);
   result.grid_memory_bytes += anomalies.size() * sizeof(double);
-  CandidateBuffer candidates(request.candidate_capacity);
+  std::vector<std::vector<std::uint64_t>> worker_keys(device != nullptr ? 0 : table_count);
+  std::vector<std::uint64_t> round_keys;
 
   std::vector<double> vmax(n);
   pool_of(config).parallel_for(n, [&](std::size_t i) {
     vmax[i] = max_speed(propagator.elements(i));
   });
 
-  result.candidate_memory_bytes = candidates.memory_bytes();
-
   // Device mode: account the fixed data, grids and candidate buffer against
   // the simulated device memory and model the upload of the propagation
   // cache (the paper reports ~3% of GPU time in allocation + transfers).
+  // The buffer grows when a round fills it; the plan reserved no device
+  // memory for that.
+  std::optional<CandidateBuffer> candidates;
   std::optional<DeviceBuffer<std::byte>> dev_fixed, dev_grids, dev_cands;
   if (device != nullptr) {
     const std::size_t fixed = n * (kSatelliteBytes + kKeplerCacheBytes);
     dev_fixed = device->alloc<std::byte>(fixed);
     simulate_upload(*device, *dev_fixed, fixed);
     dev_grids = device->alloc<std::byte>(result.grid_memory_bytes);
-    dev_cands = device->alloc<std::byte>(result.candidate_memory_bytes);
+    candidates.emplace(request.candidate_capacity);
+    dev_cands = device->alloc<std::byte>(candidates->memory_bytes());
   }
+  const auto grow = [&] {
+    candidates->grow();
+    ++result.candidate_set_growths;
+    obs::count(obs::Counter::kCandidateSetGrowths);
+    dev_cands.reset();  // release before re-accounting the doubled buffer
+    if (candidates->memory_bytes() > device->memory_free()) {
+      throw MemoryBudgetExceeded(
+          "run_grid_pipeline: the grown candidate buffer needs " +
+          std::to_string(candidates->memory_bytes()) + " B of device memory, " +
+          std::to_string(device->memory_free()) + " B free");
+    }
+    dev_cands = device->alloc<std::byte>(candidates->memory_bytes());
+  };
 
   result.allocation_seconds = alloc_watch.seconds();
 
-  const PairTest test{candidates,         propagator,        batch_propagator,
-                      vmax.data(),        config.threshold_km, 0.5 * result.sample_period,
-                      result.cell_size,   config.t_begin,    config.t_end};
-  const CellScan scan{indexer, cell_half_neighborhood(indexer), test};
+  const PairTest test{propagator,       batch_propagator, vmax.data(),
+                      config.threshold_km, 0.5 * result.sample_period, result.cell_size,
+                      config.t_begin,   config.t_end};
   const PhantomScan phantom{indexer, test, options.dirty_mask.data(), dirty_objects};
-  const RoundInputs inputs{propagator, batch_propagator, config, result, scan,
-                           masked ? &phantom : nullptr, grids, lists, anomalies};
+  const RoundInputs inputs{propagator, batch_propagator, config,  result,
+                           indexer,    test,             masked ? &phantom : nullptr,
+                           grids,      lists,            anomalies, worker_keys,
+                           round_keys};
   // Per step, a CPU full screen sweeps its n list entries, a masked one
   // looks up each of the n satellites once, and a devicesim full screen
   // scans every slot of its grid.
   const std::size_t scanned_per_step = cell_lists || masked ? n : grids.front().slot_count();
 
-  // Step 2 (INS + CD), round by round. A round that fills the candidate
-  // buffer is retried on a grown, empty buffer, and the retry inserts every
-  // candidate of the round again. Funnel tallies are committed only for
-  // the attempt that completed, which keeps the conservation invariant
-  // (tested == prefiltered + reach_rejected + emitted; no clean-clean pair
-  // is ever tested, so kPairsMaskedClean stays 0) exact.
+  // Step 2 (INS + CD), round by round. Each round's keys go to the sink,
+  // then the storage is reused for the next round; a (pair, step) key can
+  // only be produced by the round owning that step. The funnel tallies
+  // keep the conservation invariant (tested == prefiltered +
+  // reach_rejected + emitted; no clean-clean pair is ever tested, so
+  // kPairsMaskedClean stays 0) exact: devicesim counts only the CD run
+  // that fitted its buffer.
+  std::size_t largest_round = 0;
   for (std::size_t round = 0; round < result.plan.rounds; ++round) {
     const std::size_t step0 = round * p;
     const std::size_t steps = std::min(p, total_steps - step0);
-    for (bool retry = false;; retry = true) {
-      const RoundAttempt attempt = device == nullptr
-                                       ? fused_round(inputs, step0, steps)
-                                       : device_round(inputs, step0, steps, retry);
-      result.allocation_seconds += attempt.clear_seconds;
-      result.insertion_seconds += attempt.insertion_seconds;
-      result.detection_seconds += attempt.detection_seconds;
-      obs::add_seconds(obs::Counter::kTimeInsertionNs, attempt.insertion_seconds);
-      obs::add_seconds(obs::Counter::kTimeDetectionNs, attempt.detection_seconds);
-      if (!attempt.overflow) {
-        if (obs::enabled()) {
-          const ScanTally& tally = attempt.tally;
-          obs::count(obs::Counter::kSamplesPropagated, steps * n);
-          obs::count(obs::Counter::kCellsScanned, steps * scanned_per_step);
-          obs::count(obs::Counter::kCellsOccupied, tally.occupied);
-          obs::count(obs::Counter::kPairsTested, tally.tested);
-          obs::count(obs::Counter::kPairsPrefiltered, tally.prefiltered);
-          obs::count(obs::Counter::kPairsReachRejected, tally.reach_rejected);
-          obs::count(obs::Counter::kCandidatesEmitted, tally.emitted);
-        }
-        break;
-      }
-      candidates.grow();
-      ++result.candidate_set_growths;
-      obs::count(obs::Counter::kCandidateSetGrowths);
-      if (device != nullptr) {
-        dev_cands.reset();  // release before re-accounting the doubled buffer
-        // The plan reserved no device memory for a grow.
-        if (candidates.memory_bytes() > device->memory_free()) {
-          throw MemoryBudgetExceeded(
-              "run_grid_pipeline: the grown candidate buffer needs " +
-              std::to_string(candidates.memory_bytes()) + " B of device memory, " +
-              std::to_string(device->memory_free()) + " B free");
-        }
-        dev_cands = device->alloc<std::byte>(candidates.memory_bytes());
-      }
+    const RoundWork work = device == nullptr
+                               ? fused_round(inputs, step0, steps)
+                               : device_round(inputs, *candidates, step0, steps, grow);
+    result.allocation_seconds += work.clear_seconds;
+    result.insertion_seconds += work.insertion_seconds;
+    result.detection_seconds += work.detection_seconds;
+    obs::add_seconds(obs::Counter::kTimeInsertionNs, work.insertion_seconds);
+    obs::add_seconds(obs::Counter::kTimeDetectionNs, work.detection_seconds);
+    if (obs::enabled()) {
+      obs::count(obs::Counter::kSamplesPropagated, steps * n);
+      obs::count(obs::Counter::kCellsScanned, steps * scanned_per_step);
+      obs::count(obs::Counter::kCellsOccupied, work.tally.occupied);
+      obs::count(obs::Counter::kPairsTested, work.tally.tested);
+      obs::count(obs::Counter::kPairsPrefiltered, work.tally.prefiltered);
+      obs::count(obs::Counter::kPairsReachRejected, work.tally.reach_rejected);
+      obs::count(obs::Counter::kCandidatesEmitted, work.tally.emitted);
     }
-
-    // Hand this round's candidates over and recycle the buffer for the
-    // next round; a (pair, step) key can only be produced by the round
-    // owning that step.
-    const std::span<const std::uint64_t> keys = candidates.keys();
-    result.total_candidates += keys.size();
-    sink(round, keys, result);
-    candidates.clear();
+    result.total_candidates += work.keys.size();
+    largest_round = std::max(largest_round, work.keys.size());
+    sink(round, work.keys, result);
   }
 
-  result.candidate_memory_bytes = candidates.memory_bytes();
+  // On the CPU the largest round's keys were held twice: in the workers'
+  // lists and joined.
+  result.candidate_memory_bytes = candidates ? candidates->memory_bytes()
+                                             : 2 * largest_round * sizeof(std::uint64_t);
   return result;
 }
 

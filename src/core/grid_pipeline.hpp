@@ -68,8 +68,13 @@ struct GridPipelineResult {
   double cell_size = 0.0;            ///< g_c [km]
   double sample_period = 0.0;        ///< s_ps actually used (auto-adjusted)
   SizingPlan plan;
+  /// devicesim only: how often a round filled the candidate buffer, which
+  /// then doubled. The CPU's per-worker key lists never fill.
   std::size_t candidate_set_growths = 0;
   std::uint64_t grid_memory_bytes = 0;
+  /// The candidate-key storage the screen held: on the CPU the largest
+  /// round's keys twice (in the workers' lists and joined for the sink),
+  /// on devicesim the candidate buffer's final capacity.
   std::uint64_t candidate_memory_bytes = 0;
   double allocation_seconds = 0.0;
   double insertion_seconds = 0.0;
@@ -93,8 +98,9 @@ inline ScreeningConfig with_sample_period(ScreeningConfig config, double fallbac
 /// (pair, step) keys (pack_candidate) detected in that round, each once and
 /// in no particular order, and the pipeline result as populated so far
 /// (cell_size, sample_period and plan are final before the first round).
-/// The keys are a view of the candidate buffer, valid only during the
-/// call: the buffer is cleared for the next round when the sink returns. A
+/// The keys are a view of the round's candidate storage (the CPU workers'
+/// lists joined, or devicesim's candidate buffer), valid only during the
+/// call: the storage is reused for the next round when the sink returns. A
 /// (pair, step) key can only occur in the round owning that step, so the
 /// rounds together hold exactly the candidates of the whole span.
 using GridRoundSink = std::function<void(
@@ -111,10 +117,10 @@ class MemoryBudgetExceeded : public std::runtime_error {
 };
 
 /// Runs the grid front-end over the whole span at config.seconds_per_sample
-/// (must be > 0): sizes the candidate buffer from `count_model` (Eq. 3 for
-/// grid, Eq. 4 for hybrid; under a dirty mask scaled by the share of pairs
-/// with a dirty member, 1 - (1 - k/n)^2) and plans the sample parallelism p from the
-/// memory budget (device memory when config.device is set), charging the
+/// (must be > 0): reserves the candidate memory a_ch from `count_model`
+/// (Eq. 3 for grid, Eq. 4 for hybrid; under a dirty mask scaled by the
+/// share of pairs with a dirty member, 1 - (1 - k/n)^2) and plans the
+/// sample parallelism p from the memory budget (device memory when config.device is set), charging the
 /// detection table each step actually uses: an n-entry cell list on the
 /// CPU, an n-entry grid on devicesim, or a 27k-entry phantom table under a
 /// dirty mask of k objects. It then screens the steps in rounds of p: each
@@ -123,14 +129,12 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// prefilter and the reach test (out_of_reach, pca/refine.hpp, on the
 /// pair's states at the sample: from the step's solved anomalies on the
 /// CPU with a TwoBodyPropagator, from state() elsewhere, skipped when the
-/// pair's max_acceleration is infinite) is appended to the lock-free
-/// candidate buffer (a masked step
-/// registers the dirty objects and looks every satellite up instead; see
-/// GridPipelineOptions::dirty_mask). If the count model proves too small,
-/// the buffer grows and the round is re-run. After every round the buffer
-/// is handed to `sink` (the sink is called once per round, in round
-/// order) and cleared for the next round, so memory stays bounded by one
-/// round's candidates regardless of the span length.
+/// pair's max_acceleration is infinite) is kept as a candidate (a masked
+/// step registers the dirty objects and looks every satellite up instead;
+/// see GridPipelineOptions::dirty_mask). After every round its candidates
+/// are handed to `sink` (the sink is called once per round, in round
+/// order) and their storage is reused for the next round, so memory stays
+/// bounded by one round's candidates regardless of the span length.
 ///
 /// The two backends share the cell key and the pair test but not their
 /// detection structure or execution shape:
@@ -139,15 +143,20 @@ class MemoryBudgetExceeded : public std::runtime_error {
 ///    step, propagates every satellite into its list and sorts it by cell
 ///    (INS), and sweeps the list while it is still in its cache (CD); under
 ///    a mask it clears a phantom table, registers the dirty objects, then
-///    propagates the satellites chunk by chunk and looks each one up. A
+///    propagates the satellites chunk by chunk and looks each one up. Each
+///    worker appends the keys it keeps to its own list, which cannot fill;
+///    the lists are joined after the round. A
 ///    TwoBodyPropagator goes through the batched SoA kernel, cold on a
 ///    run's first step and warm-started on the others (each worker keeps n
 ///    anomalies), any other propagator through position(). A round with
 ///    fewer runs than workers leaves the surplus workers idle.
 ///  - devicesim: the paper's decomposition, p hash grids and per round one
 ///    INS kernel (a thread per (sample, satellite) tuple, position() each)
-///    and one CD kernel (a thread per (sample, slot)). It screens full
-///    screens only: a masked screen runs on the CPU.
+///    and one CD kernel (a thread per (sample, slot)) appending to the
+///    lock-free candidate buffer, the paper's conjunction hash map, sized
+///    from the count model. If the model proves too small, the buffer
+///    doubles and the CD kernel re-runs. It screens full screens only: a
+///    masked screen runs on the CPU.
 /// Positions, candidates and reports are bit-identical across thread
 /// counts. Across backends and round shapes they are bit-identical except
 /// for the warm-started CPU positions and states, which depend on where

@@ -33,10 +33,12 @@ struct ConjunctionCountModel {
 /// The sizing rule around the model: "we ensure that at least 10,000
 /// elements fit into the conjunction hash map ... we double the hash map
 /// size again" (one factor of two; the paper's second factor is slot-table
-/// headroom for hashing, which the append-only CandidateBuffer does not
-/// need). `pair_share` scales the prediction to a screen that tests only
-/// that share of the population's pairs (a masked re-screen); the floor
-/// applies after scaling.
+/// headroom for hashing, which an append-only store does not need). The
+/// capacity is the candidate memory a_ch the sizing plan reserves and the
+/// initial size of devicesim's CandidateBuffer; the CPU's per-worker key
+/// lists hold whatever a round keeps. `pair_share` scales the prediction
+/// to a screen that tests only that share of the population's pairs (a
+/// masked re-screen); the floor applies after scaling.
 std::size_t candidate_capacity_from_model(const ConjunctionCountModel& model,
                                           double satellites, double seconds_per_sample,
                                           double span_seconds, double threshold_km,

@@ -150,24 +150,6 @@ TelemetrySnapshot snapshot() {
   return snap;
 }
 
-TelemetrySnapshot thread_counts() {
-  const detail::ThreadBlock& block = detail::local_block();
-  TelemetrySnapshot snap;
-  for (std::size_t i = 0; i < kCounterCount; ++i)
-    snap.counters[i] = block.counters[i].load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kProbeHistogramBuckets; ++i)
-    snap.probe_histogram[i] = block.probes[i].load(std::memory_order_relaxed);
-  return snap;
-}
-
-void restore_thread_counts(const TelemetrySnapshot& saved) {
-  detail::ThreadBlock& block = detail::local_block();
-  for (std::size_t i = 0; i < kCounterCount; ++i)
-    block.counters[i].store(saved.counters[i], std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kProbeHistogramBuckets; ++i)
-    block.probes[i].store(saved.probe_histogram[i], std::memory_order_relaxed);
-}
-
 #endif  // SCOD_TELEMETRY_ENABLED
 
 }  // namespace scod::obs

@@ -48,8 +48,9 @@ enum class Counter : std::uint32_t {
   kPairsReachRejected,
   kCandidatesEmitted,
   // Always 0: the half-stencil scan emits each (pair, step) once and the
-  // candidate buffer does not deduplicate. Kept for its readers.
+  // candidate storage does not deduplicate. Kept for its readers.
   kCandidatesDeduplicated,
+  // devicesim only: the CPU workers' key lists never fill.
   kCandidateSetGrowths,
   // Classical filter chain (hybrid / legacy front end).
   kFilterPairsIn,
@@ -142,13 +143,6 @@ void set_enabled(bool on);
 void reset();
 TelemetrySnapshot snapshot();
 
-// The calling thread's own counters, and their restoration: work that is
-// thrown away and redone (a grid round re-run after the candidate buffer grew)
-// takes back what each of its threads counted since thread_counts(), so
-// every counter describes the work that was kept.
-TelemetrySnapshot thread_counts();
-void restore_thread_counts(const TelemetrySnapshot& saved);
-
 inline void count(Counter c, std::uint64_t n = 1) {
   if (!enabled()) return;
   detail::local_block().bump(static_cast<std::size_t>(c), n);
@@ -195,8 +189,6 @@ inline constexpr bool enabled() { return false; }
 inline void set_enabled(bool) {}
 inline void reset() {}
 inline TelemetrySnapshot snapshot() { return {}; }
-inline TelemetrySnapshot thread_counts() { return {}; }
-inline void restore_thread_counts(const TelemetrySnapshot&) {}
 inline void count(Counter, std::uint64_t = 1) {}
 inline void count_grid_insert(std::uint64_t, std::uint64_t) {}
 inline void count_unprobed_inserts(std::uint64_t) {}

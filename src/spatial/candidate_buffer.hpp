@@ -28,11 +28,14 @@ std::uint64_t pack_candidate(std::uint32_t sat_a, std::uint32_t sat_b, std::uint
 Candidate unpack_candidate(std::uint64_t key);
 
 /// Lock-free append buffer of candidate keys, standing in for the paper's
-/// "conjunction hash map" (Section IV-A3). The map deduplicates because a
-/// 26-neighbour scan finds every (pair, step) twice; the half-stencil scan
-/// emits each once, so appending is enough. Sized up-front from the
-/// Extra-P model (Eqs. 3-4); the screener grows it and re-runs the round
-/// if the population produces more candidates than the model predicted.
+/// "conjunction hash map" (Section IV-A3) on devicesim, where thousands of
+/// threads share one fixed-size table in device memory. (The CPU's workers
+/// each own whole sample steps and append to their own key lists.) The map
+/// deduplicates because a 26-neighbour scan finds every (pair, step)
+/// twice; the half-stencil scan emits each once, so appending is enough.
+/// Sized up-front from the Extra-P model (Eqs. 3-4); the pipeline grows it
+/// and re-runs the round's CD kernel if the population produces more
+/// candidates than the model predicted.
 class CandidateBuffer {
  public:
   enum class Insert { kInserted, kFull };

@@ -56,11 +56,10 @@ class CellList {
   /// paired with itself, with key k + 1 (offset (1, 0, 0)) and with the
   /// rows (dy, dz) = (1, 0), (-1, 1), (0, 1), (1, 1), each the key range
   /// [k' - 1, k' + 1] read from a cursor that only moves forward: the 13
-  /// forward offsets of cell_half_neighborhood(). Stops and returns false
-  /// as soon as `visit` returns false. Adds the number of occupied cells
-  /// (runs of equal keys) swept to `cells`.
+  /// forward offsets of cell_half_neighborhood(). Adds the number of
+  /// occupied cells (runs of equal keys) swept to `cells`.
   template <class Visit>
-  bool sweep(Visit&& visit, std::uint64_t& cells) const {
+  void sweep(Visit&& visit, std::uint64_t& cells) const {
     // key[n] is the sentinel, above every cell key: no scan runs past it.
     const std::uint64_t* key = keys_.data();
     const std::uint32_t* sat = satellites_.data();
@@ -76,10 +75,9 @@ class CellList {
                                std::size_t b1) {
       for (std::size_t a = a0; a < a1; ++a) {
         for (std::size_t b = b0; b < b1; ++b) {
-          if (!visit(sat[a], positions_[sat[a]], sat[b], positions_[sat[b]])) return false;
+          visit(sat[a], positions_[sat[a]], sat[b], positions_[sat[b]]);
         }
       }
-      return true;
     };
 
     for (std::size_t i = 0; i < n;) {
@@ -87,12 +85,10 @@ class CellList {
       std::size_t j = i + 1;
       while (key[j] == k) ++j;
       ++cells;
-      for (std::size_t a = i; a + 1 < j; ++a) {
-        if (!pair_runs(a, a + 1, a + 1, j)) return false;
-      }
+      for (std::size_t a = i; a + 1 < j; ++a) pair_runs(a, a + 1, a + 1, j);
       std::size_t next_end = j;
       while (key[next_end] == k + 1) ++next_end;
-      if (!pair_runs(i, j, j, next_end)) return false;
+      pair_runs(i, j, j, next_end);
       for (std::size_t r = 0; r < 4; ++r) {
         const std::uint64_t first = k + rows[r] - 1, last = k + rows[r] + 1;
         // A row start mostly moves by zero to two entries per cell: two
@@ -105,11 +101,10 @@ class CellList {
         while (key[e] <= last) ++e;
         begin[r] = b;
         end[r] = e;
-        if (!pair_runs(i, j, b, e)) return false;
+        pair_runs(i, j, b, e);
       }
       i = j;
     }
-    return true;
   }
 
   /// Number of satellites of the last build().

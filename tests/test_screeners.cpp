@@ -523,45 +523,58 @@ TEST(Screeners, SecondsPerSampleOverrideIsHonored) {
 
 TEST(Screeners, CandidateSetGrowthPathIsCorrect) {
   // A debris cloud is so dense that candidate counts blow through a
-  // near-zero model's floor capacity, forcing the grow-and-retry path; the
-  // re-scan after each grow must leave exactly the candidates of a run
-  // that was reference generously from the start. At d = 20 km most of
-  // the cloud's pairs stay within reach for much of the span.
+  // near-zero model's floor capacity. On the CPU every worker keeps its own
+  // key list, so nothing grows; devicesim's candidate buffer grows and its
+  // CD kernel re-runs. Either way the candidates must be exactly those of
+  // a run sized generously from the start. At d = 20 km most of the
+  // cloud's pairs stay within reach for much of the span.
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
   const ContourKeplerSolver solver;
   const TwoBodyPropagator propagator(cloud, solver);
 
-  ScreeningConfig cfg;
-  cfg.threshold_km = 20.0;
-  cfg.t_end = 600.0;
-  cfg.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
+  ScreeningConfig base;
+  base.threshold_km = 20.0;
+  base.t_end = 600.0;
+  base.seconds_per_sample = GridScreener::kDefaultSecondsPerSample;
 
   ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
   tiny.coefficient = 1e-20;  // the 20 000-candidate floor
   ConjunctionCountModel roomy = ConjunctionCountModel::paper_grid();
   roomy.coefficient *= 1e6;  // far above what the cloud produces
 
-  const auto sorted_candidates = [&](const ConjunctionCountModel& model,
-                                     std::size_t& growths) {
-    GridPipelineResult result;
-    std::vector<Candidate> c =
-        testutil::pipeline_candidates(propagator, cfg, model, {}, result);
-    growths = result.candidate_set_growths;
-    return c;
-  };
-  std::size_t forced_growths = 0, roomy_growths = 0;
-  const std::vector<Candidate> forced = sorted_candidates(tiny, forced_growths);
-  const std::vector<Candidate> reference = sorted_candidates(roomy, roomy_growths);
+  ThreadPool one(1), four(4);
+  Device device(DeviceProperties{}, &four);
+  for (const std::size_t threads : {1u, 4u, 0u}) {  // 0: devicesim
+    const std::string label = threads == 0 ? "devicesim" : std::to_string(threads) + " threads";
+    ScreeningConfig cfg = base;
+    cfg.pool = threads == 1 ? &one : &four;
+    if (threads == 0) cfg.device = &device;
+    const auto sorted_candidates = [&](const ConjunctionCountModel& model,
+                                       std::size_t& growths) {
+      GridPipelineResult result;
+      std::vector<Candidate> c =
+          testutil::pipeline_candidates(propagator, cfg, model, {}, result);
+      growths = result.candidate_set_growths;
+      return c;
+    };
+    std::size_t forced_growths = 0, roomy_growths = 0;
+    const std::vector<Candidate> forced = sorted_candidates(tiny, forced_growths);
+    const std::vector<Candidate> reference = sorted_candidates(roomy, roomy_growths);
 
-  EXPECT_GT(forced_growths, 0u);
-  EXPECT_EQ(roomy_growths, 0u);
-  ASSERT_GT(reference.size(), 0u);
-  ASSERT_EQ(forced.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(forced[i].sat_a, reference[i].sat_a) << i;
-    EXPECT_EQ(forced[i].sat_b, reference[i].sat_b) << i;
-    EXPECT_EQ(forced[i].step, reference[i].step) << i;
+    if (threads == 0) {
+      EXPECT_GT(forced_growths, 0u) << label;
+    } else {
+      EXPECT_EQ(forced_growths, 0u) << label;
+    }
+    EXPECT_EQ(roomy_growths, 0u) << label;
+    ASSERT_GT(reference.size(), 20000u) << label;
+    ASSERT_EQ(forced.size(), reference.size()) << label;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(std::tie(forced[i].sat_a, forced[i].sat_b, forced[i].step),
+                std::tie(reference[i].sat_a, reference[i].sat_b, reference[i].step))
+          << label << " #" << i;
+    }
   }
 }
 
@@ -606,9 +619,10 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   // always solves cold.) Covered: the batched kernel (kepler), the
   // position() loop (j2), a dirty-mask screen through either (its phantom
   // registration and lookup, on the CPU only: a masked screen refuses a
-  // device), and forced candidate-buffer grows, where the CPU path re-runs
-  // whole rounds, with and without a mask. The masked screen through
-  // position() must also match the batched one exactly.
+  // device), and the floor count model, under which devicesim's candidate
+  // buffer grows while the CPU workers' key lists never fill, with and
+  // without a mask. The masked screen through position() must also match
+  // the batched one exactly.
   auto sats = dense_shell(60, 0xF05E);
   Rng rng(0xF00D);
   for (std::uint32_t k = 0; k < 4; ++k) {
@@ -757,11 +771,11 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
         EXPECT_EQ(out.grid_memory_bytes, held * per_grid) << label;
         if (!shape_reference) shape_reference = out;
         EXPECT_EQ(out.rounds, shape_reference->rounds) << label;
-        // The set is cleared between rounds, so how often it grows depends
-        // on the round shape, never on threads or backend. Rounds of 300
-        // steps and more overflow the cloud's floor capacity.
-        EXPECT_EQ(out.growths, shape_reference->growths) << label;
-        if (c.grow && out.rounds <= 2) {
+        // Only devicesim's candidate buffer grows; it runs the grow cases
+        // in one round, which overflows the cloud's floor capacity.
+        if (pool != nullptr) {
+          EXPECT_EQ(out.growths, 0u) << label;
+        } else if (c.grow) {
           EXPECT_GT(out.growths, 0u) << label;
         }
         if (!reference) reference = out;

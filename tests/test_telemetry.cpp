@@ -170,33 +170,54 @@ TEST_F(Telemetry, GridOccupancyMatchesEq1Sizing) {
 
 // The classical filter chain is conservative too: every pair entering it
 // is rejected by exactly one filter or survives to refinement.
-// A round that fills the candidate buffer is re-run on the CPU, propagation
-// and insertion included (devicesim re-runs only its CD kernel). The
-// re-run's counts replace the discarded attempt's, so the insertion and
-// funnel invariants stay exact on both backends.
+// The floor count model reserves far fewer candidates than a dense debris
+// cloud produces. On the CPU nothing grows: each worker keeps its own key
+// list. devicesim's candidate buffer grows and only its CD kernel re-runs,
+// whose funnel counts replace the discarded run's. Either way every counter
+// equals a roomy model's screen, and the insertion and funnel invariants
+// stay exact.
 TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
   const ContourKeplerSolver solver;
   const TwoBodyPropagator propagator(cloud, solver);
   ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
-  tiny.coefficient = 1e-20;  // the 20 000-candidate floor: the cloud grows it
+  tiny.coefficient = 1e-20;  // the 20 000-candidate floor: the cloud outgrows it
+  ConjunctionCountModel roomy = ConjunctionCountModel::paper_grid();
+  roomy.coefficient *= 1e6;  // far above what the cloud produces
 
   ThreadPool four(4);
   Device device(DeviceProperties{}, &four);
   for (const std::size_t threads : {1u, 4u, 0u}) {  // 0: devicesim
-    obs::reset();
     ThreadPool pool(std::max<std::size_t>(threads, 1));
     // At d = 20 km most of the cloud's pairs stay within reach.
     ScreeningConfig cfg = config(20.0, 600.0, 4.0);
     cfg.pool = &pool;
     if (threads == 0) cfg.device = &device;
-    const GridPipelineResult result = run_grid_pipeline(
-        propagator, cfg, tiny, {},
-        [](std::size_t, std::span<const std::uint64_t>, const GridPipelineResult&) {});
-    ASSERT_GT(result.candidate_set_growths, 0u) << threads;
+    const auto counted = [&](const ConjunctionCountModel& model, GridPipelineResult& result) {
+      obs::reset();
+      result = run_grid_pipeline(
+          propagator, cfg, model, {},
+          [](std::size_t, std::span<const std::uint64_t>, const GridPipelineResult&) {});
+      return obs::snapshot();
+    };
+    GridPipelineResult result, roomy_result;
+    const obs::TelemetrySnapshot roomy_snap = counted(roomy, roomy_result);
+    const obs::TelemetrySnapshot snap = counted(tiny, result);
+    if (threads == 0) {
+      ASSERT_GT(result.candidate_set_growths, 0u);
+    } else {
+      EXPECT_EQ(result.candidate_set_growths, 0u) << threads;
+    }
+    EXPECT_EQ(roomy_result.candidate_set_growths, 0u) << threads;
+    EXPECT_EQ(result.total_candidates, roomy_result.total_candidates) << threads;
+    for (const Counter c :
+         {Counter::kSamplesPropagated, Counter::kGridInserts, Counter::kCellsScanned,
+          Counter::kCellsOccupied, Counter::kPairsTested, Counter::kPairsPrefiltered,
+          Counter::kPairsReachRejected, Counter::kCandidatesEmitted}) {
+      EXPECT_EQ(snap.value(c), roomy_snap.value(c)) << obs::counter_name(c) << " " << threads;
+    }
 
-    const obs::TelemetrySnapshot snap = obs::snapshot();
     const std::uint64_t samples = snap.value(Counter::kSamplesPropagated);
     EXPECT_EQ(samples, result.plan.total_samples * cloud.size()) << threads;
     EXPECT_EQ(snap.value(Counter::kGridInserts), samples) << threads;
@@ -222,15 +243,18 @@ TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
 }
 
 // A masked screen registers 27 phantoms per dirty object and step and
-// looks every object up once per step; no clean-clean pair is tested. The
-// counts hold across a grown round's re-run on both backends.
+// looks every object up once per step; no clean-clean pair is tested.
+// Under the floor count model its workers' key lists hold more candidates
+// than the model reserved, and the counts equal a roomy model's screen.
 TEST_F(Telemetry, MaskedScreenCountsPhantomWork) {
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
   const ContourKeplerSolver solver;
   const TwoBodyPropagator propagator(cloud, solver);
   ConjunctionCountModel tiny = ConjunctionCountModel::paper_grid();
-  tiny.coefficient = 1e-20;  // the 20 000-candidate floor: the cloud grows it
+  tiny.coefficient = 1e-20;  // the 20 000-candidate floor: the cloud outgrows it
+  ConjunctionCountModel roomy = ConjunctionCountModel::paper_grid();
+  roomy.coefficient *= 1e6;  // far above what the cloud produces
   std::vector<std::uint8_t> mask(cloud.size(), 1);
   for (std::size_t i = 0; i < mask.size(); i += 3) mask[i] = 0;
   const std::uint64_t dirty = std::count(mask.begin(), mask.end(), 1);
@@ -239,16 +263,29 @@ TEST_F(Telemetry, MaskedScreenCountsPhantomWork) {
 
   ThreadPool one(1), four(4);
   for (const int threads : {1, 4}) {
-    obs::reset();
     // At d = 20 km most of the cloud's pairs stay within reach.
     ScreeningConfig cfg = config(20.0, 600.0, 4.0);
     cfg.pool = threads == 1 ? &one : &four;
-    const GridPipelineResult result = run_grid_pipeline(
-        propagator, cfg, tiny, options,
-        [](std::size_t, std::span<const std::uint64_t>, const GridPipelineResult&) {});
-    ASSERT_GT(result.candidate_set_growths, 0u) << threads;
+    const auto counted = [&](const ConjunctionCountModel& model, GridPipelineResult& result) {
+      obs::reset();
+      result = run_grid_pipeline(
+          propagator, cfg, model, options,
+          [](std::size_t, std::span<const std::uint64_t>, const GridPipelineResult&) {});
+      return obs::snapshot();
+    };
+    GridPipelineResult result, roomy_result;
+    const obs::TelemetrySnapshot roomy_snap = counted(roomy, roomy_result);
+    const obs::TelemetrySnapshot snap = counted(tiny, result);
+    EXPECT_GT(result.total_candidates, 20000u) << threads;
+    EXPECT_EQ(result.candidate_set_growths, 0u) << threads;
+    EXPECT_EQ(result.total_candidates, roomy_result.total_candidates) << threads;
+    for (const Counter c :
+         {Counter::kSamplesPropagated, Counter::kGridInserts, Counter::kCellsScanned,
+          Counter::kCellsOccupied, Counter::kPairsTested, Counter::kPairsPrefiltered,
+          Counter::kPairsReachRejected, Counter::kCandidatesEmitted}) {
+      EXPECT_EQ(snap.value(c), roomy_snap.value(c)) << obs::counter_name(c) << " " << threads;
+    }
 
-    const obs::TelemetrySnapshot snap = obs::snapshot();
     const std::uint64_t steps = result.plan.total_samples;
     EXPECT_EQ(snap.value(Counter::kSamplesPropagated), steps * cloud.size()) << threads;
     EXPECT_EQ(snap.value(Counter::kGridInserts), steps * 27 * dirty) << threads;
