@@ -23,10 +23,9 @@ ConjunctionCountModel ConjunctionCountModel::paper_hybrid() {
 
 std::size_t candidate_capacity_from_model(const ConjunctionCountModel& model,
                                           double satellites, double seconds_per_sample,
-                                          double span_seconds, double threshold_km,
-                                          double pair_share) {
-  const double predicted = pair_share * model.predict(satellites, seconds_per_sample,
-                                                      span_seconds, threshold_km);
+                                          double span_seconds, double threshold_km) {
+  const double predicted =
+      model.predict(satellites, seconds_per_sample, span_seconds, threshold_km);
   const double base = std::max(predicted, 10000.0);
   return static_cast<std::size_t>(std::ceil(base * 2.0));
 }

@@ -43,15 +43,14 @@ SizingPlan plan_samples(const SizingRequest& request) {
 }
 
 AutoAdjustResult auto_adjust_sps(const ConjunctionCountModel& model,
-                                 SizingRequest request, double threshold_km,
-                                 double min_sps) {
+                                 SizingRequest request, double threshold_km) {
   AutoAdjustResult result;
   result.seconds_per_sample = request.seconds_per_sample;
 
   for (;;) {
     result.candidate_capacity = candidate_capacity_from_model(
         model, static_cast<double>(request.satellites), result.seconds_per_sample,
-        request.span_seconds, threshold_km, request.pair_share);
+        request.span_seconds, threshold_km);
     SizingRequest trial = request;
     trial.seconds_per_sample = result.seconds_per_sample;
     trial.candidate_capacity = result.candidate_capacity;
@@ -61,13 +60,12 @@ AutoAdjustResult auto_adjust_sps(const ConjunctionCountModel& model,
     }
     // The paper reduces s_ps in whole seconds (9 -> 4 -> 1); halving with a
     // 1-second floor matches that trajectory while staying scale-free.
-    const double next = std::max(min_sps, std::floor(result.seconds_per_sample / 2.0));
+    const double next = std::max(1.0, std::floor(result.seconds_per_sample / 2.0));
     if (next >= result.seconds_per_sample) {
       result.feasible = false;  // already at the floor and still too large
       return result;
     }
     result.seconds_per_sample = next;
-    result.changed = true;
   }
 }
 

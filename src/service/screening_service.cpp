@@ -83,9 +83,6 @@ void ScreeningService::adopt_baseline(std::shared_ptr<const CatalogSnapshot> sna
                                       const ServiceReport& report) {
   has_baseline_ = true;
   baseline_epoch_ = snap->epoch;
-  baseline_sps_ = report.stats.seconds_per_sample > 0.0
-                      ? report.stats.seconds_per_sample
-                      : baseline_sps_;
   baseline_conjunctions_ = report.conjunctions;
 }
 
@@ -133,15 +130,9 @@ ServiceReport ScreeningService::incremental_screen(
       dense = GridScreener(pipeline).screen(snap->satellites, options_.config);
     } catch (const MemoryBudgetExceeded&) {
       // The phantom tables (27 entries per dirty object) outgrow the
-      // budget where the full screen's grids may still fit.
+      // budget where the full screen's cell lists may still fit.
     }
-    if (!dense || dense->stats.seconds_per_sample != baseline_sps_) {
-      // Either the masked plan did not fit, or the sizing model
-      // auto-shrank the sample period (population or dirty set grew into
-      // the memory budget): clean-pair results are no longer guaranteed to
-      // match the baseline grid geometry, so rebuild.
-      return full_screen(std::move(snap));
-    }
+    if (!dense) return full_screen(std::move(snap));
     refreshed = to_id_space(dense->conjunctions, *snap);
     report.timings = dense->timings;
     report.stats = dense->stats;

@@ -91,8 +91,9 @@ inline constexpr double kFullRescreenFraction = 0.25;
 /// dirty-vs-clean candidates are found exactly as in a full pass; see
 /// GridPipelineOptions::dirty_mask) and merges with the baseline by
 /// evicting pairs whose members changed. When the masked pass does not fit
-/// the memory budget, or would sample at a different period than the
-/// baseline, the pass is a full screen instead. The merged report is identical to
+/// the memory budget, the pass is a full screen instead; a CPU screen never
+/// changes the pinned sample period, so every pass shares the baseline's
+/// grid geometry. The merged report is identical to
 /// a from-scratch screen of the same snapshot: a pair's conjunctions
 /// depend only on the two orbits and the fixed config, so clean-clean
 /// pairs carry over verbatim and everything else is recomputed.
@@ -142,7 +143,6 @@ class ScreeningService {
   // Warm baseline: the conjunction set of `baseline_epoch_`, in id space.
   bool has_baseline_ = false;
   std::uint64_t baseline_epoch_ = 0;
-  double baseline_sps_ = 0.0;  ///< sample period the baseline was built with
   std::vector<IdConjunction> baseline_conjunctions_;
 };
 

@@ -25,24 +25,15 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double percentile(std::vector<double> values, double q) {
+double median(std::vector<double> values) {
   if (values.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
   std::sort(values.begin(), values.end());
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
-}
-
-double median(std::vector<double> values) { return percentile(std::move(values), 0.5); }
-
-double mean_of(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
+  const std::size_t mid = values.size() / 2;
+  if (values.size() % 2 != 0) return values[mid];
+  // lo + (hi - lo) / 2 rather than (lo + hi) / 2: the KDE bandwidth
+  // (population/kde.cpp), and with it every generated population, depends
+  // on these bits.
+  return values[mid - 1] + 0.5 * (values[mid] - values[mid - 1]);
 }
 
 Histogram2D::Histogram2D(double x_lo, double x_hi, std::size_t x_bins,

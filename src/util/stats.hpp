@@ -27,14 +27,9 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Percentile of a sample set with linear interpolation between closest
-/// ranks; `q` in [0, 1]. The input is copied and sorted.
-double percentile(std::vector<double> values, double q);
-
+/// Median of a sample set, the mean of the middle two for an even count;
+/// zero for an empty input.
 double median(std::vector<double> values);
-
-/// Arithmetic mean; zero for an empty input.
-double mean_of(const std::vector<double>& values);
 
 /// Fixed-width 2-D histogram used to reproduce the bivariate density plot
 /// of Fig. 9 (semi-major axis vs. eccentricity).

@@ -655,10 +655,11 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
   // Budget holding the fixed data plus exactly `grids` per-step tables
   // (0: default): GridHashSets of `entries` entries each, or the CPU full
   // screen's cell lists when `entries` is 0, each with its worker's
-  // warm-start anomalies when `warm`.
+  // warm-start anomalies when `warm`. Only devicesim's plan also reserves
+  // the model's candidate buffer.
   const auto budget_for = [&](std::size_t n, std::size_t entries,
                               const ConjunctionCountModel& model, std::size_t grids,
-                              bool warm) -> std::uint64_t {
+                              bool warm, bool device) -> std::uint64_t {
     if (grids == 0) return ScreeningConfig{}.memory_budget;
     SizingRequest request;
     request.satellites = n;
@@ -666,9 +667,11 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
     request.warm_start = warm;
     request.span_seconds = base.span_seconds();
     request.seconds_per_sample = base.seconds_per_sample;
-    request.candidate_capacity = candidate_capacity_from_model(
-        model, static_cast<double>(n), base.seconds_per_sample, base.span_seconds(),
-        base.threshold_km);
+    if (device) {
+      request.candidate_capacity = candidate_capacity_from_model(
+          model, static_cast<double>(n), base.seconds_per_sample, base.span_seconds(),
+          base.threshold_km);
+    }
     const SizingPlan plan = plan_samples(request);
     return plan.fixed_bytes + grids * plan.per_grid_bytes;
   };
@@ -720,7 +723,7 @@ TEST(Screeners, FusedPathInvariantToThreadsAndRoundShape) {
         const bool warm = pool != nullptr &&
                           dynamic_cast<const TwoBodyPropagator*>(c.propagator) != nullptr;
         const std::uint64_t budget =
-            budget_for(n, cell_lists ? 0 : entries, model, grids, warm);
+            budget_for(n, cell_lists ? 0 : entries, model, grids, warm, pool == nullptr);
         const std::size_t per_grid =
             (cell_lists ? CellList::projected_memory_bytes(n)
                         : GridHashSet(entries).memory_bytes()) +
@@ -1134,7 +1137,7 @@ TEST(Screeners, WarmRepeatScreensAreBitIdenticalAcrossVariants) {
 
 TEST(Screeners, InterleavedPopulationSizesStayBitIdentical) {
   // Alternating population sizes through one screener: each screen sizes
-  // its grids and candidate buffer for its own population.
+  // its per-step tables for its own population.
   const auto big = generate_population({400, 5});
   const auto small = generate_population({120, 6});
   const ScreeningConfig cfg = repeat_config();

@@ -13,7 +13,9 @@
 #include "population/generator.hpp"
 #include "population/tle.hpp"
 #include "service/screening_service.hpp"
+#include "spatial/candidate_buffer.hpp"
 #include "spatial/cell.hpp"
+#include "spatial/cell_list.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
 
@@ -443,19 +445,16 @@ TEST(ScreeningService, IncrementalMatchesFromScratchOverRandomDeltas) {
 
 TEST(ScreeningService, MaskedPlanOverBudgetFallsBackToFullScreen) {
   // A masked pass holds 27 table entries per dirty object, so with half the
-  // catalog dirty it needs more memory than a full screen's n-entry grid.
-  // Under a budget that fits exactly one full grid, a forced-incremental
-  // screen must fall back to a full one instead of throwing.
+  // catalog dirty it needs more memory than a full screen's n-entry cell
+  // list. Under a budget that fits exactly one cell list, a
+  // forced-incremental screen must fall back to a full one instead of
+  // throwing.
   ServiceOptions options = dense_options();
   const auto population = generate_population({300, 5});
   SizingRequest request;
   request.satellites = population.size();
   request.span_seconds = options.config.span_seconds();
   request.seconds_per_sample = options.config.seconds_per_sample;
-  request.candidate_capacity = candidate_capacity_from_model(
-      ConjunctionCountModel::paper_grid(), static_cast<double>(population.size()),
-      options.config.seconds_per_sample, options.config.span_seconds(),
-      options.config.threshold_km);
   request.warm_start = true;  // two-body propagation on the CPU
   const SizingPlan plan = plan_samples(request);
   options.config.memory_budget = plan.fixed_bytes + plan.per_grid_bytes;
@@ -475,6 +474,49 @@ TEST(ScreeningService, MaskedPlanOverBudgetFallsBackToFullScreen) {
   EXPECT_EQ(service.stats().incremental_screens, 0u);
   expect_equivalent(report.conjunctions, service.reference_conjunctions(),
                     "over-budget fallback");
+}
+
+TEST(ScreeningService, MaskedPassKeepsTheBaselinesSamplePeriod) {
+  // A CPU screen reserves nothing for candidate keys, so neither the
+  // baseline's full screen nor a masked pass lowers the pinned s_ps. The
+  // budget fits the full screen's cell list, a masked pass's phantom table
+  // and the count model's 20 000-candidate floor, but not the model's
+  // buffer for the whole population at the pinned s_ps, which a plan
+  // reserving it would have to sample more finely for. A
+  // forced-incremental epoch must stay incremental and equal a
+  // from-scratch screen.
+  ServiceOptions options = dense_options();
+  const auto population = generate_population({1000, 5});
+  const std::size_t n = population.size();
+  const ScreeningConfig& config = options.config;
+  const std::uint64_t fixed = n * (kSatelliteBytes + kKeplerCacheBytes);
+  const std::uint64_t table = CellList::projected_memory_bytes(n) + n * sizeof(double);
+  const std::uint64_t floor_buffer = CandidateBuffer::projected_memory_bytes(20000);
+  options.config.memory_budget = fixed + table + floor_buffer;
+  const std::uint64_t full_buffer =
+      CandidateBuffer::projected_memory_bytes(candidate_capacity_from_model(
+          ConjunctionCountModel::paper_grid(), static_cast<double>(n),
+          config.seconds_per_sample, config.span_seconds(), config.threshold_km));
+  ASSERT_GT(full_buffer, table + floor_buffer);
+
+  ScreeningService service(options);
+  service.upsert(population);
+  const ServiceReport baseline = service.screen();
+  EXPECT_FALSE(baseline.incremental);
+  EXPECT_EQ(baseline.stats.seconds_per_sample, config.seconds_per_sample);
+  ASSERT_GT(baseline.conjunctions.size(), 0u);
+
+  std::vector<Satellite> delta;
+  for (std::size_t i = 0; i < n; i += 100) delta.push_back(population[i]);
+  for (Satellite& sat : delta) sat.elements.mean_anomaly += 0.01;
+  service.upsert(delta);
+  const ServiceReport report = service.screen(ScreenMode::kIncremental);
+  EXPECT_TRUE(report.incremental);
+  EXPECT_EQ(report.stats.seconds_per_sample, config.seconds_per_sample);
+  EXPECT_EQ(service.stats().full_screens, 1u);
+  EXPECT_EQ(service.stats().incremental_screens, 1u);
+  expect_equivalent(report.conjunctions, service.reference_conjunctions(),
+                    "masked pass in a tight budget");
 }
 
 TEST(ScreeningService, DirtyObjectCrossingCellFaceAtSampleInstant) {

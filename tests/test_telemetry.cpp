@@ -170,7 +170,7 @@ TEST_F(Telemetry, GridOccupancyMatchesEq1Sizing) {
 
 // The classical filter chain is conservative too: every pair entering it
 // is rejected by exactly one filter or survives to refinement.
-// The floor count model reserves far fewer candidates than a dense debris
+// The floor count model predicts far fewer candidates than a dense debris
 // cloud produces. On the CPU nothing grows: each worker keeps its own key
 // list. devicesim's candidate buffer grows and only its CD kernel re-runs,
 // whose funnel counts replace the discarded run's. Either way every counter
@@ -245,7 +245,7 @@ TEST_F(Telemetry, RoundRerunAfterGrowCountsOnlyKeptWork) {
 // A masked screen registers 27 phantoms per dirty object and step and
 // looks every object up once per step; no clean-clean pair is tested.
 // Under the floor count model its workers' key lists hold more candidates
-// than the model reserved, and the counts equal a roomy model's screen.
+// than the model predicts, and the counts equal a roomy model's screen.
 TEST_F(Telemetry, MaskedScreenCountsPhantomWork) {
   const KeplerElements parent{7000.0, 0.001, 1.0, 0.5, 0.2, 1.0};
   const auto cloud = generate_debris_cloud(parent, 80, 0.05, 99);
