@@ -121,18 +121,27 @@ ScreeningReport HybridScreener::run(const Propagator& propagator,
                                     const ScreeningConfig& config) const {
   require_fixed_elements(propagator);
   // The filters classify each pair once over the whole span, so every
-  // round's candidate keys are collected first.
+  // round's candidate keys are collected first, and the plan reserves
+  // Eq. 4's a_ch for them.
   std::vector<std::uint64_t> keys;
   const GridRoundSink collect = [&](std::size_t, std::span<const std::uint64_t> round,
                                     const GridPipelineResult&) {
     keys.insert(keys.end(), round.begin(), round.end());
   };
+  GridPipelineOptions options;
+  options.sink_keeps_keys = true;
   const GridPipelineResult pipeline = run_grid_pipeline(
       propagator, with_sample_period(config, kDefaultSecondsPerSample),
-      ConjunctionCountModel::paper_hybrid(), {}, collect);
+      ConjunctionCountModel::paper_hybrid(), options, collect);
 
   ScreeningReport report;
   fill_pipeline_stats(report, propagator.size(), pipeline);
+  // The span's keys were held beside the pipeline's round storage while
+  // collecting, then beside the sort's scratch copy.
+  report.stats.candidate_memory_bytes =
+      keys.capacity() * sizeof(std::uint64_t) +
+      std::max<std::uint64_t>(pipeline.candidate_memory_bytes,
+                              keys.size() * sizeof(std::uint64_t));
 
   // ---- Step 3: orbital filters on the distinct pairs --------------------
   Stopwatch filter_watch;
