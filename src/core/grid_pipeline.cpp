@@ -83,6 +83,10 @@ struct PairTest {
   /// into a state (CPU batched kernel), otherwise nullptr.
   const TwoBodyPropagator* two_body;
   const double* vmax;  ///< per-satellite speed bound [km/s]
+  /// Per-satellite perigee radius [km] when the propagator moves every
+  /// satellite by two-body gravity alone, which the reach bound's tidal
+  /// term needs; 0 otherwise, which leaves the term out.
+  const double* perigee;
   double threshold_km;
   double half_sps;     ///< half the sample period [s]
   double cell_size;    ///< g_c [km], which sets refinement's search interval
@@ -122,8 +126,9 @@ struct PairTest {
     // rejects nothing, so no state is computed for it.
     const double accel = propagator.max_acceleration(a) + propagator.max_acceleration(b);
     if (accel < std::numeric_limits<double>::infinity() &&
-        out_of_reach(state(a, t, anomaly(a)), state(b, t, anomaly(b)), accel, t, cell_size,
-                     threshold_km, t_begin, t_end)) {
+        out_of_reach(state(a, t, anomaly(a)), state(b, t, anomaly(b)), accel,
+                     std::min(perigee[a], perigee[b]), t, cell_size, threshold_km,
+                     t_begin, t_end)) {
       ++tally.reach_rejected;
       return false;
     }
@@ -650,9 +655,14 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
   std::vector<std::vector<std::uint64_t>> worker_keys(device != nullptr ? 0 : table_count);
   std::vector<std::uint64_t> round_keys;
 
-  std::vector<double> vmax(n);
+  // Only a satellite on its fixed Kepler ellipse moves by two-body
+  // gravity alone, which the reach bound's tidal term assumes.
+  std::vector<double> vmax(n), perigee(n);
+  const bool two_body_gravity = propagator.fixed_elements();
   pool_of(config).parallel_for(n, [&](std::size_t i) {
-    vmax[i] = max_speed(propagator.elements(i));
+    const KeplerElements& el = propagator.elements(i);
+    vmax[i] = max_speed(el);
+    perigee[i] = two_body_gravity ? perigee_radius(el) : 0.0;
   });
 
   // Device mode: account the fixed data, grids and candidate buffer against
@@ -686,9 +696,11 @@ GridPipelineResult run_grid_pipeline(const Propagator& propagator,
 
   result.allocation_seconds = alloc_watch.seconds();
 
-  const PairTest test{propagator,       batch_propagator, vmax.data(),
-                      config.threshold_km, 0.5 * result.sample_period, result.cell_size,
-                      config.t_begin,   config.t_end};
+  const PairTest test{propagator,          batch_propagator,
+                      vmax.data(),         perigee.data(),
+                      config.threshold_km, 0.5 * result.sample_period,
+                      result.cell_size,    config.t_begin,
+                      config.t_end};
   const PhantomScan phantom{indexer, test, options.dirty_mask.data(), dirty_objects};
   const RoundInputs inputs{propagator, batch_propagator, config,  result,
                            indexer,    test,             masked ? &phantom : nullptr,

@@ -138,7 +138,8 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// prefilter and the reach test (out_of_reach, pca/refine.hpp, on the
 /// pair's states at the sample: from the step's solved anomalies on the
 /// CPU with a TwoBodyPropagator, from state() elsewhere, skipped when the
-/// pair's max_acceleration is infinite) is kept as a candidate (a masked
+/// pair's max_acceleration is infinite, with the tidal term only when the
+/// propagator's fixed_elements() holds) is kept as a candidate (a masked
 /// step registers the dirty objects and looks every satellite up instead;
 /// see GridPipelineOptions::dirty_mask). After every round its candidates
 /// are handed to `sink` (the sink is called once per round, in round

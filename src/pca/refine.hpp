@@ -55,26 +55,37 @@ SearchInterval grid_search_interval(const StateVector& a, const StateVector& b,
                                     double t_max);
 
 /// Lower bound [km] on |r(tau)| for tau in [tau_lo, tau_hi], a range that
-/// contains 0, when r(0) = r0, r'(0) = v0 and |r''| <= max_accel:
-/// r(tau) deviates from r0 + v0 tau by at most max_accel tau^2 / 2, so
-/// |r(tau)| >= min |r0 + v0 tau| - max_accel tau_max^2 / 2. The minimum of
-/// the straight line has a closed form. An infinite max_accel gives
-/// -infinity, a bound that proves nothing.
-double reach_lower_bound(const Vec3& r0, const Vec3& v0, double max_accel,
+/// contains 0, where r is the separation r_b - r_a of two objects with
+/// r(0) = r0, r'(0) = v0 and |r''| <= max_accel. The larger of two bounds,
+/// both measured from the straight line L(tau) = r0 + v0 tau, whose
+/// minimum over the range has a closed form, and M = max |L| at the
+/// range's ends:
+///  - first order: r deviates from L by at most max_accel tau_max^2 / 2;
+///  - tidal, only when both objects move under two-body gravity and
+///    `perigee` is the lower of their perigee radii (0 otherwise): their
+///    separation stays below S = M + max_accel tau_max^2 / 2, so the chord
+///    between them stays above r_m = sqrt(perigee^2 - S^2 / 4), where the
+///    gravity gradient 2 mu / r_m^3 = k bounds |r''| by k |r|, and r
+///    deviates from L by at most M (cosh(sqrt(k) tau_max) - 1) (Gronwall,
+///    against u'' = k (M + u)). Where r_m^2 <= 0 only the first order holds.
+/// An infinite max_accel gives -infinity, a bound that proves nothing.
+double reach_lower_bound(const Vec3& r0, const Vec3& v0, double max_accel, double perigee,
                          double tau_lo, double tau_hi);
 
 /// The reach test of a grid candidate, run where the candidate is emitted
 /// (the grid front end's PairTest): true when the pair, in states `a` and
-/// `b` at `t_sample` and with relative acceleration at most `max_accel`,
-/// stays farther than `threshold_km` + kReachBoundMarginKm apart at every
-/// time refine_grid_candidate's search can evaluate, its
-/// grid_search_interval widened by kEdgeProbeSeconds. Such a candidate's
-/// search could only return a PCA above the threshold, which refinement
-/// rejects, so it need not be emitted. An infinite `max_accel` rejects
-/// nothing.
+/// `b` at `t_sample`, with relative acceleration at most `max_accel` and
+/// the lower perigee radius `perigee` (0 when the pair does not move under
+/// two-body gravity), stays farther than `threshold_km` +
+/// kReachBoundMarginKm apart at every time refine_grid_candidate's search
+/// can evaluate, its grid_search_interval widened by kEdgeProbeSeconds.
+/// Such a candidate's search could only return a PCA above the threshold,
+/// which refinement rejects, so it need not be emitted. The bound is
+/// reach_lower_bound's, whose tidal term is evaluated only when the first
+/// order keeps the pair. An infinite `max_accel` rejects nothing.
 bool out_of_reach(const StateVector& a, const StateVector& b, double max_accel,
-                  double t_sample, double cell_size, double threshold_km, double t_min,
-                  double t_max);
+                  double perigee, double t_sample, double cell_size, double threshold_km,
+                  double t_min, double t_max);
 
 /// One Brent search for a refinement: minimizes `distance` on [lo, hi] with
 /// the refinement settings and counts it as one refinement. Every Brent

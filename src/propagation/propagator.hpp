@@ -32,10 +32,10 @@ class Propagator {
   virtual const KeplerElements& elements(std::size_t index) const = 0;
 
   /// Upper bound [km/s^2] on the magnitude of satellite `index`'s
-  /// acceleration at any time. Grid-style refinement skips a Brent search
-  /// when this bound proves the pair cannot come within the threshold.
-  /// The default, +infinity, proves nothing, so such a propagator's
-  /// candidates are always searched.
+  /// acceleration at any time. The grid front end's reach test
+  /// (out_of_reach, pca/refine.hpp) drops a pair when this bound proves it
+  /// cannot come within the threshold. The default, +infinity, proves
+  /// nothing, so such a propagator's pairs are always emitted.
   virtual double max_acceleration(std::size_t /*index*/) const {
     return std::numeric_limits<double>::infinity();
   }

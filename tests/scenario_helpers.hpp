@@ -13,6 +13,7 @@
 #include "orbit/elements.hpp"
 #include "orbit/frames.hpp"
 #include "orbit/geometry.hpp"
+#include "orbit/state.hpp"
 #include "propagation/kepler_solver.hpp"
 #include "propagation/two_body.hpp"
 #include "util/constants.hpp"
@@ -115,6 +116,27 @@ inline Satellite make_interceptor(const KeplerElements& target, double t_star,
     el.mean_anomaly = wrap_two_pi(m_at_t - mean_motion(el) * t_star);
     break;
   }
+  return {id, el};
+}
+
+/// Builds a circular satellite that passes through the point where
+/// `target` is at time `t_star`, but `lag_s` seconds later, moving at
+/// `angle` to the target's velocity there (near pi: almost head on). The
+/// orbits intersect, so the node test keeps the pair; how close the two
+/// objects come depends on the lag and the angle.
+inline Satellite make_late_crosser(const KeplerElements& target, double t_star,
+                                   double angle, double lag_s, std::uint32_t id) {
+  const NewtonKeplerSolver solver;
+  const std::vector<Satellite> one{{0, target}};
+  const TwoBodyPropagator prop(one, solver);
+  const StateVector at = prop.state(0, t_star);
+  const Vec3 up = at.position.normalized();
+  const Vec3 along = (at.velocity - up * at.velocity.dot(up)).normalized();
+  const Vec3 side = up.cross(along);
+  const double speed = std::sqrt(kMuEarth / at.position.norm());
+  KeplerElements el = elements_from_state(
+      {at.position, (along * std::cos(angle) + side * std::sin(angle)) * speed});
+  el.mean_anomaly = wrap_two_pi(el.mean_anomaly - mean_motion(el) * (t_star + lag_s));
   return {id, el};
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -10,6 +11,7 @@
 
 #include "core/screen.hpp"
 #include "obs/telemetry.hpp"
+#include "orbit/geometry.hpp"
 #include "pca/brent.hpp"
 #include "pca/pair_evaluator.hpp"
 #include "pca/refine.hpp"
@@ -225,14 +227,24 @@ TEST(ReachBound, TwoBodyMaxAccelerationIsMuOverPerigeeSquared) {
 
 TEST(ReachBound, LineMinimumIsClosedForm) {
   // Closest point of the line inside the range, then clamped to an edge.
-  EXPECT_DOUBLE_EQ(reach_lower_bound({3.0, -4.0, 0.0}, {0.0, 1.0, 0.0}, 0.0, -10.0, 10.0),
-                   3.0);
-  EXPECT_DOUBLE_EQ(reach_lower_bound({3.0, -4.0, 0.0}, {0.0, 1.0, 0.0}, 0.0, -1.0, 2.0),
-                   std::hypot(3.0, 2.0));
+  EXPECT_DOUBLE_EQ(
+      reach_lower_bound({3.0, -4.0, 0.0}, {0.0, 1.0, 0.0}, 0.0, 0.0, -10.0, 10.0), 3.0);
+  EXPECT_DOUBLE_EQ(
+      reach_lower_bound({3.0, -4.0, 0.0}, {0.0, 1.0, 0.0}, 0.0, 0.0, -1.0, 2.0),
+      std::hypot(3.0, 2.0));
   // The acceleration term uses the longer side of the range.
-  EXPECT_DOUBLE_EQ(reach_lower_bound({5.0, 0.0, 0.0}, {}, 0.02, -10.0, 4.0), 4.0);
+  EXPECT_DOUBLE_EQ(reach_lower_bound({5.0, 0.0, 0.0}, {}, 0.02, 0.0, -10.0, 4.0), 4.0);
+  // The tidal term lies M (cosh(sqrt(k) tau_max) - 1) below the line's
+  // minimum, with k = 2 mu / r_m^3 at the chord radius r_m = sqrt(p^2 -
+  // S^2 / 4) and S = M + A tau_max^2 / 2 = 6; where r_m^2 <= 0 only the
+  // first-order term is left.
+  const double r_m = std::sqrt(7000.0 * 7000.0 - 0.25 * 6.0 * 6.0);
+  const double k = 2.0 * kMuEarth / (r_m * r_m * r_m);
+  EXPECT_NEAR(reach_lower_bound({5.0, 0.0, 0.0}, {}, 0.02, 7000.0, -10.0, 4.0),
+              5.0 - 5.0 * (std::cosh(std::sqrt(k) * 10.0) - 1.0), 1e-12);
+  EXPECT_DOUBLE_EQ(reach_lower_bound({5.0, 0.0, 0.0}, {}, 0.02, 2.9, -10.0, 4.0), 4.0);
   EXPECT_EQ(reach_lower_bound({5.0, 0.0, 0.0}, {}, std::numeric_limits<double>::infinity(),
-                              -1.0, 1.0),
+                              7000.0, -1.0, 1.0),
             -std::numeric_limits<double>::infinity());
 }
 
@@ -245,6 +257,12 @@ struct ReachCase {
   double threshold = 0.0;
   double t_min = 0.0;
   double t_max = 0.0;
+
+  /// The pair's lower perigee radius, which the tidal term of the reach
+  /// bound takes.
+  double perigee() const {
+    return std::min(perigee_radius(sats[0].elements), perigee_radius(sats[1].elements));
+  }
 };
 
 /// Whether the reach test rejects `c`, with the states the grid front end
@@ -260,13 +278,14 @@ bool reach_rejects(const ReachCase& c) {
   direct.positions_at(c.t_sample - 16.0, 0, 2, positions, big_e);
   direct.positions_warm(c.t_sample, 16.0, 0, 2, big_e, positions);
   const double accel = direct.max_acceleration(0) + direct.max_acceleration(1);
+  const double perigee = c.perigee();
   const bool warm = out_of_reach(detail::state_from_anomaly(direct.cache(0), big_e[0]),
                                  detail::state_from_anomaly(direct.cache(1), big_e[1]),
-                                 accel, c.t_sample, c.cell_size, c.threshold, c.t_min,
-                                 c.t_max);
+                                 accel, perigee, c.t_sample, c.cell_size, c.threshold,
+                                 c.t_min, c.t_max);
   const bool cold = out_of_reach(direct.state(0, c.t_sample), direct.state(1, c.t_sample),
-                                 accel, c.t_sample, c.cell_size, c.threshold, c.t_min,
-                                 c.t_max);
+                                 accel, perigee, c.t_sample, c.cell_size, c.threshold,
+                                 c.t_min, c.t_max);
   EXPECT_EQ(warm, cold);
   if (cold) return true;
 
@@ -290,14 +309,20 @@ bool reach_rejects(const ReachCase& c) {
 /// What the search of `c` can see: the minimum distance over every time
 /// it can evaluate (the clamped interval widened by the edge probes),
 /// scanned at 0.01 s plus the range's ends, and the reach bound over the
-/// same range.
+/// same range, with and without its tidal term.
 struct WindowScan {
   double min_distance = 0.0;
   double bound = 0.0;
+  double first_order = 0.0;  ///< the bound with no perigee, so no tidal term
+  /// Whether the tidal term applies: r_m^2 = p^2 - S^2 / 4 > 0, with S =
+  /// M + A tau_max^2 / 2 the first-order bound on the separation.
+  bool tidal_applies = false;
 };
 
 WindowScan scan_search_window(const ReachCase& c) {
-  const ContourKeplerSolver solver;
+  // Newton, several times faster here than the screens' Contour solver;
+  // both solve Kepler's equation to rounding.
+  const NewtonKeplerSolver solver;
   const TwoBodyPropagator prop(c.sats, solver);
   const StateVector a = prop.state(0, c.t_sample);
   const StateVector b = prop.state(1, c.t_sample);
@@ -314,9 +339,17 @@ WindowScan scan_search_window(const ReachCase& c) {
   for (double t = lo; t < hi; t += 0.01) {
     scan.min_distance = std::min(scan.min_distance, prop.distance(0, 1, t));
   }
-  scan.bound = reach_lower_bound(b.position - a.position, b.velocity - a.velocity,
-                                 prop.max_acceleration(0) + prop.max_acceleration(1),
-                                 t_lo - c.t_sample, t_hi - c.t_sample);
+  const Vec3 r0 = b.position - a.position;
+  const Vec3 v0 = b.velocity - a.velocity;
+  const double accel = prop.max_acceleration(0) + prop.max_acceleration(1);
+  const double tau_lo = t_lo - c.t_sample, tau_hi = t_hi - c.t_sample;
+  scan.bound = reach_lower_bound(r0, v0, accel, c.perigee(), tau_lo, tau_hi);
+  scan.first_order = reach_lower_bound(r0, v0, accel, 0.0, tau_lo, tau_hi);
+  const double tau_max = std::max(-tau_lo, tau_hi);
+  const double separation =
+      std::max((r0 + v0 * tau_lo).norm(), (r0 + v0 * tau_hi).norm()) +
+      0.5 * accel * tau_max * tau_max;
+  scan.tidal_applies = c.perigee() * c.perigee() - 0.25 * separation * separation > 0.0;
   return scan;
 }
 
@@ -332,16 +365,27 @@ KeplerElements perturbed(KeplerElements el, Rng& rng, double angle, double size_
 }
 
 TEST(ReachBound, SkipsOnlyWhereTheWholeWindowStaysAboveThreshold) {
-  // Eccentric orbits, low perigees, co-orbital twins and crossing pairs,
-  // with a third of the samples next to a span edge so the window clamps.
+  // Eccentric orbits, low perigees, co-orbital twins and crossing pairs in
+  // LEO; GEO and MEO pairs; HEO pairs up to e = 0.8 with perigees near
+  // 200 km altitude; and windows so long that the tidal term's chord bound
+  // fails (r_m^2 <= 0), where only the first-order term holds. A third of
+  // the samples sit next to a span edge, so the window clamps.
   Rng rng(0x5EAC4);
-  int skipped = 0, searched = 0, clamped_skips = 0;
-  for (int k = 0; k < 400; ++k) {
+  constexpr int kLongWindows = 7;
+  int skipped = 0, searched = 0, clamped_skips = 0, tidal_skips = 0, first_order_only = 0;
+  std::array<int, 8> regime_skips{};
+  // 100 cases of each short-window regime, then 40 of the long windows,
+  // whose dense scans cost the most: their spans are kept to 20-25 min, so
+  // the window spans most of it from a sample near a span edge.
+  for (int k = 0; k < 740; ++k) {
+    const int regime = k < 700 ? k % 7 : kLongWindows;
+    const bool long_window = regime == kLongWindows;
     ReachCase c;
-    c.cell_size = rng.uniform(5.0, 150.0);
+    c.cell_size = long_window ? rng.uniform(3000.0, 5000.0) : rng.uniform(5.0, 150.0);
     c.threshold = rng.uniform(0.5, 20.0);
     c.t_min = rng.uniform(0.0, 5000.0);
-    c.t_max = c.t_min + rng.uniform(300.0, 3600.0);
+    c.t_max = c.t_min + (long_window ? rng.uniform(1200.0, 1500.0)
+                                     : rng.uniform(300.0, 3600.0));
 
     KeplerElements a;
     a.inclination = rng.uniform(0.1, kPi - 0.1);
@@ -349,7 +393,14 @@ TEST(ReachBound, SkipsOnlyWhereTheWholeWindowStaysAboveThreshold) {
     a.arg_perigee = rng.uniform(0.0, kTwoPi);
     a.mean_anomaly = rng.uniform(0.0, kTwoPi);
     KeplerElements b;
-    switch (k % 4) {
+    // A crossing orbit that passes within a few thresholds of `a`.
+    const auto crossing = [&] {
+      const double t_star = rng.uniform(c.t_min, c.t_max);
+      return testutil::make_interceptor(a, t_star, rng.uniform(-3.0, 3.0) * c.threshold,
+                                        rng, 1)
+          .elements;
+    };
+    switch (regime) {
       case 0: {  // eccentric, perigee in LEO
         a.semi_major_axis = rng.uniform(8000.0, 26000.0);
         a.eccentricity = 1.0 - rng.uniform(6600.0, 7500.0) / a.semi_major_axis;
@@ -370,12 +421,37 @@ TEST(ReachBound, SkipsOnlyWhereTheWholeWindowStaysAboveThreshold) {
         b.semi_major_axis += rng.uniform(-0.5, 0.5);
         break;
       }
-      default: {  // crossing orbit, passing within a few thresholds
+      case 3: {  // crossing orbit
         a.semi_major_axis = rng.uniform(6800.0, 12000.0);
         a.eccentricity = rng.uniform(0.0, 0.3) * (1.0 - 6700.0 / a.semi_major_axis);
+        b = crossing();
+        break;
+      }
+      case 4: {  // GEO neighbours, up to ~40 km apart
+        a.semi_major_axis = rng.uniform(42114.0, 42214.0);
+        a.eccentricity = rng.uniform(0.0, 1e-3);
+        a.inclination = rng.uniform(0.0, 0.1);
+        b = perturbed(a, rng, 1e-3, 5.0);
+        break;
+      }
+      case 5: {  // MEO, navigation-shell crossings and neighbours
+        a.semi_major_axis = rng.uniform(25500.0, 29600.0);
+        a.eccentricity = rng.uniform(0.0, 0.02);
+        b = rng.uniform_index(2) == 0 ? crossing() : perturbed(a, rng, 1e-3, 3.0);
+        break;
+      }
+      case 6: {  // HEO, e up to 0.8, perigee near 200 km altitude
+        a.eccentricity = rng.uniform(0.3, 0.8);
+        a.semi_major_axis = rng.uniform(6560.0, 6650.0) / (1.0 - a.eccentricity);
+        b = perturbed(a, rng, 1e-3, 3.0);
+        break;
+      }
+      default: {  // LEO, nearly head on, windows of many minutes
+        a.semi_major_axis = rng.uniform(6800.0, 7500.0);
+        a.eccentricity = rng.uniform(0.0, 0.01);
         const double t_star = rng.uniform(c.t_min, c.t_max);
-        b = testutil::make_interceptor(a, t_star,
-                                       rng.uniform(-3.0, 3.0) * c.threshold, rng, 1)
+        const double angle = kPi - rng.uniform(0.0, 0.5);
+        b = testutil::make_late_crosser(a, t_star, angle, rng.uniform(-5.0, 5.0), 1)
                 .elements;
         break;
       }
@@ -388,23 +464,64 @@ TEST(ReachBound, SkipsOnlyWhereTheWholeWindowStaysAboveThreshold) {
       default: c.t_sample = rng.uniform(c.t_min, c.t_max); break;
     }
 
-    // The bound holds wherever it is evaluated, and where the reach test
+    // The bound holds wherever it is evaluated, it is the first-order term
+    // alone where the tidal term does not apply, and where the reach test
     // rejects, the whole range stays above the threshold.
     const WindowScan scan = scan_search_window(c);
     EXPECT_GE(scan.min_distance, scan.bound) << "case " << k;
+    EXPECT_GE(scan.bound, scan.first_order) << "case " << k;
+    if (!scan.tidal_applies) {
+      ++first_order_only;
+      EXPECT_EQ(scan.bound, scan.first_order) << "case " << k;
+    }
     if (!reach_rejects(c)) {
       ++searched;
       continue;
     }
     ++skipped;
+    ++regime_skips[regime];
+    if (scan.first_order <= c.threshold + kReachBoundMarginKm) ++tidal_skips;
     if (c.t_sample - c.t_min < 60.0 || c.t_max - c.t_sample < 60.0) ++clamped_skips;
     EXPECT_GT(scan.min_distance, c.threshold)
         << "case " << k << " t_s " << c.t_sample << " cell " << c.cell_size;
   }
-  // Both outcomes and clamped windows are exercised.
-  EXPECT_GT(skipped, 40);
-  EXPECT_GT(searched, 40);
-  EXPECT_GT(clamped_skips, 10);
+  // Both outcomes, clamped windows, skips only the tidal term makes and
+  // windows past its reach are all exercised, and every regime with short
+  // windows skips some pairs.
+  EXPECT_GT(skipped, 300);
+  EXPECT_GT(searched, 80);
+  EXPECT_GT(clamped_skips, 100);
+  EXPECT_GT(tidal_skips, 50);
+  EXPECT_GT(first_order_only, 20);
+  for (int regime = 0; regime < kLongWindows; ++regime) {
+    EXPECT_GT(regime_skips[regime], 0) << "regime " << regime;
+  }
+}
+
+TEST(ReachBound, TidalTermRejectsAMissTheFirstOrderKeeps) {
+  // A crossing that misses by d + 3 km at the sample, searched over about
+  // +-36 s: the first-order term's slack, A tau^2 / 2 ~ 11 km, keeps the
+  // pair; the gravity gradient's, under 1 km, rejects it.
+  Rng rng(0x71DA1);
+  ReachCase c;
+  c.threshold = 5.0;
+  c.t_min = 0.0;
+  c.t_max = 3600.0;
+  c.t_sample = 1800.0;
+  const KeplerElements a{6900.0, 0.0, 0.9, 1.0, 0.0, 0.5};
+  c.sats = {{0, a}, testutil::make_interceptor(a, c.t_sample, c.threshold + 3.0, rng, 1)};
+  // The cell size that gives the slower object a 36 s search radius.
+  const ContourKeplerSolver solver;
+  const TwoBodyPropagator prop(c.sats, solver);
+  c.cell_size = 18.0 * std::min(prop.state(0, c.t_sample).velocity.norm(),
+                                prop.state(1, c.t_sample).velocity.norm());
+
+  const WindowScan scan = scan_search_window(c);
+  EXPECT_GT(scan.min_distance, c.threshold + 2.9);
+  EXPECT_LT(scan.first_order, c.threshold);
+  EXPECT_GT(scan.bound, c.threshold + 2.0);
+  EXPECT_LE(scan.bound, scan.min_distance);
+  EXPECT_TRUE(reach_rejects(c));
 }
 
 TEST(ReachBound, PlantedSubThresholdEncountersAreNeverSkipped) {

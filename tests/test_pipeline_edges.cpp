@@ -336,6 +336,8 @@ TEST(PipelineEdges, HalfStencilCandidatesMatchFullNeighbourScan) {
         }
         if (out_of_reach(propagator.state(a, t), propagator.state(b, t),
                          propagator.max_acceleration(a) + propagator.max_acceleration(b),
+                         std::min(perigee_radius(cloud[a].elements),
+                                  perigee_radius(cloud[b].elements)),
                          t, result.cell_size, cfg.threshold_km, cfg.t_begin, cfg.t_end)) {
           ++out_of_range;
           continue;

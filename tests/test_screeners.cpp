@@ -1199,9 +1199,19 @@ TEST(Screeners, HybridFilterStageIdenticalAcrossThreadsAndRounds) {
     companion.id = static_cast<std::uint32_t>(sats.size());
     companion.elements.mean_anomaly += rng.uniform(1e-4, 6e-4);
     sats.push_back(companion);
-    sats.push_back(testutil::make_interceptor(
-        sats[3 * k + 20].elements, rng.uniform(300.0, 3300.0), rng.uniform(-3.5, 3.5),
-        rng, static_cast<std::uint32_t>(sats.size())));
+    const KeplerElements target = sats[3 * k + 20].elements;
+    const double t_star = rng.uniform(300.0, 3300.0);
+    const auto id = static_cast<std::uint32_t>(sats.size());
+    if (k % 2 == 0) {
+      sats.push_back(testutil::make_interceptor(target, t_star, rng.uniform(-3.5, 3.5),
+                                                rng, id));
+    } else {
+      // Almost head on and ~30 s late, the crosser misses by a few hundred
+      // metres over d: close enough that the reach test keeps the pair,
+      // too late for the node windows, which reject it.
+      sats.push_back(testutil::make_late_crosser(target, t_star, kPi - 0.05,
+                                                 rng.uniform(28.5, 30.5), id));
+    }
   }
   ScreeningConfig roomy;
   roomy.threshold_km = 5.0;
